@@ -1,15 +1,28 @@
 """Independent finite-difference cross-check of the analytic solution.
 
 Everything here is deliberately dumb: second-order central differences
-on a uniform mesh, Dirichlet rows eliminated, and a dense eigensolve.
-No module of the analytic chain (secular roots, closed-form states,
-metric algebra) is consulted to build the matrix, so agreement between
-the two paths is evidence, not circularity.
+on a uniform mesh with Dirichlet rows eliminated.  No module of the
+analytic chain (secular roots, closed-form states, metric algebra) is
+consulted to build or solve the matrix, so agreement between the two
+paths is evidence, not circularity.
 
 The mesh always contains x = 0 as a node (M even), where the
 off-diagonal potential takes its average value 0.  That single choice
 makes the discrete operator exactly pseudo-Hermitian under the
 channel-swap / index-reversal matrix, at every grid size.
+
+The matrix is I (x) K + C (x) D: the three-point Laplacian K in each
+channel plus the constant channel matrix C = [[0, iZ], [iY, 0]] times
+the step D = diag(sgn(-x)).  For YZ > 0, C has the eigenvalues +-ic,
+c = sqrt(YZ), with eigenvectors that do not depend on x, so the problem
+splits exactly into the complex-symmetric tridiagonal T = K + icD and
+its complex conjugate.  `eigenpairs` solves T alone by sparse
+shift-invert and rebuilds every doublet from it.  The reduction reads
+T from the bands of the matrix and uses the 2x2 matrix C, never the
+closed form, so the oracle stays independent.  The dense eigensolve of the whole matrix
+remains for every other operator, for YZ <= 0, for a matrix no longer
+of that form and for requests too large for the sparse solver; it is
+the cross-check of the reduction.
 """
 
 from __future__ import annotations
@@ -49,7 +62,9 @@ class GridSpec:
 
     @property
     def interior_nodes(self) -> np.ndarray:
-        return -1.0 + self.h * np.arange(1, self.M)
+        # centred offsets keep x = 0 exact and the nodes exactly
+        # antisymmetric; -1 + h*j misses 0 by an ulp at M = 98, 196, ...
+        return self.h * (np.arange(1, self.M) - self.M // 2)
 
 
 def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> OperatorRep:
@@ -60,18 +75,23 @@ def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> OperatorRep:
     """
     m = grid.n_interior
     h2 = grid.h * grid.h
-    kinetic = (
-        2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
-    ) / h2
     sgn = np.sign(-grid.interior_nodes)  # 0 at the midpoint node
-    channel = np.array([[0.0, 1j * coupling.Z], [1j * coupling.Y, 0.0]])
-    matrix = np.kron(np.eye(2), kinetic).astype(complex)
-    matrix += np.kron(channel, np.diag(sgn))
+    # one allocation, only the eight nonzero diagonals written: dense
+    # temporaries of the same size cost more than the solve itself
+    matrix = np.zeros((2 * m, 2 * m), dtype=complex)
+    nodes = np.arange(m)
+    for start in (0, m):
+        band = start + nodes
+        matrix[band, band] = 2.0 / h2
+        matrix[band[1:], band[:-1]] = -1.0 / h2
+        matrix[band[:-1], band[1:]] = -1.0 / h2
+    matrix[nodes, m + nodes] += 1j * coupling.Z * sgn
+    matrix[m + nodes, nodes] += 1j * coupling.Y * sgn
     return OperatorRep(
         matrix=matrix,
         basis=RepBasis.GRID,
         is_form=False,
-        meta={"grid": grid, "coupling": coupling},
+        meta={"grid": grid, "coupling": coupling, "operator": "hamiltonian"},
     )
 
 
@@ -95,23 +115,146 @@ def discrete_theta(grid: GridSpec) -> OperatorRep:
 def eigenpairs(rep: OperatorRep, k: int):
     """k eigenvalues of smallest real part with unit-norm right vectors.
 
+    For a matrix from `build_hamiltonian` with YZ > 0 only the
+    tridiagonal block T = K + icD, read from the bands of the matrix,
+    is solved by sparse shift-invert about 0.  Each eigenpair (E, v) of
+    T gives the doublet (E, u+ (x) v) and (conj(E), u- (x) conj(v)),
+    where u+- are the eigenvectors of the constant channel matrix.  Any
+    other operator, YZ <= 0, a Hamiltonian matrix edited out of the
+    form I (x) K + C (x) D, and a request too large for the sparse
+    solver (k close to the dimension) take the dense eigensolve of the
+    whole matrix.
+
     Every eigensolve asserts the pseudo-Hermitian reality structure:
     eigenvalues are real or occur in conjugate pairs, else the solve is
-    reported as a failure rather than returned.
+    reported as a failure rather than returned.  The reduced solve
+    checks this on the eigenvalues of T and also asserts R T R = T^dagger
+    for the index reversal R.
     """
     if not isinstance(k, (int, np.integer)) or k < 1 or k > rep.dim:
         raise ModelDomainError(f"k must be in 1..{rep.dim}, got {k!r}")
+    if rep.meta.get("operator") == "hamiltonian" and rep.meta["coupling"].product > 0:
+        reduced = _reduced_eigenpairs(rep, k)
+        if reduced is not None:
+            return reduced
     try:
         values, vectors = scipy.linalg.eig(rep.matrix)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise NumericalFailureError(f"dense eigensolve failed: {exc}") from exc
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
     _assert_conjugate_pairing(values)
-    chosen = vectors[:, :k]
-    chosen = chosen / np.linalg.norm(chosen, axis=0, keepdims=True)
-    return values[:k], chosen
+    return _lowest(values, vectors, k)
+
+
+def _lowest(values: np.ndarray, vectors: np.ndarray, k: int):
+    order = np.lexsort((values.imag, values.real))[:k]
+    chosen = vectors[:, order]
+    return values[order], chosen / np.linalg.norm(chosen, axis=0, keepdims=True)
+
+
+def _channel_bands(matrix: np.ndarray, coupling: CouplingPair):
+    """Bands of K and the step d of a matrix I (x) K + C (x) diag(d).
+
+    Returns (sub, diagonal, step) with K real symmetric tridiagonal and
+    d real, read from the matrix itself, or None when the matrix does
+    not have that form (e.g. it was edited in place).
+    """
+    if matrix.shape[0] % 2:
+        return None
+    m = matrix.shape[0] // 2
+    upper, lower = matrix[:m, :m], matrix[m:, m:]
+    sub, diagonal = np.diagonal(upper, -1), np.diagonal(upper)
+    if not all(
+        np.array_equal(np.diagonal(upper, j), np.diagonal(lower, j)) for j in (-1, 0, 1)
+    ):
+        return None
+    if sub.imag.any() or diagonal.imag.any():
+        return None
+    if not np.array_equal(sub, np.diagonal(upper, 1)):
+        return None
+    step = np.diagonal(matrix[:m, m:]).imag / coupling.Z
+    if not (
+        np.array_equal(np.diagonal(matrix[:m, m:]), 1j * coupling.Z * step)
+        and np.array_equal(np.diagonal(matrix[m:, :m]), 1j * coupling.Y * step)
+    ):
+        return None
+    # every entry off these eight diagonals must be zero; each entry on
+    # them has one nonzero part at most, so counting real and imaginary
+    # parts as floats (faster than a complex count) gives the same total
+    per_half = 2 * np.count_nonzero(sub) + np.count_nonzero(diagonal)
+    parts = np.ascontiguousarray(matrix, dtype=complex).view(np.float64)
+    if np.count_nonzero(parts) != 2 * (per_half + np.count_nonzero(step)):
+        return None
+    return sub.real, diagonal.real, step
+
+
+def _reduced_eigenpairs(rep: OperatorRep, k: int):
+    """Lowest k eigenpairs of the full operator from T = K + icD alone.
+
+    T is read from the bands of `rep.matrix`.  Shift-invert returns the
+    eigenvalues of T nearest 0, but the lowest real parts are wanted.
+    Every eigenvalue lies in the numerical range of T, so |Im E| <= b =
+    c max|d| and Re E >= g, the Gershgorin lower bound of K.  After
+    dropping the outermost modulus shell (which may hold half a
+    conjugate pair) the largest kept modulus is r; anything not kept has
+    |Re E| > s = sqrt(r^2 - b^2), hence Re E > s when g >= -s.  So the
+    set is complete when the largest real part a among the lowest ones
+    needed is below s.
+    Returns None when the matrix is not of the channel form or the
+    sparse solver cannot deliver, which sends the caller to the dense
+    eigensolve.
+    """
+    coupling = rep.meta["coupling"]
+    bands = _channel_bands(np.asarray(rep.matrix), coupling)
+    if bands is None:
+        return None
+    sub, diagonal, step = bands
+
+    import scipy.sparse
+    from scipy.sparse.linalg import ArpackNoConvergence, eigs
+
+    m = diagonal.size
+    c = math.sqrt(coupling.product)
+    block = scipy.sparse.diags(
+        [sub, diagonal + 1j * c * step, sub], [-1, 0, 1], format="csc"
+    )
+    if (block[::-1, ::-1] != block.conj().T).nnz:
+        raise NumericalFailureError(
+            "R T R != T^dagger; discrete pseudo-Hermiticity violated"
+        )
+    imag_bound = c * np.abs(step).max()
+    reach = np.abs(np.concatenate([[0.0], sub])) + np.abs(np.concatenate([sub, [0.0]]))
+    real_floor = float((diagonal - reach).min())
+    needed = (k + 1) // 2  # each eigenvalue of T is two of the full operator
+    start = np.random.default_rng(0).standard_normal(m)  # bit-reproducible runs
+    n_ask = needed + 2
+    while True:
+        if n_ask >= m - 1:  # ARPACK needs fewer than m - 1 eigenvalues
+            return None
+        try:
+            values, vectors = eigs(block, k=n_ask, sigma=0, v0=start)
+        except ArpackNoConvergence:
+            return None
+        order = np.argsort(np.abs(values))
+        values, vectors = values[order], vectors[:, order]
+        moduli = np.abs(values)
+        gaps = np.flatnonzero(np.diff(moduli) > PAIRING_RTOL * max(1.0, moduli[-1]))
+        kept = int(gaps[-1]) + 1 if gaps.size else 0
+        if kept >= needed and moduli[kept - 1] > imag_bound:
+            edge = np.sort(values[:kept].real)[needed - 1]
+            s = math.sqrt(moduli[kept - 1] ** 2 - imag_bound**2)
+            if edge < s and real_floor >= -s:
+                break
+        n_ask *= 2
+    values, vectors = values[:kept], vectors[:, :kept]
+    _assert_conjugate_pairing(values)
+    # eigenvectors of C for +ic and -ic
+    u_plus = np.array([[coupling.Z], [c]]) / math.hypot(coupling.Z, c)
+    u_minus = np.array([[coupling.Z], [-c]]) / math.hypot(coupling.Z, c)
+    return _lowest(
+        np.concatenate([values, values.conj()]),
+        np.hstack([np.kron(u_plus, vectors), np.kron(u_minus, vectors.conj())]),
+        k,
+    )
 
 
 def _assert_conjugate_pairing(values: np.ndarray) -> None:

@@ -1,14 +1,20 @@
 """Finite-difference oracle: structure checks, convergence, criticality scan.
 
-Everything here is second-order central differences plus a dense
-eigensolver, kept deliberately independent of the closed-form machinery
-it cross-checks.
+Everything here is second-order central differences, kept deliberately
+independent of the closed-form machinery it cross-checks.  For YZ > 0
+the eigensolver works on the channel-diagonal tridiagonal block alone;
+the dense eigensolve of the whole matrix, reached through an
+`OperatorRep` without oracle metadata, is the reference it is checked
+against here.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from coupledwell import (
     CouplingPair,
@@ -25,6 +31,7 @@ from coupledwell import (
     eigenpairs,
     first_complex_bracket,
     group_degenerate,
+    inverse_theta_metric,
     spectrum,
     subspace_alignment,
 )
@@ -63,6 +70,20 @@ def test_hamiltonian_dimensions_and_layout():
     assert rep.matrix[m + 2, 2] == 1.0j
 
 
+@pytest.mark.parametrize("M", [8, 98, 256])
+@pytest.mark.parametrize("y, z", [(0.0, 0.0), (1.0, 4.0), (-2.5, 0.3)])
+def test_hamiltonian_is_the_kronecker_form(M, y, z):
+    # I (x) K + C (x) diag(sgn(-x)), written out with dense Kronecker products
+    grid = GridSpec(M)
+    m = grid.n_interior
+    kinetic = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / grid.h**2
+    channel = np.array([[0.0, 1j * z], [1j * y, 0.0]])
+    expected = np.kron(np.eye(2), kinetic) + np.kron(
+        channel, np.diag(np.sign(-grid.interior_nodes))
+    )
+    assert np.array_equal(build_hamiltonian(CouplingPair(y, z), grid).matrix, expected)
+
+
 def test_decoupled_hamiltonian_is_real_symmetric():
     rep = build_hamiltonian(CouplingPair(0.0, 0.0), GridSpec(32))
     assert np.all(rep.matrix.imag == 0.0)
@@ -75,13 +96,15 @@ def test_coupled_hamiltonian_is_not_hermitian():
 
 
 def test_swap_reflect_conjugation_is_exact():
-    for m in (16, 64):
+    for m in (16, 64, 98):  # 98: -1 + h*j misses x = 0 by an ulp
         grid = GridSpec(m)
         s = discrete_theta(grid).matrix
         assert np.array_equal(s @ s, np.eye(2 * grid.n_interior))
         for y, z in [(1.0, 1.0), (1.0, 4.0), (2.3, 0.7)]:
-            h = build_hamiltonian(CouplingPair(y, z), grid).matrix
+            rep = build_hamiltonian(CouplingPair(y, z), grid)
+            h = rep.matrix
             assert np.abs(s @ h @ s - h.conj().T).max() == 0.0
+            eigenpairs(rep, 2)  # the reduced solve asserts R T R = T^dagger
 
 
 def test_box_spectrum_convergence():
@@ -184,3 +207,154 @@ def test_subspace_alignment_limits():
     assert subspace_alignment(basis, np.array([0.0, 0, 1.0, 0])) < 1e-12
     with pytest.raises(ModelDomainError):
         subspace_alignment(basis, np.zeros(4))
+
+
+def _dense(rep: OperatorRep) -> OperatorRep:
+    """The same matrix without oracle metadata: always the dense path."""
+    return OperatorRep(rep.matrix, RepBasis.GRID)
+
+
+def _count_dense_solves(monkeypatch):
+    calls = []
+    dense_eig = scipy.linalg.eig
+    monkeypatch.setattr(
+        scipy.linalg, "eig", lambda a: calls.append(a.shape) or dense_eig(a)
+    )
+    return calls
+
+
+def _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors, rtol=1e-9):
+    """Reduced eigenpairs against the full dense spectrum and vectors.
+
+    The k lowest real parts must agree in order; each value must match a
+    distinct dense value (ties inside a degenerate cluster may be cut
+    differently at position k); each reduced vector must lie in the dense
+    eigenspace of its value, and a doublet complete in both must span it.
+    """
+    k = values.size
+    scale = max(1.0, float(np.abs(ref_values[: k + 4]).max()))
+    assert np.abs(values.real - ref_values[:k].real).max() <= rtol * scale
+    cost = np.abs(values[:, None] - ref_values[None, : k + 4])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= rtol * scale
+    for v in values:
+        mine = np.abs(values - v) <= 1e-6 * scale
+        ref = np.abs(ref_values - v) <= 1e-6 * scale
+        for vec in vectors[:, mine].T:
+            assert subspace_alignment(ref_vectors[:, ref], vec) > 1 - rtol
+        if mine.sum() == ref.sum():
+            for vec in ref_vectors[:, ref].T:
+                assert subspace_alignment(vectors[:, mine], vec) > 1 - rtol
+
+
+# c = 4.47 sits just below the lowest merger, 4.6 just above it, where
+# the lowest eigenvalue pair of T is complex.  M = 256, c = 4.6 is the
+# case where a bare eigs(k=6, sigma=0) on T returned half a conjugate
+# pair; c = 25 fails without the shell drop, and the edited matrices
+# below pin the completeness test.
+@pytest.mark.parametrize("M", [16, 64, 256])
+@pytest.mark.parametrize("c", [0.01, 1.0, 4.47, 4.6, 25.0])
+@pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
+def test_reduced_eigenpairs_match_dense(M, c, ratio, monkeypatch):
+    rep = build_hamiltonian(
+        CouplingPair(c / math.sqrt(ratio), c * math.sqrt(ratio)), GridSpec(M)
+    )
+    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    dense_calls = _count_dense_solves(monkeypatch)
+    # up to the request that falls back; at M = 256 the reference above
+    # already is that dense solve
+    ks = [k for k in (*range(1, 13), 16, 32, 64) if k < rep.dim]
+    ks += [rep.dim] if rep.dim <= 128 else []
+    served = 0
+    for k in ks:
+        values, vectors = eigenpairs(rep, k)
+        if dense_calls:
+            break
+        served = k
+        _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+    assert served >= 8
+    assert bool(dense_calls) == (served < ks[-1])
+
+
+def test_other_grid_operators_take_the_dense_path(monkeypatch):
+    # the inverse metric on the grid carries the same coupling and grid
+    # metadata as a Hamiltonian, but is not one
+    grid = GridSpec(64)
+    inverse = inverse_theta_metric(doublet_family(UNIT, 4), rep=RepBasis.GRID, grid=grid)
+    calls = _count_dense_solves(monkeypatch)
+    values, vectors = eigenpairs(inverse, 6)
+    ref_values, ref_vectors = eigenpairs(_dense(inverse), 6)
+    assert len(calls) == 2
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(vectors, ref_vectors)
+
+
+def _shift_down(matrix, m):
+    # Re E < 0 for the lowest levels, which are not the ones nearest 0
+    matrix -= 60.0 * np.eye(2 * m)
+
+
+def _clear_middle_step(matrix, m):
+    # D = 0 on |x| < 1/8 puts a complex pair of lower real part beyond
+    # real levels of larger real part but smaller modulus; the form
+    # I (x) K + C (x) D is kept
+    middle = np.flatnonzero(np.abs(np.arange(m) - m // 2) < (m + 1) / 16)
+    matrix[middle, m + middle] = 0.0
+    matrix[m + middle, middle] = 0.0
+
+
+def _mix_channels(matrix, m):
+    # a real cross-channel term on every node: still S H S = H^dagger
+    idx = np.arange(m)
+    matrix[idx, m + idx] += 0.5
+    matrix[m + idx, idx] += 0.5
+
+
+def _off_band(matrix, m):
+    # an S-symmetric pair of entries off the tridiagonal bands
+    matrix[0, 5] += 0.5
+    matrix[2 * m - 6, 2 * m - 1] += 0.5
+
+
+@pytest.mark.parametrize(
+    "edit, c, reduced",
+    [
+        (_shift_down, 0.01, True),
+        (_clear_middle_step, 80.0, True),
+        (_mix_channels, 30.0, False),
+        (_off_band, 30.0, False),
+    ],
+)
+def test_edited_hamiltonian_is_solved_as_edited(edit, c, reduced, monkeypatch):
+    rep = build_hamiltonian(CouplingPair(c / 2, 2 * c), GridSpec(64))
+    edit(rep.matrix, rep.dim // 2)
+    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    calls = _count_dense_solves(monkeypatch)
+    values, vectors = eigenpairs(rep, 5)
+    assert bool(calls) != reduced
+    _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+
+
+def test_reduced_solve_is_bit_reproducible():
+    rep = build_hamiltonian(CouplingPair(1.0, 4.0), GridSpec(256))
+    first_values, first_vectors = eigenpairs(rep, 8)
+    for _ in range(3):
+        values, vectors = eigenpairs(rep, 8)
+        assert np.array_equal(values, first_values)
+        assert np.array_equal(vectors, first_vectors)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    c=st.floats(min_value=0.0, max_value=30.0, exclude_min=True),
+    ratio=st.sampled_from([0.25, 1.0, 4.0]),
+    half_m=st.integers(min_value=4, max_value=64),
+    k=st.integers(min_value=1, max_value=12),
+)
+def test_reduced_and_dense_paths_agree(c, ratio, half_m, k):
+    rep = build_hamiltonian(
+        CouplingPair(c / math.sqrt(ratio), c * math.sqrt(ratio)), GridSpec(2 * half_m)
+    )
+    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    values, vectors = eigenpairs(rep, min(k, rep.dim))
+    _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
