@@ -16,6 +16,7 @@ import json
 import sys
 
 import numpy as np
+import scipy.sparse
 
 from .errors import (
     BracketError,
@@ -36,9 +37,8 @@ from .metric import (
     quasi_hermiticity_defect,
     spin_operator,
 )
-from .model import CouplingPair, RepBasis
+from .model import CouplingPair, GridSpec, RepBasis
 from .oracle import (
-    GridSpec,
     build_hamiltonian,
     compare_spectrum,
     discrete_theta,
@@ -341,24 +341,22 @@ def _verify_checks(args) -> list[dict]:
 
     grid = GridSpec(args.grid)
     h_rep = build_hamiltonian(coupling, grid)
-    swap = discrete_theta(grid)
+    h = h_rep.matrix
+    # S and the spin block have one nonzero per row: as sparse factors
+    # each product entry is one exact multiplication, O(M^2) not O(M^3)
+    swap = scipy.sparse.csr_matrix(discrete_theta(grid).matrix)
     check(
         "discrete swap-reflect pseudo-Hermiticity defect",
-        float(
-            np.max(
-                np.abs(
-                    swap.matrix @ h_rep.matrix @ swap.matrix
-                    - h_rep.matrix.conj().T
-                )
-            )
-        ),
+        float(np.max(np.abs(swap @ h @ swap - h.conj().T))),
         0.0,
     )
-    omega_full = np.kron(spin_operator(coupling).matrix, np.eye(grid.n_interior))
+    omega = scipy.sparse.kron(
+        spin_operator(coupling).matrix, scipy.sparse.identity(grid.n_interior), "csr"
+    )
     check(
         "discrete commutator [H, spin] max",
-        float(np.max(np.abs(h_rep.matrix @ omega_full - omega_full @ h_rep.matrix))),
-        1e-15 * float(np.max(np.abs(h_rep.matrix))),
+        float(np.max(np.abs(h @ omega - omega @ h))),
+        1e-15 * float(np.max(np.abs(h))),
     )
     n_eig = min(4, 2 * args.levels)
     eig_values, _ = eigenpairs(h_rep, n_eig)

@@ -20,6 +20,14 @@ defect formulas as maps (diagonal in the mode basis).  The mixed-rep
 defect  ||M(H)^dagger F - F M(H)||  is basis-shape agnostic: on the
 grid the two conventions differ only by the uniform weight h, which
 cancels in the normalized defect.
+
+In the mode basis the form is F = diag(S d^2), d_i = <<left_i|state_i>:
+the pairing matrix G[i, j] = <<left_i|state_j> is diagonal (left and
+right states are biorthogonal), because the cross-sigma channel factor
+sqrt(YZ)(sigma_a + sigma_b) vanishes and distinct same-sigma levels are
+bilinear-orthogonal, so F[i, k] = sum_j G[j, i] S_j G[j, k] keeps only
+i = k = j.  The full G, from biorthogonality_matrix, is the check that
+the diagonal form holds.
 """
 
 from __future__ import annotations
@@ -35,13 +43,12 @@ from .errors import (
     ModelDomainError,
     NormalizationSingularError,
 )
-from .model import CouplingPair, OperatorRep, RepBasis
-from .oracle import GridSpec
+from .model import CouplingPair, GridSpec, OperatorRep, RepBasis
 from .wavefunctions import (
     ChannelState,
+    _check_panels,
     phi_bilinear_product,
     phi_sesquilinear_product,
-    quadrature_overlap,
     quasi_parity,
 )
 
@@ -199,8 +206,9 @@ def biorthogonality_matrix(
     """Pairing matrix G[i, j] = <<left_i|state_j>.
 
     method "closed" uses the analytic segment integrals; "quadrature"
-    recomputes every entry by composite Simpson as an independent check
-    of the closed forms.
+    recomputes every entry by composite Simpson (`panels` per half, the
+    rule of wavefunctions.quadrature_overlap) as an independent check of
+    the closed forms, sampling each state and each left partner once.
     """
     if lefts is None:
         lefts = [left_vector(s) for s in states]
@@ -214,13 +222,11 @@ def biorthogonality_matrix(
                 out[i, j] = biorthogonal_overlap(left, state)
         return out
     if method == "quadrature":
-        out = np.empty((n, n), dtype=complex)
-        for i, left in enumerate(lefts):
-            for j, state in enumerate(states):
-                out[i, j] = quadrature_overlap(
-                    left.upper, state.upper, panels
-                ) + quadrature_overlap(left.lower, state.lower, panels)
-        return out
+        _check_panels(panels)
+        nodes, w = _simpson_rule(2 * panels)
+        bras = _sample(lefts, nodes)
+        kets = _sample(states, nodes)
+        return (bras.conj().T * np.concatenate([w, w])) @ kets
     raise ModelDomainError(f"unknown overlap method {method!r}")
 
 
@@ -336,12 +342,13 @@ def _kernels_by_level(states, per_state, coupling, n_levels):
     ]
 
 
-def _hermitize(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + matrix.conj().T) / 2.0
-
-
-def _stack_on_grid(vec_upper, vec_lower, nodes) -> np.ndarray:
-    return np.concatenate([vec_upper(nodes), vec_lower(nodes)])
+def _sample(items, nodes) -> np.ndarray:
+    # one column [upper(nodes); lower(nodes)] per state or left partner
+    columns = np.empty((2 * nodes.size, len(items)), dtype=complex)
+    for k, x in enumerate(items):
+        columns[: nodes.size, k] = x.upper(nodes)
+        columns[nodes.size :, k] = x.lower(nodes)
+    return columns
 
 
 def build_theta_metric(
@@ -354,17 +361,18 @@ def build_theta_metric(
 ) -> OperatorRep:
     """Assemble the weighted left-projector sum as a form matrix.
 
-    MODE: F = C diag(S) C^dagger with C[i, k] = <state_i|left_k>, all
-    entries from closed-form integrals; the result is real symmetric and
-    positive definite for positive weights.  GRID: the same sum sampled
-    on the interior nodes of `grid` (channel-blocked layout), weighted
-    by the node spacing.  The per-level 2x2 channel kernels are exposed
-    in meta["channel_kernels"].
+    MODE: F = C diag(S) C^T with C[i, k] = <state_i|left_k> = G[k, i].
+    Left and right states are biorthogonal (G is diagonal, see the
+    module notes), so F = diag(S d^2) with d the closed-form diagonal
+    pairings; it is positive definite for positive weights, and
+    meta["signature"] counts the signs of S d^2.  GRID: the same sum
+    sampled on the interior nodes of `grid` (channel-blocked layout),
+    weighted by the node spacing.  The per-level 2x2 channel kernels are
+    exposed in meta["channel_kernels"].
     """
     coupling, n_levels, per_state = _resolve_weights(
         states, weights, general_weight_matrix, unsafe
     )
-    lefts = [left_vector(s) for s in states]
     meta = {
         "coupling": coupling,
         "n_levels": n_levels,
@@ -373,26 +381,18 @@ def build_theta_metric(
         "channel_kernels": _kernels_by_level(states, per_state, coupling, n_levels),
     }
     if rep is RepBasis.MODE:
-        dim = len(states)
-        c = np.empty((dim, dim))
-        for i, state in enumerate(states):
-            for k, left in enumerate(lefts):
-                c[i, k] = biorthogonal_overlap(left, state)
-        matrix = _hermitize(c @ np.diag(per_state) @ c.T)
-        eigenvalues = np.linalg.eigvalsh(matrix)
-        meta["signature"] = (
-            int(np.sum(eigenvalues > 0.0)),
-            int(np.sum(eigenvalues < 0.0)),
+        d = np.array([diagonal_overlap(s) for s in states])
+        diagonal = d * per_state * d
+        meta["signature"] = (int(np.sum(diagonal > 0.0)), int(np.sum(diagonal < 0.0)))
+        return OperatorRep(
+            matrix=np.diag(diagonal), basis=RepBasis.MODE, is_form=True, meta=meta
         )
-        return OperatorRep(matrix=matrix, basis=RepBasis.MODE, is_form=True, meta=meta)
     if rep is RepBasis.GRID:
         if grid is None:
             raise ModelDomainError("grid representation needs a GridSpec")
-        nodes = grid.interior_nodes
-        columns = np.stack(
-            [_stack_on_grid(l.upper, l.lower, nodes) for l in lefts], axis=1
-        )
-        matrix = _hermitize((columns * per_state) @ columns.conj().T * grid.h)
+        columns = _sample([left_vector(s) for s in states], grid.interior_nodes)
+        matrix = (columns * per_state) @ columns.conj().T * grid.h
+        matrix = (matrix + matrix.conj().T) / 2.0
         meta["grid"] = grid
         return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=True, meta=meta)
     raise ModelDomainError(f"unsupported representation {rep!r} for the metric")
@@ -456,23 +456,25 @@ def _diagonal_overlaps(states, lefts):
     return d
 
 
-def _simpson_node_weights(grid: GridSpec) -> np.ndarray:
-    # composite Simpson per half-interval; walls are dropped because every
-    # participating function vanishes there
-    if grid.M % 4 != 0:
+def _simpson_rule(intervals: int):
+    # nodes (those of GridSpec(intervals)) and weights of composite Simpson
+    # with intervals / 2 panels per half, x = 0 shared; walls are dropped
+    # because every participating function vanishes there
+    if intervals % 4 != 0:
         raise ModelDomainError(
             f"Simpson weighting splits each half into an even panel count: "
-            f"M must be divisible by 4, got {grid.M}"
+            f"M must be divisible by 4, got {intervals}"
         )
-    half = grid.M // 2
+    half = intervals // 2
+    h = 2.0 / intervals
     pattern = np.ones(half + 1)
     pattern[1:-1:2] = 4.0
     pattern[2:-1:2] = 2.0
-    pattern *= grid.h / 3.0
-    full = np.zeros(grid.M + 1)
+    pattern *= h / 3.0
+    full = np.zeros(intervals + 1)
     full[: half + 1] += pattern
     full[half:] += pattern
-    return full[1:-1]
+    return h * (np.arange(1, intervals) - half), full[1:-1]
 
 
 def spectral_reconstruct(
@@ -506,15 +508,10 @@ def spectral_reconstruct(
     if rep is RepBasis.GRID:
         if grid is None:
             raise ModelDomainError("grid representation needs a GridSpec")
-        w = _simpson_node_weights(grid)
+        nodes, w = _simpson_rule(grid.M)
         w2 = np.concatenate([w, w])
-        nodes = grid.interior_nodes
-        right = np.stack(
-            [_stack_on_grid(s.upper, s.lower, nodes) for s in states], axis=1
-        )
-        bras = np.stack(
-            [_stack_on_grid(l.upper, l.lower, nodes) for l in lefts], axis=1
-        )
+        right = _sample(states, nodes)
+        bras = _sample(lefts, nodes)
         matrix = (right * (values / d)) @ (bras.conj() * w2[:, None]).T
         meta.update({"grid": grid, "rule": "simpson"})
         return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=False, meta=meta)
@@ -562,10 +559,7 @@ def inverse_theta_metric(
     if rep is RepBasis.GRID:
         if grid is None:
             raise ModelDomainError("grid representation needs a GridSpec")
-        nodes = grid.interior_nodes
-        columns = np.stack(
-            [_stack_on_grid(s.upper, s.lower, nodes) for s in states], axis=1
-        )
+        columns = _sample(states, grid.interior_nodes)
         matrix = (columns * coeff) @ columns.conj().T * grid.h
         meta["grid"] = grid
         return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=False, meta=meta)

@@ -115,12 +115,34 @@ class PotentialSpec:
         """Full 2x2 potential matrix at a single point."""
         x = float(self._check_x(x))
         return np.array(
-            [
-                [0.0, 1j * self.coupling.Z * np.sign(-x)],
-                [1j * self.coupling.Y * np.sign(-x), 0.0],
-            ],
+            [[0.0, self.coupling_to_upper(x)], [self.coupling_to_lower(x), 0.0]],
             dtype=complex,
         )
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform mesh over [-1, 1] with M intervals, M even and >= 8."""
+
+    M: int
+
+    def __post_init__(self):
+        if not isinstance(self.M, int) or self.M < 8 or self.M % 2 != 0:
+            raise ModelDomainError(f"M must be an even integer >= 8, got {self.M!r}")
+
+    @property
+    def h(self) -> float:
+        return 2.0 / self.M
+
+    @property
+    def n_interior(self) -> int:
+        return self.M - 1
+
+    @property
+    def interior_nodes(self) -> np.ndarray:
+        # centred offsets keep x = 0 exact and the nodes exactly
+        # antisymmetric; -1 + h*j misses 0 by an ulp at M = 98, 196, ...
+        return self.h * (np.arange(1, self.M) - self.M // 2)
 
 
 class RepBasis(enum.Enum):

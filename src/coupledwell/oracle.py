@@ -6,10 +6,12 @@ analytic chain (secular roots, closed-form states, metric algebra) is
 consulted to build or solve the matrix, so agreement between the two
 paths is evidence, not circularity.
 
-The mesh always contains x = 0 as a node (M even), where the
-off-diagonal potential takes its average value 0.  That single choice
-makes the discrete operator exactly pseudo-Hermitian under the
-channel-swap / index-reversal matrix, at every grid size.
+The mesh (model.GridSpec) always contains x = 0 as a node (M even),
+where the off-diagonal potential takes its average value 0.  That
+single choice makes the discrete operator exactly pseudo-Hermitian
+under the channel-swap / index-reversal matrix, at every grid size.
+The cross-channel entries are model.PotentialSpec sampled at the
+nodes: the well is written down once, in the model.
 
 The matrix is I (x) K + C (x) D: the three-point Laplacian K in each
 channel plus the constant channel matrix C = [[0, iZ], [iY, 0]] times
@@ -19,63 +21,38 @@ splits exactly into the complex-symmetric tridiagonal T = K + icD and
 its complex conjugate.  `eigenpairs` solves T alone by sparse
 shift-invert and rebuilds every doublet from it.  The reduction reads
 T from the bands of the matrix and uses the 2x2 matrix C, never the
-closed form, so the oracle stays independent.  The dense eigensolve of the whole matrix
-remains for every other operator, for YZ <= 0, for a matrix no longer
-of that form and for requests too large for the sparse solver; it is
-the cross-check of the reduction.
+closed form, so the oracle stays independent.  The dense eigensolve of
+the whole matrix remains for every other operator, for YZ <= 0, for a
+matrix no longer of that form and for requests too large for the sparse
+solver; it is the cross-check of the reduction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ModelDomainError, NumericalFailureError
-from .model import CouplingPair, OperatorRep, RepBasis
+from .model import CouplingPair, GridSpec, OperatorRep, PotentialSpec, RepBasis
 from .secular import LevelSolution
 
 DEGENERACY_RTOL = 1e-6
 PAIRING_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform mesh over [-1, 1] with M intervals, M even and >= 8."""
-
-    M: int
-
-    def __post_init__(self):
-        if not isinstance(self.M, int) or self.M < 8 or self.M % 2 != 0:
-            raise ModelDomainError(f"M must be an even integer >= 8, got {self.M!r}")
-
-    @property
-    def h(self) -> float:
-        return 2.0 / self.M
-
-    @property
-    def n_interior(self) -> int:
-        return self.M - 1
-
-    @property
-    def interior_nodes(self) -> np.ndarray:
-        # centred offsets keep x = 0 exact and the nodes exactly
-        # antisymmetric; -1 + h*j misses 0 by an ulp at M = 98, 196, ...
-        return self.h * (np.arange(1, self.M) - self.M // 2)
-
-
 def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> OperatorRep:
     """Dense 2(M-1)-dimensional matrix of the coupled-well operator.
 
     Layout is channel-blocked: indices 0..M-2 are the upper channel on
-    the interior nodes, M-1..2M-3 the lower channel.
+    the interior nodes, M-1..2M-3 the lower channel.  The cross-channel
+    entries are the PotentialSpec coupling sampled at the nodes (0 at the
+    midpoint node).
     """
     m = grid.n_interior
     h2 = grid.h * grid.h
-    sgn = np.sign(-grid.interior_nodes)  # 0 at the midpoint node
     # one allocation, only the eight nonzero diagonals written: dense
     # temporaries of the same size cost more than the solve itself
     matrix = np.zeros((2 * m, 2 * m), dtype=complex)
@@ -85,8 +62,9 @@ def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> OperatorRep:
         matrix[band, band] = 2.0 / h2
         matrix[band[1:], band[:-1]] = -1.0 / h2
         matrix[band[:-1], band[1:]] = -1.0 / h2
-    matrix[nodes, m + nodes] += 1j * coupling.Z * sgn
-    matrix[m + nodes, nodes] += 1j * coupling.Y * sgn
+    potential = PotentialSpec(coupling)
+    matrix[nodes, m + nodes] += potential.coupling_to_upper(grid.interior_nodes)
+    matrix[m + nodes, nodes] += potential.coupling_to_lower(grid.interior_nodes)
     return OperatorRep(
         matrix=matrix,
         basis=RepBasis.GRID,

@@ -32,6 +32,7 @@ from coupledwell import (
     mode_hamiltonian,
     mode_spin,
     parity_overlap,
+    quadrature_overlap,
     quasi_hermiticity_defect,
     quasi_parity,
     solve_coefficients,
@@ -132,6 +133,62 @@ def test_biorthogonality_matrix_quadrature():
     assert np.abs(mat - closed).max() < 1e-9
 
 
+class _Counted:
+    """Forwards to a state or left partner and counts channel evaluations."""
+
+    def __init__(self, inner, counter):
+        self._inner, self._counter = inner, counter
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def upper(self, x):
+        self._counter[0] += 1
+        return self._inner.upper(x)
+
+    def lower(self, x):
+        self._counter[0] += 1
+        return self._inner.lower(x)
+
+
+@pytest.mark.parametrize("panels", [2, 4, 64, 512])
+def test_quadrature_pairing_matches_scalar_reference(panels):
+    for c in (0.3, 1.0, 4.4):
+        for ratio in (0.25, 1.0, 4.0):
+            pair = CouplingPair(c * math.sqrt(ratio), c / math.sqrt(ratio))
+            states = doublet_family(pair, 4)
+            lefts = [left_vector(s) for s in states]
+            fast = biorthogonality_matrix(states, method="quadrature", panels=panels)
+            reference = np.array(
+                [
+                    [
+                        quadrature_overlap(l.upper, s.upper, panels)
+                        + quadrature_overlap(l.lower, s.lower, panels)
+                        for s in states
+                    ]
+                    for l in lefts
+                ]
+            )
+            assert fast.dtype == reference.dtype
+            scale = np.abs(np.diag(reference)).max()
+            assert np.abs(fast - reference).max() <= 1e-14 * scale
+
+
+def test_quadrature_pairing_samples_each_state_once():
+    states = doublet_family(UNIT, 4)
+    counter = [0]
+    biorthogonality_matrix(
+        [_Counted(s, counter) for s in states],
+        [_Counted(left_vector(s), counter) for s in states],
+        method="quadrature",
+    )
+    # upper and lower once for each of 8 states and 8 left partners
+    assert counter[0] == 32
+    for bad in (3, 1, 0, -2, 2.0):
+        with pytest.raises(ModelDomainError):
+            biorthogonality_matrix(states, method="quadrature", panels=bad)
+
+
 def test_biorthogonality_matrix_validation():
     states = doublet_family(UNIT, 2)
     with pytest.raises(ModelDomainError):
@@ -187,6 +244,47 @@ def test_build_theta_metric_mode_basic():
     assert theta.meta["signature"] == (12, 0)
     for k in theta.meta["channel_kernels"]:
         assert k[0, 1] == 0.0 and k[1, 0] == 0.0
+
+
+def _mode_weights(kind, n_levels, rng):
+    if kind == "unit":
+        return MetricWeights.unit(n_levels)
+    if kind == "positive":
+        return MetricWeights(rng.uniform(0.1, 5.0, n_levels), rng.uniform(0.1, 5.0, n_levels))
+    # signed weights bounded away from zero, so each sign is unambiguous
+    magnitude = rng.uniform(0.5, 2.0, (2, n_levels))
+    signs = rng.choice([-1.0, 1.0], (2, n_levels))
+    return MetricWeights(*(signs * magnitude))
+
+
+def test_mode_metric_is_the_diagonal_of_the_pairing_formula():
+    # F = C diag(S) C^T with C = G^T, the full closed-form pairing matrix
+    rng = np.random.default_rng(2024)
+    cases = 0
+    for c in (0.01, 0.3, 1.0, 2.5, 4.4):
+        for ratio in (0.25, 1.0, 4.0):
+            pair = CouplingPair(c * math.sqrt(ratio), c / math.sqrt(ratio))
+            for n_levels in (1, 6, 20, 40):
+                states = doublet_family(pair, n_levels)
+                c_matrix = biorthogonality_matrix(states).T
+                for kind in ("unit", "positive", "signed"):
+                    weights = _mode_weights(kind, n_levels, rng)
+                    theta = build_theta_metric(states, weights, unsafe=kind == "signed")
+                    per_state = theta.meta["weights_by_state"]
+                    full = c_matrix @ np.diag(per_state) @ c_matrix.T
+                    full = (full + full.T) / 2.0
+                    diagonal = np.diag(theta.matrix)
+                    assert np.array_equal(diagonal, np.diag(full))
+                    assert np.all(theta.matrix - np.diag(diagonal) == 0.0)
+                    off = np.abs(full - np.diag(np.diag(full))).max()
+                    assert off <= 1e-9 * np.abs(np.diag(full)).max()
+                    eigenvalues = np.linalg.eigvalsh(full)
+                    assert theta.meta["signature"] == (
+                        int(np.sum(eigenvalues > 0.0)),
+                        int(np.sum(eigenvalues < 0.0)),
+                    )
+                    cases += 1
+    assert cases == 180
 
 
 def test_theta_intertwines_mode_hamiltonian_and_spin():

@@ -16,6 +16,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import coupledwell.model
+import coupledwell.oracle
 from coupledwell import (
     CouplingPair,
     GridSpec,
@@ -40,6 +42,8 @@ UNIT = CouplingPair(1.0, 1.0)
 
 
 def test_grid_spec_validation():
+    # one class, defined with the model and re-exported by the oracle
+    assert GridSpec is coupledwell.oracle.GridSpec is coupledwell.model.GridSpec
     grid = GridSpec(64)
     assert grid.h == 2.0 / 64
     assert grid.n_interior == 63
