@@ -16,7 +16,6 @@ import json
 import sys
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     BracketError,
@@ -244,6 +243,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _verify_checks(args) -> list[dict]:
+    import scipy.sparse
+
     coupling = CouplingPair(args.Y, args.Z)
     if coupling.product <= 0:
         raise ModelDomainError(

@@ -516,8 +516,8 @@ def spectral_reconstruct(
         meta.update({"grid": grid, "rule": "simpson"})
         return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=False, meta=meta)
     if rep is RepBasis.MODE:
-        pairing = biorthogonality_matrix(states, lefts, method="closed")
-        matrix = np.diag(values / d) @ pairing
+        # the pairing matrix is diag(d) in closed form
+        matrix = np.diag(values / d * d)
         return OperatorRep(matrix=matrix, basis=RepBasis.MODE, is_form=False, meta=meta)
     raise ModelDomainError(f"unsupported representation {rep!r} for spectral sums")
 

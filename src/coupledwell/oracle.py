@@ -33,7 +33,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ModelDomainError, NumericalFailureError
 from .model import CouplingPair, GridSpec, OperatorRep, PotentialSpec, RepBasis
@@ -115,6 +114,8 @@ def eigenpairs(rep: OperatorRep, k: int):
         reduced = _reduced_eigenpairs(rep, k)
         if reduced is not None:
             return reduced
+    import scipy.linalg
+
     try:
         values, vectors = scipy.linalg.eig(rep.matrix)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent

@@ -12,22 +12,26 @@ negative exactly once.  As the coupling grows the two roots of a pair
 walk toward the dip minimum, merge there, and leave the real axis: that
 merger defines the critical coupling of the pair.
 
-Numerical strategy: sample g on a pi/64 mesh over the pair cell and
-bisect the first (even n) or last (odd n) sign change to machine
-precision.  If the mesh shows no sign change the dip minimum is located
-by bounded minimization; a negative minimum splits the cell into the two
-root brackets, a non-negative one means the pair has merged (ROOT_LOST).
-The criticality search bisects the coupling against the sign of that dip
-minimum.
+Numerical strategy: one mesh-free path.  On the lower half of cell k,
+g' < 0 (sin 2s, cos 2s and the s-derivative of t sinh 2t are all
+negative there); on the upper half g'' > 0 (cos 2s > 0, -s sin 2s > 0,
+and t sinh 2t is convex in s).  So g has exactly one minimum per cell,
+in its upper half.  Bisecting the sign of g' over the upper half walks
+onto that minimum; the first sample with g < 0 splits the cell into the
+two root brackets, and a bisection that collapses without one means the
+pair has merged (ROOT_LOST).  The roots are bisected to machine
+precision inside those brackets, and the criticality search bisects the
+coupling against the same predicate.  Once 2t passes the float overflow
+point, t sinh 2t exceeds any |s sin 2s|: g and g' are then +inf and
+-inf, which reads as a merged pair, not as an error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     BracketError,
@@ -38,10 +42,8 @@ from .errors import (
 )
 from .model import BranchClass, CouplingPair
 
-SCAN_STEP = math.pi / 64  # mesh step of the sign-change scan
 DEFAULT_RESIDUAL_TOL = 1e-12
 DEFAULT_CRITICAL_TOL = 1e-3
-_DIP_XATOL = 1e-12
 _COUPLING_CAP = 1e6  # criticality scan gives up past this coupling
 
 
@@ -75,6 +77,16 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class CriticalResult:
+    """Merger coupling of one root pair.
+
+    c_crit: midpoint of the final coupling bracket; bracket_width: its
+    width; evaluations: calls of g and of dg/ds over the whole search.
+    Every coupling past the merger costs a full bisection of the cell's
+    upper half (about 50 samples, two calls each) before the pair counts
+    as merged, so the count is high (1149 for pair 0 at tol=1e-6) while
+    each call is one closed-form expression.
+    """
+
     pair_index: int
     c_crit: float
     bracket_width: float
@@ -94,10 +106,21 @@ def residual(s: float, c: float) -> float:
         raise ModelDomainError(f"s must be finite and positive, got {s!r}")
     if not (math.isfinite(c) and c >= 0.0):
         raise ModelDomainError(f"coupling root c must be finite and >= 0, got {c!r}")
-    if c == 0.0:
-        return s * math.sin(2.0 * s)
     t = c / (2.0 * s)
-    return s * math.sin(2.0 * s) + t * math.sinh(2.0 * t)
+    try:
+        return s * math.sin(2.0 * s) + t * math.sinh(2.0 * t)
+    except OverflowError:
+        return math.inf
+
+
+def _slope(s: float, c: float) -> float:
+    """dg/ds = sin 2s + 2s cos 2s - (t/s)(sinh 2t + 2t cosh 2t)."""
+    t = c / (2.0 * s)
+    try:
+        pull = (t / s) * (math.sinh(2.0 * t) + 2.0 * t * math.cosh(2.0 * t))
+    except OverflowError:
+        return -math.inf
+    return math.sin(2.0 * s) + 2.0 * s * math.cos(2.0 * s) - pull
 
 
 def pair_interval(pair_index: int) -> tuple[float, float]:
@@ -108,8 +131,9 @@ def pair_interval(pair_index: int) -> tuple[float, float]:
     return ((2 * k + 1) * math.pi / 2.0, (2 * k + 2) * math.pi / 2.0)
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
-    """Bisection to machine precision; f(lo) and f(hi) must differ in sign."""
+def _bisect(f, lo: float, hi: float, lo_negative: bool) -> float:
+    """Bisection to machine precision of the sign change of f on [lo, hi],
+    with f(lo) < 0 when lo_negative and f(hi) < 0 otherwise."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -117,52 +141,47 @@ def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
+        if (f_mid < 0.0) == lo_negative:
+            lo = mid
         else:
-            lo, f_lo = mid, f_mid
+            hi = mid
     return 0.5 * (lo + hi)
 
 
-def _scan_brackets(f, a: float, b: float, step: float):
-    """Sign-change brackets of f on a uniform mesh of [a, b]."""
-    n = max(2, int(math.ceil((b - a) / step)))
-    xs = np.linspace(a, b, n + 1)
-    vals = np.array([f(x) for x in xs])
-    out = []
-    for i in range(n):
-        if vals[i] == 0.0:
-            out.append((xs[i], xs[i], vals[i]))
-        elif (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            out.append((xs[i], xs[i + 1], vals[i]))
-    if vals[-1] == 0.0:
-        out.append((xs[-1], xs[-1], vals[-1]))
-    return out
+def _negative_point(k: int, c: float) -> tuple[float | None, int]:
+    """A point of cell k where g < 0 (None once the pair has merged),
+    with the number of g and dg/ds evaluations spent.
 
-
-def _dip_minimum(f, a: float, b: float) -> tuple[float, float]:
-    res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": _DIP_XATOL})
-    return float(res.x), float(res.fun)
+    Bisects the sign of dg/ds over the upper half of the cell, which
+    holds the single minimum of g, and stops at the first sample below
+    zero.
+    """
+    a, b = pair_interval(k)
+    lo, hi = 0.5 * (a + b), b
+    evaluations = 0
+    while True:
+        s = 0.5 * (lo + hi)
+        if s == lo or s == hi:
+            return None, evaluations
+        evaluations += 1
+        if residual(s, c) < 0.0:
+            return s, evaluations
+        evaluations += 1
+        if _slope(s, c) < 0.0:
+            lo = s
+        else:
+            hi = s
 
 
 def _solve_positive(n: int, c: float, tol: float) -> LevelSolution:
     a, b = pair_interval(n // 2)
+    p, _ = _negative_point(n // 2, c)
+    if p is None:
+        raise RootLostError(n, c)
     f = lambda s: residual(s, c)
-    brackets = _scan_brackets(f, a, b, SCAN_STEP)
-    if not brackets:
-        # pair close to merger (dip narrower than the mesh) or already gone
-        s_min, g_min = _dip_minimum(f, a, b)
-        if g_min >= 0.0:
-            raise RootLostError(n, c)
-        brackets = [(a, s_min, f(a)), (s_min, b, g_min)]
-    if len(brackets) == 1:
-        # cannot happen for a continuous g positive at both cell ends;
-        # guard against a zero landing exactly on a mesh node
-        lo, hi, f_lo = brackets[0]
-        s = lo if lo == hi else _bisect(f, lo, hi, f_lo)
-    else:
-        lo, hi, f_lo = brackets[0] if n % 2 == 0 else brackets[-1]
-        s = lo if lo == hi else _bisect(f, lo, hi, f_lo)
+    # g(a) = t sinh 2t > 0 at the exact cell edge, though in floats it can
+    # round below zero at tiny coupling; g(p) < 0 by construction
+    s = _bisect(f, a, p, False) if n % 2 == 0 else _bisect(f, p, b, True)
     t = c / (2.0 * s)
     res = abs(f(s))
     if res > tol:
@@ -179,10 +198,6 @@ def _solve_positive(n: int, c: float, tol: float) -> LevelSolution:
         residual=res,
         branch=BranchClass.POSITIVE_PRODUCT,
     )
-
-
-def _exact_box_root(n: int) -> float:
-    return (n + 1) * math.pi / 2.0
 
 
 def solve_level(
@@ -204,41 +219,25 @@ def solve_level(
         raise ModelDomainError(f"level index must be a non-negative integer, got {n!r}")
     _validate_tol(tol)
     branch = coupling.branch
-
-    if branch is BranchClass.POSITIVE_PRODUCT:
-        if sublabel is not None:
-            raise ModelDomainError("sublabel applies to the NEGATIVE_PRODUCT branch only")
-        return _solve_positive(int(n), coupling.root_product, tol)
-
     if branch is BranchClass.NEGATIVE_PRODUCT:
-        if sublabel is None:
-            sublabel = +1
+        sublabel = +1 if sublabel is None else sublabel
         if sublabel not in (+1, -1):
             raise ModelDomainError(f"sublabel must be +1 or -1, got {sublabel!r}")
-        s = _exact_box_root(int(n))
-        return LevelSolution(
-            n=int(n),
-            s=s,
-            t=0.0,
-            eps=0.0,
-            E=s * s + sublabel * coupling.root_product,
-            residual=abs(residual(s, 0.0)),
-            branch=branch,
-            sublabel=int(sublabel),
-        )
-
-    # DECOUPLED
-    if sublabel is not None:
+    elif sublabel is not None:
         raise ModelDomainError("sublabel applies to the NEGATIVE_PRODUCT branch only")
-    s = _exact_box_root(int(n))
+    if branch is BranchClass.POSITIVE_PRODUCT:
+        return _solve_positive(int(n), coupling.root_product, tol)
+    # exact box root; NEGATIVE_PRODUCT shifts it by +-sqrt(-YZ)
+    s = (int(n) + 1) * math.pi / 2.0
     return LevelSolution(
         n=int(n),
         s=s,
         t=0.0,
         eps=0.0,
-        E=s * s,
+        E=s * s if sublabel is None else s * s + sublabel * coupling.root_product,
         residual=abs(residual(s, 0.0)),
         branch=branch,
+        sublabel=None if sublabel is None else int(sublabel),
     )
 
 
@@ -320,17 +319,6 @@ def perturbative_eps(n: int, coupling: CouplingPair, order: int = 2) -> float:
     return first + 4.0 * product**2 / (3.0 * m**5 * math.pi**5)
 
 
-class _CountedResidual:
-    """residual(s, c) wrapper counting evaluations for the report."""
-
-    def __init__(self):
-        self.count = 0
-
-    def __call__(self, s, c):
-        self.count += 1
-        return residual(s, c)
-
-
 def critical_coupling(
     pair_index: int,
     tol: float = DEFAULT_CRITICAL_TOL,
@@ -338,20 +326,23 @@ def critical_coupling(
     """Critical coupling root c = sqrt(YZ) at which the roots s_{2k},
     s_{2k+1} merge, by bisection on the coupling.
 
-    The predicate is "the residual dips below zero inside the pair
-    cell", evaluated through bounded minimization (robust arbitrarily
-    close to the merger, where the negative window is narrower than any
-    fixed mesh).
+    The predicate is "g dips below zero inside the pair cell", decided
+    by the same walk onto the cell's single minimum that brackets the
+    roots in `solve_level`.  The walk ends on the minimum to machine
+    precision, so it holds arbitrarily close to the merger, where the
+    negative window is narrower than any fixed mesh.
     """
     if not isinstance(pair_index, (int, np.integer)) or pair_index < 0:
         raise ModelDomainError(f"pair_index must be a non-negative integer, got {pair_index!r}")
     _validate_tol(tol)
-    a, b = pair_interval(int(pair_index))
-    g = _CountedResidual()
+    k = int(pair_index)
+    evaluations = 0
 
     def pair_alive(c: float) -> bool:
-        _, g_min = _dip_minimum(lambda s: g(s, c), a, b)
-        return g_min < 0.0
+        nonlocal evaluations
+        point, spent = _negative_point(k, c)
+        evaluations += spent
+        return point is not None
 
     lo = 1e-3
     if not pair_alive(lo):
@@ -375,8 +366,8 @@ def critical_coupling(
         else:
             hi = mid
     return CriticalResult(
-        pair_index=int(pair_index),
+        pair_index=k,
         c_crit=0.5 * (lo + hi),
         bracket_width=hi - lo,
-        evaluations=g.count,
+        evaluations=evaluations,
     )

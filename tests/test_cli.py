@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +66,21 @@ def test_spectrum_is_byte_identical_across_runs(capsys):
 
 def test_spectrum_above_critical_exits_3(capsys):
     code, out, err = run(capsys, "spectrum", "--Y", "5", "--Z", "5")
+    assert code == 3
+    assert json.loads(out) == []
+    assert "root lost" in err
+
+
+def test_spectrum_tiny_coupling_keeps_each_root_in_its_cell(capsys):
+    code, out, _ = run(capsys, "spectrum", "--Y", "1e-8", "--Z", "1e-8", "--levels", "2")
+    assert code == 0
+    second = json.loads(out)[1]
+    assert second["n"] == 1
+    assert abs(second["E"] - math.pi**2) <= 1e-9 * math.pi**2
+
+
+def test_spectrum_overflowing_coupling_exits_3(capsys):
+    code, out, err = run(capsys, "spectrum", "--Y", "3000", "--Z", "3000", "--levels", "1")
     assert code == 3
     assert json.loads(out) == []
     assert "root lost" in err
@@ -242,3 +261,44 @@ def test_out_writes_identical_bytes(tmp_path, capsys):
                          "--levels", "3", "--out", str(target))
     assert code2 == 0 and out2 == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+IMPORT_GRAPH_SCRIPT = """
+import json, os, sys
+from coupledwell.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+closed_form = [
+    ["spectrum", "--Y", "1", "--Z", "4"],
+    ["critical", "--tol", "1e-6"],
+    ["metric", "--Y", "1", "--Z", "4"],
+    ["scan", "--c-min", "0", "--c-max", "5", "--steps", "5"],
+]
+codes = [main(argv + ["--out", os.devnull]) for argv in closed_form]
+after_closed_form = scipy_modules()
+for argv in (["verify", "--Y", "1", "--Z", "4", "--levels", "4"],
+             ["oracle", "--Y", "1", "--Z", "4", "--grid", "64"]):
+    codes.append(main(argv + ["--out", os.devnull]))
+print(json.dumps({"codes": codes, "after_closed_form": after_closed_form,
+                  "after_oracle": scipy_modules()}))
+"""
+
+
+def test_closed_form_subcommands_load_no_scipy():
+    # scipy is imported only by the oracle and the verify battery
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["codes"] == [0] * 6
+    assert report["after_closed_form"] == []
+    assert "scipy.linalg" in report["after_oracle"]

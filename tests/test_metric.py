@@ -472,6 +472,13 @@ def test_spectral_reconstruct_mode_is_diagonal():
     assert np.abs(rec.matrix - np.diag(energies)).max() < 1e-9
     rec_s = spectral_reconstruct(states, lefts, "spin", rep=RepBasis.MODE)
     assert np.abs(rec_s.matrix - np.diag([s.sigma for s in states])).max() < 1e-9
+    # the same diagonal as diag(values / d) times the full closed-form
+    # pairing matrix, and exact zeros off it
+    d = np.array([biorthogonal_overlap(l, s) for l, s in zip(lefts, states)])
+    pairing = biorthogonality_matrix(states, lefts, method="closed")
+    for rec, values in ((rec, energies), (rec_s, np.array([float(s.sigma) for s in states]))):
+        assert np.array_equal(np.diag(rec.matrix), np.diag(np.diag(values / d) @ pairing))
+        assert not np.any(rec.matrix - np.diag(np.diag(rec.matrix)))
 
 
 def test_spectral_reconstruct_grid_accuracy():

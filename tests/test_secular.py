@@ -9,12 +9,14 @@ pipeline, so agreement is evidence, not circularity.
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coupledwell import (
     BranchClass,
     CouplingPair,
     InvalidToleranceError,
     ModelDomainError,
+    NumericalFailureError,
     RootLostError,
     critical_coupling,
     pair_interval,
@@ -23,6 +25,7 @@ from coupledwell import (
     solve_level,
     spectrum,
 )
+from coupledwell.secular import _negative_point, _slope
 
 # roots of the lowest pair at Y = Z = 1, 40-digit oracle
 S0_AT_C1 = 1.63211812842334197
@@ -291,3 +294,120 @@ def test_roots_exist_just_below_merger_and_not_above():
     assert abs(solve_level(0, CouplingPair(c_lo, c_lo)).residual) < 1e-12
     with pytest.raises(RootLostError):
         solve_level(0, CouplingPair(c_hi, c_hi))
+
+
+# critical_coupling(pair, tol) -> (c_crit, bracket_width), the search's own
+# output pinned bit for bit: any change of its merger predicate shows here
+FROZEN_CRITICAL = {
+    (0, 1e-3): (4.47509765625, 0.0009765625),
+    (0, 1e-6): (4.475308895111084, 9.5367431640625e-07),
+    (0, 1e-10): (4.47530860218103, 5.820766091346741e-11),
+    (1, 1e-3): (12.80126953125, 0.0009765625),
+    (1, 1e-6): (12.801544666290283, 9.5367431640625e-07),
+    (1, 1e-10): (12.801544262532843, 5.820766091346741e-11),
+    (2, 1e-3): (22.63330078125, 0.0009765625),
+    (2, 1e-6): (22.633436679840088, 9.5367431640625e-07),
+    (2, 1e-10): (22.63343643801636, 5.820766091346741e-11),
+    (3, 1e-3): (33.39892578125, 0.0009765625),
+    (3, 1e-6): (33.39899682998657, 9.5367431640625e-07),
+    (3, 1e-10): (33.39899655999034, 5.820766091346741e-11),
+    (4, 1e-3): (44.84619140625, 0.0009765625),
+    (4, 1e-6): (44.8457236289978, 9.5367431640625e-07),
+    (4, 1e-10): (44.84572324503097, 5.820766091346741e-11),
+    (5, 1e-3): (56.83056640625, 0.0009765625),
+    (5, 1e-6): (56.83036184310913, 9.5367431640625e-07),
+    (5, 1e-10): (56.830361712753074, 5.820766091346741e-11),
+    (6, 1e-3): (69.26025390625, 0.0009765625),
+    (6, 1e-6): (69.26022958755493, 9.5367431640625e-07),
+    (6, 1e-10): (69.26022961971466, 5.820766091346741e-11),
+    (7, 1e-3): (82.06982421875, 0.0009765625),
+    (7, 1e-6): (82.07029867172241, 9.5367431640625e-07),
+    (7, 1e-10): (82.07029830859392, 5.820766091346741e-11),
+}
+
+
+@pytest.mark.parametrize("pair, tol", sorted(FROZEN_CRITICAL))
+def test_critical_coupling_frozen_brackets(pair, tol):
+    res = critical_coupling(pair, tol)
+    assert (res.c_crit, res.bracket_width) == FROZEN_CRITICAL[pair, tol]
+
+
+def test_critical_bracket_holds_the_mpmath_merger():
+    res = critical_coupling(0, tol=1e-10)
+    assert abs(res.c_crit - C_CRIT_PAIR0) <= res.bracket_width / 2
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(exponent=st.floats(-9.0, -4.0), n=st.integers(0, 39))
+@example(exponent=-8.0, n=1)
+@example(exponent=-8.0, n=12)
+def test_tiny_coupling_roots_stay_in_their_half_cell(exponent, n):
+    # each root lies within pi/4 of its box value (n+1) pi/2; a root of the
+    # other half of the pair cell is the partner's root, returned as this one
+    c = 10.0**exponent
+    try:
+        level = solve_level(n, CouplingPair(c, c))
+    except NumericalFailureError:
+        # the absolute residual tolerance stall (|g| ~ 1e-12 at n = 35):
+        # a looser tolerance must then return the root
+        level = solve_level(n, CouplingPair(c, c), tol=1e-9)
+    assert abs(level.s - (n + 1) * math.pi / 2) <= math.pi / 4
+
+
+@pytest.mark.parametrize("c", [2e3, 1e4, 1e6])
+@pytest.mark.parametrize("n", [0, 1, 5, 40])
+def test_overflowing_coupling_is_a_lost_root(c, n):
+    # past the float overflow of sinh(2t) the pair has long merged
+    with pytest.raises(RootLostError):
+        solve_level(n, CouplingPair(c, c))
+
+
+def test_residual_and_slope_saturate_past_overflow():
+    assert residual(1.0, 1e4) == math.inf
+    assert _slope(1.0, 1e4) == -math.inf
+
+
+def _mp_cell_minimum(k, c):
+    """Minimum of g over cell k at 40 digits, by bisecting the sign of g'."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    c = mp.mpf(c)
+
+    def g(s):
+        t = c / (2 * s)
+        return s * mp.sin(2 * s) + t * mp.sinh(2 * t)
+
+    def dg(s):
+        t = c / (2 * s)
+        return (mp.sin(2 * s) + 2 * s * mp.cos(2 * s)
+                - (t / s) * (mp.sinh(2 * t) + 2 * t * mp.cosh(2 * t)))
+
+    lo, hi = (2 * k + 1.5) * mp.pi / 2, (2 * k + 2) * mp.pi / 2
+    if dg(hi) <= 0:
+        return g(hi)
+    for _ in range(140):
+        mid = (lo + hi) / 2
+        if dg(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return g(lo)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(c=st.floats(1e-3, 40.0), k=st.integers(0, 60))
+@example(c=C_CRIT_PAIR0 - 1e-6, k=0)
+@example(c=C_CRIT_PAIR0 + 1e-6, k=0)
+@example(c=C_CRIT_PAIR1 - 1e-6, k=1)
+@example(c=C_CRIT_PAIR1 + 1e-6, k=1)
+@example(c=30.0, k=2)
+def test_negative_point_exists_iff_the_cell_minimum_is_negative(c, k):
+    g_min = _mp_cell_minimum(k, c)
+    scale = pair_interval(k)[1]
+    assume(abs(g_min) > 1e-12 * scale)
+    point, evaluations = _negative_point(k, c)
+    assert (point is None) == (g_min >= 0)
+    assert evaluations > 0
+    if point is not None:
+        a, b = pair_interval(k)
+        assert (a + b) / 2 < point < b and residual(point, c) < 0.0
