@@ -9,6 +9,8 @@ series, the critical coupling where the real spectrum breaks down, and
 an independent finite-difference oracle cross-checking all of it.
 """
 
+import importlib
+
 from .errors import (
     BracketError,
     DegenerateMatchError,
@@ -19,25 +21,6 @@ from .errors import (
     NumericalFailureError,
     RootLostError,
 )
-from .metric import (
-    MIN_ROOT_PRODUCT,
-    LeftState,
-    MetricWeights,
-    apply_theta,
-    biorthogonal_overlap,
-    biorthogonality_matrix,
-    build_theta_metric,
-    channel_kernel,
-    diagonal_overlap,
-    inverse_identity_defect,
-    inverse_theta_metric,
-    left_vector,
-    mode_hamiltonian,
-    mode_spin,
-    quasi_hermiticity_defect,
-    spectral_reconstruct,
-    spin_operator,
-)
 from .model import (
     BranchClass,
     CouplingPair,
@@ -47,16 +30,6 @@ from .model import (
     RepBasis,
     check_potential_symmetry,
     classify_branch,
-)
-from .oracle import (
-    build_hamiltonian,
-    compare_spectrum,
-    criticality_scan,
-    discrete_theta,
-    eigenpairs,
-    first_complex_bracket,
-    group_degenerate,
-    subspace_alignment,
 )
 from .secular import (
     CriticalResult,
@@ -69,19 +42,69 @@ from .secular import (
     solve_level,
     spectrum,
 )
-from .wavefunctions import (
-    ChannelState,
-    doublet_family,
-    evaluate,
-    matching_residual,
-    parity_overlap,
-    phi_bilinear_product,
-    phi_sesquilinear_product,
-    quadrature_overlap,
-    quasi_parity,
-    sine_product_integral,
-    solve_coefficients,
-)
+
+# numpy-backed layers load on first use, so the closed-form solver and
+# the CLI's spectrum/critical/scan start without numpy (PEP 562)
+_LAZY_MODULES = {
+    "metric": (
+        "MIN_ROOT_PRODUCT",
+        "LeftState",
+        "MetricWeights",
+        "apply_theta",
+        "biorthogonal_overlap",
+        "biorthogonality_matrix",
+        "build_theta_metric",
+        "channel_kernel",
+        "diagonal_overlap",
+        "inverse_identity_defect",
+        "inverse_theta_metric",
+        "left_vector",
+        "mode_hamiltonian",
+        "mode_spin",
+        "quasi_hermiticity_defect",
+        "spectral_reconstruct",
+        "spin_operator",
+    ),
+    "oracle": (
+        "build_hamiltonian",
+        "compare_spectrum",
+        "criticality_scan",
+        "discrete_theta",
+        "eigenpairs",
+        "first_complex_bracket",
+        "group_degenerate",
+        "subspace_alignment",
+    ),
+    "wavefunctions": (
+        "ChannelState",
+        "doublet_family",
+        "evaluate",
+        "matching_residual",
+        "parity_overlap",
+        "phi_bilinear_product",
+        "phi_sesquilinear_product",
+        "quadrature_overlap",
+        "quasi_parity",
+        "sine_product_integral",
+        "solve_coefficients",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_NAMES})
+
 
 __version__ = "0.1.0"
 

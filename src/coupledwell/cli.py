@@ -15,8 +15,6 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from .errors import (
     BracketError,
     DegenerateMatchError,
@@ -26,23 +24,7 @@ from .errors import (
     NumericalFailureError,
     RootLostError,
 )
-from .metric import (
-    MetricWeights,
-    biorthogonality_matrix,
-    build_theta_metric,
-    inverse_identity_defect,
-    mode_hamiltonian,
-    mode_spin,
-    quasi_hermiticity_defect,
-    spin_operator,
-)
 from .model import CouplingPair, GridSpec, RepBasis
-from .oracle import (
-    build_hamiltonian,
-    compare_spectrum,
-    discrete_theta,
-    eigenpairs,
-)
 from .secular import (
     DEFAULT_CRITICAL_TOL,
     DEFAULT_RESIDUAL_TOL,
@@ -50,7 +32,9 @@ from .secular import (
     perturbative_eps,
     spectrum,
 )
-from .wavefunctions import doublet_family, matching_residual, parity_overlap
+
+# spectrum, critical and scan run on the secular layer alone; the other
+# handlers import numpy and the numpy-backed modules they use themselves
 
 _SPECTRUM_COLUMNS = ("n", "s", "t", "eps", "E", "residual", "branch")
 
@@ -129,6 +113,11 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_metric(args) -> int:
+    import numpy as np
+
+    from .metric import MetricWeights, build_theta_metric
+    from .wavefunctions import doublet_family
+
     coupling = CouplingPair(args.Y, args.Z)
     states = doublet_family(coupling, args.levels, args.tol)
     weights = (
@@ -158,18 +147,33 @@ def _cmd_metric(args) -> int:
     return 0
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) bit for bit, without numpy: the
+    same products start + i*step, the same exact-division form when the
+    step underflows to zero, and the last point set to stop."""
+    div = num - 1
+    if div == 0:
+        return [0.0 * (stop - start) + start]
+    step = (stop - start) / div
+    if step == 0.0:
+        points = [i / div * (stop - start) + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 def _cmd_scan(args) -> int:
     if args.steps < 1:
         raise ModelDomainError(f"steps must be >= 1, got {args.steps}")
     if args.c_min < 0 or args.c_max < args.c_min:
         raise ModelDomainError("need 0 <= c-min <= c-max")
-    cs = np.linspace(args.c_min, args.c_max, args.steps)
     entries = []
-    for c in cs:
-        result = spectrum(CouplingPair(float(c), float(c)), args.levels - 1, args.tol)
+    for c in _linspace(args.c_min, args.c_max, args.steps):
+        result = spectrum(CouplingPair(c, c), args.levels - 1, args.tol)
         entries.append(
             {
-                "c": float(c),
+                "c": c,
                 "all_real": result.truncated_at is None,
                 "truncated_at": result.truncated_at,
                 "levels": [_level_record(l) for l in result.levels],
@@ -188,6 +192,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import build_hamiltonian, compare_spectrum, eigenpairs
+
     coupling = CouplingPair(args.Y, args.Z)
     if coupling.product < 0:
         raise ModelDomainError(
@@ -243,7 +249,21 @@ def _cmd_oracle(args) -> int:
 
 
 def _verify_checks(args) -> list[dict]:
+    import numpy as np
     import scipy.sparse
+
+    from .metric import (
+        MetricWeights,
+        biorthogonality_matrix,
+        build_theta_metric,
+        inverse_identity_defect,
+        mode_hamiltonian,
+        mode_spin,
+        quasi_hermiticity_defect,
+        spin_operator,
+    )
+    from .oracle import build_hamiltonian, compare_spectrum, discrete_theta, eigenpairs
+    from .wavefunctions import doublet_family, matching_residual, parity_overlap
 
     coupling = CouplingPair(args.Y, args.Z)
     if coupling.product <= 0:

@@ -14,10 +14,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ModelDomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HALF_WIDTH = 1.0
 
@@ -86,6 +88,8 @@ class PotentialSpec:
     coupling: CouplingPair
 
     def _check_x(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ModelDomainError("sample points must be finite")
@@ -95,24 +99,32 @@ class PotentialSpec:
 
     def coupling_to_upper(self, x):
         """Upper-right entry: +iZ on (-1,0), -iZ on (0,1), 0 at x = 0."""
+        import numpy as np
+
         x = self._check_x(x)
         return 1j * self.coupling.Z * np.sign(-x)
 
     def coupling_to_lower(self, x):
         """Lower-left entry: +iY on (-1,0), -iY on (0,1), 0 at x = 0."""
+        import numpy as np
+
         x = self._check_x(x)
         return 1j * self.coupling.Y * np.sign(-x)
 
     def channel_potential_upper(self, x):
-        x = self._check_x(x)
-        return np.zeros_like(x)
+        import numpy as np
+
+        return np.zeros_like(self._check_x(x))
 
     def channel_potential_lower(self, x):
-        x = self._check_x(x)
-        return np.zeros_like(x)
+        import numpy as np
+
+        return np.zeros_like(self._check_x(x))
 
     def matrix(self, x: float) -> np.ndarray:
         """Full 2x2 potential matrix at a single point."""
+        import numpy as np
+
         x = float(self._check_x(x))
         return np.array(
             [[0.0, self.coupling_to_upper(x)], [self.coupling_to_lower(x), 0.0]],
@@ -140,6 +152,8 @@ class GridSpec:
 
     @property
     def interior_nodes(self) -> np.ndarray:
+        import numpy as np
+
         # centred offsets keep x = 0 exact and the nodes exactly
         # antisymmetric; -1 + h*j misses 0 by an ulp at M = 98, 196, ...
         return self.h * (np.arange(1, self.M) - self.M // 2)
@@ -175,6 +189,8 @@ class OperatorRep:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ModelDomainError(f"operator matrix must be square, got shape {m.shape}")
@@ -191,6 +207,8 @@ def check_potential_symmetry(spec: PotentialSpec, n_samples: int = 64) -> dict:
     convention is the average) is never hit.  Returns the report
     {"max_defect": ...}; the defect is exactly 0 for this potential.
     """
+    import numpy as np
+
     if n_samples < 1:
         raise ModelDomainError("n_samples must be >= 1")
     x = (np.arange(n_samples) + 0.5) / n_samples

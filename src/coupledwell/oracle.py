@@ -18,13 +18,15 @@ channel plus the constant channel matrix C = [[0, iZ], [iY, 0]] times
 the step D = diag(sgn(-x)).  For YZ > 0, C has the eigenvalues +-ic,
 c = sqrt(YZ), with eigenvectors that do not depend on x, so the problem
 splits exactly into the complex-symmetric tridiagonal T = K + icD and
-its complex conjugate.  `eigenpairs` solves T alone by sparse
-shift-invert and rebuilds every doublet from it.  The reduction reads
-T from the bands of the matrix and uses the 2x2 matrix C, never the
-closed form, so the oracle stays independent.  The dense eigensolve of
-the whole matrix remains for every other operator, for YZ <= 0, for a
-matrix no longer of that form and for requests too large for the sparse
-solver; it is the cross-check of the reduction.
+its complex conjugate; for Y = Z = 0 (C = 0) into two copies of T = K,
+one per channel.  `eigenpairs` solves T alone by sparse shift-invert
+and rebuilds every doublet from it.  The reduction reads T from the
+bands of the matrix and uses the 2x2 matrix C, never the closed form,
+so the oracle stays independent.  The dense eigensolve of the whole
+matrix remains for every other operator, for YZ < 0, for the Jordan
+case (exactly one of Y, Z nonzero), for a matrix no longer of that
+form and for requests too large for the sparse solver; it is the
+cross-check of the reduction.
 """
 
 from __future__ import annotations
@@ -92,12 +94,13 @@ def discrete_theta(grid: GridSpec) -> OperatorRep:
 def eigenpairs(rep: OperatorRep, k: int):
     """k eigenvalues of smallest real part with unit-norm right vectors.
 
-    For a matrix from `build_hamiltonian` with YZ > 0 only the
-    tridiagonal block T = K + icD, read from the bands of the matrix,
+    For a matrix from `build_hamiltonian` with YZ > 0 or Y = Z = 0 only
+    the tridiagonal block T = K + icD, read from the bands of the matrix,
     is solved by sparse shift-invert about 0.  Each eigenpair (E, v) of
     T gives the doublet (E, u+ (x) v) and (conj(E), u- (x) conj(v)),
-    where u+- are the eigenvectors of the constant channel matrix.  Any
-    other operator, YZ <= 0, a Hamiltonian matrix edited out of the
+    where u+- are the eigenvectors of the constant channel matrix (the
+    two channels when it is 0).  Any other operator, YZ < 0, exactly
+    one of Y, Z nonzero, a Hamiltonian matrix edited out of the
     form I (x) K + C (x) D, and a request too large for the sparse
     solver (k close to the dimension) take the dense eigensolve of the
     whole matrix.
@@ -110,7 +113,7 @@ def eigenpairs(rep: OperatorRep, k: int):
     """
     if not isinstance(k, (int, np.integer)) or k < 1 or k > rep.dim:
         raise ModelDomainError(f"k must be in 1..{rep.dim}, got {k!r}")
-    if rep.meta.get("operator") == "hamiltonian" and rep.meta["coupling"].product > 0:
+    if rep.meta.get("operator") == "hamiltonian" and _reducible(rep.meta["coupling"]):
         reduced = _reduced_eigenpairs(rep, k)
         if reduced is not None:
             return reduced
@@ -122,6 +125,12 @@ def eigenpairs(rep: OperatorRep, k: int):
         raise NumericalFailureError(f"dense eigensolve failed: {exc}") from exc
     _assert_conjugate_pairing(values)
     return _lowest(values, vectors, k)
+
+
+def _reducible(coupling: CouplingPair) -> bool:
+    """C is diagonalisable with x-independent eigenvectors: YZ > 0, or
+    C = 0.  With exactly one of Y, Z nonzero it is a Jordan block."""
+    return coupling.product > 0 or coupling.Y == coupling.Z == 0.0
 
 
 def _lowest(values: np.ndarray, vectors: np.ndarray, k: int):
@@ -150,7 +159,8 @@ def _channel_bands(matrix: np.ndarray, coupling: CouplingPair):
         return None
     if not np.array_equal(sub, np.diagonal(upper, 1)):
         return None
-    step = np.diagonal(matrix[:m, m:]).imag / coupling.Z
+    # Y = Z = 0 leaves no step to read: the cross-channel bands must be zero
+    step = np.diagonal(matrix[:m, m:]).imag / coupling.Z if coupling.Z else np.zeros(m)
     if not (
         np.array_equal(np.diagonal(matrix[:m, m:]), 1j * coupling.Z * step)
         and np.array_equal(np.diagonal(matrix[m:, :m]), 1j * coupling.Y * step)
@@ -193,8 +203,9 @@ def _reduced_eigenpairs(rep: OperatorRep, k: int):
 
     m = diagonal.size
     c = math.sqrt(coupling.product)
+    # at c = 0 T = K is real, and so are the shift-invert eigenvalues
     block = scipy.sparse.diags(
-        [sub, diagonal + 1j * c * step, sub], [-1, 0, 1], format="csc"
+        [sub, diagonal + 1j * c * step if c else diagonal, sub], [-1, 0, 1], format="csc"
     )
     if (block[::-1, ::-1] != block.conj().T).nnz:
         raise NumericalFailureError(
@@ -226,9 +237,12 @@ def _reduced_eigenpairs(rep: OperatorRep, k: int):
         n_ask *= 2
     values, vectors = values[:kept], vectors[:, :kept]
     _assert_conjugate_pairing(values)
-    # eigenvectors of C for +ic and -ic
-    u_plus = np.array([[coupling.Z], [c]]) / math.hypot(coupling.Z, c)
-    u_minus = np.array([[coupling.Z], [-c]]) / math.hypot(coupling.Z, c)
+    # eigenvectors of C for +ic and -ic; for C = 0 the two channels
+    if c:
+        u_plus = np.array([[coupling.Z], [c]]) / math.hypot(coupling.Z, c)
+        u_minus = np.array([[coupling.Z], [-c]]) / math.hypot(coupling.Z, c)
+    else:
+        u_plus, u_minus = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
     return _lowest(
         np.concatenate([values, values.conj()]),
         np.hstack([np.kron(u_plus, vectors), np.kron(u_minus, vectors.conj())]),

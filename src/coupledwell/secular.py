@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
 
 from .errors import (
     BracketError,
@@ -91,6 +90,15 @@ class CriticalResult:
     c_crit: float
     bracket_width: float
     evaluations: int
+
+
+def _is_index(value) -> bool:
+    """value is a non-negative integer (numpy integer scalars included).
+
+    The plain int test comes first: on an int, the ABC check behind
+    Integral alone costs about twenty times as much.
+    """
+    return (isinstance(value, int) or isinstance(value, Integral)) and value >= 0
 
 
 def _validate_tol(tol: float) -> None:
@@ -215,7 +223,7 @@ def solve_level(
     Raises RootLostError when the root pair of n has merged (coupling at
     or above the pair's critical value).
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not _is_index(n):
         raise ModelDomainError(f"level index must be a non-negative integer, got {n!r}")
     _validate_tol(tol)
     branch = coupling.branch
@@ -259,8 +267,9 @@ def spectrum(
     there and the doubled listing is an algebraic multiplicity, not two
     independent states.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+    if not _is_index(n_max):
         raise ModelDomainError(f"n_max must be a non-negative integer, got {n_max!r}")
+    n_max = int(n_max)  # a fixed-width numpy integer would wrap at n_max + 1
     _validate_tol(tol)
     branch = coupling.branch
     levels: list[LevelSolution] = []
@@ -303,7 +312,7 @@ def perturbative_eps(n: int, coupling: CouplingPair, order: int = 2) -> float:
     The absolute error of order 2 scales as (YZ)^3 / (n+1)^7 (with an
     additional (n+1)^-7 piece from the expansion of the prefactors).
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not _is_index(n):
         raise ModelDomainError(f"level index must be a non-negative integer, got {n!r}")
     if order not in (1, 2):
         raise ModelDomainError(f"order must be 1 or 2, got {order!r}")
@@ -312,7 +321,7 @@ def perturbative_eps(n: int, coupling: CouplingPair, order: int = 2) -> float:
         raise ModelDomainError("perturbative eps applies to YZ >= 0 only (branch mismatch)")
     if product == 0.0:
         return 0.0
-    m = n + 1
+    m = int(n) + 1  # m**5 wraps in a fixed-width numpy integer
     first = 2.0 * product / (m**3 * math.pi**3)
     if order == 1:
         return first
@@ -332,7 +341,7 @@ def critical_coupling(
     precision, so it holds arbitrarily close to the merger, where the
     negative window is narrower than any fixed mesh.
     """
-    if not isinstance(pair_index, (int, np.integer)) or pair_index < 0:
+    if not _is_index(pair_index):
         raise ModelDomainError(f"pair_index must be a non-negative integer, got {pair_index!r}")
     _validate_tol(tol)
     k = int(pair_index)

@@ -9,10 +9,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coupledwell import CouplingPair, solve_level, spectrum
-from coupledwell.cli import main
+from coupledwell.cli import _linspace, main
 
 C_CRIT_PAIR0 = 4.475308602193255
 
@@ -265,29 +267,39 @@ def test_out_writes_identical_bytes(tmp_path, capsys):
 
 IMPORT_GRAPH_SCRIPT = """
 import json, os, sys
-from coupledwell.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(*packages):
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
+
+import coupledwell
+after_import = loaded("numpy", "scipy")
+from coupledwell.cli import main
 
 closed_form = [
     ["spectrum", "--Y", "1", "--Z", "4"],
     ["critical", "--tol", "1e-6"],
-    ["metric", "--Y", "1", "--Z", "4"],
     ["scan", "--c-min", "0", "--c-max", "5", "--steps", "5"],
+    ["spectrum", "--Y", "3000", "--Z", "3000"],
+    ["spectrum", "--Y", "2", "--Z", "2", "--levels", "48"],
+    ["scan", "--c-min", "0", "--c-max", "5", "--steps", "0"],
 ]
 codes = [main(argv + ["--out", os.devnull]) for argv in closed_form]
-after_closed_form = scipy_modules()
+after_closed_form = loaded("numpy", "scipy")
+codes.append(main(["metric", "--Y", "1", "--Z", "4", "--out", os.devnull]))
+after_metric = loaded("numpy", "scipy", "coupledwell")
 for argv in (["verify", "--Y", "1", "--Z", "4", "--levels", "4"],
              ["oracle", "--Y", "1", "--Z", "4", "--grid", "64"]):
     codes.append(main(argv + ["--out", os.devnull]))
-print(json.dumps({"codes": codes, "after_closed_form": after_closed_form,
-                  "after_oracle": scipy_modules()}))
+print(json.dumps({"codes": codes, "after_import": after_import,
+                  "after_closed_form": after_closed_form,
+                  "after_metric": after_metric, "after_oracle": loaded("scipy")}))
 """
 
 
 def test_closed_form_subcommands_load_no_scipy():
-    # scipy is imported only by the oracle and the verify battery
+    # numpy is imported by the metric, verify and oracle subcommands only,
+    # scipy by the oracle and the verify battery only; the error exits of
+    # the closed-form subcommands import neither
     root = pathlib.Path(__file__).resolve().parent.parent
     path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     result = subprocess.run(
@@ -299,6 +311,28 @@ def test_closed_form_subcommands_load_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
-    assert report["codes"] == [0] * 6
+    assert report["codes"] == [0, 0, 0, 3, 4, 2, 0, 0, 0]
+    assert report["after_import"] == []
     assert report["after_closed_form"] == []
+    assert "numpy" in report["after_metric"]
+    assert "coupledwell.metric" in report["after_metric"]
+    assert "coupledwell.oracle" not in report["after_metric"]
+    assert not any(m.split(".")[0] == "scipy" for m in report["after_metric"])
     assert "scipy.linalg" in report["after_oracle"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    c_min=st.floats(0.0, 10.0),
+    width=st.floats(0.0, 10.0),
+    steps=st.integers(1, 200),
+)
+@example(c_min=2.5, width=0.0, steps=7)  # c_min == c_max
+@example(c_min=0.0, width=5.0, steps=1)
+@example(c_min=-0.0, width=0.0, steps=1)  # numpy's 0 * delta + start is +0.0
+@example(c_min=0.0, width=5.0, steps=2)
+@example(c_min=0.0, width=5e-324, steps=3)  # the step underflows to zero
+def test_scan_grid_is_linspace_bit_for_bit(c_min, width, steps):
+    c_max = c_min + width
+    expected = [c.hex() for c in np.linspace(c_min, c_max, steps).tolist()]
+    assert [c.hex() for c in _linspace(c_min, c_max, steps)] == expected

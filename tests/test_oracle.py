@@ -323,7 +323,9 @@ def _off_band(matrix, m):
 @pytest.mark.parametrize(
     "edit, c, reduced",
     [
+        (_shift_down, 0.0, True),
         (_shift_down, 0.01, True),
+        (_mix_channels, 0.0, False),
         (_clear_middle_step, 80.0, True),
         (_mix_channels, 30.0, False),
         (_off_band, 30.0, False),
@@ -337,6 +339,28 @@ def test_edited_hamiltonian_is_solved_as_edited(edit, c, reduced, monkeypatch):
     values, vectors = eigenpairs(rep, 5)
     assert bool(calls) != reduced
     _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+
+
+@pytest.mark.parametrize("M", [16, 64, 256])
+def test_decoupled_box_takes_the_reduced_path(M, monkeypatch):
+    # C = 0: T = K, and the doublet vectors lie in one channel each
+    rep = build_hamiltonian(CouplingPair(0.0, 0.0), GridSpec(M))
+    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    calls = _count_dense_solves(monkeypatch)
+    for k in (1, 2, 5, 8, 12):
+        values, vectors = eigenpairs(rep, k)
+        assert np.all(values.imag == 0.0)
+        _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+    assert calls == []
+
+
+@pytest.mark.parametrize("y, z", [(0.0, 2.0), (2.0, 0.0)])
+def test_jordan_coupling_takes_the_dense_path(y, z, monkeypatch):
+    # exactly one of Y, Z nonzero: C is a Jordan block, no channel basis
+    rep = build_hamiltonian(CouplingPair(y, z), GridSpec(64))
+    calls = _count_dense_solves(monkeypatch)
+    eigenpairs(rep, 4)
+    assert len(calls) == 1
 
 
 def test_reduced_solve_is_bit_reproducible():

@@ -8,6 +8,7 @@ pipeline, so agreement is evidence, not circularity.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -286,6 +287,35 @@ def test_critical_coupling_validation():
         critical_coupling(-1)
     with pytest.raises(InvalidToleranceError):
         critical_coupling(0, tol=0.0)
+
+
+INDEX_CALLS = {
+    "solve_level": lambda i: solve_level(i, CouplingPair(1.0, 1.0)),
+    "spectrum": lambda i: spectrum(CouplingPair(1.0, 1.0), i),
+    "perturbative_eps": lambda i: perturbative_eps(i, CouplingPair(0.5, 0.5)),
+    "critical_coupling": lambda i: critical_coupling(i),
+}
+
+
+@pytest.mark.parametrize("call", sorted(INDEX_CALLS))
+@pytest.mark.parametrize("value", [3, True, np.int64(3), np.uint8(3)])
+def test_integer_like_indices_are_accepted(call, value):
+    # bool is an int; numpy integer scalars count as integers too
+    assert INDEX_CALLS[call](value) == INDEX_CALLS[call](int(value))
+
+
+def test_fixed_width_indices_do_not_wrap():
+    # uint8: 255 + 1 and 4**5 both wrap to 0 unless widened first
+    assert len(spectrum(CouplingPair(0.0, 0.0), np.uint8(255)).levels) == 256
+    pair = CouplingPair(1.0, 1.0)
+    assert perturbative_eps(np.uint8(3), pair) == perturbative_eps(3, pair)
+
+
+@pytest.mark.parametrize("call", sorted(INDEX_CALLS))
+@pytest.mark.parametrize("value", [3.0, np.float64(3), np.bool_(True), "3"])
+def test_non_integer_indices_are_rejected(call, value):
+    with pytest.raises(ModelDomainError):
+        INDEX_CALLS[call](value)
 
 
 def test_roots_exist_just_below_merger_and_not_above():
