@@ -211,6 +211,11 @@ def _cmd_oracle(args) -> int:
     per_level = {l.n: l for l in analytic.levels}
     levels = [per_level[n] for n in sorted(per_level)]
     grid = GridSpec(args.grid)
+    if args.order and (args.grid % 4 or args.grid < 16):
+        raise ModelDomainError(
+            "--order halves the grid, so --grid must be divisible by 4 and at least 16, "
+            f"got {args.grid}"
+        )
     n_request = min(2 * args.levels + 2, 2 * (args.grid - 1))
     values, _ = eigenpairs(build_hamiltonian(coupling, grid), n_request)
     coarse_values = None

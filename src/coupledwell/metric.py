@@ -43,10 +43,9 @@ from .errors import (
     ModelDomainError,
     NormalizationSingularError,
 )
-from .model import CouplingPair, GridSpec, OperatorRep, RepBasis
+from .model import CouplingPair, GridSpec, OperatorRep, RepBasis, as_index
 from .wavefunctions import (
     ChannelState,
-    _check_panels,
     phi_bilinear_product,
     phi_sesquilinear_product,
     quasi_parity,
@@ -222,7 +221,7 @@ def biorthogonality_matrix(
                 out[i, j] = biorthogonal_overlap(left, state)
         return out
     if method == "quadrature":
-        _check_panels(panels)
+        panels = as_index(panels, "panels must be an even integer >= 2", 2, even=True)
         nodes, w = _simpson_rule(2 * panels)
         bras = _sample(lefts, nodes)
         kets = _sample(states, nodes)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 from .errors import ModelDomainError
@@ -41,6 +42,23 @@ class BranchClass(enum.Enum):
 def _require_finite(name, value):
     if not math.isfinite(value):
         raise ModelDomainError(f"{name} must be finite, got {value!r}")
+
+
+def as_index(
+    value, message: str, minimum: int = 0, maximum: int | None = None, even: bool = False
+) -> int:
+    """value as a built-in int, if it is an integer in [minimum, maximum].
+
+    int, bool and numpy integer scalars pass, as an int that cannot wrap
+    the way a fixed-width numpy integer does; floats, numpy bools and
+    strings raise ModelDomainError("<message>, got <value>").  The plain
+    int test comes first: on an int the Integral ABC check costs ~20x more.
+    """
+    if isinstance(value, int) or isinstance(value, Integral):
+        n = int(value)
+        if n >= minimum and (maximum is None or n <= maximum) and not (even and n % 2):
+            return n
+    raise ModelDomainError(f"{message}, got {value!r}")
 
 
 def classify_branch(Y: float, Z: float) -> BranchClass:
@@ -97,19 +115,19 @@ class PotentialSpec:
             raise ModelDomainError("potential is defined on |x| <= 1 only")
         return x
 
-    def coupling_to_upper(self, x):
-        """Upper-right entry: +iZ on (-1,0), -iZ on (0,1), 0 at x = 0."""
+    def step(self, x):
+        """sgn(-x): +1 on (-1,0), -1 on (0,1), 0 at x = 0."""
         import numpy as np
 
-        x = self._check_x(x)
-        return 1j * self.coupling.Z * np.sign(-x)
+        return np.sign(-self._check_x(x))
+
+    def coupling_to_upper(self, x):
+        """Upper-right entry: +iZ on (-1,0), -iZ on (0,1), 0 at x = 0."""
+        return 1j * self.coupling.Z * self.step(x)
 
     def coupling_to_lower(self, x):
         """Lower-left entry: +iY on (-1,0), -iY on (0,1), 0 at x = 0."""
-        import numpy as np
-
-        x = self._check_x(x)
-        return 1j * self.coupling.Y * np.sign(-x)
+        return 1j * self.coupling.Y * self.step(x)
 
     def channel_potential_upper(self, x):
         import numpy as np
@@ -139,8 +157,8 @@ class GridSpec:
     M: int
 
     def __post_init__(self):
-        if not isinstance(self.M, int) or self.M < 8 or self.M % 2 != 0:
-            raise ModelDomainError(f"M must be an even integer >= 8, got {self.M!r}")
+        M = as_index(self.M, "M must be an even integer >= 8", 8, even=True)
+        object.__setattr__(self, "M", M)  # a numpy integer is stored as an int
 
     @property
     def h(self) -> float:

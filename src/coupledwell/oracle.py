@@ -3,74 +3,118 @@
 Everything here is deliberately dumb: second-order central differences
 on a uniform mesh with Dirichlet rows eliminated.  No module of the
 analytic chain (secular roots, closed-form states, metric algebra) is
-consulted to build or solve the matrix, so agreement between the two
+consulted to build or solve the operator, so agreement between the two
 paths is evidence, not circularity.
 
 The mesh (model.GridSpec) always contains x = 0 as a node (M even),
 where the off-diagonal potential takes its average value 0.  That
 single choice makes the discrete operator exactly pseudo-Hermitian
 under the channel-swap / index-reversal matrix, at every grid size.
-The cross-channel entries are model.PotentialSpec sampled at the
-nodes: the well is written down once, in the model.
+The step is model.PotentialSpec sampled at the nodes: the well is
+written down once, in the model.
 
-The matrix is I (x) K + C (x) D: the three-point Laplacian K in each
+The operator is I (x) K + C (x) D: the three-point Laplacian K in each
 channel plus the constant channel matrix C = [[0, iZ], [iY, 0]] times
-the step D = diag(sgn(-x)).  For YZ > 0, C has the eigenvalues +-ic,
-c = sqrt(YZ), with eigenvectors that do not depend on x, so the problem
-splits exactly into the complex-symmetric tridiagonal T = K + icD and
-its complex conjugate; for Y = Z = 0 (C = 0) into two copies of T = K,
-one per channel.  `eigenpairs` solves T alone by sparse shift-invert
-and rebuilds every doublet from it.  The reduction reads T from the
-bands of the matrix and uses the 2x2 matrix C, never the closed form,
-so the oracle stays independent.  The dense eigensolve of the whole
-matrix remains for every other operator, for YZ < 0, for the Jordan
-case (exactly one of Y, Z nonzero), for a matrix no longer of that
-form and for requests too large for the sparse solver; it is the
-cross-check of the reduction.
+the step D = diag(sgn(-x)).  `build_hamiltonian` stores just that: the
+coupling, the grid and the bands of K and D; the dense matrix is
+assembled only when `.matrix` is read.  For YZ > 0, C has the
+eigenvalues +-ic, c = sqrt(YZ), with eigenvectors that do not depend
+on x, so the problem splits exactly into the complex-symmetric
+tridiagonal T = K + icD and its complex conjugate; for Y = Z = 0
+(C = 0) into two copies of T = K, one per channel.  `eigenpairs` solves
+T alone from the bands by sparse shift-invert, at any M, and rebuilds
+every doublet from it.  The reduction uses the 2x2 matrix C, never the
+closed form, so the oracle stays independent.  The dense eigensolve of
+the whole matrix remains for every other operator, for YZ < 0, for the
+Jordan case (exactly one of Y, Z nonzero) and for requests too large
+for the sparse solver; it is the cross-check of the reduction.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ModelDomainError, NumericalFailureError
-from .model import CouplingPair, GridSpec, OperatorRep, PotentialSpec, RepBasis
+from .model import CouplingPair, GridSpec, OperatorRep, PotentialSpec, RepBasis, as_index
 from .secular import LevelSolution
 
 DEGENERACY_RTOL = 1e-6
 PAIRING_RTOL = 1e-6
 
 
-def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> OperatorRep:
-    """Dense 2(M-1)-dimensional matrix of the coupled-well operator.
+@dataclass(frozen=True, eq=False)
+class BandedHamiltonian:
+    """I (x) K + C (x) diag(step) on a grid, stored as its bands.
 
-    Layout is channel-blocked: indices 0..M-2 are the upper channel on
-    the interior nodes, M-1..2M-3 the lower channel.  The cross-channel
-    entries are the PotentialSpec coupling sampled at the nodes (0 at the
-    midpoint node).
+    sub and diagonal are K's bands, step is d at the interior nodes, all
+    read-only copies.  `.matrix` is the dense channel-blocked matrix
+    (0..M-2 the upper channel, M-1..2M-3 the lower), assembled on first
+    access, then cached and read-only.
+    """
+
+    coupling: CouplingPair
+    grid: GridSpec
+    sub: np.ndarray
+    diagonal: np.ndarray
+    step: np.ndarray
+    basis = RepBasis.GRID
+    is_form = False
+
+    def __post_init__(self):
+        m = self.grid.n_interior
+        for name, size in (("sub", m - 1), ("diagonal", m), ("step", m)):
+            band = np.array(getattr(self, name), dtype=float)
+            if band.shape != (size,):
+                raise ModelDomainError(f"{name} must have {size} entries, got {band.shape}")
+            band.setflags(write=False)
+            object.__setattr__(self, name, band)
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.grid.n_interior
+
+    @property
+    def meta(self) -> dict:
+        return {"grid": self.grid, "coupling": self.coupling}
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = self.grid.n_interior
+        # one allocation, only the eight nonzero diagonals written: dense
+        # temporaries of the same size cost more than the solve itself
+        matrix = np.zeros((2 * m, 2 * m), dtype=complex)
+        nodes = np.arange(m)
+        for start in (0, m):
+            band = start + nodes
+            matrix[band, band] = self.diagonal
+            matrix[band[1:], band[:-1]] = self.sub
+            matrix[band[:-1], band[1:]] = self.sub
+        matrix[nodes, m + nodes] += 1j * self.coupling.Z * self.step
+        matrix[m + nodes, nodes] += 1j * self.coupling.Y * self.step
+        matrix.setflags(write=False)
+        return matrix
+
+
+def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltonian:
+    """The 2(M-1)-dimensional coupled-well operator on the interior nodes.
+
+    K is the three-point Laplacian; the step is the PotentialSpec
+    coupling's sign pattern sampled at the nodes (0 at the midpoint
+    node).  No dense matrix is built here.
     """
     m = grid.n_interior
     h2 = grid.h * grid.h
-    # one allocation, only the eight nonzero diagonals written: dense
-    # temporaries of the same size cost more than the solve itself
-    matrix = np.zeros((2 * m, 2 * m), dtype=complex)
-    nodes = np.arange(m)
-    for start in (0, m):
-        band = start + nodes
-        matrix[band, band] = 2.0 / h2
-        matrix[band[1:], band[:-1]] = -1.0 / h2
-        matrix[band[:-1], band[1:]] = -1.0 / h2
-    potential = PotentialSpec(coupling)
-    matrix[nodes, m + nodes] += potential.coupling_to_upper(grid.interior_nodes)
-    matrix[m + nodes, nodes] += potential.coupling_to_lower(grid.interior_nodes)
-    return OperatorRep(
-        matrix=matrix,
-        basis=RepBasis.GRID,
-        is_form=False,
-        meta={"grid": grid, "coupling": coupling, "operator": "hamiltonian"},
+    return BandedHamiltonian(
+        coupling,
+        grid,
+        sub=np.full(m - 1, -1.0 / h2),
+        diagonal=np.full(m, 2.0 / h2),
+        step=PotentialSpec(coupling).step(grid.interior_nodes),
     )
 
 
@@ -91,19 +135,18 @@ def discrete_theta(grid: GridSpec) -> OperatorRep:
     )
 
 
-def eigenpairs(rep: OperatorRep, k: int):
+def eigenpairs(rep: OperatorRep | BandedHamiltonian, k: int):
     """k eigenvalues of smallest real part with unit-norm right vectors.
 
-    For a matrix from `build_hamiltonian` with YZ > 0 or Y = Z = 0 only
-    the tridiagonal block T = K + icD, read from the bands of the matrix,
-    is solved by sparse shift-invert about 0.  Each eigenpair (E, v) of
-    T gives the doublet (E, u+ (x) v) and (conj(E), u- (x) conj(v)),
-    where u+- are the eigenvectors of the constant channel matrix (the
-    two channels when it is 0).  Any other operator, YZ < 0, exactly
-    one of Y, Z nonzero, a Hamiltonian matrix edited out of the
-    form I (x) K + C (x) D, and a request too large for the sparse
-    solver (k close to the dimension) take the dense eigensolve of the
-    whole matrix.
+    For a `BandedHamiltonian` with YZ > 0 or Y = Z = 0 only the
+    tridiagonal block T = K + icD, taken from the stored bands, is
+    solved by sparse shift-invert about 0; its `.matrix` is never
+    built.  Each eigenpair (E, v) of T gives the doublet (E, u+ (x) v)
+    and (conj(E), u- (x) conj(v)), where u+- are the eigenvectors of the
+    constant channel matrix (the two channels when it is 0).  Any other
+    operator, YZ < 0, exactly one of Y, Z nonzero, and a request the
+    sparse solver cannot serve (k close to the dimension, no ARPACK
+    convergence) take the dense eigensolve of the whole matrix.
 
     Every eigensolve asserts the pseudo-Hermitian reality structure:
     eigenvalues are real or occur in conjugate pairs, else the solve is
@@ -111,9 +154,8 @@ def eigenpairs(rep: OperatorRep, k: int):
     checks this on the eigenvalues of T and also asserts R T R = T^dagger
     for the index reversal R.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1 or k > rep.dim:
-        raise ModelDomainError(f"k must be in 1..{rep.dim}, got {k!r}")
-    if rep.meta.get("operator") == "hamiltonian" and _reducible(rep.meta["coupling"]):
+    k = as_index(k, f"k must be in 1..{rep.dim}", 1, rep.dim)
+    if isinstance(rep, BandedHamiltonian) and _reducible(rep.coupling):
         reduced = _reduced_eigenpairs(rep, k)
         if reduced is not None:
             return reduced
@@ -139,64 +181,21 @@ def _lowest(values: np.ndarray, vectors: np.ndarray, k: int):
     return values[order], chosen / np.linalg.norm(chosen, axis=0, keepdims=True)
 
 
-def _channel_bands(matrix: np.ndarray, coupling: CouplingPair):
-    """Bands of K and the step d of a matrix I (x) K + C (x) diag(d).
-
-    Returns (sub, diagonal, step) with K real symmetric tridiagonal and
-    d real, read from the matrix itself, or None when the matrix does
-    not have that form (e.g. it was edited in place).
-    """
-    if matrix.shape[0] % 2:
-        return None
-    m = matrix.shape[0] // 2
-    upper, lower = matrix[:m, :m], matrix[m:, m:]
-    sub, diagonal = np.diagonal(upper, -1), np.diagonal(upper)
-    if not all(
-        np.array_equal(np.diagonal(upper, j), np.diagonal(lower, j)) for j in (-1, 0, 1)
-    ):
-        return None
-    if sub.imag.any() or diagonal.imag.any():
-        return None
-    if not np.array_equal(sub, np.diagonal(upper, 1)):
-        return None
-    # Y = Z = 0 leaves no step to read: the cross-channel bands must be zero
-    step = np.diagonal(matrix[:m, m:]).imag / coupling.Z if coupling.Z else np.zeros(m)
-    if not (
-        np.array_equal(np.diagonal(matrix[:m, m:]), 1j * coupling.Z * step)
-        and np.array_equal(np.diagonal(matrix[m:, :m]), 1j * coupling.Y * step)
-    ):
-        return None
-    # every entry off these eight diagonals must be zero; each entry on
-    # them has one nonzero part at most, so counting real and imaginary
-    # parts as floats (faster than a complex count) gives the same total
-    per_half = 2 * np.count_nonzero(sub) + np.count_nonzero(diagonal)
-    parts = np.ascontiguousarray(matrix, dtype=complex).view(np.float64)
-    if np.count_nonzero(parts) != 2 * (per_half + np.count_nonzero(step)):
-        return None
-    return sub.real, diagonal.real, step
-
-
-def _reduced_eigenpairs(rep: OperatorRep, k: int):
+def _reduced_eigenpairs(rep: BandedHamiltonian, k: int):
     """Lowest k eigenpairs of the full operator from T = K + icD alone.
 
-    T is read from the bands of `rep.matrix`.  Shift-invert returns the
-    eigenvalues of T nearest 0, but the lowest real parts are wanted.
-    Every eigenvalue lies in the numerical range of T, so |Im E| <= b =
-    c max|d| and Re E >= g, the Gershgorin lower bound of K.  After
-    dropping the outermost modulus shell (which may hold half a
-    conjugate pair) the largest kept modulus is r; anything not kept has
-    |Re E| > s = sqrt(r^2 - b^2), hence Re E > s when g >= -s.  So the
-    set is complete when the largest real part a among the lowest ones
-    needed is below s.
-    Returns None when the matrix is not of the channel form or the
-    sparse solver cannot deliver, which sends the caller to the dense
-    eigensolve.
+    Shift-invert returns the eigenvalues of T nearest 0, but the lowest
+    real parts are wanted.  Every eigenvalue lies in the numerical range
+    of T, so |Im E| <= b = c max|d| and Re E >= g, the Gershgorin lower
+    bound of K.  After dropping the outermost modulus shell (which may
+    hold half a conjugate pair) the largest kept modulus is r; anything
+    not kept has |Re E| > s = sqrt(r^2 - b^2), hence Re E > s when
+    g >= -s.  So the set is complete when the largest real part a among
+    the lowest ones needed is below s.
+    Returns None when the sparse solver cannot deliver, which sends the
+    caller to the dense eigensolve.
     """
-    coupling = rep.meta["coupling"]
-    bands = _channel_bands(np.asarray(rep.matrix), coupling)
-    if bands is None:
-        return None
-    sub, diagonal, step = bands
+    coupling, sub, diagonal, step = rep.coupling, rep.sub, rep.diagonal, rep.step
 
     import scipy.sparse
     from scipy.sparse.linalg import ArpackNoConvergence, eigs

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 from .errors import (
     BracketError,
@@ -39,7 +38,7 @@ from .errors import (
     NumericalFailureError,
     RootLostError,
 )
-from .model import BranchClass, CouplingPair
+from .model import BranchClass, CouplingPair, as_index
 
 DEFAULT_RESIDUAL_TOL = 1e-12
 DEFAULT_CRITICAL_TOL = 1e-3
@@ -90,15 +89,6 @@ class CriticalResult:
     c_crit: float
     bracket_width: float
     evaluations: int
-
-
-def _is_index(value) -> bool:
-    """value is a non-negative integer (numpy integer scalars included).
-
-    The plain int test comes first: on an int, the ABC check behind
-    Integral alone costs about twenty times as much.
-    """
-    return (isinstance(value, int) or isinstance(value, Integral)) and value >= 0
 
 
 def _validate_tol(tol: float) -> None:
@@ -223,8 +213,7 @@ def solve_level(
     Raises RootLostError when the root pair of n has merged (coupling at
     or above the pair's critical value).
     """
-    if not _is_index(n):
-        raise ModelDomainError(f"level index must be a non-negative integer, got {n!r}")
+    n = as_index(n, "level index must be a non-negative integer")
     _validate_tol(tol)
     branch = coupling.branch
     if branch is BranchClass.NEGATIVE_PRODUCT:
@@ -234,11 +223,11 @@ def solve_level(
     elif sublabel is not None:
         raise ModelDomainError("sublabel applies to the NEGATIVE_PRODUCT branch only")
     if branch is BranchClass.POSITIVE_PRODUCT:
-        return _solve_positive(int(n), coupling.root_product, tol)
+        return _solve_positive(n, coupling.root_product, tol)
     # exact box root; NEGATIVE_PRODUCT shifts it by +-sqrt(-YZ)
-    s = (int(n) + 1) * math.pi / 2.0
+    s = (n + 1) * math.pi / 2.0
     return LevelSolution(
-        n=int(n),
+        n=n,
         s=s,
         t=0.0,
         eps=0.0,
@@ -267,9 +256,7 @@ def spectrum(
     there and the doubled listing is an algebraic multiplicity, not two
     independent states.
     """
-    if not _is_index(n_max):
-        raise ModelDomainError(f"n_max must be a non-negative integer, got {n_max!r}")
-    n_max = int(n_max)  # a fixed-width numpy integer would wrap at n_max + 1
+    n_max = as_index(n_max, "n_max must be a non-negative integer")
     _validate_tol(tol)
     branch = coupling.branch
     levels: list[LevelSolution] = []
@@ -312,8 +299,7 @@ def perturbative_eps(n: int, coupling: CouplingPair, order: int = 2) -> float:
     The absolute error of order 2 scales as (YZ)^3 / (n+1)^7 (with an
     additional (n+1)^-7 piece from the expansion of the prefactors).
     """
-    if not _is_index(n):
-        raise ModelDomainError(f"level index must be a non-negative integer, got {n!r}")
+    n = as_index(n, "level index must be a non-negative integer")
     if order not in (1, 2):
         raise ModelDomainError(f"order must be 1 or 2, got {order!r}")
     product = coupling.product
@@ -321,7 +307,7 @@ def perturbative_eps(n: int, coupling: CouplingPair, order: int = 2) -> float:
         raise ModelDomainError("perturbative eps applies to YZ >= 0 only (branch mismatch)")
     if product == 0.0:
         return 0.0
-    m = int(n) + 1  # m**5 wraps in a fixed-width numpy integer
+    m = n + 1
     first = 2.0 * product / (m**3 * math.pi**3)
     if order == 1:
         return first
@@ -341,10 +327,8 @@ def critical_coupling(
     precision, so it holds arbitrarily close to the merger, where the
     negative window is narrower than any fixed mesh.
     """
-    if not _is_index(pair_index):
-        raise ModelDomainError(f"pair_index must be a non-negative integer, got {pair_index!r}")
+    k = as_index(pair_index, "pair_index must be a non-negative integer")
     _validate_tol(tol)
-    k = int(pair_index)
     evaluations = 0
 
     def pair_alive(c: float) -> bool:

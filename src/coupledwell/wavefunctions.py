@@ -32,7 +32,7 @@ from .errors import (
     ModelDomainError,
     NormalizationSingularError,
 )
-from .model import BranchClass, CouplingPair
+from .model import BranchClass, CouplingPair, as_index
 from .secular import DEFAULT_RESIDUAL_TOL, LevelSolution, solve_level
 
 _PHASE_EPS = 1e-12
@@ -291,12 +291,6 @@ def phi_sesquilinear_product(state_a: ChannelState, state_b: ChannelState) -> fl
     return float(2.0 * term.real)
 
 
-def _check_panels(panels) -> None:
-    """Composite Simpson needs an even panel count >= 2 per half."""
-    if not isinstance(panels, (int, np.integer)) or panels < 2 or panels % 2 != 0:
-        raise ModelDomainError(f"panels must be an even integer >= 2, got {panels!r}")
-
-
 def quadrature_overlap(f, g, panels: int) -> complex:
     """<f | g> over (-1, 1) by composite Simpson, split at the x = 0 kink.
 
@@ -307,7 +301,7 @@ def quadrature_overlap(f, g, panels: int) -> complex:
         Panel count per half-interval; must be even and >= 2.  The error
         decays as panels^-4 for integrands smooth on each half.
     """
-    _check_panels(panels)
+    panels = as_index(panels, "panels must be an even integer >= 2", 2, even=True)
     total = 0.0 + 0.0j
     for lo, hi in ((-1.0, 0.0), (0.0, 1.0)):
         x = np.linspace(lo, hi, panels + 1)

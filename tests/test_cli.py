@@ -255,6 +255,25 @@ def test_oracle_negative_product_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", ["8", "10"])
+def test_oracle_order_names_the_grid_given(capsys, grid):
+    # the coarse grid (4, 5) is never named: the user did not pass it
+    code, out, err = run(capsys, "oracle", "--Y", "1", "--Z", "4", "--grid", grid, "--order")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --order halves the grid, so --grid must be divisible by 4 "
+        f"and at least 16, got {grid}\n"
+    )
+
+
+def test_oracle_at_large_grid(capsys):
+    code, out, _ = run(capsys, "oracle", "--Y", "1", "--Z", "4",
+                       "--grid", "16384", "--levels", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["grid_M"] == 16384 and payload["degeneracy_ok"] is True
+
+
 def test_out_writes_identical_bytes(tmp_path, capsys):
     target = tmp_path / "spec.json"
     code, out, _ = run(capsys, "spectrum", "--Y", "1", "--Z", "1", "--levels", "3")

@@ -2,6 +2,7 @@
 metric family, inverses and spectral sums."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,22 @@ def test_quadrature_pairing_samples_each_state_once():
     for bad in (3, 1, 0, -2, 2.0):
         with pytest.raises(ModelDomainError):
             biorthogonality_matrix(states, method="quadrature", panels=bad)
+
+
+def test_fixed_width_panel_count_does_not_wrap():
+    # 2 * uint8(254) wraps to 252: 126 panels per half instead of 254
+    states = doublet_family(UNIT, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        narrow = biorthogonality_matrix(states, method="quadrature", panels=np.uint8(254))
+        scalar = quadrature_overlap(states[0].upper, states[1].upper, np.uint8(254))
+    assert np.array_equal(narrow, biorthogonality_matrix(states, method="quadrature", panels=254))
+    assert scalar == quadrature_overlap(states[0].upper, states[1].upper, 254)
+    for bad in (np.bool_(True), np.float64(4.0), "4"):
+        with pytest.raises(ModelDomainError):
+            biorthogonality_matrix(states, method="quadrature", panels=bad)
+        with pytest.raises(ModelDomainError):
+            quadrature_overlap(states[0].upper, states[1].upper, bad)
 
 
 def test_biorthogonality_matrix_validation():

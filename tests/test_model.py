@@ -13,6 +13,7 @@ from coupledwell import (
     check_potential_symmetry,
     classify_branch,
 )
+from coupledwell.model import as_index
 
 
 def test_branch_classification():
@@ -89,3 +90,16 @@ def test_operator_rep_dim_and_flags():
     assert rep.dim == 4
     assert rep.is_form
     assert rep.basis is RepBasis.MODE
+
+
+def test_index_validator_returns_a_builtin_int():
+    for value in (3, True, np.int64(3), np.uint8(3), np.int8(3)):
+        n = as_index(value, "n must be an index")
+        assert type(n) is int and n == int(value)
+    for bad in (3.0, np.float64(3), np.bool_(True), "3", None, -1, np.int64(-1)):
+        with pytest.raises(ModelDomainError, match=r"^n must be an index, got "):
+            as_index(bad, "n must be an index")
+    assert as_index(np.uint8(200), "M", 8, 254, even=True) == 200
+    for bad in (6, 7, 201, 256):
+        with pytest.raises(ModelDomainError):
+            as_index(bad, "M", 8, 254, even=True)

@@ -2,12 +2,13 @@
 
 Everything here is second-order central differences, kept deliberately
 independent of the closed-form machinery it cross-checks.  For YZ > 0
-the eigensolver works on the channel-diagonal tridiagonal block alone;
-the dense eigensolve of the whole matrix, reached through an
-`OperatorRep` without oracle metadata, is the reference it is checked
-against here.
+the eigensolver works on the channel-diagonal tridiagonal block alone,
+taken from the bands `build_hamiltonian` stores; the dense eigensolve
+of the assembled matrix, reached through a plain `OperatorRep` copy,
+is the reference it is checked against here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -54,6 +55,16 @@ def test_grid_spec_validation():
         GridSpec(6)
     with pytest.raises(ModelDomainError):
         GridSpec(64.0)
+
+
+def test_grid_spec_takes_numpy_integers():
+    for value in (np.int64(64), np.uint8(64), np.int32(64)):
+        grid = GridSpec(value)
+        assert type(grid.M) is int and grid == GridSpec(64)
+        assert np.array_equal(grid.interior_nodes, GridSpec(64).interior_nodes)
+    for bad in (np.float64(64.0), np.bool_(True), "64", np.int64(6), np.int64(66) - 1):
+        with pytest.raises(ModelDomainError):
+            GridSpec(bad)
 
 
 def test_hamiltonian_dimensions_and_layout():
@@ -127,6 +138,47 @@ def test_eigenpairs_validation():
         eigenpairs(rep, 0)
     with pytest.raises(ModelDomainError):
         eigenpairs(rep, rep.dim + 1)
+    for bad in (2.0, np.float64(2.0), np.bool_(True), "2"):
+        with pytest.raises(ModelDomainError):
+            eigenpairs(rep, bad)
+    values, _ = eigenpairs(rep, np.uint8(4))
+    assert np.array_equal(values, eigenpairs(rep, 4)[0])
+
+
+@pytest.mark.parametrize("y, z", [(1.0, 4.0), (-1.0, -4.0), (0.0, 0.0), (25.0, 25.0)])
+def test_reducible_hamiltonian_never_builds_its_matrix(y, z):
+    rep = build_hamiltonian(CouplingPair(y, z), GridSpec(256))
+    for k in (1, 4, 12):
+        eigenpairs(rep, k)
+    assert "matrix" not in vars(rep)
+    small = build_hamiltonian(CouplingPair(y, z), GridSpec(8))
+    eigenpairs(small, small.dim)  # too many for ARPACK: the dense fallback
+    assert "matrix" in vars(small)
+
+
+def test_stored_operator_is_read_only():
+    rep = build_hamiltonian(CouplingPair(1.0, 4.0), GridSpec(16))
+    with pytest.raises(ValueError):
+        rep.matrix[0, 0] = 0.0
+    for band in (rep.sub, rep.diagonal, rep.step):
+        with pytest.raises(ValueError):
+            band[0] = 0.0
+    assert rep.matrix is rep.matrix
+    with pytest.raises(ModelDomainError):
+        dataclasses.replace(rep, step=rep.step[1:])
+
+
+def test_reduced_solve_at_large_grid():
+    # the dense matrix would need ~17 GB here
+    pair, M = CouplingPair(1.0, 4.0), 16384
+    rep = build_hamiltonian(pair, GridSpec(M))
+    values, _ = eigenpairs(rep, 4)
+    assert "matrix" not in vars(rep)
+    assert np.abs(values.imag).max() <= 1e-6
+    report = compare_spectrum(spectrum(pair, 1).levels, values, 2)
+    assert report["degeneracy_ok"]
+    for row in report["levels"]:
+        assert row["rel_err"] <= 5e-3 * (512 / M) ** 2
 
 
 def test_pairing_assertion_rejects_unpaired_complex_values():
@@ -213,8 +265,8 @@ def test_subspace_alignment_limits():
         subspace_alignment(basis, np.zeros(4))
 
 
-def _dense(rep: OperatorRep) -> OperatorRep:
-    """The same matrix without oracle metadata: always the dense path."""
+def _dense(rep) -> OperatorRep:
+    """The same matrix as a plain OperatorRep: always the dense path."""
     return OperatorRep(rep.matrix, RepBasis.GRID)
 
 
@@ -293,31 +345,40 @@ def test_other_grid_operators_take_the_dense_path(monkeypatch):
     assert np.array_equal(vectors, ref_vectors)
 
 
-def _shift_down(matrix, m):
+# _shift_down and _clear_middle_step edit the bands the reduced solver
+# reads, so they keep the form I (x) K + C (x) D and pin its
+# completeness test; the other two leave that form, on a plain copy of
+# the dense matrix
+
+
+def _shift_down(rep):
     # Re E < 0 for the lowest levels, which are not the ones nearest 0
-    matrix -= 60.0 * np.eye(2 * m)
+    return dataclasses.replace(rep, diagonal=rep.diagonal - 60.0)
 
 
-def _clear_middle_step(matrix, m):
+def _clear_middle_step(rep):
     # D = 0 on |x| < 1/8 puts a complex pair of lower real part beyond
-    # real levels of larger real part but smaller modulus; the form
-    # I (x) K + C (x) D is kept
-    middle = np.flatnonzero(np.abs(np.arange(m) - m // 2) < (m + 1) / 16)
-    matrix[middle, m + middle] = 0.0
-    matrix[m + middle, middle] = 0.0
+    # real levels of larger real part but smaller modulus
+    m = rep.step.size
+    middle = np.abs(np.arange(m) - m // 2) < (m + 1) / 16
+    return dataclasses.replace(rep, step=np.where(middle, 0.0, rep.step))
 
 
-def _mix_channels(matrix, m):
+def _mix_channels(rep):
     # a real cross-channel term on every node: still S H S = H^dagger
+    matrix, m = rep.matrix.copy(), rep.dim // 2
     idx = np.arange(m)
     matrix[idx, m + idx] += 0.5
     matrix[m + idx, idx] += 0.5
+    return OperatorRep(matrix, RepBasis.GRID)
 
 
-def _off_band(matrix, m):
+def _off_band(rep):
     # an S-symmetric pair of entries off the tridiagonal bands
+    matrix, m = rep.matrix.copy(), rep.dim // 2
     matrix[0, 5] += 0.5
     matrix[2 * m - 6, 2 * m - 1] += 0.5
+    return OperatorRep(matrix, RepBasis.GRID)
 
 
 @pytest.mark.parametrize(
@@ -332,13 +393,25 @@ def _off_band(matrix, m):
     ],
 )
 def test_edited_hamiltonian_is_solved_as_edited(edit, c, reduced, monkeypatch):
-    rep = build_hamiltonian(CouplingPair(c / 2, 2 * c), GridSpec(64))
-    edit(rep.matrix, rep.dim // 2)
+    rep = edit(build_hamiltonian(CouplingPair(c / 2, 2 * c), GridSpec(64)))
     ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
     calls = _count_dense_solves(monkeypatch)
     values, vectors = eigenpairs(rep, 5)
     assert bool(calls) != reduced
     _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+
+
+def test_band_edits_are_the_dense_edits():
+    # the band edits above are the in-place matrix edits they replace
+    rep = build_hamiltonian(CouplingPair(40.0, 160.0), GridSpec(64))
+    m = rep.dim // 2
+    shifted = np.array(rep.matrix) - 60.0 * np.eye(2 * m)
+    assert np.array_equal(_shift_down(rep).matrix, shifted)
+    cleared = np.array(rep.matrix)
+    middle = np.flatnonzero(np.abs(np.arange(m) - m // 2) < (m + 1) / 16)
+    cleared[middle, m + middle] = 0.0
+    cleared[m + middle, middle] = 0.0
+    assert np.array_equal(_clear_middle_step(rep).matrix, cleared)
 
 
 @pytest.mark.parametrize("M", [16, 64, 256])
