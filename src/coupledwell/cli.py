@@ -415,12 +415,23 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 4
 
 
+def _level_count(text: str) -> int:
+    """argparse type of --levels: a level count of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return n
+
+
 def _add_common(parser, levels_default):
     parser.add_argument("--Y", type=float, required=True, help="upper-right coupling amplitude")
     parser.add_argument("--Z", type=float, required=True, help="lower-left coupling amplitude")
     parser.add_argument(
         "--levels",
-        type=int,
+        type=_level_count,
         default=levels_default,
         help=f"number of levels, n = 0..levels-1 (default {levels_default})",
     )
@@ -487,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-min", dest="c_min", type=float, required=True)
     p.add_argument("--c-max", dest="c_max", type=float, required=True)
     p.add_argument("--steps", type=int, default=11)
-    p.add_argument("--levels", type=int, default=2)
+    p.add_argument("--levels", type=_level_count, default=2)
     p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     _add_output(p)
     p.set_defaults(handler=_cmd_scan)

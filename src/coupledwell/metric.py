@@ -28,6 +28,16 @@ sqrt(YZ)(sigma_a + sigma_b) vanishes and distinct same-sigma levels are
 bilinear-orthogonal, so F[i, k] = sum_j G[j, i] S_j G[j, k] keeps only
 i = k = j.  The full G, from biorthogonality_matrix, is the check that
 the diagonal form holds.
+
+G and the Gram matrix of Theta^{-1} are N x N closed forms of the same
+shape: a channel-weight factor times 2 Re(a_i a_j I(kappa_i, kappa_j)),
+I the segment integral of two sines.  Both are built as one broadcast
+expression over the state arrays (wavefunctions.sine_product_integrals),
+not as N^2 scalar calls.  The diagonal of G is still the scalar
+biorthogonal_overlap, O(N) calls: numpy's complex multiply and divide
+can differ from CPython's in the last bit, and the mode metric
+diag(S d^2) is built from the scalar diagonal_overlap, so G's diagonal
+must be those same bits.
 """
 
 from __future__ import annotations
@@ -47,8 +57,8 @@ from .model import CouplingPair, GridSpec, OperatorRep, RepBasis, as_index
 from .wavefunctions import (
     ChannelState,
     phi_bilinear_product,
-    phi_sesquilinear_product,
     quasi_parity,
+    sine_product_integrals,
 )
 
 # Diagonal pairings scale with sqrt(YZ); below this the metric family
@@ -57,6 +67,13 @@ MIN_ROOT_PRODUCT = 1e-6
 
 _OVERLAP_FLOOR = 1e-12
 _KINDS = ("hamiltonian", "spin", "identity")
+
+
+def _level_count(n_levels) -> int:
+    try:
+        return as_index(n_levels, "n_levels must be an integer >= 1", 1)
+    except ModelDomainError as exc:
+        raise MetricConstraintError(str(exc)) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,13 +108,13 @@ class MetricWeights:
 
     @classmethod
     def unit(cls, n_levels: int) -> "MetricWeights":
-        if n_levels < 1:
-            raise MetricConstraintError("n_levels must be >= 1")
+        n_levels = _level_count(n_levels)
         return cls(np.ones(n_levels), np.ones(n_levels))
 
     @classmethod
     def from_file(cls, path, n_levels: int) -> "MetricWeights":
         """Parse `n S_plus S_minus` lines; missing levels default to 1 1."""
+        n_levels = _level_count(n_levels)
         s_plus = np.ones(n_levels)
         s_minus = np.ones(n_levels)
         seen = set()
@@ -176,6 +193,19 @@ def _channel_weights(state: ChannelState):
     return math.sqrt(state.Z), state.sigma * math.sqrt(state.Y)
 
 
+def _profiles(states):
+    # phi coefficients, wavenumbers and (upper, lower) channel weights
+    a = np.array([s.phi_coeff for s in states], dtype=complex)
+    kappa = np.array([s.kappa for s in states], dtype=complex)
+    wu, wl = np.array([_channel_weights(s) for s in states], dtype=float).T
+    return a, kappa, wu, wl
+
+
+def _bilinear_products(a_row, kappa_row, a, kappa) -> np.ndarray:
+    # [i, j] = integral phi_i phi_j dx: phi_bilinear_product over the arrays
+    return 2.0 * (a_row[:, None] * a * sine_product_integrals(kappa_row[:, None], kappa)).real
+
+
 def biorthogonal_overlap(left: LeftState, state: ChannelState) -> float:
     """<<left|state> in closed form.
 
@@ -204,21 +234,37 @@ def biorthogonality_matrix(
 ) -> np.ndarray:
     """Pairing matrix G[i, j] = <<left_i|state_j>.
 
-    method "closed" uses the analytic segment integrals; "quadrature"
-    recomputes every entry by composite Simpson (`panels` per half, the
-    rule of wavefunctions.quadrature_overlap) as an independent check of
-    the closed forms, sampling each state and each left partner once.
+    method "closed" uses the analytic segment integrals, with
+    G[i, j] = q_i (wl_i wu_j + wu_i wl_j) 2 Re(a_i a_j I(kappa_i, kappa_j))
+    over the left partners' states (row) and the states (column) as one
+    vector expression; the diagonal is the scalar biorthogonal_overlap
+    (see the module notes), and every state and left partner must share
+    one coupling.  "quadrature" recomputes every entry by composite
+    Simpson (`panels` per half, the rule of
+    wavefunctions.quadrature_overlap) as an independent check of the
+    closed forms, sampling each state and each left partner once.
     """
     if lefts is None:
         lefts = [left_vector(s) for s in states]
     if len(lefts) != len(states):
         raise ModelDomainError("need one left vector per state")
-    n = len(states)
     if method == "closed":
-        out = np.empty((n, n))
-        for i, left in enumerate(lefts):
-            for j, state in enumerate(states):
-                out[i, j] = biorthogonal_overlap(left, state)
+        if not states:
+            return np.empty((0, 0))
+        coupling = (states[0].Y, states[0].Z)
+        for x in (*states, *(l.state for l in lefts)):
+            if (x.Y, x.Z) != coupling:
+                raise ModelDomainError("left and right states belong to different couplings")
+        a, kappa, wu, wl = _profiles(states)
+        a_l, kappa_l, wu_l, wl_l = _profiles([l.state for l in lefts])
+        q = np.array([l.q for l in lefts], dtype=float)[:, None]
+        out = q * (wl_l[:, None] * wu + wu_l[:, None] * wl) * _bilinear_products(
+            a_l, kappa_l, a, kappa
+        )
+        # the diagonal from the scalar path, bit for bit that of diagonal_overlap
+        out[np.diag_indices_from(out)] = [
+            biorthogonal_overlap(l, s) for l, s in zip(lefts, states)
+        ]
         return out
     if method == "quadrature":
         panels = as_index(panels, "panels must be an even integer >= 2", 2, even=True)
@@ -533,6 +579,9 @@ def inverse_theta_metric(
     The coefficients are reciprocals of the metric's weights through the
     squared diagonal pairings d; composing with the metric reproduces
     the identity on the retained span (see inverse_identity_defect).
+    MODE: coeff_i times the Gram matrix of the states,
+    (wu_i wu_j + wl_i wl_j) 2 Re(conj(a_i) a_j I(conj(kappa_i), kappa_j)),
+    one vector expression (see the module notes).
     """
     coupling, n_levels, per_state = _resolve_weights(states, weights, None, unsafe)
     lefts = [left_vector(s) for s in states]
@@ -546,14 +595,12 @@ def inverse_theta_metric(
         "diagonal_overlaps": d,
     }
     if rep is RepBasis.MODE:
-        dim = len(states)
-        gram = np.empty((dim, dim))
-        for i, a in enumerate(states):
-            wu_a, wl_a = _channel_weights(a)
-            for j, b in enumerate(states):
-                wu_b, wl_b = _channel_weights(b)
-                gram[i, j] = (wu_a * wu_b + wl_a * wl_b) * phi_sesquilinear_product(a, b)
-        matrix = np.diag(coeff) @ gram
+        # the sesquilinear Gram matrix is the bilinear one with the row conjugated
+        a, kappa, wu, wl = _profiles(states)
+        gram = (wu[:, None] * wu + wl[:, None] * wl) * _bilinear_products(
+            a.conj(), kappa.conj(), a, kappa
+        )
+        matrix = coeff[:, None] * gram
         return OperatorRep(matrix=matrix, basis=RepBasis.MODE, is_form=False, meta=meta)
     if rep is RepBasis.GRID:
         if grid is None:

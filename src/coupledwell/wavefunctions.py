@@ -248,8 +248,7 @@ def doublet_family(
     Order is (0,+1), (0,-1), (1,+1), ...; the two sigma states of a
     level share the same LevelSolution object, hence identical E.
     """
-    if n_levels < 1:
-        raise ModelDomainError(f"n_levels must be >= 1, got {n_levels!r}")
+    n_levels = as_index(n_levels, "n_levels must be an integer >= 1", 1)
     states = []
     for n in range(n_levels):
         level = solve_level(n, coupling, tol)
@@ -264,6 +263,21 @@ def sine_product_integral(p: complex, q: complex) -> complex:
     if abs(p - q) < 1e-14 * max(1.0, abs(p)):
         return 0.5 - cmath.sin(2.0 * p) / (4.0 * p)
     return cmath.sin(p - q) / (2.0 * (p - q)) - cmath.sin(p + q) / (2.0 * (p + q))
+
+
+def sine_product_integrals(p, q) -> np.ndarray:
+    """sine_product_integral over broadcast arrays of complex wavenumbers.
+
+    Same formula and same-wavenumber branch as the scalar; numpy's
+    complex arithmetic may differ from CPython's in the last bit.  The
+    branch is taken by np.where, so the unused one is evaluated with a
+    unit denominator rather than 0/0.
+    """
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
+    diff, total = p - q, p + q
+    same = np.abs(diff) < 1e-14 * np.maximum(1.0, np.abs(p))
+    apart = np.sin(diff) / (2.0 * np.where(same, 1.0, diff)) - np.sin(total) / (2.0 * total)
+    return np.where(same, 0.5 - np.sin(2.0 * p) / (4.0 * p), apart)
 
 
 def phi_bilinear_product(state_a: ChannelState, state_b: ChannelState) -> float:

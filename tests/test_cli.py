@@ -104,6 +104,26 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["spectrum", "--Y", "1", "--Z", "4"],
+        ["scan", "--c-min", "0", "--c-max", "1"],
+        ["oracle", "--Y", "1", "--Z", "4"],
+        ["metric", "--Y", "1", "--Z", "4"],
+        ["verify", "--Y", "1", "--Z", "4"],
+    ],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("levels", ["0", "-3", "2.0", "two"])
+def test_level_count_error_names_the_flag_and_value(capsys, command, levels):
+    # not the secular layer's "n_max ... got -1" for --levels 0
+    code, out, err = run(capsys, *command, "--levels", levels)
+    assert code == 2 and out == ""
+    assert f"argument --levels: must be an integer >= 1, got {levels}" in err
+    assert "n_max" not in err
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -6,7 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import coupledwell.metric as metric_module
+import coupledwell.wavefunctions as wavefunctions_module
 from coupledwell import (
     ChannelState,
     CouplingPair,
@@ -33,6 +36,7 @@ from coupledwell import (
     mode_hamiltonian,
     mode_spin,
     parity_overlap,
+    phi_sesquilinear_product,
     quadrature_overlap,
     quasi_hermiticity_defect,
     quasi_parity,
@@ -41,6 +45,7 @@ from coupledwell import (
     spectral_reconstruct,
     spin_operator,
 )
+from coupledwell.wavefunctions import sine_product_integral, sine_product_integrals
 
 UNIT = CouplingPair(1.0, 1.0)
 XS = np.linspace(-1.0, 1.0, 101)
@@ -122,6 +127,126 @@ def test_biorthogonality_matrix_closed():
     assert np.abs(off).max() <= 1e-12 * diag.max()
     # opposite spin members of one level decouple exactly in closed form
     assert mat[0, 1] == 0.0 and mat[1, 0] == 0.0
+
+
+def _assert_pairing_matches_scalar(states, lefts):
+    fast = biorthogonality_matrix(states, lefts, method="closed")
+    reference = np.array([[biorthogonal_overlap(l, s) for s in states] for l in lefts])
+    assert fast.shape == reference.shape and fast.dtype == reference.dtype
+    assert np.array_equal(np.diag(fast), np.diag(reference))
+    assert np.abs(fast - reference).max() <= 1e-15 * np.abs(reference).max()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    log_c=st.floats(min_value=-3.0, max_value=math.log10(4.4)),
+    log_ratio=st.floats(min_value=-1.0, max_value=1.0),
+    n_levels=st.integers(min_value=1, max_value=40),
+)
+def test_vector_pairing_and_inverse_match_the_scalar_products(log_c, log_ratio, n_levels):
+    # c log-uniform on [1e-3, 4.4], Y/Z = 4**log_ratio on [1/4, 4]
+    c, ratio = 10.0**log_c, 4.0**log_ratio
+    pair = CouplingPair(c * math.sqrt(ratio), c / math.sqrt(ratio))
+    states = doublet_family(pair, n_levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_pairing_matches_scalar(states, [left_vector(s) for s in states])
+        inverse = inverse_theta_metric(states)
+    coeff = inverse.meta["coefficients"]
+    weights = [metric_module._channel_weights(s) for s in states]
+    reference = np.array(
+        [
+            [
+                coeff[i]
+                * (wu_a * wu_b + wl_a * wl_b)
+                * phi_sesquilinear_product(a, b)
+                for b, (wu_b, wl_b) in zip(states, weights)
+            ]
+            for i, (a, (wu_a, wl_a)) in enumerate(zip(states, weights))
+        ]
+    )
+    assert np.abs(inverse.matrix - reference).max() <= 1e-15 * np.abs(reference).max()
+
+
+def test_vector_pairing_with_explicit_lefts():
+    states = doublet_family(CouplingPair(1.0, 4.0), 5)
+    lefts = [left_vector(s) for s in states]
+    flipped = [LeftState(state=l.state, q=-l.q) for l in lefts]
+    # the sign q multiplies each row exactly, diagonal included
+    assert np.array_equal(
+        biorthogonality_matrix(states, flipped), -biorthogonality_matrix(states, lefts)
+    )
+    # partners out of order and with mixed signs: each entry is still the
+    # scalar pairing of its row's partner with its column's state
+    shuffled = [LeftState(state=l.state, q=l.q * (-1) ** k) for k, l in enumerate(lefts[::-1])]
+    _assert_pairing_matches_scalar(states, shuffled)
+    # decoupled Y = Z = 0: opposite sigma members share one real wavenumber,
+    # so the same-wavenumber branch is taken off the diagonal too
+    decoupled = doublet_family(CouplingPair(0.0, 0.0), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_pairing_matches_scalar(decoupled, [left_vector(s) for s in decoupled])
+
+
+def test_vector_pairing_rejects_mixed_couplings():
+    states = doublet_family(UNIT, 2)
+    other = doublet_family(CouplingPair(2.0, 2.0), 2)
+    with pytest.raises(ModelDomainError, match="different couplings"):
+        biorthogonality_matrix(states, [left_vector(s) for s in other])
+    # one foreign left partner or state
+    mixed_lefts = [left_vector(s) for s in states]
+    mixed_lefts[3] = left_vector(other[3])
+    with pytest.raises(ModelDomainError, match="different couplings"):
+        biorthogonality_matrix(states, mixed_lefts)
+    with pytest.raises(ModelDomainError, match="different couplings"):
+        biorthogonality_matrix(states[:3] + other[3:4], [left_vector(s) for s in states])
+    # every diagonal pair shares a coupling, the off-diagonal ones do not
+    mixed = [states[0], other[1]]
+    with pytest.raises(ModelDomainError, match="different couplings"):
+        biorthogonality_matrix(mixed, [left_vector(s) for s in mixed])
+    assert biorthogonality_matrix([]).shape == (0, 0)
+
+
+def test_vector_kernel_matches_scalar_without_warnings():
+    rng = np.random.default_rng(7)
+    p = rng.uniform(0.1, 60.0, 12) - 1j * rng.uniform(-3.0, 3.0, 12)
+    # exact and near-equal pairs exercise the same-wavenumber branch
+    q = np.concatenate([p[:4], p[4:8] * (1.0 + 1e-15), rng.uniform(0.1, 60.0, 4) + 0.5j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = sine_product_integrals(p[:, None], q)
+    reference = np.array([[sine_product_integral(a, b) for b in q] for a in p])
+    assert np.abs(fast - reference).max() <= 1e-15 * np.abs(reference).max()
+    for k in range(8):
+        assert fast[k, k] == 0.5 - np.sin(2.0 * p[k]) / (4.0 * p[k])
+
+
+def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
+    # a loop over scalar pairings would make N^2 calls; the vector kernel
+    # leaves N, all of them on the diagonal
+    calls = {"overlap": 0, "integral": 0}
+
+    def counted(name, inner):
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        metric_module, "biorthogonal_overlap",
+        counted("overlap", metric_module.biorthogonal_overlap),
+    )
+    monkeypatch.setattr(
+        wavefunctions_module, "sine_product_integral",
+        counted("integral", wavefunctions_module.sine_product_integral),
+    )
+    states = doublet_family(UNIT, 12)
+    biorthogonality_matrix(states)
+    assert calls == {"overlap": 24, "integral": 24}
+    calls.update(overlap=0, integral=0)
+    inverse_theta_metric(states)
+    assert calls == {"overlap": 24, "integral": 24}
 
 
 def test_biorthogonality_matrix_quadrature():
@@ -336,6 +461,19 @@ def test_metric_weights_validation_and_selection():
         w.select(2, +1)
     with pytest.raises(MetricConstraintError):
         MetricWeights(s_plus=np.array([1.0]), s_minus=np.array([1.0, 2.0]))
+
+
+def test_metric_weight_level_count_validation(tmp_path):
+    path = tmp_path / "weights.txt"
+    path.write_text("0 2.0 3.0\n")
+    for bad in (0, -1, 2.0, np.float64(2.0), np.bool_(True), "2"):
+        with pytest.raises(MetricConstraintError, match="n_levels must be an integer >= 1"):
+            MetricWeights.unit(bad)
+        with pytest.raises(MetricConstraintError, match="n_levels must be an integer >= 1"):
+            MetricWeights.from_file(path, bad)
+    for count in (np.int64(2), np.uint8(2)):
+        assert MetricWeights.unit(count).n_levels == 2
+        assert MetricWeights.from_file(path, count).select(0, -1) == 3.0
 
 
 def test_metric_weight_file_parsing(tmp_path):

@@ -220,5 +220,10 @@ def test_solve_coefficients_validation():
 
 
 def test_doublet_family_validation():
-    with pytest.raises(ModelDomainError):
-        doublet_family(UNIT, 0)
+    for bad in (0, -1, 2.0, np.float64(2.0), np.bool_(True), "2"):
+        with pytest.raises(ModelDomainError, match="n_levels must be an integer >= 1"):
+            doublet_family(UNIT, bad)
+    # numpy integers pass as the level count they hold
+    for count in (np.int64(2), np.uint8(2)):
+        family = doublet_family(UNIT, count)
+        assert [(s.level.n, s.sigma) for s in family] == [(0, 1), (0, -1), (1, 1), (1, -1)]
