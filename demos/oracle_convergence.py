@@ -9,17 +9,15 @@ construction.  Errors against the analytic energies fall off at the
 expected second order, verified by Richardson ratios between grids.
 """
 
-import numpy as np
-
 from coupledwell import (
     CouplingPair,
     GridSpec,
     build_hamiltonian,
     compare_spectrum,
-    discrete_theta,
     eigenpairs,
     spectrum,
     subspace_alignment,
+    verify,
 )
 from coupledwell.wavefunctions import doublet_family, evaluate
 
@@ -29,10 +27,13 @@ levels = spectrum(pair, 3).levels
 coarse = build_hamiltonian(pair, GridSpec(256))
 fine = build_hamiltonian(pair, GridSpec(512))
 
-# exact discrete symmetry: swap channels, reflect the grid
-S = discrete_theta(GridSpec(256))
-defect = np.max(np.abs(S.matrix @ coarse.matrix @ S.matrix - coarse.matrix.conj().T))
-print("discrete S H S - H^dagger, max entry:", defect)
+# the invariant battery at M = 256, the exact discrete symmetry
+# S H S = H^dagger (swap channels, reflect the grid) among its checks
+for check in verify(pair, 4, GridSpec(256)):
+    print(
+        f"{'PASS' if check.passed else 'FAIL'}  {check.name}: "
+        f"{check.value:.3e} {check.comparison} {check.bound:.3e}"
+    )
 
 vals_c, _ = eigenpairs(coarse, 8)
 vals_f, vecs_f = eigenpairs(fine, 8)

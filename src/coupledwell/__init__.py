@@ -46,6 +46,7 @@ from .secular import (
 # numpy-backed layers load on first use, so the closed-form solver and
 # the CLI's spectrum/critical/scan start without numpy (PEP 562)
 _LAZY_MODULES = {
+    "battery": ("Check", "verify"),
     "metric": (
         "MIN_ROOT_PRODUCT",
         "LeftState",
@@ -112,6 +113,7 @@ __all__ = [
     "BracketError",
     "BranchClass",
     "ChannelState",
+    "Check",
     "CouplingPair",
     "CriticalResult",
     "DegenerateMatchError",
@@ -170,4 +172,5 @@ __all__ = [
     "spectrum",
     "spin_operator",
     "subspace_alignment",
+    "verify",
 ]

@@ -1,10 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: it parses arguments and formats results.
 
-Subcommands mirror the library: spectrum, critical, metric, verify,
-scan, oracle.  Output goes to stdout (or --out) as JSON or CSV and is
-byte-identical across runs for identical arguments; diagnostics go to
-stderr.  Exit codes: 0 success, 2 validation error, 3 lost root /
-coupling at or above critical, 4 numerical failure.
+Subcommands mirror the library: spectrum, critical, metric, verify (the
+battery in `battery.py`), scan, oracle.  Output goes to stdout (or
+--out) as JSON or CSV and is byte-identical across runs for identical
+arguments; diagnostics go to stderr.  Exit codes: 0 success, 2
+validation error, 3 lost root / coupling at or above critical, 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from dataclasses import asdict
 
 from .errors import (
     BracketError,
@@ -24,7 +27,7 @@ from .errors import (
     NumericalFailureError,
     RootLostError,
 )
-from .model import CouplingPair, GridSpec, RepBasis
+from .model import CouplingPair, GridSpec, RepBasis, as_index, validate_tol
 from .secular import (
     DEFAULT_CRITICAL_TOL,
     DEFAULT_RESIDUAL_TOL,
@@ -166,6 +169,9 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 def _cmd_scan(args) -> int:
     if args.steps < 1:
         raise ModelDomainError(f"steps must be >= 1, got {args.steps}")
+    for flag, value in (("--c-min", args.c_min), ("--c-max", args.c_max)):
+        if not math.isfinite(value):
+            raise ModelDomainError(f"{flag} must be finite, got {value}")
     if args.c_min < 0 or args.c_max < args.c_min:
         raise ModelDomainError("need 0 <= c-min <= c-max")
     entries = []
@@ -253,164 +259,19 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _verify_checks(args) -> list[dict]:
-    import numpy as np
-    import scipy.sparse
-
-    from .metric import (
-        MetricWeights,
-        biorthogonality_matrix,
-        build_theta_metric,
-        inverse_identity_defect,
-        mode_hamiltonian,
-        mode_spin,
-        quasi_hermiticity_defect,
-        spin_operator,
-    )
-    from .oracle import build_hamiltonian, compare_spectrum, discrete_theta, eigenpairs
-    from .wavefunctions import doublet_family, matching_residual, parity_overlap
-
-    coupling = CouplingPair(args.Y, args.Z)
-    if coupling.product <= 0:
-        raise ModelDomainError(
-            "verify exercises the coupled degenerate branch and needs YZ > 0"
-        )
-    checks = []
-
-    def check(name, value, bound, larger_is_pass=False):
-        ok = value > bound if larger_is_pass else value <= bound
-        checks.append(
-            {
-                "name": name,
-                "value": float(value),
-                "bound": float(bound),
-                "comparison": ">" if larger_is_pass else "<=",
-                "passed": bool(ok),
-            }
-        )
-
-    states = doublet_family(coupling, args.levels, args.tol)
-    levels = [states[2 * n].level for n in range(args.levels)]
-    c = coupling.root_product
-
-    check(
-        "secular residual max",
-        max(l.residual for l in levels),
-        args.tol,
-    )
-    check(
-        "wavenumber constraint |2st - sqrt(YZ)| max",
-        max(abs(2 * l.s * l.t - c) for l in levels),
-        1e-10,
-    )
-    if args.levels >= 3 and c <= 1.5:
-        # monotone convergence of the small-coupling series at the top level
-        top = levels[-1]
-        err2 = abs(top.eps - perturbative_eps(top.n, coupling, order=2))
-        err1 = abs(top.eps - perturbative_eps(top.n, coupling, order=1))
-        check("perturbation order-2/order-1 error ratio", err2 / err1, 1.0)
-    check(
-        "matching residual max",
-        max(matching_residual(s) for s in states),
-        1e-12,
-    )
-    ratio = np.sqrt(coupling.Z / coupling.Y)
-    check(
-        "coefficient ratio |A/B - sigma sqrt(Z/Y)| max",
-        max(abs(s.A / s.B - s.sigma * ratio) for s in states),
-        1e-10,
-    )
-    check(
-        "parity overlap alternation min (-1)^n p_n",
-        min((-1) ** s.level.n * parity_overlap(s) for s in states),
-        0.0,
-        larger_is_pass=True,
-    )
-
-    pairing = biorthogonality_matrix(states)
-    diag = np.diag(pairing)
-    off = pairing - np.diag(diag)
-    check("biorthogonal diagonal min", float(np.min(diag)), 0.0, larger_is_pass=True)
-    check(
-        "biorthogonal off-diagonal / max diagonal",
-        float(np.max(np.abs(off)) / np.max(diag)),
-        1e-9,
-    )
-
-    theta = build_theta_metric(states, MetricWeights.unit(args.levels))
-    check(
-        "metric Hermiticity defect",
-        float(np.max(np.abs(theta.matrix - theta.matrix.conj().T))),
-        0.0,
-    )
-    check(
-        "metric minimal eigenvalue",
-        float(np.min(np.linalg.eigvalsh(theta.matrix))),
-        0.0,
-        larger_is_pass=True,
-    )
-    check(
-        "quasi-Hermiticity defect (Hamiltonian)",
-        quasi_hermiticity_defect(mode_hamiltonian(states), theta),
-        1e-8,
-    )
-    check(
-        "quasi-Hermiticity defect (spin observable)",
-        quasi_hermiticity_defect(mode_spin(states), theta),
-        1e-8,
-    )
-    check(
-        "inverse metric identity defect",
-        inverse_identity_defect(theta, states, MetricWeights.unit(args.levels)),
-        1e-8,
-    )
-
-    grid = GridSpec(args.grid)
-    h_rep = build_hamiltonian(coupling, grid)
-    h = h_rep.matrix
-    # S and the spin block have one nonzero per row: as sparse factors
-    # each product entry is one exact multiplication, O(M^2) not O(M^3)
-    swap = scipy.sparse.csr_matrix(discrete_theta(grid).matrix)
-    check(
-        "discrete swap-reflect pseudo-Hermiticity defect",
-        float(np.max(np.abs(swap @ h @ swap - h.conj().T))),
-        0.0,
-    )
-    omega = scipy.sparse.kron(
-        spin_operator(coupling).matrix, scipy.sparse.identity(grid.n_interior), "csr"
-    )
-    check(
-        "discrete commutator [H, spin] max",
-        float(np.max(np.abs(h @ omega - omega @ h))),
-        1e-15 * float(np.max(np.abs(h))),
-    )
-    n_eig = min(4, 2 * args.levels)
-    eig_values, _ = eigenpairs(h_rep, n_eig)
-    check("oracle lowest eigenvalues |Im| max", float(np.max(np.abs(eig_values.imag))), 1e-6)
-    k = min(2, args.levels)
-    report = compare_spectrum(levels, eig_values, k)
-    check(
-        "oracle vs analytic relative error",
-        max(r["rel_err"] for r in report["levels"]),
-        5e-3 * (512.0 / args.grid) ** 2,
-    )
-    return checks
-
-
 def _cmd_verify(args) -> int:
-    checks = _verify_checks(args)
-    all_passed = all(c["passed"] for c in checks)
+    from .battery import verify
+
+    checks = verify(CouplingPair(args.Y, args.Z), args.levels, GridSpec(args.grid), args.tol)
+    all_passed = all(c.passed for c in checks)
     if args.format == "json":
-        _emit(args, _json_text({"checks": checks, "all_passed": all_passed}))
+        records = [dict(asdict(c), passed=c.passed) for c in checks]
+        _emit(args, _json_text({"checks": records, "all_passed": all_passed}))
     else:
-        lines = []
-        for c in checks:
-            lines.append(
-                f"{'PASS' if c['passed'] else 'FAIL'}  "
-                f"{c['name']:<46} {c['value']:.6e} {c['comparison']} {c['bound']:.6e}"
-            )
+        lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name:<46} {c.value:.6e} "
+                 f"{c.comparison} {c.bound:.6e}" for c in checks]
         lines.append(f"{'OK' if all_passed else 'FAILED'}: "
-                     f"{sum(c['passed'] for c in checks)}/{len(checks)} checks passed")
+                     f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
         _emit(args, "\n".join(lines) + "\n")
     return 0 if all_passed else 4
 
@@ -418,12 +279,19 @@ def _cmd_verify(args) -> int:
 def _level_count(text: str) -> int:
     """argparse type of --levels: a level count of at least 1."""
     try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return n
+        return as_index(int(text), "level count must be >= 1", 1)
+    except ValueError:  # int() and as_index (ModelDomainError) both raise one
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}") from None
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number in (0, 1)."""
+    try:
+        tol = float(text)
+        validate_tol(tol)
+    except ValueError:  # float() and validate_tol (InvalidToleranceError) both raise one
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text}") from None
+    return tol
 
 
 def _add_common(parser, levels_default):
@@ -437,7 +305,7 @@ def _add_common(parser, levels_default):
     )
     parser.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_RESIDUAL_TOL,
         help="secular residual tolerance (default 1e-12)",
     )
@@ -470,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", type=int, default=0, help="pair index k for roots (2k, 2k+1)")
     p.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_CRITICAL_TOL,
         help="bracket width on sqrt(YZ) (default 1e-3)",
     )
@@ -499,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-max", dest="c_max", type=float, required=True)
     p.add_argument("--steps", type=int, default=11)
     p.add_argument("--levels", type=_level_count, default=2)
-    p.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_RESIDUAL_TOL)
     _add_output(p)
     p.set_defaults(handler=_cmd_scan)
 

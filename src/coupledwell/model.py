@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from numbers import Integral
 from typing import TYPE_CHECKING
 
-from .errors import ModelDomainError
+from .errors import InvalidToleranceError, ModelDomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,6 +59,14 @@ def as_index(
         if n >= minimum and (maximum is None or n <= maximum) and not (even and n % 2):
             return n
     raise ModelDomainError(f"{message}, got {value!r}")
+
+
+def validate_tol(tol: float) -> None:
+    """Raise InvalidToleranceError unless tol is a finite number in (0, 1)."""
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol)):
+        raise InvalidToleranceError(f"tolerance must be finite, got {tol!r}")
+    if tol <= 0.0 or tol >= 1.0:
+        raise InvalidToleranceError(f"tolerance must lie in (0, 1), got {tol!r}")
 
 
 def classify_branch(Y: float, Z: float) -> BranchClass:

@@ -33,12 +33,11 @@ from dataclasses import dataclass
 
 from .errors import (
     BracketError,
-    InvalidToleranceError,
     ModelDomainError,
     NumericalFailureError,
     RootLostError,
 )
-from .model import BranchClass, CouplingPair, as_index
+from .model import BranchClass, CouplingPair, as_index, validate_tol
 
 DEFAULT_RESIDUAL_TOL = 1e-12
 DEFAULT_CRITICAL_TOL = 1e-3
@@ -89,13 +88,6 @@ class CriticalResult:
     c_crit: float
     bracket_width: float
     evaluations: int
-
-
-def _validate_tol(tol: float) -> None:
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol)):
-        raise InvalidToleranceError(f"tolerance must be finite, got {tol!r}")
-    if tol <= 0.0 or tol >= 1.0:
-        raise InvalidToleranceError(f"tolerance must lie in (0, 1), got {tol!r}")
 
 
 def residual(s: float, c: float) -> float:
@@ -214,7 +206,7 @@ def solve_level(
     or above the pair's critical value).
     """
     n = as_index(n, "level index must be a non-negative integer")
-    _validate_tol(tol)
+    validate_tol(tol)
     branch = coupling.branch
     if branch is BranchClass.NEGATIVE_PRODUCT:
         sublabel = +1 if sublabel is None else sublabel
@@ -257,7 +249,7 @@ def spectrum(
     independent states.
     """
     n_max = as_index(n_max, "n_max must be a non-negative integer")
-    _validate_tol(tol)
+    validate_tol(tol)
     branch = coupling.branch
     levels: list[LevelSolution] = []
     truncated_at: int | None = None
@@ -328,7 +320,7 @@ def critical_coupling(
     negative window is narrower than any fixed mesh.
     """
     k = as_index(pair_index, "pair_index must be a non-negative integer")
-    _validate_tol(tol)
+    validate_tol(tol)
     evaluations = 0
 
     def pair_alive(c: float) -> bool:

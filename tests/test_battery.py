@@ -1,0 +1,97 @@
+"""The invariant battery as a library call: `Check` records, and the
+records the `verify` subcommand prints."""
+
+import contextlib
+import io
+import json
+import math
+from dataclasses import asdict
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coupledwell import (
+    Check,
+    CouplingPair,
+    GridSpec,
+    ModelDomainError,
+    RootLostError,
+    verify,
+)
+from coupledwell.cli import main
+
+
+def records(checks):
+    return [dict(asdict(c), passed=c.passed) for c in checks]
+
+
+def cli_verify(Y, Z, levels, grid):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--Y", repr(Y), "--Z", repr(Z), "--levels", str(levels),
+            "--grid", str(grid), "--format", "json"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def same_records(library, printed):
+    # compared as JSON text: the key order counts, and NaN equals NaN
+    return json.dumps(records(library)) == json.dumps(printed)
+
+
+@pytest.mark.parametrize(
+    "Y, Z, levels, grid",
+    [(1.0, 4.0, 6, 128), (0.1, 0.1, 6, 128), (2.3, 0.7, 6, 512), (1.0, 1.0, 4, 64)],
+)
+def test_library_records_are_the_cli_json(Y, Z, levels, grid):
+    checks = verify(CouplingPair(Y, Z), levels, GridSpec(grid))
+    code, out, err = cli_verify(Y, Z, levels, grid)
+    payload = json.loads(out)
+    assert same_records(checks, payload["checks"])
+    assert payload["all_passed"] is all(c.passed for c in checks)
+    assert code == (0 if payload["all_passed"] else 4) and err == ""
+    assert [type(c.value) for c in checks] == [float] * len(checks)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    log_c=st.floats(math.log(1e-3), math.log(4.4)),
+    log_ratio=st.floats(math.log(0.25), math.log(4.0)),
+    levels=st.integers(1, 6),
+    half_grid=st.integers(8, 64),
+)
+def test_cli_prints_the_library_battery(log_c, log_ratio, levels, half_grid):
+    # Y Z = c^2 and Y / Z = ratio; no claim that the checks pass
+    c, root_ratio = math.exp(log_c), math.exp(log_ratio / 2)
+    Y, Z, grid = c * root_ratio, c / root_ratio, 2 * half_grid
+    checks = verify(CouplingPair(Y, Z), levels, GridSpec(grid))
+    code, out, _ = cli_verify(Y, Z, levels, grid)
+    assert same_records(checks, json.loads(out)["checks"])
+    assert code == (0 if all(c.passed for c in checks) else 4)
+
+
+@pytest.mark.parametrize("comparison, passed", [("<=", True), (">", False)])
+def test_check_at_its_bound(comparison, passed):
+    assert Check("x", 1e-12, 1e-12, comparison).passed is passed
+
+
+@pytest.mark.parametrize("comparison", ["<=", ">"])
+def test_nan_never_passes(comparison):
+    assert not Check("x", math.nan, 0.0, comparison).passed
+    assert not Check("x", math.nan, math.inf, comparison).passed
+
+
+def test_check_rejects_an_unknown_comparison():
+    with pytest.raises(ValueError, match="comparison"):
+        Check("x", 0.0, 1.0, "<")
+
+
+@pytest.mark.parametrize("Y, Z", [(0.0, 0.0), (0.0, 3.0), (1.0, -1.0)])
+def test_battery_needs_a_positive_product(Y, Z):
+    with pytest.raises(ModelDomainError, match="YZ > 0"):
+        verify(CouplingPair(Y, Z), 2, GridSpec(16))
+
+
+def test_root_lost_above_critical_propagates():
+    with pytest.raises(RootLostError):
+        verify(CouplingPair(6.0, 6.0), 2, GridSpec(16))

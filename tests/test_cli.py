@@ -124,6 +124,48 @@ def test_level_count_error_names_the_flag_and_value(capsys, command, levels):
     assert "n_max" not in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["spectrum", "--Y", "1", "--Z", "4"],
+        ["critical"],
+        ["metric", "--Y", "1", "--Z", "4"],
+        ["verify", "--Y", "1", "--Z", "4"],
+        ["scan", "--c-min", "0", "--c-max", "1"],
+        ["oracle", "--Y", "1", "--Z", "4"],
+    ],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("tol", ["0", "nan", "2", "-0.5", "inf", "tiny"])
+def test_tolerance_error_names_the_flag_and_value(capsys, command, tol):
+    code, out, err = run(capsys, *command, "--tol", tol)
+    assert code == 2 and out == ""
+    assert f"argument --tol: must be a number in (0, 1), got {tol}" in err
+
+
+TOL_IMPORT_SCRIPT = """
+import json, os, sys
+from coupledwell.cli import main
+codes = [main([command, "--Y", "1", "--Z", "4", "--tol", "nan", "--out", os.devnull])
+         for command in ("metric", "verify", "oracle")]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_tolerance_is_refused_before_numpy_loads():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    result = subprocess.run(
+        [sys.executable, "-c", TOL_IMPORT_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"codes": [2, 2, 2], "numpy": False}
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
 
@@ -215,6 +257,17 @@ def test_scan_validation_exit_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "scan", "--c-min", "0", "--c-max", "1", "--steps", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "c_min, c_max, flag, shown",
+    [("0", "inf", "--c-max", "inf"), ("nan", "1", "--c-min", "nan")],
+)
+def test_scan_non_finite_bound_names_the_flag(capsys, c_min, c_max, flag, shown):
+    # not the coupling layer's "Y must be finite, got nan"
+    code, out, err = run(capsys, "scan", "--c-min", c_min, "--c-max", c_max)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be finite, got {shown}\n"
 
 
 def test_verify_table_passes(capsys):

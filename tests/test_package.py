@@ -14,7 +14,7 @@ import coupledwell
 
 SUBMODULES = [
     importlib.import_module(f"coupledwell.{name}")
-    for name in ("errors", "model", "secular", "metric", "oracle", "wavefunctions")
+    for name in ("errors", "model", "secular", "metric", "oracle", "wavefunctions", "battery")
 ]
 
 
