@@ -109,68 +109,10 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BracketError",
-    "BranchClass",
-    "ChannelState",
-    "Check",
-    "CouplingPair",
-    "CriticalResult",
-    "DegenerateMatchError",
-    "GridSpec",
-    "InvalidToleranceError",
-    "LeftState",
-    "LevelSolution",
-    "MetricConstraintError",
-    "MetricWeights",
-    "MIN_ROOT_PRODUCT",
-    "ModelDomainError",
-    "NormalizationSingularError",
-    "NumericalFailureError",
-    "OperatorRep",
-    "PotentialSpec",
-    "RepBasis",
-    "RootLostError",
-    "SpectrumResult",
-    "apply_theta",
-    "biorthogonal_overlap",
-    "biorthogonality_matrix",
-    "build_hamiltonian",
-    "build_theta_metric",
-    "channel_kernel",
-    "check_potential_symmetry",
-    "classify_branch",
-    "compare_spectrum",
-    "critical_coupling",
-    "criticality_scan",
-    "diagonal_overlap",
-    "discrete_theta",
-    "doublet_family",
-    "eigenpairs",
-    "evaluate",
-    "first_complex_bracket",
-    "group_degenerate",
-    "inverse_identity_defect",
-    "inverse_theta_metric",
-    "left_vector",
-    "matching_residual",
-    "mode_hamiltonian",
-    "mode_spin",
-    "pair_interval",
-    "parity_overlap",
-    "perturbative_eps",
-    "phi_bilinear_product",
-    "phi_sesquilinear_product",
-    "quadrature_overlap",
-    "quasi_hermiticity_defect",
-    "quasi_parity",
-    "residual",
-    "sine_product_integral",
-    "solve_coefficients",
-    "solve_level",
-    "spectral_reconstruct",
-    "spectrum",
-    "spin_operator",
-    "subspace_alignment",
-    "verify",
-]
+# every exported name is written once, in the eager imports above (each
+# value defined in a submodule) or in _LAZY_MODULES
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if getattr(value, "__module__", "").startswith(f"{__name__}.")]
+    + list(_LAZY_NAMES)
+)

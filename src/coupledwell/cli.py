@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -294,6 +295,16 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a value such as -1e-3 as a negative number,
+    not as an option: argparse's own pattern has no exponent.  Subparsers
+    are built with the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_common(parser, levels_default):
     parser.add_argument("--Y", type=float, required=True, help="upper-right coupling amplitude")
     parser.add_argument("--Z", type=float, required=True, help="lower-left coupling amplitude")
@@ -319,7 +330,7 @@ def _add_output(parser, formats=("json", "csv")):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coupledwell",
         description=(
             "Exactly solvable two-channel square well with imaginary "

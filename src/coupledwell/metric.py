@@ -56,6 +56,7 @@ from .errors import (
 from .model import CouplingPair, GridSpec, OperatorRep, RepBasis, as_index
 from .wavefunctions import (
     ChannelState,
+    channel_weights,
     phi_bilinear_product,
     quasi_parity,
     sine_product_integrals,
@@ -186,18 +187,11 @@ def left_vector(state: ChannelState) -> LeftState:
     return LeftState(state=state, q=quasi_parity(state))
 
 
-def _channel_weights(state: ChannelState):
-    # (upper, lower) scale factors multiplying the unit-norm profile
-    if state.Y == 0.0 and state.Z == 0.0:
-        return 1.0, float(state.sigma)
-    return math.sqrt(state.Z), state.sigma * math.sqrt(state.Y)
-
-
 def _profiles(states):
     # phi coefficients, wavenumbers and (upper, lower) channel weights
     a = np.array([s.phi_coeff for s in states], dtype=complex)
     kappa = np.array([s.kappa for s in states], dtype=complex)
-    wu, wl = np.array([_channel_weights(s) for s in states], dtype=float).T
+    wu, wl = np.array([channel_weights(s.sigma, s.Y, s.Z) for s in states], dtype=float).T
     return a, kappa, wu, wl
 
 
@@ -216,8 +210,8 @@ def biorthogonal_overlap(left: LeftState, state: ChannelState) -> float:
     ls = left.state
     if (ls.Y, ls.Z) != (state.Y, state.Z):
         raise ModelDomainError("left and right states belong to different couplings")
-    wu_l, wl_l = _channel_weights(ls)
-    wu_r, wl_r = _channel_weights(state)
+    wu_l, wl_l = channel_weights(ls.sigma, ls.Y, ls.Z)
+    wu_r, wl_r = channel_weights(state.sigma, state.Y, state.Z)
     factor = left.q * (wl_l * wu_r + wu_l * wl_r)
     return factor * phi_bilinear_product(ls, state)
 

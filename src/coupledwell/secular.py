@@ -19,11 +19,16 @@ and t sinh 2t is convex in s).  So g has exactly one minimum per cell,
 in its upper half.  Bisecting the sign of g' over the upper half walks
 onto that minimum; the first sample with g < 0 splits the cell into the
 two root brackets, and a bisection that collapses without one means the
-pair has merged (ROOT_LOST).  The roots are bisected to machine
-precision inside those brackets, and the criticality search bisects the
+pair has merged (ROOT_LOST).  The criticality search bisects the
 coupling against the same predicate.  Once 2t passes the float overflow
 point, t sinh 2t exceeds any |s sin 2s|: g and g' are then +inf and
 -inf, which reads as a merged pair, not as an error.
+
+Each root is solved and stored as its offset eps: with
+s = (n+1) pi/2 + (-1)^n eps, sin 2s = -sin 2eps and g = t sinh(2t) -
+s sin(2 eps), positive at eps = 0 for both roots of a pair.  eps is
+bisected between 0 and the negative point, so it keeps its full
+relative precision at any coupling; s, t and E are derived from it.
 """
 
 from __future__ import annotations
@@ -31,12 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    BracketError,
-    ModelDomainError,
-    NumericalFailureError,
-    RootLostError,
-)
+from .errors import BracketError, ModelDomainError, NumericalFailureError, RootLostError
 from .model import BranchClass, CouplingPair, as_index, validate_tol
 
 DEFAULT_RESIDUAL_TOL = 1e-12
@@ -48,11 +48,12 @@ _COUPLING_CAP = 1e6  # criticality scan gives up past this coupling
 class LevelSolution:
     """One solved bound-state root.
 
-    n: level index (0-based); s, t: real and (minus) imaginary part of
-    kappa = s - i t; eps: signed offset from (n+1) pi/2 folded positive;
-    E: energy; residual: |g(s)| at the returned root; branch: coupling
-    product class; sublabel: +/-1 energy member for NEGATIVE_PRODUCT,
-    None otherwise.
+    n: level index (0-based); eps: the stored coordinate, the offset
+    with s = (n+1) pi/2 + (-1)^n eps (0 off the positive branch); s, t:
+    real and (minus) imaginary part of kappa = s - i t, derived from eps;
+    E: energy; residual: |g| at the returned root, in the eps form;
+    branch: coupling product class; sublabel: +/-1 energy member for
+    NEGATIVE_PRODUCT, None otherwise.
     """
 
     n: int
@@ -121,23 +122,6 @@ def pair_interval(pair_index: int) -> tuple[float, float]:
     return ((2 * k + 1) * math.pi / 2.0, (2 * k + 2) * math.pi / 2.0)
 
 
-def _bisect(f, lo: float, hi: float, lo_negative: bool) -> float:
-    """Bisection to machine precision of the sign change of f on [lo, hi],
-    with f(lo) < 0 when lo_negative and f(hi) < 0 otherwise."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == lo_negative:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _negative_point(k: int, c: float) -> tuple[float | None, int]:
     """A point of cell k where g < 0 (None once the pair has merged),
     with the number of g and dg/ds evaluations spent.
@@ -164,21 +148,33 @@ def _negative_point(k: int, c: float) -> tuple[float | None, int]:
 
 
 def _solve_positive(n: int, c: float, tol: float) -> LevelSolution:
-    a, b = pair_interval(n // 2)
     p, _ = _negative_point(n // 2, c)
     if p is None:
         raise RootLostError(n, c)
-    f = lambda s: residual(s, c)
-    # g(a) = t sinh 2t > 0 at the exact cell edge, though in floats it can
-    # round below zero at tiny coupling; g(p) < 0 by construction
-    s = _bisect(f, a, p, False) if n % 2 == 0 else _bisect(f, p, b, True)
-    t = c / (2.0 * s)
-    res = abs(f(s))
+    s0 = (n + 1) * math.pi / 2.0
+    sign = -1.0 if n % 2 else 1.0
+
+    def g(eps: float) -> float:  # s sin 2s + t sinh 2t, with sin 2s = -sin 2eps
+        s = s0 + sign * eps
+        t = c / (2.0 * s)
+        return t * math.sinh(2.0 * t) - s * math.sin(2.0 * eps)
+
+    # g(0) = t sinh 2t > 0 and g(eps_p) < 0 for either root of the pair
+    lo, hi = 0.0, sign * (p - s0)
+    eps = 0.5 * hi
+    while lo < eps < hi:
+        if g(eps) > 0.0:
+            lo = eps
+        else:
+            hi = eps
+        eps = 0.5 * (lo + hi)
+    res = abs(g(eps))
     if res > tol:
         raise NumericalFailureError(
             f"bisection stalled at |g|={res:.3e} > tol={tol:.3e} for level n={n}"
         )
-    eps = (-1.0) ** n * (s - (n + 1) * math.pi / 2.0)
+    s = s0 + sign * eps
+    t = c / (2.0 * s)
     return LevelSolution(
         n=n,
         s=s,

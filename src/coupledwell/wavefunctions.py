@@ -27,11 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateMatchError,
-    ModelDomainError,
-    NormalizationSingularError,
-)
+from .errors import DegenerateMatchError, ModelDomainError, NormalizationSingularError
 from .model import BranchClass, CouplingPair, as_index
 from .secular import DEFAULT_RESIDUAL_TOL, LevelSolution, solve_level
 
@@ -105,13 +101,20 @@ def _segment_derivative(coeff, kappa, x):
     return out[0] if scalar else out
 
 
-def _norm_factor(s: float, t: float) -> float:
-    """L2 norm squared of the unnormalized profile sin(kappa(x+1))."""
-    if t == 0.0:
-        stretch = 1.0
-    else:
-        stretch = math.sinh(2.0 * t) / (2.0 * t)
-    return stretch - math.sin(2.0 * s) / (2.0 * s)
+def _sin_cos_kappa(level: LevelSolution, sigma: int) -> tuple[complex, complex]:
+    """sin kappa, cos kappa for kappa = (n+1) pi/2 + w, w = (-1)^n eps - i sigma t,
+    as quarter turns of w: eps is not lost to the rounding of s."""
+    w = complex(-level.eps if level.n % 2 else level.eps, -sigma * level.t)
+    sw, cw = cmath.sin(w), cmath.cos(w)
+    return ((sw, cw), (cw, -sw), (-sw, -cw), (-cw, sw))[(level.n + 1) % 4]
+
+
+def channel_weights(sigma: int, Y: float, Z: float) -> tuple[float, float]:
+    """(upper, lower) factors of the unit-norm profile: (sqrt(Z), sigma sqrt(Y)),
+    or (1, sigma) when fully decoupled."""
+    if Y == 0.0 and Z == 0.0:
+        return 1.0, float(sigma)
+    return math.sqrt(Z), sigma * math.sqrt(Y)
 
 
 def solve_coefficients(
@@ -154,10 +157,10 @@ def solve_coefficients(
         raise ModelDomainError("level does not satisfy 2 s t = sqrt(YZ) for this coupling")
 
     s, t = level.s, level.t
-    kappa = complex(s, -sigma * t)
-    norm = math.sqrt(_norm_factor(s, t))
-    sk = cmath.sin(kappa)
-    ck = cmath.cos(kappa)
+    # L2 norm of sin(kappa (x+1)): sinh 2t / 2t - sin 2s / 2s, sin 2s = -sin 2eps
+    stretch = math.sinh(2.0 * t) / (2.0 * t) if t else 1.0
+    norm = math.sqrt(stretch + math.sin(2.0 * level.eps) / (2.0 * s))
+    sk, ck = _sin_cos_kappa(level, sigma)
     if abs(sk) > _PHASE_EPS:
         # value at the origin real and non-negative
         a = (sk.conjugate() / abs(sk)) / norm
@@ -169,17 +172,14 @@ def solve_coefficients(
             "sin(kappa) and cos(kappa) both vanish; inconsistent level input"
         )
 
-    if branch is BranchClass.DECOUPLED:
-        weight_upper, weight_lower = 1.0, float(sigma)
-    else:
-        weight_upper, weight_lower = math.sqrt(coupling.Z), sigma * math.sqrt(coupling.Y)
+    weight_upper, weight_lower = channel_weights(sigma, coupling.Y, coupling.Z)
     return ChannelState(
         level=level,
         sigma=int(sigma),
         Y=coupling.Y,
         Z=coupling.Z,
         phi_coeff=a,
-        kappa=kappa,
+        kappa=complex(s, -sigma * t),
         A=a * weight_upper,
         B=a * weight_lower,
     )
@@ -202,10 +202,11 @@ def matching_residual(state: ChannelState) -> float:
     amp = max(np.max(np.abs(state.upper(xs))), np.max(np.abs(state.lower(xs))))
     if amp == 0.0:
         raise ModelDomainError("state has zero amplitude")
+    sin_kappa, cos_kappa = _sin_cos_kappa(state.level, state.sigma)
     defect = 0.0
     for coeff in (state.A, state.B):
-        sk = coeff * cmath.sin(state.kappa)
-        dk = coeff * state.kappa * cmath.cos(state.kappa)
+        sk = coeff * sin_kappa
+        dk = coeff * state.kappa * cos_kappa
         value_jump = abs(sk - sk.conjugate())       # phi(0-) - phi(0+)
         slope_jump = abs(dk + dk.conjugate())       # phi'(0-) - phi'(0+)
         defect = max(defect, value_jump, slope_jump)
@@ -220,7 +221,8 @@ def parity_overlap(state: ChannelState) -> float:
     biorthogonal normalization.
     """
     a, kappa = state.phi_coeff, state.kappa
-    return float((a * a * (1.0 - cmath.sin(2.0 * kappa) / (2.0 * kappa))).real)
+    sin_kappa, cos_kappa = _sin_cos_kappa(state.level, state.sigma)
+    return float((a * a * (1.0 - sin_kappa * cos_kappa / kappa)).real)
 
 
 def quasi_parity(state: ChannelState) -> int:

@@ -53,6 +53,20 @@ def test_library_records_are_the_cli_json(Y, Z, levels, grid):
     assert [type(c.value) for c in checks] == [float] * len(checks)
 
 
+def test_every_check_passes_at_small_coupling():
+    # matching residual 1.8e-12 > 1e-12 here when sin kappa and cos kappa
+    # come from the rounded s rather than from eps
+    checks = verify(CouplingPair(0.1, 0.1), 6, GridSpec(128))
+    assert [check.name for check in checks if not check.passed] == []
+
+
+@pytest.mark.parametrize("levels", [2, 6, 12])
+@pytest.mark.parametrize("c", [1e-4, 1e-3, 7e-3, 0.01, 0.3, 0.55, 1.0, 4.4])
+def test_every_check_passes_across_the_coupling_range(c, levels):
+    checks = verify(CouplingPair(c, c), levels, GridSpec(128))
+    assert [check.name for check in checks if not check.passed] == []
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(
     log_c=st.floats(math.log(1e-3), math.log(4.4)),

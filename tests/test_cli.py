@@ -270,6 +270,37 @@ def test_scan_non_finite_bound_names_the_flag(capsys, c_min, c_max, flag, shown)
     assert err == f"error: {flag} must be finite, got {shown}\n"
 
 
+def test_negative_exponent_y_is_a_value(capsys):
+    # argparse's stock negative-number pattern read -1e-3 as an option
+    code, out, err = run(capsys, "spectrum", "--Y", "-1e-3", "--Z", "1", "--levels", "2")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "spectrum", "--Y=-0.001", "--Z", "1", "--levels", "2")[1]
+
+
+def test_negative_exponent_z_is_a_value(capsys):
+    code, out, err = run(capsys, "spectrum", "--Y", "1", "--Z", "-1E-3", "--levels", "2")
+    assert code == 0 and err == ""
+    assert [r["branch"] for r in json.loads(out)] == ["NEGATIVE_PRODUCT"] * 4
+
+
+def test_negative_exponent_tol_is_a_value(capsys):
+    code, out, err = run(capsys, "spectrum", "--Y", "1", "--Z", "1", "--tol", "-1e-3")
+    assert code == 2 and out == ""
+    assert "argument --tol: must be a number in (0, 1), got -1e-3" in err
+
+
+def test_negative_exponent_c_min_is_a_value(capsys):
+    code, out, err = run(capsys, "scan", "--c-min", "-1e-3", "--c-max", "1")
+    assert code == 2 and out == ""
+    assert err == "error: need 0 <= c-min <= c-max\n"
+
+
+def test_negative_exponent_c_max_is_a_value(capsys):
+    code, out, err = run(capsys, "scan", "--c-min", "0", "--c-max", "-1.5e+0")
+    assert code == 2 and out == ""
+    assert err == "error: need 0 <= c-min <= c-max\n"
+
+
 def test_verify_table_passes(capsys):
     code, out, _ = run(capsys, "verify", "--Y", "1", "--Z", "1",
                        "--levels", "4", "--grid", "64")
@@ -390,8 +421,8 @@ print(json.dumps({"codes": codes, "after_import": after_import,
 
 def test_closed_form_subcommands_load_no_scipy():
     # numpy is imported by the metric, verify and oracle subcommands only,
-    # scipy by the oracle and the verify battery only; the error exits of
-    # the closed-form subcommands import neither
+    # scipy by the oracle and the verify battery only; the closed-form
+    # subcommands import neither, on their error exits either
     root = pathlib.Path(__file__).resolve().parent.parent
     path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     result = subprocess.run(
@@ -403,7 +434,7 @@ def test_closed_form_subcommands_load_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
-    assert report["codes"] == [0, 0, 0, 3, 4, 2, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 3, 0, 2, 0, 0, 0]
     assert report["after_import"] == []
     assert report["after_closed_form"] == []
     assert "numpy" in report["after_metric"]

@@ -129,6 +129,15 @@ def test_biorthogonality_matrix_closed():
     assert mat[0, 1] == 0.0 and mat[1, 0] == 0.0
 
 
+@pytest.mark.parametrize("c", [1e-5, 1e-2])
+def test_closed_pairing_is_diagonal_at_tiny_coupling(c):
+    # exactly diagonal in theory; the phases of the coefficients carry eps/t,
+    # so sin kappa must come from eps, not from the rounded s (4.9e-8 at 1e-5)
+    mat = biorthogonality_matrix(doublet_family(CouplingPair(c, c), 28))
+    diag = np.diag(mat)
+    assert np.abs(mat - np.diag(diag)).max() <= 1e-14 * diag.max()
+
+
 def _assert_pairing_matches_scalar(states, lefts):
     fast = biorthogonality_matrix(states, lefts, method="closed")
     reference = np.array([[biorthogonal_overlap(l, s) for s in states] for l in lefts])
@@ -153,7 +162,7 @@ def test_vector_pairing_and_inverse_match_the_scalar_products(log_c, log_ratio, 
         _assert_pairing_matches_scalar(states, [left_vector(s) for s in states])
         inverse = inverse_theta_metric(states)
     coeff = inverse.meta["coefficients"]
-    weights = [metric_module._channel_weights(s) for s in states]
+    weights = [wavefunctions_module.channel_weights(s.sigma, s.Y, s.Z) for s in states]
     reference = np.array(
         [
             [

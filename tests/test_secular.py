@@ -6,6 +6,7 @@ to double precision.  The library must reproduce them through its own float
 pipeline, so agreement is evidence, not circularity.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from coupledwell import (
     CouplingPair,
     InvalidToleranceError,
     ModelDomainError,
-    NumericalFailureError,
     RootLostError,
     critical_coupling,
     pair_interval,
@@ -368,19 +368,15 @@ def test_critical_bracket_holds_the_mpmath_merger():
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
-@given(exponent=st.floats(-9.0, -4.0), n=st.integers(0, 39))
+@given(exponent=st.floats(-9.0, -4.0), n=st.integers(0, 500))
 @example(exponent=-8.0, n=1)
 @example(exponent=-8.0, n=12)
+@example(exponent=-8.0, n=35)
 def test_tiny_coupling_roots_stay_in_their_half_cell(exponent, n):
     # each root lies within pi/4 of its box value (n+1) pi/2; a root of the
     # other half of the pair cell is the partner's root, returned as this one
     c = 10.0**exponent
-    try:
-        level = solve_level(n, CouplingPair(c, c))
-    except NumericalFailureError:
-        # the absolute residual tolerance stall (|g| ~ 1e-12 at n = 35):
-        # a looser tolerance must then return the root
-        level = solve_level(n, CouplingPair(c, c), tol=1e-9)
+    level = solve_level(n, CouplingPair(c, c))
     assert abs(level.s - (n + 1) * math.pi / 2) <= math.pi / 4
 
 
@@ -441,3 +437,73 @@ def test_negative_point_exists_iff_the_cell_minimum_is_negative(c, k):
     if point is not None:
         a, b = pair_interval(k)
         assert (a + b) / 2 < point < b and residual(point, c) < 0.0
+
+
+def _mp_eps(n, c):
+    """eps_n at 50 digits: g(eps) = t sinh 2t - s sin 2eps with
+    s = (n+1) pi/2 + (-1)^n eps, solved on the bracket [0, eps_p] whose
+    upper end is checked negative at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        c = mp.mpf(c)
+        s0, sign = (n + 1) * mp.pi / 2, -1 if n % 2 else 1
+
+        def g(eps):
+            s = s0 + sign * eps
+            t = c / (2 * s)
+            return t * mp.sinh(2 * t) - s * mp.sin(2 * eps)
+
+        point, _ = _negative_point(n // 2, float(c))
+        hi = sign * (mp.mpf(point) - s0)
+        assert g(0) > 0 > g(hi)
+        return mp.findroot(g, (mp.mpf(0), hi), solver="anderson")
+
+
+@functools.lru_cache(maxsize=None)
+def _c_crit(k):
+    return critical_coupling(k).c_crit
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(n=st.integers(0, 500), u=st.floats(0.0, 1.0))
+@example(n=0, u=0.0)
+@example(n=35, u=0.5)
+@example(n=500, u=1.0)
+def test_solved_eps_matches_mpmath(n, u):
+    # c log-uniform in [1e-10, 0.9 c_crit]: eps to 1e-14 relative, from
+    # eps ~ 1e-21 up to the pair's approach to its merger
+    lo, hi = math.log(1e-10), math.log(0.9 * _c_crit(n // 2))
+    c = math.exp(lo + u * (hi - lo))
+    level = solve_level(n, CouplingPair(c, c))
+    assert abs(level.eps - _mp_eps(n, c)) <= 1e-14 * level.eps
+    assert level.residual <= 1e-12
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(n=st.integers(0, 500), exponent=st.floats(-10.0, -4.0))
+@example(n=0, exponent=-4.0)
+@example(n=1, exponent=-4.0)
+def test_perturbative_eps_matches_the_solved_root_at_small_coupling(n, exponent):
+    # order 2 lacks the -(-1)^n 24 (YZ)^2 / ((n+1)^7 pi^7) term from the
+    # expansion of s about (n+1) pi/2: relative error 12 YZ / ((n+1)^4 pi^4),
+    # below 0.13 YZ / (n+1)^4, over a floor of a few ulps
+    c = 10.0**exponent
+    pair = CouplingPair(c, c)
+    eps = solve_level(n, pair).eps
+    bound = (0.13 * c * c / (n + 1) ** 4 + 4 * 2.0**-52) * eps
+    assert abs(perturbative_eps(n, pair, order=2) - eps) <= bound
+
+
+def test_tiny_coupling_keeps_the_ground_offset():
+    # eps_0 = 2 c^2 / pi^3 + ... = 6.4503e-18 at c = 1e-8, not lost to ulp(s)
+    eps = solve_level(0, CouplingPair(1e-8, 1e-8)).eps
+    assert abs(eps - _mp_eps(0, 1e-8)) <= 1e-15 * eps
+    assert abs(eps - 6.4503e-18) <= 1e-5 * eps
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-5, 0.1, 1.0, 2.0, 4.0])
+def test_two_hundred_levels_solve_below_the_merger(c):
+    # every pair up to n = 199 is below its merger at these couplings
+    result = spectrum(CouplingPair(c, c), 199)
+    assert result.truncated_at is None and len(result.levels) == 200
+    assert max(level.residual for level in result.levels) <= 1e-12

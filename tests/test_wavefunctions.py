@@ -114,6 +114,13 @@ def test_matching_residual_small_on_true_roots():
     assert matching_residual(_state(0, DECOUPLED)) <= 1e-15
 
 
+@pytest.mark.parametrize("c", [1e-8, 1e-5, 0.1, 1.0, 4.4])
+def test_matching_residual_at_rounding_level_over_28_levels(c):
+    # sin kappa and cos kappa from eps; from the rounded s the defect is ~3e-13
+    states = doublet_family(CouplingPair(c, c), 28)
+    assert max(matching_residual(s) for s in states) <= 1e-15
+
+
 def test_matching_residual_detects_wrong_wavenumber():
     lvl = solve_level(0, UNIT)
     s_bad = lvl.s + 1e-3
