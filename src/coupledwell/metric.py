@@ -27,7 +27,10 @@ right states are biorthogonal), because the cross-sigma channel factor
 sqrt(YZ)(sigma_a + sigma_b) vanishes and distinct same-sigma levels are
 bilinear-orthogonal, so F[i, k] = sum_j G[j, i] S_j G[j, k] keeps only
 i = k = j.  The full G, from biorthogonality_matrix, is the check that
-the diagonal form holds.
+the diagonal form holds.  Each d is a number of its state alone,
+2 |wu wl| |integral phi^2| (diagonal_overlap), so the mode-basis builders
+build no left partner; only biorthogonality_matrix (rows need q),
+spectral_reconstruct and the grid samples do.
 
 G and the Gram matrix of Theta^{-1} are N x N closed forms of the same
 shape: a channel-weight factor times 2 Re(a_i a_j I(kappa_i, kappa_j)),
@@ -217,7 +220,19 @@ def biorthogonal_overlap(left: LeftState, state: ChannelState) -> float:
 
 
 def diagonal_overlap(state: ChannelState) -> float:
-    return biorthogonal_overlap(left_vector(state), state)
+    """d = <<left|state> with the state's own left partner: 2 |wu wl| |integral phi^2|.
+
+    biorthogonal_overlap gives q (wl wu + wu wl) integral phi^2, and wu wl
+    has the sign sigma, so q = sigma sign(integral phi^2) cancels both signs:
+    the same float, with no left partner built.  Raises only if d == 0.
+    """
+    wu, wl = channel_weights(state.sigma, state.Y, state.Z)
+    d = 2.0 * abs(wu * wl) * abs(phi_bilinear_product(state, state))
+    if d == 0.0:
+        raise NormalizationSingularError(
+            f"diagonal pairing vanishes for level n={state.level.n}, sigma={state.sigma}"
+        )
+    return d
 
 
 def biorthogonality_matrix(
@@ -327,6 +342,7 @@ def _validate_family(states: Sequence[ChannelState]):
 
 
 def _resolve_weights(states, weights, general_weight_matrix, unsafe):
+    # the family's meta, its per-state weights and its diagonal pairings d
     coupling, n_levels = _validate_family(states)
     if coupling.root_product < MIN_ROOT_PRODUCT:
         raise MetricConstraintError(
@@ -368,16 +384,18 @@ def _resolve_weights(states, weights, general_weight_matrix, unsafe):
             f"sigma={states[bad].sigma}) is not positive; indefinite weight "
             "choices need unsafe=True"
         )
-    return coupling, n_levels, per_state
+    order = [(s.level.n, s.sigma) for s in states]
+    meta = {"coupling": coupling, "n_levels": n_levels, "order": order}
+    return meta, per_state, _normalizable([diagonal_overlap(s) for s in states])
 
 
-def _kernels_by_level(states, per_state, coupling, n_levels):
+def _kernels_by_level(states, per_state, coupling):
     by_level = {}
     for s, w in zip(states, per_state):
         by_level.setdefault(s.level.n, {})[s.sigma] = w
     return [
         channel_kernel(coupling, by_level[n][+1], by_level[n][-1])
-        for n in range(n_levels)
+        for n in sorted(by_level)
     ]
 
 
@@ -409,18 +427,10 @@ def build_theta_metric(
     weighted by the node spacing.  The per-level 2x2 channel kernels are
     exposed in meta["channel_kernels"].
     """
-    coupling, n_levels, per_state = _resolve_weights(
-        states, weights, general_weight_matrix, unsafe
-    )
-    meta = {
-        "coupling": coupling,
-        "n_levels": n_levels,
-        "order": [(s.level.n, s.sigma) for s in states],
-        "weights_by_state": per_state,
-        "channel_kernels": _kernels_by_level(states, per_state, coupling, n_levels),
-    }
+    meta, per_state, d = _resolve_weights(states, weights, general_weight_matrix, unsafe)
+    meta["weights_by_state"] = per_state
+    meta["channel_kernels"] = _kernels_by_level(states, per_state, meta["coupling"])
     if rep is RepBasis.MODE:
-        d = np.array([diagonal_overlap(s) for s in states])
         diagonal = d * per_state * d
         meta["signature"] = (int(np.sum(diagonal > 0.0)), int(np.sum(diagonal < 0.0)))
         return OperatorRep(
@@ -483,10 +493,9 @@ def quasi_hermiticity_defect(op_rep: OperatorRep, theta_rep: OperatorRep) -> flo
     return float(np.max(np.abs(defect))) / denom
 
 
-def _diagonal_overlaps(states, lefts):
-    d = np.array(
-        [biorthogonal_overlap(l, s) for l, s in zip(lefts, states)], dtype=float
-    )
+def _normalizable(d) -> np.ndarray:
+    # the diagonal pairings, refused if any is negligible against the largest
+    d = np.array(d, dtype=float)
     scale = float(np.max(np.abs(d))) if d.size else 0.0
     if scale == 0.0 or np.any(np.abs(d) <= _OVERLAP_FLOOR * max(1.0, scale)):
         raise NormalizationSingularError(
@@ -536,7 +545,7 @@ def spectral_reconstruct(
         l.state is not s for l, s in zip(lefts, states)
     ):
         raise ModelDomainError("lefts must pair one-to-one with states, in order")
-    d = _diagonal_overlaps(states, lefts)
+    d = _normalizable([biorthogonal_overlap(l, s) for l, s in zip(lefts, states)])
     if kind == "hamiltonian":
         values = np.array([s.level.E for s in states])
     elif kind == "spin":
@@ -577,17 +586,9 @@ def inverse_theta_metric(
     (wu_i wu_j + wl_i wl_j) 2 Re(conj(a_i) a_j I(conj(kappa_i), kappa_j)),
     one vector expression (see the module notes).
     """
-    coupling, n_levels, per_state = _resolve_weights(states, weights, None, unsafe)
-    lefts = [left_vector(s) for s in states]
-    d = _diagonal_overlaps(states, lefts)
+    meta, per_state, d = _resolve_weights(states, weights, None, unsafe)
     coeff = 1.0 / (per_state * d * d)
-    meta = {
-        "coupling": coupling,
-        "n_levels": n_levels,
-        "order": [(s.level.n, s.sigma) for s in states],
-        "coefficients": coeff,
-        "diagonal_overlaps": d,
-    }
+    meta.update({"coefficients": coeff, "diagonal_overlaps": d})
     if rep is RepBasis.MODE:
         # the sesquilinear Gram matrix is the bilinear one with the row conjugated
         a, kappa, wu, wl = _profiles(states)
@@ -620,11 +621,9 @@ def inverse_identity_defect(
     """
     if theta_rep.basis is not RepBasis.MODE or not theta_rep.is_form:
         raise ModelDomainError("identity check expects the mode-basis metric form")
-    _, _, per_state = _resolve_weights(states, weights, None, unsafe)
+    _, per_state, d = _resolve_weights(states, weights, None, unsafe)
     if theta_rep.dim != len(states):
         raise ModelDomainError("metric dimension does not match the state list")
-    lefts = [left_vector(s) for s in states]
-    d = _diagonal_overlaps(states, lefts)
     coeff = 1.0 / (per_state * d * d)
     product = coeff[:, None] * theta_rep.matrix
     return float(np.max(np.abs(product - np.eye(len(states)))))

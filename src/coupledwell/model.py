@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
 from .errors import InvalidToleranceError, ModelDomainError
@@ -62,8 +62,14 @@ def as_index(
 
 
 def validate_tol(tol: float) -> None:
-    """Raise InvalidToleranceError unless tol is a finite number in (0, 1)."""
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol)):
+    """Raise InvalidToleranceError unless tol is a finite real number in (0, 1).
+
+    Any numbers.Real passes the type test, numpy float and integer scalars
+    included, as as_index admits numpy integers.
+    """
+    if not isinstance(tol, Real):
+        raise InvalidToleranceError(f"tolerance must be a real number, got {tol!r}")
+    if not math.isfinite(tol):
         raise InvalidToleranceError(f"tolerance must be finite, got {tol!r}")
     if tol <= 0.0 or tol >= 1.0:
         raise InvalidToleranceError(f"tolerance must lie in (0, 1), got {tol!r}")

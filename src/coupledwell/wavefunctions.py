@@ -31,7 +31,6 @@ from .errors import DegenerateMatchError, ModelDomainError, NormalizationSingula
 from .model import BranchClass, CouplingPair, as_index
 from .secular import DEFAULT_RESIDUAL_TOL, LevelSolution, solve_level
 
-_PHASE_EPS = 1e-12
 _CONSISTENCY_TOL = 1e-10
 _AMPLITUDE_SAMPLES = 257
 
@@ -161,11 +160,11 @@ def solve_coefficients(
     stretch = math.sinh(2.0 * t) / (2.0 * t) if t else 1.0
     norm = math.sqrt(stretch + math.sin(2.0 * level.eps) / (2.0 * s))
     sk, ck = _sin_cos_kappa(level, sigma)
-    if abs(sk) > _PHASE_EPS:
+    if abs(sk) > 0.0:
         # value at the origin real and non-negative
         a = (sk.conjugate() / abs(sk)) / norm
-    elif abs(ck) > _PHASE_EPS:
-        # odd decoupled state: derivative at 0 purely imaginary, Im > 0
+    elif abs(ck) > 0.0:
+        # sin kappa = 0 only for odd decoupled states: phi'(0) imaginary, Im > 0
         a = 1j * math.copysign(1.0, ck.real) / norm
     else:
         raise DegenerateMatchError(

@@ -232,8 +232,9 @@ def test_vector_kernel_matches_scalar_without_warnings():
 
 def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
     # a loop over scalar pairings would make N^2 calls; the vector kernel
-    # leaves N, all of them on the diagonal
-    calls = {"overlap": 0, "integral": 0}
+    # leaves N, all of them on the diagonal.  The mode-basis builders take
+    # each d from its state and build no left partner.
+    calls = dict.fromkeys(("left", "parity", "overlap", "integral"), 0)
 
     def counted(name, inner):
         def wrapper(*args):
@@ -242,20 +243,25 @@ def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        metric_module, "biorthogonal_overlap",
-        counted("overlap", metric_module.biorthogonal_overlap),
-    )
-    monkeypatch.setattr(
-        wavefunctions_module, "sine_product_integral",
-        counted("integral", wavefunctions_module.sine_product_integral),
-    )
+    for name, module, attr in (
+        ("left", metric_module, "left_vector"),
+        ("parity", metric_module, "quasi_parity"),
+        ("overlap", metric_module, "biorthogonal_overlap"),
+        ("integral", wavefunctions_module, "sine_product_integral"),
+    ):
+        monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
     states = doublet_family(UNIT, 12)
     biorthogonality_matrix(states)
-    assert calls == {"overlap": 24, "integral": 24}
-    calls.update(overlap=0, integral=0)
+    assert calls == {"left": 24, "parity": 24, "overlap": 24, "integral": 24}
+    calls.update(left=0, parity=0, overlap=0, integral=0)
     inverse_theta_metric(states)
-    assert calls == {"overlap": 24, "integral": 24}
+    assert calls == {"left": 0, "parity": 0, "overlap": 0, "integral": 24}
+    calls.update(integral=0)
+    theta = build_theta_metric(states)
+    assert calls == {"left": 0, "parity": 0, "overlap": 0, "integral": 24}
+    calls.update(integral=0)
+    inverse_identity_defect(theta, states)
+    assert calls == {"left": 0, "parity": 0, "overlap": 0, "integral": 24}
 
 
 def test_biorthogonality_matrix_quadrature():
@@ -681,9 +687,18 @@ def test_singular_parity_overlap_is_refused():
         quasi_parity(st)
     with pytest.raises(NormalizationSingularError):
         left_vector(st)
+    with pytest.raises(NormalizationSingularError):
+        diagonal_overlap(st)
     forced = LeftState(state=st, q=1)
     with pytest.raises(NormalizationSingularError):
         spectral_reconstruct([st], [forced], "identity", rep=RepBasis.MODE)
+
+
+def test_diagonal_overlap_has_no_relative_floor():
+    # d ~ 2 sqrt(YZ): tiny but nonzero, so it is returned, not refused
+    pair = CouplingPair(1e-13, 1e-13)
+    state = solve_coefficients(solve_level(1, pair), pair, -1)
+    assert diagonal_overlap(state) == pytest.approx(2.0e-13, rel=1e-12)
 
 
 def test_biorthogonal_overlap_requires_matching_coupling():

@@ -1,11 +1,14 @@
 """Domain types: coupling branches, the off-diagonal potential, operator wrappers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from coupledwell import (
     BranchClass,
     CouplingPair,
+    InvalidToleranceError,
     ModelDomainError,
     OperatorRep,
     PotentialSpec,
@@ -13,7 +16,7 @@ from coupledwell import (
     check_potential_symmetry,
     classify_branch,
 )
-from coupledwell.model import as_index
+from coupledwell.model import as_index, validate_tol
 
 
 def test_branch_classification():
@@ -103,3 +106,23 @@ def test_index_validator_returns_a_builtin_int():
     for bad in (6, 7, 201, 256):
         with pytest.raises(ModelDomainError):
             as_index(bad, "M", 8, 254, even=True)
+
+
+@pytest.mark.parametrize("tol", [np.float32(1e-3), np.float64(0.5), Fraction(1, 1000), 1e-12])
+def test_validate_tol_accepts_any_real_in_the_open_unit_interval(tol):
+    validate_tol(tol)
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("1e-3", "tolerance must be a real number, got '1e-3'"),
+    (None, "tolerance must be a real number, got None"),
+    (1j, "tolerance must be a real number, got 1j"),
+    (float("nan"), "tolerance must be finite, got nan"),
+    (np.float32("inf"), "tolerance must be finite, got np.float32(inf)"),
+    (np.int64(0), "tolerance must lie in (0, 1), got np.int64(0)"),
+    (1.0, "tolerance must lie in (0, 1), got 1.0"),
+])
+def test_validate_tol_messages(tol, message):
+    with pytest.raises(InvalidToleranceError) as info:
+        validate_tol(tol)
+    assert str(info.value) == message

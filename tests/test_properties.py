@@ -8,12 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from coupledwell import (
     CouplingPair,
+    biorthogonal_overlap,
     diagonal_overlap,
+    doublet_family,
+    left_vector,
     matching_residual,
     parity_overlap,
     solve_coefficients,
     solve_level,
 )
+from coupledwell.wavefunctions import channel_weights
 
 # keep sqrt(YZ) <= 4, safely below the lowest merger at 4.4753
 amplitudes = st.floats(min_value=0.05, max_value=4.0,
@@ -61,3 +65,18 @@ def test_states_are_self_conjugate_under_reflection(y, z, sigma, x):
     vals = np.asarray([state.upper(x), state.lower(x)])
     refl = np.asarray([state.upper(-x), state.lower(-x)])
     assert np.abs(np.conj(vals) - refl).max() < 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(log_c=st.floats(min_value=-12.0, max_value=math.log10(4.4)),
+       log_ratio=st.floats(min_value=-math.log10(4.0), max_value=math.log10(4.0)),
+       n_levels=st.integers(min_value=1, max_value=60))
+def test_diagonal_overlap_is_the_left_partner_pairing(log_c, log_ratio, n_levels):
+    # d = 2 |wu wl| |integral phi^2| is the pairing with the left partner,
+    # bit for bit, and the parity overlap's closed form to rounding
+    c, root_ratio = 10.0 ** log_c, 10.0 ** (log_ratio / 2.0)
+    for state in doublet_family(CouplingPair(c * root_ratio, c / root_ratio), n_levels):
+        d = diagonal_overlap(state)
+        assert d == biorthogonal_overlap(left_vector(state), state)
+        wu, wl = channel_weights(state.sigma, state.Y, state.Z)
+        assert abs(d - 2.0 * abs(wu * wl) * abs(parity_overlap(state))) <= 2e-15 * d

@@ -282,6 +282,14 @@ def test_critical_coupling_second_pair_is_larger():
     assert abs(res1.c_crit - C_CRIT_PAIR1) <= 0.01
 
 
+def test_numpy_float_tolerance_is_accepted():
+    # the same answer as the built-in float of the same value
+    tol = np.float32(1e-3)
+    pair = CouplingPair(1.0, 4.0)
+    assert solve_level(3, pair, tol=tol) == solve_level(3, pair, tol=float(tol))
+    assert critical_coupling(0, tol=tol) == critical_coupling(0, tol=float(tol))
+
+
 def test_critical_coupling_validation():
     with pytest.raises(ModelDomainError):
         critical_coupling(-1)

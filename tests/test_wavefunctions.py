@@ -121,6 +121,15 @@ def test_matching_residual_at_rounding_level_over_28_levels(c):
     assert max(matching_residual(s) for s in states) <= 1e-15
 
 
+@pytest.mark.parametrize("c", [1e-10, 1e-11, 1e-12, 1e-15, 1e-18])
+def test_tiny_coupling_keeps_the_phase_convention(c):
+    # sin kappa is exactly 0 only when decoupled, so every coupled state
+    # takes the phi(0) >= 0 branch, down to t = c/2s far below 1e-12
+    for state in doublet_family(CouplingPair(c, c), 40):
+        assert state.phi(0.0).real >= 0.0
+        assert matching_residual(state) <= 1e-12
+
+
 def test_matching_residual_detects_wrong_wavenumber():
     lvl = solve_level(0, UNIT)
     s_bad = lvl.s + 1e-3
