@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import ModelDomainError
 from .metric import (
@@ -22,7 +21,7 @@ from .metric import (
     spin_operator,
 )
 from .model import CouplingPair, GridSpec
-from .oracle import build_hamiltonian, compare_spectrum, discrete_theta, eigenpairs
+from .oracle import BandedHamiltonian, build_hamiltonian, compare_spectrum, eigenpairs
 from .secular import DEFAULT_RESIDUAL_TOL, perturbative_eps
 from .wavefunctions import doublet_family, matching_residual, parity_overlap
 
@@ -106,18 +105,11 @@ def verify(
     ]
 
     h_rep = build_hamiltonian(coupling, grid)
-    h = h_rep.matrix
-    # S and the spin block have one nonzero per row: as sparse factors
-    # each product entry is one exact multiplication, O(M^2) not O(M^3)
-    swap = scipy.sparse.csr_matrix(discrete_theta(grid).matrix)
-    omega = scipy.sparse.kron(
-        spin_operator(coupling).matrix, scipy.sparse.identity(grid.n_interior), "csr"
-    )
     checks += [
         Check("discrete swap-reflect pseudo-Hermiticity defect",
-              np.max(np.abs(swap @ h @ swap - h.conj().T)), 0.0, "<="),
+              _swap_reflect_defect(h_rep), 0.0, "<="),
         Check("discrete commutator [H, spin] max",
-              np.max(np.abs(h @ omega - omega @ h)), 1e-15 * np.max(np.abs(h)), "<="),
+              _spin_commutator_max(h_rep), 1e-15 * _entry_max(h_rep), "<="),
     ]
     eig_values, _ = eigenpairs(h_rep, min(4, 2 * n_levels))
     report = compare_spectrum(levels, eig_values, min(2, n_levels))
@@ -127,3 +119,51 @@ def verify(
               max(r["rel_err"] for r in report["levels"]), 5e-3 * (512.0 / grid.M) ** 2, "<="),
     ]
     return checks
+
+
+# The structure checks read the operator's bands: H = I (x) K + C (x) D
+# has K's bands in both channel blocks, the cross-channel entries iZ d
+# (upper right) and iY d (lower left), and nothing else.  Each value is
+# the entrywise maximum the dense matrices give, bit for bit
+# (tests/test_battery.py compares them with `.matrix`), in O(M).
+
+
+def _swap_reflect_defect(rep: BandedHamiltonian) -> float:
+    """max |S H S - H^dagger| for S = channel swap (x) index reversal R.
+
+    S H S has the blocks R K R on the diagonal and R (iY d) R, R (iZ d) R
+    off it, swapped; H^dagger has K and conj(iY d), conj(iZ d).
+    """
+    upper, lower = _cross_channel(rep)
+    return float(max(
+        np.abs(rep.sub[::-1] - rep.sub).max(),
+        np.abs(rep.diagonal[::-1] - rep.diagonal).max(),
+        np.abs(lower[::-1] - lower.conj()).max(),
+        np.abs(upper[::-1] - upper.conj()).max(),
+    ))
+
+
+def _spin_commutator_max(rep: BandedHamiltonian) -> float:
+    """max |H (spin (x) I) - (spin (x) I) H| for the 2x2 spin block.
+
+    The spin block is off-diagonal, so K's entries cancel exactly and
+    only the cross-channel entries remain, on the channel-diagonal
+    blocks: iZ d omega_10 - omega_01 iY d and iY d omega_01 - omega_10 iZ d.
+    """
+    omega = spin_operator(rep.coupling).matrix
+    upper, lower = _cross_channel(rep)
+    return float(max(
+        np.abs(upper * omega[1, 0] - omega[0, 1] * lower).max(),
+        np.abs(lower * omega[0, 1] - omega[1, 0] * upper).max(),
+    ))
+
+
+def _cross_channel(rep: BandedHamiltonian):
+    """The upper-right and lower-left entries iZ d and iY d."""
+    return 1j * rep.coupling.Z * rep.step, 1j * rep.coupling.Y * rep.step
+
+
+def _entry_max(rep: BandedHamiltonian) -> float:
+    """max |H_ij|."""
+    upper, lower = _cross_channel(rep)
+    return float(max(np.abs(band).max() for band in (rep.sub, rep.diagonal, upper, lower)))

@@ -22,17 +22,29 @@ eigenvalues +-ic, c = sqrt(YZ), with eigenvectors that do not depend
 on x, so the problem splits exactly into the complex-symmetric
 tridiagonal T = K + icD and its complex conjugate; for Y = Z = 0
 (C = 0) into two copies of T = K, one per channel.  `eigenpairs` solves
-T alone from the bands by sparse shift-invert, at any M, and rebuilds
-every doublet from it.  The reduction uses the 2x2 matrix C, never the
-closed form, so the oracle stays independent.  The dense eigensolve of
-the whole matrix remains for every other operator, for YZ < 0, for the
-Jordan case (exactly one of Y, Z nonzero) and for requests too large
-for the sparse solver; it is the cross-check of the reduction.
+T alone from the bands and rebuilds every doublet from it; the
+reduction uses the 2x2 matrix C, never the closed form, so the oracle
+stays independent.
+
+T is constant on each half of the grid, so its eigenvalues are the
+roots of a discrete secular polynomial that costs O(1) to evaluate at
+any M, and each eigenvector is one sine per side (`_TwoRegionBlock`).
+The roots are seeded on the real axis, polished by Newton, and
+certified complete by an argument-principle count over a rectangle
+that holds the numerical range of T; each eigenvector is checked by its
+O(M) residual.  This is the discrete twin of k_L cot k_L + k_R cot k_R
+= 0, built from the finite-difference recursion alone.  The dense
+eigensolve of the whole matrix (numpy's LAPACK geev) remains for every
+other operator, for bands of another form, for YZ < 0, for the Jordan
+case (exactly one of Y, Z nonzero) and for a root set the count does
+not certify; it is the cross-check of the reduction in the tests.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -45,6 +57,18 @@ from .secular import LevelSolution
 
 DEGENERACY_RTOL = 1e-6
 PAIRING_RTOL = 1e-6
+# largest dense fallback of a BandedHamiltonian: M <= 2048, 270 MB for the matrix alone
+DENSE_MAX_DIM = 4096
+# max |T u - E u| of a closed-form eigenvector, relative to a bound on ||T||
+RESIDUAL_RTOL = 1e-10
+# roots closer than this (relative to max(1, |E|)) are one root, and a
+# root this close to the real axis is real
+DISTINCT_RTOL = 1e-10
+NEWTON_STEPS = 100
+WINDING_REFINEMENTS = 40
+SPLIT_DEPTH = 40
+SPLIT_WINDINGS = 400
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,30 +164,38 @@ def eigenpairs(rep: OperatorRep | BandedHamiltonian, k: int):
 
     For a `BandedHamiltonian` with YZ > 0 or Y = Z = 0 only the
     tridiagonal block T = K + icD, taken from the stored bands, is
-    solved by sparse shift-invert about 0; its `.matrix` is never
-    built.  Each eigenpair (E, v) of T gives the doublet (E, u+ (x) v)
-    and (conj(E), u- (x) conj(v)), where u+- are the eigenvectors of the
-    constant channel matrix (the two channels when it is 0).  Any other
-    operator, YZ < 0, exactly one of Y, Z nonzero, and a request the
-    sparse solver cannot serve (k close to the dimension, no ARPACK
-    convergence) take the dense eigensolve of the whole matrix.
+    solved; its `.matrix` is never built.  When the bands have the
+    two-region form (K a constant Laplacian, D one +-1 step at x = 0)
+    the eigenvalues of T are the roots of its discrete secular
+    polynomial and each eigenvector is one sine per side (see
+    `_TwoRegionBlock`).  Each eigenpair (E, v) of T gives the doublet
+    (E, u+ (x) v) and (conj(E), u- (x) conj(v)), where u+- are the
+    eigenvectors of the constant channel matrix (the two channels when
+    it is 0).  Any other operator, bands of another form, YZ < 0,
+    exactly one of Y, Z nonzero, and a root set the secular solve
+    cannot certify take the dense eigensolve of the whole matrix; for a
+    `BandedHamiltonian` of dimension above DENSE_MAX_DIM that fallback
+    raises NumericalFailureError instead of building the matrix.
 
     Every eigensolve asserts the pseudo-Hermitian reality structure:
     eigenvalues are real or occur in conjugate pairs, else the solve is
     reported as a failure rather than returned.  The reduced solve
-    checks this on the eigenvalues of T and also asserts R T R = T^dagger
-    for the index reversal R.
+    checks this on the eigenvalues of T and also asserts
+    R T R = T^dagger on the bands, for the index reversal R.
     """
     k = as_index(k, f"k must be in 1..{rep.dim}", 1, rep.dim)
     if isinstance(rep, BandedHamiltonian) and _reducible(rep.coupling):
         reduced = _reduced_eigenpairs(rep, k)
         if reduced is not None:
             return reduced
-    import scipy.linalg
-
+        if rep.dim > DENSE_MAX_DIM:
+            raise NumericalFailureError(
+                f"the secular solve could not certify {k} eigenpairs at M = {rep.grid.M}, "
+                f"and the dense eigensolve is limited to dimension {DENSE_MAX_DIM}"
+            )
     try:
-        values, vectors = scipy.linalg.eig(rep.matrix)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
+        values, vectors = np.linalg.eig(rep.matrix)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise NumericalFailureError(f"dense eigensolve failed: {exc}") from exc
     _assert_conjugate_pairing(values)
     return _lowest(values, vectors, k)
@@ -184,69 +216,452 @@ def _lowest(values: np.ndarray, vectors: np.ndarray, k: int):
 def _reduced_eigenpairs(rep: BandedHamiltonian, k: int):
     """Lowest k eigenpairs of the full operator from T = K + icD alone.
 
-    Shift-invert returns the eigenvalues of T nearest 0, but the lowest
-    real parts are wanted.  Every eigenvalue lies in the numerical range
-    of T, so |Im E| <= b = c max|d| and Re E >= g, the Gershgorin lower
-    bound of K.  After dropping the outermost modulus shell (which may
-    hold half a conjugate pair) the largest kept modulus is r; anything
-    not kept has |Re E| > s = sqrt(r^2 - b^2), hence Re E > s when
-    g >= -s.  So the set is complete when the largest real part a among
-    the lowest ones needed is below s.
-    Returns None when the sparse solver cannot deliver, which sends the
-    caller to the dense eigensolve.
+    Returns None when the bands are not of the two-region form or the
+    secular solve cannot certify its root set, which sends the caller
+    to the dense eigensolve.
     """
     coupling, sub, diagonal, step = rep.coupling, rep.sub, rep.diagonal, rep.step
-
-    import scipy.sparse
-    from scipy.sparse.linalg import ArpackNoConvergence, eigs
-
-    m = diagonal.size
     c = math.sqrt(coupling.product)
-    # at c = 0 T = K is real, and so are the shift-invert eigenvalues
-    block = scipy.sparse.diags(
-        [sub, diagonal + 1j * c * step if c else diagonal, sub], [-1, 0, 1], format="csc"
-    )
-    if (block[::-1, ::-1] != block.conj().T).nnz:
+    # R T R = T^dagger: K palindromic, the step odd under the reversal
+    if (
+        np.any(sub[::-1] != sub)
+        or np.any(diagonal[::-1] != diagonal)
+        or (c and np.any(step[::-1] != -step))
+    ):
         raise NumericalFailureError(
             "R T R != T^dagger; discrete pseudo-Hermiticity violated"
         )
-    imag_bound = c * np.abs(step).max()
-    reach = np.abs(np.concatenate([[0.0], sub])) + np.abs(np.concatenate([sub, [0.0]]))
-    real_floor = float((diagonal - reach).min())
-    needed = (k + 1) // 2  # each eigenvalue of T is two of the full operator
-    start = np.random.default_rng(0).standard_normal(m)  # bit-reproducible runs
-    n_ask = needed + 2
-    while True:
-        if n_ask >= m - 1:  # ARPACK needs fewer than m - 1 eigenvalues
-            return None
-        try:
-            values, vectors = eigs(block, k=n_ask, sigma=0, v0=start)
-        except ArpackNoConvergence:
-            return None
-        order = np.argsort(np.abs(values))
-        values, vectors = values[order], vectors[:, order]
-        moduli = np.abs(values)
-        gaps = np.flatnonzero(np.diff(moduli) > PAIRING_RTOL * max(1.0, moduli[-1]))
-        kept = int(gaps[-1]) + 1 if gaps.size else 0
-        if kept >= needed and moduli[kept - 1] > imag_bound:
-            edge = np.sort(values[:kept].real)[needed - 1]
-            s = math.sqrt(moduli[kept - 1] ** 2 - imag_bound**2)
-            if edge < s and real_floor >= -s:
-                break
-        n_ask *= 2
-    values, vectors = values[:kept], vectors[:, :kept]
+    block = _TwoRegionBlock.from_bands(sub, diagonal, step, c)
+    if block is None:
+        return None
+    needed = (k + 1) // 2  # each root of T is two eigenvalues
+    values = block.lowest_roots(needed)
+    if values is None:
+        return None
     _assert_conjugate_pairing(values)
-    # eigenvectors of C for +ic and -ic; for C = 0 the two channels
+    values = values[values.real <= values.real[needed - 1]]  # ties kept whole
+    vectors = block.eigenvectors(values)
+    residual = (diagonal + 1j * c * step)[:, None] * vectors - values * vectors
+    residual[:-1] += sub[:, None] * vectors[1:]
+    residual[1:] += sub[:, None] * vectors[:-1]
+    if np.abs(residual).max() > RESIDUAL_RTOL * block.norm_bound:
+        return None
+    # eigenvectors (upper, lower) of C for +ic and -ic; for C = 0 the two channels
     if c:
-        u_plus = np.array([[coupling.Z], [c]]) / math.hypot(coupling.Z, c)
-        u_minus = np.array([[coupling.Z], [-c]]) / math.hypot(coupling.Z, c)
+        norm = math.hypot(coupling.Z, c)
+        u_plus, u_minus = (coupling.Z / norm, c / norm), (coupling.Z / norm, -c / norm)
     else:
-        u_plus, u_minus = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
-    return _lowest(
-        np.concatenate([values, values.conj()]),
-        np.hstack([np.kron(u_plus, vectors), np.kron(u_minus, vectors.conj())]),
-        k,
-    )
+        u_plus, u_minus = (1.0, 0.0), (0.0, 1.0)
+    conj = vectors.conj()
+    doublets = np.vstack([
+        np.hstack([u_plus[0] * vectors, u_minus[0] * conj]),
+        np.hstack([u_plus[1] * vectors, u_minus[1] * conj]),
+    ])
+    # each doublet stays adjacent: ties in real part (the conjugate pairs)
+    # keep the order root, partner, root, partner, ...
+    values = np.concatenate([values, values.conj()])
+    doublet = np.arange(values.size) % (values.size // 2)
+    order = np.lexsort((doublet, values.real))[:k]
+    return values[order], doublets[:, order]
+
+
+@dataclass(frozen=True)
+class _TwoRegionBlock:
+    """T = d0 + s (shift) + i gamma D0 on 2m - 1 nodes, s < 0, with
+    D0 = +1 on the m - 1 left nodes, 0 at the centre, -1 on the right.
+
+    On each side T u = E u is the constant-coefficient recursion
+    u_{j-1} + u_{j+1} = 2 cos(theta) u_j with
+    sin^2(theta_{L,R} / 2) = (E - floor -+ i gamma) / width, floor = d0 + 2s
+    and width = -4s (for the Laplacian, cos(theta) = 1 - h^2 (E -+ ic) / 2).
+    The Dirichlet ends leave u_j = A sin(j theta_L) on the left and
+    B sin((2m - j) theta_R) on the right, and matching both at the centre
+    node gives the secular polynomial
+
+        P(E) = cos(m theta_L) U(theta_R) + cos(m theta_R) U(theta_L),
+        U(theta) = sin(m theta) / sin(theta),
+
+    which is det(E - T) up to a constant factor, even in each theta,
+    and real on real E.  Its roots are found in O(1) per evaluation at
+    any m: bracketed Newton from the sign changes of P on a real grid,
+    complex Newton from the dips of |P| that do not change sign, and an
+    argument-principle count of the zeros in a rectangle that holds the
+    numerical range as the certificate that none is missing.  On a
+    mismatch the rectangle is subdivided by the same count until every
+    root is isolated.  P and its slope are evaluated scaled by
+    exp(-|Im m theta_L| - |Im m theta_R|), a positive factor that keeps
+    the signs and phases and never overflows.
+    """
+
+    floor: float
+    width: float
+    gamma: float
+    m: int
+
+    @classmethod
+    def from_bands(cls, sub, diagonal, step, c: float):
+        """The block of sub, diagonal + i c step, or None when the bands
+        are not a constant Laplacian plus one +-1 step at the centre."""
+        m = (diagonal.size + 1) // 2
+        s, d0 = float(sub[0]), float(diagonal[0])
+        if not (s < 0.0 and np.all(sub == s) and np.all(diagonal == d0)):
+            return None
+        side = float(step[0]) if c else 0.0
+        if c and not (
+            abs(side) == 1.0
+            and np.all(step[: m - 1] == side)
+            and step[m - 1] == 0.0
+            and np.all(step[m:] == -side)
+        ):
+            return None
+        return cls(floor=d0 + 2.0 * s, width=-4.0 * s, gamma=c * side, m=m)
+
+    @property
+    def norm_bound(self) -> float:
+        """|d0| + 2|s| + |gamma| >= ||T||."""
+        return abs(self.floor + self.width / 2) + self.width / 2 + abs(self.gamma)
+
+    # -- P and its slope --------------------------------------------------
+
+    def secular(self, energies: np.ndarray) -> np.ndarray:
+        """Scaled P at complex energies."""
+        (cos_l, ratio_l), (cos_r, ratio_r) = (
+            self._side(energies, sign) for sign in (-1.0, 1.0)
+        )
+        return cos_l * ratio_r + cos_r * ratio_l
+
+    def secular_real(self, energies: np.ndarray) -> np.ndarray:
+        """Scaled P at real energies, where the right side is the
+        conjugate of the left: P = 2 Re(cos(m theta_L) conj U(theta_L))."""
+        cos_l, ratio_l = self._side(energies, -1.0)
+        return 2.0 * (cos_l * ratio_l.conj()).real
+
+    def _side(self, energies, sign):
+        """cos(m theta) and U(theta) on one side, scaled by exp(-|Im m theta|)."""
+        z = (energies - self.floor + sign * 1j * self.gamma) / self.width
+        theta = 2.0 * np.arcsin(np.sqrt(z))
+        cos_m, sin_m = _scaled_cos_sin(self.m * theta.real, self.m * theta.imag)
+        # sin(theta) from theta itself: on the branch cuts of arcsin a
+        # closed form in z could take the other side
+        sin_t = np.sin(theta)
+        if sin_t.all():
+            return cos_m, sin_m / sin_t
+        # theta = 0 or pi: U is its limit m cos(m theta) cos(theta)
+        flat = sin_t == 0
+        return cos_m, np.where(flat, self.m * cos_m * (1.0 - 2.0 * z), sin_m / np.where(flat, 1, sin_t))
+
+    def _scalar_side(self, energy: complex, sign: float):
+        """cos(m theta), U(theta) and their E-derivatives, scaled as in
+        `_side`; dtheta/dE = 2 / (width sin(theta))."""
+        z = (energy - self.floor + sign * 1j * self.gamma) / self.width
+        theta = 2.0 * cmath.asin(cmath.sqrt(z))
+        phase = self.m * theta
+        turn = cmath.exp(1j * phase.real)
+        fore = turn * math.exp(-phase.imag - abs(phase.imag))
+        back = turn.conjugate() * math.exp(phase.imag - abs(phase.imag))
+        cos_m, sin_m = (fore + back) / 2, (fore - back) / 2j
+        sin_t = cmath.sin(theta)
+        if sin_t == 0:
+            return cos_m, self.m * cos_m * (1.0 - 2.0 * z), math.nan, math.nan
+        kappa = 2.0 / self.width
+        ratio = sin_m / sin_t
+        slope = kappa * (self.m * cos_m - ratio * (1.0 - 2.0 * z)) / (sin_t * sin_t)
+        return cos_m, ratio, -self.m * kappa * ratio, slope
+
+    def _value_slope(self, energy: complex):
+        cos_l, ratio_l, dcos_l, dratio_l = self._scalar_side(energy, -1.0)
+        cos_r, ratio_r, dcos_r, dratio_r = self._scalar_side(energy, 1.0)
+        return (
+            cos_l * ratio_r + cos_r * ratio_l,
+            dcos_l * ratio_r + cos_l * dratio_r + dcos_r * ratio_l + cos_r * dratio_l,
+        )
+
+    def _value_slope_real(self, energy: float):
+        cos_l, ratio_l, dcos_l, dratio_l = self._scalar_side(energy, -1.0)
+        return (
+            2.0 * (cos_l * ratio_l.conjugate()).real,
+            2.0 * (dcos_l * ratio_l.conjugate() + cos_l * dratio_l.conjugate()).real,
+        )
+
+    # -- roots ------------------------------------------------------------
+
+    def _bracketed_root(self, lo: float, hi: float, p_lo: float, p_hi: float) -> float | None:
+        """The root of P in [lo, hi], where P changes sign from p_lo to
+        p_hi: Newton from the secant point, bisecting whenever a step
+        leaves the bracket."""
+        low_negative = p_lo < 0
+        x = lo - p_lo * (hi - lo) / (p_hi - p_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        for _ in range(NEWTON_STEPS):
+            p, dp = self._value_slope_real(x)
+            if p == 0.0:
+                return x
+            if (p < 0) == low_negative:
+                lo = x
+            else:
+                hi = x
+            step = p / dp if dp else math.inf
+            if abs(step) <= 2 * _EPS * max(1.0, abs(x)):
+                return x - step
+            x -= step
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+                if hi - lo <= 2 * _EPS * max(1.0, abs(x)):
+                    return x
+        return None
+
+    def _newton(self, z: complex, known) -> complex | None:
+        """A root of P from z by Newton on P / prod(E - r) over the
+        known roots r, so that it does not return to one of them."""
+        for _ in range(NEWTON_STEPS):
+            p, dp = self._value_slope(z)
+            if p == 0:
+                break
+            inverse = dp / p - sum(1.0 / (z - r) for r in known)
+            if inverse == 0 or not cmath.isfinite(inverse):
+                return None
+            step = 1.0 / inverse
+            z -= step
+            if abs(z) > 2 * self.norm_bound:  # past every eigenvalue of T
+                return None
+            if abs(step) <= 4 * _EPS * max(1.0, abs(z)):
+                break
+        else:
+            return None
+        if abs(z.imag) <= DISTINCT_RTOL * max(1.0, abs(z)):
+            return complex(z.real, 0.0)
+        return z
+
+    def _axis_roots(self, phi_top: float):
+        """Roots seeded from P on a real grid, up to the grid energy
+        floor + width sin^2(phi_top / 2); distinct, by real part."""
+        m = self.m
+        # uniform in theta, 8 samples per spacing of the decoupled levels,
+        # from below the lowest real part a root of T can have
+        phi = np.arange(math.pi / (4 * m), phi_top, math.pi / (16 * m))
+        grid = self.floor + self.width * np.sin(phi / 2) ** 2
+        p = self.secular_real(grid)
+        sign = np.sign(p)
+        roots = [complex(e) for e in grid[p == 0]]
+        changes = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        dips = np.flatnonzero(
+            (np.abs(p[1:-1]) < np.abs(p[:-2])) & (np.abs(p[1:-1]) < np.abs(p[2:]))
+            & (sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])
+        ) + 1
+        grid, p = grid.tolist(), p.tolist()
+        brackets = [(grid[i], grid[i + 1], p[i], p[i + 1]) for i in changes.tolist()]
+        seeds = []
+        for i in dips.tolist():
+            # a close real pair or a complex pair near the axis: fit a
+            # parabola, and split the cell at its vertex if P changes
+            # sign there
+            (x0, x1, x2), (p0, p1, p2) = grid[i - 1 : i + 2], p[i - 1 : i + 2]
+            slope01, slope12 = (p1 - p0) / (x1 - x0), (p2 - p1) / (x2 - x1)
+            curve = (slope12 - slope01) / (x2 - x0)
+            vertex = 0.5 * (x0 + x1) - 0.5 * slope01 / curve if curve else x1
+            if not x0 < vertex < x2:
+                vertex = x1
+            p_vertex = self._value_slope_real(vertex)[0]
+            if (p_vertex < 0) != (p1 < 0):
+                brackets += [(x0, vertex, p0, p_vertex), (vertex, x2, p_vertex, p2)]
+            else:
+                depth = p0 + slope01 * (vertex - x0) + curve * (vertex - x0) * (vertex - x1)
+                seeds.append(complex(vertex, math.sqrt(abs(depth / curve)) if curve else x2 - x0))
+        for bracket in brackets:
+            root = self._bracketed_root(*bracket)
+            if root is None:
+                return None
+            roots.append(complex(root, 0.0))
+        for seed in seeds:
+            root = self._newton(seed, roots)
+            if root is not None:
+                roots += [root, root.conjugate()] if root.imag else [root]
+        return _distinct(roots)
+
+    def lowest_roots(self, needed: int) -> np.ndarray | None:
+        """Every root of P with real part below a gap past the `needed`
+        lowest, certified by the zero count; None when that fails."""
+        m = self.m
+        phi_max = math.pi - math.pi / (4 * m)
+        levels = needed + 2
+        while True:
+            phi_top = min(levels * math.pi / (2 * m), phi_max)
+            roots = self._axis_roots(phi_top)
+            if roots is None:
+                return None
+            edge, gap = _gap_after(roots.real, needed)
+            if edge is not None:
+                break
+            if phi_top == phi_max:
+                edge, gap = self.floor + self.width + 1.0, 2.0
+                break
+            levels *= 2
+        reach = abs(self.gamma) + 1.0
+        box = (self.floor - 1.0, edge, -reach, reach)
+        count = self._winding(box, (0.5, min(1.0, gap / 2) / 2, 0.5, 0.5))
+        if count is None:
+            return None
+        roots = roots[roots.real < edge]
+        if count == roots.size:
+            return roots
+        return self._complete(box, count, roots)
+
+    def _complete(self, box, count: int, known: np.ndarray) -> np.ndarray | None:
+        """All `count` roots in box, from the known ones: boxes whose count
+        exceeds their known roots get a deflated Newton from inside, and
+        are split in two, each half counted, until none is missing."""
+        found = list(known)
+        pending = [(box, count, 0)]
+        windings = 0
+        while pending:
+            box, count, depth = pending.pop()
+            missing = count - sum(_inside(box, r) for r in found)
+            if missing < 0:
+                return None
+            if missing == 0:
+                continue
+            re0, re1, im0, im1 = box
+            root = self._newton(complex(0.5 * (re0 + re1), im0 + 0.75 * (im1 - im0)), found)
+            if root is not None and _inside(box, root) and _is_new(root, found):
+                found += [root, root.conjugate()] if root.imag else [root]
+                pending.append((box, count, depth))
+                continue
+            if depth == SPLIT_DEPTH or windings >= SPLIT_WINDINGS:
+                return None
+            halves = _split(box, found)
+            counts = []
+            for re0, re1, im0, im1 in halves:
+                across, up = min(0.5, (re1 - re0) / 16), min(0.5, (im1 - im0) / 16)
+                counts.append(self._winding((re0, re1, im0, im1), (across, up, across, up)))
+            windings += 2
+            if None in counts or sum(counts) != count:
+                return None
+            pending += [(half, n, depth + 1) for half, n in zip(halves, counts)]
+        return _distinct(found)
+
+    def _winding(self, box, steps) -> int | None:
+        """Zeros of P inside box by the argument principle: the phase of
+        P sampled along the boundary at most `steps` apart per edge
+        (bottom, right, top, left), refined until no two neighbours
+        differ by more than pi / 4.  A box symmetric about the real axis
+        is walked on its upper half only: P(conj E) = conj P(E), so the
+        lower half turns the phase by as much again.  None if P vanishes
+        on the boundary or the phase cannot be resolved."""
+        re0, re1, im0, im1 = box
+        if im0 == -im1:
+            corners = [complex(re1, 0.0), complex(re1, im1), complex(re0, im1), complex(re0, 0.0)]
+            steps, full_turn = steps[1:], math.pi
+        else:
+            corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+            corners.append(corners[0])
+            full_turn = 2 * math.pi
+        pieces = []
+        for start, end, step in zip(corners, corners[1:], steps):
+            n = max(4, math.ceil(abs(end - start) / step))
+            pieces.append(start + (end - start) * np.arange(n) / n)
+        points = np.concatenate(pieces + [corners[-1:]])
+        values = self.secular(points)
+        for _ in range(WINDING_REFINEMENTS):
+            if not np.all(np.isfinite(values)) or np.any(values == 0):
+                return None
+            turn = np.angle(values[1:] / values[:-1])
+            coarse = np.flatnonzero(np.abs(turn) > math.pi / 4)
+            if coarse.size == 0:
+                total = turn.sum() / full_turn
+                count = round(total)
+                return count if abs(total - count) < 0.1 else None
+            middle = 0.5 * (points[coarse] + points[coarse + 1])
+            points = np.insert(points, coarse + 1, middle)
+            values = np.insert(values, coarse + 1, self.secular(middle))
+        return None
+
+    # -- eigenvectors -----------------------------------------------------
+
+    def eigenvectors(self, roots: np.ndarray) -> np.ndarray:
+        """Unit eigenvectors of T, one column per root: A sin(j theta_L)
+        on the left, B sin((2m - j) theta_R) on the right.  (A, B) comes
+        from the better-conditioned row of the centre matching, since
+        sin(m theta) -> 0 for the odd modes as gamma -> 0."""
+        m = self.m
+        j = np.arange(1.0, m + 1)[:, None]
+        sides = []
+        for sign in (-1.0, 1.0):
+            theta = 2.0 * np.arcsin(
+                np.sqrt((roots - self.floor + sign * 1j * self.gamma) / self.width)
+            )
+            x, y = theta.real, theta.imag
+            # sin(j theta) = sin(jx) cosh(jy) + i cos(jx) sinh(jy), j = 1..m,
+            # scaled by exp(-m |y|)
+            grow, fade = np.exp((j - m) * abs(y)), np.exp(-(j + m) * abs(y))
+            profile = np.sin(j * x) * (grow + fade) / 2 + 1j * (
+                np.copysign((grow - fade) / 2, y) * np.cos(j * x)
+            )
+            sides.append((profile, *_scaled_cos_sin(m * x, m * y), np.sin(theta)))
+        (left, cos_l, sin_l, sin_tl), (right, cos_r, sin_r, sin_tr) = sides
+        # continuity A sin(m theta_L) = B sin(m theta_R), or the centre
+        # row A sin(theta_L) cos(m theta_L) + B sin(theta_R) cos(m theta_R) = 0
+        continuity = np.maximum(abs(sin_l), abs(sin_r)) >= np.maximum(abs(cos_l), abs(cos_r))
+        a = np.where(continuity, sin_r, sin_tr * cos_r)
+        b = np.where(continuity, sin_l, -sin_tl * cos_l)
+        vectors = np.concatenate([a * left, b * right[-2::-1]])
+        return vectors / np.linalg.norm(vectors, axis=0)
+
+
+def _scaled_cos_sin(x, y):
+    """cos(x + iy) and sin(x + iy), both scaled by exp(-|y|)."""
+    turn = np.exp(1j * x)
+    fore = turn * np.exp(-y - np.abs(y))  # exp(i (x + iy)) exp(-|y|)
+    back = turn.conj() * np.exp(y - np.abs(y))  # exp(-i (x + iy)) exp(-|y|)
+    return (fore + back) / 2, (fore - back) / 2j
+
+
+def _distinct(roots) -> np.ndarray:
+    """roots without near-repeats, sorted by real then imaginary part."""
+    kept = []
+    for r in sorted(roots, key=lambda z: (z.real, z.imag)):
+        if _is_new(r, kept):
+            kept.append(r)
+    return np.array(kept, dtype=complex)
+
+
+def _is_new(root: complex, roots) -> bool:
+    return all(abs(root - r) > DISTINCT_RTOL * max(1.0, abs(r)) for r in roots)
+
+
+def _gap_after(real_parts: np.ndarray, needed: int):
+    """(midpoint, width) of the first gap between distinct real parts
+    after the `needed` lowest, or (None, None) when none is found."""
+    i = needed - 1
+    while i + 1 < real_parts.size and real_parts[i + 1] - real_parts[i] <= (
+        DISTINCT_RTOL * max(1.0, abs(real_parts[i]))
+    ):
+        i += 1
+    if i + 1 >= real_parts.size:
+        return None, None
+    return 0.5 * (real_parts[i] + real_parts[i + 1]), real_parts[i + 1] - real_parts[i]
+
+
+def _inside(box, z: complex) -> bool:
+    re0, re1, im0, im1 = box
+    return re0 <= z.real <= re1 and im0 <= z.imag <= im1
+
+
+def _split(box, roots):
+    """Two halves of box across its longer side, cut off-centre so that
+    the cut misses the real axis and every known root."""
+    re0, re1, im0, im1 = box
+    horizontal = re1 - re0 >= im1 - im0
+    lo, hi = (re0, re1) if horizontal else (im0, im1)
+    for fraction in (0.5173, 0.4679, 0.5591):
+        cut = lo + fraction * (hi - lo)
+        if all(
+            abs((r.real if horizontal else r.imag) - cut) > 1e-6 * (hi - lo) for r in roots
+        ):
+            break
+    if horizontal:
+        return (re0, cut, im0, im1), (cut, re1, im0, im1)
+    return (re0, re1, im0, cut), (re0, re1, cut, im1)
 
 
 def _assert_conjugate_pairing(values: np.ndarray) -> None:

@@ -2,10 +2,13 @@
 records the `verify` subcommand prints."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 from dataclasses import asdict
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +19,12 @@ from coupledwell import (
     GridSpec,
     ModelDomainError,
     RootLostError,
+    build_hamiltonian,
+    discrete_theta,
+    spin_operator,
     verify,
 )
+from coupledwell.battery import _entry_max, _spin_commutator_max, _swap_reflect_defect
 from coupledwell.cli import main
 
 
@@ -109,3 +116,46 @@ def test_battery_needs_a_positive_product(Y, Z):
 def test_root_lost_above_critical_propagates():
     with pytest.raises(RootLostError):
         verify(CouplingPair(6.0, 6.0), 2, GridSpec(16))
+
+
+def _edits(rep):
+    """rep and copies whose bands break the swap-reflect symmetry."""
+    m = rep.step.size
+    return [
+        rep,
+        dataclasses.replace(rep, step=np.where(np.arange(m) == 1, 0.5, rep.step)),
+        dataclasses.replace(rep, diagonal=rep.diagonal + np.linspace(0.0, 3.0, m)),
+        dataclasses.replace(rep, sub=rep.sub * np.linspace(1.0, 1.5, m - 1)),
+    ]
+
+
+@pytest.mark.parametrize("M", [8, 16, 98])
+@pytest.mark.parametrize("Y, Z", [(1.0, 4.0), (2.3, 0.7), (0.1, 0.1), (1e-3, 7.0)])
+def test_band_structure_checks_are_the_dense_ones(M, Y, Z):
+    # the battery reads S H S = H^dagger and [H, spin] off the bands;
+    # here the dense products of `.matrix` must give the same numbers,
+    # bit for bit, on the built operator (both 0) and on edited bands
+    for rep in _edits(build_hamiltonian(CouplingPair(Y, Z), GridSpec(M))):
+        h = rep.matrix
+        swap = discrete_theta(rep.grid).matrix
+        omega = np.kron(spin_operator(rep.coupling).matrix, np.eye(rep.dim // 2))
+        assert _swap_reflect_defect(rep) == np.max(np.abs(swap @ h @ swap - h.conj().T))
+        assert _spin_commutator_max(rep) == np.max(np.abs(h @ omega - omega @ h))
+        assert _entry_max(rep) == np.max(np.abs(h))
+    assert _swap_reflect_defect(build_hamiltonian(CouplingPair(Y, Z), GridSpec(M))) == 0.0
+
+
+def test_battery_builds_no_dense_matrix(monkeypatch):
+    # verify at M = 16384 reads only bands: the dense matrix would take 17 GB
+    from coupledwell import oracle
+
+    def refuse(self):
+        raise AssertionError("the battery assembled the dense matrix")
+
+    monkeypatch.setattr(oracle.BandedHamiltonian, "matrix", property(refuse))
+    checks = verify(CouplingPair(1.0, 4.0), 4, GridSpec(16384))
+    assert [check.name for check in checks if not check.passed] == []
+    by_name = {check.name: check.value for check in checks}
+    assert by_name["discrete swap-reflect pseudo-Hermiticity defect"] == 0.0
+    assert by_name["discrete commutator [H, spin] max"] == 0.0
+    assert by_name["oracle lowest eigenvalues |Im| max"] == 0.0

@@ -415,14 +415,16 @@ for argv in (["verify", "--Y", "1", "--Z", "4", "--levels", "4"],
     codes.append(main(argv + ["--out", os.devnull]))
 print(json.dumps({"codes": codes, "after_import": after_import,
                   "after_closed_form": after_closed_form,
-                  "after_metric": after_metric, "after_oracle": loaded("scipy")}))
+                  "after_metric": after_metric,
+                  "after_oracle": loaded("scipy", "coupledwell")}))
 """
 
 
 def test_closed_form_subcommands_load_no_scipy():
     # numpy is imported by the metric, verify and oracle subcommands only,
-    # scipy by the oracle and the verify battery only; the closed-form
-    # subcommands import neither, on their error exits either
+    # and scipy by none: the closed-form subcommands import neither, on
+    # their error exits either, and the oracle and the verify battery
+    # solve and check with numpy alone
     root = pathlib.Path(__file__).resolve().parent.parent
     path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     result = subprocess.run(
@@ -441,7 +443,8 @@ def test_closed_form_subcommands_load_no_scipy():
     assert "coupledwell.metric" in report["after_metric"]
     assert "coupledwell.oracle" not in report["after_metric"]
     assert not any(m.split(".")[0] == "scipy" for m in report["after_metric"])
-    assert "scipy.linalg" in report["after_oracle"]
+    assert {"coupledwell.battery", "coupledwell.oracle"} <= set(report["after_oracle"])
+    assert not any(m.split(".")[0] == "scipy" for m in report["after_oracle"])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

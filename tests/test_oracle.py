@@ -3,9 +3,10 @@
 Everything here is second-order central differences, kept deliberately
 independent of the closed-form machinery it cross-checks.  For YZ > 0
 the eigensolver works on the channel-diagonal tridiagonal block alone,
-taken from the bands `build_hamiltonian` stores; the dense eigensolve
-of the assembled matrix, reached through a plain `OperatorRep` copy,
-is the reference it is checked against here.
+taken from the bands `build_hamiltonian` stores, as the roots of its
+discrete secular polynomial; the dense eigensolve of the assembled
+matrix, reached through a plain `OperatorRep` copy, is the reference it
+is checked against here.
 """
 
 import dataclasses
@@ -13,7 +14,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -152,8 +152,8 @@ def test_reducible_hamiltonian_never_builds_its_matrix(y, z):
         eigenpairs(rep, k)
     assert "matrix" not in vars(rep)
     small = build_hamiltonian(CouplingPair(y, z), GridSpec(8))
-    eigenpairs(small, small.dim)  # too many for ARPACK: the dense fallback
-    assert "matrix" in vars(small)
+    eigenpairs(small, small.dim)  # the whole spectrum is a root set too
+    assert "matrix" not in vars(small)
 
 
 def test_stored_operator_is_read_only():
@@ -272,9 +272,9 @@ def _dense(rep) -> OperatorRep:
 
 def _count_dense_solves(monkeypatch):
     calls = []
-    dense_eig = scipy.linalg.eig
+    dense_eig = np.linalg.eig
     monkeypatch.setattr(
-        scipy.linalg, "eig", lambda a: calls.append(a.shape) or dense_eig(a)
+        np.linalg, "eig", lambda a: calls.append(a.shape) or dense_eig(a)
     )
     return calls
 
@@ -303,11 +303,11 @@ def _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors, rtol=1e-9)
                 assert subspace_alignment(vectors[:, mine], vec) > 1 - rtol
 
 
-# c = 4.47 sits just below the lowest merger, 4.6 just above it, where
-# the lowest eigenvalue pair of T is complex.  M = 256, c = 4.6 is the
-# case where a bare eigs(k=6, sigma=0) on T returned half a conjugate
-# pair; c = 25 fails without the shell drop, and the edited matrices
-# below pin the completeness test.
+# c = 4.47 sits just below the lowest merger, where the lowest two roots
+# of T are a close real pair, 4.6 just above it, where they are a
+# complex pair near the real axis; at c = 25 the lowest roots are
+# complex quartets far from it, which the real-axis seeds miss and the
+# zero count completes.
 @pytest.mark.parametrize("M", [16, 64, 256])
 @pytest.mark.parametrize("c", [0.01, 1.0, 4.47, 4.6, 25.0])
 @pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
@@ -346,9 +346,11 @@ def test_other_grid_operators_take_the_dense_path(monkeypatch):
 
 
 # _shift_down and _clear_middle_step edit the bands the reduced solver
-# reads, so they keep the form I (x) K + C (x) D and pin its
-# completeness test; the other two leave that form, on a plain copy of
-# the dense matrix
+# reads.  _shift_down keeps constant bands, so its block is read from
+# the bands (d0 and s) and solved by the secular path; _clear_middle_step
+# keeps the form I (x) K + C (x) D but not one step at x = 0, so it goes
+# to the dense path.  The other two leave the band form, on a plain copy
+# of the dense matrix
 
 
 def _shift_down(rep):
@@ -387,7 +389,7 @@ def _off_band(rep):
         (_shift_down, 0.0, True),
         (_shift_down, 0.01, True),
         (_mix_channels, 0.0, False),
-        (_clear_middle_step, 80.0, True),
+        (_clear_middle_step, 80.0, False),
         (_mix_channels, 30.0, False),
         (_off_band, 30.0, False),
     ],
@@ -443,6 +445,161 @@ def test_reduced_solve_is_bit_reproducible():
         values, vectors = eigenpairs(rep, 8)
         assert np.array_equal(values, first_values)
         assert np.array_equal(vectors, first_vectors)
+
+
+def test_reduced_solve_is_bit_reproducible_at_large_grid():
+    # the roots and the sine eigenvectors depend on the bands alone
+    first_values, first_vectors = eigenpairs(
+        build_hamiltonian(CouplingPair(1.0, 4.0), GridSpec(16384)), 4
+    )
+    for _ in range(2):
+        rep = build_hamiltonian(CouplingPair(1.0, 4.0), GridSpec(16384))
+        values, vectors = eigenpairs(rep, 4)
+        assert np.array_equal(values, first_values)
+        assert np.array_equal(vectors, first_vectors)
+        assert "matrix" not in vars(rep)
+
+
+def _block(rep):
+    """The two-region block the reduced solve reads from rep's bands."""
+    c = math.sqrt(rep.coupling.product)
+    return coupledwell.oracle._TwoRegionBlock.from_bands(rep.sub, rep.diagonal, rep.step, c)
+
+
+def _block_matrix(rep):
+    c = math.sqrt(rep.coupling.product)
+    return (
+        np.diag(rep.diagonal + 1j * c * rep.step) + np.diag(rep.sub, 1) + np.diag(rep.sub, -1)
+    )
+
+
+@pytest.mark.parametrize("M", [8, 16, 32])
+@pytest.mark.parametrize("c", [0.0, 0.5, 4.47, 25.0])
+def test_secular_polynomial_vanishes_at_dense_eigenvalues(M, c):
+    # P is det(E - T) up to a constant factor.  By the maximum modulus
+    # principle |P| on the unit circle about a root bounds it inside, so
+    # at a root |P| reads many orders below that bound.
+    rep = build_hamiltonian(CouplingPair(c, c), GridSpec(M))
+    block, t = _block(rep), _block_matrix(rep)
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    dense = np.linalg.eigvals(t)
+    reduced, _ = eigenpairs(rep, rep.dim)
+    for value in np.concatenate([dense, reduced]):
+        bound = np.abs(block.secular(value + circle)).max()
+        assert abs(block.secular(np.array([value]))[0]) <= 1e-9 * bound
+    # the same polynomial everywhere: P / det(E - T) keeps one phase
+    # (the scaling of P is a positive factor) off the real axis and on it
+    off = np.concatenate([np.linspace(-3.0, 1.2 * block.width, 40) + 0.7j, [-2.0, 0.3 * block.width]])
+    phases = [
+        np.angle(block.secular(np.array([e]))[0] / np.linalg.det(e * np.eye(M - 1) - t)) for e in off
+    ]
+    assert np.ptp(np.unwrap(phases)) < 1e-9
+    # real on the real axis below the top of K's band, to the last bit
+    axis = np.linspace(block.floor - 1.0, block.floor + block.width - 1.0, 301)
+    assert np.all(block.secular(axis.astype(complex)).imag == 0.0)
+    assert np.array_equal(block.secular(axis.astype(complex)).real, block.secular_real(axis))
+
+
+@pytest.mark.parametrize("c", [0.0, 4.47, 4.6, 25.0])
+def test_zero_count_matches_the_dense_spectrum(c):
+    # the certificate: the argument-principle count in a box is the
+    # number of dense eigenvalues of T inside it, for boxes symmetric
+    # about the real axis and for the off-axis boxes of the subdivision
+    rep = build_hamiltonian(CouplingPair(c, c), GridSpec(64))
+    block, dense = _block(rep), np.linalg.eigvals(_block_matrix(rep))
+    reach = c + 1.0
+    checked = 0
+    for edge in (5.0, 16.0, 30.0, 100.0, 400.0, block.floor + block.width + 1.0):
+        for box in (
+            (block.floor - 1.0, edge, -reach, reach),
+            (block.floor - 1.0, edge, 0.25, reach),
+            (3.0, edge, -reach, -0.4),
+        ):
+            re0, re1, im0, im1 = box
+            if np.min(np.abs(np.concatenate([dense.real - re0, dense.real - re1]))) < 0.1:
+                continue
+            inside = (dense.real > re0) & (dense.real < re1) & (dense.imag > im0) & (dense.imag < im1)
+            assert block._winding(box, (0.5, 0.5, 0.5, 0.5)) == inside.sum()
+            checked += 1
+    assert checked >= 12
+
+
+def test_close_real_pair_next_to_the_merger(monkeypatch):
+    # c = 4.47, M = 256, k = 12: the lowest two roots of T are real and
+    # 0.37 apart, inside one cell of the real grid, so P does not change
+    # sign across that cell.  Both must be found once: a count compared
+    # with the roots found, duplicates included, would pass with 6.584
+    # found twice and 6.218 missing.
+    rep = build_hamiltonian(CouplingPair(4.47, 4.47), GridSpec(256))
+    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    calls = _count_dense_solves(monkeypatch)
+    values, vectors = eigenpairs(rep, 12)
+    assert calls == []
+    assert np.all(values.imag == 0.0)
+    roots = values.real[::2]
+    assert np.array_equal(values.real[1::2], roots)  # each root is a doublet
+    assert np.all(np.diff(roots) > 0.3)
+    assert abs(roots[0] - 6.21821) < 1e-4 and abs(roots[1] - 6.58415) < 1e-4
+    _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+
+
+@pytest.mark.parametrize("c, M, completed", [(4.6, 256, False), (25.0, 64, True), (25.0, 256, True)])
+def test_complex_quartets_past_the_merger(c, M, completed, monkeypatch):
+    # past the merger the lowest roots of T are a conjugate pair E, conj E,
+    # and the full operator has each twice: a quartet.  Near the merger
+    # (c = 4.6) the pair sits in a dip of |P| on the real axis; at c = 25
+    # it lies far from the axis, the real grid misses it, and the zero
+    # count sends the solve to complete the box.
+    rep = build_hamiltonian(CouplingPair(c, c), GridSpec(M))
+    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    calls = _count_dense_solves(monkeypatch)
+    completions = []
+    complete = coupledwell.oracle._TwoRegionBlock._complete
+    monkeypatch.setattr(
+        coupledwell.oracle._TwoRegionBlock,
+        "_complete",
+        lambda self, *args: completions.append(args[1]) or complete(self, *args),
+    )
+    values, vectors = eigenpairs(rep, 8)
+    assert calls == [] and bool(completions) == completed
+    quartet = values[:4]
+    assert np.abs(quartet.imag).min() > 0.5
+    assert quartet[0] == quartet[1].conjugate() == quartet[3] and quartet[1] == quartet[2]
+    _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+
+
+def test_uncertified_roots_take_the_dense_path_only_at_small_grid(monkeypatch):
+    monkeypatch.setattr(
+        coupledwell.oracle._TwoRegionBlock, "lowest_roots", lambda self, needed: None
+    )
+    small = build_hamiltonian(UNIT, GridSpec(64))
+    ref_values, _ = eigenpairs(_dense(small), 4)
+    calls = _count_dense_solves(monkeypatch)
+    values, _ = eigenpairs(small, 4)
+    assert len(calls) == 1
+    assert np.array_equal(values, ref_values)
+    # the dense matrix at M = 4096 would take 1 GB: refused, never built
+    large = build_hamiltonian(UNIT, GridSpec(4096))
+    with pytest.raises(NumericalFailureError, match="dense eigensolve is limited"):
+        eigenpairs(large, 4)
+    assert "matrix" not in vars(large) and len(calls) == 1
+
+
+def test_eigenvector_residual_is_checked(monkeypatch):
+    # vectors that are not T's eigenvectors fail the O(M) residual check,
+    # and the request is served by the dense eigensolve instead
+    vectors_of = coupledwell.oracle._TwoRegionBlock.eigenvectors
+    monkeypatch.setattr(
+        coupledwell.oracle._TwoRegionBlock,
+        "eigenvectors",
+        lambda self, roots: np.roll(vectors_of(self, roots), 1, axis=0),
+    )
+    rep = build_hamiltonian(UNIT, GridSpec(64))
+    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    calls = _count_dense_solves(monkeypatch)
+    values, vectors = eigenpairs(rep, 4)
+    assert len(calls) == 1
+    _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
