@@ -65,10 +65,14 @@ RESIDUAL_RTOL = 1e-10
 # root this close to the real axis is real
 DISTINCT_RTOL = 1e-10
 NEWTON_STEPS = 100
-WINDING_REFINEMENTS = 40
+# samples in one zero count, a bound on its time and memory: the box is
+# 2 (|gamma| + 1) tall, its left edge sampled every ~1.7, so couplings up
+# to ~1.5e6 are solved
+WINDING_POINTS = 1_000_000
 SPLIT_DEPTH = 40
 SPLIT_WINDINGS = 400
 _EPS = sys.float_info.epsilon
+_CHUNK = 65536  # energies per vectorised evaluation of P
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,13 +288,15 @@ class _TwoRegionBlock:
     which is det(E - T) up to a constant factor, even in each theta,
     and real on real E.  Its roots are found in O(1) per evaluation at
     any m: bracketed Newton from the sign changes of P on a real grid,
-    complex Newton from the dips of |P| that do not change sign, and an
-    argument-principle count of the zeros in a rectangle that holds the
-    numerical range as the certificate that none is missing.  On a
-    mismatch the rectangle is subdivided by the same count until every
-    root is isolated.  P and its slope are evaluated scaled by
-    exp(-|Im m theta_L| - |Im m theta_R|), a positive factor that keeps
-    the signs and phases and never overflows.
+    complex Newton from the dips of |P| that do not change sign and,
+    far past the merger, from the levels of one half of the well
+    shifted by +-i gamma; an argument-principle count of the zeros in a
+    rectangle that holds the numerical range is the certificate that
+    none is missing.  On a mismatch the rectangle is subdivided by the
+    same count until every root is isolated.  P and its slope are
+    evaluated scaled by exp(-|Im m theta_L| - |Im m theta_R|), a
+    positive factor that keeps the signs and phases and never
+    overflows.
     """
 
     floor: float
@@ -325,9 +331,11 @@ class _TwoRegionBlock:
 
     def secular(self, energies: np.ndarray) -> np.ndarray:
         """Scaled P at complex energies."""
-        (cos_l, ratio_l), (cos_r, ratio_r) = (
-            self._side(energies, sign) for sign in (-1.0, 1.0)
-        )
+        if energies.size > _CHUNK:  # bound the temporaries
+            return np.concatenate(
+                [self.secular(energies[i : i + _CHUNK]) for i in range(0, energies.size, _CHUNK)]
+            )
+        (cos_l, ratio_l), (cos_r, ratio_r) = (self._side(energies, sign) for sign in (-1.0, 1.0))
         return cos_l * ratio_r + cos_r * ratio_l
 
     def secular_real(self, energies: np.ndarray) -> np.ndarray:
@@ -337,18 +345,18 @@ class _TwoRegionBlock:
         return 2.0 * (cos_l * ratio_l.conj()).real
 
     def _side(self, energies, sign):
-        """cos(m theta) and U(theta) on one side, scaled by exp(-|Im m theta|)."""
+        """cos(m theta) and U(theta) on one side, scaled by
+        exp(-|Im m theta|).  At theta = 0 or pi (E at an end of K's
+        band, gamma = 0), which no grid or count samples, U is NaN."""
         z = (energies - self.floor + sign * 1j * self.gamma) / self.width
         theta = 2.0 * np.arcsin(np.sqrt(z))
         cos_m, sin_m = _scaled_cos_sin(self.m * theta.real, self.m * theta.imag)
         # sin(theta) from theta itself: on the branch cuts of arcsin a
         # closed form in z could take the other side
         sin_t = np.sin(theta)
-        if sin_t.all():
-            return cos_m, sin_m / sin_t
-        # theta = 0 or pi: U is its limit m cos(m theta) cos(theta)
-        flat = sin_t == 0
-        return cos_m, np.where(flat, self.m * cos_m * (1.0 - 2.0 * z), sin_m / np.where(flat, 1, sin_t))
+        if not sin_t.all():
+            sin_t = np.where(sin_t == 0, np.nan, sin_t)
+        return cos_m, sin_m / sin_t
 
     def _scalar_side(self, energy: complex, sign: float):
         """cos(m theta), U(theta) and their E-derivatives, scaled as in
@@ -361,8 +369,8 @@ class _TwoRegionBlock:
         back = turn.conjugate() * math.exp(phase.imag - abs(phase.imag))
         cos_m, sin_m = (fore + back) / 2, (fore - back) / 2j
         sin_t = cmath.sin(theta)
-        if sin_t == 0:
-            return cos_m, self.m * cos_m * (1.0 - 2.0 * z), math.nan, math.nan
+        if sin_t == 0:  # theta = 0 or pi, as in `_side`
+            return cos_m, math.nan, math.nan, math.nan
         kappa = 2.0 / self.width
         ratio = sin_m / sin_t
         slope = kappa * (self.m * cos_m - ratio * (1.0 - 2.0 * z)) / (sin_t * sin_t)
@@ -490,6 +498,10 @@ class _TwoRegionBlock:
             roots = self._axis_roots(phi_top)
             if roots is None:
                 return None
+            if self.gamma and roots.size <= needed:
+                # the real grid misses the pairs far from the axis
+                top = self.floor + self.width * math.sin(phi_top / 2) ** 2
+                roots = _distinct(self._shifted_levels(top, list(roots)))
             edge, gap = _gap_after(roots.real, needed)
             if edge is not None:
                 break
@@ -497,9 +509,13 @@ class _TwoRegionBlock:
                 edge, gap = self.floor + self.width + 1.0, 2.0
                 break
             levels *= 2
+        # every root lies in the numerical range, |Im E| <= |gamma| and
+        # Re E >= floor + width sin^2(pi / 2M), K's lowest eigenvalue; the
+        # box keeps 1 clear of it on three sides and gap / 2 on the fourth
         reach = abs(self.gamma) + 1.0
+        clear = 1.0 + self.width * math.sin(math.pi / (4 * self.m)) ** 2
         box = (self.floor - 1.0, edge, -reach, reach)
-        count = self._winding(box, (0.5, min(1.0, gap / 2) / 2, 0.5, 0.5))
+        count = self._winding(box, (0.5, gap / 4, 0.5, clear / 2))
         if count is None:
             return None
         roots = roots[roots.real < edge]
@@ -507,29 +523,43 @@ class _TwoRegionBlock:
             return roots
         return self._complete(box, count, roots)
 
+    def _shifted_levels(self, top: float, found: list) -> list:
+        """found, with the roots that deflated Newton reaches from the
+        levels of one half of the well below `top`, shifted by +i|gamma|,
+        and their conjugates.  Far past the merger the roots sit there:
+        once Im m theta_R is large, P = 0 reads tan(m theta_L) ~ 0."""
+        for j in range(1, self.m):
+            level = self.floor + self.width * math.sin(j * math.pi / (2 * self.m)) ** 2
+            if level > top:
+                break
+            root = self._newton(complex(level, abs(self.gamma)), found)
+            if root is not None and _is_new(root, found):
+                found += [root, root.conjugate()] if root.imag else [root]
+        return found
+
     def _complete(self, box, count: int, known: np.ndarray) -> np.ndarray | None:
         """All `count` roots in box, from the known ones: boxes whose count
         exceeds their known roots get a deflated Newton from inside, and
         are split in two, each half counted, until none is missing."""
-        found = list(known)
+        found = self._shifted_levels(box[1], list(known)) if self.gamma else list(known)
         pending = [(box, count, 0)]
         windings = 0
         while pending:
-            box, count, depth = pending.pop()
-            missing = count - sum(_inside(box, r) for r in found)
+            part, count, depth = pending.pop()
+            missing = count - sum(_inside(part, r) for r in found)
             if missing < 0:
                 return None
             if missing == 0:
                 continue
-            re0, re1, im0, im1 = box
+            re0, re1, im0, im1 = part
             root = self._newton(complex(0.5 * (re0 + re1), im0 + 0.75 * (im1 - im0)), found)
-            if root is not None and _inside(box, root) and _is_new(root, found):
+            if root is not None and _inside(part, root) and _is_new(root, found):
                 found += [root, root.conjugate()] if root.imag else [root]
-                pending.append((box, count, depth))
+                pending.append((part, count, depth))
                 continue
             if depth == SPLIT_DEPTH or windings >= SPLIT_WINDINGS:
                 return None
-            halves = _split(box, found)
+            halves = _split(part, found)
             counts = []
             for re0, re1, im0, im1 in halves:
                 across, up = min(0.5, (re1 - re0) / 16), min(0.5, (im1 - im0) / 16)
@@ -538,16 +568,18 @@ class _TwoRegionBlock:
             if None in counts or sum(counts) != count:
                 return None
             pending += [(half, n, depth + 1) for half, n in zip(halves, counts)]
-        return _distinct(found)
+        return _distinct([r for r in found if _inside(box, r)])
 
     def _winding(self, box, steps) -> int | None:
         """Zeros of P inside box by the argument principle: the phase of
         P sampled along the boundary at most `steps` apart per edge
-        (bottom, right, top, left), refined until no two neighbours
-        differ by more than pi / 4.  A box symmetric about the real axis
-        is walked on its upper half only: P(conj E) = conj P(E), so the
-        lower half turns the phase by as much again.  None if P vanishes
-        on the boundary or the phase cannot be resolved."""
+        (bottom, right, top, left), each step at most half the distance
+        from its edge to the nearest root, and refined until no two
+        neighbours differ by more than pi / 4.  A box symmetric about
+        the real axis is walked on its upper half only:
+        P(conj E) = conj P(E), so the lower half turns the phase by as
+        much again.  None if P vanishes on the boundary or the phase is
+        not resolved within WINDING_POINTS samples."""
         re0, re1, im0, im1 = box
         if im0 == -im1:
             corners = [complex(re1, 0.0), complex(re1, im1), complex(re0, im1), complex(re0, 0.0)]
@@ -556,13 +588,15 @@ class _TwoRegionBlock:
             corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
             corners.append(corners[0])
             full_turn = 2 * math.pi
-        pieces = []
-        for start, end, step in zip(corners, corners[1:], steps):
-            n = max(4, math.ceil(abs(end - start) / step))
-            pieces.append(start + (end - start) * np.arange(n) / n)
-        points = np.concatenate(pieces + [corners[-1:]])
+        counts = [max(4, math.ceil(abs(b - a) / step)) for a, b, step in zip(corners, corners[1:], steps)]
+        if sum(counts) > WINDING_POINTS:
+            return None
+        points = np.concatenate(
+            [a + (b - a) * np.arange(n) / n for a, b, n in zip(corners, corners[1:], counts)]
+            + [corners[-1:]]
+        )
         values = self.secular(points)
-        for _ in range(WINDING_REFINEMENTS):
+        while True:
             if not np.all(np.isfinite(values)) or np.any(values == 0):
                 return None
             turn = np.angle(values[1:] / values[:-1])
@@ -571,10 +605,11 @@ class _TwoRegionBlock:
                 total = turn.sum() / full_turn
                 count = round(total)
                 return count if abs(total - count) < 0.1 else None
+            if points.size + coarse.size > WINDING_POINTS:
+                return None
             middle = 0.5 * (points[coarse] + points[coarse + 1])
             points = np.insert(points, coarse + 1, middle)
             values = np.insert(values, coarse + 1, self.secular(middle))
-        return None
 
     # -- eigenvectors -----------------------------------------------------
 
@@ -631,7 +666,7 @@ def _is_new(root: complex, roots) -> bool:
 
 def _gap_after(real_parts: np.ndarray, needed: int):
     """(midpoint, width) of the first gap between distinct real parts
-    after the `needed` lowest, or (None, None) when none is found."""
+    after the `needed` lowest, or (None, None) when there is none."""
     i = needed - 1
     while i + 1 < real_parts.size and real_parts[i + 1] - real_parts[i] <= (
         DISTINCT_RTOL * max(1.0, abs(real_parts[i]))

@@ -543,16 +543,39 @@ def test_close_real_pair_next_to_the_merger(monkeypatch):
     _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
 
 
-@pytest.mark.parametrize("c, M, completed", [(4.6, 256, False), (25.0, 64, True), (25.0, 256, True)])
-def test_complex_quartets_past_the_merger(c, M, completed, monkeypatch):
+@pytest.mark.parametrize("c, M, off_axis", [(4.6, 256, False), (25.0, 64, True), (25.0, 256, True)])
+def test_complex_quartets_past_the_merger(c, M, off_axis, monkeypatch):
     # past the merger the lowest roots of T are a conjugate pair E, conj E,
     # and the full operator has each twice: a quartet.  Near the merger
     # (c = 4.6) the pair sits in a dip of |P| on the real axis; at c = 25
-    # it lies far from the axis, the real grid misses it, and the zero
-    # count sends the solve to complete the box.
+    # it lies far from the axis, the real grid misses it, and the levels
+    # of one half of the well shifted by i c seed it.
     rep = build_hamiltonian(CouplingPair(c, c), GridSpec(M))
     ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
     calls = _count_dense_solves(monkeypatch)
+    seeded = []
+    shifted = coupledwell.oracle._TwoRegionBlock._shifted_levels
+    monkeypatch.setattr(
+        coupledwell.oracle._TwoRegionBlock,
+        "_shifted_levels",
+        lambda self, top, found: seeded.append(top) or shifted(self, top, found),
+    )
+    values, vectors = eigenpairs(rep, 8)
+    assert calls == [] and bool(seeded) == off_axis
+    quartet = values[:4]
+    assert np.abs(quartet.imag).min() > 0.5
+    assert quartet[0] == quartet[1].conjugate() == quartet[3] and quartet[1] == quartet[2]
+    _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+
+
+@pytest.mark.parametrize("c", [25.0, 80.0])
+def test_zero_count_completes_the_root_set(c, monkeypatch):
+    # without the off-axis seeds the count finds the quartets missing,
+    # and deflated Newton and halving the box with the same count
+    # isolate them
+    monkeypatch.setattr(
+        coupledwell.oracle._TwoRegionBlock, "_shifted_levels", lambda self, top, found: found
+    )
     completions = []
     complete = coupledwell.oracle._TwoRegionBlock._complete
     monkeypatch.setattr(
@@ -560,12 +583,27 @@ def test_complex_quartets_past_the_merger(c, M, completed, monkeypatch):
         "_complete",
         lambda self, *args: completions.append(args[1]) or complete(self, *args),
     )
-    values, vectors = eigenpairs(rep, 8)
-    assert calls == [] and bool(completions) == completed
-    quartet = values[:4]
-    assert np.abs(quartet.imag).min() > 0.5
-    assert quartet[0] == quartet[1].conjugate() == quartet[3] and quartet[1] == quartet[2]
+    rep = build_hamiltonian(CouplingPair(c, c), GridSpec(64))
+    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    calls = _count_dense_solves(monkeypatch)
+    values, vectors = eigenpairs(rep, 12)
+    assert calls == [] and completions
+    assert np.abs(values[:4].imag).min() > 0.5
     _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+
+
+@pytest.mark.parametrize("M", [64, 16384])
+def test_huge_coupling_is_solved(M):
+    # c = 1e6: every low root sits within 1e-3 of Im E = +-c, one
+    # half-well level above the band floor, and the count's box is 2e6 tall
+    rep = build_hamiltonian(CouplingPair(1e6, 1e6), GridSpec(M))
+    values, vectors = eigenpairs(rep, 4)
+    assert "matrix" not in vars(rep)
+    assert np.all(np.abs(np.abs(values.imag) - 1e6) < 1e-2)
+    assert np.all(np.abs(values.real - math.pi**2) < 0.02)
+    if M == 64:
+        ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+        _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
 
 
 def test_uncertified_roots_take_the_dense_path_only_at_small_grid(monkeypatch):
