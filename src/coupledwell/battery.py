@@ -18,10 +18,10 @@ from .metric import (
     mode_hamiltonian,
     mode_spin,
     quasi_hermiticity_defect,
-    spin_operator,
 )
 from .model import CouplingPair, GridSpec
-from .oracle import BandedHamiltonian, build_hamiltonian, compare_spectrum, eigenpairs
+from .oracle import _entry_max, _spin_commutator_max, _swap_reflect_defect
+from .oracle import build_hamiltonian, compare_spectrum, eigenpairs
 from .secular import DEFAULT_RESIDUAL_TOL, perturbative_eps
 from .wavefunctions import doublet_family, matching_residual, parity_overlap
 
@@ -120,50 +120,3 @@ def verify(
     ]
     return checks
 
-
-# The structure checks read the operator's bands: H = I (x) K + C (x) D
-# has K's bands in both channel blocks, the cross-channel entries iZ d
-# (upper right) and iY d (lower left), and nothing else.  Each value is
-# the entrywise maximum the dense matrices give, bit for bit
-# (tests/test_battery.py compares them with `.matrix`), in O(M).
-
-
-def _swap_reflect_defect(rep: BandedHamiltonian) -> float:
-    """max |S H S - H^dagger| for S = channel swap (x) index reversal R.
-
-    S H S has the blocks R K R on the diagonal and R (iY d) R, R (iZ d) R
-    off it, swapped; H^dagger has K and conj(iY d), conj(iZ d).
-    """
-    upper, lower = _cross_channel(rep)
-    return float(max(
-        np.abs(rep.sub[::-1] - rep.sub).max(),
-        np.abs(rep.diagonal[::-1] - rep.diagonal).max(),
-        np.abs(lower[::-1] - lower.conj()).max(),
-        np.abs(upper[::-1] - upper.conj()).max(),
-    ))
-
-
-def _spin_commutator_max(rep: BandedHamiltonian) -> float:
-    """max |H (spin (x) I) - (spin (x) I) H| for the 2x2 spin block.
-
-    The spin block is off-diagonal, so K's entries cancel exactly and
-    only the cross-channel entries remain, on the channel-diagonal
-    blocks: iZ d omega_10 - omega_01 iY d and iY d omega_01 - omega_10 iZ d.
-    """
-    omega = spin_operator(rep.coupling).matrix
-    upper, lower = _cross_channel(rep)
-    return float(max(
-        np.abs(upper * omega[1, 0] - omega[0, 1] * lower).max(),
-        np.abs(lower * omega[0, 1] - omega[1, 0] * upper).max(),
-    ))
-
-
-def _cross_channel(rep: BandedHamiltonian):
-    """The upper-right and lower-left entries iZ d and iY d."""
-    return 1j * rep.coupling.Z * rep.step, 1j * rep.coupling.Y * rep.step
-
-
-def _entry_max(rep: BandedHamiltonian) -> float:
-    """max |H_ij|."""
-    upper, lower = _cross_channel(rep)
-    return float(max(np.abs(band).max() for band in (rep.sub, rep.diagonal, upper, lower)))

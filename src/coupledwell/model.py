@@ -143,16 +143,6 @@ class PotentialSpec:
         """Lower-left entry: +iY on (-1,0), -iY on (0,1), 0 at x = 0."""
         return 1j * self.coupling.Y * self.step(x)
 
-    def channel_potential_upper(self, x):
-        import numpy as np
-
-        return np.zeros_like(self._check_x(x))
-
-    def channel_potential_lower(self, x):
-        import numpy as np
-
-        return np.zeros_like(self._check_x(x))
-
     def matrix(self, x: float) -> np.ndarray:
         """Full 2x2 potential matrix at a single point."""
         import numpy as np
@@ -247,16 +237,4 @@ def check_potential_symmetry(spec: PotentialSpec, n_samples: int = 64) -> dict:
     defect = 0.0
     for entry in (spec.coupling_to_upper, spec.coupling_to_lower):
         defect = max(defect, float(np.max(np.abs(np.conj(entry(x)) - entry(-x)))))
-    # diagonal channel potentials are zero, so their mirror relation is trivial
-    defect = max(
-        defect,
-        float(
-            np.max(
-                np.abs(
-                    spec.channel_potential_upper(x)
-                    - np.conj(spec.channel_potential_lower(-x))
-                )
-            )
-        ),
-    )
     return {"max_defect": defect}

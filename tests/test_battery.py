@@ -18,14 +18,16 @@ from coupledwell import (
     CouplingPair,
     GridSpec,
     ModelDomainError,
+    NumericalFailureError,
     RootLostError,
     build_hamiltonian,
     discrete_theta,
+    eigenpairs,
     spin_operator,
     verify,
 )
-from coupledwell.battery import _entry_max, _spin_commutator_max, _swap_reflect_defect
 from coupledwell.cli import main
+from coupledwell.oracle import _entry_max, _spin_commutator_max, _swap_reflect_defect
 
 
 def records(checks):
@@ -143,6 +145,17 @@ def test_band_structure_checks_are_the_dense_ones(M, Y, Z):
         assert _spin_commutator_max(rep) == np.max(np.abs(h @ omega - omega @ h))
         assert _entry_max(rep) == np.max(np.abs(h))
     assert _swap_reflect_defect(build_hamiltonian(CouplingPair(Y, Z), GridSpec(M))) == 0.0
+
+
+@pytest.mark.parametrize("Y, Z", [(1.0, -1.0), (0.0, 2.0), (1.0, 4.0)])
+def test_eigenpairs_refuses_bands_that_break_the_symmetry(Y, Z):
+    # the band check runs before either solve: YZ < 0 and the Jordan
+    # coupling (0, 2) take the dense solve, YZ > 0 the secular one
+    built, *edited = _edits(build_hamiltonian(CouplingPair(Y, Z), GridSpec(16)))
+    eigenpairs(built, 4)
+    for rep in edited:
+        with pytest.raises(NumericalFailureError, match="pseudo-Hermiticity violated"):
+            eigenpairs(rep, 4)
 
 
 def test_battery_builds_no_dense_matrix(monkeypatch):
