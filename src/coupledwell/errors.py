@@ -47,8 +47,8 @@ class NormalizationSingularError(RuntimeError):
 
 class MetricConstraintError(ValueError):
     """Metric construction rejected its inputs: non-positive weights
-    without the unsafe flag, a weight matrix that is not diagonal across
-    (E, sigma), or a coupling too close to the Hermitian limit."""
+    without the unsafe flag, weights that do not cover the family, or a
+    coupling too close to the Hermitian limit."""
 
 
 class NumericalFailureError(RuntimeError):

@@ -29,8 +29,9 @@ bilinear-orthogonal, so F[i, k] = sum_j G[j, i] S_j G[j, k] keeps only
 i = k = j.  The full G, from biorthogonality_matrix, is the check that
 the diagonal form holds.  Each d is a number of its state alone,
 2 |wu wl| |integral phi^2| (diagonal_overlap), so the mode-basis builders
-build no left partner; only biorthogonality_matrix (rows need q),
-spectral_reconstruct and the grid samples do.
+build no left partner; only biorthogonality_matrix (rows need q) and
+the grid samples do.  In the mode basis a spectral sum is diag(values),
+mode_hamiltonian or mode_spin, so spectral_reconstruct is grid-only.
 
 G and the Gram matrix of Theta^{-1} are N x N closed forms of the same
 shape: a channel-weight factor times 2 Re(a_i a_j I(kappa_i, kappa_j)),
@@ -83,6 +84,11 @@ def _level_count(n_levels) -> int:
 @dataclass(frozen=True, eq=False)
 class MetricWeights:
     """Positive weight pair (S_plus, S_minus) per retained level.
+
+    These per-state weights are the whole family: a weight matrix R in
+    sum R[a, b] |left_a><<left_b| makes H Hermitian only if
+    (E_b - E_a) R[a, b] = 0 and the channel observable only if
+    (sigma_b - sigma_a) R[a, b] = 0, and two states differ in E or sigma.
 
     Physical metrics need strict positivity; sign-indefinite choices are
     admitted only through the unsafe flag of the builders, for exploring
@@ -341,7 +347,7 @@ def _validate_family(states: Sequence[ChannelState]):
     return coupling, n_levels
 
 
-def _resolve_weights(states, weights, general_weight_matrix, unsafe):
+def _resolve_weights(states, weights, unsafe):
     # the family's meta, its per-state weights and its diagonal pairings d
     coupling, n_levels = _validate_family(states)
     if coupling.root_product < MIN_ROOT_PRODUCT:
@@ -350,33 +356,11 @@ def _resolve_weights(states, weights, general_weight_matrix, unsafe):
             "diagonal pairings vanish in the decoupled limit, so no metric of this "
             "family exists there. The Hermitian limit uses the identity metric."
         )
-    if general_weight_matrix is not None:
-        r = np.asarray(general_weight_matrix)
-        dim = 2 * n_levels
-        if r.shape != (dim, dim):
-            raise MetricConstraintError(
-                f"general weight matrix must be {dim}x{dim}, got {r.shape}"
-            )
-        off = r - np.diag(np.diag(r))
-        if np.any(off != 0):
-            raise MetricConstraintError(
-                "weight matrices mixing distinct levels or spin labels are rejected: "
-                "the intertwining constraint forces (E' - E) R = 0, leaving only the "
-                "diagonal reduction"
-            )
-        if np.any(np.iscomplex(r)) or not np.all(np.isfinite(np.diag(r).real)):
-            raise MetricConstraintError("weights must be finite reals")
-        per_state = np.diag(r).real.astype(float).copy()
-    else:
-        if weights is None:
-            weights = MetricWeights.unit(n_levels)
-        if weights.n_levels < n_levels:
-            raise MetricConstraintError(
-                f"weights cover {weights.n_levels} levels, need {n_levels}"
-            )
-        per_state = np.array(
-            [weights.select(s.level.n, s.sigma) for s in states], dtype=float
-        )
+    if weights is None:
+        weights = MetricWeights.unit(n_levels)
+    if weights.n_levels < n_levels:
+        raise MetricConstraintError(f"weights cover {weights.n_levels} levels, need {n_levels}")
+    per_state = np.array([weights.select(s.level.n, s.sigma) for s in states], dtype=float)
     if not unsafe and np.any(per_state <= 0.0):
         bad = int(np.argmin(per_state))
         raise MetricConstraintError(
@@ -414,7 +398,6 @@ def build_theta_metric(
     rep: RepBasis = RepBasis.MODE,
     grid: GridSpec | None = None,
     unsafe: bool = False,
-    general_weight_matrix: np.ndarray | None = None,
 ) -> OperatorRep:
     """Assemble the weighted left-projector sum as a form matrix.
 
@@ -427,7 +410,7 @@ def build_theta_metric(
     weighted by the node spacing.  The per-level 2x2 channel kernels are
     exposed in meta["channel_kernels"].
     """
-    meta, per_state, d = _resolve_weights(states, weights, general_weight_matrix, unsafe)
+    meta, per_state, d = _resolve_weights(states, weights, unsafe)
     meta["weights_by_state"] = per_state
     meta["channel_kernels"] = _kernels_by_level(states, per_state, meta["coupling"])
     if rep is RepBasis.MODE:
@@ -525,26 +508,19 @@ def _simpson_rule(intervals: int):
     return h * (np.arange(1, intervals) - half), full[1:-1]
 
 
-def spectral_reconstruct(
-    states: Sequence[ChannelState],
-    lefts: Sequence[LeftState],
-    kind: str = "hamiltonian",
-    rep: RepBasis = RepBasis.GRID,
-    grid: GridSpec | None = None,
-) -> OperatorRep:
-    """Truncated spectral sum  sum_i value_i |state_i><<left_i| / d_i.
+def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSpec) -> OperatorRep:
+    """Truncated spectral sum  sum_i value_i |state_i><<left_i| / d_i
+    on the interior nodes of `grid` (M divisible by 4), left_i =
+    left_vector(state_i), whose sign q_i enters the bra and d_i alike.
 
     kind selects value_i: the level energy ("hamiltonian"), the spin
     label ("spin"), or 1 ("identity", the completeness partial sum).
-    On the grid the bra integrals use Simpson node weights so that the
+    The bra integrals use Simpson node weights so that the
     reconstruction error on the retained span is quadrature-limited.
     """
     if kind not in _KINDS:
         raise ModelDomainError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if len(lefts) != len(states) or any(
-        l.state is not s for l, s in zip(lefts, states)
-    ):
-        raise ModelDomainError("lefts must pair one-to-one with states, in order")
+    lefts = [left_vector(s) for s in states]
     d = _normalizable([biorthogonal_overlap(l, s) for l, s in zip(lefts, states)])
     if kind == "hamiltonian":
         values = np.array([s.level.E for s in states])
@@ -552,22 +528,14 @@ def spectral_reconstruct(
         values = np.array([float(s.sigma) for s in states])
     else:
         values = np.ones(len(states))
-    meta = {"kind": kind, "order": [(s.level.n, s.sigma) for s in states]}
-    if rep is RepBasis.GRID:
-        if grid is None:
-            raise ModelDomainError("grid representation needs a GridSpec")
-        nodes, w = _simpson_rule(grid.M)
-        w2 = np.concatenate([w, w])
-        right = _sample(states, nodes)
-        bras = _sample(lefts, nodes)
-        matrix = (right * (values / d)) @ (bras.conj() * w2[:, None]).T
-        meta.update({"grid": grid, "rule": "simpson"})
-        return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=False, meta=meta)
-    if rep is RepBasis.MODE:
-        # the pairing matrix is diag(d) in closed form
-        matrix = np.diag(values / d * d)
-        return OperatorRep(matrix=matrix, basis=RepBasis.MODE, is_form=False, meta=meta)
-    raise ModelDomainError(f"unsupported representation {rep!r} for spectral sums")
+    nodes, w = _simpson_rule(grid.M)
+    w2 = np.concatenate([w, w])
+    right = _sample(states, nodes)
+    bras = _sample(lefts, nodes)
+    matrix = (right * (values / d)) @ (bras.conj() * w2[:, None]).T
+    order = [(s.level.n, s.sigma) for s in states]
+    meta = {"kind": kind, "order": order, "grid": grid, "rule": "simpson"}
+    return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=False, meta=meta)
 
 
 def inverse_theta_metric(
@@ -586,7 +554,7 @@ def inverse_theta_metric(
     (wu_i wu_j + wl_i wl_j) 2 Re(conj(a_i) a_j I(conj(kappa_i), kappa_j)),
     one vector expression (see the module notes).
     """
-    meta, per_state, d = _resolve_weights(states, weights, None, unsafe)
+    meta, per_state, d = _resolve_weights(states, weights, unsafe)
     coeff = 1.0 / (per_state * d * d)
     meta.update({"coefficients": coeff, "diagonal_overlaps": d})
     if rep is RepBasis.MODE:
@@ -621,7 +589,7 @@ def inverse_identity_defect(
     """
     if theta_rep.basis is not RepBasis.MODE or not theta_rep.is_form:
         raise ModelDomainError("identity check expects the mode-basis metric form")
-    _, per_state, d = _resolve_weights(states, weights, None, unsafe)
+    _, per_state, d = _resolve_weights(states, weights, unsafe)
     if theta_rep.dim != len(states):
         raise ModelDomainError("metric dimension does not match the state list")
     coeff = 1.0 / (per_state * d * d)

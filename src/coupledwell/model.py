@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 HALF_WIDTH = 1.0
+SYMMETRY_SAMPLES = 64  # points of check_potential_symmetry
 
 
 class BranchClass(enum.Enum):
@@ -222,18 +223,16 @@ class OperatorRep:
         return self.matrix.shape[0]
 
 
-def check_potential_symmetry(spec: PotentialSpec, n_samples: int = 64) -> dict:
+def check_potential_symmetry(spec: PotentialSpec) -> dict:
     """Verify conj(W(x)) = W(-x) for both coupling entries.
 
-    Samples are interior midpoints of (0, 1), so x = 0 (where the sign
-    convention is the average) is never hit.  Returns the report
-    {"max_defect": ...}; the defect is exactly 0 for this potential.
+    Samples are SYMMETRY_SAMPLES interior midpoints of (0, 1), so x = 0
+    (where the sign convention is the average) is never hit.  Returns the
+    report {"max_defect": ...}; the defect is exactly 0 for this potential.
     """
     import numpy as np
 
-    if n_samples < 1:
-        raise ModelDomainError("n_samples must be >= 1")
-    x = (np.arange(n_samples) + 0.5) / n_samples
+    x = (np.arange(SYMMETRY_SAMPLES) + 0.5) / SYMMETRY_SAMPLES
     defect = 0.0
     for entry in (spec.coupling_to_upper, spec.coupling_to_lower):
         defect = max(defect, float(np.max(np.abs(np.conj(entry(x)) - entry(-x)))))

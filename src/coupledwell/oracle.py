@@ -61,6 +61,7 @@ from .model import CouplingPair, GridSpec, OperatorRep, PotentialSpec, RepBasis,
 from .secular import LevelSolution
 
 DEGENERACY_RTOL = 1e-6
+REAL_IM_MAX = 1e-6  # a criticality scan entry with max |Im E| up to this is real
 PAIRING_RTOL = 1e-6
 # largest dense fallback of a BandedHamiltonian: M <= 2048, 270 MB for the matrix alone
 DENSE_MAX_DIM = 4096
@@ -777,8 +778,8 @@ def _split(box, roots):
     return (re0, cut, reach), (cut, re1, reach)
 
 
-def group_degenerate(values: np.ndarray, rtol: float = DEGENERACY_RTOL):
-    """Cluster eigenvalues whose gaps are below rtol * max(1, |E|).
+def group_degenerate(values: np.ndarray):
+    """Cluster eigenvalues whose gaps are below DEGENERACY_RTOL * max(1, |E|).
 
     Returns a list of (mean value, multiplicity) in ascending real part.
     """
@@ -789,7 +790,7 @@ def group_degenerate(values: np.ndarray, rtol: float = DEGENERACY_RTOL):
     clusters = [[values[0]]]
     for v in values[1:]:
         anchor = clusters[-1][-1]
-        if abs(v - anchor) <= rtol * max(1.0, abs(anchor)):
+        if abs(v - anchor) <= DEGENERACY_RTOL * max(1.0, abs(anchor)):
             clusters[-1].append(v)
         else:
             clusters.append([v])
@@ -873,11 +874,11 @@ def criticality_scan(c_values: Sequence[float], grid: GridSpec):
     return out
 
 
-def first_complex_bracket(scan, threshold: float = 1e-6):
+def first_complex_bracket(scan):
     """Bracket (last real c, first complex c) from a criticality scan."""
     last_real = None
     for c, im in scan:
-        if im <= threshold:
+        if im <= REAL_IM_MAX:
             last_real = c
         elif last_real is not None:
             return (last_real, c)

@@ -524,27 +524,6 @@ def test_indefinite_weights_need_unsafe():
     assert np.linalg.eigvalsh(theta.matrix).min() < 0.0
 
 
-def test_general_weight_matrix_diagonal_reduction():
-    states = doublet_family(UNIT, 2)
-    r = np.diag([1.0, 2.0, 3.0, 4.0])
-    theta_r = build_theta_metric(states, general_weight_matrix=r)
-    w = MetricWeights(s_plus=np.array([1.0, 3.0]), s_minus=np.array([2.0, 4.0]))
-    theta_w = build_theta_metric(states, w)
-    assert np.array_equal(theta_r.matrix, theta_w.matrix)
-
-
-def test_general_weight_matrix_rejects_mixing():
-    states = doublet_family(UNIT, 2)
-    r = np.diag([1.0, 1.0, 1.0, 1.0])
-    r[0, 2] = 0.1
-    with pytest.raises(MetricConstraintError):
-        build_theta_metric(states, general_weight_matrix=r)
-    with pytest.raises(MetricConstraintError):
-        build_theta_metric(states, general_weight_matrix=np.eye(3))
-    with pytest.raises(MetricConstraintError):
-        build_theta_metric(states, general_weight_matrix=np.eye(4) * (1 + 1j))
-
-
 def test_metric_refuses_near_decoupled_family():
     pair = CouplingPair(1e-7, 1e-7)
     states = doublet_family(pair, 1)
@@ -634,31 +613,37 @@ def test_inverse_theta_scaling():
     assert np.abs(c * d * d - 1.0).max() < 1e-12
 
 
-def test_spectral_reconstruct_mode_is_diagonal():
-    states = doublet_family(UNIT, 4)
-    lefts = [left_vector(s) for s in states]
-    rec = spectral_reconstruct(states, lefts, "hamiltonian", rep=RepBasis.MODE)
-    energies = np.array([s.level.E for s in states])
-    assert np.abs(rec.matrix - np.diag(energies)).max() < 1e-9
-    rec_s = spectral_reconstruct(states, lefts, "spin", rep=RepBasis.MODE)
-    assert np.abs(rec_s.matrix - np.diag([s.sigma for s in states])).max() < 1e-9
-    # the same diagonal as diag(values / d) times the full closed-form
-    # pairing matrix, and exact zeros off it
-    d = np.array([biorthogonal_overlap(l, s) for l, s in zip(lefts, states)])
-    pairing = biorthogonality_matrix(states, lefts, method="closed")
-    for rec, values in ((rec, energies), (rec_s, np.array([float(s.sigma) for s in states]))):
-        assert np.array_equal(np.diag(rec.matrix), np.diag(np.diag(values / d) @ pairing))
-        assert not np.any(rec.matrix - np.diag(np.diag(rec.matrix)))
+@pytest.mark.parametrize("M", [64, 512])
+@pytest.mark.parametrize("c", [0.01, 1.0, 4.4])
+def test_spectral_reconstruct_is_the_sum_over_left_partners(c, M):
+    # the sum, written out with the states' own left partners: their
+    # bras and their pairings d, bit for bit
+    grid = GridSpec(M)
+    nodes, w = metric_module._simpson_rule(M)
+    w2 = np.concatenate([w, w])[:, None]
+    for ratio in (0.25, 1.0, 4.0):
+        for n_levels in (1, 4, 8):
+            states = doublet_family(CouplingPair(c * math.sqrt(ratio), c / math.sqrt(ratio)),
+                                    n_levels)
+            lefts = [left_vector(s) for s in states]
+            d = np.array([biorthogonal_overlap(l, s) for l, s in zip(lefts, states)])
+            right, bras = metric_module._sample(states, nodes), metric_module._sample(lefts, nodes)
+            for kind, values in (
+                ("hamiltonian", np.array([s.level.E for s in states])),
+                ("spin", np.array([float(s.sigma) for s in states])),
+                ("identity", np.ones(len(states))),
+            ):
+                expected = (right * (values / d)) @ (bras.conj() * w2).T
+                assert np.array_equal(spectral_reconstruct(states, kind, grid).matrix, expected)
 
 
 def test_spectral_reconstruct_grid_accuracy():
     grid = GridSpec(512)
     states = doublet_family(UNIT, 4)
-    lefts = [left_vector(s) for s in states]
     nodes = grid.interior_nodes
-    rec_h = spectral_reconstruct(states, lefts, "hamiltonian", grid=grid)
-    rec_i = spectral_reconstruct(states, lefts, "identity", grid=grid)
-    rec_o = spectral_reconstruct(states, lefts, "spin", grid=grid)
+    rec_h = spectral_reconstruct(states, "hamiltonian", grid)
+    rec_i = spectral_reconstruct(states, "identity", grid)
+    rec_o = spectral_reconstruct(states, "spin", grid)
     for st in states:
         v = np.concatenate([st.upper(nodes), st.lower(nodes)])
         scale = np.abs(v).max()
@@ -669,15 +654,10 @@ def test_spectral_reconstruct_grid_accuracy():
 
 def test_spectral_reconstruct_validation():
     states = doublet_family(UNIT, 2)
-    lefts = [left_vector(s) for s in states]
     with pytest.raises(ModelDomainError):
-        spectral_reconstruct(states, lefts[::-1], "hamiltonian", rep=RepBasis.MODE)
+        spectral_reconstruct(states, "resolvent", GridSpec(128))
     with pytest.raises(ModelDomainError):
-        spectral_reconstruct(states, lefts, "resolvent", rep=RepBasis.MODE)
-    with pytest.raises(ModelDomainError):
-        spectral_reconstruct(states, lefts, "hamiltonian", grid=GridSpec(126))
-    with pytest.raises(ModelDomainError):
-        spectral_reconstruct(states, lefts, "hamiltonian")  # grid missing
+        spectral_reconstruct(states, "hamiltonian", GridSpec(126))
 
 
 def test_singular_parity_overlap_is_refused():
@@ -689,9 +669,8 @@ def test_singular_parity_overlap_is_refused():
         left_vector(st)
     with pytest.raises(NormalizationSingularError):
         diagonal_overlap(st)
-    forced = LeftState(state=st, q=1)
     with pytest.raises(NormalizationSingularError):
-        spectral_reconstruct([st], [forced], "identity", rep=RepBasis.MODE)
+        spectral_reconstruct([st], "identity", GridSpec(64))
 
 
 def test_diagonal_overlap_has_no_relative_floor():
