@@ -19,7 +19,7 @@ from .metric import (
     mode_spin,
     quasi_hermiticity_defect,
 )
-from .model import CouplingPair, GridSpec
+from .model import BranchClass, CouplingPair, GridSpec
 from .oracle import _entry_max, _spin_commutator_max, _swap_reflect_defect
 from .oracle import build_hamiltonian, compare_spectrum, eigenpairs
 from .secular import DEFAULT_RESIDUAL_TOL, perturbative_eps
@@ -60,9 +60,12 @@ def verify(
     coupled degenerate branch), and RootLostError at or above the
     critical coupling of a requested pair.
     """
-    if coupling.product <= 0:
+    if coupling.branch is not BranchClass.POSITIVE_PRODUCT:
         raise ModelDomainError("verify exercises the coupled degenerate branch and needs YZ > 0")
     states = doublet_family(coupling, n_levels, tol)
+    # first, so that the family's refusal below MIN_ROOT_PRODUCT comes
+    # before the perturbation ratio, whose errors are 0 / 0 there
+    theta = build_theta_metric(states)
     levels = [s.level for s in states[::2]]
     c = coupling.root_product
 
@@ -89,7 +92,6 @@ def verify(
     pairing = biorthogonality_matrix(states)
     diag = np.diag(pairing)
     off = pairing - np.diag(diag)
-    theta = build_theta_metric(states)
     checks += [
         Check("biorthogonal diagonal min", np.min(diag), 0.0, ">"),
         Check("biorthogonal off-diagonal / max diagonal",

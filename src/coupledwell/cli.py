@@ -28,7 +28,7 @@ from .errors import (
     NumericalFailureError,
     RootLostError,
 )
-from .model import CouplingPair, GridSpec, RepBasis, as_index, validate_tol
+from .model import BranchClass, CouplingPair, GridSpec, RepBasis, as_index, validate_tol
 from .secular import (
     DEFAULT_CRITICAL_TOL,
     DEFAULT_RESIDUAL_TOL,
@@ -202,7 +202,7 @@ def _cmd_oracle(args) -> int:
     from .oracle import build_hamiltonian, compare_spectrum, eigenpairs
 
     coupling = CouplingPair(args.Y, args.Z)
-    if coupling.product < 0:
+    if coupling.branch is BranchClass.NEGATIVE_PRODUCT:
         raise ModelDomainError(
             "oracle comparison covers YZ >= 0 (degenerate doublet structure)"
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import TYPE_CHECKING
@@ -77,15 +78,15 @@ def validate_tol(tol: float) -> None:
 
 
 def classify_branch(Y: float, Z: float) -> BranchClass:
-    """Classify the coupling pair by the sign of the product YZ."""
+    """Classify the coupling pair by the sign of the product YZ, read off
+    the signs of Y and Z: the float product under- and overflows."""
     _require_finite("Y", Y)
     _require_finite("Z", Z)
-    product = Y * Z
-    if product > 0:
+    if Y == 0.0 or Z == 0.0:
+        return BranchClass.DECOUPLED
+    if (Y > 0.0) == (Z > 0.0):
         return BranchClass.POSITIVE_PRODUCT
-    if product < 0:
-        return BranchClass.NEGATIVE_PRODUCT
-    return BranchClass.DECOUPLED
+    return BranchClass.NEGATIVE_PRODUCT
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,23 @@ class CouplingPair:
     @property
     def root_product(self) -> float:
         """sqrt(YZ) for the positive branch, sqrt(-YZ) for the negative,
-        0 when decoupled."""
-        return math.sqrt(abs(self.product))
+        0 when decoupled.
+
+        Where |YZ| overflows or falls below the smallest normal float the
+        root is taken from the mantissas and exponents of Y and Z, so it
+        stays finite and within an ulp for every finite pair.
+        """
+        product = abs(self.product)
+        if product < sys.float_info.min or product == math.inf:
+            (my, ey), (mz, ez) = math.frexp(abs(self.Y)), math.frexp(abs(self.Z))
+            return math.ldexp(math.sqrt(my * mz * 2.0 ** ((ey + ez) % 2)), (ey + ez) // 2)
+        return math.sqrt(product)
+
+    @property
+    def non_diagonalizable(self) -> bool:
+        """Exactly one of Y, Z nonzero: the channel matrix
+        [[0, iZ], [iY, 0]] is then a Jordan block."""
+        return (self.Y == 0.0) != (self.Z == 0.0)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModelDomainError, NumericalFailureError
-from .model import CouplingPair, GridSpec, OperatorRep, PotentialSpec, RepBasis, as_index
+from .model import BranchClass, CouplingPair, GridSpec, OperatorRep, PotentialSpec, RepBasis, as_index
 from .secular import LevelSolution
 
 DEGENERACY_RTOL = 1e-6
@@ -271,7 +271,7 @@ def eigenpairs(rep: OperatorRep | BandedHamiltonian, k: int):
 def _reducible(coupling: CouplingPair) -> bool:
     """C is diagonalisable with x-independent eigenvectors: YZ > 0, or
     C = 0.  With exactly one of Y, Z nonzero it is a Jordan block."""
-    return coupling.product > 0 or coupling.Y == coupling.Z == 0.0
+    return coupling.branch is not BranchClass.NEGATIVE_PRODUCT and not coupling.non_diagonalizable
 
 
 def _cut(values: np.ndarray, vectors: np.ndarray, k: int):
@@ -324,7 +324,7 @@ def _reduced_eigenpairs(rep: BandedHamiltonian, k: int):
     to the dense eigensolve.
     """
     coupling, sub, diagonal, step = rep.coupling, rep.sub, rep.diagonal, rep.step
-    c = math.sqrt(coupling.product)
+    c = coupling.root_product
     block = _TwoRegionBlock.from_bands(sub, diagonal, step, c)
     if block is None:
         return None
@@ -378,11 +378,11 @@ class _TwoRegionBlock:
     far past the merger, from the levels of one half of the well
     shifted by +-i gamma; an argument-principle count of the zeros in a
     rectangle that holds the numerical range is the certificate that
-    none is missing.  On a mismatch the rectangle is subdivided by the
-    same count until every root is isolated.  P and its slope are
-    evaluated scaled by exp(-|Im m theta_L| - |Im m theta_R|), a
-    positive factor that keeps the signs and phases and never
-    overflows.
+    none is missing.  On a mismatch, deflated Newton from the dips of |P|
+    on the rectangle's mid-line and subdivision by the same count find
+    every root.  P and its slope are evaluated scaled by
+    exp(-|Im m theta_L| - |Im m theta_R|), a positive factor that keeps
+    the signs and phases and never overflows.
     """
 
     floor: float
@@ -625,9 +625,9 @@ class _TwoRegionBlock:
 
     def _complete(self, box, count: int, known: np.ndarray) -> np.ndarray | None:
         """All `count` roots in box, from the known ones: boxes whose count
-        exceeds their known roots get a deflated Newton from inside, and
-        are split in two across the real direction, each half counted,
-        until none is missing."""
+        exceeds their known roots get a deflated Newton from their
+        mid-line (`_mid_line_seeds`), and are split in two across the real
+        direction, each half counted, until none is missing."""
         found = self._shifted_levels(box[1], list(known)) if self.gamma else list(known)
         up = min(0.5, box[2] / 8)
         pending = [(box, count, 0)]
@@ -639,11 +639,8 @@ class _TwoRegionBlock:
                 return None
             if missing == 0:
                 continue
-            re0, re1, reach = part
-            # the halves keep the full height: Newton starts at mid-height
-            # and at |gamma|, where the pairs far past the merger sit
-            for height in (0.5 * reach, reach - 1.0):
-                root = self._newton(complex(0.5 * (re0 + re1), height), found)
+            for seed in self._mid_line_seeds(part, up):
+                root = self._newton(seed, found)
                 if root is not None and _inside(part, root) and _is_new(root, found):
                     break
             else:
@@ -663,6 +660,21 @@ class _TwoRegionBlock:
                 return None
             pending += [(half, n, depth + 1) for half, n in zip(halves, counts)]
         return _distinct([r for r in found if _inside(box, r)])
+
+    def _mid_line_seeds(self, box, step: float):
+        """Newton starts on the vertical mid-line of box (the halves of a
+        split keep the full height): mid-height and |gamma|, where the
+        pairs far past the merger sit, then the local minima of |P|
+        sampled `step` apart on the upper half (|P| is even in Im E)."""
+        re0, re1, reach = box
+        mid = 0.5 * (re0 + re1)
+        yield complex(mid, 0.5 * reach)
+        yield complex(mid, reach - 1.0)
+        heights = np.linspace(0.0, reach, math.ceil(reach / step) + 1)
+        size = np.abs(self.secular(mid + 1j * heights))
+        dips = np.flatnonzero((size[1:-1] < size[:-2]) & (size[1:-1] < size[2:])) + 1
+        for height in heights[dips].tolist():
+            yield complex(mid, height)
 
     def _winding(self, box, steps) -> int | None:
         """Zeros of P in the box re0 <= Re E <= re1, |Im E| <= reach, by the

@@ -263,12 +263,11 @@ def spectrum(
             levels.append(solve_level(n, coupling, tol, sublabel=-1))
             levels.append(solve_level(n, coupling, tol, sublabel=+1))
     else:
-        double = (coupling.Y != 0.0) or (coupling.Z != 0.0)
-        non_diagonalizable = double
+        non_diagonalizable = coupling.non_diagonalizable
         for n in range(n_max + 1):
             sol = solve_level(n, coupling, tol)
             levels.append(sol)
-            if double:
+            if non_diagonalizable:
                 levels.append(sol)
 
     return SpectrumResult(

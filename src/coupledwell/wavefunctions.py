@@ -140,7 +140,7 @@ def solve_coefficients(
     branch = coupling.branch
     if branch is BranchClass.NEGATIVE_PRODUCT:
         raise ModelDomainError("coefficient solver covers the positive-product branch only")
-    if branch is BranchClass.DECOUPLED and (coupling.Y != 0.0 or coupling.Z != 0.0):
+    if coupling.non_diagonalizable:
         raise ModelDomainError(
             "semi-decoupled coupling (YZ = 0 with one amplitude nonzero) is non-diagonalizable; "
             "no channel doublet exists"

@@ -17,6 +17,7 @@ from coupledwell import (
     Check,
     CouplingPair,
     GridSpec,
+    MetricConstraintError,
     ModelDomainError,
     NumericalFailureError,
     RootLostError,
@@ -60,6 +61,14 @@ def test_library_records_are_the_cli_json(Y, Z, levels, grid):
     assert payload["all_passed"] is all(c.passed for c in checks)
     assert code == (0 if payload["all_passed"] else 4) and err == ""
     assert [type(c.value) for c in checks] == [float] * len(checks)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-100])
+def test_tiny_coupling_is_refused_by_the_metric_family(c):
+    # at 1e-200 YZ underflows to 0, which is not the decoupled branch; at
+    # 1e-100 the perturbation ratio would divide 0 by 0
+    with pytest.raises(MetricConstraintError, match="below 1e-06"):
+        verify(CouplingPair(c, c), 4, GridSpec(64))
 
 
 def test_every_check_passes_at_small_coupling():

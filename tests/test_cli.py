@@ -82,10 +82,35 @@ def test_spectrum_tiny_coupling_keeps_each_root_in_its_cell(capsys):
 
 
 def test_spectrum_overflowing_coupling_exits_3(capsys):
-    code, out, err = run(capsys, "spectrum", "--Y", "3000", "--Z", "3000", "--levels", "1")
-    assert code == 3
-    assert json.loads(out) == []
-    assert "root lost" in err
+    # at 1e200 the float product YZ is inf, sqrt(YZ) = 1e200 is not
+    for amplitude in ("3000", "1e200"):
+        code, out, err = run(capsys, "spectrum", "--Y", amplitude, "--Z", amplitude,
+                             "--levels", "1")
+        assert code == 3
+        assert out == "[]\n"
+        assert "root lost" in err
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_spectrum_overflowing_negative_product_prints_finite_energies(capsys):
+    code, out, err = run(capsys, "spectrum", "--Y", "1e200", "--Z", "-1e200", "--levels", "2")
+    assert code == 0 and err == ""
+    assert [r["E"] for r in strict_json(out)] == [-1e200, 1e200, -1e200, 1e200]
+
+
+def test_spectrum_underflowing_product_is_the_positive_branch(capsys):
+    # YZ = 0 in floats, but neither amplitude is 0: box levels, no Jordan block
+    code, out, err = run(capsys, "spectrum", "--Y", "1e-200", "--Z", "1e-200", "--levels", "2")
+    assert code == 0 and err == ""
+    records = strict_json(out)
+    assert [r["branch"] for r in records] == ["POSITIVE_PRODUCT"] * 2
+    assert [r["E"] for r in records] == [((n + 1) * math.pi / 2.0) ** 2 for n in range(2)]
 
 
 def test_spectrum_jordan_warning(capsys):
@@ -329,6 +354,23 @@ def test_verify_above_critical_exits_3(capsys):
 def test_verify_rejects_uncoupled_input(capsys):
     code, _, _ = run(capsys, "verify", "--Y", "0", "--Z", "0")
     assert code == 2
+
+
+def test_verify_underflowing_product_is_refused_by_the_metric_family(capsys):
+    # not as YZ <= 0: the family has no metric below sqrt(YZ) = 1e-6
+    code, out, err = run(capsys, "verify", "--Y", "1e-200", "--Z", "1e-200",
+                         "--levels", "4", "--grid", "64")
+    assert code == 2 and out == ""
+    assert "sqrt(|YZ|) = 1.000e-200" in err
+
+
+def test_oracle_underflowing_product_takes_the_secular_path(capsys):
+    # the dense path leaves rounding noise in Im E; the secular roots are real
+    code, out, _ = run(capsys, "oracle", "--Y", "1e-200", "--Z", "1e-200", "--grid", "512")
+    assert code == 0
+    report = strict_json(out)
+    assert [r["im_numeric"] for r in report["levels"]] == [0.0] * 4
+    assert report["degeneracy_ok"]
 
 
 def test_oracle_csv_with_orders(capsys):

@@ -1,5 +1,6 @@
 """Domain types: coupling branches, the off-diagonal potential, operator wrappers."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,36 @@ def test_branch_classification():
     assert classify_branch(0.0, 0.0) is BranchClass.DECOUPLED
     assert CouplingPair(2.0, 0.5).branch is BranchClass.POSITIVE_PRODUCT
     assert CouplingPair(3.0, 0.0).branch is BranchClass.DECOUPLED
+    # from the signs, where the float product YZ under- or overflows
+    assert CouplingPair(1e-200, 1e-200).branch is BranchClass.POSITIVE_PRODUCT
+    assert CouplingPair(-1e-200, -1e-200).branch is BranchClass.POSITIVE_PRODUCT
+    assert CouplingPair(1e200, -1e200).branch is BranchClass.NEGATIVE_PRODUCT
+    assert CouplingPair(-1e-200, 1e-200).branch is BranchClass.NEGATIVE_PRODUCT
+    assert CouplingPair(-0.0, 1e200).branch is BranchClass.DECOUPLED
+
+
+@pytest.mark.parametrize("Y, Z, root", [
+    (1e200, 1e200, 1e200),
+    (1e200, -1e200, 1e200),
+    (1e-200, 1e-200, 1e-200),
+    (2.0**-1060, 2.0**-40, 2.0**-550),  # a subnormal amplitude
+    (0.0, 1e300, 0.0),
+])
+def test_root_product_where_the_product_under_or_overflows(Y, Z, root):
+    assert CouplingPair(Y, Z).root_product == pytest.approx(root, rel=1e-15, abs=0.0)
+
+
+def test_root_product_moves_no_bit_where_the_product_is_normal():
+    for Y, Z in [(1.0, 4.0), (2.3, -0.7), (1e-150, 1e-150), (3e153, 5e153), (1e-10, 0.0)]:
+        assert CouplingPair(Y, Z).root_product == math.sqrt(abs(Y * Z))
+
+
+def test_non_diagonalizable_is_exactly_one_nonzero_amplitude():
+    assert CouplingPair(0.0, 3.0).non_diagonalizable
+    assert CouplingPair(1e-300, -0.0).non_diagonalizable
+    assert not CouplingPair(0.0, -0.0).non_diagonalizable
+    assert not CouplingPair(1e-200, 1e-200).non_diagonalizable
+    assert not CouplingPair(1.0, -1.0).non_diagonalizable
 
 
 def test_coupling_rejects_non_finite():

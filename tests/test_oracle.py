@@ -596,6 +596,21 @@ def test_zero_count_completes_the_root_set(c, monkeypatch):
     _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
 
 
+def test_mid_line_dips_complete_the_root_set_far_past_the_merger(monkeypatch):
+    # c = 4000, M = 256 without the off-axis seeds: the count covers the
+    # whole band, and the roots that Newton from mid-height and |gamma|
+    # misses are reached from the dips of |P| on each box's mid-line
+    rep = build_hamiltonian(CouplingPair(4000.0, 4000.0), GridSpec(256))
+    seeded, _ = eigenpairs(rep, 12)
+    monkeypatch.setattr(
+        coupledwell.oracle._TwoRegionBlock, "_shifted_levels", lambda self, top, found: found
+    )
+    calls = _count_dense_solves(monkeypatch)
+    values, _ = eigenpairs(rep, 12)
+    assert calls == []
+    assert np.abs(values - seeded).max() <= 1e-9 * np.abs(seeded).max()
+
+
 @pytest.mark.parametrize("M", [64, 16384])
 def test_huge_coupling_is_solved(M):
     # c = 1e6: every low root sits within 1e-3 of Im E = +-c, one

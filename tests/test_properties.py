@@ -1,12 +1,17 @@
 """Property tests: invariants that should hold over the whole coupling range,
 not just at hand-picked points."""
 
+import contextlib
+import io
+import json
 import math
 
+import mpmath
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coupledwell import (
+    BranchClass,
     CouplingPair,
     biorthogonal_overlap,
     diagonal_overlap,
@@ -16,7 +21,9 @@ from coupledwell import (
     parity_overlap,
     solve_coefficients,
     solve_level,
+    spectrum,
 )
+from coupledwell.cli import main
 from coupledwell.wavefunctions import channel_weights
 
 # keep sqrt(YZ) <= 4, safely below the lowest merger at 4.4753
@@ -80,3 +87,41 @@ def test_diagonal_overlap_is_the_left_partner_pairing(log_c, log_ratio, n_levels
         assert d == biorthogonal_overlap(left_vector(state), state)
         wu, wl = channel_weights(state.sigma, state.Y, state.Z)
         assert abs(d - 2.0 * abs(wu * wl) * abs(parity_overlap(state))) <= 2e-15 * d
+
+
+# +-10^u over the finite range, where YZ under- and overflows, and exact zeros
+any_amplitudes = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, u: sign * 10.0**u, st.sampled_from([1.0, -1.0]),
+              st.floats(min_value=-300.0, max_value=300.0)),
+)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(y=any_amplitudes, z=any_amplitudes)
+# sqrt|Y| sqrt|Z| rounds 1.5 ulp from the root here
+@example(y=1.1e201, z=1.3e201)
+@example(y=1.7e201, z=-2.2e201)
+def test_coupling_domain_gives_levels_or_a_truncation(y, z):
+    pair = CouplingPair(y, z)
+    if y == 0.0 or z == 0.0:
+        assert pair.branch is BranchClass.DECOUPLED
+    elif (y > 0.0) == (z > 0.0):
+        assert pair.branch is BranchClass.POSITIVE_PRODUCT
+    else:
+        assert pair.branch is BranchClass.NEGATIVE_PRODUCT
+    with mpmath.workprec(200):
+        exact = mpmath.sqrt(abs(mpmath.mpf(y) * mpmath.mpf(z)))
+        assert abs(mpmath.mpf(pair.root_product) - exact) <= math.ulp(pair.root_product)
+    result = spectrum(pair, 2)
+    assert result.levels or result.truncated_at is not None
+    assert all(math.isfinite(level.E) for level in result.levels)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["spectrum", "--Y", repr(y), "--Z", repr(z), "--levels", "2"])
+    assert code in (0, 3)
+    json.loads(out.getvalue(), parse_constant=_refuse_constant)
