@@ -28,7 +28,7 @@ from .errors import (
     NumericalFailureError,
     RootLostError,
 )
-from .model import BranchClass, CouplingPair, GridSpec, RepBasis, as_index, validate_tol
+from .model import BranchClass, CouplingPair, GridSpec, as_index, validate_tol
 from .secular import (
     DEFAULT_CRITICAL_TOL,
     DEFAULT_RESIDUAL_TOL,
@@ -129,10 +129,9 @@ def _cmd_metric(args) -> int:
         if args.weights
         else MetricWeights.unit(args.levels)
     )
-    rep = build_theta_metric(
-        states, weights, rep=RepBasis.MODE, unsafe=args.unsafe
-    )
-    eigenvalues = np.linalg.eigvalsh(rep.matrix)
+    rep = build_theta_metric(states, weights, unsafe=args.unsafe)
+    # the mode form is diagonal, so its eigenvalues are its sorted diagonal
+    eigenvalues = np.sort(np.diag(rep.matrix))
     if args.format == "json":
         payload = {
             "Y": coupling.Y,

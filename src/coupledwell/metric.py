@@ -10,7 +10,8 @@ sign q fixed in wavefunctions.quasi_parity.  Any positive combination
 
 intertwines the operator with its adjoint exactly, for every admissible
 weight choice; that sum over the retained levels is what
-build_theta_metric assembles.
+build_theta_metric assembles, as the mode form or, given grid= a
+GridSpec, sampled on its nodes (inverse_theta_metric alike).
 
 Map versus form: mode-basis vectors are exact eigenstates and are not
 mutually orthogonal, so an operator has two inequivalent matrices there
@@ -71,6 +72,7 @@ from .wavefunctions import (
 MIN_ROOT_PRODUCT = 1e-6
 
 _OVERLAP_FLOOR = 1e-12
+_PANELS = 512  # Simpson panels per half of biorthogonality_matrix's quadrature
 _KINDS = ("hamiltonian", "spin", "identity")
 
 
@@ -91,7 +93,7 @@ class MetricWeights:
     (sigma_b - sigma_a) R[a, b] = 0, and two states differ in E or sigma.
 
     Physical metrics need strict positivity; sign-indefinite choices are
-    admitted only through the unsafe flag of the builders, for exploring
+    admitted only through the unsafe flag of build_theta_metric, for exploring
     the wider pseudo-metric menu.
     """
 
@@ -143,6 +145,10 @@ class MetricWeights:
                     plus, minus = float(parts[1]), float(parts[2])
                 except ValueError as exc:
                     raise MetricConstraintError(f"{path}:{lineno}: {exc}") from exc
+                if not (math.isfinite(plus) and math.isfinite(minus)):
+                    raise MetricConstraintError(
+                        f"{path}:{lineno}: weights must be finite, got {raw!r}"
+                    )
                 if not 0 <= n < n_levels:
                     raise MetricConstraintError(
                         f"{path}:{lineno}: level {n} outside 0..{n_levels - 1}"
@@ -245,7 +251,6 @@ def biorthogonality_matrix(
     states: Sequence[ChannelState],
     lefts: Sequence[LeftState] | None = None,
     method: str = "closed",
-    panels: int = 512,
 ) -> np.ndarray:
     """Pairing matrix G[i, j] = <<left_i|state_j>.
 
@@ -255,7 +260,7 @@ def biorthogonality_matrix(
     vector expression; the diagonal is the scalar biorthogonal_overlap
     (see the module notes), and every state and left partner must share
     one coupling.  "quadrature" recomputes every entry by composite
-    Simpson (`panels` per half, the rule of
+    Simpson (512 panels per half, the rule of
     wavefunctions.quadrature_overlap) as an independent check of the
     closed forms, sampling each state and each left partner once.
     """
@@ -282,8 +287,7 @@ def biorthogonality_matrix(
         ]
         return out
     if method == "quadrature":
-        panels = as_index(panels, "panels must be an even integer >= 2", 2, even=True)
-        nodes, w = _simpson_rule(2 * panels)
+        nodes, w = _simpson_rule(2 * _PANELS)
         bras = _sample(lefts, nodes)
         kets = _sample(states, nodes)
         return (bras.conj().T * np.concatenate([w, w])) @ kets
@@ -300,12 +304,7 @@ def spin_operator(coupling: CouplingPair) -> OperatorRep:
         raise ModelDomainError("spin block needs Y > 0 and Z > 0")
     ratio = math.sqrt(coupling.Z / coupling.Y)
     matrix = np.array([[0.0, ratio], [1.0 / ratio, 0.0]])
-    return OperatorRep(
-        matrix=matrix,
-        basis=RepBasis.CHANNEL,
-        is_form=False,
-        meta={"coupling": coupling},
-    )
+    return OperatorRep(matrix, RepBasis.CHANNEL, meta={"coupling": coupling})
 
 
 def channel_kernel(coupling: CouplingPair, s_plus: float, s_minus: float) -> np.ndarray:
@@ -318,13 +317,8 @@ def channel_kernel(coupling: CouplingPair, s_plus: float, s_minus: float) -> np.
     the channel mixing identically (exact zero, not a small number).
     """
     m = math.sqrt(coupling.Y) * math.sqrt(coupling.Z)
-    off = m * s_plus - m * s_minus
-    return np.array(
-        [
-            [coupling.Y * (s_plus + s_minus), off],
-            [off, coupling.Z * (s_plus + s_minus)],
-        ]
-    )
+    off, total = m * s_plus - m * s_minus, s_plus + s_minus
+    return np.array([[coupling.Y * total, off], [off, coupling.Z * total]])
 
 
 def _validate_family(states: Sequence[ChannelState]):
@@ -332,24 +326,23 @@ def _validate_family(states: Sequence[ChannelState]):
         raise ModelDomainError("need at least one state")
     if len(states) % 2 != 0:
         raise ModelDomainError("states must come in complete (n, +1), (n, -1) doublets")
+    # the coupling, the level count and the states' (n, sigma) order
     coupling = CouplingPair(states[0].Y, states[0].Z)
+    if any((s.Y, s.Z) != (coupling.Y, coupling.Z) for s in states):
+        raise ModelDomainError("all states must share one coupling pair")
     n_levels = len(states) // 2
-    expected = {(n, sigma) for n in range(n_levels) for sigma in (+1, -1)}
-    seen = []
-    for s in states:
-        if (s.Y, s.Z) != (coupling.Y, coupling.Z):
-            raise ModelDomainError("all states must share one coupling pair")
-        seen.append((s.level.n, s.sigma))
-    if set(seen) != expected or len(seen) != len(set(seen)):
+    order = [(s.level.n, s.sigma) for s in states]
+    # 2 n_levels states over the 2 n_levels expected labels: none repeats
+    if set(order) != {(n, sigma) for n in range(n_levels) for sigma in (+1, -1)}:
         raise ModelDomainError(
             f"states must cover levels 0..{n_levels - 1} with both sigma labels exactly once"
         )
-    return coupling, n_levels
+    return coupling, n_levels, order
 
 
 def _resolve_weights(states, weights, unsafe):
     # the family's meta, its per-state weights and its diagonal pairings d
-    coupling, n_levels = _validate_family(states)
+    coupling, n_levels, order = _validate_family(states)
     if coupling.root_product < MIN_ROOT_PRODUCT:
         raise MetricConstraintError(
             f"sqrt(|YZ|) = {coupling.root_product:.3e} is below {MIN_ROOT_PRODUCT}; "
@@ -364,23 +357,12 @@ def _resolve_weights(states, weights, unsafe):
     if not unsafe and np.any(per_state <= 0.0):
         bad = int(np.argmin(per_state))
         raise MetricConstraintError(
-            f"weight {per_state[bad]!r} for state (n={states[bad].level.n}, "
+            f"weight {float(per_state[bad])} for state (n={states[bad].level.n}, "
             f"sigma={states[bad].sigma}) is not positive; indefinite weight "
             "choices need unsafe=True"
         )
-    order = [(s.level.n, s.sigma) for s in states]
     meta = {"coupling": coupling, "n_levels": n_levels, "order": order}
     return meta, per_state, _normalizable([diagonal_overlap(s) for s in states])
-
-
-def _kernels_by_level(states, per_state, coupling):
-    by_level = {}
-    for s, w in zip(states, per_state):
-        by_level.setdefault(s.level.n, {})[s.sigma] = w
-    return [
-        channel_kernel(coupling, by_level[n][+1], by_level[n][-1])
-        for n in sorted(by_level)
-    ]
 
 
 def _sample(items, nodes) -> np.ndarray:
@@ -392,64 +374,70 @@ def _sample(items, nodes) -> np.ndarray:
     return columns
 
 
+def _grid_sum(items, coeff, grid: GridSpec) -> np.ndarray:
+    # sum_i coeff_i |item_i><item_i| on the interior nodes of grid, times h
+    if not isinstance(grid, GridSpec):
+        raise ModelDomainError(f"grid must be a GridSpec or None, got {grid!r}")
+    columns = _sample(items, grid.interior_nodes)
+    return (columns * coeff) @ columns.conj().T * grid.h
+
+
 def build_theta_metric(
     states: Sequence[ChannelState],
     weights: MetricWeights | None = None,
-    rep: RepBasis = RepBasis.MODE,
     grid: GridSpec | None = None,
     unsafe: bool = False,
 ) -> OperatorRep:
     """Assemble the weighted left-projector sum as a form matrix.
 
-    MODE: F = C diag(S) C^T with C[i, k] = <state_i|left_k> = G[k, i].
-    Left and right states are biorthogonal (G is diagonal, see the
-    module notes), so F = diag(S d^2) with d the closed-form diagonal
-    pairings; it is positive definite for positive weights, and
-    meta["signature"] counts the signs of S d^2.  GRID: the same sum
-    sampled on the interior nodes of `grid` (channel-blocked layout),
+    Without a grid, the mode form F = C diag(S) C^T with
+    C[i, k] = <state_i|left_k> = G[k, i].  Left and right states are
+    biorthogonal (G is diagonal, see the module notes), so
+    F = diag(S d^2) with d the closed-form diagonal pairings; it is
+    positive definite for positive weights, and meta["signature"] counts
+    the signs of S d^2.  With grid= a GridSpec, the grid form: the same
+    sum sampled on the interior nodes of `grid` (channel-blocked layout),
     weighted by the node spacing.  The per-level 2x2 channel kernels are
     exposed in meta["channel_kernels"].
     """
     meta, per_state, d = _resolve_weights(states, weights, unsafe)
+    by_label = dict(zip(meta["order"], per_state))
     meta["weights_by_state"] = per_state
-    meta["channel_kernels"] = _kernels_by_level(states, per_state, meta["coupling"])
-    if rep is RepBasis.MODE:
+    meta["channel_kernels"] = [
+        channel_kernel(meta["coupling"], by_label[n, +1], by_label[n, -1])
+        for n in range(meta["n_levels"])
+    ]
+    if grid is None:
         diagonal = d * per_state * d
         meta["signature"] = (int(np.sum(diagonal > 0.0)), int(np.sum(diagonal < 0.0)))
-        return OperatorRep(
-            matrix=np.diag(diagonal), basis=RepBasis.MODE, is_form=True, meta=meta
-        )
-    if rep is RepBasis.GRID:
-        if grid is None:
-            raise ModelDomainError("grid representation needs a GridSpec")
-        columns = _sample([left_vector(s) for s in states], grid.interior_nodes)
-        matrix = (columns * per_state) @ columns.conj().T * grid.h
-        matrix = (matrix + matrix.conj().T) / 2.0
-        meta["grid"] = grid
-        return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=True, meta=meta)
-    raise ModelDomainError(f"unsupported representation {rep!r} for the metric")
+        return OperatorRep(np.diag(diagonal), RepBasis.MODE, is_form=True, meta=meta)
+    matrix = _grid_sum([left_vector(s) for s in states], per_state, grid)
+    meta["grid"] = grid
+    return OperatorRep((matrix + matrix.conj().T) / 2.0, RepBasis.GRID, is_form=True, meta=meta)
+
+
+def _kind_values(states, kind: str) -> np.ndarray:
+    # value_i of a spectral sum: the level energy, the spin label, or 1
+    if kind not in _KINDS:
+        raise ModelDomainError(f"kind must be one of {_KINDS}, got {kind!r}")
+    i = _KINDS.index(kind)
+    return np.array([(s.level.E, float(s.sigma), 1.0)[i] for s in states])
+
+
+def _mode_map(states: Sequence[ChannelState], kind: str) -> OperatorRep:
+    # the spectral sum of one kind on the mode basis: diag(value_i)
+    _, _, order = _validate_family(states)
+    return OperatorRep(np.diag(_kind_values(states, kind)), RepBasis.MODE, meta={"order": order})
 
 
 def mode_hamiltonian(states: Sequence[ChannelState]) -> OperatorRep:
     """Map matrix of the Hamiltonian on its own eigenbasis: diag(E)."""
-    _validate_family(states)
-    return OperatorRep(
-        matrix=np.diag([s.level.E for s in states]),
-        basis=RepBasis.MODE,
-        is_form=False,
-        meta={"order": [(s.level.n, s.sigma) for s in states]},
-    )
+    return _mode_map(states, "hamiltonian")
 
 
 def mode_spin(states: Sequence[ChannelState]) -> OperatorRep:
     """Map matrix of the channel observable on the mode basis: diag(sigma)."""
-    _validate_family(states)
-    return OperatorRep(
-        matrix=np.diag([float(s.sigma) for s in states]),
-        basis=RepBasis.MODE,
-        is_form=False,
-        meta={"order": [(s.level.n, s.sigma) for s in states]},
-    )
+    return _mode_map(states, "spin")
 
 
 def quasi_hermiticity_defect(op_rep: OperatorRep, theta_rep: OperatorRep) -> float:
@@ -518,16 +506,9 @@ def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSp
     The bra integrals use Simpson node weights so that the
     reconstruction error on the retained span is quadrature-limited.
     """
-    if kind not in _KINDS:
-        raise ModelDomainError(f"kind must be one of {_KINDS}, got {kind!r}")
+    values = _kind_values(states, kind)
     lefts = [left_vector(s) for s in states]
     d = _normalizable([biorthogonal_overlap(l, s) for l, s in zip(lefts, states)])
-    if kind == "hamiltonian":
-        values = np.array([s.level.E for s in states])
-    elif kind == "spin":
-        values = np.array([float(s.sigma) for s in states])
-    else:
-        values = np.ones(len(states))
     nodes, w = _simpson_rule(grid.M)
     w2 = np.concatenate([w, w])
     right = _sample(states, nodes)
@@ -541,45 +522,36 @@ def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSp
 def inverse_theta_metric(
     states: Sequence[ChannelState],
     weights: MetricWeights | None = None,
-    rep: RepBasis = RepBasis.MODE,
     grid: GridSpec | None = None,
-    unsafe: bool = False,
 ) -> OperatorRep:
     """Map representation of Theta^{-1} = sum |state> <state| / (S d^2).
 
     The coefficients are reciprocals of the metric's weights through the
     squared diagonal pairings d; composing with the metric reproduces
     the identity on the retained span (see inverse_identity_defect).
-    MODE: coeff_i times the Gram matrix of the states,
+    Without a grid: coeff_i times the Gram matrix of the states,
     (wu_i wu_j + wl_i wl_j) 2 Re(conj(a_i) a_j I(conj(kappa_i), kappa_j)),
-    one vector expression (see the module notes).
+    one vector expression (see the module notes).  With grid= a
+    GridSpec: the same sum sampled on its interior nodes.
     """
-    meta, per_state, d = _resolve_weights(states, weights, unsafe)
+    meta, per_state, d = _resolve_weights(states, weights, False)
     coeff = 1.0 / (per_state * d * d)
     meta.update({"coefficients": coeff, "diagonal_overlaps": d})
-    if rep is RepBasis.MODE:
-        # the sesquilinear Gram matrix is the bilinear one with the row conjugated
-        a, kappa, wu, wl = _profiles(states)
-        gram = (wu[:, None] * wu + wl[:, None] * wl) * _bilinear_products(
-            a.conj(), kappa.conj(), a, kappa
-        )
-        matrix = coeff[:, None] * gram
-        return OperatorRep(matrix=matrix, basis=RepBasis.MODE, is_form=False, meta=meta)
-    if rep is RepBasis.GRID:
-        if grid is None:
-            raise ModelDomainError("grid representation needs a GridSpec")
-        columns = _sample(states, grid.interior_nodes)
-        matrix = (columns * coeff) @ columns.conj().T * grid.h
+    if grid is not None:
         meta["grid"] = grid
-        return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=False, meta=meta)
-    raise ModelDomainError(f"unsupported representation {rep!r} for the inverse metric")
+        return OperatorRep(_grid_sum(states, coeff, grid), RepBasis.GRID, meta=meta)
+    # the sesquilinear Gram matrix is the bilinear one with the row conjugated
+    a, kappa, wu, wl = _profiles(states)
+    gram = (wu[:, None] * wu + wl[:, None] * wl) * _bilinear_products(
+        a.conj(), kappa.conj(), a, kappa
+    )
+    return OperatorRep(coeff[:, None] * gram, RepBasis.MODE, meta=meta)
 
 
 def inverse_identity_defect(
     theta_rep: OperatorRep,
     states: Sequence[ChannelState],
     weights: MetricWeights | None = None,
-    unsafe: bool = False,
 ) -> float:
     """Max deviation of Theta^{-1} Theta from the identity on the span.
 
@@ -589,7 +561,7 @@ def inverse_identity_defect(
     """
     if theta_rep.basis is not RepBasis.MODE or not theta_rep.is_form:
         raise ModelDomainError("identity check expects the mode-basis metric form")
-    _, per_state, d = _resolve_weights(states, weights, unsafe)
+    _, per_state, d = _resolve_weights(states, weights, False)
     if theta_rep.dim != len(states):
         raise ModelDomainError("metric dimension does not match the state list")
     coeff = 1.0 / (per_state * d * d)

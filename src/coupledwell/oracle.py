@@ -430,16 +430,21 @@ class _TwoRegionBlock:
         cos_l, ratio_l = self._side(energies, -1.0)
         return 2.0 * (cos_l * ratio_l.conj()).real
 
-    def _side(self, energies, sign):
-        """cos(m theta) and U(theta) on one side, scaled by
-        exp(-|Im m theta|).  At theta = 0 or pi (E at an end of K's
-        band, gamma = 0), which no grid or count samples, U is NaN."""
+    def _theta(self, energies, sign):
+        """theta on one side, cos(m theta) and sin(m theta) scaled by
+        exp(-|Im m theta|), and sin(theta), at an array of energies."""
         z = (energies - self.floor + sign * 1j * self.gamma) / self.width
         theta = 2.0 * np.arcsin(np.sqrt(z))
         cos_m, sin_m = _scaled_cos_sin(self.m * theta.real, self.m * theta.imag)
         # sin(theta) from theta itself: on the branch cuts of arcsin a
         # closed form in z could take the other side
-        sin_t = np.sin(theta)
+        return theta, cos_m, sin_m, np.sin(theta)
+
+    def _side(self, energies, sign):
+        """cos(m theta) and U(theta) on one side, scaled by
+        exp(-|Im m theta|).  At theta = 0 or pi (E at an end of K's
+        band, gamma = 0), which no grid or count samples, U is NaN."""
+        _, cos_m, sin_m, sin_t = self._theta(energies, sign)
         if not sin_t.all():
             sin_t = np.where(sin_t == 0, np.nan, sin_t)
         return cos_m, sin_m / sin_t
@@ -721,9 +726,7 @@ class _TwoRegionBlock:
         j = np.arange(1.0, m + 1)[:, None]
         sides = []
         for sign in (-1.0, 1.0):
-            theta = 2.0 * np.arcsin(
-                np.sqrt((roots - self.floor + sign * 1j * self.gamma) / self.width)
-            )
+            theta, cos_m, sin_m, sin_t = self._theta(roots, sign)
             x, y = theta.real, theta.imag
             # sin(j theta) = sin(jx) cosh(jy) + i cos(jx) sinh(jy), j = 1..m,
             # scaled by exp(-m |y|)
@@ -731,7 +734,7 @@ class _TwoRegionBlock:
             profile = np.sin(j * x) * (grow + fade) / 2 + 1j * (
                 np.copysign((grow - fade) / 2, y) * np.cos(j * x)
             )
-            sides.append((profile, *_scaled_cos_sin(m * x, m * y), np.sin(theta)))
+            sides.append((profile, cos_m, sin_m, sin_t))
         (left, cos_l, sin_l, sin_tl), (right, cos_r, sin_r, sin_tr) = sides
         # continuity A sin(m theta_L) = B sin(m theta_R), or the centre
         # row A sin(theta_L) cos(m theta_L) + B sin(theta_R) cos(m theta_R) = 0

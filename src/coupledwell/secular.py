@@ -313,6 +313,11 @@ def critical_coupling(
     roots in `solve_level`.  The walk ends on the minimum to machine
     precision, so it holds arbitrarily close to the merger, where the
     negative window is narrower than any fixed mesh.
+
+    The coupling doubles from 1 up to the cap sqrt(YZ) = 1e6, which is
+    the last coupling tried; a pair still alive there raises
+    BracketError.  Pair 30317 is the first such pair (c_crit of pair
+    30316 is 999972.37).
     """
     k = as_index(pair_index, "pair_index must be a non-negative integer")
     validate_tol(tol)
@@ -331,12 +336,12 @@ def critical_coupling(
         )
     hi = 1.0
     while pair_alive(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > _COUPLING_CAP:
+        if hi == _COUPLING_CAP:
             raise BracketError(
                 f"pair {pair_index}: no criticality transition up to sqrt(YZ)={_COUPLING_CAP}"
             )
+        lo = hi
+        hi = min(2.0 * hi, _COUPLING_CAP)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -205,6 +205,16 @@ def test_critical_default_tolerance(capsys):
     assert payload["evaluations"] > 0
 
 
+def test_critical_past_the_last_doubling_exits_0_and_past_the_cap_3(capsys):
+    code, out, _ = run(capsys, "critical", "--pair", "20000")
+    assert code == 0 and 2.0**19 < json.loads(out)["c_crit"] < 1e6
+    code, out, _ = run(capsys, "critical", "--pair", "30316")
+    assert code == 0 and json.loads(out)["c_crit"] < 1e6
+    code, out, err = run(capsys, "critical", "--pair", "30317")
+    assert code == 3 and out == ""
+    assert "no criticality transition up to sqrt(YZ)=1000000.0" in err
+
+
 def test_metric_json_structure(capsys):
     code, out, _ = run(capsys, "metric", "--Y", "1", "--Z", "4", "--levels", "2")
     assert code == 0
@@ -249,6 +259,25 @@ def test_metric_indefinite_weights_need_unsafe(tmp_path, capsys):
                        "--levels", "1", "--weights", str(wfile), "--unsafe")
     assert code == 0
     assert json.loads(out)["signature"] == [1, 1]
+
+
+def test_metric_non_finite_weight_exits_2_at_its_line(tmp_path, capsys):
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("0 1 1\n1 nan 1\n")
+    code, out, err = run(capsys, "metric", "--Y", "1", "--Z", "1",
+                         "--levels", "2", "--weights", str(wfile))
+    assert code == 2 and out == ""
+    assert err == f"error: {wfile}:2: weights must be finite, got '1 nan 1\\n'\n"
+
+
+def test_metric_non_positive_weight_exits_2_as_a_plain_float(tmp_path, capsys):
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("0 0 1\n")
+    code, out, err = run(capsys, "metric", "--Y", "1", "--Z", "1",
+                         "--levels", "1", "--weights", str(wfile))
+    assert code == 2 and out == ""
+    assert err == ("error: weight 0.0 for state (n=0, sigma=1) is not positive; "
+                   "indefinite weight choices need unsafe=True\n")
 
 
 def test_metric_missing_weight_file_exits_2(capsys):

@@ -2,6 +2,7 @@
 metric family, inverses and spectral sums."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -266,7 +267,7 @@ def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
 
 def test_biorthogonality_matrix_quadrature():
     states = doublet_family(UNIT, 3)
-    mat = biorthogonality_matrix(states, method="quadrature", panels=512)
+    mat = biorthogonality_matrix(states, method="quadrature")
     diag = np.diag(mat)
     assert np.all(diag > 0.0)
     assert np.abs(mat - np.diag(diag)).max() <= 1e-9 * diag.max()
@@ -292,19 +293,19 @@ class _Counted:
         return self._inner.lower(x)
 
 
-@pytest.mark.parametrize("panels", [2, 4, 64, 512])
-def test_quadrature_pairing_matches_scalar_reference(panels):
+def test_quadrature_pairing_matches_scalar_reference():
+    # the matrix takes 512 Simpson panels per half, as the scalar rule here
     for c in (0.3, 1.0, 4.4):
         for ratio in (0.25, 1.0, 4.0):
             pair = CouplingPair(c * math.sqrt(ratio), c / math.sqrt(ratio))
             states = doublet_family(pair, 4)
             lefts = [left_vector(s) for s in states]
-            fast = biorthogonality_matrix(states, method="quadrature", panels=panels)
+            fast = biorthogonality_matrix(states, method="quadrature")
             reference = np.array(
                 [
                     [
-                        quadrature_overlap(l.upper, s.upper, panels)
-                        + quadrature_overlap(l.lower, s.lower, panels)
+                        quadrature_overlap(l.upper, s.upper, 512)
+                        + quadrature_overlap(l.lower, s.lower, 512)
                         for s in states
                     ]
                     for l in lefts
@@ -325,23 +326,16 @@ def test_quadrature_pairing_samples_each_state_once():
     )
     # upper and lower once for each of 8 states and 8 left partners
     assert counter[0] == 32
-    for bad in (3, 1, 0, -2, 2.0):
-        with pytest.raises(ModelDomainError):
-            biorthogonality_matrix(states, method="quadrature", panels=bad)
 
 
 def test_fixed_width_panel_count_does_not_wrap():
-    # 2 * uint8(254) wraps to 252: 126 panels per half instead of 254
+    # a uint8(254) panel count is read as 254, not wrapped in uint8 arithmetic
     states = doublet_family(UNIT, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        narrow = biorthogonality_matrix(states, method="quadrature", panels=np.uint8(254))
         scalar = quadrature_overlap(states[0].upper, states[1].upper, np.uint8(254))
-    assert np.array_equal(narrow, biorthogonality_matrix(states, method="quadrature", panels=254))
     assert scalar == quadrature_overlap(states[0].upper, states[1].upper, 254)
     for bad in (np.bool_(True), np.float64(4.0), "4"):
-        with pytest.raises(ModelDomainError):
-            biorthogonality_matrix(states, method="quadrature", panels=bad)
         with pytest.raises(ModelDomainError):
             quadrature_overlap(states[0].upper, states[1].upper, bad)
 
@@ -514,6 +508,21 @@ def test_metric_weight_file_rejects_garbage(tmp_path):
         MetricWeights.from_file(bad, 2)
 
 
+def test_weight_file_refuses_non_finite_weights_at_their_line(tmp_path):
+    bad = tmp_path / "bad.txt"
+    for text in ("0 nan 1.0\n", "0 1.0 inf\n", "0 -inf 1.0\n"):
+        bad.write_text("# header\n" + text)
+        with pytest.raises(MetricConstraintError, match=f"^{re.escape(str(bad))}:2: "):
+            MetricWeights.from_file(bad, 2)
+
+
+def test_non_positive_weight_is_named_as_a_plain_float():
+    states = doublet_family(UNIT, 1)
+    w = MetricWeights(s_plus=np.array([0.0]), s_minus=np.array([1.0]))
+    with pytest.raises(MetricConstraintError, match=r"^weight 0\.0 for state \(n=0, sigma=1\)"):
+        build_theta_metric(states, w)
+
+
 def test_indefinite_weights_need_unsafe():
     states = doublet_family(UNIT, 2)
     w = MetricWeights(s_plus=np.array([1.0, 1.0]), s_minus=np.array([-1.0, -1.0]))
@@ -547,7 +556,7 @@ def test_grid_theta_hermitian_and_converging_defect():
     defects = []
     for m in (64, 128):
         grid = GridSpec(m)
-        theta = build_theta_metric(states, rep=RepBasis.GRID, grid=grid)
+        theta = build_theta_metric(states, grid=grid)
         assert np.abs(theta.matrix - theta.matrix.conj().T).max() == 0.0
         h = build_hamiltonian(UNIT, grid)
         defects.append(quasi_hermiticity_defect(h, theta))
@@ -558,9 +567,43 @@ def test_grid_theta_hermitian_and_converging_defect():
 
 
 def test_grid_theta_requires_grid():
-    states = doublet_family(UNIT, 1)
-    with pytest.raises(ModelDomainError):
-        build_theta_metric(states, rep=RepBasis.GRID)
+    # the grid form comes from a GridSpec alone; without one both
+    # builders give the mode form
+    states = doublet_family(UNIT, 2)
+    for build in (build_theta_metric, inverse_theta_metric):
+        assert build(states).basis is RepBasis.MODE
+        assert "grid" not in build(states).meta
+        on_grid = build(states, grid=GridSpec(64))
+        assert on_grid.basis is RepBasis.GRID and on_grid.meta["grid"] == GridSpec(64)
+        assert on_grid.dim == 2 * GridSpec(64).n_interior
+        with pytest.raises(ModelDomainError, match="GridSpec"):
+            build(states, grid=64)
+
+
+@pytest.mark.parametrize("M", [64, 512])
+@pytest.mark.parametrize("c", [0.01, 1.0, 4.4])
+def test_grid_forms_are_the_sampled_sums(c, M):
+    # sum_i w_i |v_i><v_i| h over the interior nodes, bit for bit: the
+    # metric over the left partners with the weights (symmetrized), the
+    # inverse over the states with 1 / (S d^2)
+    grid = GridSpec(M)
+    for ratio in (0.25, 1.0, 4.0):
+        for n_levels in (1, 4, 8):
+            states = doublet_family(CouplingPair(c * math.sqrt(ratio), c / math.sqrt(ratio)),
+                                    n_levels)
+            weights = MetricWeights(np.linspace(0.5, 2.0, n_levels), np.full(n_levels, 1.5))
+            per_state = np.array([weights.select(s.level.n, s.sigma) for s in states])
+            d = np.array([diagonal_overlap(s) for s in states])
+            lefts = metric_module._sample([left_vector(s) for s in states], grid.interior_nodes)
+            rights = metric_module._sample(states, grid.interior_nodes)
+            form = (lefts * per_state) @ lefts.conj().T * grid.h
+            theta = build_theta_metric(states, weights, grid=grid)
+            assert np.array_equal(theta.matrix, (form + form.conj().T) / 2.0)
+            assert np.array_equal(theta.meta["weights_by_state"], per_state)
+            inverse = inverse_theta_metric(states, weights, grid=grid)
+            coeff = 1.0 / (per_state * d * d)
+            assert np.array_equal(inverse.matrix, (rights * coeff) @ rights.conj().T * grid.h)
+            assert np.array_equal(inverse.meta["coefficients"], coeff)
 
 
 def test_discrete_swap_reflect_has_zero_defect():

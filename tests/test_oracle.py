@@ -334,7 +334,7 @@ def test_other_grid_operators_take_the_dense_path(monkeypatch):
     # the inverse metric on the grid carries the same coupling and grid
     # metadata as a Hamiltonian, but is not one
     grid = GridSpec(64)
-    inverse = inverse_theta_metric(doublet_family(UNIT, 4), rep=RepBasis.GRID, grid=grid)
+    inverse = inverse_theta_metric(doublet_family(UNIT, 4), grid=grid)
     calls = _count_dense_solves(monkeypatch)
     values, vectors = eigenpairs(inverse, 6)
     ref_values, ref_vectors = eigenpairs(_dense(inverse), 6)

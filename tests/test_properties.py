@@ -8,17 +8,30 @@ import math
 
 import mpmath
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+
+import pytest
 
 from coupledwell import (
+    MIN_ROOT_PRODUCT,
     BranchClass,
     CouplingPair,
+    MetricConstraintError,
+    MetricWeights,
+    RepBasis,
     biorthogonal_overlap,
+    biorthogonality_matrix,
+    build_theta_metric,
     diagonal_overlap,
     doublet_family,
+    inverse_identity_defect,
+    inverse_theta_metric,
     left_vector,
     matching_residual,
+    mode_hamiltonian,
+    mode_spin,
     parity_overlap,
+    quasi_hermiticity_defect,
     solve_coefficients,
     solve_level,
     spectrum,
@@ -125,3 +138,68 @@ def test_coupling_domain_gives_levels_or_a_truncation(y, z):
         code = main(["spectrum", "--Y", repr(y), "--Z", repr(z), "--levels", "2"])
     assert code in (0, 3)
     json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+# c = 10^u from MIN_ROOT_PRODUCT to below the lowest merger, Y/Z = 4^v
+metric_couplings = st.builds(
+    lambda u, v: CouplingPair(10.0**u * 2.0**v, 10.0**u / 2.0**v),
+    st.floats(min_value=-6.0, max_value=math.log10(4.4)),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+positive_weights = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _weights(draw, n_levels, elements):
+    return MetricWeights(
+        np.array(draw(st.lists(elements, min_size=n_levels, max_size=n_levels))),
+        np.array(draw(st.lists(elements, min_size=n_levels, max_size=n_levels))),
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(pair=metric_couplings, n_levels=st.integers(min_value=1, max_value=40), data=st.data())
+def test_mode_metric_over_the_family_domain(pair, n_levels, data):
+    states = doublet_family(pair, n_levels)
+    weights = _weights(data.draw, n_levels, positive_weights)
+    if pair.root_product < MIN_ROOT_PRODUCT:  # 10^-6 rounded one ulp down
+        with pytest.raises(MetricConstraintError):
+            build_theta_metric(states, weights)
+        return
+    theta = build_theta_metric(states, weights)
+    assert theta.basis is RepBasis.MODE and theta.is_form
+    assert theta.meta["signature"] == (2 * n_levels, 0)
+    assert quasi_hermiticity_defect(mode_hamiltonian(states), theta) <= 1e-8
+    assert quasi_hermiticity_defect(mode_spin(states), theta) <= 1e-8
+    assert inverse_identity_defect(theta, states, weights) <= 1e-8
+    assert inverse_theta_metric(states, weights).basis is RepBasis.MODE
+    pairing = biorthogonality_matrix(states)
+    diagonal = np.abs(np.diag(pairing))
+    assert np.abs(pairing - np.diag(np.diag(pairing))).max() <= 1e-9 * diagonal.max()
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(u=st.floats(min_value=-9.0, max_value=-6.0, exclude_max=True),
+       v=st.floats(min_value=-1.0, max_value=1.0),
+       n_levels=st.integers(min_value=1, max_value=40))
+def test_metric_refuses_couplings_below_the_family(u, v, n_levels):
+    states = doublet_family(CouplingPair(10.0**u * 2.0**v, 10.0**u / 2.0**v), n_levels)
+    for build in (build_theta_metric, inverse_theta_metric):
+        with pytest.raises(MetricConstraintError):
+            build(states)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pair=metric_couplings, n_levels=st.integers(min_value=1, max_value=40), data=st.data())
+def test_signed_weights_need_unsafe_and_set_the_signature(pair, n_levels, data):
+    states = doublet_family(pair, n_levels)
+    weights = _weights(data.draw, n_levels, st.one_of(
+        positive_weights, st.just(0.0), positive_weights.map(lambda w: -w)))
+    per_state = np.array([weights.select(s.level.n, s.sigma) for s in states])
+    assume(pair.root_product >= MIN_ROOT_PRODUCT and not np.all(per_state > 0.0))
+    for build in (build_theta_metric, inverse_theta_metric):
+        with pytest.raises(MetricConstraintError):
+            build(states, weights)
+    theta = build_theta_metric(states, weights, unsafe=True)
+    assert theta.meta["signature"] == (int(np.sum(per_state > 0.0)), int(np.sum(per_state < 0.0)))
+    with pytest.raises(MetricConstraintError):
+        inverse_identity_defect(theta, states, weights)

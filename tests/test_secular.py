@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from coupledwell import (
+    BracketError,
     BranchClass,
     CouplingPair,
     InvalidToleranceError,
@@ -445,6 +446,26 @@ def test_negative_point_exists_iff_the_cell_minimum_is_negative(c, k):
     if point is not None:
         a, b = pair_interval(k)
         assert (a + b) / 2 < point < b and residual(point, c) < 0.0
+
+
+def test_critical_coupling_between_the_last_doubling_and_the_cap():
+    # the doubling passes 2^19 = 524288 alive; the cap 1e6 is tried next
+    res = critical_coupling(20000)
+    assert 2.0**19 < res.c_crit < 1e6
+    lo, hi = res.c_crit - res.bracket_width / 2, res.c_crit + res.bracket_width / 2
+    assert _mp_cell_minimum(20000, lo) < 0 < _mp_cell_minimum(20000, hi)
+
+
+# the first pair still alive at the cap sqrt(YZ) = 1e6
+FIRST_PAIR_PAST_CAP = 30317
+
+
+def test_first_pair_past_the_cap_raises_bracket_error():
+    assert _mp_cell_minimum(FIRST_PAIR_PAST_CAP, 1e6) < 0 < _mp_cell_minimum(
+        FIRST_PAIR_PAST_CAP - 1, 1e6)
+    with pytest.raises(BracketError, match="no criticality transition"):
+        critical_coupling(FIRST_PAIR_PAST_CAP)
+    assert critical_coupling(FIRST_PAIR_PAST_CAP - 1).c_crit < 1e6
 
 
 def _mp_eps(n, c):
