@@ -8,9 +8,8 @@ import math
 
 import mpmath
 import numpy as np
-from hypothesis import assume, example, given, settings, strategies as st
-
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coupledwell import (
     MIN_ROOT_PRODUCT,
