@@ -203,7 +203,8 @@ def _cmd_oracle(args) -> int:
     coupling = CouplingPair(args.Y, args.Z)
     if coupling.branch is BranchClass.NEGATIVE_PRODUCT:
         raise ModelDomainError(
-            "oracle comparison covers YZ >= 0 (degenerate doublet structure)"
+            "oracle comparison covers YZ >= 0: for YZ < 0 the closed-form levels s^2 +- sqrt(-YZ) "
+            "are not this operator's levels (k_L cot k_L + k_R cot k_R = 0, k^2 = E -+ sqrt(-YZ))"
         )
     analytic = spectrum(coupling, args.levels - 1, args.tol)
     if analytic.truncated_at is not None:

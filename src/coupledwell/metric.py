@@ -374,10 +374,14 @@ def _sample(items, nodes) -> np.ndarray:
     return columns
 
 
+def _require_grid(grid) -> None:
+    if not isinstance(grid, GridSpec):
+        raise ModelDomainError(f"grid must be a GridSpec, got {grid!r}")
+
+
 def _grid_sum(items, coeff, grid: GridSpec) -> np.ndarray:
     # sum_i coeff_i |item_i><item_i| on the interior nodes of grid, times h
-    if not isinstance(grid, GridSpec):
-        raise ModelDomainError(f"grid must be a GridSpec or None, got {grid!r}")
+    _require_grid(grid)
     columns = _sample(items, grid.interior_nodes)
     return (columns * coeff) @ columns.conj().T * grid.h
 
@@ -506,6 +510,7 @@ def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSp
     The bra integrals use Simpson node weights so that the
     reconstruction error on the retained span is quadrature-limited.
     """
+    _require_grid(grid)
     values = _kind_values(states, kind)
     lefts = [left_vector(s) for s in states]
     d = _normalizable([biorthogonal_overlap(l, s) for l, s in zip(lefts, states)])

@@ -17,32 +17,31 @@ The operator is I (x) K + C (x) D: the three-point Laplacian K in each
 channel plus the constant channel matrix C = [[0, iZ], [iY, 0]] times
 the step D = diag(sgn(-x)).  `build_hamiltonian` stores just that: the
 coupling, the grid and the bands of K and D; the dense matrix is
-assembled only when `.matrix` is read.  For YZ > 0, C has the
-eigenvalues +-ic, c = sqrt(YZ), with eigenvectors that do not depend
-on x, so the problem splits exactly into the complex-symmetric
-tridiagonal T = K + icD and its complex conjugate; for Y = Z = 0
-(C = 0) into two copies of T = K, one per channel.  `eigenpairs` solves
-T alone from the bands and rebuilds every doublet from it; the
-reduction uses the 2x2 matrix C, never the closed form, so the oracle
-stays independent.
+assembled only when `.matrix` is read.  The eigenvectors of C do not
+depend on x, so for an eigenvalue lambda of C the problem splits into
+the tridiagonal T = K + lambda D: lambda = ic, c = sqrt(YZ), for YZ > 0,
+the real sqrt(-YZ) for YZ < 0, and 0 for YZ = 0 (C nilpotent: 0, or a
+Jordan block with exactly one of Y, Z nonzero).  `eigenpairs` solves T
+alone from the bands and rebuilds every doublet from it; the reduction
+uses the 2x2 matrix C, never the closed form, so the oracle stays
+independent.
 
 T is constant on each half of the grid, so its eigenvalues are the
 roots of a discrete secular polynomial that costs O(1) to evaluate at
 any M, and each eigenvector is one sine per side (`_TwoRegionBlock`).
 The roots are seeded on the real axis, polished by Newton, and
 certified complete by an argument-principle count over a rectangle,
-symmetric about the real axis, that holds the numerical range of T;
-each eigenvector is checked by its O(M) residual.  This is the discrete
-twin of k_L cot k_L + k_R cot k_R = 0, built from the finite-difference
-recursion alone.  The dense eigensolve of the whole matrix (numpy's
-LAPACK geev) remains for every other operator, for bands of another
-form, for YZ < 0, for the Jordan case (exactly one of Y, Z nonzero) and
-for a root set the count does not certify; it is the cross-check of
-the reduction in the tests.
+symmetric about the real axis, that holds the numerical range of T (all
+2m - 1 roots, P's degree, need no count); each eigenpair is checked by
+its O(M) residual against H.  This is the discrete twin of
+k_L cot k_L + k_R cot k_R = 0, built from the finite-difference
+recursion alone, and the only solve: a root set the count cannot
+certify raises NumericalFailureError.  The dense eigensolve of
+`.matrix` is the tests' cross-check.
 
 The structure checks live here, once, read off the bands: S H S =
-H^dagger, which `eigenpairs` requires before either solve runs, and
-[H, spin]; `verify` reports both.  Both solves end in one cut.
+H^dagger, which `eigenpairs` requires before it solves, and [H, spin];
+`verify` reports both.
 """
 
 from __future__ import annotations
@@ -63,17 +62,15 @@ from .secular import LevelSolution
 DEGENERACY_RTOL = 1e-6
 REAL_IM_MAX = 1e-6  # a criticality scan entry with max |Im E| up to this is real
 PAIRING_RTOL = 1e-6
-# largest dense fallback of a BandedHamiltonian: M <= 2048, 270 MB for the matrix alone
-DENSE_MAX_DIM = 4096
-# max |T u - E u| of a closed-form eigenvector, relative to a bound on ||T||
+# max |H x - E x| of a closed-form eigenvector, relative to a bound on ||H||
 RESIDUAL_RTOL = 1e-10
 # roots closer than this (relative to max(1, |E|)) are one root, and a
 # root this close to the real axis is real
 DISTINCT_RTOL = 1e-10
 NEWTON_STEPS = 100
 # samples in one zero count, a bound on its time and memory: the box is
-# 2 (|gamma| + 1) tall, its left edge sampled every ~1.7, so couplings up
-# to ~1.5e6 are solved
+# 2 (|Im lambda| + 1) tall, its left edge sampled every ~1.7, so
+# couplings up to ~1.4e6 are solved
 WINDING_POINTS = 1_000_000
 SPLIT_DEPTH = 40
 SPLIT_WINDINGS = 400
@@ -221,61 +218,79 @@ def _entry_max(rep: BandedHamiltonian) -> float:
     return float(max(np.abs(band).max() for band in (rep.sub, rep.diagonal, upper, lower)))
 
 
-def eigenpairs(rep: OperatorRep | BandedHamiltonian, k: int):
+def eigenpairs(rep: BandedHamiltonian, k: int):
     """k eigenvalues of smallest real part with unit-norm right vectors.
 
-    For a `BandedHamiltonian` with YZ > 0 or Y = Z = 0 only the
-    tridiagonal block T = K + icD, taken from the stored bands, is
-    solved; its `.matrix` is never built.  When the bands have the
+    Only the block T = K + lambda D of one eigenvalue lambda of the
+    channel matrix C is solved, from the stored bands (`_TwoRegionBlock`),
+    and `_doublets` makes each root two eigenpairs; `.matrix` is never
+    built.  A rep that is not a `BandedHamiltonian` with bands of the
     two-region form (K a constant Laplacian, D one +-1 step at x = 0)
-    the eigenvalues of T are the roots of its discrete secular
-    polynomial and each eigenvector is one sine per side (see
-    `_TwoRegionBlock`).  Each eigenpair (E, v) of T gives the doublet
-    (E, u+ (x) v) and (conj(E), u- (x) conj(v)), where u+- are the
-    eigenvectors of the constant channel matrix (the two channels when
-    it is 0).  Any other operator, bands of another form, YZ < 0,
-    exactly one of Y, Z nonzero, and a root set the secular solve
-    cannot certify take the dense eigensolve of the whole matrix; for a
-    `BandedHamiltonian` of dimension above DENSE_MAX_DIM that fallback
-    raises NumericalFailureError instead of building the matrix.
-
-    A `BandedHamiltonian` whose bands break S H S = H^dagger, and complex
+    raises ModelDomainError.  Bands that break S H S = H^dagger, complex
     eigenvalues that do not pair off one to one with their conjugates,
-    raise NumericalFailureError.  Both solves return the same order: by
-    real part, ties within PAIRING_RTOL by |Im| (real values first), each
-    conjugate pair adjacent, negative imaginary part first; a quartet
-    past the merger reads E, conj(E), E, conj(E) with Im E < 0.
+    and a failed bracket, zero count, completion or residual raise
+    NumericalFailureError.  The order: by real part, ties within
+    PAIRING_RTOL by |Im| (real values first), each conjugate pair
+    adjacent, negative imaginary part first; a quartet past the merger
+    reads E, conj(E), E, conj(E) with Im E < 0.
     """
+    if not isinstance(rep, BandedHamiltonian):
+        raise ModelDomainError(f"eigenpairs solves a BandedHamiltonian, got {type(rep).__name__}")
     k = as_index(k, f"k must be in 1..{rep.dim}", 1, rep.dim)
-    if isinstance(rep, BandedHamiltonian):
-        if _swap_reflect_defect(rep) != 0.0:
-            raise NumericalFailureError(
-                "S H S != H^dagger on the bands; discrete pseudo-Hermiticity violated"
-            )
-        if _reducible(rep.coupling):
-            reduced = _reduced_eigenpairs(rep, k)
-            if reduced is not None:
-                return reduced
-            if rep.dim > DENSE_MAX_DIM:
-                raise NumericalFailureError(
-                    f"the secular solve could not certify {k} eigenpairs at M = {rep.grid.M}, "
-                    f"and the dense eigensolve is limited to dimension {DENSE_MAX_DIM}"
-                )
-    try:
-        values, vectors = np.linalg.eig(rep.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
-        raise NumericalFailureError(f"dense eigensolve failed: {exc}") from exc
+    if _swap_reflect_defect(rep) != 0.0:
+        raise NumericalFailureError("S H S != H^dagger on the bands; discrete pseudo-Hermiticity violated")
+    c = rep.coupling.root_product
+    shift = 1j * c if rep.coupling.branch is BranchClass.POSITIVE_PRODUCT else complex(c)
+    block = _TwoRegionBlock.from_bands(rep.sub, rep.diagonal, rep.step, shift)
+    needed = (k + 1) // 2  # each root of T is two eigenvalues
+    values = block.lowest_roots(needed)
+    edge, _ = _gap_after(values.real, needed)
+    if edge is not None:
+        values = values[values.real < edge]  # ties kept whole
+    values, vectors = _doublets(rep, block, values, block.eigenvectors(values))
+    # |H x - E x| off the bands on the partners: each carries its root's T residual,
+    # conjugated or reflected, and for YZ = 0 holds v itself in one channel
+    partners = values.size // 2
+    x = vectors[:, partners:].reshape(2, rep.diagonal.size, -1)  # channel, node, column
+    residual = (rep.diagonal[:, None] - values[partners:]) * x
+    residual += np.stack(_cross_channel(rep))[:, :, None] * x[::-1]
+    residual[:, :-1] += rep.sub[:, None] * x[:, 1:]
+    residual[:, 1:] += rep.sub[:, None] * x[:, :-1]
+    size = abs(residual).max()
+    coupling = max(abs(rep.coupling.Y), abs(rep.coupling.Z))
+    bound = abs(rep.diagonal).max() + 2 * abs(rep.sub).max() + coupling * abs(rep.step).max()
+    if size > RESIDUAL_RTOL * bound:
+        raise NumericalFailureError(f"eigenvector residual {size:.3g} exceeds {RESIDUAL_RTOL:g} of {bound:.3g}")
     return _cut(values, vectors, k)
 
 
-def _reducible(coupling: CouplingPair) -> bool:
-    """C is diagonalisable with x-independent eigenvectors: YZ > 0, or
-    C = 0.  With exactly one of Y, Z nonzero it is a Jordan block."""
-    return coupling.branch is not BranchClass.NEGATIVE_PRODUCT and not coupling.non_diagonalizable
+def _doublets(rep: BandedHamiltonian, block, values: np.ndarray, vectors: np.ndarray):
+    """Each root E of T with eigenvector v as two eigenpairs of H, roots
+    first.  YZ > 0: u+ (x) v and u- (x) conj(v) at conj(E) (T at -lambda
+    is conj(T)), u+- the eigenvectors of C.  YZ < 0: u- (x) R v at E (T at
+    -lambda is R T R, R the index reversal).  YZ = 0, Y = 0: (v, 0) and
+    (a, v), (K - E) a = -iZ D v, solvable as v . D v = 0 by parity; for
+    Z = 0 the channels swap, and for C = 0, a = 0."""
+    coupling, c = rep.coupling, rep.coupling.root_product
+    if not c:
+        a = block.particular(values, -1j * (coupling.Z or coupling.Y) * rep.step[:, None] * vectors)
+        scale = np.sqrt(1.0 + np.linalg.norm(a, axis=0) ** 2)
+        channels = [[vectors, a / scale], [np.zeros_like(vectors), vectors / scale]]
+        if coupling.Y:
+            channels.reverse()  # C = [[0, 0], [iY, 0]]: v in the lower channel
+        return np.concatenate([values, values]), np.vstack([np.hstack(row) for row in channels])
+    if block.shift.real:
+        head, partner, partner_values = 1j * coupling.Z, vectors[::-1], values
+    else:
+        head, partner, partner_values = coupling.Z, vectors.conj(), values.conj()
+    # C (Z, +-c) = +-ic (Z, +-c) for YZ > 0, C (iZ, +-c) = +-c (iZ, +-c) for YZ < 0
+    norm = math.hypot(coupling.Z, c)
+    channels = [[head / norm * vectors, head / norm * partner], [c / norm * vectors, -c / norm * partner]]
+    return np.concatenate([values, partner_values]), np.vstack([np.hstack(row) for row in channels])
 
 
 def _cut(values: np.ndarray, vectors: np.ndarray, k: int):
-    """The k eigenpairs `eigenpairs` returns, from either solve.
+    """The k eigenpairs `eigenpairs` returns, from all those given.
 
     A value is complex when |Im E| > PAIRING_RTOL max(1, |E|), and is
     paired one to one with a value that close to its conjugate, else the
@@ -316,54 +331,16 @@ def _tie_groups(real_parts: list) -> list:
     return group
 
 
-def _reduced_eigenpairs(rep: BandedHamiltonian, k: int):
-    """Lowest k eigenpairs of the full operator from T = K + icD alone.
-
-    Returns None when the bands are not of the two-region form or the
-    secular solve cannot certify its root set, which sends the caller
-    to the dense eigensolve.
-    """
-    coupling, sub, diagonal, step = rep.coupling, rep.sub, rep.diagonal, rep.step
-    c = coupling.root_product
-    block = _TwoRegionBlock.from_bands(sub, diagonal, step, c)
-    if block is None:
-        return None
-    needed = (k + 1) // 2  # each root of T is two eigenvalues
-    values = block.lowest_roots(needed)
-    if values is None:
-        return None
-    edge, _ = _gap_after(values.real, needed)
-    if edge is not None:
-        values = values[values.real < edge]  # ties kept whole
-    vectors = block.eigenvectors(values)
-    residual = (diagonal + 1j * c * step)[:, None] * vectors - values * vectors
-    residual[:-1] += sub[:, None] * vectors[1:]
-    residual[1:] += sub[:, None] * vectors[:-1]
-    if np.abs(residual).max() > RESIDUAL_RTOL * block.norm_bound:
-        return None
-    # eigenvectors (upper, lower) of C for +ic and -ic; for C = 0 the two channels
-    if c:
-        norm = math.hypot(coupling.Z, c)
-        u_plus, u_minus = (coupling.Z / norm, c / norm), (coupling.Z / norm, -c / norm)
-    else:
-        u_plus, u_minus = (1.0, 0.0), (0.0, 1.0)
-    conj = vectors.conj()
-    doublets = np.vstack([
-        np.hstack([u_plus[0] * vectors, u_minus[0] * conj]),
-        np.hstack([u_plus[1] * vectors, u_minus[1] * conj]),
-    ])
-    return _cut(np.concatenate([values, values.conj()]), doublets, k)
-
-
 @dataclass(frozen=True)
 class _TwoRegionBlock:
-    """T = d0 + s (shift) + i gamma D0 on 2m - 1 nodes, s < 0, with
-    D0 = +1 on the m - 1 left nodes, 0 at the centre, -1 on the right.
+    """T = d0 + s (shift) + lambda D0 on 2m - 1 nodes, s < 0, with
+    D0 = +1 on the m - 1 left nodes, 0 at the centre, -1 on the right,
+    and lambda imaginary (i gamma) or real.
 
     On each side T u = E u is the constant-coefficient recursion
     u_{j-1} + u_{j+1} = 2 cos(theta) u_j with
-    sin^2(theta_{L,R} / 2) = (E - floor -+ i gamma) / width, floor = d0 + 2s
-    and width = -4s (for the Laplacian, cos(theta) = 1 - h^2 (E -+ ic) / 2).
+    sin^2(theta_{L,R} / 2) = (E - floor -+ lambda) / width, floor = d0 + 2s
+    and width = -4s (for the Laplacian, cos(theta) = 1 - h^2 (E -+ lambda) / 2).
     The Dirichlet ends leave u_j = A sin(j theta_L) on the left and
     B sin((2m - j) theta_R) on the right, and matching both at the centre
     node gives the secular polynomial
@@ -387,31 +364,30 @@ class _TwoRegionBlock:
 
     floor: float
     width: float
-    gamma: float
+    shift: complex  # lambda
     m: int
 
     @classmethod
-    def from_bands(cls, sub, diagonal, step, c: float):
-        """The block of sub, diagonal + i c step, or None when the bands
-        are not a constant Laplacian plus one +-1 step at the centre."""
+    def from_bands(cls, sub, diagonal, step, shift: complex):
+        """The block of sub, diagonal + shift step; ModelDomainError when
+        the bands are not a constant Laplacian plus, unless the shift is
+        0, one +-1 step at the centre."""
         m = (diagonal.size + 1) // 2
         s, d0 = float(sub[0]), float(diagonal[0])
-        if not (s < 0.0 and np.all(sub == s) and np.all(diagonal == d0)):
-            return None
-        side = float(step[0]) if c else 0.0
-        if c and not (
+        side = float(step[0]) if shift else 0.0
+        if not (s < 0.0 and np.all(sub == s) and np.all(diagonal == d0)) or shift and not (
             abs(side) == 1.0
             and np.all(step[: m - 1] == side)
             and step[m - 1] == 0.0
             and np.all(step[m:] == -side)
         ):
-            return None
-        return cls(floor=d0 + 2.0 * s, width=-4.0 * s, gamma=c * side, m=m)
+            raise ModelDomainError("the bands are not a constant Laplacian plus one +-1 step at x = 0")
+        return cls(floor=d0 + 2.0 * s, width=-4.0 * s, shift=shift * side, m=m)
 
     @property
     def norm_bound(self) -> float:
-        """|d0| + 2|s| + |gamma| >= ||T||."""
-        return abs(self.floor + self.width / 2) + self.width / 2 + abs(self.gamma)
+        """|d0| + 2|s| + |lambda| >= ||T||."""
+        return abs(self.floor + self.width / 2) + self.width / 2 + abs(self.shift)
 
     # -- P and its slope --------------------------------------------------
 
@@ -425,15 +401,18 @@ class _TwoRegionBlock:
         return cos_l * ratio_r + cos_r * ratio_l
 
     def secular_real(self, energies: np.ndarray) -> np.ndarray:
-        """Scaled P at real energies, where the right side is the
-        conjugate of the left: P = 2 Re(cos(m theta_L) conj U(theta_L))."""
+        """Scaled P at real energies.  For an imaginary lambda the right
+        side is the conjugate of the left: P = 2 Re(cos(m theta_L) conj
+        U(theta_L)); for a real one the two sides are not conjugates."""
+        if self.shift.real:
+            return self.secular(energies).real
         cos_l, ratio_l = self._side(energies, -1.0)
         return 2.0 * (cos_l * ratio_l.conj()).real
 
     def _theta(self, energies, sign):
         """theta on one side, cos(m theta) and sin(m theta) scaled by
         exp(-|Im m theta|), and sin(theta), at an array of energies."""
-        z = (energies - self.floor + sign * 1j * self.gamma) / self.width
+        z = (energies - self.floor + sign * self.shift) / self.width
         theta = 2.0 * np.arcsin(np.sqrt(z))
         cos_m, sin_m = _scaled_cos_sin(self.m * theta.real, self.m * theta.imag)
         # sin(theta) from theta itself: on the branch cuts of arcsin a
@@ -442,8 +421,8 @@ class _TwoRegionBlock:
 
     def _side(self, energies, sign):
         """cos(m theta) and U(theta) on one side, scaled by
-        exp(-|Im m theta|).  At theta = 0 or pi (E at an end of K's
-        band, gamma = 0), which no grid or count samples, U is NaN."""
+        exp(-|Im m theta|).  At theta = 0 or pi (E at an end of a
+        side's band), which no grid or count samples, U is NaN."""
         _, cos_m, sin_m, sin_t = self._theta(energies, sign)
         if not sin_t.all():
             sin_t = np.where(sin_t == 0, np.nan, sin_t)
@@ -452,7 +431,7 @@ class _TwoRegionBlock:
     def _scalar_side(self, energy: complex, sign: float):
         """cos(m theta), U(theta) and their E-derivatives, scaled as in
         `_side`; dtheta/dE = 2 / (width sin(theta))."""
-        z = (energy - self.floor + sign * 1j * self.gamma) / self.width
+        z = (energy - self.floor + sign * self.shift) / self.width
         theta = 2.0 * cmath.asin(cmath.sqrt(z))
         phase = self.m * theta
         turn = cmath.exp(1j * phase.real)
@@ -476,6 +455,8 @@ class _TwoRegionBlock:
         )
 
     def _value_slope_real(self, energy: float):
+        if self.shift.real:
+            return tuple(part.real for part in self._value_slope(complex(energy)))
         cos_l, ratio_l, dcos_l, dratio_l = self._scalar_side(energy, -1.0)
         return (
             2.0 * (cos_l * ratio_l.conjugate()).real,
@@ -484,7 +465,7 @@ class _TwoRegionBlock:
 
     # -- roots ------------------------------------------------------------
 
-    def _bracketed_root(self, lo: float, hi: float, p_lo: float, p_hi: float) -> float | None:
+    def _bracketed_root(self, lo: float, hi: float, p_lo: float, p_hi: float) -> float:
         """The root of P in [lo, hi], where P changes sign from p_lo to
         p_hi: Newton from the secant point, bisecting whenever a step
         leaves the bracket."""
@@ -508,7 +489,7 @@ class _TwoRegionBlock:
                 x = 0.5 * (lo + hi)
                 if hi - lo <= 2 * _EPS * max(1.0, abs(x)):
                     return x
-        return None
+        raise NumericalFailureError(f"bracketed Newton on P did not converge in [{lo!r}, {hi!r}]")
 
     def _newton(self, z: complex, known) -> complex | None:
         """A root of P from z by Newton on P / prod(E - r) over the
@@ -534,12 +515,12 @@ class _TwoRegionBlock:
 
     def _axis_roots(self, phi_top: float):
         """Roots seeded from P on a real grid, up to the grid energy
-        floor + width sin^2(phi_top / 2); distinct, by real part."""
+        floor - |Re lambda| + width sin^2(phi_top / 2); distinct, by real part."""
         m = self.m
         # uniform in theta, 8 samples per spacing of the decoupled levels,
         # from below the lowest real part a root of T can have
         phi = np.arange(math.pi / (4 * m), phi_top, math.pi / (16 * m))
-        grid = self.floor + self.width * np.sin(phi / 2) ** 2
+        grid = self.floor - abs(self.shift.real) + self.width * np.sin(phi / 2) ** 2
         p = self.secular_real(grid)
         sign = np.sign(p)
         roots = [complex(e) for e in grid[p == 0]]
@@ -568,28 +549,23 @@ class _TwoRegionBlock:
                 depth = p0 + slope01 * (vertex - x0) + curve * (vertex - x0) * (vertex - x1)
                 seeds.append(complex(vertex, math.sqrt(abs(depth / curve)) if curve else x2 - x0))
         for bracket in brackets:
-            root = self._bracketed_root(*bracket)
-            if root is None:
-                return None
-            roots.append(complex(root, 0.0))
+            roots.append(complex(self._bracketed_root(*bracket), 0.0))
         for seed in seeds:
             root = self._newton(seed, roots)
             if root is not None:
                 roots += [root, root.conjugate()] if root.imag else [root]
         return _distinct(roots)
 
-    def lowest_roots(self, needed: int) -> np.ndarray | None:
+    def lowest_roots(self, needed: int) -> np.ndarray:
         """Every root of P with real part below a gap past the `needed`
-        lowest, certified by the zero count; None when that fails."""
+        lowest, certified by the zero count or by being all 2m - 1."""
         m = self.m
         phi_max = math.pi - math.pi / (4 * m)
         levels = needed + 2
         while True:
             phi_top = min(levels * math.pi / (2 * m), phi_max)
             roots = self._axis_roots(phi_top)
-            if roots is None:
-                return None
-            if self.gamma and roots.size <= needed:
+            if self.shift.imag and roots.size <= needed:
                 # the real grid misses the pairs far from the axis
                 top = self.floor + self.width * math.sin(phi_top / 2) ** 2
                 roots = _distinct(self._shifted_levels(top, list(roots)))
@@ -597,18 +573,18 @@ class _TwoRegionBlock:
             if edge is not None:
                 break
             if phi_top == phi_max:
-                edge, gap = self.floor + self.width + 1.0, 2.0
+                edge, gap = self.floor + self.width + abs(self.shift.real) + 1.0, 2.0
                 break
             levels *= 2
-        # every root lies in the numerical range, |Im E| <= |gamma| and
-        # Re E >= floor + width sin^2(pi / 2M), K's lowest eigenvalue; the
-        # box keeps 1 clear of it on three sides and gap / 2 on the fourth
-        reach = abs(self.gamma) + 1.0
+        if roots.size == 2 * m - 1:  # P's degree: none is missing
+            return roots[roots.real < edge]
+        # every root lies in the numerical range, |Im E| <= |Im lambda| and
+        # Re E >= floor + width sin^2(pi / 2M) - |Re lambda|; the box keeps
+        # 1 clear of it on three sides and gap / 2 on the fourth
+        reach = abs(self.shift.imag) + 1.0
         clear = 1.0 + self.width * math.sin(math.pi / (4 * self.m)) ** 2
-        box = (self.floor - 1.0, edge, reach)
+        box = (self.floor - abs(self.shift.real) - 1.0, edge, reach)
         count = self._winding(box, (gap / 4, 0.5, clear / 2))
-        if count is None:
-            return None
         roots = roots[roots.real < edge]
         if count == roots.size:
             return roots
@@ -616,24 +592,25 @@ class _TwoRegionBlock:
 
     def _shifted_levels(self, top: float, found: list) -> list:
         """found, with the roots that deflated Newton reaches from the
-        levels of one half of the well below `top`, shifted by +i|gamma|,
+        levels of one half of the well below `top`, shifted by +i|gamma|
+        (lambda = i gamma),
         and their conjugates.  Far past the merger the roots sit there:
         once Im m theta_R is large, P = 0 reads tan(m theta_L) ~ 0."""
         for j in range(1, self.m):
             level = self.floor + self.width * math.sin(j * math.pi / (2 * self.m)) ** 2
             if level > top:
                 break
-            root = self._newton(complex(level, abs(self.gamma)), found)
+            root = self._newton(complex(level, abs(self.shift.imag)), found)
             if root is not None and _is_new(root, found):
                 found += [root, root.conjugate()] if root.imag else [root]
         return found
 
-    def _complete(self, box, count: int, known: np.ndarray) -> np.ndarray | None:
+    def _complete(self, box, count: int, known: np.ndarray) -> np.ndarray:
         """All `count` roots in box, from the known ones: boxes whose count
         exceeds their known roots get a deflated Newton from their
         mid-line (`_mid_line_seeds`), and are split in two across the real
         direction, each half counted, until none is missing."""
-        found = self._shifted_levels(box[1], list(known)) if self.gamma else list(known)
+        found = self._shifted_levels(box[1], list(known)) if self.shift.imag else list(known)
         up = min(0.5, box[2] / 8)
         pending = [(box, count, 0)]
         windings = 0
@@ -641,7 +618,7 @@ class _TwoRegionBlock:
             part, count, depth = pending.pop()
             missing = count - sum(_inside(part, r) for r in found)
             if missing < 0:
-                return None
+                raise NumericalFailureError("completion found more roots of P than the zero count")
             if missing == 0:
                 continue
             for seed in self._mid_line_seeds(part, up):
@@ -655,20 +632,20 @@ class _TwoRegionBlock:
                 pending.append((part, count, depth))
                 continue
             if depth == SPLIT_DEPTH or windings >= SPLIT_WINDINGS:
-                return None
+                raise NumericalFailureError(f"completion stopped with {missing} roots of P missing")
             halves = _split(part, found)
             counts = [
                 self._winding(half, (up, min(0.5, (half[1] - half[0]) / 16), up)) for half in halves
             ]
             windings += 2
-            if None in counts or sum(counts) != count:
-                return None
+            if sum(counts) != count:
+                raise NumericalFailureError(f"completion: zero counts {counts} of halves, {count} in all")
             pending += [(half, n, depth + 1) for half, n in zip(halves, counts)]
         return _distinct([r for r in found if _inside(box, r)])
 
     def _mid_line_seeds(self, box, step: float):
         """Newton starts on the vertical mid-line of box (the halves of a
-        split keep the full height): mid-height and |gamma|, where the
+        split keep the full height): mid-height and |Im lambda|, where the
         pairs far past the merger sit, then the local minima of |P|
         sampled `step` apart on the upper half (|P| is even in Im E)."""
         re0, re1, reach = box
@@ -681,20 +658,23 @@ class _TwoRegionBlock:
         for height in heights[dips].tolist():
             yield complex(mid, height)
 
-    def _winding(self, box, steps) -> int | None:
+    def _winding(self, box, steps) -> int:
         """Zeros of P in the box re0 <= Re E <= re1, |Im E| <= reach, by the
         argument principle.  P(conj E) = conj P(E), so only the upper half
         of the boundary is walked (the lower half turns the phase as much):
         up the right edge, along the top, down the left edge, at most
         `steps` apart per edge, each step at most half the distance from
         its edge to the nearest root, refined until no two neighbours
-        differ by more than pi / 4.  None if P vanishes on the boundary
-        or the phase is not resolved within WINDING_POINTS samples."""
+        differ by more than pi / 4.  NumericalFailureError if P vanishes
+        on the boundary or the phase is not resolved within WINDING_POINTS
+        samples."""
         re0, re1, reach = box
         corners = [complex(re1, 0.0), complex(re1, reach), complex(re0, reach), complex(re0, 0.0)]
         counts = [max(4, math.ceil(abs(b - a) / step)) for a, b, step in zip(corners, corners[1:], steps)]
         if sum(counts) > WINDING_POINTS:
-            return None
+            raise NumericalFailureError(
+                f"the zero count of P asks for {sum(counts)} samples, more than {WINDING_POINTS}"
+            )
         points = np.concatenate(
             [a + (b - a) * np.arange(n) / n for a, b, n in zip(corners, corners[1:], counts)]
             + [corners[-1:]]
@@ -702,15 +682,19 @@ class _TwoRegionBlock:
         values = self.secular(points)
         while True:
             if not np.all(np.isfinite(values)) or np.any(values == 0):
-                return None
+                raise NumericalFailureError("the zero count of P met a zero or a non-finite value")
             turn = np.angle(values[1:] / values[:-1])
             coarse = np.flatnonzero(np.abs(turn) > math.pi / 4)
             if coarse.size == 0:
                 total = turn.sum() / math.pi
                 count = round(total)
-                return count if abs(total - count) < 0.1 else None
+                if abs(total - count) >= 0.1:
+                    raise NumericalFailureError(f"the zero count of P reads {total}, not an integer")
+                return count
             if points.size + coarse.size > WINDING_POINTS:
-                return None
+                raise NumericalFailureError(
+                    f"the zero count of P asks for {points.size + coarse.size} samples, more than {WINDING_POINTS}"
+                )
             middle = 0.5 * (points[coarse] + points[coarse + 1])
             points = np.insert(points, coarse + 1, middle)
             values = np.insert(values, coarse + 1, self.secular(middle))
@@ -721,7 +705,7 @@ class _TwoRegionBlock:
         """Unit eigenvectors of T, one column per root: A sin(j theta_L)
         on the left, B sin((2m - j) theta_R) on the right.  (A, B) comes
         from the better-conditioned row of the centre matching, since
-        sin(m theta) -> 0 for the odd modes as gamma -> 0."""
+        sin(m theta) -> 0 for the odd modes as lambda -> 0."""
         m = self.m
         j = np.arange(1.0, m + 1)[:, None]
         sides = []
@@ -743,6 +727,16 @@ class _TwoRegionBlock:
         b = np.where(continuity, sin_l, -sin_tl * cos_l)
         vectors = np.concatenate([a * left, b * right[-2::-1]])
         return vectors / np.linalg.norm(vectors, axis=0)
+
+    def particular(self, roots: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        """For lambda = 0, the a with (T - E) a = f and a_1 = 0 per root E and
+        column f, a_n = sum_{j<n} sin((n - j) theta) f_j / (s sin(theta)) with
+        s = -width / 4, in O(M); a_2m = 0 when f is orthogonal to sin(j theta)."""
+        theta, _, _, sin_t = self._theta(roots, -1.0)
+        j = np.arange(1.0, 2 * self.m)[:, None]
+        cos_j, sin_j = np.cos(j * theta), np.sin(j * theta)
+        sums = [np.cumsum(np.vstack([0 * f[:1], f[:-1]]), axis=0) for f in (cos_j * sources, sin_j * sources)]
+        return (sin_j * sums[0] - cos_j * sums[1]) / (-0.25 * self.width * sin_t)
 
 
 def _scaled_cos_sin(x, y):
@@ -872,9 +866,8 @@ def criticality_scan(c_values: Sequence[float], grid: GridSpec):
     """Max |Im E| of the four lowest eigenvalues for each coupling value.
 
     c is sqrt(YZ), applied as Y = Z = c.  Below the critical coupling the
-    imaginary parts are exactly 0 on the secular path (rounding noise if
-    the dense fallback runs); past it the lowest quartet carries an O(1)
-    imaginary part.  c_values must be strictly increasing.
+    imaginary parts are exactly 0; past it the lowest quartet carries an
+    O(1) imaginary part.  c_values must be strictly increasing.
     """
     c_values = [float(c) for c in c_values]
     if any(c < 0 for c in c_values):

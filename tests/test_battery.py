@@ -158,8 +158,8 @@ def test_band_structure_checks_are_the_dense_ones(M, Y, Z):
 
 @pytest.mark.parametrize("Y, Z", [(1.0, -1.0), (0.0, 2.0), (1.0, 4.0)])
 def test_eigenpairs_refuses_bands_that_break_the_symmetry(Y, Z):
-    # the band check runs before either solve: YZ < 0 and the Jordan
-    # coupling (0, 2) take the dense solve, YZ > 0 the secular one
+    # the band check runs before the solve, for YZ < 0, the Jordan
+    # coupling (0, 2) and YZ > 0 alike
     built, *edited = _edits(build_hamiltonian(CouplingPair(Y, Z), GridSpec(16)))
     eigenpairs(built, 4)
     for rep in edited:

@@ -394,7 +394,7 @@ def test_verify_underflowing_product_is_refused_by_the_metric_family(capsys):
 
 
 def test_oracle_underflowing_product_takes_the_secular_path(capsys):
-    # the dense path leaves rounding noise in Im E; the secular roots are real
+    # YZ underflows to 0 in floats, sqrt(YZ) does not: lambda = i sqrt(YZ), and the roots are real
     code, out, _ = run(capsys, "oracle", "--Y", "1e-200", "--Z", "1e-200", "--grid", "512")
     assert code == 0
     report = strict_json(out)
@@ -426,8 +426,9 @@ def test_oracle_json_report(capsys):
 
 
 def test_oracle_negative_product_exits_2(capsys):
-    code, _, _ = run(capsys, "oracle", "--Y", "1", "--Z", "-1")
-    assert code == 2
+    code, out, err = run(capsys, "oracle", "--Y", "1", "--Z", "-1")
+    assert code == 2 and out == ""
+    assert "closed-form levels s^2 +- sqrt(-YZ) are not this operator's levels" in err
 
 
 @pytest.mark.parametrize("grid", ["8", "10"])

@@ -578,6 +578,10 @@ def test_grid_theta_requires_grid():
         assert on_grid.dim == 2 * GridSpec(64).n_interior
         with pytest.raises(ModelDomainError, match="GridSpec"):
             build(states, grid=64)
+    # the spectral sum has a grid form only
+    for grid in (128, None):
+        with pytest.raises(ModelDomainError, match="GridSpec"):
+            spectral_reconstruct(states, "identity", grid)
 
 
 @pytest.mark.parametrize("M", [64, 512])

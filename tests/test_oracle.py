@@ -1,12 +1,12 @@
 """Finite-difference oracle: structure checks, convergence, criticality scan.
 
 Everything here is second-order central differences, kept deliberately
-independent of the closed-form machinery it cross-checks.  For YZ > 0
-the eigensolver works on the channel-diagonal tridiagonal block alone,
-taken from the bands `build_hamiltonian` stores, as the roots of its
-discrete secular polynomial; the dense eigensolve of the assembled
-matrix, reached through a plain `OperatorRep` copy, is the reference it
-is checked against here.
+independent of the closed-form machinery it cross-checks.  For every
+coupling the eigensolver works on one tridiagonal block alone, taken
+from the bands `build_hamiltonian` stores, as the roots of its discrete
+secular polynomial; the dense eigensolve of the assembled matrix, cut
+like every solve (`_dense_eigenpairs`), is the reference it is checked
+against here.
 """
 
 import dataclasses
@@ -37,6 +37,7 @@ from coupledwell import (
     spectrum,
     subspace_alignment,
 )
+from coupledwell.oracle import _cut
 
 UNIT = CouplingPair(1.0, 1.0)
 
@@ -144,7 +145,9 @@ def test_eigenpairs_validation():
     assert np.array_equal(values, eigenpairs(rep, 4)[0])
 
 
-@pytest.mark.parametrize("y, z", [(1.0, 4.0), (-1.0, -4.0), (0.0, 0.0), (25.0, 25.0)])
+@pytest.mark.parametrize(
+    "y, z", [(1.0, 4.0), (-1.0, -4.0), (0.0, 0.0), (25.0, 25.0), (1.0, -4.0), (0.0, 2.0)]
+)
 def test_reducible_hamiltonian_never_builds_its_matrix(y, z):
     rep = build_hamiltonian(CouplingPair(y, z), GridSpec(256))
     for k in (1, 4, 12):
@@ -180,10 +183,28 @@ def test_reduced_solve_at_large_grid():
         assert row["rel_err"] <= 5e-3 * (512 / M) ** 2
 
 
+def test_negative_product_grid_levels_converge_to_the_matching_roots():
+    # (Y, Z) = (1, -4): T = K +- 2 D is real symmetric, each root a doublet.
+    # The grid converges at second order to the roots of
+    # k_L cot k_L + k_R cot k_R = 0 with k^2 = E -+ 2 (mpmath, 30 digits),
+    # not to the closed form's s^2 +- sqrt(-YZ)
+    exact = np.array([2.07971664207258827, 10.15428578442640404])
+    roots = {}
+    for M in (512, 1024):
+        values, _ = eigenpairs(build_hamiltonian(CouplingPair(1.0, -4.0), GridSpec(M)), 4)
+        assert np.all(values.imag == 0.0) and np.array_equal(values[0::2], values[1::2])
+        roots[M] = values.real[0::2]
+    orders = np.log2(np.abs(roots[512] - exact) / np.abs(roots[1024] - exact))
+    assert np.all(np.abs(orders - 2.0) <= 0.01)
+    assert np.abs((4.0 * roots[1024] - roots[512]) / 3.0 - exact).max() <= 1e-9
+    closed_form = [lvl.E for lvl in spectrum(CouplingPair(1.0, -4.0), 1).levels]
+    assert np.abs(np.subtract.outer(closed_form, exact)).min() > 1.0
+
+
 def test_pairing_assertion_rejects_unpaired_complex_values():
-    bad = OperatorRep(np.diag([1.0 + 1.0j, 0.5, 2.0]), RepBasis.GRID)
-    with pytest.raises(NumericalFailureError):
-        eigenpairs(bad, 1)
+    # every solve ends in the cut, which refuses an unpaired complex value
+    with pytest.raises(NumericalFailureError, match="no conjugate partner"):
+        _cut(np.array([1.0 + 1.0j, 0.5, 2.0]), np.eye(3), 1)
 
 
 def test_above_critical_spectrum_is_complex_but_paired():
@@ -264,9 +285,10 @@ def test_subspace_alignment_limits():
         subspace_alignment(basis, np.zeros(4))
 
 
-def _dense(rep) -> OperatorRep:
-    """The same matrix as a plain OperatorRep: always the dense path."""
-    return OperatorRep(rep.matrix, RepBasis.GRID)
+def _dense_eigenpairs(rep, k=None):
+    """The reference: the dense eigensolve of the assembled matrix, cut
+    as `eigenpairs` cuts its own eigenpairs."""
+    return _cut(*np.linalg.eig(rep.matrix), k or rep.dim)
 
 
 def _count_dense_solves(monkeypatch):
@@ -305,7 +327,7 @@ def _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors, rtol=1e-9)
 # complex quartets far from it, which the real-axis seeds miss and the
 # zero count completes.  At M = 8, c = 17.2331 a real root and a complex
 # pair share Re E = 32, the real root one ulp above: the real root
-# comes first on both solves.
+# comes first in the solve and in the dense reference.
 @pytest.mark.parametrize("M", [8, 16, 64, 256])
 @pytest.mark.parametrize("c", [0.01, 1.0, 4.47, 4.6, 17.2331, 25.0])
 @pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
@@ -313,42 +335,30 @@ def test_reduced_eigenpairs_match_dense(M, c, ratio, monkeypatch):
     rep = build_hamiltonian(
         CouplingPair(c / math.sqrt(ratio), c * math.sqrt(ratio)), GridSpec(M)
     )
-    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    ref_values, ref_vectors = _dense_eigenpairs(rep)
     dense_calls = _count_dense_solves(monkeypatch)
-    # up to the request that falls back; at M = 256 the reference above
-    # already is that dense solve
     ks = [k for k in (*range(1, 13), 16, 32, 64) if k < rep.dim]
     ks += [rep.dim] if rep.dim <= 128 else []
-    served = 0
     for k in ks:
         values, vectors = eigenpairs(rep, k)
-        if dense_calls:
-            break
-        served = k
         _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
-    assert served >= 8
-    assert bool(dense_calls) == (served < ks[-1])
+    assert dense_calls == []
 
 
-def test_other_grid_operators_take_the_dense_path(monkeypatch):
+def test_other_grid_operators_are_refused():
     # the inverse metric on the grid carries the same coupling and grid
     # metadata as a Hamiltonian, but is not one
-    grid = GridSpec(64)
-    inverse = inverse_theta_metric(doublet_family(UNIT, 4), grid=grid)
-    calls = _count_dense_solves(monkeypatch)
-    values, vectors = eigenpairs(inverse, 6)
-    ref_values, ref_vectors = eigenpairs(_dense(inverse), 6)
-    assert len(calls) == 2
-    assert np.array_equal(values, ref_values)
-    assert np.array_equal(vectors, ref_vectors)
+    inverse = inverse_theta_metric(doublet_family(UNIT, 4), grid=GridSpec(64))
+    with pytest.raises(ModelDomainError, match="BandedHamiltonian"):
+        eigenpairs(inverse, 6)
 
 
-# _shift_down and _clear_middle_step edit the bands the reduced solver
-# reads.  _shift_down keeps constant bands, so its block is read from
-# the bands (d0 and s) and solved by the secular path; _clear_middle_step
-# keeps the form I (x) K + C (x) D but not one step at x = 0, so it goes
-# to the dense path.  The other two leave the band form, on a plain copy
-# of the dense matrix
+# _shift_down and _clear_middle_step edit the bands the solver reads.
+# _shift_down keeps constant bands, so its block is read from the bands
+# (d0 and s) and solved; _clear_middle_step keeps the form
+# I (x) K + C (x) D but not one step at x = 0, and the other two leave
+# the band form on a plain copy of the dense matrix: all three are
+# refused
 
 
 def _shift_down(rep):
@@ -394,10 +404,14 @@ def _off_band(rep):
 )
 def test_edited_hamiltonian_is_solved_as_edited(edit, c, reduced, monkeypatch):
     rep = edit(build_hamiltonian(CouplingPair(c / 2, 2 * c), GridSpec(64)))
-    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    if not reduced:
+        with pytest.raises(ModelDomainError):
+            eigenpairs(rep, 5)
+        return
+    ref_values, ref_vectors = _dense_eigenpairs(rep)
     calls = _count_dense_solves(monkeypatch)
     values, vectors = eigenpairs(rep, 5)
-    assert bool(calls) != reduced
+    assert calls == []
     _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
 
 
@@ -418,7 +432,7 @@ def test_band_edits_are_the_dense_edits():
 def test_decoupled_box_takes_the_reduced_path(M, monkeypatch):
     # C = 0: T = K, and the doublet vectors lie in one channel each
     rep = build_hamiltonian(CouplingPair(0.0, 0.0), GridSpec(M))
-    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    ref_values, ref_vectors = _dense_eigenpairs(rep)
     calls = _count_dense_solves(monkeypatch)
     for k in (1, 2, 5, 8, 12):
         values, vectors = eigenpairs(rep, k)
@@ -428,12 +442,18 @@ def test_decoupled_box_takes_the_reduced_path(M, monkeypatch):
 
 
 @pytest.mark.parametrize("y, z", [(0.0, 2.0), (2.0, 0.0)])
-def test_jordan_coupling_takes_the_dense_path(y, z, monkeypatch):
-    # exactly one of Y, Z nonzero: C is a Jordan block, no channel basis
+def test_jordan_coupling_solves_the_decoupled_block(y, z, monkeypatch):
+    # exactly one of Y, Z nonzero: C is a Jordan block, lambda = 0, so the
+    # values are those of Y = Z = 0 to the bit; the second vector of each
+    # doublet comes from (K - E) a = -i Y or Z D v
     rep = build_hamiltonian(CouplingPair(y, z), GridSpec(64))
+    ref_values, ref_vectors = _dense_eigenpairs(rep)
+    box_values, _ = eigenpairs(build_hamiltonian(CouplingPair(0.0, 0.0), GridSpec(64)), 12)
     calls = _count_dense_solves(monkeypatch)
-    eigenpairs(rep, 4)
-    assert len(calls) == 1
+    values, vectors = eigenpairs(rep, 12)
+    assert calls == []
+    assert np.array_equal(values, box_values)
+    _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
 
 
 def test_reduced_solve_is_bit_reproducible():
@@ -459,9 +479,9 @@ def test_reduced_solve_is_bit_reproducible_at_large_grid():
 
 
 def _block(rep):
-    """The two-region block the reduced solve reads from rep's bands."""
+    """The two-region block the solve reads from rep's bands (YZ >= 0)."""
     c = math.sqrt(rep.coupling.product)
-    return coupledwell.oracle._TwoRegionBlock.from_bands(rep.sub, rep.diagonal, rep.step, c)
+    return coupledwell.oracle._TwoRegionBlock.from_bands(rep.sub, rep.diagonal, rep.step, 1j * c)
 
 
 def _block_matrix(rep):
@@ -532,7 +552,7 @@ def test_close_real_pair_next_to_the_merger(monkeypatch):
     # with the roots found, duplicates included, would pass with 6.584
     # found twice and 6.218 missing.
     rep = build_hamiltonian(CouplingPair(4.47, 4.47), GridSpec(256))
-    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    ref_values, ref_vectors = _dense_eigenpairs(rep)
     calls = _count_dense_solves(monkeypatch)
     values, vectors = eigenpairs(rep, 12)
     assert calls == []
@@ -555,7 +575,7 @@ def test_complex_quartets_past_the_merger(c, M, off_axis, monkeypatch):
     # it lies far from the axis, the real grid misses it, and the levels
     # of one half of the well shifted by i c seed it.
     rep = build_hamiltonian(CouplingPair(c, c), GridSpec(M))
-    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    ref_values, ref_vectors = _dense_eigenpairs(rep)
     calls = _count_dense_solves(monkeypatch)
     seeded = []
     shifted = coupledwell.oracle._TwoRegionBlock._shifted_levels
@@ -588,7 +608,7 @@ def test_zero_count_completes_the_root_set(c, monkeypatch):
         lambda self, *args: completions.append(args[1]) or complete(self, *args),
     )
     rep = build_hamiltonian(CouplingPair(c, c), GridSpec(64))
-    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+    ref_values, ref_vectors = _dense_eigenpairs(rep)
     calls = _count_dense_solves(monkeypatch)
     values, vectors = eigenpairs(rep, 12)
     assert calls == [] and completions
@@ -621,62 +641,57 @@ def test_huge_coupling_is_solved(M):
     assert np.all(np.abs(np.abs(values.imag) - 1e6) < 1e-2)
     assert np.all(np.abs(values.real - math.pi**2) < 0.02)
     if M == 64:
-        ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+        ref_values, ref_vectors = _dense_eigenpairs(rep)
         _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
 
 
-def test_uncertified_roots_take_the_dense_path_only_at_small_grid(monkeypatch):
-    # past the merger (c = 25, quartets) the forced dense solve returns
-    # the secular solve's values in the same positions: one cut for both
-    strong = build_hamiltonian(CouplingPair(25.0, 25.0), GridSpec(64))
-    secular_values, _ = eigenpairs(strong, 12)
-    monkeypatch.setattr(
-        coupledwell.oracle._TwoRegionBlock, "lowest_roots", lambda self, needed: None
-    )
-    small = build_hamiltonian(UNIT, GridSpec(64))
-    ref_values, _ = eigenpairs(_dense(small), 4)
-    calls = _count_dense_solves(monkeypatch)
-    values, _ = eigenpairs(small, 4)
-    assert len(calls) == 1
-    assert np.array_equal(values, ref_values)
-    values, _ = eigenpairs(strong, 12)
-    assert len(calls) == 2
-    assert np.abs(values - secular_values).max() <= 1e-9 * np.abs(secular_values).max()
-    # the dense matrix at M = 4096 would take 1 GB: refused, never built
-    large = build_hamiltonian(UNIT, GridSpec(4096))
-    with pytest.raises(NumericalFailureError, match="dense eigensolve is limited"):
-        eigenpairs(large, 4)
-    assert "matrix" not in vars(large) and len(calls) == 2
+def test_uncertified_roots_are_refused(monkeypatch):
+    # a zero count that needs more than WINDING_POINTS samples leaves the
+    # root set uncertified: refused at every grid size, the dense matrix
+    # never built
+    monkeypatch.setattr(coupledwell.oracle, "WINDING_POINTS", 10)
+    for M in (64, 4096):
+        for pair in (UNIT, CouplingPair(25.0, 25.0), CouplingPair(1.0, -4.0)):
+            rep = build_hamiltonian(pair, GridSpec(M))
+            with pytest.raises(NumericalFailureError, match="zero count of P asks for"):
+                eigenpairs(rep, 4)
+            assert "matrix" not in vars(rep)
 
 
 def test_eigenvector_residual_is_checked(monkeypatch):
-    # vectors that are not T's eigenvectors fail the O(M) residual check,
-    # and the request is served by the dense eigensolve instead
+    # vectors that are not T's eigenvectors fail the O(M) residual check
+    # of H, for every coupling class and grid size
     vectors_of = coupledwell.oracle._TwoRegionBlock.eigenvectors
     monkeypatch.setattr(
         coupledwell.oracle._TwoRegionBlock,
         "eigenvectors",
         lambda self, roots: np.roll(vectors_of(self, roots), 1, axis=0),
     )
-    rep = build_hamiltonian(UNIT, GridSpec(64))
-    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
-    calls = _count_dense_solves(monkeypatch)
-    values, vectors = eigenpairs(rep, 4)
-    assert len(calls) == 1
-    _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+    for M in (64, 4096):
+        for pair in (UNIT, CouplingPair(1.0, -4.0), CouplingPair(0.0, 2.0)):
+            with pytest.raises(NumericalFailureError, match="residual"):
+                eigenpairs(build_hamiltonian(pair, GridSpec(M)), 4)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     c=st.floats(min_value=0.0, max_value=30.0, exclude_min=True),
     ratio=st.sampled_from([0.25, 1.0, 4.0]),
+    signs=st.sampled_from([(1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)]),
+    jordan=st.sampled_from([None, "Y", "Z"]),
     half_m=st.integers(min_value=4, max_value=64),
     k=st.integers(min_value=1, max_value=12),
 )
-def test_reduced_and_dense_paths_agree(c, ratio, half_m, k):
-    rep = build_hamiltonian(
-        CouplingPair(c / math.sqrt(ratio), c * math.sqrt(ratio)), GridSpec(2 * half_m)
-    )
-    ref_values, ref_vectors = eigenpairs(_dense(rep), rep.dim)
+def test_reduced_and_dense_paths_agree(c, ratio, signs, jordan, half_m, k):
+    # every coupling class: YZ > 0 either sign, YZ < 0 either sign, and
+    # the Jordan pairs Y = 0 or Z = 0
+    y, z = signs[0] * c / math.sqrt(ratio), signs[1] * c * math.sqrt(ratio)
+    pair = CouplingPair(0.0 if jordan == "Y" else y, 0.0 if jordan == "Z" else z)
+    rep = build_hamiltonian(pair, GridSpec(2 * half_m))
+    ref_values, ref_vectors = _dense_eigenpairs(rep)
     values, vectors = eigenpairs(rep, min(k, rep.dim))
     _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+    if jordan or signs[0] != signs[1]:
+        # a real problem: real values, each doublet exactly degenerate
+        assert np.all(values.imag == 0.0)
+        assert np.array_equal(values[: values.size // 2 * 2 : 2], values[1::2])
