@@ -27,8 +27,11 @@ uses the 2x2 matrix C, never the closed form, so the oracle stays
 independent.
 
 T is constant on each half of the grid, so its eigenvalues are the
-roots of a discrete secular polynomial that costs O(1) to evaluate at
+roots of a discrete secular polynomial P that costs O(1) to evaluate at
 any M, and each eigenvector is one sine per side (`_TwoRegionBlock`).
+P and its slope are written once (`_TwoRegionBlock.secular`), over
+elementary functions that the argument's type picks: cmath for one
+Python number (Newton), numpy for an array (the grid and the count).
 The roots are seeded on the real axis, polished by Newton, and
 certified complete by an argument-principle count over a rectangle,
 symmetric about the real axis, that holds the numerical range of T (all
@@ -76,6 +79,12 @@ SPLIT_DEPTH = 40
 SPLIT_WINDINGS = 400
 _EPS = sys.float_info.epsilon
 _CHUNK = 65536  # energies per vectorised evaluation of P
+# The elementary functions of P (`_TwoRegionBlock._side`): sqrt, asin,
+# sin, complex exp, real exp and select.  cmath and math serve one Python
+# number, as Newton asks, where a numpy call costs ten times the
+# arithmetic; numpy serves the arrays of the grid and the count.
+_CMATH = (cmath.sqrt, cmath.asin, cmath.sin, cmath.exp, math.exp, lambda test, a, b: a if test else b)
+_NUMPY = (np.sqrt, np.arcsin, np.sin, np.exp, np.exp, np.where)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,16 +359,19 @@ class _TwoRegionBlock:
 
     which is det(E - T) up to a constant factor, even in each theta,
     and real on real E.  Its roots are found in O(1) per evaluation at
-    any m: bracketed Newton from the sign changes of P on a real grid,
-    complex Newton from the dips of |P| that do not change sign and,
+    any m: bracketed Newton from the sign changes of P on a real grid
+    (for a real lambda the last grid spans both sides' bands, whose
+    decoupled levels interlace the roots, all real), complex Newton
+    from the dips of |P| that do not change sign and,
     far past the merger, from the levels of one half of the well
     shifted by +-i gamma; an argument-principle count of the zeros in a
     rectangle that holds the numerical range is the certificate that
     none is missing.  On a mismatch, deflated Newton from the dips of |P|
     on the rectangle's mid-line and subdivision by the same count find
-    every root.  P and its slope are evaluated scaled by
-    exp(-|Im m theta_L| - |Im m theta_R|), a positive factor that keeps
-    the signs and phases and never overflows.
+    every root.  One evaluator, `secular`, with a cmath backend for a
+    Python number and a numpy one for an array, gives P and its slope
+    scaled by exp(-|Im m theta_L| - |Im m theta_R|), a positive factor
+    that keeps the signs and phases and never overflows.
     """
 
     floor: float
@@ -391,77 +403,57 @@ class _TwoRegionBlock:
 
     # -- P and its slope --------------------------------------------------
 
-    def secular(self, energies: np.ndarray) -> np.ndarray:
-        """Scaled P at complex energies."""
-        if energies.size > _CHUNK:  # bound the temporaries
-            return np.concatenate(
-                [self.secular(energies[i : i + _CHUNK]) for i in range(0, energies.size, _CHUNK)]
-            )
-        (cos_l, ratio_l), (cos_r, ratio_r) = (self._side(energies, sign) for sign in (-1.0, 1.0))
-        return cos_l * ratio_r + cos_r * ratio_l
+    def secular(self, energies, slope: bool = False, real: bool = False):
+        """Scaled P at energies and, with `slope`, dP/dE times the same
+        scale, so that P / P' is unscaled.  `real` asks for P's real-axis form at real energies: for
+        an imaginary lambda the right side is the conjugate of the left,
+        P = 2 Re(cos(m theta_L) conj U(theta_L)); for a real one, P is the
+        real part of the two-sided sum."""
+        if isinstance(energies, np.ndarray) and energies.size > _CHUNK:  # bound the temporaries
+            chunks = [energies[i : i + _CHUNK] for i in range(0, energies.size, _CHUNK)]
+            return np.concatenate([self.secular(chunk, slope, real) for chunk in chunks], axis=-1)
+        m, kappa = self.m, 2.0 / self.width
+        conjugate_sides = real and not self.shift.real
+        sides = []  # cos(m theta), U(theta) and, with the slope, their E-derivatives
+        for sign in (-1.0,) if conjugate_sides else (-1.0, 1.0):
+            z, _, cos_m, sin_m, sin_t = self._side(energies, sign)
+            u = sin_m / sin_t
+            if slope:  # dtheta/dE = kappa / sin(theta) and cos(theta) = 1 - 2z
+                du = kappa * (m * cos_m - u * (1.0 - 2.0 * z)) / (sin_t * sin_t)
+                sides.append((cos_m, u, -m * kappa * u, du))
+            else:
+                sides.append((cos_m, u))
+        if conjugate_sides:
+            c, u, *d = sides[0]
+            parts = [2.0 * (c * u.conjugate()).real]
+            if slope:
+                parts.append(2.0 * (d[0] * u.conjugate() + c * d[1].conjugate()).real)
+        else:
+            (c_l, u_l, *d_l), (c_r, u_r, *d_r) = sides
+            parts = [c_l * u_r + c_r * u_l]
+            if slope:
+                parts.append(d_l[0] * u_r + c_l * d_r[1] + d_r[0] * u_l + c_r * d_l[1])
+            if real:
+                parts = [part.real for part in parts]
+        return tuple(parts) if slope else parts[0]
 
-    def secular_real(self, energies: np.ndarray) -> np.ndarray:
-        """Scaled P at real energies.  For an imaginary lambda the right
-        side is the conjugate of the left: P = 2 Re(cos(m theta_L) conj
-        U(theta_L)); for a real one the two sides are not conjugates."""
-        if self.shift.real:
-            return self.secular(energies).real
-        cos_l, ratio_l = self._side(energies, -1.0)
-        return 2.0 * (cos_l * ratio_l.conj()).real
-
-    def _theta(self, energies, sign):
-        """theta on one side, cos(m theta) and sin(m theta) scaled by
-        exp(-|Im m theta|), and sin(theta), at an array of energies."""
+    def _side(self, energies, sign: float):
+        """z = sin^2(theta / 2), theta, cos(m theta) and sin(m theta) scaled
+        by exp(-|Im m theta|), and sin(theta) on the side of sign -1 (left)
+        or +1, with `_CMATH` for a Python number, `_NUMPY` for an array.
+        At theta = 0 or pi (E at an end of a side's band), which no grid or
+        count samples, sin(theta) reads NaN, and so do U and P."""
+        sqrt, asin, sin, cexp, exp, where = _NUMPY if isinstance(energies, np.ndarray) else _CMATH
         z = (energies - self.floor + sign * self.shift) / self.width
-        theta = 2.0 * np.arcsin(np.sqrt(z))
-        cos_m, sin_m = _scaled_cos_sin(self.m * theta.real, self.m * theta.imag)
+        theta = 2.0 * asin(sqrt(z))
+        x, y = self.m * theta.real, self.m * theta.imag
+        turn = cexp(1j * x)
+        fore = turn * exp(-y - abs(y))  # exp(i (x + iy)) exp(-|y|)
+        back = turn.conjugate() * exp(y - abs(y))  # exp(-i (x + iy)) exp(-|y|)
         # sin(theta) from theta itself: on the branch cuts of arcsin a
         # closed form in z could take the other side
-        return theta, cos_m, sin_m, np.sin(theta)
-
-    def _side(self, energies, sign):
-        """cos(m theta) and U(theta) on one side, scaled by
-        exp(-|Im m theta|).  At theta = 0 or pi (E at an end of a
-        side's band), which no grid or count samples, U is NaN."""
-        _, cos_m, sin_m, sin_t = self._theta(energies, sign)
-        if not sin_t.all():
-            sin_t = np.where(sin_t == 0, np.nan, sin_t)
-        return cos_m, sin_m / sin_t
-
-    def _scalar_side(self, energy: complex, sign: float):
-        """cos(m theta), U(theta) and their E-derivatives, scaled as in
-        `_side`; dtheta/dE = 2 / (width sin(theta))."""
-        z = (energy - self.floor + sign * self.shift) / self.width
-        theta = 2.0 * cmath.asin(cmath.sqrt(z))
-        phase = self.m * theta
-        turn = cmath.exp(1j * phase.real)
-        fore = turn * math.exp(-phase.imag - abs(phase.imag))
-        back = turn.conjugate() * math.exp(phase.imag - abs(phase.imag))
-        cos_m, sin_m = (fore + back) / 2, (fore - back) / 2j
-        sin_t = cmath.sin(theta)
-        if sin_t == 0:  # theta = 0 or pi, as in `_side`
-            return cos_m, math.nan, math.nan, math.nan
-        kappa = 2.0 / self.width
-        ratio = sin_m / sin_t
-        slope = kappa * (self.m * cos_m - ratio * (1.0 - 2.0 * z)) / (sin_t * sin_t)
-        return cos_m, ratio, -self.m * kappa * ratio, slope
-
-    def _value_slope(self, energy: complex):
-        cos_l, ratio_l, dcos_l, dratio_l = self._scalar_side(energy, -1.0)
-        cos_r, ratio_r, dcos_r, dratio_r = self._scalar_side(energy, 1.0)
-        return (
-            cos_l * ratio_r + cos_r * ratio_l,
-            dcos_l * ratio_r + cos_l * dratio_r + dcos_r * ratio_l + cos_r * dratio_l,
-        )
-
-    def _value_slope_real(self, energy: float):
-        if self.shift.real:
-            return tuple(part.real for part in self._value_slope(complex(energy)))
-        cos_l, ratio_l, dcos_l, dratio_l = self._scalar_side(energy, -1.0)
-        return (
-            2.0 * (cos_l * ratio_l.conjugate()).real,
-            2.0 * (dcos_l * ratio_l.conjugate() + cos_l * dratio_l.conjugate()).real,
-        )
+        sin_t = sin(theta)
+        return z, theta, (fore + back) / 2, (fore - back) / 2j, where(sin_t == 0, math.nan, sin_t)
 
     # -- roots ------------------------------------------------------------
 
@@ -474,7 +466,7 @@ class _TwoRegionBlock:
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
         for _ in range(NEWTON_STEPS):
-            p, dp = self._value_slope_real(x)
+            p, dp = self.secular(x, slope=True, real=True)
             if p == 0.0:
                 return x
             if (p < 0) == low_negative:
@@ -495,9 +487,11 @@ class _TwoRegionBlock:
         """A root of P from z by Newton on P / prod(E - r) over the
         known roots r, so that it does not return to one of them."""
         for _ in range(NEWTON_STEPS):
-            p, dp = self._value_slope(z)
+            p, dp = self.secular(z, slope=True)
             if p == 0:
                 break
+            if z in known:  # landed on a known root: the deflation is singular
+                return None
             inverse = dp / p - sum(1.0 / (z - r) for r in known)
             if inverse == 0 or not cmath.isfinite(inverse):
                 return None
@@ -513,22 +507,25 @@ class _TwoRegionBlock:
             return complex(z.real, 0.0)
         return z
 
-    def _axis_roots(self, phi_top: float):
+    def _axis_roots(self, phi_top: float, whole: bool):
         """Roots seeded from P on a real grid, up to the grid energy
-        floor - |Re lambda| + width sin^2(phi_top / 2); distinct, by real part."""
+        floor - |Re lambda| + width sin^2(phi_top / 2) or, when `whole`,
+        over every band; distinct, by real part."""
         m = self.m
         # uniform in theta, 8 samples per spacing of the decoupled levels,
         # from below the lowest real part a root of T can have
         phi = np.arange(math.pi / (4 * m), phi_top, math.pi / (16 * m))
         grid = self.floor - abs(self.shift.real) + self.width * np.sin(phi / 2) ** 2
-        p = self.secular_real(grid)
+        if whole and self.shift.real:
+            # one side's band lies 2 |lambda| higher: with it the grid holds
+            # both sides' decoupled levels, which interlace the roots of T
+            grid = np.sort(np.concatenate([grid, grid + 2.0 * abs(self.shift.real)]))
+        p = self.secular(grid, real=True)
         sign = np.sign(p)
         roots = [complex(e) for e in grid[p == 0]]
         changes = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-        dips = np.flatnonzero(
-            (np.abs(p[1:-1]) < np.abs(p[:-2])) & (np.abs(p[1:-1]) < np.abs(p[2:]))
-            & (sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])
-        ) + 1
+        dips = _dips(np.abs(p))
+        dips = dips[(sign[dips - 1] == sign[dips]) & (sign[dips] == sign[dips + 1])]
         grid, p = grid.tolist(), p.tolist()
         brackets = [(grid[i], grid[i + 1], p[i], p[i + 1]) for i in changes.tolist()]
         seeds = []
@@ -542,7 +539,7 @@ class _TwoRegionBlock:
             vertex = 0.5 * (x0 + x1) - 0.5 * slope01 / curve if curve else x1
             if not x0 < vertex < x2:
                 vertex = x1
-            p_vertex = self._value_slope_real(vertex)[0]
+            p_vertex = self.secular(vertex, real=True)
             if (p_vertex < 0) != (p1 < 0):
                 brackets += [(x0, vertex, p0, p_vertex), (vertex, x2, p_vertex, p2)]
             else:
@@ -553,7 +550,7 @@ class _TwoRegionBlock:
         for seed in seeds:
             root = self._newton(seed, roots)
             if root is not None:
-                roots += [root, root.conjugate()] if root.imag else [root]
+                roots += _with_conjugate(root)
         return _distinct(roots)
 
     def lowest_roots(self, needed: int) -> np.ndarray:
@@ -564,7 +561,7 @@ class _TwoRegionBlock:
         levels = needed + 2
         while True:
             phi_top = min(levels * math.pi / (2 * m), phi_max)
-            roots = self._axis_roots(phi_top)
+            roots = self._axis_roots(phi_top, whole=phi_top == phi_max)
             if self.shift.imag and roots.size <= needed:
                 # the real grid misses the pairs far from the axis
                 top = self.floor + self.width * math.sin(phi_top / 2) ** 2
@@ -602,7 +599,7 @@ class _TwoRegionBlock:
                 break
             root = self._newton(complex(level, abs(self.shift.imag)), found)
             if root is not None and _is_new(root, found):
-                found += [root, root.conjugate()] if root.imag else [root]
+                found += _with_conjugate(root)
         return found
 
     def _complete(self, box, count: int, known: np.ndarray) -> np.ndarray:
@@ -628,7 +625,7 @@ class _TwoRegionBlock:
             else:
                 root = None
             if root is not None:
-                found += [root, root.conjugate()] if root.imag else [root]
+                found += _with_conjugate(root)
                 pending.append((part, count, depth))
                 continue
             if depth == SPLIT_DEPTH or windings >= SPLIT_WINDINGS:
@@ -653,9 +650,7 @@ class _TwoRegionBlock:
         yield complex(mid, 0.5 * reach)
         yield complex(mid, reach - 1.0)
         heights = np.linspace(0.0, reach, math.ceil(reach / step) + 1)
-        size = np.abs(self.secular(mid + 1j * heights))
-        dips = np.flatnonzero((size[1:-1] < size[:-2]) & (size[1:-1] < size[2:])) + 1
-        for height in heights[dips].tolist():
+        for height in heights[_dips(np.abs(self.secular(mid + 1j * heights)))].tolist():
             yield complex(mid, height)
 
     def _winding(self, box, steps) -> int:
@@ -710,7 +705,7 @@ class _TwoRegionBlock:
         j = np.arange(1.0, m + 1)[:, None]
         sides = []
         for sign in (-1.0, 1.0):
-            theta, cos_m, sin_m, sin_t = self._theta(roots, sign)
+            _, theta, cos_m, sin_m, sin_t = self._side(roots, sign)
             x, y = theta.real, theta.imag
             # sin(j theta) = sin(jx) cosh(jy) + i cos(jx) sinh(jy), j = 1..m,
             # scaled by exp(-m |y|)
@@ -732,19 +727,21 @@ class _TwoRegionBlock:
         """For lambda = 0, the a with (T - E) a = f and a_1 = 0 per root E and
         column f, a_n = sum_{j<n} sin((n - j) theta) f_j / (s sin(theta)) with
         s = -width / 4, in O(M); a_2m = 0 when f is orthogonal to sin(j theta)."""
-        theta, _, _, sin_t = self._theta(roots, -1.0)
+        _, theta, _, _, sin_t = self._side(roots, -1.0)
         j = np.arange(1.0, 2 * self.m)[:, None]
         cos_j, sin_j = np.cos(j * theta), np.sin(j * theta)
         sums = [np.cumsum(np.vstack([0 * f[:1], f[:-1]]), axis=0) for f in (cos_j * sources, sin_j * sources)]
         return (sin_j * sums[0] - cos_j * sums[1]) / (-0.25 * self.width * sin_t)
 
 
-def _scaled_cos_sin(x, y):
-    """cos(x + iy) and sin(x + iy), both scaled by exp(-|y|)."""
-    turn = np.exp(1j * x)
-    fore = turn * np.exp(-y - np.abs(y))  # exp(i (x + iy)) exp(-|y|)
-    back = turn.conj() * np.exp(y - np.abs(y))  # exp(-i (x + iy)) exp(-|y|)
-    return (fore + back) / 2, (fore - back) / 2j
+def _dips(size: np.ndarray) -> np.ndarray:
+    """Indices of the strict interior local minima of size."""
+    return np.flatnonzero((size[1:-1] < size[:-2]) & (size[1:-1] < size[2:])) + 1
+
+
+def _with_conjugate(root: complex) -> list:
+    """root and, off the real axis, its conjugate: P(conj E) = conj P(E)."""
+    return [root, root.conjugate()] if root.imag else [root]
 
 
 def _distinct(roots) -> np.ndarray:

@@ -201,6 +201,57 @@ def test_negative_product_grid_levels_converge_to_the_matching_roots():
     assert np.abs(np.subtract.outer(closed_form, exact)).min() > 1.0
 
 
+def _assert_real_block_roots(rep, values):
+    """values real, each doublet exact, and its roots the eigenvalues of
+    the real symmetric block T = K + sqrt(-YZ) D to 1e-9 relative, plus
+    rounding of T's norm."""
+    c = rep.coupling.root_product
+    t = np.diag(rep.diagonal + c * rep.step) + np.diag(rep.sub, 1) + np.diag(rep.sub, -1)
+    assert np.all(values.imag == 0.0)
+    roots = values.real[0::2]
+    assert np.array_equal(values.real[1::2], roots[: values.size // 2])
+    ref = np.linalg.eigvalsh(t)[: roots.size]
+    bound = 1e-9 * np.maximum(1.0, np.abs(ref)) + 8 * np.finfo(float).eps * (rep.grid.M**2 + c)
+    assert np.all(np.abs(roots - ref) <= bound)
+
+
+@pytest.mark.parametrize(
+    "y, z, M, k",
+    [
+        # sqrt(-YZ) = 27 band widths: the centre root and the upper band
+        (949.5244786616976, -3146.4805178244274, 8, 8),
+        # once stopped by a Newton iterate landing on a known root
+        (0.8499724940711127, -1992919175.1832635, 80, 108),
+        (0.13748781653624956, -5569963204.468907, 62, 109),
+    ],
+)
+def test_negative_product_past_the_band_width(y, z, M, k):
+    rep = build_hamiltonian(CouplingPair(y, z), GridSpec(M))
+    values, _ = eigenpairs(rep, k)
+    assert values.size == k
+    _assert_real_block_roots(rep, values)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    half_m=st.integers(min_value=4, max_value=40),
+    widths=st.floats(min_value=-2.0, max_value=1.5),
+    y_exponent=st.floats(min_value=-1.0, max_value=1.0),
+    data=st.data(),
+)
+def test_negative_product_matches_the_real_block(half_m, widths, y_exponent, data):
+    # YZ < 0 with sqrt(-YZ) from 0.01 to ~32 band widths (M^2) and any k:
+    # the roots of the lower band, the centre root in the gap between the
+    # bands, and the upper band
+    M = 2 * half_m
+    shift = M * M * 10.0**widths
+    y = 10.0**y_exponent
+    rep = build_hamiltonian(CouplingPair(y, -shift * shift / y), GridSpec(M))
+    k = data.draw(st.integers(min_value=1, max_value=rep.dim), label="k")
+    values, _ = eigenpairs(rep, k)
+    _assert_real_block_roots(rep, values)
+
+
 def test_pairing_assertion_rejects_unpaired_complex_values():
     # every solve ends in the cut, which refuses an unpaired complex value
     with pytest.raises(NumericalFailureError, match="no conjugate partner"):
@@ -515,7 +566,67 @@ def test_secular_polynomial_vanishes_at_dense_eigenvalues(M, c):
     # real on the real axis below the top of K's band, to the last bit
     axis = np.linspace(block.floor - 1.0, block.floor + block.width - 1.0, 301)
     assert np.all(block.secular(axis.astype(complex)).imag == 0.0)
-    assert np.array_equal(block.secular(axis.astype(complex)).real, block.secular_real(axis))
+    assert np.array_equal(block.secular(axis.astype(complex)).real, block.secular(axis, real=True))
+
+
+def _shifted_block(shift):
+    """The two-region block of the Laplacian on 16 intervals with any
+    shift: i gamma, real or 0."""
+    rep = build_hamiltonian(UNIT, GridSpec(16))
+    return coupledwell.oracle._TwoRegionBlock.from_bands(rep.sub, rep.diagonal, rep.step, shift)
+
+
+# M = 16: band [0, 256]; with a real shift 7 the sides' bands start at
+# -7 and 7 and end at 249 and 263.  The points avoid those ends.
+_COMPLEX_POINTS = [5.0 + 3.0j, 40.0 - 10.0j, 120.0 + 1.0j, -20.0 + 0.5j, 300.0 - 4.0j]
+_REAL_POINTS = [-30.0, -3.1, 17.3, 100.1, 251.7, 270.2]
+
+
+@pytest.mark.parametrize("shift", [2.5j, 7.0 + 0j, 0j])
+@pytest.mark.parametrize("real", [False, True])
+def test_slope_is_the_derivative_of_p(shift, real):
+    # secular(..., slope=True) against a central difference of P.  Both
+    # carry P's scale exp(-|Im m theta_L| - |Im m theta_R|), which varies
+    # with E, so the difference is taken of the unscaled P
+    block = _shifted_block(shift)
+
+    def growth(e):
+        return math.exp(block.m * sum(abs(block._side(e, sign)[1].imag) for sign in (-1.0, 1.0)))
+
+    for e in _REAL_POINTS if real else _COMPLEX_POINTS:
+        p, dp = block.secular(e, slope=True, real=real)
+        assert p == block.secular(e, real=real)
+        h = 1e-6 * max(1.0, abs(e))
+        ahead, behind = (block.secular(e + d, real=real) * growth(e + d) for d in (h, -h))
+        difference = (ahead - behind) / (2 * h)
+        assert abs(dp * growth(e) - difference) <= 1e-6 * abs(difference)
+
+
+@pytest.mark.parametrize("shift", [2.5j, 7.0 + 0j, 0j])
+@pytest.mark.parametrize("real", [False, True])
+def test_cmath_and_numpy_backends_agree(shift, real):
+    # one formula, two sets of elementary functions: a Python number is
+    # evaluated with cmath, an array with numpy.  They agree to rounding,
+    # relative to |P| and |P'| on the unit circle about the point
+    block = _shifted_block(shift)
+    points = np.array(_REAL_POINTS if real else _COMPLEX_POINTS)
+    values, slopes = block.secular(points, slope=True, real=real)
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    for e, value, slope in zip(points.tolist(), values, slopes):
+        assert type(e) in (float, complex)
+        p, dp = block.secular(e, slope=True, real=real)
+        near, near_slope = np.abs(block.secular(e + circle, slope=True))
+        assert abs(p - value) <= 1e-12 * near.max()
+        assert abs(dp - slope) <= 1e-12 * near_slope.max()
+
+
+def test_newton_from_a_known_root_is_a_failed_seed():
+    # the deflation 1 / (z - r) is singular when an iterate lands on a
+    # known root r: the seed fails instead of dividing by zero
+    block = _block(build_hamiltonian(CouplingPair(1.0, 4.0), GridSpec(64)))
+    root = complex(block.lowest_roots(1)[0])
+    assert block.secular(root) != 0.0
+    assert block._newton(root, [root]) is None
 
 
 @pytest.mark.parametrize("c", [0.0, 4.47, 4.6, 25.0])
