@@ -22,7 +22,7 @@ from .metric import (
 from .model import BranchClass, CouplingPair, GridSpec
 from .oracle import _entry_max, _spin_commutator_max, _swap_reflect_defect
 from .oracle import build_hamiltonian, compare_spectrum, eigenpairs
-from .secular import DEFAULT_RESIDUAL_TOL, perturbative_eps
+from .secular import perturbative_eps
 from .wavefunctions import doublet_family, matching_residual, parity_overlap
 
 
@@ -48,12 +48,7 @@ class Check:
         return self.value <= self.bound
 
 
-def verify(
-    coupling: CouplingPair,
-    n_levels: int,
-    grid: GridSpec,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-) -> list[Check]:
+def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]:
     """Run the battery on levels 0..n_levels-1 and the oracle on `grid`.
 
     Raises ModelDomainError unless YZ > 0 (the battery exercises the
@@ -62,7 +57,7 @@ def verify(
     """
     if coupling.branch is not BranchClass.POSITIVE_PRODUCT:
         raise ModelDomainError("verify exercises the coupled degenerate branch and needs YZ > 0")
-    states = doublet_family(coupling, n_levels, tol)
+    states = doublet_family(coupling, n_levels)
     # first, so that the family's refusal below MIN_ROOT_PRODUCT comes
     # before the perturbation ratio, whose errors are 0 / 0 there
     theta = build_theta_metric(states)
@@ -70,7 +65,7 @@ def verify(
     c = coupling.root_product
 
     checks = [
-        Check("secular residual max", max(l.residual for l in levels), tol, "<="),
+        Check("secular residual max", max(l.residual for l in levels), 1e-12, "<="),
         Check("wavenumber constraint |2st - sqrt(YZ)| max",
               max(abs(2 * l.s * l.t - c) for l in levels), 1e-10, "<="),
     ]

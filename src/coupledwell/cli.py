@@ -29,13 +29,7 @@ from .errors import (
     RootLostError,
 )
 from .model import BranchClass, CouplingPair, GridSpec, as_index, validate_tol
-from .secular import (
-    DEFAULT_CRITICAL_TOL,
-    DEFAULT_RESIDUAL_TOL,
-    critical_coupling,
-    perturbative_eps,
-    spectrum,
-)
+from .secular import DEFAULT_CRITICAL_TOL, critical_coupling, spectrum
 
 # spectrum, critical and scan run on the secular layer alone; the other
 # handlers import numpy and the numpy-backed modules they use themselves
@@ -78,7 +72,7 @@ def _csv_text(header, rows) -> str:
 
 def _cmd_spectrum(args) -> int:
     coupling = CouplingPair(args.Y, args.Z)
-    result = spectrum(coupling, args.levels - 1, args.tol)
+    result = spectrum(coupling, args.levels - 1)
     records = [_level_record(l) for l in result.levels]
     if args.format == "json":
         _emit(args, _json_text(records))
@@ -87,8 +81,9 @@ def _cmd_spectrum(args) -> int:
         _emit(args, _csv_text(_SPECTRUM_COLUMNS, rows))
     if result.non_diagonalizable:
         print(
-            "warning: YZ = 0 with a nonzero coupling is a Jordan block; "
-            "doubled levels are algebraic multiplicities, not independent states",
+            "warning: YZ = 0 with a nonzero coupling makes the channel matrix a Jordan block; "
+            "each level is listed twice and has two independent states, which the closed form "
+            "does not build",
             file=sys.stderr,
         )
     if result.truncated_at is not None:
@@ -123,7 +118,7 @@ def _cmd_metric(args) -> int:
     from .wavefunctions import doublet_family
 
     coupling = CouplingPair(args.Y, args.Z)
-    states = doublet_family(coupling, args.levels, args.tol)
+    states = doublet_family(coupling, args.levels)
     weights = (
         MetricWeights.from_file(args.weights, args.levels)
         if args.weights
@@ -176,7 +171,7 @@ def _cmd_scan(args) -> int:
         raise ModelDomainError("need 0 <= c-min <= c-max")
     entries = []
     for c in _linspace(args.c_min, args.c_max, args.steps):
-        result = spectrum(CouplingPair(c, c), args.levels - 1, args.tol)
+        result = spectrum(CouplingPair(c, c), args.levels - 1)
         entries.append(
             {
                 "c": c,
@@ -206,7 +201,7 @@ def _cmd_oracle(args) -> int:
             "oracle comparison covers YZ >= 0: for YZ < 0 the closed-form levels s^2 +- sqrt(-YZ) "
             "are not this operator's levels (k_L cot k_L + k_R cot k_R = 0, k^2 = E -+ sqrt(-YZ))"
         )
-    analytic = spectrum(coupling, args.levels - 1, args.tol)
+    analytic = spectrum(coupling, args.levels - 1)
     if analytic.truncated_at is not None:
         print(
             f"error: analytic root lost at n={analytic.truncated_at}; "
@@ -263,7 +258,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     from .battery import verify
 
-    checks = verify(CouplingPair(args.Y, args.Z), args.levels, GridSpec(args.grid), args.tol)
+    checks = verify(CouplingPair(args.Y, args.Z), args.levels, GridSpec(args.grid))
     all_passed = all(c.passed for c in checks)
     if args.format == "json":
         records = [dict(asdict(c), passed=c.passed) for c in checks]
@@ -286,7 +281,7 @@ def _level_count(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tol: a finite number in (0, 1)."""
+    """argparse type of critical's --tol: a finite number in (0, 1)."""
     try:
         tol = float(text)
         validate_tol(tol)
@@ -313,12 +308,6 @@ def _add_common(parser, levels_default):
         type=_level_count,
         default=levels_default,
         help=f"number of levels, n = 0..levels-1 (default {levels_default})",
-    )
-    parser.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=DEFAULT_RESIDUAL_TOL,
-        help="secular residual tolerance (default 1e-12)",
     )
 
 
@@ -378,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-max", dest="c_max", type=float, required=True)
     p.add_argument("--steps", type=int, default=11)
     p.add_argument("--levels", type=_level_count, default=2)
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_RESIDUAL_TOL)
     _add_output(p)
     p.set_defaults(handler=_cmd_scan)
 

@@ -33,7 +33,8 @@ class BranchClass(enum.Enum):
     POSITIVE_PRODUCT: complex kappa branch, doubly degenerate real levels.
     NEGATIVE_PRODUCT: real kappa, levels split as E = s^2 +/- sqrt(-YZ).
     DECOUPLED: YZ = 0; with exactly one coupling nonzero the channel
-    matrix is a Jordan block (non-diagonalizable warning downstream).
+    matrix is a Jordan block, while each box level keeps two independent
+    states, which the closed form does not build (warning downstream).
     """
 
     POSITIVE_PRODUCT = "POSITIVE_PRODUCT"

@@ -460,7 +460,10 @@ class _TwoRegionBlock:
     def _bracketed_root(self, lo: float, hi: float, p_lo: float, p_hi: float) -> float:
         """The root of P in [lo, hi], where P changes sign from p_lo to
         p_hi: Newton from the secant point, bisecting whenever a step
-        leaves the bracket."""
+        leaves the bracket.  Beside the root P can read only rounding
+        noise, where Newton's steps stay above the step test; once
+        NEWTON_STEPS are spent the bracket is bisected to the float
+        limit."""
         low_negative = p_lo < 0
         x = lo - p_lo * (hi - lo) / (p_hi - p_lo)
         if not lo < x < hi:
@@ -481,7 +484,12 @@ class _TwoRegionBlock:
                 x = 0.5 * (lo + hi)
                 if hi - lo <= 2 * _EPS * max(1.0, abs(x)):
                     return x
-        raise NumericalFailureError(f"bracketed Newton on P did not converge in [{lo!r}, {hi!r}]")
+        while lo < (x := 0.5 * (lo + hi)) < hi:
+            if (self.secular(x, real=True) < 0) == low_negative:
+                lo = x
+            else:
+                hi = x
+        return x
 
     def _newton(self, z: complex, known) -> complex | None:
         """A root of P from z by Newton on P / prod(E - r) over the

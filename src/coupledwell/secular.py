@@ -29,6 +29,9 @@ s = (n+1) pi/2 + (-1)^n eps, sin 2s = -sin 2eps and g = t sinh(2t) -
 s sin(2 eps), positive at eps = 0 for both roots of a pair.  eps is
 bisected between 0 and the negative point, so it keeps its full
 relative precision at any coupling; s, t and E are derived from it.
+The bisection runs to the last ulp, and a root is refused only if |g|
+there exceeds RESIDUAL_RTOL of the scale max(1, |t sinh 2t| +
+|s sin 2eps|): the rounding of g grows with its two terms.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from .errors import BracketError, ModelDomainError, NumericalFailureError, RootLostError
 from .model import BranchClass, CouplingPair, as_index, validate_tol
 
-DEFAULT_RESIDUAL_TOL = 1e-12
+RESIDUAL_RTOL = 1e-12  # |g| at a root, relative to max(1, |t sinh 2t| + |s sin 2eps|)
 DEFAULT_CRITICAL_TOL = 1e-3
 _COUPLING_CAP = 1e6  # criticality scan gives up past this coupling
 
@@ -147,7 +150,7 @@ def _negative_point(k: int, c: float) -> tuple[float | None, int]:
             hi = s
 
 
-def _solve_positive(n: int, c: float, tol: float) -> LevelSolution:
+def _solve_positive(n: int, c: float) -> LevelSolution:
     p, _ = _negative_point(n // 2, c)
     if p is None:
         raise RootLostError(n, c)
@@ -168,13 +171,16 @@ def _solve_positive(n: int, c: float, tol: float) -> LevelSolution:
         else:
             hi = eps
         eps = 0.5 * (lo + hi)
-    res = abs(g(eps))
-    if res > tol:
-        raise NumericalFailureError(
-            f"bisection stalled at |g|={res:.3e} > tol={tol:.3e} for level n={n}"
-        )
     s = s0 + sign * eps
     t = c / (2.0 * s)
+    tail, swing = t * math.sinh(2.0 * t), s * math.sin(2.0 * eps)
+    res = abs(tail - swing)  # |g(eps)|, the same operations
+    scale = max(1.0, tail + abs(swing))
+    if res > RESIDUAL_RTOL * scale:
+        raise NumericalFailureError(
+            f"bisection stalled at |g|={res:.3e} > {RESIDUAL_RTOL:g} of its scale "
+            f"{scale:.3e} for level n={n}"
+        )
     return LevelSolution(
         n=n,
         s=s,
@@ -189,7 +195,6 @@ def _solve_positive(n: int, c: float, tol: float) -> LevelSolution:
 def solve_level(
     n: int,
     coupling: CouplingPair,
-    tol: float = DEFAULT_RESIDUAL_TOL,
     sublabel: int | None = None,
 ) -> LevelSolution:
     """Solve the n-th bound-state root for the given coupling pair.
@@ -202,7 +207,6 @@ def solve_level(
     or above the pair's critical value).
     """
     n = as_index(n, "level index must be a non-negative integer")
-    validate_tol(tol)
     branch = coupling.branch
     if branch is BranchClass.NEGATIVE_PRODUCT:
         sublabel = +1 if sublabel is None else sublabel
@@ -211,7 +215,7 @@ def solve_level(
     elif sublabel is not None:
         raise ModelDomainError("sublabel applies to the NEGATIVE_PRODUCT branch only")
     if branch is BranchClass.POSITIVE_PRODUCT:
-        return _solve_positive(n, coupling.root_product, tol)
+        return _solve_positive(n, coupling.root_product)
     # exact box root; NEGATIVE_PRODUCT shifts it by +-sqrt(-YZ)
     s = (n + 1) * math.pi / 2.0
     return LevelSolution(
@@ -226,11 +230,7 @@ def solve_level(
     )
 
 
-def spectrum(
-    coupling: CouplingPair,
-    n_max: int,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-) -> SpectrumResult:
+def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
     """Solve levels 0..n_max.
 
     POSITIVE_PRODUCT and the fully decoupled Y = Z = 0 case yield one
@@ -239,13 +239,14 @@ def spectrum(
     entries per level ordered sublabel -1 then +1 (ordering across
     levels is by n, so for very large |YZ| doublets of neighbouring n
     may interleave in energy).  A semi-decoupled pair (exactly one of
-    Y, Z nonzero) yields each unperturbed level doubly listed with the
+    Y, Z nonzero) yields each box level listed twice, with the
     non_diagonalizable flag set: the channel matrix is a Jordan block
-    there and the doubled listing is an algebraic multiplicity, not two
-    independent states.
+    there, yet each level v keeps two independent states, for Y = 0
+    (v, 0) and (a, v) with (-d^2/dx^2 - E) a = -iZ sgn(-x) v, solvable
+    because sgn(-x) v^2 integrates to 0 by parity.  The closed form
+    builds no states for this class.
     """
     n_max = as_index(n_max, "n_max must be a non-negative integer")
-    validate_tol(tol)
     branch = coupling.branch
     levels: list[LevelSolution] = []
     truncated_at: int | None = None
@@ -254,18 +255,18 @@ def spectrum(
     if branch is BranchClass.POSITIVE_PRODUCT:
         for n in range(n_max + 1):
             try:
-                levels.append(solve_level(n, coupling, tol))
+                levels.append(solve_level(n, coupling))
             except RootLostError:
                 truncated_at = n
                 break
     elif branch is BranchClass.NEGATIVE_PRODUCT:
         for n in range(n_max + 1):
-            levels.append(solve_level(n, coupling, tol, sublabel=-1))
-            levels.append(solve_level(n, coupling, tol, sublabel=+1))
+            levels.append(solve_level(n, coupling, sublabel=-1))
+            levels.append(solve_level(n, coupling, sublabel=+1))
     else:
         non_diagonalizable = coupling.non_diagonalizable
         for n in range(n_max + 1):
-            sol = solve_level(n, coupling, tol)
+            sol = solve_level(n, coupling)
             levels.append(sol)
             if non_diagonalizable:
                 levels.append(sol)
@@ -313,6 +314,11 @@ def critical_coupling(
     roots in `solve_level`.  The walk ends on the minimum to machine
     precision, so it holds arbitrarily close to the merger, where the
     negative window is narrower than any fixed mesh.
+
+    `tol` is an absolute width of the coupling bracket.  Below about
+    one ulp of c_crit the bisection stops at the float floor instead,
+    so `bracket_width` is the figure to trust: pair 20000 at tol=1e-12
+    returns 1.16e-10.
 
     The coupling doubles from 1 up to the cap sqrt(YZ) = 1e6, which is
     the last coupling tried; a pair still alive there raises

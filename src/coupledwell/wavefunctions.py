@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateMatchError, ModelDomainError, NormalizationSingularError
 from .model import BranchClass, CouplingPair, as_index
-from .secular import DEFAULT_RESIDUAL_TOL, LevelSolution, solve_level
+from .secular import LevelSolution, solve_level
 
 _CONSISTENCY_TOL = 1e-10
 _AMPLITUDE_SAMPLES = 257
@@ -142,8 +142,8 @@ def solve_coefficients(
         raise ModelDomainError("coefficient solver covers the positive-product branch only")
     if coupling.non_diagonalizable:
         raise ModelDomainError(
-            "semi-decoupled coupling (YZ = 0 with one amplitude nonzero) is non-diagonalizable; "
-            "no channel doublet exists"
+            "semi-decoupled coupling (YZ = 0 with one amplitude nonzero): the channel matrix "
+            "is a Jordan block, and the closed form builds no states for this class"
         )
     if branch is BranchClass.POSITIVE_PRODUCT and (coupling.Y <= 0.0 or coupling.Z <= 0.0):
         raise ModelDomainError("channel factors sqrt(Y), sqrt(Z) require Y > 0 and Z > 0")
@@ -239,11 +239,7 @@ def quasi_parity(state: ChannelState) -> int:
     return int(state.sigma * math.copysign(1.0, p))
 
 
-def doublet_family(
-    coupling: CouplingPair,
-    n_levels: int,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-) -> list[ChannelState]:
+def doublet_family(coupling: CouplingPair, n_levels: int) -> list[ChannelState]:
     """Solve levels 0..n_levels-1 and build both doublet members of each.
 
     Order is (0,+1), (0,-1), (1,+1), ...; the two sigma states of a
@@ -252,7 +248,7 @@ def doublet_family(
     n_levels = as_index(n_levels, "n_levels must be an integer >= 1", 1)
     states = []
     for n in range(n_levels):
-        level = solve_level(n, coupling, tol)
+        level = solve_level(n, coupling)
         states.append(solve_coefficients(level, coupling, +1))
         states.append(solve_coefficients(level, coupling, -1))
     return states

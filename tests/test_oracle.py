@@ -223,6 +223,9 @@ def _assert_real_block_roots(rep, values):
         # once stopped by a Newton iterate landing on a known root
         (0.8499724940711127, -1992919175.1832635, 80, 108),
         (0.13748781653624956, -5569963204.468907, 62, 109),
+        # beside a root P reads only rounding noise, so Newton's steps
+        # never pass the step test and the bracket is bisected
+        (0.1338342707233252, -121893693849.48743, 498, 341),
     ],
 )
 def test_negative_product_past_the_band_width(y, z, M, k):

@@ -18,6 +18,7 @@ from coupledwell import (
     MetricConstraintError,
     MetricWeights,
     RepBasis,
+    RootLostError,
     biorthogonal_overlap,
     biorthogonality_matrix,
     build_theta_metric,
@@ -101,6 +102,27 @@ def test_diagonal_overlap_is_the_left_partner_pairing(log_c, log_ratio, n_levels
         assert abs(d - 2.0 * abs(wu * wl) * abs(parity_overlap(state))) <= 2e-15 * d
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(n=st.integers(min_value=0, max_value=60000),
+       c=st.floats(min_value=-10.0, max_value=math.log10(1.6e6)).map(lambda u: 10.0**u),
+       ratio=st.floats(min_value=-1.0, max_value=1.0).map(lambda v: 4.0**v))
+# |g| above 1e-12 at these roots, with eps a few ulps from mpmath's
+# (test_secular.py::test_large_level_roots_match_mpmath)
+@example(n=11794, c=161197.94071474453, ratio=1.0)
+@example(n=22455, c=315474.6835568906, ratio=1.0)
+@example(n=49692, c=765215.8744495689, ratio=1.0)
+def test_level_solver_gives_a_root_or_a_lost_root(n, c, ratio):
+    # never NumericalFailureError: |g| within 1e-12 of its scale
+    root_ratio = math.sqrt(ratio)
+    try:
+        level = solve_level(n, CouplingPair(c * root_ratio, c / root_ratio))
+    except RootLostError:
+        return
+    s, t = level.s, level.t
+    scale = max(1.0, abs(t * math.sinh(2.0 * t)) + abs(s * math.sin(2.0 * level.eps)))
+    assert level.residual <= 1e-12 * scale
+
+
 # +-10^u over the finite range, where YZ under- and overflows, and exact zeros
 any_amplitudes = st.one_of(
     st.sampled_from([0.0, -0.0]),
@@ -118,6 +140,8 @@ def _refuse_constant(name):
 # sqrt|Y| sqrt|Z| rounds 1.5 ulp from the root here
 @example(y=1.1e201, z=1.3e201)
 @example(y=1.7e201, z=-2.2e201)
+# |g| = 1.5e-323 at the root: subnormal, so only an absolute floor admits it
+@example(y=1e-10, z=1e-300)
 def test_coupling_domain_gives_levels_or_a_truncation(y, z):
     pair = CouplingPair(y, z)
     if y == 0.0 or z == 0.0:
