@@ -23,7 +23,7 @@ from .model import BranchClass, CouplingPair, GridSpec
 from .oracle import _entry_max, _spin_commutator_max, _swap_reflect_defect
 from .oracle import build_hamiltonian, compare_spectrum, eigenpairs
 from .secular import perturbative_eps
-from .wavefunctions import doublet_family, matching_residual, parity_overlap
+from .wavefunctions import channel_weights, doublet_family, matching_residual, parity_overlap
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,12 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
         err2 = abs(top.eps - perturbative_eps(top.n, coupling, order=2))
         err1 = abs(top.eps - perturbative_eps(top.n, coupling, order=1))
         checks.append(Check("perturbation order-2/order-1 error ratio", err2 / err1, 1.0, "<="))
-    ratio = np.sqrt(coupling.Z / coupling.Y)
+    upper, lower = channel_weights(+1, coupling.Y, coupling.Z)
+    ratio = upper / lower  # sqrt(Z/Y), finite where Z / Y under- or overflows
     checks += [
         Check("matching residual max", max(matching_residual(s) for s in states), 1e-12, "<="),
-        Check("coefficient ratio |A/B - sigma sqrt(Z/Y)| max",
-              max(abs(s.A / s.B - s.sigma * ratio) for s in states), 1e-10, "<="),
+        Check("coefficient ratio |A/B - sigma sqrt(Z/Y)| / sqrt(Z/Y) max",
+              max(abs(s.A / s.B - s.sigma * ratio) for s in states) / ratio, 1e-10, "<="),
         Check("parity overlap alternation min (-1)^n p_n",
               min((-1) ** s.level.n * parity_overlap(s) for s in states), 0.0, ">"),
     ]

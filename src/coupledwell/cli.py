@@ -70,15 +70,16 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _write(args, payload, header, rows) -> None:
+    """Emit payload as JSON, or header and rows as CSV, as --format asks."""
+    _emit(args, _json_text(payload) if args.format == "json" else _csv_text(header, rows))
+
+
 def _cmd_spectrum(args) -> int:
     coupling = CouplingPair(args.Y, args.Z)
     result = spectrum(coupling, args.levels - 1)
     records = [_level_record(l) for l in result.levels]
-    if args.format == "json":
-        _emit(args, _json_text(records))
-    else:
-        rows = [[r[c] for c in _SPECTRUM_COLUMNS] for r in records]
-        _emit(args, _csv_text(_SPECTRUM_COLUMNS, rows))
+    _write(args, records, _SPECTRUM_COLUMNS, [[r[c] for c in _SPECTRUM_COLUMNS] for r in records])
     if result.non_diagonalizable:
         print(
             "warning: YZ = 0 with a nonzero coupling makes the channel matrix a Jordan block; "
@@ -104,10 +105,7 @@ def _cmd_critical(args) -> int:
         "bracket_width": result.bracket_width,
         "evaluations": result.evaluations,
     }
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    else:
-        _emit(args, _csv_text(list(payload), [list(payload.values())]))
+    _write(args, payload, list(payload), [list(payload.values())])
     return 0
 
 
@@ -127,21 +125,18 @@ def _cmd_metric(args) -> int:
     rep = build_theta_metric(states, weights, unsafe=args.unsafe)
     # the mode form is diagonal, so its eigenvalues are its sorted diagonal
     eigenvalues = np.sort(np.diag(rep.matrix))
-    if args.format == "json":
-        payload = {
-            "Y": coupling.Y,
-            "Z": coupling.Z,
-            "n_levels": args.levels,
-            "order": [list(pair) for pair in rep.meta["order"]],
-            "theta": rep.matrix.tolist(),
-            "eigenvalues": eigenvalues.tolist(),
-            "signature": list(rep.meta["signature"]),
-            "channel_kernels": [k.tolist() for k in rep.meta["channel_kernels"]],
-        }
-        _emit(args, _json_text(payload))
-    else:
-        header = [f"state_{n}_{'p' if sigma > 0 else 'm'}" for n, sigma in rep.meta["order"]]
-        _emit(args, _csv_text(header, rep.matrix.tolist()))
+    payload = {
+        "Y": coupling.Y,
+        "Z": coupling.Z,
+        "n_levels": args.levels,
+        "order": [list(pair) for pair in rep.meta["order"]],
+        "theta": rep.matrix.tolist(),
+        "eigenvalues": eigenvalues.tolist(),
+        "signature": list(rep.meta["signature"]),
+        "channel_kernels": [k.tolist() for k in rep.meta["channel_kernels"]],
+    }
+    header = [f"state_{n}_{'p' if sigma > 0 else 'm'}" for n, sigma in rep.meta["order"]]
+    _write(args, payload, header, payload["theta"])
     return 0
 
 
@@ -180,15 +175,12 @@ def _cmd_scan(args) -> int:
                 "levels": [_level_record(l) for l in result.levels],
             }
         )
-    if args.format == "json":
-        _emit(args, _json_text(entries))
-    else:
-        header = ("c", "all_real") + _SPECTRUM_COLUMNS
-        rows = []
-        for e in entries:
-            for r in e["levels"]:
-                rows.append([e["c"], e["all_real"]] + [r[c] for c in _SPECTRUM_COLUMNS])
-        _emit(args, _csv_text(header, rows))
+    rows = [
+        [e["c"], e["all_real"]] + [r[c] for c in _SPECTRUM_COLUMNS]
+        for e in entries
+        for r in e["levels"]
+    ]
+    _write(args, entries, ("c", "all_real") + _SPECTRUM_COLUMNS, rows)
     return 0
 
 
@@ -231,27 +223,12 @@ def _cmd_oracle(args) -> int:
     report["grid_M"] = args.grid
     report["Y"] = coupling.Y
     report["Z"] = coupling.Z
-    if args.format == "json":
-        _emit(args, _json_text(report))
-    else:
-        header = [
-            "n",
-            "E_analytic",
-            "E_numeric",
-            "im_numeric",
-            "multiplicity",
-            "abs_err",
-            "rel_err",
-        ]
-        if "richardson_orders" in report:
-            header.append("order")
-        rows = []
-        for i, row in enumerate(report["levels"]):
-            out = [row[c] for c in header if c != "order"]
-            if "richardson_orders" in report:
-                out.append(report["richardson_orders"][i])
-            rows.append(out)
-        _emit(args, _csv_text(header, rows))
+    header = ["n", "E_analytic", "E_numeric", "im_numeric", "multiplicity", "abs_err", "rel_err"]
+    rows = [[row[c] for c in header] for row in report["levels"]]
+    if "richardson_orders" in report:
+        header.append("order")
+        rows = [row + [order] for row, order in zip(rows, report["richardson_orders"])]
+    _write(args, report, header, rows)
     return 0
 
 

@@ -58,12 +58,13 @@ from .errors import (
     ModelDomainError,
     NormalizationSingularError,
 )
-from .model import CouplingPair, GridSpec, OperatorRep, RepBasis, as_index
+from .model import BranchClass, CouplingPair, GridSpec, OperatorRep, RepBasis, as_index
 from .wavefunctions import (
     ChannelState,
     channel_weights,
     phi_bilinear_product,
     quasi_parity,
+    simpson_rule,
     sine_product_integrals,
 )
 
@@ -210,6 +211,14 @@ def _profiles(states):
     return a, kappa, wu, wl
 
 
+def _shared_coupling(states) -> CouplingPair:
+    # the coupling of a non-empty sequence of states, refused if two differ
+    Y, Z = states[0].Y, states[0].Z
+    if any((s.Y, s.Z) != (Y, Z) for s in states):
+        raise ModelDomainError("states belong to different couplings")
+    return CouplingPair(Y, Z)
+
+
 def _bilinear_products(a_row, kappa_row, a, kappa) -> np.ndarray:
     # [i, j] = integral phi_i phi_j dx: phi_bilinear_product over the arrays
     return 2.0 * (a_row[:, None] * a * sine_product_integrals(kappa_row[:, None], kappa)).real
@@ -223,8 +232,7 @@ def biorthogonal_overlap(left: LeftState, state: ChannelState) -> float:
     under the quasi-parity convention, everything else vanishes.
     """
     ls = left.state
-    if (ls.Y, ls.Z) != (state.Y, state.Z):
-        raise ModelDomainError("left and right states belong to different couplings")
+    _shared_coupling((ls, state))
     wu_l, wl_l = channel_weights(ls.sigma, ls.Y, ls.Z)
     wu_r, wl_r = channel_weights(state.sigma, state.Y, state.Z)
     factor = left.q * (wl_l * wu_r + wu_l * wl_r)
@@ -260,9 +268,10 @@ def biorthogonality_matrix(
     vector expression; the diagonal is the scalar biorthogonal_overlap
     (see the module notes), and every state and left partner must share
     one coupling.  "quadrature" recomputes every entry by composite
-    Simpson (512 panels per half, the rule of
-    wavefunctions.quadrature_overlap) as an independent check of the
-    closed forms, sampling each state and each left partner once.
+    Simpson, wavefunctions.simpson_rule with 512 panels per half (the
+    rule of quadrature_overlap), as an independent check of the closed
+    forms, sampling each state and each left partner once; the rule
+    drops the wall nodes, where every state and left partner vanishes.
     """
     if lefts is None:
         lefts = [left_vector(s) for s in states]
@@ -271,10 +280,7 @@ def biorthogonality_matrix(
     if method == "closed":
         if not states:
             return np.empty((0, 0))
-        coupling = (states[0].Y, states[0].Z)
-        for x in (*states, *(l.state for l in lefts)):
-            if (x.Y, x.Z) != coupling:
-                raise ModelDomainError("left and right states belong to different couplings")
+        _shared_coupling((*states, *(l.state for l in lefts)))
         a, kappa, wu, wl = _profiles(states)
         a_l, kappa_l, wu_l, wl_l = _profiles([l.state for l in lefts])
         q = np.array([l.q for l in lefts], dtype=float)[:, None]
@@ -287,7 +293,7 @@ def biorthogonality_matrix(
         ]
         return out
     if method == "quadrature":
-        nodes, w = _simpson_rule(2 * _PANELS)
+        nodes, w = simpson_rule(2 * _PANELS)
         bras = _sample(lefts, nodes)
         kets = _sample(states, nodes)
         return (bras.conj().T * np.concatenate([w, w])) @ kets
@@ -298,11 +304,15 @@ def spin_operator(coupling: CouplingPair) -> OperatorRep:
     """Constant 2x2 channel observable commuting with the Hamiltonian.
 
     Off-diagonal entries sqrt(Z/Y) and sqrt(Y/Z); eigenvalues +-1 label
-    the degenerate doublets.
+    the degenerate doublets.  The ratio is the quotient of the channel
+    weights (wavefunctions.channel_weights), which also refuses every
+    coupling but Y > 0 and Z > 0; a decoupled coupling fixes no spin
+    block and is refused too.
     """
-    if coupling.Y <= 0.0 or coupling.Z <= 0.0:
-        raise ModelDomainError("spin block needs Y > 0 and Z > 0")
-    ratio = math.sqrt(coupling.Z / coupling.Y)
+    if coupling.branch is BranchClass.DECOUPLED:
+        raise ModelDomainError("spin block needs Y > 0 and Z > 0, got a decoupled coupling")
+    upper, lower = channel_weights(+1, coupling.Y, coupling.Z)
+    ratio = upper / lower
     matrix = np.array([[0.0, ratio], [1.0 / ratio, 0.0]])
     return OperatorRep(matrix, RepBasis.CHANNEL, meta={"coupling": coupling})
 
@@ -327,9 +337,7 @@ def _validate_family(states: Sequence[ChannelState]):
     if len(states) % 2 != 0:
         raise ModelDomainError("states must come in complete (n, +1), (n, -1) doublets")
     # the coupling, the level count and the states' (n, sigma) order
-    coupling = CouplingPair(states[0].Y, states[0].Z)
-    if any((s.Y, s.Z) != (coupling.Y, coupling.Z) for s in states):
-        raise ModelDomainError("all states must share one coupling pair")
+    coupling = _shared_coupling(states)
     n_levels = len(states) // 2
     order = [(s.level.n, s.sigma) for s in states]
     # 2 n_levels states over the 2 n_levels expected labels: none repeats
@@ -479,27 +487,6 @@ def _normalizable(d) -> np.ndarray:
     return d
 
 
-def _simpson_rule(intervals: int):
-    # nodes (those of GridSpec(intervals)) and weights of composite Simpson
-    # with intervals / 2 panels per half, x = 0 shared; walls are dropped
-    # because every participating function vanishes there
-    if intervals % 4 != 0:
-        raise ModelDomainError(
-            f"Simpson weighting splits each half into an even panel count: "
-            f"M must be divisible by 4, got {intervals}"
-        )
-    half = intervals // 2
-    h = 2.0 / intervals
-    pattern = np.ones(half + 1)
-    pattern[1:-1:2] = 4.0
-    pattern[2:-1:2] = 2.0
-    pattern *= h / 3.0
-    full = np.zeros(intervals + 1)
-    full[: half + 1] += pattern
-    full[half:] += pattern
-    return h * (np.arange(1, intervals) - half), full[1:-1]
-
-
 def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSpec) -> OperatorRep:
     """Truncated spectral sum  sum_i value_i |state_i><<left_i| / d_i
     on the interior nodes of `grid` (M divisible by 4), left_i =
@@ -514,7 +501,7 @@ def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSp
     values = _kind_values(states, kind)
     lefts = [left_vector(s) for s in states]
     d = _normalizable([biorthogonal_overlap(l, s) for l, s in zip(lefts, states)])
-    nodes, w = _simpson_rule(grid.M)
+    nodes, w = simpson_rule(grid.M)
     w2 = np.concatenate([w, w])
     right = _sample(states, nodes)
     bras = _sample(lefts, nodes)

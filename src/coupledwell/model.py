@@ -131,27 +131,30 @@ class CouplingPair:
         return (self.Y == 0.0) != (self.Z == 0.0)
 
 
+def check_points(x) -> np.ndarray:
+    """x as a float array, refused unless every point is finite and in |x| <= 1:
+    the potential and the states are defined on the box only."""
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ModelDomainError("sample points must be finite")
+    if np.any(np.abs(x) > HALF_WIDTH):
+        raise ModelDomainError("sample points must lie on |x| <= 1")
+    return x
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Effective 2x2 potential of the coupled pair of wells."""
 
     coupling: CouplingPair
 
-    def _check_x(self, x):
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ModelDomainError("sample points must be finite")
-        if np.any(np.abs(x) > HALF_WIDTH):
-            raise ModelDomainError("potential is defined on |x| <= 1 only")
-        return x
-
     def step(self, x):
         """sgn(-x): +1 on (-1,0), -1 on (0,1), 0 at x = 0."""
         import numpy as np
 
-        return np.sign(-self._check_x(x))
+        return np.sign(-check_points(x))
 
     def coupling_to_upper(self, x):
         """Upper-right entry: +iZ on (-1,0), -iZ on (0,1), 0 at x = 0."""
@@ -165,7 +168,7 @@ class PotentialSpec:
         """Full 2x2 potential matrix at a single point."""
         import numpy as np
 
-        x = float(self._check_x(x))
+        x = float(check_points(x))
         return np.array(
             [[0.0, self.coupling_to_upper(x)], [self.coupling_to_lower(x), 0.0]],
             dtype=complex,

@@ -65,7 +65,8 @@ from .secular import LevelSolution
 DEGENERACY_RTOL = 1e-6
 REAL_IM_MAX = 1e-6  # a criticality scan entry with max |Im E| up to this is real
 PAIRING_RTOL = 1e-6
-# max |H x - E x| of a closed-form eigenvector, relative to a bound on ||H||
+# max |H x - E x| of an eigenvector built here, one sine per side of the
+# grid from a root of T's secular polynomial, relative to a bound on ||H||
 RESIDUAL_RTOL = 1e-10
 # roots closer than this (relative to max(1, |E|)) are one root, and a
 # root this close to the real axis is real

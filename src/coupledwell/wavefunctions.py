@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMatchError, ModelDomainError, NormalizationSingularError
-from .model import BranchClass, CouplingPair, as_index
+from .model import BranchClass, CouplingPair, as_index, check_points
 from .secular import LevelSolution, solve_level
 
 _CONSISTENCY_TOL = 1e-10
@@ -57,46 +57,29 @@ class ChannelState:
 
     def phi(self, x):
         """Normalized single-channel profile."""
-        return _segment_values(self.phi_coeff, self.kappa, x)
+        return _segment_sine(self.phi_coeff, self.kappa, x)
 
     def phi_derivative(self, x):
-        return _segment_derivative(self.phi_coeff, self.kappa, x)
+        return _segment_sine(self.phi_coeff, self.kappa, x, derivative=True)
 
     def upper(self, x):
-        return _segment_values(self.A, self.kappa, x)
+        return _segment_sine(self.A, self.kappa, x)
 
     def lower(self, x):
-        return _segment_values(self.B, self.kappa, x)
+        return _segment_sine(self.B, self.kappa, x)
 
 
-def _check_domain(x):
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ModelDomainError("evaluation points must be finite")
-    if np.any(np.abs(x) > 1.0):
-        raise ModelDomainError("states live on |x| <= 1 only")
-    return x
-
-
-def _segment_values(coeff, kappa, x):
-    x = _check_domain(x)
+def _segment_sine(coeff, kappa, x, derivative=False):
+    # coeff sin(kappa (x+1)) on x <= 0 and its mirrored conjugate
+    # conj(coeff sin(kappa (1-x))) on x > 0, or the x-derivative of both
+    x = check_points(x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
+    wave, factor = (np.cos, coeff * kappa) if derivative else (np.sin, coeff)
     out = np.empty(x.shape, dtype=complex)
     left = x <= 0.0
-    out[left] = coeff * np.sin(kappa * (x[left] + 1.0))
-    out[~left] = np.conj(coeff * np.sin(kappa * (1.0 - x[~left])))
-    return out[0] if scalar else out
-
-
-def _segment_derivative(coeff, kappa, x):
-    x = _check_domain(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty(x.shape, dtype=complex)
-    left = x <= 0.0
-    out[left] = coeff * kappa * np.cos(kappa * (x[left] + 1.0))
-    out[~left] = np.conj(-coeff * kappa * np.cos(kappa * (1.0 - x[~left])))
+    out[left] = factor * wave(kappa * (x[left] + 1.0))
+    out[~left] = np.conj((-factor if derivative else factor) * wave(kappa * (1.0 - x[~left])))
     return out[0] if scalar else out
 
 
@@ -110,9 +93,17 @@ def _sin_cos_kappa(level: LevelSolution, sigma: int) -> tuple[complex, complex]:
 
 def channel_weights(sigma: int, Y: float, Z: float) -> tuple[float, float]:
     """(upper, lower) factors of the unit-norm profile: (sqrt(Z), sigma sqrt(Y)),
-    or (1, sigma) when fully decoupled."""
+    or (1, sigma) when fully decoupled.
+
+    Every other pair needs Y > 0 and Z > 0 and raises ModelDomainError
+    otherwise.  The channel ratio sqrt(Z/Y) is the quotient of the two
+    factors at sigma = +1, which stays finite where Z / Y under- or
+    overflows.
+    """
     if Y == 0.0 and Z == 0.0:
         return 1.0, float(sigma)
+    if Y <= 0.0 or Z <= 0.0:
+        raise ModelDomainError("channel factors sqrt(Y), sqrt(Z) require Y > 0 and Z > 0")
     return math.sqrt(Z), sigma * math.sqrt(Y)
 
 
@@ -145,8 +136,7 @@ def solve_coefficients(
             "semi-decoupled coupling (YZ = 0 with one amplitude nonzero): the channel matrix "
             "is a Jordan block, and the closed form builds no states for this class"
         )
-    if branch is BranchClass.POSITIVE_PRODUCT and (coupling.Y <= 0.0 or coupling.Z <= 0.0):
-        raise ModelDomainError("channel factors sqrt(Y), sqrt(Z) require Y > 0 and Z > 0")
+    weight_upper, weight_lower = channel_weights(sigma, coupling.Y, coupling.Z)
     if level.branch is not branch:
         raise ModelDomainError(
             f"level was solved on branch {level.branch.value}, coupling is {branch.value}"
@@ -171,7 +161,6 @@ def solve_coefficients(
             "sin(kappa) and cos(kappa) both vanish; inconsistent level input"
         )
 
-    weight_upper, weight_lower = channel_weights(sigma, coupling.Y, coupling.Z)
     return ChannelState(
         level=level,
         sigma=int(sigma),
@@ -302,23 +291,46 @@ def phi_sesquilinear_product(state_a: ChannelState, state_b: ChannelState) -> fl
     return float(2.0 * term.real)
 
 
+def simpson_rule(intervals: int):
+    """Nodes and weights of composite Simpson on (-1, 1) split at the x = 0 kink.
+
+    The nodes are those of GridSpec(intervals), interior only, with
+    intervals / 2 panels on each half (intervals divisible by 4) and
+    x = 0 shared by the halves.  The wall nodes are dropped: every state,
+    left partner and test integrand vanishes there.  This is the one
+    rule behind quadrature_overlap, the quadrature method of
+    metric.biorthogonality_matrix and metric.spectral_reconstruct.
+    """
+    if intervals % 4 != 0:
+        raise ModelDomainError(
+            f"Simpson weighting splits each half into an even panel count: "
+            f"M must be divisible by 4, got {intervals}"
+        )
+    half = intervals // 2
+    h = 2.0 / intervals
+    pattern = np.ones(half + 1)
+    pattern[1:-1:2] = 4.0
+    pattern[2:-1:2] = 2.0
+    pattern *= h / 3.0
+    full = np.zeros(intervals + 1)
+    full[: half + 1] += pattern
+    full[half:] += pattern
+    return h * (np.arange(1, intervals) - half), full[1:-1]
+
+
 def quadrature_overlap(f, g, panels: int) -> complex:
     """<f | g> over (-1, 1) by composite Simpson, split at the x = 0 kink.
 
+    The rule is simpson_rule(2 panels), which drops the wall nodes, so f
+    and g must vanish at x = +-1, as every state does.
+
     Parameters
     ----------
-    f, g : callables mapping an array of points in [-1, 1] to complex values
+    f, g : callables mapping an array of points in (-1, 1) to complex values
     panels : int
         Panel count per half-interval; must be even and >= 2.  The error
         decays as panels^-4 for integrands smooth on each half.
     """
     panels = as_index(panels, "panels must be an even integer >= 2", 2, even=True)
-    total = 0.0 + 0.0j
-    for lo, hi in ((-1.0, 0.0), (0.0, 1.0)):
-        x = np.linspace(lo, hi, panels + 1)
-        w = np.ones(panels + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (hi - lo) / (3.0 * panels)
-        total += complex(np.sum(w * np.conj(f(x)) * g(x)))
-    return total
+    nodes, w = simpson_rule(2 * panels)
+    return complex(np.sum(w * np.conj(f(nodes)) * g(nodes)))

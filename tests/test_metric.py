@@ -666,7 +666,7 @@ def test_spectral_reconstruct_is_the_sum_over_left_partners(c, M):
     # the sum, written out with the states' own left partners: their
     # bras and their pairings d, bit for bit
     grid = GridSpec(M)
-    nodes, w = metric_module._simpson_rule(M)
+    nodes, w = wavefunctions_module.simpson_rule(M)
     w2 = np.concatenate([w, w])[:, None]
     for ratio in (0.25, 1.0, 4.0):
         for n_levels in (1, 4, 8):

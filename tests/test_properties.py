@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from coupledwell import (
     MIN_ROOT_PRODUCT,
     BranchClass,
     CouplingPair,
+    GridSpec,
     MetricConstraintError,
     MetricWeights,
     RepBasis,
@@ -35,6 +37,8 @@ from coupledwell import (
     solve_coefficients,
     solve_level,
     spectrum,
+    spin_operator,
+    verify,
 )
 from coupledwell.cli import main
 from coupledwell.wavefunctions import channel_weights
@@ -226,3 +230,25 @@ def test_signed_weights_need_unsafe_and_set_the_signature(pair, n_levels, data):
     assert theta.meta["signature"] == (int(np.sum(per_state > 0.0)), int(np.sum(per_state < 0.0)))
     with pytest.raises(MetricConstraintError):
         inverse_identity_defect(theta, states, weights)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(log_c=st.floats(min_value=-3.0, max_value=math.log10(4.4)),
+       u=st.floats(min_value=-200.0, max_value=200.0),
+       n_levels=st.integers(min_value=1, max_value=4))
+# Z / Y under- and overflows, and an error of one ulp on a ratio of 1e8
+@example(log_c=0.0, u=200.0, n_levels=2)
+@example(log_c=0.0, u=-200.0, n_levels=2)
+@example(log_c=0.0, u=-8.0, n_levels=4)
+def test_battery_passes_over_the_channel_ratio_range(log_c, u, n_levels):
+    # Y = c 10^u, Z = c 10^-u: the channel ratio sqrt(Z/Y) = 10^-u spans
+    # 1e+-200 while sqrt(YZ) = c stays below the lowest merger
+    c = 10.0**log_c
+    pair = CouplingPair(c * 10.0**u, c * 10.0**-u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = verify(pair, n_levels, GridSpec(64))
+        omega = spin_operator(pair).matrix
+    assert [check.name for check in checks if not check.passed] == []
+    assert np.all(np.isfinite(omega))
+    assert np.abs(omega @ omega - np.eye(2)).max() <= 2.0 * np.finfo(float).eps
