@@ -267,7 +267,8 @@ def eigenpairs(rep: BandedHamiltonian, k: int):
     residual[:, :-1] += rep.sub[:, None] * x[:, 1:]
     residual[:, 1:] += rep.sub[:, None] * x[:, :-1]
     size = abs(residual).max()
-    coupling = max(abs(rep.coupling.Y), abs(rep.coupling.Z))
+    # ||C|| on the vectors built here is sqrt|YZ|; the Jordan coupling carries |Y| or |Z|
+    coupling = c or max(abs(rep.coupling.Y), abs(rep.coupling.Z))
     bound = abs(rep.diagonal).max() + 2 * abs(rep.sub).max() + coupling * abs(rep.step).max()
     if size > RESIDUAL_RTOL * bound:
         raise NumericalFailureError(f"eigenvector residual {size:.3g} exceeds {RESIDUAL_RTOL:g} of {bound:.3g}")

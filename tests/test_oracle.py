@@ -787,6 +787,22 @@ def test_eigenvector_residual_is_checked(monkeypatch):
                 eigenpairs(build_hamiltonian(pair, GridSpec(M)), 4)
 
 
+def test_eigenvector_residual_bound_follows_the_root_product(monkeypatch):
+    # at Y/Z = 1e400 the bound on ||C|| is sqrt(YZ) = 1, not max(|Y|, |Z|)
+    # = 1e200, which would admit any residual: a 1e-6 perturbation is caught
+    rep = build_hamiltonian(CouplingPair(1e200, 1e-200), GridSpec(64))
+    eigenpairs(rep, 4)
+    vectors_of = coupledwell.oracle._TwoRegionBlock.eigenvectors
+
+    def perturbed(self, roots):
+        v = vectors_of(self, roots)
+        return v + 1e-6 * np.roll(v, 1, axis=0)
+
+    monkeypatch.setattr(coupledwell.oracle._TwoRegionBlock, "eigenvectors", perturbed)
+    with pytest.raises(NumericalFailureError, match="residual"):
+        eigenpairs(rep, 4)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     c=st.floats(min_value=0.0, max_value=30.0, exclude_min=True),

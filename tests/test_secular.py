@@ -365,6 +365,22 @@ def test_critical_coupling_frozen_brackets(pair, tol):
     assert (res.c_crit, res.bracket_width) == FROZEN_CRITICAL[pair, tol]
 
 
+# critical_coupling(pair, tol).evaluations for pairs 0..7 when the walk onto
+# the cell minimum bisected the sign of g'
+BISECTION_WALK_EVALUATIONS = {
+    1e-3: (742, 825, 1005, 1106, 926, 906, 1189, 1106),
+    1e-10: (2056, 2465, 2350, 2637, 2562, 2521, 2723, 2453),
+}
+
+
+@pytest.mark.parametrize("tol", sorted(BISECTION_WALK_EVALUATIONS))
+@pytest.mark.parametrize("pair", range(8))
+def test_critical_search_costs_at_most_half_the_bisection_walk(pair, tol):
+    # a perf guard that needs no clock: the count is deterministic
+    ceiling = BISECTION_WALK_EVALUATIONS[tol][pair] // 2
+    assert critical_coupling(pair, tol).evaluations <= ceiling
+
+
 def test_critical_bracket_holds_the_mpmath_merger():
     res = critical_coupling(0, tol=1e-10)
     assert abs(res.c_crit - C_CRIT_PAIR0) <= res.bracket_width / 2
@@ -448,6 +464,12 @@ def test_critical_coupling_between_the_last_doubling_and_the_cap():
     assert 2.0**19 < res.c_crit < 1e6
     lo, hi = res.c_crit - res.bracket_width / 2, res.c_crit + res.bracket_width / 2
     assert _mp_cell_minimum(20000, lo) < 0 < _mp_cell_minimum(20000, hi)
+    # at tol=1e-12 the bracket is one ulp wide and the rounding of g at the
+    # cell minimum moves its ends: the merger lies within 1e-13 c_crit of it
+    res = critical_coupling(20000, 1e-12)
+    slack = res.bracket_width / 2 + 1e-13 * res.c_crit
+    assert _mp_cell_minimum(20000, res.c_crit - slack) < 0 < _mp_cell_minimum(
+        20000, res.c_crit + slack)
 
 
 # the first pair still alive at the cap sqrt(YZ) = 1e6
