@@ -58,6 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._bracket import newton_in_bracket
 from .errors import ModelDomainError, NumericalFailureError
 from .model import BranchClass, CouplingPair, GridSpec, OperatorRep, PotentialSpec, RepBasis, as_index
 from .secular import LevelSolution
@@ -71,7 +72,7 @@ RESIDUAL_RTOL = 1e-10
 # roots closer than this (relative to max(1, |E|)) are one root, and a
 # root this close to the real axis is real
 DISTINCT_RTOL = 1e-10
-NEWTON_STEPS = 100
+NEWTON_STEPS = 100  # steps of the complex Newton, which has no bracket to bisect
 # samples in one zero count, a bound on its time and memory: the box is
 # 2 (|Im lambda| + 1) tall, its left edge sampled every ~1.7, so
 # couplings up to ~1.4e6 are solved
@@ -220,12 +221,6 @@ def _spin_commutator_max(rep: BandedHamiltonian) -> float:
 def _cross_channel(rep: BandedHamiltonian):
     """The upper-right and lower-left entries iZ d and iY d."""
     return 1j * rep.coupling.Z * rep.step, 1j * rep.coupling.Y * rep.step
-
-
-def _entry_max(rep: BandedHamiltonian) -> float:
-    """max |H_ij|."""
-    upper, lower = _cross_channel(rep)
-    return float(max(np.abs(band).max() for band in (rep.sub, rep.diagonal, upper, lower)))
 
 
 def eigenpairs(rep: BandedHamiltonian, k: int):
@@ -461,37 +456,22 @@ class _TwoRegionBlock:
 
     def _bracketed_root(self, lo: float, hi: float, p_lo: float, p_hi: float) -> float:
         """The root of P in [lo, hi], where P changes sign from p_lo to
-        p_hi: Newton from the secant point, bisecting whenever a step
-        leaves the bracket.  Beside the root P can read only rounding
-        noise, where Newton's steps stay above the step test; once
-        NEWTON_STEPS are spent the bracket is bisected to the float
-        limit."""
-        low_negative = p_lo < 0
-        x = lo - p_lo * (hi - lo) / (p_hi - p_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        for _ in range(NEWTON_STEPS):
+        p_hi, by `newton_in_bracket` from the secant point: the Newton
+        point once a step is within 2 eps of max(1, |x|)."""
+        sign, root = -1.0 if p_lo < 0 else 1.0, []  # the Newton point, once reached
+
+        def f(x: float, newton: bool):
+            if not newton:
+                return sign * self.secular(x, real=True), None
             p, dp = self.secular(x, slope=True, real=True)
-            if p == 0.0:
-                return x
-            if (p < 0) == low_negative:
-                lo = x
-            else:
-                hi = x
             step = p / dp if dp else math.inf
-            if abs(step) <= 2 * _EPS * max(1.0, abs(x)):
-                return x - step
-            x -= step
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
-                if hi - lo <= 2 * _EPS * max(1.0, abs(x)):
-                    return x
-        while lo < (x := 0.5 * (lo + hi)) < hi:
-            if (self.secular(x, real=True) < 0) == low_negative:
-                lo = x
-            else:
-                hi = x
-        return x
+            if p == 0.0 or abs(step) <= 2 * _EPS * max(1.0, abs(x)):
+                root.append(x - step if p else x)
+                return None, step
+            return sign * p, step
+
+        lo, hi = newton_in_bracket(f, lo, hi, lo - p_lo * (hi - lo) / (p_hi - p_lo))
+        return root[0] if root else 0.5 * (lo + hi)
 
     def _newton(self, z: complex, known) -> complex | None:
         """A root of P from z by Newton on P / prod(E - r) over the

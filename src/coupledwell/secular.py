@@ -34,19 +34,16 @@ error.
 
 Each root is solved and stored as its offset eps: with
 s = (n+1) pi/2 + (-1)^n eps, sin 2s = -sin 2eps and g = t sinh(2t) -
-s sin(2 eps), positive at eps = 0 for both roots of a pair.  eps is
-solved between 0 and the negative point, so it keeps its full relative
-precision at any coupling; s, t and E are derived from it.  Newton
-steps on the eps form, with dg/deps = (-1)^n dg/ds, start from the
-first-order perturbative eps and fall back to the midpoint of the sign
-bracket whenever they leave it.  Once a step is within 2 ulp, a probe a
-few ulps past the iterate narrows the bracket, and bisection finishes
-it: the returned eps is one of two adjacent floats at a sign change of
-the float g.  Where no float of the bracket reads g <= 0, not even its
-far end, the negative window is below the rounding of g and the pair
-counts as merged.  A root is refused only if |g| there exceeds
-RESIDUAL_RTOL of the scale max(1, |t sinh 2t| + |s sin 2eps|): the
-rounding of g grows with its two terms.
+s sin(2 eps), positive at eps = 0 for both roots of a pair.  Newton
+steps on this form (dg/deps = (-1)^n dg/ds) solve eps from its
+first-order value in its sign bracket, from 0 to the negative point
+(see `_bracket`): eps keeps its full relative precision at any
+coupling and is one of two adjacent floats at a sign change of the
+float g; s, t and E are derived from it.  Where no float of the
+bracket reads g <= 0, not even its far end, the negative window is
+below the rounding of g and the pair counts as merged.  A root is
+refused only if |g| there exceeds RESIDUAL_RTOL of the scale
+max(1, |t sinh 2t| + |s sin 2eps|), with which the rounding of g grows.
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._bracket import newton_in_bracket
 from .errors import BracketError, ModelDomainError, NumericalFailureError, RootLostError
 from .model import BranchClass, CouplingPair, as_index, validate_tol
 
@@ -201,35 +199,18 @@ def _solve_positive(n: int, c: float) -> LevelSolution:
     s0 = (n + 1) * math.pi / 2.0
     sign = -1.0 if n % 2 else 1.0
 
-    def g(eps: float) -> float:  # s sin 2s + t sinh 2t, with sin 2s = -sin 2eps
+    def g(eps: float, newton: bool = False):  # s sin 2s + t sinh 2t, with sin 2s = -sin 2eps
         s = s0 + sign * eps
         t = c / (2.0 * s)
-        return t * math.sinh(2.0 * t) - s * math.sin(2.0 * eps)
+        value = t * math.sinh(2.0 * t) - s * math.sin(2.0 * eps)
+        return value, (sign * value / _slope(s, c) if newton else None)
 
     # g(0) = t sinh 2t > 0 and g(eps_p) < 0 for either root of the pair
-    lo, hi = 0.0, sign * (p - s0)
-    top = hi
-    eps = _first_order(n, c * c)
-    newton = True
-    while True:
-        if not lo < eps < hi:
-            eps = 0.5 * (lo + hi)
-            if not lo < eps < hi:
-                break
-        value = g(eps)
-        if value > 0.0:
-            lo = eps
-        else:
-            hi = eps
-        if newton:
-            step = sign * value / _slope(s0 + sign * eps, c)
-            newton = abs(step) > 2.0 * math.ulp(eps)
-            # within 2 ulp: probe 4 ulp past the iterate, then bisect
-            eps = eps - step if newton else eps + math.copysign(4.0 * math.ulp(eps), value)
-        else:
-            eps = 0.5 * (lo + hi)
-    if hi == top and g(top) > 0.0:  # the negative window is below the rounding of g
+    top = sign * (p - s0)
+    lo, hi = newton_in_bracket(g, 0.0, top, _first_order(n, c * c))
+    if hi == top and g(top)[0] > 0.0:  # the negative window is below the rounding of g
         raise RootLostError(n, c)
+    eps = 0.5 * (lo + hi)
     s = s0 + sign * eps
     t = c / (2.0 * s)
     tail, swing = t * math.sinh(2.0 * t), s * math.sin(2.0 * eps)

@@ -28,7 +28,7 @@ from coupledwell import (
     verify,
 )
 from coupledwell.cli import main
-from coupledwell.oracle import _entry_max, _spin_commutator_max, _swap_reflect_defect
+from coupledwell.oracle import _spin_commutator_max, _swap_reflect_defect
 
 
 def records(checks):
@@ -152,8 +152,28 @@ def test_band_structure_checks_are_the_dense_ones(M, Y, Z):
         omega = np.kron(spin_operator(rep.coupling).matrix, np.eye(rep.dim // 2))
         assert _swap_reflect_defect(rep) == np.max(np.abs(swap @ h @ swap - h.conj().T))
         assert _spin_commutator_max(rep) == np.max(np.abs(h @ omega - omega @ h))
-        assert _entry_max(rep) == np.max(np.abs(h))
     assert _swap_reflect_defect(build_hamiltonian(CouplingPair(Y, Z), GridSpec(M))) == 0.0
+
+
+def test_spin_commutator_bound_follows_the_root_product(monkeypatch):
+    # at (1e200, 1e-200) the commutator's terms are +-sqrt(YZ) d = +-d,
+    # while max |H_ij| is 1e200: a bound relative to the entries would
+    # pass a spin ratio off by 1e-10
+    from coupledwell import metric
+
+    name = "discrete commutator [H, spin] max"
+    coupling, grid = CouplingPair(1e200, 1e-200), GridSpec(64)
+    assert {c.name: c for c in verify(coupling, 2, grid)}[name].passed
+    spin = metric.spin_operator
+
+    def skewed(pair):
+        rep = spin(pair)
+        rep.matrix[0, 1] *= 1.0 + 1e-10
+        return rep
+
+    monkeypatch.setattr(metric, "spin_operator", skewed)
+    check = {c.name: c for c in verify(coupling, 2, grid)}[name]
+    assert not check.passed and check.bound == 1e-14
 
 
 @pytest.mark.parametrize("Y, Z", [(1.0, -1.0), (0.0, 2.0), (1.0, 4.0)])

@@ -8,6 +8,7 @@ pipeline, so agreement is evidence, not circularity.
 
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from coupledwell import (
     solve_level,
     spectrum,
 )
+from coupledwell import secular
+from coupledwell._bracket import newton_in_bracket
 from coupledwell.secular import _negative_point, _slope
 
 # roots of the lowest pair at Y = Z = 1, 40-digit oracle
@@ -379,6 +382,38 @@ def test_critical_search_costs_at_most_half_the_bisection_walk(pair, tol):
     # a perf guard that needs no clock: the count is deterministic
     ceiling = BISECTION_WALK_EVALUATIONS[tol][pair] // 2
     assert critical_coupling(pair, tol).evaluations <= ceiling
+
+
+def _eps_solve_costs(monkeypatch):
+    """A list that gains, per eps solve, its evaluations of g: the calls of
+    the callback that `_solve_positive` hands to `newton_in_bracket`."""
+    costs = []
+
+    def counted(f, lo, hi, x):
+        costs.append(0)
+
+        def g(eps, newton):
+            costs[-1] += 1
+            return f(eps, newton)
+
+        return newton_in_bracket(g, lo, hi, x)
+
+    monkeypatch.setattr(secular, "newton_in_bracket", counted)
+    return costs
+
+
+def test_eps_solve_costs_a_few_evaluations(monkeypatch):
+    # an exact g = 0.0 at the last Newton point makes it the hi end; a probe
+    # past it would leave the bracket, which then cost ~45 evaluations to
+    # bisect again (level 10 at Y = Z = 1 took 45)
+    costs = _eps_solve_costs(monkeypatch)
+    solve_level(10, CouplingPair(1.0, 1.0))
+    assert len(costs) == 1 and costs[0] <= 8
+    rng = random.Random(3000)
+    for _ in range(3000):
+        c = math.exp(rng.uniform(math.log(1e-4), math.log(4.4)))
+        solve_level(rng.randint(0, 39), CouplingPair(c, c))
+    assert len(costs) == 3001 and max(costs) <= 12
 
 
 def test_critical_bracket_holds_the_mpmath_merger():
