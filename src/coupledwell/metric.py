@@ -29,20 +29,19 @@ sqrt(YZ)(sigma_a + sigma_b) vanishes and distinct same-sigma levels are
 bilinear-orthogonal, so F[i, k] = sum_j G[j, i] S_j G[j, k] keeps only
 i = k = j.  The full G, from biorthogonality_matrix, is the check that
 the diagonal form holds.  Each d is a number of its state alone,
-2 |wu wl| |integral phi^2| (diagonal_overlap), so the mode-basis builders
-build no left partner; only biorthogonality_matrix (rows need q) and
-the grid samples do.  In the mode basis a spectral sum is diag(values),
+2 |wu wl| |integral phi^2| (diagonal_overlap), and so is q; each state
+caches both (ChannelState.d, .q), and only the grid samples build left
+partners.  In the mode basis a spectral sum is diag(values),
 mode_hamiltonian or mode_spin, so spectral_reconstruct is grid-only.
 
 G and the Gram matrix of Theta^{-1} are N x N closed forms of the same
 shape: a channel-weight factor times 2 Re(a_i a_j I(kappa_i, kappa_j)),
-I the segment integral of two sines.  Both are built as one broadcast
-expression over the state arrays (wavefunctions.sine_product_integrals),
-not as N^2 scalar calls.  The diagonal of G is still the scalar
-biorthogonal_overlap, O(N) calls: numpy's complex multiply and divide
-can differ from CPython's in the last bit, and the mode metric
-diag(S d^2) is built from the scalar diagonal_overlap, so G's diagonal
-must be those same bits.
+I the segment integral of two sines, one broadcast expression
+(wavefunctions.sine_product_integrals).  A sigma = -1 state carries its
+partner's a and kappa conjugated, so it pairs as its partner does,
+d_- = d_+ and q_- = -q_+, and its rows copy the partner's, bit for bit:
+the builders evaluate the sigma = +1 rows, d and q only.  G's
+opposite-sigma entries are exact zeros and its diagonal is d.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from .wavefunctions import (
     ChannelState,
     channel_weights,
     phi_bilinear_product,
-    quasi_parity,
     simpson_rule,
     sine_product_integrals,
 )
@@ -200,7 +198,7 @@ def left_vector(state: ChannelState) -> LeftState:
     the swap-reflected state is an adjoint eigenvector for the same real
     energy; the quasi-parity sign makes the diagonal pairing positive.
     """
-    return LeftState(state=state, q=quasi_parity(state))
+    return LeftState(state=state, q=state.q)
 
 
 def _profiles(states):
@@ -244,10 +242,10 @@ def diagonal_overlap(state: ChannelState) -> float:
 
     biorthogonal_overlap gives q (wl wu + wu wl) integral phi^2, and wu wl
     has the sign sigma, so q = sigma sign(integral phi^2) cancels both signs:
-    the same float, with no left partner built.  Raises only if d == 0.
+    the same float, with no left partner built (cached as ChannelState.d).
+    Raises only if d == 0.
     """
-    wu, wl = channel_weights(state.sigma, state.Y, state.Z)
-    d = 2.0 * abs(wu * wl) * abs(phi_bilinear_product(state, state))
+    d = state.d
     if d == 0.0:
         raise NormalizationSingularError(
             f"diagonal pairing vanishes for level n={state.level.n}, sigma={state.sigma}"
@@ -267,12 +265,18 @@ def biorthogonality_matrix(
     over the left partners' states (row) and the states (column) as one
     vector expression; the diagonal is the scalar biorthogonal_overlap
     (see the module notes), and every state and left partner must share
-    one coupling.  "quadrature" recomputes every entry by composite
-    Simpson, wavefunctions.simpson_rule with 512 panels per half (the
-    rule of quadrature_overlap), as an independent check of the closed
-    forms, sampling each state and each left partner once; the rule
-    drops the wall nodes, where every state and left partner vanishes.
+    one coupling.  Without lefts, each state is paired with its own left
+    partner, and the states must be complete doublets as doublet_family
+    builds them, in any order: only the sigma = +1 block is evaluated
+    (see the module notes).  "quadrature" recomputes every entry by
+    composite Simpson, wavefunctions.simpson_rule with 512 panels per
+    half (the rule of quadrature_overlap), as an independent check of the
+    closed forms, sampling each state and each left partner once; the
+    rule drops the wall nodes, where every state and left partner
+    vanishes.
     """
+    if lefts is None and method == "closed":
+        return _doublet_pairing(states) if states else np.empty((0, 0))
     if lefts is None:
         lefts = [left_vector(s) for s in states]
     if len(lefts) != len(states):
@@ -298,6 +302,25 @@ def biorthogonality_matrix(
         kets = _sample(states, nodes)
         return (bras.conj().T * np.concatenate([w, w])) @ kets
     raise ModelDomainError(f"unknown overlap method {method!r}")
+
+
+def _doublet_pairing(states) -> np.ndarray:
+    # G of a doublet family with its own left partners: the channel factor
+    # sigma_i sqrt(Y) sqrt(Z) + sigma_j sqrt(Z) sqrt(Y) of an opposite-sigma
+    # entry is exactly 0; a sigma = -1 state conjugates its partner, so it
+    # shares d, negates q and scales the partner's row of the bilinear block
+    _, _, (plus, minus) = _validate_family(states)
+    a, kappa, wu, wl = _profiles(states)
+    q = np.empty(len(states))
+    q[plus] = [states[k].q for k in plus]
+    q[minus] = -q[plus]
+    products = _bilinear_products(a[plus], kappa[plus], a[plus], kappa[plus])
+    out = np.zeros((len(states), len(states)))
+    for rows in (plus, minus):
+        factor = wl[rows, None] * wu[rows] + wu[rows, None] * wl[rows]
+        out[np.ix_(rows, rows)] = q[rows, None] * factor * products
+    out[plus, plus] = out[minus, minus] = [states[k].d for k in plus]
+    return out
 
 
 def spin_operator(coupling: CouplingPair) -> OperatorRep:
@@ -332,25 +355,31 @@ def channel_kernel(coupling: CouplingPair, s_plus: float, s_minus: float) -> np.
 
 
 def _validate_family(states: Sequence[ChannelState]):
+    # the coupling, the states' (n, sigma) order, and the positions of the
+    # sigma = +1 and of the sigma = -1 member of each level n
     if not states:
         raise ModelDomainError("need at least one state")
     if len(states) % 2 != 0:
         raise ModelDomainError("states must come in complete (n, +1), (n, -1) doublets")
-    # the coupling, the level count and the states' (n, sigma) order
     coupling = _shared_coupling(states)
     n_levels = len(states) // 2
     order = [(s.level.n, s.sigma) for s in states]
+    position = dict(zip(order, range(len(order))))
     # 2 n_levels states over the 2 n_levels expected labels: none repeats
-    if set(order) != {(n, sigma) for n in range(n_levels) for sigma in (+1, -1)}:
+    try:
+        members = [np.array([position[n, sigma] for n in range(n_levels)]) for sigma in (+1, -1)]
+    except KeyError:
         raise ModelDomainError(
             f"states must cover levels 0..{n_levels - 1} with both sigma labels exactly once"
-        )
-    return coupling, n_levels, order
+        ) from None
+    return coupling, order, members
 
 
 def _resolve_weights(states, weights, unsafe):
-    # the family's meta, its per-state weights and its diagonal pairings d
-    coupling, n_levels, order = _validate_family(states)
+    # the family's meta, its per-state weights, its diagonal pairings d
+    # (d_- = d_+) and the positions of its members (see _validate_family)
+    coupling, order, (plus, minus) = _validate_family(states)
+    n_levels = plus.size
     if coupling.root_product < MIN_ROOT_PRODUCT:
         raise MetricConstraintError(
             f"sqrt(|YZ|) = {coupling.root_product:.3e} is below {MIN_ROOT_PRODUCT}; "
@@ -361,7 +390,8 @@ def _resolve_weights(states, weights, unsafe):
         weights = MetricWeights.unit(n_levels)
     if weights.n_levels < n_levels:
         raise MetricConstraintError(f"weights cover {weights.n_levels} levels, need {n_levels}")
-    per_state = np.array([weights.select(s.level.n, s.sigma) for s in states], dtype=float)
+    per_state = np.empty(len(states))
+    per_state[plus], per_state[minus] = weights.s_plus[:n_levels], weights.s_minus[:n_levels]
     if not unsafe and np.any(per_state <= 0.0):
         bad = int(np.argmin(per_state))
         raise MetricConstraintError(
@@ -370,7 +400,9 @@ def _resolve_weights(states, weights, unsafe):
             "choices need unsafe=True"
         )
     meta = {"coupling": coupling, "n_levels": n_levels, "order": order}
-    return meta, per_state, _normalizable([diagonal_overlap(s) for s in states])
+    d = np.empty(len(states))
+    d[plus] = d[minus] = [diagonal_overlap(states[k]) for k in plus]
+    return meta, per_state, _normalizable(d), (plus, minus)
 
 
 def _sample(items, nodes) -> np.ndarray:
@@ -412,12 +444,10 @@ def build_theta_metric(
     weighted by the node spacing.  The per-level 2x2 channel kernels are
     exposed in meta["channel_kernels"].
     """
-    meta, per_state, d = _resolve_weights(states, weights, unsafe)
-    by_label = dict(zip(meta["order"], per_state))
+    meta, per_state, d, (plus, minus) = _resolve_weights(states, weights, unsafe)
     meta["weights_by_state"] = per_state
     meta["channel_kernels"] = [
-        channel_kernel(meta["coupling"], by_label[n, +1], by_label[n, -1])
-        for n in range(meta["n_levels"])
+        channel_kernel(meta["coupling"], per_state[p], per_state[m]) for p, m in zip(plus, minus)
     ]
     if grid is None:
         diagonal = d * per_state * d
@@ -438,7 +468,7 @@ def _kind_values(states, kind: str) -> np.ndarray:
 
 def _mode_map(states: Sequence[ChannelState], kind: str) -> OperatorRep:
     # the spectral sum of one kind on the mode basis: diag(value_i)
-    _, _, order = _validate_family(states)
+    _, order, _ = _validate_family(states)
     return OperatorRep(np.diag(_kind_values(states, kind)), RepBasis.MODE, meta={"order": order})
 
 
@@ -500,7 +530,7 @@ def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSp
     _require_grid(grid)
     values = _kind_values(states, kind)
     lefts = [left_vector(s) for s in states]
-    d = _normalizable([biorthogonal_overlap(l, s) for l, s in zip(lefts, states)])
+    d = _normalizable([s.d for s in states])
     nodes, w = simpson_rule(grid.M)
     w2 = np.concatenate([w, w])
     right = _sample(states, nodes)
@@ -526,17 +556,22 @@ def inverse_theta_metric(
     one vector expression (see the module notes).  With grid= a
     GridSpec: the same sum sampled on its interior nodes.
     """
-    meta, per_state, d = _resolve_weights(states, weights, False)
+    meta, per_state, d, (plus, minus) = _resolve_weights(states, weights, False)
     coeff = 1.0 / (per_state * d * d)
     meta.update({"coefficients": coeff, "diagonal_overlaps": d})
     if grid is not None:
         meta["grid"] = grid
         return OperatorRep(_grid_sum(states, coeff, grid), RepBasis.GRID, meta=meta)
-    # the sesquilinear Gram matrix is the bilinear one with the row conjugated
+    # the sesquilinear Gram matrix is the bilinear one with the row conjugated;
+    # a sigma = -1 row is its partner's row with each level's two columns
+    # swapped, because its a and kappa are the partner's conjugated
     a, kappa, wu, wl = _profiles(states)
-    gram = (wu[:, None] * wu + wl[:, None] * wl) * _bilinear_products(
-        a.conj(), kappa.conj(), a, kappa
+    rows = (wu[plus, None] * wu + wl[plus, None] * wl) * _bilinear_products(
+        a[plus].conj(), kappa[plus].conj(), a, kappa
     )
+    gram = np.empty((len(states), len(states)))
+    gram[plus] = rows
+    gram[np.ix_(minus, minus)], gram[np.ix_(minus, plus)] = rows[:, plus], rows[:, minus]
     return OperatorRep(coeff[:, None] * gram, RepBasis.MODE, meta=meta)
 
 
@@ -553,7 +588,7 @@ def inverse_identity_defect(
     """
     if theta_rep.basis is not RepBasis.MODE or not theta_rep.is_form:
         raise ModelDomainError("identity check expects the mode-basis metric form")
-    _, per_state, d = _resolve_weights(states, weights, False)
+    _, per_state, d, _ = _resolve_weights(states, weights, False)
     if theta_rep.dim != len(states):
         raise ModelDomainError("metric dimension does not match the state list")
     coeff = 1.0 / (per_state * d * d)

@@ -10,8 +10,9 @@ with kappa = s - i sigma t.  The right half uses the conjugated
 coefficient and wavenumber, which encodes the self-conjugacy
 phi(-x) = conj(phi(x)) and makes the Dirichlet walls exact.  The spin
 doublet member sigma = -1 uses the conjugated kappa (equivalently, it is
-the parity image of the sigma = +1 state).  The two-channel state scales
-the same phi by (sqrt(Z), sigma sqrt(Y)).
+the parity image of the sigma = +1 state), whose sines it conjugates bit
+for bit; both members are built from one norm and one pair of sines.
+The two-channel state scales the same phi by (sqrt(Z), sigma sqrt(Y)).
 
 Phase convention: the common value at x = 0 is real and >= 0; for the
 decoupled odd states (value 0 at the origin) the derivative at 0 is
@@ -24,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +70,17 @@ class ChannelState:
     def lower(self, x):
         return _segment_sine(self.B, self.kappa, x)
 
+    @cached_property
+    def q(self) -> int:
+        """quasi_parity of this state, computed once."""
+        return quasi_parity(self)
+
+    @cached_property
+    def d(self) -> float:
+        """Diagonal pairing 2 |wu wl| |integral phi^2| (metric.diagonal_overlap), computed once."""
+        wu, wl = channel_weights(self.sigma, self.Y, self.Z)
+        return 2.0 * abs(wu * wl) * abs(phi_bilinear_product(self, self))
+
 
 def _segment_sine(coeff, kappa, x, derivative=False):
     # coeff sin(kappa (x+1)) on x <= 0 and its mirrored conjugate
@@ -107,11 +120,48 @@ def channel_weights(sigma: int, Y: float, Z: float) -> tuple[float, float]:
     return math.sqrt(Z), sigma * math.sqrt(Y)
 
 
-def solve_coefficients(
-    level: LevelSolution,
-    coupling: CouplingPair,
-    sigma: int,
-) -> ChannelState:
+def _doublet(level: LevelSolution, coupling: CouplingPair) -> tuple[ChannelState, ChannelState]:
+    # both members of a solved level: sin kappa of sigma = -1 is conj(sk) bit for
+    # bit, so its coefficient is the same arithmetic on sk, not conj(a), whose zero
+    # parts can differ in sign; at sk = 0 (odd decoupled levels) the two coincide
+    branch = coupling.branch
+    if branch is BranchClass.NEGATIVE_PRODUCT:
+        raise ModelDomainError("coefficient solver covers the positive-product branch only")
+    if coupling.non_diagonalizable:
+        raise ModelDomainError(
+            "semi-decoupled coupling (YZ = 0 with one amplitude nonzero): the channel matrix "
+            "is a Jordan block, and the closed form builds no states for this class"
+        )
+    weight_upper, weight_lower = channel_weights(+1, coupling.Y, coupling.Z)
+    if level.branch is not branch:
+        raise ModelDomainError(
+            f"level was solved on branch {level.branch.value}, coupling is {branch.value}"
+        )
+    c = coupling.root_product
+    if abs(2.0 * level.s * level.t - c) > _CONSISTENCY_TOL * max(1.0, c):
+        raise ModelDomainError("level does not satisfy 2 s t = sqrt(YZ) for this coupling")
+
+    s, t = level.s, level.t
+    # L2 norm of sin(kappa (x+1)): sinh 2t / 2t - sin 2s / 2s, sin 2s = -sin 2eps
+    stretch = math.sinh(2.0 * t) / (2.0 * t) if t else 1.0
+    norm = math.sqrt(stretch + math.sin(2.0 * level.eps) / (2.0 * s))
+    sk, ck = _sin_cos_kappa(level, +1)
+    if abs(sk) > 0.0:
+        # value at the origin real and non-negative
+        coeffs = ((sk.conjugate() / abs(sk)) / norm, (sk / abs(sk)) / norm)
+    elif abs(ck) > 0.0:
+        # sin kappa = 0 only for odd decoupled states: phi'(0) imaginary, Im > 0
+        coeffs = (1j * math.copysign(1.0, ck.real) / norm,) * 2
+    else:
+        raise DegenerateMatchError("sin(kappa) and cos(kappa) both vanish; inconsistent level input")
+    return tuple(
+        ChannelState(level, sigma, coupling.Y, coupling.Z, a, complex(s, -sigma * t),
+                     a * weight_upper, a * (sigma * weight_lower))
+        for sigma, a in zip((+1, -1), coeffs)
+    )
+
+
+def solve_coefficients(level: LevelSolution, coupling: CouplingPair, sigma: int) -> ChannelState:
     """Build the sigma member of the degenerate doublet for a solved level.
 
     Parameters
@@ -128,49 +178,7 @@ def solve_coefficients(
     """
     if sigma not in (+1, -1):
         raise ModelDomainError(f"sigma must be +1 or -1, got {sigma!r}")
-    branch = coupling.branch
-    if branch is BranchClass.NEGATIVE_PRODUCT:
-        raise ModelDomainError("coefficient solver covers the positive-product branch only")
-    if coupling.non_diagonalizable:
-        raise ModelDomainError(
-            "semi-decoupled coupling (YZ = 0 with one amplitude nonzero): the channel matrix "
-            "is a Jordan block, and the closed form builds no states for this class"
-        )
-    weight_upper, weight_lower = channel_weights(sigma, coupling.Y, coupling.Z)
-    if level.branch is not branch:
-        raise ModelDomainError(
-            f"level was solved on branch {level.branch.value}, coupling is {branch.value}"
-        )
-    c = coupling.root_product
-    if abs(2.0 * level.s * level.t - c) > _CONSISTENCY_TOL * max(1.0, c):
-        raise ModelDomainError("level does not satisfy 2 s t = sqrt(YZ) for this coupling")
-
-    s, t = level.s, level.t
-    # L2 norm of sin(kappa (x+1)): sinh 2t / 2t - sin 2s / 2s, sin 2s = -sin 2eps
-    stretch = math.sinh(2.0 * t) / (2.0 * t) if t else 1.0
-    norm = math.sqrt(stretch + math.sin(2.0 * level.eps) / (2.0 * s))
-    sk, ck = _sin_cos_kappa(level, sigma)
-    if abs(sk) > 0.0:
-        # value at the origin real and non-negative
-        a = (sk.conjugate() / abs(sk)) / norm
-    elif abs(ck) > 0.0:
-        # sin kappa = 0 only for odd decoupled states: phi'(0) imaginary, Im > 0
-        a = 1j * math.copysign(1.0, ck.real) / norm
-    else:
-        raise DegenerateMatchError(
-            "sin(kappa) and cos(kappa) both vanish; inconsistent level input"
-        )
-
-    return ChannelState(
-        level=level,
-        sigma=int(sigma),
-        Y=coupling.Y,
-        Z=coupling.Z,
-        phi_coeff=a,
-        kappa=complex(s, -sigma * t),
-        A=a * weight_upper,
-        B=a * weight_lower,
-    )
+    return _doublet(level, coupling)[0 if sigma > 0 else 1]
 
 
 def evaluate(state: ChannelState, x) -> np.ndarray:
@@ -235,12 +243,8 @@ def doublet_family(coupling: CouplingPair, n_levels: int) -> list[ChannelState]:
     level share the same LevelSolution object, hence identical E.
     """
     n_levels = as_index(n_levels, "n_levels must be an integer >= 1", 1)
-    states = []
-    for n in range(n_levels):
-        level = solve_level(n, coupling)
-        states.append(solve_coefficients(level, coupling, +1))
-        states.append(solve_coefficients(level, coupling, -1))
-    return states
+    levels = (solve_level(n, coupling) for n in range(n_levels))
+    return [state for level in levels for state in _doublet(level, coupling)]
 
 
 def sine_product_integral(p: complex, q: complex) -> complex:

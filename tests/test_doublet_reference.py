@@ -1,0 +1,166 @@
+"""The doublet shortcuts against the per-state, full-grid formulas they replace.
+
+doublet_family builds each sigma = -1 state from its sigma = +1 partner's
+norm and sines, and the metric builders evaluate the sigma = +1 rows only.
+The reference below keeps the earlier formulas: one coefficient solve per
+sigma, every pairing over the full 2N x 2N grid, and d and q recomputed
+per use.  The shortcuts must give the same floats, not merely close ones.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coupledwell import (
+    ChannelState,
+    CouplingPair,
+    MetricConstraintError,
+    MetricWeights,
+    biorthogonality_matrix,
+    build_theta_metric,
+    doublet_family,
+    inverse_identity_defect,
+    inverse_theta_metric,
+    solve_level,
+)
+from coupledwell.metric import MIN_ROOT_PRODUCT
+from coupledwell.wavefunctions import (
+    _sin_cos_kappa,
+    channel_weights,
+    phi_bilinear_product,
+    quasi_parity,
+    sine_product_integrals,
+)
+
+
+def _reference_state(level, coupling, sigma):
+    # one coefficient solve per sigma, from that sigma's own sines
+    s, t = level.s, level.t
+    stretch = math.sinh(2.0 * t) / (2.0 * t) if t else 1.0
+    norm = math.sqrt(stretch + math.sin(2.0 * level.eps) / (2.0 * s))
+    sk, ck = _sin_cos_kappa(level, sigma)
+    if abs(sk) > 0.0:
+        a = (sk.conjugate() / abs(sk)) / norm
+    else:
+        a = 1j * math.copysign(1.0, ck.real) / norm
+    wu, wl = channel_weights(sigma, coupling.Y, coupling.Z)
+    return ChannelState(level=level, sigma=sigma, Y=coupling.Y, Z=coupling.Z,
+                        phi_coeff=a, kappa=complex(s, -sigma * t), A=a * wu, B=a * wl)
+
+
+def _reference_family(coupling, n_levels):
+    return [_reference_state(solve_level(n, coupling), coupling, sigma)
+            for n in range(n_levels) for sigma in (+1, -1)]
+
+
+def _profiles(states):
+    a = np.array([s.phi_coeff for s in states], dtype=complex)
+    kappa = np.array([s.kappa for s in states], dtype=complex)
+    wu, wl = np.array([channel_weights(s.sigma, s.Y, s.Z) for s in states]).T
+    return a, kappa, wu, wl
+
+
+def _bilinear_products(a_row, kappa_row, a, kappa):
+    return 2.0 * (a_row[:, None] * a * sine_product_integrals(kappa_row[:, None], kappa)).real
+
+
+def _d(state):
+    wu, wl = channel_weights(state.sigma, state.Y, state.Z)
+    return 2.0 * abs(wu * wl) * abs(phi_bilinear_product(state, state))
+
+
+def _reference_pairing(states):
+    # every entry over the full grid; the diagonal is the scalar pairing
+    a, kappa, wu, wl = _profiles(states)
+    q = np.array([quasi_parity(s) for s in states], dtype=float)
+    out = q[:, None] * (wl[:, None] * wu + wu[:, None] * wl) * _bilinear_products(a, kappa, a, kappa)
+    for i, s in enumerate(states):
+        wu_i, wl_i = channel_weights(s.sigma, s.Y, s.Z)
+        out[i, i] = q[i] * (wl_i * wu_i + wu_i * wl_i) * phi_bilinear_product(s, s)
+    return out
+
+
+def _weights_and_d(states, weights):
+    per_state = np.array([weights.select(s.level.n, s.sigma) for s in states])
+    return per_state, np.array([_d(s) for s in states])
+
+
+def _reference_theta(states, weights):
+    per_state, d = _weights_and_d(states, weights)
+    return np.diag(d * per_state * d)
+
+
+def _reference_inverse(states, weights):
+    per_state, d = _weights_and_d(states, weights)
+    a, kappa, wu, wl = _profiles(states)
+    gram = (wu[:, None] * wu + wl[:, None] * wl) * _bilinear_products(a.conj(), kappa.conj(), a, kappa)
+    return (1.0 / (per_state * d * d))[:, None] * gram
+
+
+def _reference_defect(theta, states, weights):
+    per_state, d = _weights_and_d(states, weights)
+    product = (1.0 / (per_state * d * d))[:, None] * theta
+    return float(np.max(np.abs(product - np.eye(len(states)))))
+
+
+def _assert_matches_reference(pair, n_levels):
+    states = doublet_family(pair, n_levels)
+    reference = _reference_family(pair, n_levels)
+    for state, ref in zip(states, reference):
+        for field in dataclasses.fields(ChannelState):
+            assert repr(getattr(state, field.name)) == repr(getattr(ref, field.name)), field.name
+    # the builders take a sigma = -1 state's d and q from its partner
+    for plus, minus in zip(reference[::2], reference[1::2]):
+        assert _d(minus) == _d(plus) and quasi_parity(minus) == -quasi_parity(plus)
+    pairing = biorthogonality_matrix(states)
+    assert np.array_equal(pairing, _reference_pairing(reference))
+    # opposite-sigma members never pair: their channel factor cancels exactly
+    sigma = np.array([s.sigma for s in states])
+    assert np.all(pairing[sigma[:, None] != sigma] == 0.0)
+
+    rng = np.random.default_rng(n_levels)
+    weights = MetricWeights(rng.uniform(0.1, 3.0, n_levels), rng.uniform(0.1, 3.0, n_levels))
+    if pair.root_product < MIN_ROOT_PRODUCT:
+        with pytest.raises(MetricConstraintError):
+            build_theta_metric(states, weights)
+        return
+    # fresh states per builder: no builder may lean on another's cached d or q
+    theta = build_theta_metric(doublet_family(pair, n_levels), weights).matrix
+    assert np.array_equal(theta, _reference_theta(reference, weights))
+    inverse = inverse_theta_metric(doublet_family(pair, n_levels), weights).matrix
+    assert np.array_equal(inverse, _reference_inverse(reference, weights))
+    assert inverse_identity_defect(
+        build_theta_metric(states, weights), doublet_family(pair, n_levels), weights
+    ) == _reference_defect(theta, reference, weights)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(log_c=st.floats(min_value=-10.0, max_value=math.log10(4.4)),
+       log_ratio=st.floats(min_value=-3.0, max_value=3.0),
+       n_levels=st.integers(min_value=1, max_value=60))
+def test_doublet_shortcuts_match_the_per_state_reference(log_c, log_ratio, n_levels):
+    # c log-uniform on [1e-10, 4.4], Y/Z log-uniform on [1e-3, 1e3]
+    c, root_ratio = 10.0 ** log_c, 10.0 ** (log_ratio / 2.0)
+    _assert_matches_reference(CouplingPair(c * root_ratio, c / root_ratio), n_levels)
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-300])
+@pytest.mark.parametrize("n_levels", [3, 60])
+def test_doublet_shortcuts_match_the_reference_at_the_decoupled_end(value, n_levels):
+    # Y = Z = 0: the odd levels take the sin kappa = 0 branch, where both
+    # members share one coefficient; at 1e-300 conj(a_plus) can differ from
+    # a_minus in the sign of a zero part (-1-0j against -1+0j at n = 2)
+    _assert_matches_reference(CouplingPair(value, value), n_levels)
+
+
+def test_sigma_minus_sines_are_the_conjugates():
+    # the identity the shortcut rests on, at a zero and a nonzero t
+    for pair in (CouplingPair(0.0, 0.0), CouplingPair(1e-300, 1e-300), CouplingPair(1.0, 4.0)):
+        for n in range(6):
+            level = solve_level(n, pair)
+            plus, minus = _sin_cos_kappa(level, +1), _sin_cos_kappa(level, -1)
+            for p, m in zip(plus, minus):
+                assert repr(p.conjugate()) == repr(m)

@@ -1,6 +1,7 @@
 """Metric layer: swap-reflect conjugation, biorthogonal pairings, weighted
 metric family, inverses and spectral sums."""
 
+import collections
 import math
 import re
 import warnings
@@ -217,6 +218,20 @@ def test_vector_pairing_rejects_mixed_couplings():
     assert biorthogonality_matrix([]).shape == (0, 0)
 
 
+def test_pairing_without_lefts_needs_complete_doublets():
+    # without lefts the sigma = -1 block is built from the sigma = +1 one, so
+    # a partial family is refused; explicit lefts pair any states
+    states = doublet_family(UNIT, 3)
+    for partial in (states[:3], states[2:], [states[0], states[0]]):
+        with pytest.raises(ModelDomainError, match="doublets|exactly once"):
+            biorthogonality_matrix(partial)
+    assert biorthogonality_matrix(states[:3], [left_vector(s) for s in states[:3]]).shape == (3, 3)
+    # a complete family in any order gives the same entries, permuted
+    perm = [3, 0, 5, 2, 1, 4]
+    shuffled = biorthogonality_matrix([states[k] for k in perm])
+    assert np.array_equal(shuffled, biorthogonality_matrix(states)[np.ix_(perm, perm)])
+
+
 def test_vector_kernel_matches_scalar_without_warnings():
     rng = np.random.default_rng(7)
     p = rng.uniform(0.1, 60.0, 12) - 1j * rng.uniform(-3.0, 3.0, 12)
@@ -233,36 +248,49 @@ def test_vector_kernel_matches_scalar_without_warnings():
 
 def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
     # a loop over scalar pairings would make N^2 calls; the vector kernel
-    # leaves N, all of them on the diagonal.  The mode-basis builders take
-    # each d from its state and build no left partner.
-    calls = dict.fromkeys(("left", "parity", "overlap", "integral"), 0)
+    # leaves one d and one q per level: each sigma = +1 state computes them
+    # once, cached across the four builders, and its sigma = -1 partner
+    # takes d_- = d_+ and q_- = -q_+.  No left partner is built and no
+    # scalar pairing is called.
+    calls = collections.Counter()
 
     def counted(name, inner):
         def wrapper(*args):
-            calls[name] += 1
+            calls[name, id(args[0])] += 1
             return inner(*args)
 
         return wrapper
 
     for name, module, attr in (
         ("left", metric_module, "left_vector"),
-        ("parity", metric_module, "quasi_parity"),
         ("overlap", metric_module, "biorthogonal_overlap"),
+        ("q", wavefunctions_module, "quasi_parity"),
+        ("d", wavefunctions_module, "phi_bilinear_product"),
         ("integral", wavefunctions_module, "sine_product_integral"),
     ):
         monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+
+    def totals():
+        return {name: sum(v for (k, _), v in calls.items() if k == name)
+                for name in ("left", "overlap", "q", "d", "integral")}
+
     states = doublet_family(UNIT, 12)
     biorthogonality_matrix(states)
-    assert calls == {"left": 24, "parity": 24, "overlap": 24, "integral": 24}
-    calls.update(left=0, parity=0, overlap=0, integral=0)
+    assert totals() == {"left": 0, "overlap": 0, "q": 12, "d": 12, "integral": 12}
     inverse_theta_metric(states)
-    assert calls == {"left": 0, "parity": 0, "overlap": 0, "integral": 24}
-    calls.update(integral=0)
     theta = build_theta_metric(states)
-    assert calls == {"left": 0, "parity": 0, "overlap": 0, "integral": 24}
-    calls.update(integral=0)
     inverse_identity_defect(theta, states)
-    assert calls == {"left": 0, "parity": 0, "overlap": 0, "integral": 24}
+    assert totals() == {"left": 0, "overlap": 0, "q": 12, "d": 12, "integral": 12}
+    for plus, minus in zip(states[::2], states[1::2]):
+        assert calls["q", id(plus)] == calls["d", id(plus)] == 1
+        assert calls["q", id(minus)] == calls["d", id(minus)] == 0
+    # the metric builders alone need d but no q
+    calls.clear()
+    fresh = doublet_family(UNIT, 12)
+    inverse_identity_defect(build_theta_metric(fresh), fresh)
+    inverse_theta_metric(fresh)
+    assert totals() == {"left": 0, "overlap": 0, "q": 0, "d": 12, "integral": 12}
+    assert all(calls["d", id(s)] == (s.sigma > 0) for s in fresh)
 
 
 def test_biorthogonality_matrix_quadrature():
