@@ -1,8 +1,9 @@
 """Where the real spectrum ends: the pair merger.
 
 Raising the coupling product pushes the two roots of a pair cell toward
-each other until they collide and leave the real axis.  The bisection
-solver locates that coupling; past it the analytic solver reports the
+each other until they collide and leave the real axis.  The criticality
+search solves that merger as the double root g = g' = 0 and brackets
+its coupling by bisection; past it the analytic solver reports the
 roots as lost, and the finite-difference oracle sees a conjugate pair
 of genuinely complex eigenvalues appear in the low spectrum.
 """
@@ -29,6 +30,7 @@ crit0 = critical_coupling(0, tol=1e-10)
 crit1 = critical_coupling(1, tol=1e-10)
 print()
 print(f"pair 0 merges at c = {crit0.c_crit:.10f}  ({crit0.evaluations} evaluations)")
+print(f"  merger point: c = {crit0.c_merger!r}, s = {crit0.s_merger!r}, E = {crit0.E_merger!r}")
 print(f"pair 1 merges at c = {crit1.c_crit:.10f}")
 
 # just below: two tight real roots.  just above: no real roots at all.

@@ -12,7 +12,7 @@ negative exactly once.  As the coupling grows the two roots of a pair
 walk toward the dip minimum, merge there, and leave the real axis: that
 merger defines the critical coupling of the pair.
 
-Numerical strategy: one mesh-free path, two guarded Newton iterations.
+Numerical strategy: one mesh-free path of guarded Newton iterations.
 On the lower half of cell k, g' < 0 (sin 2s, cos 2s and the
 s-derivative of t sinh 2t are all negative there); on the upper half
 g'' > 0 (cos 2s > 0, -s sin 2s > 0, and t sinh 2t is convex in s).  So
@@ -26,11 +26,20 @@ Once a step is within 2 ulp, one last sample at the Newton point
 decides: g >= 0 there means the pair has merged (ROOT_LOST), and so
 does a bracket that collapses first.  A step past the cell's upper end
 samples g' there: g' < 0 at that end puts the minimum on it, where
-g = t sinh 2t > 0, so the pair has merged too.  The criticality search
-bisects the coupling against the same predicate.  Once 2t passes the
+g = t sinh 2t > 0, so the pair has merged too.  Once 2t passes the
 float overflow point, t sinh 2t exceeds any |s sin 2s|: g, g' and g''
 are then +inf, -inf and +inf, which reads as a merged pair, not as an
 error.
+
+The criticality search doubles the coupling until the pair has merged,
+then solves the double root g = g' = 0 (the merger, an exceptional
+point) by guarded Newton on the dip depth min_s g in that bracket.  It
+then bisects the bracket, but a midpoint farther than
+_MERGER_WINDOW (relative) from the merger coupling c* is decided by
+comparison with c*; only midpoints inside that window, at the float
+floor, take the walk.  The walk must first agree with c* at both ends
+of the window, or every midpoint walks, so the returned bracket is the
+walk's own.
 
 Each root is solved and stored as its offset eps: with
 s = (n+1) pi/2 + (-1)^n eps, sin 2s = -sin 2eps and g = t sinh(2t) -
@@ -58,6 +67,7 @@ from .model import BranchClass, CouplingPair, as_index, validate_tol
 RESIDUAL_RTOL = 1e-12  # |g| at a root, relative to max(1, |t sinh 2t| + |s sin 2eps|)
 DEFAULT_CRITICAL_TOL = 1e-3
 _COUPLING_CAP = 1e6  # criticality scan gives up past this coupling
+_MERGER_WINDOW = 1e-12  # relative half-width about c* inside which the bisection walks
 
 
 @dataclass(frozen=True)
@@ -93,18 +103,28 @@ class SpectrumResult:
 class CriticalResult:
     """Merger coupling of one root pair.
 
-    c_crit: midpoint of the final coupling bracket; bracket_width: its
-    width; evaluations: calls of g, dg/ds and d2g/ds2 over the whole
-    search, each one closed-form expression.  A coupling past the merger
-    costs a Newton walk onto the cell minimum, about five steps of three
-    calls each, before the pair counts as merged; a live pair usually
-    shows g < 0 within two steps.  Pair 0 at tol=1e-6 takes 213 calls.
+    c_crit: midpoint of the final coupling bracket, whose ends the walk
+    onto the cell minimum decides; bracket_width: its width;
+    evaluations: calls of g, dg/ds, d2g/ds2 and dg/dc over the whole
+    search, each one closed-form expression.  About 70-110 of them solve
+    the merger, and each walk costs 10-25 more.  Pair 0 at tol=1e-6
+    takes 143 calls.
+
+    c_merger, s_merger: the double root g = g' = 0 of the pair cell,
+    c_merger the first float at which the cell minimum g(s_merger) reads
+    >= 0; E_merger = s^2 - t^2 there, with t = c_merger / (2 s_merger).
+    Unlike c_crit they do not depend on `tol`, and at the float floor,
+    where the rounding of g decides the walk, they stay within a few
+    ulp of the exact double root.
     """
 
     pair_index: int
     c_crit: float
     bracket_width: float
     evaluations: int
+    c_merger: float
+    s_merger: float
+    E_merger: float
 
 
 def residual(s: float, c: float) -> float:
@@ -140,6 +160,15 @@ def _curvature(s: float, c: float) -> float:
     except OverflowError:
         return math.inf
     return 4.0 * (math.cos(2.0 * s) - s * math.sin(2.0 * s)) + push
+
+
+def _lift(s: float, c: float) -> float:
+    """dg/dc = (sinh 2t + 2t cosh 2t) / (2s), positive at every s."""
+    t = c / (2.0 * s)
+    try:
+        return (math.sinh(2.0 * t) + 2.0 * t * math.cosh(2.0 * t)) / (2.0 * s)
+    except OverflowError:
+        return math.inf
 
 
 def pair_interval(pair_index: int) -> tuple[float, float]:
@@ -185,6 +214,59 @@ def _negative_point(k: int, c: float) -> tuple[float | None, int]:
                     return None, evaluations
             s = 0.5 * (lo + hi)
     return None, evaluations
+
+
+def _merger(k: int, lo: float, hi: float) -> tuple[float, float, int]:
+    """The double root g = g' = 0 of cell k, given the pair alive at the
+    coupling lo and merged at hi: the merger coupling c* in (lo, hi], the
+    cell minimum s* there, and the evaluations of g and its derivatives.
+
+    Each dip depth m(c) = min_s g(s, c) takes the cell minimum by
+    guarded Newton on g' with g'' over the upper half of the cell, from
+    the previous minimum, unless g' < 0 at the cell's upper end b, which
+    puts the minimum on b.  m rises with c through zero at c*, and the
+    search on c ends on two adjacent floats: c* is the upper, the first
+    at which m reads >= 0.  Its steps are Newton's on
+    log(t sinh 2t) - log(-s sin 2s) at the minimum, which has m's sign:
+    past c*, m grows like exp(c/s), and Newton on m itself moves about
+    s per step, too slowly for the helper's noise rule (pair 5000 then
+    bisected from 2^17 * 1.5, 455 evaluations).  The derivative taken,
+    (dg/dc) / (t sinh 2t), leaves out a term that vanishes at c*, where
+    -s sin 2s = t sinh 2t and g' = 0, so convergence stays quadratic.
+    """
+    a, b = pair_interval(k)
+    half = 0.5 * (a + b)
+    s = 0.5 * (half + b)
+    merged = None  # (c, s*) where m last read >= 0: the bracket's hi end
+    evaluations = 0
+
+    def dip(c: float, newton: bool):  # -m(c), > 0 while the pair is alive
+        nonlocal s, merged, evaluations
+
+        def fall(x: float, newton: bool):  # -g', > 0 below the minimum
+            nonlocal evaluations
+            slope = _slope(x, c)
+            evaluations += 2 if newton else 1
+            return -slope, (slope / _curvature(x, c) if newton else None)
+
+        evaluations += 2
+        s = b if _slope(b, c) < 0.0 else newton_in_bracket(fall, half, b, s)[1]
+        depth = residual(s, c)
+        if not depth < 0.0:
+            merged = c, s
+        if not newton:
+            return -depth, None
+        evaluations += 1
+        t = c / (2.0 * s)
+        tail = t * math.sinh(2.0 * t)
+        swing = tail - depth  # -s sin 2s, > 0 short of b
+        return -depth, (tail * math.log(tail / swing) if swing > 0.0 else depth) / _lift(s, c)
+
+    c = newton_in_bracket(dip, lo, hi, 0.5 * (lo + hi))[1]
+    if merged is None or merged[0] != c:  # the search never sampled hi
+        dip(c, False)
+        merged = c, s
+    return merged[0], merged[1], evaluations
 
 
 def _first_order(n: int, product: float) -> float:
@@ -254,20 +336,32 @@ def solve_level(
             raise ModelDomainError(f"sublabel must be +1 or -1, got {sublabel!r}")
     elif sublabel is not None:
         raise ModelDomainError("sublabel applies to the NEGATIVE_PRODUCT branch only")
+    return _level_solver(branch, coupling.root_product)(n, sublabel)
+
+
+def _level_solver(branch: BranchClass, root: float):
+    """solve(n, sublabel=None) for a coupling of this branch and
+    root = `CouplingPair.root_product`, without `solve_level`'s checks of
+    n and sublabel: a request classifies its coupling and takes
+    sqrt(|YZ|) once for all of its levels."""
     if branch is BranchClass.POSITIVE_PRODUCT:
-        return _solve_positive(n, coupling.root_product)
-    # exact box root; NEGATIVE_PRODUCT shifts it by +-sqrt(-YZ)
-    s = (n + 1) * math.pi / 2.0
-    return LevelSolution(
-        n=n,
-        s=s,
-        t=0.0,
-        eps=0.0,
-        E=s * s if sublabel is None else s * s + sublabel * coupling.root_product,
-        residual=abs(residual(s, 0.0)),
-        branch=branch,
-        sublabel=None if sublabel is None else int(sublabel),
-    )
+        return lambda n, sublabel=None: _solve_positive(n, root)
+
+    def box_level(n: int, sublabel: int | None = None) -> LevelSolution:
+        # exact box root; NEGATIVE_PRODUCT shifts it by +-sqrt(-YZ)
+        s = (n + 1) * math.pi / 2.0
+        return LevelSolution(
+            n=n,
+            s=s,
+            t=0.0,
+            eps=0.0,
+            E=s * s if sublabel is None else s * s + sublabel * root,
+            residual=abs(residual(s, 0.0)),
+            branch=branch,
+            sublabel=None if sublabel is None else int(sublabel),
+        )
+
+    return box_level
 
 
 def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
@@ -288,6 +382,7 @@ def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
     """
     n_max = as_index(n_max, "n_max must be a non-negative integer")
     branch = coupling.branch
+    solve = _level_solver(branch, coupling.root_product)
     levels: list[LevelSolution] = []
     truncated_at: int | None = None
     non_diagonalizable = False
@@ -295,18 +390,18 @@ def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
     if branch is BranchClass.POSITIVE_PRODUCT:
         for n in range(n_max + 1):
             try:
-                levels.append(solve_level(n, coupling))
+                levels.append(solve(n))
             except RootLostError:
                 truncated_at = n
                 break
     elif branch is BranchClass.NEGATIVE_PRODUCT:
         for n in range(n_max + 1):
-            levels.append(solve_level(n, coupling, sublabel=-1))
-            levels.append(solve_level(n, coupling, sublabel=+1))
+            levels.append(solve(n, -1))
+            levels.append(solve(n, +1))
     else:
         non_diagonalizable = coupling.non_diagonalizable
         for n in range(n_max + 1):
-            sol = solve_level(n, coupling)
+            sol = solve(n)
             levels.append(sol)
             if non_diagonalizable:
                 levels.append(sol)
@@ -346,13 +441,17 @@ def critical_coupling(
     tol: float = DEFAULT_CRITICAL_TOL,
 ) -> CriticalResult:
     """Critical coupling root c = sqrt(YZ) at which the roots s_{2k},
-    s_{2k+1} merge, by bisection on the coupling.
+    s_{2k+1} merge: a bisection bracket of the coupling, and the merger
+    point itself (`CriticalResult.c_merger`, `s_merger`, `E_merger`).
 
-    The predicate is "g dips below zero inside the pair cell", decided
-    by the same walk onto the cell's single minimum that brackets the
-    roots in `solve_level`.  The walk ends on the minimum to machine
+    The bracket's predicate is "g dips below zero inside the pair cell",
+    decided by the same walk onto the cell's single minimum that brackets
+    the roots in `solve_level`.  The walk ends on the minimum to machine
     precision, so it holds arbitrarily close to the merger, where the
-    negative window is narrower than any fixed mesh.
+    negative window is narrower than any fixed mesh.  The merger is
+    solved first, and the bisection walks only at midpoints within
+    1e-12 (relative) of it, where the dip depth nears the rounding of
+    g; farther out the merger decides as the walk would.
 
     `tol` is an absolute width of the coupling bracket.  Below about
     one ulp of c_crit the bisection stops at the float floor instead,
@@ -387,17 +486,28 @@ def critical_coupling(
             )
         lo = hi
         hi = min(2.0 * hi, _COUPLING_CAP)
+    c_merger, s_merger, spent = _merger(k, lo, hi)
+    evaluations += spent
+    # once the walk agrees with c* at both ends of its window, a midpoint
+    # outside the window is decided by c* alone; otherwise every midpoint walks
+    near_lo, near_hi = c_merger * (1.0 - _MERGER_WINDOW), c_merger * (1.0 + _MERGER_WINDOW)
+    if not (pair_alive(near_lo) and not pair_alive(near_hi)):
+        near_lo, near_hi = -math.inf, math.inf
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if pair_alive(mid):
+        if pair_alive(mid) if near_lo <= mid <= near_hi else mid < c_merger:
             lo = mid
         else:
             hi = mid
+    t_merger = c_merger / (2.0 * s_merger)
     return CriticalResult(
         pair_index=k,
         c_crit=0.5 * (lo + hi),
         bracket_width=hi - lo,
         evaluations=evaluations,
+        c_merger=c_merger,
+        s_merger=s_merger,
+        E_merger=s_merger * s_merger - t_merger * t_merger,
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateMatchError, ModelDomainError, NormalizationSingularError
 from .model import BranchClass, CouplingPair, as_index, check_points
-from .secular import LevelSolution, solve_level
+from .secular import LevelSolution, _level_solver
 
 _CONSISTENCY_TOL = 1e-10
 _AMPLITUDE_SAMPLES = 257
@@ -243,7 +243,8 @@ def doublet_family(coupling: CouplingPair, n_levels: int) -> list[ChannelState]:
     level share the same LevelSolution object, hence identical E.
     """
     n_levels = as_index(n_levels, "n_levels must be an integer >= 1", 1)
-    levels = (solve_level(n, coupling) for n in range(n_levels))
+    solve = _level_solver(coupling.branch, coupling.root_product)
+    levels = (solve(n) for n in range(n_levels))
     return [state for level in levels for state in _doublet(level, coupling)]
 
 
