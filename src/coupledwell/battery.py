@@ -18,12 +18,13 @@ from .metric import (
     mode_hamiltonian,
     mode_spin,
     quasi_hermiticity_defect,
+    spin_operator,
 )
 from .model import BranchClass, CouplingPair, GridSpec
 from .oracle import _spin_commutator_max, _swap_reflect_defect
 from .oracle import build_hamiltonian, compare_spectrum, eigenpairs
 from .secular import perturbative_eps
-from .wavefunctions import channel_weights, doublet_family, matching_residual, parity_overlap
+from .wavefunctions import doublet_family, matching_residual, parity_overlap
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,10 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
     """Run the battery on levels 0..n_levels-1 and the oracle on `grid`.
 
     Raises ModelDomainError unless YZ > 0 (the battery exercises the
-    coupled degenerate branch), and RootLostError at or above the
-    critical coupling of a requested pair.
+    coupled degenerate branch) or when sqrt(Y/Z) or sqrt(Z/Y) leaves the
+    float range, MetricConstraintError where build_theta_metric refuses
+    the family, and RootLostError at or above the critical coupling of a
+    requested pair.
     """
     if coupling.branch is not BranchClass.POSITIVE_PRODUCT:
         raise ModelDomainError("verify exercises the coupled degenerate branch and needs YZ > 0")
@@ -75,8 +78,8 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
         err2 = abs(top.eps - perturbative_eps(top.n, coupling, order=2))
         err1 = abs(top.eps - perturbative_eps(top.n, coupling, order=1))
         checks.append(Check("perturbation order-2/order-1 error ratio", err2 / err1, 1.0, "<="))
-    upper, lower = channel_weights(+1, coupling.Y, coupling.Z)
-    ratio = upper / lower  # sqrt(Z/Y), finite where Z / Y under- or overflows
+    # sqrt(Z/Y); spin_operator refuses a Y/Z whose spin block leaves the float range
+    ratio = float(spin_operator(coupling).matrix[0, 1])
     checks += [
         Check("matching residual max", max(matching_residual(s) for s in states), 1e-12, "<="),
         Check("coefficient ratio |A/B - sigma sqrt(Z/Y)| / sqrt(Z/Y) max",

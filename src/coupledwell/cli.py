@@ -28,7 +28,7 @@ from .errors import (
     NumericalFailureError,
     RootLostError,
 )
-from .model import BranchClass, CouplingPair, GridSpec, as_index, validate_tol
+from .model import CouplingPair, GridSpec, as_index, validate_tol
 from .secular import DEFAULT_CRITICAL_TOL, critical_coupling, spectrum
 
 # spectrum, critical and scan run on the secular layer alone; the other
@@ -185,14 +185,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import build_hamiltonian, compare_spectrum, eigenpairs
+    from .oracle import _require_comparable, build_hamiltonian, compare_spectrum, eigenpairs
 
     coupling = CouplingPair(args.Y, args.Z)
-    if coupling.branch is BranchClass.NEGATIVE_PRODUCT:
-        raise ModelDomainError(
-            "oracle comparison covers YZ >= 0: for YZ < 0 the closed-form levels s^2 +- sqrt(-YZ) "
-            "are not this operator's levels (k_L cot k_L + k_R cot k_R = 0, k^2 = E -+ sqrt(-YZ))"
-        )
+    _require_comparable(coupling.branch)  # before the eigensolve, which can fail first
     analytic = spectrum(coupling, args.levels - 1)
     if analytic.truncated_at is not None:
         print(

@@ -37,11 +37,13 @@ mode_hamiltonian or mode_spin, so spectral_reconstruct is grid-only.
 G and the Gram matrix of Theta^{-1} are N x N closed forms of the same
 shape: a channel-weight factor times 2 Re(a_i a_j I(kappa_i, kappa_j)),
 I the segment integral of two sines, one broadcast expression
-(wavefunctions.sine_product_integrals).  A sigma = -1 state carries its
-partner's a and kappa conjugated, so it pairs as its partner does,
-d_- = d_+ and q_- = -q_+, and its rows copy the partner's, bit for bit:
-the builders evaluate the sigma = +1 rows, d and q only.  G's
-opposite-sigma entries are exact zeros and its diagonal is d.
+(wavefunctions.sine_product_integrals).  A family is read by position in
+doublet_family order, sigma = +1 members at [0::2] and partners at [1::2].
+A sigma = -1 state carries its partner's a and kappa conjugated, so it
+pairs as its partner does, d_- = d_+ and q_- = -q_+ (with the lower
+channel weight f_- = -f_+, (-q)(-f) = qf), and its rows copy the
+partner's, bit for bit: the builders evaluate the sigma = +1 rows, d and
+q only.  G's opposite-sigma entries are exact zeros and its diagonal is d.
 """
 
 from __future__ import annotations
@@ -260,42 +262,27 @@ def biorthogonality_matrix(
 ) -> np.ndarray:
     """Pairing matrix G[i, j] = <<left_i|state_j>.
 
-    method "closed" uses the analytic segment integrals, with
+    method "closed" uses the analytic segment integrals.  Without lefts,
+    the states are paired with their own left partners and must be
+    complete doublets in doublet_family order; one vector expression
     G[i, j] = q_i (wl_i wu_j + wu_i wl_j) 2 Re(a_i a_j I(kappa_i, kappa_j))
-    over the left partners' states (row) and the states (column) as one
-    vector expression; the diagonal is the scalar biorthogonal_overlap
-    (see the module notes), and every state and left partner must share
-    one coupling.  Without lefts, each state is paired with its own left
-    partner, and the states must be complete doublets as doublet_family
-    builds them, in any order: only the sigma = +1 block is evaluated
-    (see the module notes).  "quadrature" recomputes every entry by
-    composite Simpson, wavefunctions.simpson_rule with 512 panels per
-    half (the rule of quadrature_overlap), as an independent check of the
-    closed forms, sampling each state and each left partner once; the
-    rule drops the wall nodes, where every state and left partner
-    vanishes.
+    gives the sigma = +1 block, and d the diagonal (see the module notes).
+    With explicit lefts, each entry is the scalar reference
+    biorthogonal_overlap, for any states and partners of one coupling.
+    "quadrature" recomputes every entry by composite Simpson,
+    wavefunctions.simpson_rule with 512 panels per half (the rule of
+    quadrature_overlap), as an independent check of the closed forms,
+    sampling each state and each left partner once; the rule drops the
+    wall nodes, where every state and left partner vanishes.
     """
     if lefts is None and method == "closed":
         return _doublet_pairing(states) if states else np.empty((0, 0))
-    if lefts is None:
-        lefts = [left_vector(s) for s in states]
+    lefts = [left_vector(s) for s in states] if lefts is None else lefts
     if len(lefts) != len(states):
         raise ModelDomainError("need one left vector per state")
     if method == "closed":
-        if not states:
-            return np.empty((0, 0))
-        _shared_coupling((*states, *(l.state for l in lefts)))
-        a, kappa, wu, wl = _profiles(states)
-        a_l, kappa_l, wu_l, wl_l = _profiles([l.state for l in lefts])
-        q = np.array([l.q for l in lefts], dtype=float)[:, None]
-        out = q * (wl_l[:, None] * wu + wu_l[:, None] * wl) * _bilinear_products(
-            a_l, kappa_l, a, kappa
-        )
-        # the diagonal from the scalar path, bit for bit that of diagonal_overlap
-        out[np.diag_indices_from(out)] = [
-            biorthogonal_overlap(l, s) for l, s in zip(lefts, states)
-        ]
-        return out
+        table = [[biorthogonal_overlap(l, s) for s in states] for l in lefts]
+        return np.array(table, dtype=float).reshape(len(lefts), len(states))
     if method == "quadrature":
         nodes, w = simpson_rule(2 * _PANELS)
         bras = _sample(lefts, nodes)
@@ -305,21 +292,17 @@ def biorthogonality_matrix(
 
 
 def _doublet_pairing(states) -> np.ndarray:
-    # G of a doublet family with its own left partners: the channel factor
-    # sigma_i sqrt(Y) sqrt(Z) + sigma_j sqrt(Z) sqrt(Y) of an opposite-sigma
-    # entry is exactly 0; a sigma = -1 state conjugates its partner, so it
-    # shares d, negates q and scales the partner's row of the bilinear block
-    _, _, (plus, minus) = _validate_family(states)
-    a, kappa, wu, wl = _profiles(states)
-    q = np.empty(len(states))
-    q[plus] = [states[k].q for k in plus]
-    q[minus] = -q[plus]
-    products = _bilinear_products(a[plus], kappa[plus], a[plus], kappa[plus])
+    # G of a doublet family with its own left partners: its opposite-sigma blocks
+    # are exact zeros, its sigma = -1 block is the sigma = +1 one (module notes)
+    _validate_family(states)
+    plus = states[0::2]
+    a, kappa, wu, wl = _profiles(plus)
+    q = np.array([s.q for s in plus], dtype=float)
+    factor = wl[:, None] * wu + wu[:, None] * wl
+    block = q[:, None] * factor * _bilinear_products(a, kappa, a, kappa)
+    block[np.diag_indices_from(block)] = [s.d for s in plus]
     out = np.zeros((len(states), len(states)))
-    for rows in (plus, minus):
-        factor = wl[rows, None] * wu[rows] + wu[rows, None] * wl[rows]
-        out[np.ix_(rows, rows)] = q[rows, None] * factor * products
-    out[plus, plus] = out[minus, minus] = [states[k].d for k in plus]
+    out[0::2, 0::2] = out[1::2, 1::2] = block
     return out
 
 
@@ -330,12 +313,14 @@ def spin_operator(coupling: CouplingPair) -> OperatorRep:
     the degenerate doublets.  The ratio is the quotient of the channel
     weights (wavefunctions.channel_weights), which also refuses every
     coupling but Y > 0 and Z > 0; a decoupled coupling fixes no spin
-    block and is refused too.
+    block and is refused too, and so is a ratio out of the float range.
     """
     if coupling.branch is BranchClass.DECOUPLED:
         raise ModelDomainError("spin block needs Y > 0 and Z > 0, got a decoupled coupling")
     upper, lower = channel_weights(+1, coupling.Y, coupling.Z)
     ratio = upper / lower
+    if not (0.0 < ratio < math.inf and 1.0 / ratio < math.inf):
+        raise ModelDomainError(f"spin block entry sqrt(Z/Y) = {ratio:.3e} or its inverse overflows")
     matrix = np.array([[0.0, ratio], [1.0 / ratio, 0.0]])
     return OperatorRep(matrix, RepBasis.CHANNEL, meta={"coupling": coupling})
 
@@ -355,31 +340,21 @@ def channel_kernel(coupling: CouplingPair, s_plus: float, s_minus: float) -> np.
 
 
 def _validate_family(states: Sequence[ChannelState]):
-    # the coupling, the states' (n, sigma) order, and the positions of the
-    # sigma = +1 and of the sigma = -1 member of each level n
+    # the coupling and the (n, sigma) labels of a family in doublet_family order
     if not states:
         raise ModelDomainError("need at least one state")
-    if len(states) % 2 != 0:
-        raise ModelDomainError("states must come in complete (n, +1), (n, -1) doublets")
     coupling = _shared_coupling(states)
-    n_levels = len(states) // 2
     order = [(s.level.n, s.sigma) for s in states]
-    position = dict(zip(order, range(len(order))))
-    # 2 n_levels states over the 2 n_levels expected labels: none repeats
-    try:
-        members = [np.array([position[n, sigma] for n in range(n_levels)]) for sigma in (+1, -1)]
-    except KeyError:
-        raise ModelDomainError(
-            f"states must cover levels 0..{n_levels - 1} with both sigma labels exactly once"
-        ) from None
-    return coupling, order, members
+    if order != [(n, sigma) for n in range(len(states) // 2) for sigma in (+1, -1)]:
+        raise ModelDomainError("states must be complete doublets in doublet_family order "
+                               "(0, +1), (0, -1), (1, +1), ...")
+    return coupling, order
 
 
 def _resolve_weights(states, weights, unsafe):
-    # the family's meta, its per-state weights, its diagonal pairings d
-    # (d_- = d_+) and the positions of its members (see _validate_family)
-    coupling, order, (plus, minus) = _validate_family(states)
-    n_levels = plus.size
+    # the family's meta, its per-state weights and its diagonal pairings d (d_- = d_+)
+    coupling, order = _validate_family(states)
+    n_levels = len(states) // 2
     if coupling.root_product < MIN_ROOT_PRODUCT:
         raise MetricConstraintError(
             f"sqrt(|YZ|) = {coupling.root_product:.3e} is below {MIN_ROOT_PRODUCT}; "
@@ -390,8 +365,7 @@ def _resolve_weights(states, weights, unsafe):
         weights = MetricWeights.unit(n_levels)
     if weights.n_levels < n_levels:
         raise MetricConstraintError(f"weights cover {weights.n_levels} levels, need {n_levels}")
-    per_state = np.empty(len(states))
-    per_state[plus], per_state[minus] = weights.s_plus[:n_levels], weights.s_minus[:n_levels]
+    per_state = np.stack((weights.s_plus[:n_levels], weights.s_minus[:n_levels]), axis=1).ravel()
     if not unsafe and np.any(per_state <= 0.0):
         bad = int(np.argmin(per_state))
         raise MetricConstraintError(
@@ -400,9 +374,8 @@ def _resolve_weights(states, weights, unsafe):
             "choices need unsafe=True"
         )
     meta = {"coupling": coupling, "n_levels": n_levels, "order": order}
-    d = np.empty(len(states))
-    d[plus] = d[minus] = [diagonal_overlap(states[k]) for k in plus]
-    return meta, per_state, _normalizable(d), (plus, minus)
+    d = np.repeat([diagonal_overlap(s) for s in states[0::2]], 2)
+    return meta, per_state, _normalizable(d)
 
 
 def _sample(items, nodes) -> np.ndarray:
@@ -444,18 +417,29 @@ def build_theta_metric(
     weighted by the node spacing.  The per-level 2x2 channel kernels are
     exposed in meta["channel_kernels"].
     """
-    meta, per_state, d, (plus, minus) = _resolve_weights(states, weights, unsafe)
+    meta, per_state, d = _resolve_weights(states, weights, unsafe)
     meta["weights_by_state"] = per_state
     meta["channel_kernels"] = [
-        channel_kernel(meta["coupling"], per_state[p], per_state[m]) for p, m in zip(plus, minus)
+        channel_kernel(meta["coupling"], p, m) for p, m in per_state.reshape(-1, 2).tolist()
     ]
     if grid is None:
         diagonal = d * per_state * d
         meta["signature"] = (int(np.sum(diagonal > 0.0)), int(np.sum(diagonal < 0.0)))
-        return OperatorRep(np.diag(diagonal), RepBasis.MODE, is_form=True, meta=meta)
+        return _finite_form(np.diag(diagonal), RepBasis.MODE, meta)
     matrix = _grid_sum([left_vector(s) for s in states], per_state, grid)
     meta["grid"] = grid
-    return OperatorRep((matrix + matrix.conj().T) / 2.0, RepBasis.GRID, is_form=True, meta=meta)
+    return _finite_form((matrix + matrix.conj().T) / 2.0, RepBasis.GRID, meta)
+
+
+def _finite_form(matrix, basis, meta) -> OperatorRep:
+    # the metric form, refused if an entry of a channel kernel or of it is not finite
+    kernels = np.array(meta["channel_kernels"])
+    for what, entries in (("channel kernel [n, i, k]", kernels), ("metric form [i, k]", matrix)):
+        if not np.isfinite(entries).all():
+            index = np.argwhere(~np.isfinite(entries))[0]
+            raise MetricConstraintError(f"{what} = {index.tolist()} is {entries[tuple(index)]}: "
+                                        "the coupling or the weights leave the float range")
+    return OperatorRep(matrix, basis, is_form=True, meta=meta)
 
 
 def _kind_values(states, kind: str) -> np.ndarray:
@@ -468,7 +452,7 @@ def _kind_values(states, kind: str) -> np.ndarray:
 
 def _mode_map(states: Sequence[ChannelState], kind: str) -> OperatorRep:
     # the spectral sum of one kind on the mode basis: diag(value_i)
-    _, order, _ = _validate_family(states)
+    _, order = _validate_family(states)
     return OperatorRep(np.diag(_kind_values(states, kind)), RepBasis.MODE, meta={"order": order})
 
 
@@ -556,7 +540,7 @@ def inverse_theta_metric(
     one vector expression (see the module notes).  With grid= a
     GridSpec: the same sum sampled on its interior nodes.
     """
-    meta, per_state, d, (plus, minus) = _resolve_weights(states, weights, False)
+    meta, per_state, d = _resolve_weights(states, weights, False)
     coeff = 1.0 / (per_state * d * d)
     meta.update({"coefficients": coeff, "diagonal_overlaps": d})
     if grid is not None:
@@ -566,12 +550,12 @@ def inverse_theta_metric(
     # a sigma = -1 row is its partner's row with each level's two columns
     # swapped, because its a and kappa are the partner's conjugated
     a, kappa, wu, wl = _profiles(states)
-    rows = (wu[plus, None] * wu + wl[plus, None] * wl) * _bilinear_products(
-        a[plus].conj(), kappa[plus].conj(), a, kappa
+    rows = (wu[0::2, None] * wu + wl[0::2, None] * wl) * _bilinear_products(
+        a[0::2].conj(), kappa[0::2].conj(), a, kappa
     )
     gram = np.empty((len(states), len(states)))
-    gram[plus] = rows
-    gram[np.ix_(minus, minus)], gram[np.ix_(minus, plus)] = rows[:, plus], rows[:, minus]
+    gram[0::2] = rows
+    gram[1::2, 1::2], gram[1::2, 0::2] = rows[:, 0::2], rows[:, 1::2]
     return OperatorRep(coeff[:, None] * gram, RepBasis.MODE, meta=meta)
 
 
@@ -588,7 +572,7 @@ def inverse_identity_defect(
     """
     if theta_rep.basis is not RepBasis.MODE or not theta_rep.is_form:
         raise ModelDomainError("identity check expects the mode-basis metric form")
-    _, per_state, d, _ = _resolve_weights(states, weights, False)
+    _, per_state, d = _resolve_weights(states, weights, False)
     if theta_rep.dim != len(states):
         raise ModelDomainError("metric dimension does not match the state list")
     coeff = 1.0 / (per_state * d * d)

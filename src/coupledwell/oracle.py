@@ -793,6 +793,16 @@ def group_degenerate(values: np.ndarray):
     return [(complex(np.mean(c)), len(c)) for c in clusters]
 
 
+def _require_comparable(branch: BranchClass) -> None:
+    # the one refusal of YZ < 0, for compare_spectrum and, before its
+    # eigensolve, the CLI's oracle command
+    if branch is BranchClass.NEGATIVE_PRODUCT:
+        raise ModelDomainError(
+            "oracle comparison covers YZ >= 0: for YZ < 0 the closed-form levels s^2 +- sqrt(-YZ) "
+            "are not this operator's levels (k_L cot k_L + k_R cot k_R = 0, k^2 = E -+ sqrt(-YZ))"
+        )
+
+
 def compare_spectrum(
     analytic: Sequence[LevelSolution],
     eigenvalues: np.ndarray,
@@ -805,7 +815,11 @@ def compare_spectrum(
     level is matched against one cluster.  With a second, coarser
     eigenvalue set (half the intervals) the report adds Richardson
     convergence orders, expected near 2 for the central-difference rule.
+    Levels of a YZ < 0 coupling are refused (ModelDomainError): they are
+    not this operator's levels.
     """
+    for level in analytic:
+        _require_comparable(level.branch)
     if len(analytic) < k:
         raise ModelDomainError(f"need at least {k} analytic levels, got {len(analytic)}")
     clusters = group_degenerate(np.asarray(eigenvalues))

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -116,6 +117,22 @@ def test_nan_never_passes(comparison):
 def test_check_rejects_an_unknown_comparison():
     with pytest.raises(ValueError, match="comparison"):
         Check("x", 0.0, 1.0, "<")
+
+
+@pytest.mark.parametrize("Y, Z, error", [
+    # sqrt(Y/Z) or sqrt(Z/Y) leaves the float range: the spin block refuses
+    # before the coefficient-ratio row would read nan
+    (1e305, 1e-316, ModelDomainError),
+    (1e-316, 1e305, ModelDomainError),
+    # Y (S+ + S-) or Z (S+ + S-) overflows: the metric family refuses first
+    (1e308, 1e-318, MetricConstraintError),
+    (1e-318, 1e308, MetricConstraintError),
+])
+def test_battery_refuses_a_channel_ratio_out_of_the_float_range(Y, Z, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            verify(CouplingPair(Y, Z), 2, GridSpec(64))
 
 
 @pytest.mark.parametrize("Y, Z", [(0.0, 0.0), (0.0, 3.0), (1.0, -1.0)])

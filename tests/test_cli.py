@@ -413,6 +413,24 @@ def test_oracle_negative_product_exits_2(capsys):
     assert "closed-form levels s^2 +- sqrt(-YZ) are not this operator's levels" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # a channel kernel Y (S+ + S-) or Z (S+ + S-) overflows
+    "metric --Y 1e308 --Z 1e-318 --levels 2",
+    "metric --Y 1e-318 --Z 1e308 --levels 2",
+    "verify --Y 1e308 --Z 1e-318 --levels 2 --grid 64",
+    # the spin entry sqrt(Y/Z) or sqrt(Z/Y) overflows
+    "verify --Y 1e305 --Z 1e-316 --levels 2 --grid 64",
+    "verify --Y 1e-316 --Z 1e305 --levels 2 --grid 64",
+    # YZ < 0, refused before an eigensolve that fails at this size
+    "oracle --Y 1 --Z -4 --levels 2",
+    "oracle --Y 1e300 --Z -1e300 --levels 2",
+])
+def test_refused_couplings_exit_2_with_nothing_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("grid", ["8", "10"])
 def test_oracle_order_names_the_grid_given(capsys, grid):
     # the coarse grid (4, 5) is never named: the user did not pass it

@@ -140,9 +140,14 @@ def test_closed_pairing_is_diagonal_at_tiny_coupling(c):
     assert np.abs(mat - np.diag(diag)).max() <= 1e-14 * diag.max()
 
 
-def _assert_pairing_matches_scalar(states, lefts):
-    fast = biorthogonality_matrix(states, lefts, method="closed")
-    reference = np.array([[biorthogonal_overlap(l, s) for s in states] for l in lefts])
+def _scalar_pairing(states, lefts):
+    return np.array([[biorthogonal_overlap(l, s) for s in states] for l in lefts])
+
+
+def _assert_pairing_matches_scalar(states):
+    # the closed pairing verify runs, of a family with its own left partners
+    fast = biorthogonality_matrix(states)
+    reference = _scalar_pairing(states, [left_vector(s) for s in states])
     assert fast.shape == reference.shape and fast.dtype == reference.dtype
     assert np.array_equal(np.diag(fast), np.diag(reference))
     assert np.abs(fast - reference).max() <= 1e-15 * np.abs(reference).max()
@@ -161,7 +166,7 @@ def test_vector_pairing_and_inverse_match_the_scalar_products(log_c, log_ratio, 
     states = doublet_family(pair, n_levels)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_pairing_matches_scalar(states, [left_vector(s) for s in states])
+        _assert_pairing_matches_scalar(states)
         inverse = inverse_theta_metric(states)
     coeff = inverse.meta["coefficients"]
     weights = [wavefunctions_module.channel_weights(s.sigma, s.Y, s.Z) for s in states]
@@ -187,16 +192,20 @@ def test_vector_pairing_with_explicit_lefts():
     assert np.array_equal(
         biorthogonality_matrix(states, flipped), -biorthogonality_matrix(states, lefts)
     )
-    # partners out of order and with mixed signs: each entry is still the
-    # scalar pairing of its row's partner with its column's state
+    # partners out of order, with mixed signs, and fewer states than a
+    # family: each entry is the scalar pairing of its row's partner with
+    # its column's state, bit for bit
     shuffled = [LeftState(state=l.state, q=l.q * (-1) ** k) for k, l in enumerate(lefts[::-1])]
-    _assert_pairing_matches_scalar(states, shuffled)
+    for kets, bras in ((states, shuffled), (states[:3], lefts[:3]), (states, lefts)):
+        assert np.array_equal(
+            biorthogonality_matrix(kets, bras), _scalar_pairing(kets, bras)
+        )
     # decoupled Y = Z = 0: opposite sigma members share one real wavenumber,
     # so the same-wavenumber branch is taken off the diagonal too
     decoupled = doublet_family(CouplingPair(0.0, 0.0), 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_pairing_matches_scalar(decoupled, [left_vector(s) for s in decoupled])
+        _assert_pairing_matches_scalar(decoupled)
 
 
 def test_vector_pairing_rejects_mixed_couplings():
@@ -219,17 +228,18 @@ def test_vector_pairing_rejects_mixed_couplings():
 
 
 def test_pairing_without_lefts_needs_complete_doublets():
-    # without lefts the sigma = -1 block is built from the sigma = +1 one, so
-    # a partial family is refused; explicit lefts pair any states
+    # without lefts the family is read by position, in doublet_family order
+    # (sigma = +1 members at [0::2]), so a partial or out-of-order family is
+    # refused by every builder; explicit lefts pair any states
     states = doublet_family(UNIT, 3)
-    for partial in (states[:3], states[2:], [states[0], states[0]]):
-        with pytest.raises(ModelDomainError, match="doublets|exactly once"):
-            biorthogonality_matrix(partial)
+    shuffled = [states[k] for k in (3, 0, 5, 2, 1, 4)]
+    swapped = [states[1], states[0]] + states[2:]
+    for bad in (states[:3], states[2:], [states[0], states[0]], shuffled, swapped):
+        for build in (biorthogonality_matrix, build_theta_metric, inverse_theta_metric,
+                      mode_hamiltonian, mode_spin):
+            with pytest.raises(ModelDomainError, match="doublet_family order"):
+                build(bad)
     assert biorthogonality_matrix(states[:3], [left_vector(s) for s in states[:3]]).shape == (3, 3)
-    # a complete family in any order gives the same entries, permuted
-    perm = [3, 0, 5, 2, 1, 4]
-    shuffled = biorthogonality_matrix([states[k] for k in perm])
-    assert np.array_equal(shuffled, biorthogonality_matrix(states)[np.ix_(perm, perm)])
 
 
 def test_vector_kernel_matches_scalar_without_warnings():
@@ -381,6 +391,20 @@ def test_spin_operator_entries():
     assert np.array_equal(omega @ omega, np.eye(2))
     with pytest.raises(ModelDomainError):
         spin_operator(CouplingPair(0.0, 1.0))
+
+
+@pytest.mark.parametrize("Y, Z", [(1e305, 1e-316), (1e-316, 1e305), (1e308, 1e-318),
+                                  (1e-318, 1e308), (5e-324, 1.7e308)])
+def test_spin_operator_refuses_entries_out_of_the_float_range(Y, Z):
+    # sqrt(Z/Y) or sqrt(Y/Z) overflows, or is so small that its inverse does
+    with pytest.raises(ModelDomainError,
+                       match=r"^spin block entry sqrt\(Z/Y\) = .* or its inverse overflows$"):
+        spin_operator(CouplingPair(Y, Z))
+    # at Y/Z = 1e+-600 both entries are normal floats, and their product is 1
+    for pair in (CouplingPair(1e300, 1e-300), CouplingPair(1e-300, 1e300)):
+        omega = spin_operator(pair).matrix
+        assert np.all(np.isfinite(omega))
+        assert abs(omega[0, 1] * omega[1, 0] - 1.0) <= 2.0 * np.finfo(float).eps
 
 
 def test_spin_commutes_with_discrete_hamiltonian():
@@ -559,6 +583,36 @@ def test_indefinite_weights_need_unsafe():
     theta = build_theta_metric(states, w, unsafe=True)
     assert theta.meta["signature"] == (2, 2)
     assert np.linalg.eigvalsh(theta.matrix).min() < 0.0
+
+
+@pytest.mark.parametrize("Y, Z, entry", [(1e308, 1e-318, "[0, 0, 0]"),
+                                         (1e-318, 1e308, "[0, 1, 1]")])
+def test_metric_refuses_a_channel_kernel_out_of_the_float_range(Y, Z, entry):
+    # sqrt(YZ) = 1e-5 admits the family, but Y (S+ + S-) or Z (S+ + S-) is inf
+    states = doublet_family(CouplingPair(Y, Z), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricConstraintError,
+                           match=re.escape(f"channel kernel [n, i, k] = {entry} is inf")):
+            build_theta_metric(states)
+
+
+def test_metric_refuses_huge_unsafe_weights_naming_the_entry():
+    states = doublet_family(CouplingPair(4.0, 4.0), 3)
+    # S+ - S- overflows in the off-diagonal kernel entry of level 1; the
+    # form overflows there too (numpy warns), but the kernels are named first
+    split = MetricWeights(np.array([1.0, 1e308, 1.0]), np.array([1.0, -1e308, 1.0]))
+    # the kernels 8 S stay finite, S d^2 of level 2 (d = 7.19) does not
+    big = MetricWeights(np.array([1.0, 1.0, 2e307]), np.array([1.0, 1.0, 1.0]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(MetricConstraintError,
+                           match=re.escape("channel kernel [n, i, k] = [1, 0, 1] is inf")):
+            build_theta_metric(states, split, unsafe=True)
+        with pytest.raises(MetricConstraintError,
+                           match=re.escape("metric form [i, k] = [4, 4] is inf")):
+            build_theta_metric(states, big)
+    assert np.all(np.isfinite(build_theta_metric(states, MetricWeights(
+        np.full(3, 1e306), np.full(3, 1e306))).matrix))
 
 
 def test_metric_refuses_near_decoupled_family():

@@ -304,6 +304,13 @@ def test_compare_spectrum_flags_broken_degeneracy():
         compare_spectrum(levels, fake[:1], 2)
 
 
+def test_compare_spectrum_refuses_negative_product_levels():
+    # the closed-form YZ < 0 levels s^2 +- sqrt(-YZ) are not this operator's
+    levels = spectrum(CouplingPair(1.0, -4.0), 1).levels
+    with pytest.raises(ModelDomainError, match=r"^oracle comparison covers YZ >= 0"):
+        compare_spectrum(levels, np.array([level.E for level in levels]), 1)
+
+
 def test_criticality_scan_and_bracket():
     grid = GridSpec(128)
     scan = criticality_scan([1.0, 4.0, 4.4, 4.5, 5.0], grid)

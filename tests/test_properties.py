@@ -19,6 +19,7 @@ from coupledwell import (
     GridSpec,
     MetricConstraintError,
     MetricWeights,
+    ModelDomainError,
     RepBasis,
     RootLostError,
     biorthogonal_overlap,
@@ -269,3 +270,37 @@ def test_battery_passes_over_the_channel_ratio_range(log_c, u, n_levels):
     assert [check.name for check in checks if not check.passed] == []
     assert np.all(np.isfinite(omega))
     assert np.abs(omega @ omega - np.eye(2)).max() <= 2.0 * np.finfo(float).eps
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(log_y=st.floats(min_value=-308.0, max_value=308.0),
+       log_c=st.floats(min_value=-6.0, max_value=math.log10(4.4)),
+       n_levels=st.integers(min_value=1, max_value=3))
+# Y (S+ + S-) overflows in the channel kernel; Z = 1e-308 is subnormal
+@example(log_y=308.0, log_c=0.0, n_levels=2)
+@example(log_y=-308.0, log_c=0.0, n_levels=2)
+@example(log_y=307.5, log_c=-0.25, n_levels=1)
+def test_metric_and_battery_are_finite_or_refused_over_the_float_range(log_y, log_c, n_levels):
+    # Y = 10^log_y and Z = c^2 / Y, both within 1e+-308 (subnormals
+    # included) and sqrt(YZ) = c in [1e-6, 4.4]: every number returned is
+    # finite, or the call raises an error the CLI maps to exit 2
+    log_z = 2.0 * log_c - log_y
+    assume(abs(log_z) <= 308.0)
+    y, z = 10.0**log_y, 10.0**log_z
+    pair = CouplingPair(y, z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            theta = build_theta_metric(doublet_family(pair, n_levels))
+            checks = verify(pair, n_levels, GridSpec(64))
+        except (ModelDomainError, MetricConstraintError):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["verify", "--Y", repr(y), "--Z", repr(z),
+                             "--levels", str(n_levels), "--grid", "64"])
+            assert code == 2 and out.getvalue() == ""
+            return
+    assert np.all(np.isfinite(theta.matrix))
+    assert np.all(np.isfinite(np.array(theta.meta["channel_kernels"])))
+    assert all(math.isfinite(check.value) and math.isfinite(check.bound) for check in checks)
+    assert [check.name for check in checks if not check.passed] == []
