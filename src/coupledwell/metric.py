@@ -30,9 +30,10 @@ bilinear-orthogonal, so F[i, k] = sum_j G[j, i] S_j G[j, k] keeps only
 i = k = j.  The full G, from biorthogonality_matrix, is the check that
 the diagonal form holds.  Each d is a number of its state alone,
 2 |wu wl| |integral phi^2| (diagonal_overlap), and so is q; each state
-caches both (ChannelState.d, .q), and only the grid samples build left
-partners.  In the mode basis a spectral sum is diag(values),
-mode_hamiltonian or mode_spin, so spectral_reconstruct is grid-only.
+caches both (ChannelState.d, .q), and only the grid samples read left
+partners, from their states' own samples.  In the mode basis a spectral
+sum is diag(values), mode_hamiltonian or mode_spin, so
+spectral_reconstruct is grid-only.
 
 G and the Gram matrix of Theta^{-1} are N x N closed forms of the same
 shape: a channel-weight factor times 2 Re(a_i a_j I(kappa_i, kappa_j)),
@@ -271,13 +272,16 @@ def biorthogonality_matrix(
     biorthogonal_overlap, for any states and partners of one coupling.
     "quadrature" recomputes every entry by composite Simpson,
     wavefunctions.simpson_rule with 512 panels per half (the rule of
-    quadrature_overlap), as an independent check of the closed forms,
-    sampling each state and each left partner once; the rule drops the
-    wall nodes, where every state and left partner vanishes.
+    quadrature_overlap), as an independent check of the closed forms.
+    It evaluates each state's profile once, and each explicit left
+    partner's state once; the states and their left partners are read
+    from those samples (_sample).  The rule drops the wall nodes, where
+    every state and left partner vanishes.
     """
     if lefts is None and method == "closed":
         return _doublet_pairing(states) if states else np.empty((0, 0))
-    lefts = [left_vector(s) for s in states] if lefts is None else lefts
+    own = lefts is None
+    lefts = [left_vector(s) for s in states] if own else lefts
     if len(lefts) != len(states):
         raise ModelDomainError("need one left vector per state")
     if method == "closed":
@@ -285,9 +289,10 @@ def biorthogonality_matrix(
         return np.array(table, dtype=float).reshape(len(lefts), len(states))
     if method == "quadrature":
         nodes, w = simpson_rule(2 * _PANELS)
-        bras = _sample(lefts, nodes)
-        kets = _sample(states, nodes)
-        return (bras.conj().T * np.concatenate([w, w])) @ kets
+        channels = _sample(states, nodes)
+        partners = channels if own else _sample([l.state for l in lefts], nodes)
+        bras = _bras(partners, [l.q for l in lefts])
+        return (bras.conj().T * np.concatenate([w, w])) @ _kets(channels)
     raise ModelDomainError(f"unknown overlap method {method!r}")
 
 
@@ -378,13 +383,33 @@ def _resolve_weights(states, weights, unsafe):
     return meta, per_state, _normalizable(d)
 
 
-def _sample(items, nodes) -> np.ndarray:
-    # one column [upper(nodes); lower(nodes)] per state or left partner
-    columns = np.empty((2 * nodes.size, len(items)), dtype=complex)
-    for k, x in enumerate(items):
-        columns[: nodes.size, k] = x.upper(nodes)
-        columns[nodes.size :, k] = x.lower(nodes)
-    return columns
+def _sample(states, nodes) -> tuple[np.ndarray, np.ndarray]:
+    # A S and B S on the x <= 0 nodes, one column per state, from one profile
+    # S = sin(kappa (x+1)) per state and node.  The nodes (simpson_rule's, which
+    # are GridSpec.interior_nodes) are exactly antisymmetric with x = 0 exact, and
+    # 1 - (-x) = x + 1 bit for bit, so the x > 0 half of every state and left
+    # partner is this half mirrored: each column is the arithmetic of
+    # wavefunctions._segment_sine at every node
+    x = nodes[: nodes.size // 2 + 1]
+    kappa = np.array([s.kappa for s in states], dtype=complex)
+    profile = np.sin(kappa * (x + 1.0)[:, None])
+    upper = np.array([s.A for s in states], dtype=complex) * profile
+    lower = np.array([s.B for s in states], dtype=complex) * profile
+    return upper, lower
+
+
+def _kets(channels) -> np.ndarray:
+    # one column [upper(nodes); lower(nodes)] per state: conjugated on x > 0
+    upper, lower = channels
+    return np.concatenate([upper, upper[-2::-1].conj(), lower, lower[-2::-1].conj()])
+
+
+def _bras(channels, q) -> np.ndarray:
+    # one column per left partner, q times the swap-reflect image of its state:
+    # (q lower(-x), q upper(-x)), conjugated on x < 0, where -x > 0
+    upper, lower = channels
+    q = np.array(q, dtype=int)
+    return q * np.concatenate([lower[:-1].conj(), lower[::-1], upper[:-1].conj(), upper[::-1]])
 
 
 def _require_grid(grid) -> None:
@@ -392,10 +417,8 @@ def _require_grid(grid) -> None:
         raise ModelDomainError(f"grid must be a GridSpec, got {grid!r}")
 
 
-def _grid_sum(items, coeff, grid: GridSpec) -> np.ndarray:
-    # sum_i coeff_i |item_i><item_i| on the interior nodes of grid, times h
-    _require_grid(grid)
-    columns = _sample(items, grid.interior_nodes)
+def _grid_sum(columns, coeff, grid: GridSpec) -> np.ndarray:
+    # sum_i coeff_i |column_i><column_i| on the interior nodes of grid, times h
     return (columns * coeff) @ columns.conj().T * grid.h
 
 
@@ -423,12 +446,20 @@ def build_theta_metric(
         channel_kernel(meta["coupling"], p, m) for p, m in per_state.reshape(-1, 2).tolist()
     ]
     if grid is None:
-        diagonal = d * per_state * d
+        # an entry that leaves the float range is refused by _finite_form, not warned of
+        with np.errstate(over="ignore"):
+            diagonal = d * per_state * d
         meta["signature"] = (int(np.sum(diagonal > 0.0)), int(np.sum(diagonal < 0.0)))
         return _finite_form(np.diag(diagonal), RepBasis.MODE, meta)
-    matrix = _grid_sum([left_vector(s) for s in states], per_state, grid)
+    _require_grid(grid)
+    bras = _bras(_sample(states, grid.interior_nodes), [s.q for s in states])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # symmetrized in place: (F + F^dagger) / 2 with one temporary
+        matrix = _grid_sum(bras, per_state, grid)
+        matrix += matrix.conj().T
+        matrix /= 2.0
     meta["grid"] = grid
-    return _finite_form((matrix + matrix.conj().T) / 2.0, RepBasis.GRID, meta)
+    return _finite_form(matrix, RepBasis.GRID, meta)
 
 
 def _finite_form(matrix, basis, meta) -> OperatorRep:
@@ -513,16 +544,29 @@ def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSp
     """
     _require_grid(grid)
     values = _kind_values(states, kind)
-    lefts = [left_vector(s) for s in states]
     d = _normalizable([s.d for s in states])
     nodes, w = simpson_rule(grid.M)
     w2 = np.concatenate([w, w])
-    right = _sample(states, nodes)
-    bras = _sample(lefts, nodes)
+    channels = _sample(states, nodes)
+    right, bras = _kets(channels), _bras(channels, [s.q for s in states])
     matrix = (right * (values / d)) @ (bras.conj() * w2[:, None]).T
     order = [(s.level.n, s.sigma) for s in states]
     meta = {"kind": kind, "order": order, "grid": grid, "rule": "simpson"}
     return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=False, meta=meta)
+
+
+def _inverse_coefficients(states, per_state, d) -> np.ndarray:
+    # 1 / (S d^2) per state, refused where it leaves the float range
+    with np.errstate(over="ignore", divide="ignore"):
+        coeff = 1.0 / (per_state * d * d)
+    if not np.isfinite(coeff).all():
+        bad = int(np.argmin(np.isfinite(coeff)))
+        raise MetricConstraintError(
+            f"inverse coefficient 1/(S d^2) of state (n={states[bad].level.n}, "
+            f"sigma={states[bad].sigma}) is {coeff[bad]}: the weight {per_state[bad]} "
+            "takes it out of the float range"
+        )
+    return coeff
 
 
 def inverse_theta_metric(
@@ -541,11 +585,13 @@ def inverse_theta_metric(
     GridSpec: the same sum sampled on its interior nodes.
     """
     meta, per_state, d = _resolve_weights(states, weights, False)
-    coeff = 1.0 / (per_state * d * d)
+    coeff = _inverse_coefficients(states, per_state, d)
     meta.update({"coefficients": coeff, "diagonal_overlaps": d})
     if grid is not None:
+        _require_grid(grid)
         meta["grid"] = grid
-        return OperatorRep(_grid_sum(states, coeff, grid), RepBasis.GRID, meta=meta)
+        kets = _kets(_sample(states, grid.interior_nodes))
+        return OperatorRep(_grid_sum(kets, coeff, grid), RepBasis.GRID, meta=meta)
     # the sesquilinear Gram matrix is the bilinear one with the row conjugated;
     # a sigma = -1 row is its partner's row with each level's two columns
     # swapped, because its a and kappa are the partner's conjugated
@@ -575,6 +621,6 @@ def inverse_identity_defect(
     _, per_state, d = _resolve_weights(states, weights, False)
     if theta_rep.dim != len(states):
         raise ModelDomainError("metric dimension does not match the state list")
-    coeff = 1.0 / (per_state * d * d)
+    coeff = _inverse_coefficients(states, per_state, d)
     product = coeff[:, None] * theta_rep.matrix
     return float(np.max(np.abs(product - np.eye(len(states)))))

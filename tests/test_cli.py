@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,19 @@ def test_metric_non_positive_weight_exits_2_as_a_plain_float(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == ("error: weight 0.0 for state (n=0, sigma=1) is not positive; "
                    "indefinite weight choices need unsafe=True\n")
+
+
+def test_metric_overflowing_form_prints_only_its_refusal(tmp_path, capsys):
+    # S d^2 overflows at level 2: no numpy warning precedes the error line
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("2 2e307 2e307\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "metric", "--Y", "4", "--Z", "4",
+                             "--levels", "3", "--weights", str(wfile))
+    assert code == 2 and out == ""
+    assert err == ("error: metric form [i, k] = [4, 4] is inf: "
+                   "the coupling or the weights leave the float range\n")
 
 
 def test_metric_missing_weight_file_exits_2(capsys):

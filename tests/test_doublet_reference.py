@@ -4,7 +4,10 @@ doublet_family builds each sigma = -1 state from its sigma = +1 partner's
 norm and sines, and the metric builders evaluate the sigma = +1 rows only.
 The reference below keeps the earlier formulas: one coefficient solve per
 sigma, every pairing over the full 2N x 2N grid, and d and q recomputed
-per use.  The shortcuts must give the same floats, not merely close ones.
+per use.  The sampled forms (quadrature pairing, grid forms, spectral
+sums) read each state's profile once, on the x <= 0 nodes; their
+reference calls every state's and left partner's channels at every node.
+The shortcuts must give the same floats, not merely close ones.
 """
 
 import dataclasses
@@ -17,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 from coupledwell import (
     ChannelState,
     CouplingPair,
+    GridSpec,
+    LeftState,
     MetricConstraintError,
     MetricWeights,
     biorthogonality_matrix,
@@ -24,7 +29,9 @@ from coupledwell import (
     doublet_family,
     inverse_identity_defect,
     inverse_theta_metric,
+    left_vector,
     solve_level,
+    spectral_reconstruct,
 )
 from coupledwell.metric import MIN_ROOT_PRODUCT
 from coupledwell.wavefunctions import (
@@ -32,6 +39,7 @@ from coupledwell.wavefunctions import (
     channel_weights,
     phi_bilinear_product,
     quasi_parity,
+    simpson_rule,
     sine_product_integrals,
 )
 
@@ -164,3 +172,98 @@ def test_sigma_minus_sines_are_the_conjugates():
             plus, minus = _sin_cos_kappa(level, +1), _sin_cos_kappa(level, -1)
             for p, m in zip(plus, minus):
                 assert repr(p.conjugate()) == repr(m)
+
+
+def reference_sample(items, nodes):
+    # one column [upper(nodes); lower(nodes)] per state or left partner, each
+    # channel called at every node
+    columns = np.empty((2 * nodes.size, len(items)), dtype=complex)
+    for k, x in enumerate(items):
+        columns[: nodes.size, k] = x.upper(nodes)
+        columns[nodes.size :, k] = x.lower(nodes)
+    return columns
+
+
+def assert_same_bytes(fast, reference):
+    # the same bits, signed zeros included, without copying a large matrix
+    assert fast.dtype == reference.dtype and fast.shape == reference.shape
+    bits = [np.ascontiguousarray(m).view(np.uint64) for m in (fast, reference)]
+    assert np.array_equal(*bits)
+
+
+def _assert_sampled_forms_match_reference(pair, n_levels, M, kind, seed):
+    states = doublet_family(pair, n_levels)
+    lefts = [left_vector(s) for s in states]
+    rng = np.random.default_rng(seed)
+    # explicit partners: shuffled, some with the opposite sign
+    shuffled = [LeftState(lefts[i].state, lefts[i].q * int(rng.choice((-1, 1))))
+                for i in rng.permutation(len(lefts))]
+    nodes, w = simpson_rule(1024)
+    w2 = np.concatenate([w, w])
+    kets = reference_sample(states, nodes)
+    for partners in (None, shuffled):
+        bras = reference_sample(lefts if partners is None else partners, nodes)
+        assert_same_bytes(biorthogonality_matrix(states, partners, method="quadrature"),
+                           (bras.conj().T * w2) @ kets)
+
+    grid = GridSpec(M)
+    d = np.array([s.d for s in states])
+    nodes, w = simpson_rule(M)
+    right, bras = reference_sample(states, nodes), reference_sample(lefts, nodes)
+    values = {"hamiltonian": np.array([s.level.E for s in states]),
+              "spin": np.array([float(s.sigma) for s in states]),
+              "identity": np.ones(len(states))}[kind]
+    reference = (right * (values / d)) @ (bras.conj() * np.concatenate([w, w])[:, None]).T
+    assert_same_bytes(spectral_reconstruct(states, kind, grid).matrix, reference)
+    del reference  # one dense (2M)^2 matrix alive at a time: 268 MB each at M = 2048
+
+    weights = MetricWeights(rng.uniform(0.1, 3.0, n_levels), rng.uniform(0.1, 3.0, n_levels))
+    if pair.root_product < MIN_ROOT_PRODUCT:
+        for build in (build_theta_metric, inverse_theta_metric):
+            with pytest.raises(MetricConstraintError):
+                build(states, weights, grid=grid)
+        return
+    per_state = np.array([weights.select(s.level.n, s.sigma) for s in states])
+    columns = reference_sample(lefts, grid.interior_nodes)
+    # in place, the same arithmetic as (form h + (form h)^dagger) / 2 with fewer temporaries
+    reference = (columns * per_state) @ columns.conj().T
+    reference *= grid.h
+    reference += reference.conj().T
+    reference /= 2.0
+    assert_same_bytes(build_theta_metric(states, weights, grid=grid).matrix, reference)
+    columns = reference_sample(states, grid.interior_nodes)
+    reference = (columns * (1.0 / (per_state * d * d))) @ columns.conj().T
+    reference *= grid.h
+    assert_same_bytes(inverse_theta_metric(states, weights, grid=grid).matrix, reference)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(log_c=st.floats(min_value=-10.0, max_value=math.log10(4.4)),
+       log_ratio=st.floats(min_value=-3.0, max_value=3.0),
+       n_levels=st.integers(min_value=1, max_value=12),
+       M=st.integers(min_value=2, max_value=512).map(lambda k: 4 * k),
+       kind=st.sampled_from(("hamiltonian", "spin", "identity")),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_sampled_forms_match_the_per_callable_reference(log_c, log_ratio, n_levels, M, kind, seed):
+    # c log-uniform on [1e-10, 4.4], Y/Z log-uniform on [1e-3, 1e3], M = 8 ... 2048
+    c, root_ratio = 10.0 ** log_c, 10.0 ** (log_ratio / 2.0)
+    _assert_sampled_forms_match_reference(CouplingPair(c * root_ratio, c / root_ratio),
+                                          n_levels, M, kind, seed)
+
+
+def test_sampled_nodes_are_exactly_antisymmetric():
+    # the precondition of reading x > 0 as the mirror of x <= 0: x = 0 exact,
+    # x_(M/2 + j) = -x_(M/2 - 2 - j), and 1 - (-x) = x + 1 bit for bit
+    def check(nodes):
+        half = nodes.size // 2
+        assert nodes[half] == 0.0
+        assert np.array_equal(nodes[half + 1 :], -nodes[half - 1 :: -1])
+        assert np.array_equal(1.0 - nodes[half + 1 :], nodes[half - 1 :: -1] + 1.0)
+
+    for M in range(8, 16385, 2):
+        nodes = GridSpec(M).interior_nodes
+        check(nodes)
+        if M % 4 == 0:
+            simpson_nodes, _ = simpson_rule(M)
+            assert np.array_equal(simpson_nodes, nodes)
+            check(simpson_nodes)

@@ -48,6 +48,7 @@ from coupledwell import (
     spin_operator,
 )
 from coupledwell.wavefunctions import sine_product_integral, sine_product_integrals
+from test_doublet_reference import assert_same_bytes, reference_sample
 
 UNIT = CouplingPair(1.0, 1.0)
 XS = np.linspace(-1.0, 1.0, 101)
@@ -354,16 +355,26 @@ def test_quadrature_pairing_matches_scalar_reference():
             assert np.abs(fast - reference).max() <= 1e-14 * scale
 
 
-def test_quadrature_pairing_samples_each_state_once():
+def test_quadrature_pairing_samples_each_state_once(monkeypatch):
+    # one sine array per state family: sin(kappa (x+1)) for each state at each
+    # of the 512 nodes x <= 0 of the 1024-interval rule, and one more for the
+    # states of explicit left partners; no state's channels are called
     states = doublet_family(UNIT, 4)
-    counter = [0]
-    biorthogonality_matrix(
-        [_Counted(s, counter) for s in states],
-        [_Counted(left_vector(s), counter) for s in states],
-        method="quadrature",
-    )
-    # upper and lower once for each of 8 states and 8 left partners
-    assert counter[0] == 32
+    sines, counter = [], [0]
+    numpy_sin = np.sin
+
+    def counted_sin(z, *args, **kwargs):
+        sines.append(np.shape(z))
+        return numpy_sin(z, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", counted_sin)
+    counted = [_Counted(s, counter) for s in states]
+    own = biorthogonality_matrix(counted, method="quadrature")
+    assert sines == [(512, 8)] and counter[0] == 0
+    lefts = [LeftState(_Counted(s, counter), s.q) for s in states]
+    explicit = biorthogonality_matrix(counted, lefts, method="quadrature")
+    assert sines == [(512, 8)] * 3 and counter[0] == 0
+    assert_same_bytes(own, explicit)
 
 
 def test_fixed_width_panel_count_does_not_wrap():
@@ -588,23 +599,27 @@ def test_indefinite_weights_need_unsafe():
 @pytest.mark.parametrize("Y, Z, entry", [(1e308, 1e-318, "[0, 0, 0]"),
                                          (1e-318, 1e308, "[0, 1, 1]")])
 def test_metric_refuses_a_channel_kernel_out_of_the_float_range(Y, Z, entry):
-    # sqrt(YZ) = 1e-5 admits the family, but Y (S+ + S-) or Z (S+ + S-) is inf
+    # sqrt(YZ) = 1e-5 admits the family, but Y (S+ + S-) or Z (S+ + S-) is inf;
+    # the grid form's sum overflows too, and no numpy warning precedes the refusal
     states = doublet_family(CouplingPair(Y, Z), 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(MetricConstraintError,
-                           match=re.escape(f"channel kernel [n, i, k] = {entry} is inf")):
-            build_theta_metric(states)
+        for grid in (None, GridSpec(16)):
+            with pytest.raises(MetricConstraintError,
+                               match=re.escape(f"channel kernel [n, i, k] = {entry} is inf")):
+                build_theta_metric(states, grid=grid)
 
 
 def test_metric_refuses_huge_unsafe_weights_naming_the_entry():
     states = doublet_family(CouplingPair(4.0, 4.0), 3)
     # S+ - S- overflows in the off-diagonal kernel entry of level 1; the
-    # form overflows there too (numpy warns), but the kernels are named first
+    # form overflows there too, but the kernels are named first
     split = MetricWeights(np.array([1.0, 1e308, 1.0]), np.array([1.0, -1e308, 1.0]))
-    # the kernels 8 S stay finite, S d^2 of level 2 (d = 7.19) does not
+    # the kernels 8 S stay finite, S d^2 of level 2 (d = 7.19) does not;
+    # the refusal alone reports it, with no numpy overflow warning before it
     big = MetricWeights(np.array([1.0, 1.0, 2e307]), np.array([1.0, 1.0, 1.0]))
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(MetricConstraintError,
                            match=re.escape("channel kernel [n, i, k] = [1, 0, 1] is inf")):
             build_theta_metric(states, split, unsafe=True)
@@ -613,6 +628,26 @@ def test_metric_refuses_huge_unsafe_weights_naming_the_entry():
             build_theta_metric(states, big)
     assert np.all(np.isfinite(build_theta_metric(states, MetricWeights(
         np.full(3, 1e306), np.full(3, 1e306))).matrix))
+
+
+@pytest.mark.parametrize("sigma", [+1, -1])
+def test_inverse_refuses_a_coefficient_out_of_the_float_range(sigma):
+    # an admissible weight 1e-320 makes S d^2 subnormal, and 1 / (S d^2) is inf
+    states = doublet_family(CouplingPair(4.0, 4.0), 3)
+    tiny = np.array([1.0, 1.0, 1e-320])
+    weights = MetricWeights(tiny, np.ones(3)) if sigma > 0 else MetricWeights(np.ones(3), tiny)
+    theta = build_theta_metric(states)
+    state = re.escape(f"of state (n=2, sigma={sigma}) is inf: the weight 1e-320")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid in (None, GridSpec(64)):
+            with pytest.raises(MetricConstraintError, match=state):
+                inverse_theta_metric(states, weights, grid=grid)
+        with pytest.raises(MetricConstraintError, match=state):
+            inverse_identity_defect(theta, states, weights)
+        # weights of 1e-300 keep 1 / (S d^2) finite and are served
+        assert np.isfinite(inverse_theta_metric(states, MetricWeights(
+            np.full(3, 1e-300), np.full(3, 1e-300))).matrix).all()
 
 
 def test_metric_refuses_near_decoupled_family():
@@ -669,9 +704,10 @@ def test_grid_theta_requires_grid():
 @pytest.mark.parametrize("M", [64, 512])
 @pytest.mark.parametrize("c", [0.01, 1.0, 4.4])
 def test_grid_forms_are_the_sampled_sums(c, M):
-    # sum_i w_i |v_i><v_i| h over the interior nodes, bit for bit: the
-    # metric over the left partners with the weights (symmetrized), the
-    # inverse over the states with 1 / (S d^2)
+    # sum_i w_i |v_i><v_i| h over the interior nodes, byte for byte, with v_i
+    # from the reference that calls each channel at every node: the metric
+    # over the left partners with the weights (symmetrized), the inverse
+    # over the states with 1 / (S d^2)
     grid = GridSpec(M)
     for ratio in (0.25, 1.0, 4.0):
         for n_levels in (1, 4, 8):
@@ -680,15 +716,15 @@ def test_grid_forms_are_the_sampled_sums(c, M):
             weights = MetricWeights(np.linspace(0.5, 2.0, n_levels), np.full(n_levels, 1.5))
             per_state = np.array([weights.select(s.level.n, s.sigma) for s in states])
             d = np.array([diagonal_overlap(s) for s in states])
-            lefts = metric_module._sample([left_vector(s) for s in states], grid.interior_nodes)
-            rights = metric_module._sample(states, grid.interior_nodes)
+            lefts = reference_sample([left_vector(s) for s in states], grid.interior_nodes)
+            rights = reference_sample(states, grid.interior_nodes)
             form = (lefts * per_state) @ lefts.conj().T * grid.h
             theta = build_theta_metric(states, weights, grid=grid)
-            assert np.array_equal(theta.matrix, (form + form.conj().T) / 2.0)
+            assert_same_bytes(theta.matrix, (form + form.conj().T) / 2.0)
             assert np.array_equal(theta.meta["weights_by_state"], per_state)
             inverse = inverse_theta_metric(states, weights, grid=grid)
             coeff = 1.0 / (per_state * d * d)
-            assert np.array_equal(inverse.matrix, (rights * coeff) @ rights.conj().T * grid.h)
+            assert_same_bytes(inverse.matrix, (rights * coeff) @ rights.conj().T * grid.h)
             assert np.array_equal(inverse.meta["coefficients"], coeff)
 
 
@@ -746,7 +782,7 @@ def test_inverse_theta_scaling():
 @pytest.mark.parametrize("c", [0.01, 1.0, 4.4])
 def test_spectral_reconstruct_is_the_sum_over_left_partners(c, M):
     # the sum, written out with the states' own left partners: their
-    # bras and their pairings d, bit for bit
+    # bras (the reference sampler's) and their pairings d, byte for byte
     grid = GridSpec(M)
     nodes, w = wavefunctions_module.simpson_rule(M)
     w2 = np.concatenate([w, w])[:, None]
@@ -756,14 +792,14 @@ def test_spectral_reconstruct_is_the_sum_over_left_partners(c, M):
                                     n_levels)
             lefts = [left_vector(s) for s in states]
             d = np.array([biorthogonal_overlap(l, s) for l, s in zip(lefts, states)])
-            right, bras = metric_module._sample(states, nodes), metric_module._sample(lefts, nodes)
+            right, bras = reference_sample(states, nodes), reference_sample(lefts, nodes)
             for kind, values in (
                 ("hamiltonian", np.array([s.level.E for s in states])),
                 ("spin", np.array([float(s.sigma) for s in states])),
                 ("identity", np.ones(len(states))),
             ):
                 expected = (right * (values / d)) @ (bras.conj() * w2).T
-                assert np.array_equal(spectral_reconstruct(states, kind, grid).matrix, expected)
+                assert_same_bytes(spectral_reconstruct(states, kind, grid).matrix, expected)
 
 
 def test_spectral_reconstruct_grid_accuracy():
