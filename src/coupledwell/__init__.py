@@ -26,9 +26,7 @@ from .model import (
     CouplingPair,
     GridSpec,
     OperatorRep,
-    PotentialSpec,
     RepBasis,
-    check_potential_symmetry,
     classify_branch,
 )
 from .secular import (
@@ -51,8 +49,6 @@ _LAZY_MODULES = {
         "MIN_ROOT_PRODUCT",
         "LeftState",
         "MetricWeights",
-        "apply_theta",
-        "biorthogonal_overlap",
         "biorthogonality_matrix",
         "build_theta_metric",
         "channel_kernel",
@@ -70,7 +66,6 @@ _LAZY_MODULES = {
         "build_hamiltonian",
         "compare_spectrum",
         "criticality_scan",
-        "discrete_theta",
         "eigenpairs",
         "first_complex_bracket",
         "group_degenerate",
@@ -83,8 +78,6 @@ _LAZY_MODULES = {
         "matching_residual",
         "parity_overlap",
         "phi_bilinear_product",
-        "phi_sesquilinear_product",
-        "quadrature_overlap",
         "quasi_parity",
         "sine_product_integral",
         "solve_coefficients",

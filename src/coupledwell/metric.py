@@ -64,7 +64,6 @@ from .model import BranchClass, CouplingPair, GridSpec, OperatorRep, RepBasis, a
 from .wavefunctions import (
     ChannelState,
     channel_weights,
-    phi_bilinear_product,
     simpson_rule,
     sine_product_integrals,
 )
@@ -163,35 +162,12 @@ class MetricWeights:
         return cls(s_plus, s_minus)
 
 
-def apply_theta(upper, lower):
-    """Swap-reflect pseudo-metric at function level.
-
-    Takes the two channel callables of a state and returns the channels
-    of theta applied to it: (x -> lower(-x), x -> upper(-x)).  Applying
-    it twice returns the original values pointwise (involution).
-    """
-
-    def new_upper(x):
-        return lower(np.negative(x))
-
-    def new_lower(x):
-        return upper(np.negative(x))
-
-    return new_upper, new_lower
-
-
 @dataclass(frozen=True, eq=False)
 class LeftState:
     """Bra partner of a ChannelState: q times its swap-reflect image."""
 
     state: ChannelState
     q: int
-
-    def upper(self, x):
-        return self.q * self.state.lower(np.negative(x))
-
-    def lower(self, x):
-        return self.q * self.state.upper(np.negative(x))
 
 
 def left_vector(state: ChannelState) -> LeftState:
@@ -225,27 +201,12 @@ def _bilinear_products(a_row, kappa_row, a, kappa) -> np.ndarray:
     return 2.0 * (a_row[:, None] * a * sine_product_integrals(kappa_row[:, None], kappa)).real
 
 
-def biorthogonal_overlap(left: LeftState, state: ChannelState) -> float:
-    """<<left|state> in closed form.
-
-    Reduces to q * (wl wu' + wu wl') * integral phi phi' through the
-    self-conjugacy of the profiles; same-level pairings are positive
-    under the quasi-parity convention, everything else vanishes.
-    """
-    ls = left.state
-    _shared_coupling((ls, state))
-    wu_l, wl_l = channel_weights(ls.sigma, ls.Y, ls.Z)
-    wu_r, wl_r = channel_weights(state.sigma, state.Y, state.Z)
-    factor = left.q * (wl_l * wu_r + wu_l * wl_r)
-    return factor * phi_bilinear_product(ls, state)
-
-
 def diagonal_overlap(state: ChannelState) -> float:
     """d = <<left|state> with the state's own left partner: 2 |wu wl| |integral phi^2|.
 
-    biorthogonal_overlap gives q (wl wu + wu wl) integral phi^2, and wu wl
-    has the sign sigma, so q = sigma sign(integral phi^2) cancels both signs:
-    the same float, with no left partner built (cached as ChannelState.d).
+    The pairing is q (wl wu + wu wl) integral phi^2, and wu wl has the
+    sign sigma, so q = sigma sign(integral phi^2) cancels both signs: the
+    same float, with no left partner built (cached as ChannelState.d).
     Raises only if d == 0.
     """
     d = state.d
@@ -263,37 +224,38 @@ def biorthogonality_matrix(
 ) -> np.ndarray:
     """Pairing matrix G[i, j] = <<left_i|state_j>.
 
-    method "closed" uses the analytic segment integrals.  Without lefts,
-    the states are paired with their own left partners and must be
-    complete doublets in doublet_family order; one vector expression
+    method "closed" uses the analytic segment integrals, for the states
+    paired with their own left partners; they must be complete doublets
+    in doublet_family order.  One vector expression
     G[i, j] = q_i (wl_i wu_j + wu_i wl_j) 2 Re(a_i a_j I(kappa_i, kappa_j))
     gives the sigma = +1 block, and d the diagonal (see the module notes).
-    With explicit lefts, each entry is the scalar reference
-    biorthogonal_overlap, for any states and partners of one coupling.
-    "quadrature" recomputes every entry by composite Simpson,
-    wavefunctions.simpson_rule with 512 panels per half (the rule of
-    quadrature_overlap), as an independent check of the closed forms.
-    It evaluates each state's profile once, and each explicit left
-    partner's state once; the states and their left partners are read
-    from those samples (_sample).  The rule drops the wall nodes, where
-    every state and left partner vanishes.
+    Explicit lefts raise ModelDomainError there.  "quadrature" recomputes
+    every entry by composite Simpson, wavefunctions.simpson_rule with 512
+    panels per half, as an independent check of the closed forms, for
+    any states and left partners of one coupling (their own partners
+    when lefts is None).  It evaluates each state's profile once, and
+    each explicit left partner's state once; the states and their left
+    partners are read from those samples (_sample).  The rule drops the
+    wall nodes, where every state and left partner vanishes.
     """
-    if lefts is None and method == "closed":
+    if method == "closed":
+        if lefts is not None:
+            raise ModelDomainError("the closed pairing takes no explicit lefts; "
+                                   'use method="quadrature"')
         return _doublet_pairing(states) if states else np.empty((0, 0))
+    if method != "quadrature":
+        raise ModelDomainError(f"unknown overlap method {method!r}")
     own = lefts is None
     lefts = [left_vector(s) for s in states] if own else lefts
     if len(lefts) != len(states):
         raise ModelDomainError("need one left vector per state")
-    if method == "closed":
-        table = [[biorthogonal_overlap(l, s) for s in states] for l in lefts]
-        return np.array(table, dtype=float).reshape(len(lefts), len(states))
-    if method == "quadrature":
-        nodes, w = simpson_rule(2 * _PANELS)
-        channels = _sample(states, nodes)
-        partners = channels if own else _sample([l.state for l in lefts], nodes)
-        bras = _bras(partners, [l.q for l in lefts])
-        return (bras.conj().T * np.concatenate([w, w])) @ _kets(channels)
-    raise ModelDomainError(f"unknown overlap method {method!r}")
+    if states:
+        _shared_coupling([*states, *(l.state for l in lefts)])
+    nodes, w = simpson_rule(2 * _PANELS)
+    channels = _sample(states, nodes)
+    partners = channels if own else _sample([l.state for l in lefts], nodes)
+    bras = _bras(partners, [l.q for l in lefts])
+    return (bras.conj().T * np.concatenate([w, w])) @ _kets(channels)
 
 
 def _doublet_pairing(states) -> np.ndarray:
@@ -556,17 +518,22 @@ def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSp
 
 
 def _inverse_coefficients(states, per_state, d) -> np.ndarray:
-    # 1 / (S d^2) per state, refused where it leaves the float range
+    # 1 / (S d^2) per state, S d^2 the form's own d S d: refused where either
+    # leaves the float range, so the inverse refuses every weight the form does
     with np.errstate(over="ignore", divide="ignore"):
-        coeff = 1.0 / (per_state * d * d)
-    if not np.isfinite(coeff).all():
-        bad = int(np.argmin(np.isfinite(coeff)))
+        form = _in_float_range("S d^2", d * per_state * d, states, per_state)
+        return _in_float_range("inverse coefficient 1/(S d^2)", 1.0 / form, states, per_state)
+
+
+def _in_float_range(what, values, states, per_state) -> np.ndarray:
+    # values, refused naming the first state whose entry is not finite
+    if not np.isfinite(values).all():
+        bad = int(np.argmin(np.isfinite(values)))
         raise MetricConstraintError(
-            f"inverse coefficient 1/(S d^2) of state (n={states[bad].level.n}, "
-            f"sigma={states[bad].sigma}) is {coeff[bad]}: the weight {per_state[bad]} "
-            "takes it out of the float range"
+            f"{what} of state (n={states[bad].level.n}, sigma={states[bad].sigma}) is "
+            f"{values[bad]}: the weight {per_state[bad]} takes it out of the float range"
         )
-    return coeff
+    return values
 
 
 def inverse_theta_metric(

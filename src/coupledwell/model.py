@@ -24,7 +24,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 HALF_WIDTH = 1.0
-SYMMETRY_SAMPLES = 64  # points of check_potential_symmetry
 
 
 class BranchClass(enum.Enum):
@@ -144,35 +143,15 @@ def check_points(x) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Effective 2x2 potential of the coupled pair of wells."""
+def coupling_step(x) -> np.ndarray:
+    """sgn(-x): +1 on (-1,0), -1 on (0,1), 0 at x = 0.
 
-    coupling: CouplingPair
+    The coupling is iZ coupling_step(x) in the upper-right entry and
+    iY coupling_step(x) in the lower-left, so conj(W(x)) = W(-x).
+    """
+    import numpy as np
 
-    def step(self, x):
-        """sgn(-x): +1 on (-1,0), -1 on (0,1), 0 at x = 0."""
-        import numpy as np
-
-        return np.sign(-check_points(x))
-
-    def coupling_to_upper(self, x):
-        """Upper-right entry: +iZ on (-1,0), -iZ on (0,1), 0 at x = 0."""
-        return 1j * self.coupling.Z * self.step(x)
-
-    def coupling_to_lower(self, x):
-        """Lower-left entry: +iY on (-1,0), -iY on (0,1), 0 at x = 0."""
-        return 1j * self.coupling.Y * self.step(x)
-
-    def matrix(self, x: float) -> np.ndarray:
-        """Full 2x2 potential matrix at a single point."""
-        import numpy as np
-
-        x = float(check_points(x))
-        return np.array(
-            [[0.0, self.coupling_to_upper(x)], [self.coupling_to_lower(x), 0.0]],
-            dtype=complex,
-        )
+    return np.sign(-check_points(x))
 
 
 @dataclass(frozen=True)
@@ -242,18 +221,3 @@ class OperatorRep:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-
-def check_potential_symmetry(spec: PotentialSpec) -> dict:
-    """Verify conj(W(x)) = W(-x) for both coupling entries.
-
-    Samples are SYMMETRY_SAMPLES interior midpoints of (0, 1), so x = 0
-    (where the sign convention is the average) is never hit.  Returns the
-    report {"max_defect": ...}; the defect is exactly 0 for this potential.
-    """
-    import numpy as np
-
-    x = (np.arange(SYMMETRY_SAMPLES) + 0.5) / SYMMETRY_SAMPLES
-    defect = 0.0
-    for entry in (spec.coupling_to_upper, spec.coupling_to_lower):
-        defect = max(defect, float(np.max(np.abs(np.conj(entry(x)) - entry(-x)))))
-    return {"max_defect": defect}

@@ -10,7 +10,7 @@ The mesh (model.GridSpec) always contains x = 0 as a node (M even),
 where the off-diagonal potential takes its average value 0.  That
 single choice makes the discrete operator exactly pseudo-Hermitian
 under the channel-swap / index-reversal matrix, at every grid size.
-The step is model.PotentialSpec sampled at the nodes: the well is
+The step is model.coupling_step sampled at the nodes: the well is
 written down once, in the model.
 
 The operator is I (x) K + C (x) D: the three-point Laplacian K in each
@@ -60,11 +60,12 @@ import numpy as np
 
 from ._bracket import newton_in_bracket
 from .errors import ModelDomainError, NumericalFailureError
-from .model import BranchClass, CouplingPair, GridSpec, OperatorRep, PotentialSpec, RepBasis, as_index
+from .model import BranchClass, CouplingPair, GridSpec, RepBasis, as_index, coupling_step
 from .secular import LevelSolution
 
-DEGENERACY_RTOL = 1e-6
 REAL_IM_MAX = 1e-6  # a criticality scan entry with max |Im E| up to this is real
+# values closer than this (relative to max(1, |E|)) are one eigenvalue:
+# the conjugate pairing, the order's ties and group_degenerate's clusters
 PAIRING_RTOL = 1e-6
 # max |H x - E x| of an eigenvector built here, one sine per side of the
 # grid from a root of T's secular polynomial, relative to a bound on ||H||
@@ -145,9 +146,9 @@ class BandedHamiltonian:
 def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltonian:
     """The 2(M-1)-dimensional coupled-well operator on the interior nodes.
 
-    K is the three-point Laplacian; the step is the PotentialSpec
-    coupling's sign pattern sampled at the nodes (0 at the midpoint
-    node).  No dense matrix is built here.
+    K is the three-point Laplacian; the step is the coupling's sign
+    pattern sgn(-x) (model.coupling_step) sampled at the nodes (0 at the
+    midpoint node).  No dense matrix is built here.
     """
     m = grid.n_interior
     h2 = grid.h * grid.h
@@ -156,24 +157,7 @@ def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltoni
         grid,
         sub=np.full(m - 1, -1.0 / h2),
         diagonal=np.full(m, 2.0 / h2),
-        step=PotentialSpec(coupling).step(grid.interior_nodes),
-    )
-
-
-def discrete_theta(grid: GridSpec) -> OperatorRep:
-    """Channel swap composed with spatial index reversal.
-
-    Satisfies S H S = H^dagger entrywise for every coupling and grid;
-    S is real, symmetric, and involutive.
-    """
-    m = grid.n_interior
-    reversal = np.fliplr(np.eye(m))
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return OperatorRep(
-        matrix=np.kron(swap, reversal),
-        basis=RepBasis.GRID,
-        is_form=True,
-        meta={"grid": grid},
+        step=coupling_step(grid.interior_nodes),
     )
 
 
@@ -775,7 +759,7 @@ def _split(box, roots):
 
 
 def group_degenerate(values: np.ndarray):
-    """Cluster eigenvalues whose gaps are below DEGENERACY_RTOL * max(1, |E|).
+    """Cluster eigenvalues whose gaps are below PAIRING_RTOL * max(1, |E|).
 
     Returns a list of (mean value, multiplicity) in ascending real part.
     """
@@ -786,7 +770,7 @@ def group_degenerate(values: np.ndarray):
     clusters = [[values[0]]]
     for v in values[1:]:
         anchor = clusters[-1][-1]
-        if abs(v - anchor) <= DEGENERACY_RTOL * max(1.0, abs(anchor)):
+        if abs(v - anchor) <= PAIRING_RTOL * max(1.0, abs(anchor)):
             clusters[-1].append(v)
         else:
             clusters.append([v])

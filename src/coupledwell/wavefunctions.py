@@ -61,9 +61,6 @@ class ChannelState:
         """Normalized single-channel profile."""
         return _segment_sine(self.phi_coeff, self.kappa, x)
 
-    def phi_derivative(self, x):
-        return _segment_sine(self.phi_coeff, self.kappa, x, derivative=True)
-
     def upper(self, x):
         return _segment_sine(self.A, self.kappa, x)
 
@@ -82,17 +79,16 @@ class ChannelState:
         return 2.0 * abs(wu * wl) * abs(phi_bilinear_product(self, self))
 
 
-def _segment_sine(coeff, kappa, x, derivative=False):
+def _segment_sine(coeff, kappa, x):
     # coeff sin(kappa (x+1)) on x <= 0 and its mirrored conjugate
-    # conj(coeff sin(kappa (1-x))) on x > 0, or the x-derivative of both
+    # conj(coeff sin(kappa (1-x))) on x > 0
     x = check_points(x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    wave, factor = (np.cos, coeff * kappa) if derivative else (np.sin, coeff)
     out = np.empty(x.shape, dtype=complex)
     left = x <= 0.0
-    out[left] = factor * wave(kappa * (x[left] + 1.0))
-    out[~left] = np.conj((-factor if derivative else factor) * wave(kappa * (1.0 - x[~left])))
+    out[left] = coeff * np.sin(kappa * (x[left] + 1.0))
+    out[~left] = np.conj(coeff * np.sin(kappa * (1.0 - x[~left])))
     return out[0] if scalar else out
 
 
@@ -286,25 +282,15 @@ def phi_bilinear_product(state_a: ChannelState, state_b: ChannelState) -> float:
     return float(2.0 * term.real)
 
 
-def phi_sesquilinear_product(state_a: ChannelState, state_b: ChannelState) -> float:
-    """<phi_a | phi_b> = integral conj(phi_a) phi_b dx, in closed form."""
-    term = (
-        state_a.phi_coeff.conjugate()
-        * state_b.phi_coeff
-        * sine_product_integral(state_a.kappa.conjugate(), state_b.kappa)
-    )
-    return float(2.0 * term.real)
-
-
 def simpson_rule(intervals: int):
     """Nodes and weights of composite Simpson on (-1, 1) split at the x = 0 kink.
 
     The nodes are those of GridSpec(intervals), interior only, with
     intervals / 2 panels on each half (intervals divisible by 4) and
-    x = 0 shared by the halves.  The wall nodes are dropped: every state,
-    left partner and test integrand vanishes there.  This is the one
-    rule behind quadrature_overlap, the quadrature method of
-    metric.biorthogonality_matrix and metric.spectral_reconstruct.
+    x = 0 shared by the halves.  The wall nodes are dropped: every state
+    and left partner vanishes there.  This is the one rule behind the
+    quadrature method of metric.biorthogonality_matrix and
+    metric.spectral_reconstruct.
     """
     if intervals % 4 != 0:
         raise ModelDomainError(
@@ -322,20 +308,3 @@ def simpson_rule(intervals: int):
     full[half:] += pattern
     return h * (np.arange(1, intervals) - half), full[1:-1]
 
-
-def quadrature_overlap(f, g, panels: int) -> complex:
-    """<f | g> over (-1, 1) by composite Simpson, split at the x = 0 kink.
-
-    The rule is simpson_rule(2 panels), which drops the wall nodes, so f
-    and g must vanish at x = +-1, as every state does.
-
-    Parameters
-    ----------
-    f, g : callables mapping an array of points in (-1, 1) to complex values
-    panels : int
-        Panel count per half-interval; must be even and >= 2.  The error
-        decays as panels^-4 for integrands smooth on each half.
-    """
-    panels = as_index(panels, "panels must be an even integer >= 2", 2, even=True)
-    nodes, w = simpson_rule(2 * panels)
-    return complex(np.sum(w * np.conj(f(nodes)) * g(nodes)))

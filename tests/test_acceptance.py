@@ -17,13 +17,11 @@ from coupledwell import (
     GridSpec,
     MetricWeights,
     NumericalFailureError,
-    apply_theta,
     biorthogonality_matrix,
     build_hamiltonian,
     build_theta_metric,
     critical_coupling,
     criticality_scan,
-    discrete_theta,
     doublet_family,
     eigenpairs,
     first_complex_bracket,
@@ -39,6 +37,7 @@ from coupledwell import (
     spin_operator,
 )
 from coupledwell.oracle import _cut
+from test_doublet_reference import apply_theta, discrete_theta
 
 C_CRIT_PAIR0 = 4.475308602193255
 

@@ -23,13 +23,13 @@ from coupledwell import (
     NumericalFailureError,
     RootLostError,
     build_hamiltonian,
-    discrete_theta,
     eigenpairs,
     spin_operator,
     verify,
 )
 from coupledwell.cli import main
 from coupledwell.oracle import _spin_commutator_max, _swap_reflect_defect
+from test_doublet_reference import discrete_theta
 
 
 def records(checks):

@@ -1,4 +1,6 @@
-"""The doublet shortcuts against the per-state, full-grid formulas they replace.
+"""The references the tests compare the package against, which no other
+caller runs, and the doublet shortcuts against the per-state, full-grid
+formulas they replace.
 
 doublet_family builds each sigma = -1 state from its sigma = +1 partner's
 norm and sines, and the metric builders evaluate the sigma = +1 rows only.
@@ -33,15 +35,71 @@ from coupledwell import (
     solve_level,
     spectral_reconstruct,
 )
-from coupledwell.metric import MIN_ROOT_PRODUCT
+from coupledwell.metric import MIN_ROOT_PRODUCT, _shared_coupling
+from coupledwell.model import OperatorRep, RepBasis, as_index, check_points
 from coupledwell.wavefunctions import (
     _sin_cos_kappa,
     channel_weights,
     phi_bilinear_product,
     quasi_parity,
     simpson_rule,
+    sine_product_integral,
     sine_product_integrals,
 )
+
+
+def biorthogonal_overlap(left, state):
+    # <<left|state> in closed form, q (wl wu' + wu wl') integral phi phi'
+    ls = left.state
+    _shared_coupling((ls, state))
+    wu_l, wl_l = channel_weights(ls.sigma, ls.Y, ls.Z)
+    wu_r, wl_r = channel_weights(state.sigma, state.Y, state.Z)
+    factor = left.q * (wl_l * wu_r + wu_l * wl_r)
+    return factor * phi_bilinear_product(ls, state)
+
+
+def phi_sesquilinear_product(state_a, state_b):
+    # <phi_a | phi_b> = integral conj(phi_a) phi_b dx, in closed form
+    a, b = state_a, state_b
+    return float(2.0 * (a.phi_coeff.conjugate() * b.phi_coeff
+                        * sine_product_integral(a.kappa.conjugate(), b.kappa)).real)
+
+
+def quadrature_overlap(f, g, panels):
+    # <f | g> by simpson_rule(2 panels), panels per half even and >= 2; the rule
+    # drops the wall nodes, where f and g must vanish
+    panels = as_index(panels, "panels must be an even integer >= 2", 2, even=True)
+    nodes, w = simpson_rule(2 * panels)
+    return complex(np.sum(w * np.conj(f(nodes)) * g(nodes)))
+
+
+def discrete_theta(grid):
+    # the dense S of S H S = H^dagger: channel swap (x) index reversal
+    m = grid.n_interior
+    reversal = np.fliplr(np.eye(m))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return OperatorRep(np.kron(swap, reversal), RepBasis.GRID, is_form=True, meta={"grid": grid})
+
+
+def apply_theta(upper, lower):
+    # the swap-reflect map on channel callables: (x -> lower(-x), x -> upper(-x))
+    return (lambda x: lower(np.negative(x))), (lambda x: upper(np.negative(x)))
+
+
+def channels(item):
+    # (upper, lower) of a state, or of a left partner: q times its state's swap-reflect image
+    if not isinstance(item, LeftState):
+        return item.upper, item.lower
+    upper, lower = apply_theta(item.state.upper, item.state.lower)
+    return (lambda x: item.q * upper(x)), (lambda x: item.q * lower(x))
+
+
+def phi_derivative(state, x):
+    # the profile's slope: a kappa cos(kappa (x+1)) on x <= 0, mirrored and conjugated on x > 0
+    x = check_points(x)
+    factor, kappa = state.phi_coeff * state.kappa, state.kappa
+    return np.where(x <= 0.0, factor * np.cos(kappa * (x + 1.0)),
+                    np.conj(-factor * np.cos(kappa * (1.0 - x))))[()]
 
 
 def _reference_state(level, coupling, sigma):
@@ -178,9 +236,10 @@ def reference_sample(items, nodes):
     # one column [upper(nodes); lower(nodes)] per state or left partner, each
     # channel called at every node
     columns = np.empty((2 * nodes.size, len(items)), dtype=complex)
-    for k, x in enumerate(items):
-        columns[: nodes.size, k] = x.upper(nodes)
-        columns[nodes.size :, k] = x.lower(nodes)
+    for k, item in enumerate(items):
+        upper, lower = channels(item)
+        columns[: nodes.size, k] = upper(nodes)
+        columns[nodes.size :, k] = lower(nodes)
     return columns
 
 

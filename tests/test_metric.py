@@ -23,14 +23,11 @@ from coupledwell import (
     NormalizationSingularError,
     OperatorRep,
     RepBasis,
-    apply_theta,
-    biorthogonal_overlap,
     biorthogonality_matrix,
     build_hamiltonian,
     build_theta_metric,
     channel_kernel,
     diagonal_overlap,
-    discrete_theta,
     doublet_family,
     inverse_identity_defect,
     inverse_theta_metric,
@@ -38,8 +35,6 @@ from coupledwell import (
     mode_hamiltonian,
     mode_spin,
     parity_overlap,
-    phi_sesquilinear_product,
-    quadrature_overlap,
     quasi_hermiticity_defect,
     quasi_parity,
     solve_coefficients,
@@ -48,7 +43,16 @@ from coupledwell import (
     spin_operator,
 )
 from coupledwell.wavefunctions import sine_product_integral, sine_product_integrals
-from test_doublet_reference import assert_same_bytes, reference_sample
+from test_doublet_reference import (
+    apply_theta,
+    assert_same_bytes,
+    biorthogonal_overlap,
+    channels,
+    discrete_theta,
+    phi_sesquilinear_product,
+    quadrature_overlap,
+    reference_sample,
+)
 
 UNIT = CouplingPair(1.0, 1.0)
 XS = np.linspace(-1.0, 1.0, 101)
@@ -107,8 +111,9 @@ def test_left_vector_component_layout():
     lv = left_vector(st)
     q = lv.q
     assert q in (+1, -1)
-    assert np.array_equal(lv.upper(XS), q * st.lower(-XS))
-    assert np.array_equal(lv.lower(XS), q * st.upper(-XS))
+    upper, lower = channels(lv)
+    assert np.array_equal(upper(XS), q * st.lower(-XS))
+    assert np.array_equal(lower(XS), q * st.upper(-XS))
 
 
 def test_decoupled_weights_keep_pairing_finite():
@@ -141,14 +146,11 @@ def test_closed_pairing_is_diagonal_at_tiny_coupling(c):
     assert np.abs(mat - np.diag(diag)).max() <= 1e-14 * diag.max()
 
 
-def _scalar_pairing(states, lefts):
-    return np.array([[biorthogonal_overlap(l, s) for s in states] for l in lefts])
-
-
 def _assert_pairing_matches_scalar(states):
     # the closed pairing verify runs, of a family with its own left partners
     fast = biorthogonality_matrix(states)
-    reference = _scalar_pairing(states, [left_vector(s) for s in states])
+    lefts = [left_vector(s) for s in states]
+    reference = np.array([[biorthogonal_overlap(l, s) for s in states] for l in lefts])
     assert fast.shape == reference.shape and fast.dtype == reference.dtype
     assert np.array_equal(np.diag(fast), np.diag(reference))
     assert np.abs(fast - reference).max() <= 1e-15 * np.abs(reference).max()
@@ -186,21 +188,16 @@ def test_vector_pairing_and_inverse_match_the_scalar_products(log_c, log_ratio, 
 
 
 def test_vector_pairing_with_explicit_lefts():
+    # the closed pairing takes a family's own partners only; explicit ones
+    # are paired by quadrature
     states = doublet_family(CouplingPair(1.0, 4.0), 5)
     lefts = [left_vector(s) for s in states]
+    with pytest.raises(ModelDomainError, match="no explicit lefts"):
+        biorthogonality_matrix(states, lefts)
     flipped = [LeftState(state=l.state, q=-l.q) for l in lefts]
     # the sign q multiplies each row exactly, diagonal included
-    assert np.array_equal(
-        biorthogonality_matrix(states, flipped), -biorthogonality_matrix(states, lefts)
-    )
-    # partners out of order, with mixed signs, and fewer states than a
-    # family: each entry is the scalar pairing of its row's partner with
-    # its column's state, bit for bit
-    shuffled = [LeftState(state=l.state, q=l.q * (-1) ** k) for k, l in enumerate(lefts[::-1])]
-    for kets, bras in ((states, shuffled), (states[:3], lefts[:3]), (states, lefts)):
-        assert np.array_equal(
-            biorthogonality_matrix(kets, bras), _scalar_pairing(kets, bras)
-        )
+    assert np.array_equal(biorthogonality_matrix(states, flipped, method="quadrature"),
+                          -biorthogonality_matrix(states, lefts, method="quadrature"))
     # decoupled Y = Z = 0: opposite sigma members share one real wavenumber,
     # so the same-wavenumber branch is taken off the diagonal too
     decoupled = doublet_family(CouplingPair(0.0, 0.0), 4)
@@ -210,22 +207,30 @@ def test_vector_pairing_with_explicit_lefts():
 
 
 def test_vector_pairing_rejects_mixed_couplings():
-    states = doublet_family(UNIT, 2)
+    # the quadrature reads the states and the left partners' states, own or
+    # explicit, and refuses them unless they share one coupling, as the
+    # closed pairing of a family does
+    states = doublet_family(CouplingPair(1.0, 4.0), 2)
     other = doublet_family(CouplingPair(2.0, 2.0), 2)
     with pytest.raises(ModelDomainError, match="different couplings"):
-        biorthogonality_matrix(states, [left_vector(s) for s in other])
+        biorthogonality_matrix(states, [left_vector(s) for s in other], method="quadrature")
     # one foreign left partner or state
     mixed_lefts = [left_vector(s) for s in states]
     mixed_lefts[3] = left_vector(other[3])
-    with pytest.raises(ModelDomainError, match="different couplings"):
-        biorthogonality_matrix(states, mixed_lefts)
-    with pytest.raises(ModelDomainError, match="different couplings"):
-        biorthogonality_matrix(states[:3] + other[3:4], [left_vector(s) for s in states])
+    for kets, bras in ((states, mixed_lefts),
+                       (states[:3] + other[3:4], [left_vector(s) for s in states]),
+                       (states[:3] + other[3:4], None)):
+        with pytest.raises(ModelDomainError, match="different couplings"):
+            biorthogonality_matrix(kets, bras, method="quadrature")
     # every diagonal pair shares a coupling, the off-diagonal ones do not
     mixed = [states[0], other[1]]
+    for method in ("closed", "quadrature"):
+        with pytest.raises(ModelDomainError, match="different couplings"):
+            biorthogonality_matrix(mixed, method=method)
     with pytest.raises(ModelDomainError, match="different couplings"):
-        biorthogonality_matrix(mixed, [left_vector(s) for s in mixed])
+        biorthogonality_matrix(mixed, [left_vector(s) for s in mixed], method="quadrature")
     assert biorthogonality_matrix([]).shape == (0, 0)
+    assert biorthogonality_matrix([], [], method="quadrature").shape == (0, 0)
 
 
 def test_pairing_without_lefts_needs_complete_doublets():
@@ -240,7 +245,8 @@ def test_pairing_without_lefts_needs_complete_doublets():
                       mode_hamiltonian, mode_spin):
             with pytest.raises(ModelDomainError, match="doublet_family order"):
                 build(bad)
-    assert biorthogonality_matrix(states[:3], [left_vector(s) for s in states[:3]]).shape == (3, 3)
+    lefts = [left_vector(s) for s in states[:3]]
+    assert biorthogonality_matrix(states[:3], lefts, method="quadrature").shape == (3, 3)
 
 
 def test_vector_kernel_matches_scalar_without_warnings():
@@ -261,8 +267,7 @@ def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
     # a loop over scalar pairings would make N^2 calls; the vector kernel
     # leaves one d and one q per level: each sigma = +1 state computes them
     # once, cached across the four builders, and its sigma = -1 partner
-    # takes d_- = d_+ and q_- = -q_+.  No left partner is built and no
-    # scalar pairing is called.
+    # takes d_- = d_+ and q_- = -q_+.  No left partner is built.
     calls = collections.Counter()
 
     def counted(name, inner):
@@ -274,7 +279,6 @@ def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
 
     for name, module, attr in (
         ("left", metric_module, "left_vector"),
-        ("overlap", metric_module, "biorthogonal_overlap"),
         ("q", wavefunctions_module, "quasi_parity"),
         ("d", wavefunctions_module, "phi_bilinear_product"),
         ("integral", wavefunctions_module, "sine_product_integral"),
@@ -283,15 +287,15 @@ def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
 
     def totals():
         return {name: sum(v for (k, _), v in calls.items() if k == name)
-                for name in ("left", "overlap", "q", "d", "integral")}
+                for name in ("left", "q", "d", "integral")}
 
     states = doublet_family(UNIT, 12)
     biorthogonality_matrix(states)
-    assert totals() == {"left": 0, "overlap": 0, "q": 12, "d": 12, "integral": 12}
+    assert totals() == {"left": 0, "q": 12, "d": 12, "integral": 12}
     inverse_theta_metric(states)
     theta = build_theta_metric(states)
     inverse_identity_defect(theta, states)
-    assert totals() == {"left": 0, "overlap": 0, "q": 12, "d": 12, "integral": 12}
+    assert totals() == {"left": 0, "q": 12, "d": 12, "integral": 12}
     for plus, minus in zip(states[::2], states[1::2]):
         assert calls["q", id(plus)] == calls["d", id(plus)] == 1
         assert calls["q", id(minus)] == calls["d", id(minus)] == 0
@@ -300,7 +304,7 @@ def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
     fresh = doublet_family(UNIT, 12)
     inverse_identity_defect(build_theta_metric(fresh), fresh)
     inverse_theta_metric(fresh)
-    assert totals() == {"left": 0, "overlap": 0, "q": 0, "d": 12, "integral": 12}
+    assert totals() == {"left": 0, "q": 0, "d": 12, "integral": 12}
     assert all(calls["d", id(s)] == (s.sigma > 0) for s in fresh)
 
 
@@ -343,8 +347,8 @@ def test_quadrature_pairing_matches_scalar_reference():
             reference = np.array(
                 [
                     [
-                        quadrature_overlap(l.upper, s.upper, 512)
-                        + quadrature_overlap(l.lower, s.lower, 512)
+                        quadrature_overlap(channels(l)[0], s.upper, 512)
+                        + quadrature_overlap(channels(l)[1], s.lower, 512)
                         for s in states
                     ]
                     for l in lefts
@@ -632,22 +636,55 @@ def test_metric_refuses_huge_unsafe_weights_naming_the_entry():
 
 @pytest.mark.parametrize("sigma", [+1, -1])
 def test_inverse_refuses_a_coefficient_out_of_the_float_range(sigma):
-    # an admissible weight 1e-320 makes S d^2 subnormal, and 1 / (S d^2) is inf
+    # an admissible weight 1e-320 makes S d^2 subnormal, and 1 / (S d^2) is inf;
+    # at 2e307 the form's own d S d is inf, where 1 / (S d^2) would read 0.0
+    # (the true 9.66e-310 is subnormal): refused before the reciprocal
     states = doublet_family(CouplingPair(4.0, 4.0), 3)
-    tiny = np.array([1.0, 1.0, 1e-320])
-    weights = MetricWeights(tiny, np.ones(3)) if sigma > 0 else MetricWeights(np.ones(3), tiny)
     theta = build_theta_metric(states)
-    state = re.escape(f"of state (n=2, sigma={sigma}) is inf: the weight 1e-320")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for grid in (None, GridSpec(64)):
-            with pytest.raises(MetricConstraintError, match=state):
-                inverse_theta_metric(states, weights, grid=grid)
-        with pytest.raises(MetricConstraintError, match=state):
-            inverse_identity_defect(theta, states, weights)
+        for weight, what in ((1e-320, "inverse coefficient 1/(S d^2)"), (2e307, "S d^2")):
+            level = np.array([1.0, 1.0, weight])
+            weights = MetricWeights(*((level, np.ones(3)) if sigma > 0 else (np.ones(3), level)))
+            state = re.escape(f"{what} of state (n=2, sigma={sigma}) is inf: the weight {weight!r}")
+            for grid in (None, GridSpec(64)):
+                with pytest.raises(MetricConstraintError, match=f"^{state}"):
+                    inverse_theta_metric(states, weights, grid=grid)
+            with pytest.raises(MetricConstraintError, match=f"^{state}"):
+                inverse_identity_defect(theta, states, weights)
         # weights of 1e-300 keep 1 / (S d^2) finite and are served
         assert np.isfinite(inverse_theta_metric(states, MetricWeights(
             np.full(3, 1e-300), np.full(3, 1e-300))).matrix).all()
+
+
+def _refuses(build):
+    try:
+        return False, build()
+    except MetricConstraintError:
+        return True, None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(n_levels=st.integers(min_value=1, max_value=4),
+       logs=st.lists(st.floats(min_value=-320.0, max_value=308.0), min_size=8, max_size=8))
+def test_form_and_inverse_refuse_by_one_contract(n_levels, logs):
+    # weights log-uniform on [1e-320, 1e308] at (4, 4), where every d^2 >= 11
+    # exceeds 2 Y, so a channel kernel Y (S+ + S-) that overflows means a
+    # d S d that overflows: the inverse refuses every weight vector the form
+    # refuses, and beyond those exactly the vectors whose form entry S d^2 has
+    # no finite reciprocal (subnormal S d^2, which the form serves)
+    states = doublet_family(CouplingPair(4.0, 4.0), n_levels)
+    weights = 10.0 ** np.array(logs)
+    weights = MetricWeights(weights[:n_levels], weights[4:4 + n_levels])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        form_refused, form = _refuses(lambda: build_theta_metric(states, weights))
+        inverse_refused, _ = _refuses(lambda: inverse_theta_metric(states, weights))
+        defect_refused, _ = _refuses(
+            lambda: inverse_identity_defect(build_theta_metric(states), states, weights))
+    with np.errstate(over="ignore"):
+        unrepresentable = form_refused or not np.isfinite(1.0 / np.diag(form.matrix)).all()
+    assert inverse_refused == defect_refused == unrepresentable
 
 
 def test_metric_refuses_near_decoupled_family():

@@ -9,15 +9,16 @@ import pytest
 from coupledwell import (
     BranchClass,
     CouplingPair,
+    GridSpec,
     InvalidToleranceError,
     ModelDomainError,
     OperatorRep,
-    PotentialSpec,
     RepBasis,
-    check_potential_symmetry,
+    build_hamiltonian,
     classify_branch,
 )
-from coupledwell.model import as_index, validate_tol
+from coupledwell.model import as_index, coupling_step, validate_tol
+from coupledwell.oracle import _swap_reflect_defect
 
 
 def test_branch_classification():
@@ -66,50 +67,54 @@ def test_coupling_rejects_non_finite():
         CouplingPair(1.0, float("inf"))
 
 
+def _potential(pair, x):
+    # the off-diagonal entries (upper right, lower left): iZ sgn(-x), iY sgn(-x)
+    return 1j * np.multiply.outer([pair.Z, pair.Y], coupling_step(x))
+
+
 def test_potential_matrix_shape_and_zero_diagonal():
-    spec = PotentialSpec(CouplingPair(1.0, 2.0))
-    m = spec.matrix(0.5)
-    assert m.shape == (2, 2)
-    assert m[0, 0] == 0.0 and m[1, 1] == 0.0
-    # purely imaginary off-diagonal entries
-    assert m[0, 1].real == 0.0 and m[1, 0].real == 0.0
+    # the operator carries the potential: its channel-diagonal blocks are the
+    # Laplacian alone, its cross-channel blocks diagonal and purely imaginary
+    rep = build_hamiltonian(CouplingPair(1.0, 2.0), GridSpec(16))
+    m, h = rep.grid.n_interior, rep.matrix
+    laplacian = np.diag(rep.diagonal) + np.diag(rep.sub, 1) + np.diag(rep.sub, -1)
+    assert np.array_equal(h[:m, :m], laplacian) and np.array_equal(h[m:, m:], laplacian)
+    for block in (h[:m, m:], h[m:, :m]):
+        assert np.array_equal(block, np.diag(np.diag(block)))
+        assert np.all(block.real == 0.0)
 
 
 def test_potential_step_values():
-    spec = PotentialSpec(CouplingPair(1.0, 2.0))
-    left = spec.matrix(-0.5)
-    right = spec.matrix(0.5)
-    assert left[0, 1] == 2.0j and left[1, 0] == 1.0j
-    assert right[0, 1] == -2.0j and right[1, 0] == -1.0j
-    assert np.all(spec.matrix(0.0) == 0.0)
+    pair = CouplingPair(1.0, 2.0)
+    assert np.array_equal(_potential(pair, [-0.5, 0.5, 0.0]), [[2j, -2j, 0], [1j, -1j, 0]])
 
 
 def test_potential_domain_guard():
-    spec = PotentialSpec(CouplingPair(1.0, 1.0))
     with pytest.raises(ModelDomainError):
-        spec.matrix(1.5)
+        coupling_step(1.5)
     with pytest.raises(ModelDomainError):
-        spec.matrix(-1.0001)
+        coupling_step(-1.0001)
 
 
 @pytest.mark.parametrize("pair", [(1.0, 2.0), (0.0, 0.0), (5.0, 0.1)])
 def test_conjugation_defect_is_exactly_zero(pair):
-    report = check_potential_symmetry(PotentialSpec(CouplingPair(*pair)))
-    assert report["max_defect"] == 0.0
+    # conj(W(x)) = W(-x) where it matters, on the operator's bands: S H S =
+    # H^dagger exactly, also at M = 98, where -1 + h j misses x = 0 by an ulp
+    for M in (8, 64, 98):
+        assert _swap_reflect_defect(build_hamiltonian(CouplingPair(*pair), GridSpec(M))) == 0.0
 
 
 def test_conjugation_symmetry_at_random_points():
-    # conj(V(x)) == V(-x) entrywise; exact in floats since entries are +-iY, +-iZ, 0
-    spec = PotentialSpec(CouplingPair(5.0, 0.1))
-    rng = np.random.default_rng(7)
-    for x in rng.uniform(-1.0, 1.0, size=100):
-        assert np.array_equal(np.conj(spec.matrix(x)), spec.matrix(-x))
+    # conj(W(x)) == W(-x) entrywise; exact in floats since entries are +-iY, +-iZ, 0
+    x = np.random.default_rng(7).uniform(-1.0, 1.0, size=100)
+    pair = CouplingPair(5.0, 0.1)
+    assert np.array_equal(np.conj(_potential(pair, x)), _potential(pair, -x))
 
 
 def test_parity_oddness_pointwise():
-    spec = PotentialSpec(CouplingPair(2.0, 3.0))
-    for x in np.linspace(-0.99, 0.99, 23):
-        assert np.array_equal(spec.matrix(-x), -spec.matrix(x))
+    x = np.linspace(-0.99, 0.99, 23)
+    pair = CouplingPair(2.0, 3.0)
+    assert np.array_equal(_potential(pair, -x), -_potential(pair, x))
 
 
 def test_operator_rep_requires_square_matrix():

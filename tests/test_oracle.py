@@ -28,7 +28,6 @@ from coupledwell import (
     build_hamiltonian,
     compare_spectrum,
     criticality_scan,
-    discrete_theta,
     doublet_family,
     eigenpairs,
     first_complex_bracket,
@@ -38,6 +37,7 @@ from coupledwell import (
     subspace_alignment,
 )
 from coupledwell.oracle import _cut
+from test_doublet_reference import discrete_theta
 
 UNIT = CouplingPair(1.0, 1.0)
 

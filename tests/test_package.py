@@ -26,6 +26,25 @@ def test_exported_name_is_the_submodule_object(name):
         assert getattr(coupledwell, name) is vars(module)[name]
 
 
+EXPORTED = """BracketError BranchClass ChannelState Check CouplingPair CriticalResult
+DegenerateMatchError GridSpec InvalidToleranceError LeftState LevelSolution MIN_ROOT_PRODUCT
+MetricConstraintError MetricWeights ModelDomainError NormalizationSingularError
+NumericalFailureError OperatorRep RepBasis RootLostError SpectrumResult biorthogonality_matrix
+build_hamiltonian build_theta_metric channel_kernel classify_branch compare_spectrum
+critical_coupling criticality_scan diagonal_overlap doublet_family eigenpairs evaluate
+first_complex_bracket group_degenerate inverse_identity_defect inverse_theta_metric left_vector
+matching_residual mode_hamiltonian mode_spin pair_interval parity_overlap perturbative_eps
+phi_bilinear_product quasi_hermiticity_defect quasi_parity residual sine_product_integral
+solve_coefficients solve_level spectral_reconstruct spectrum spin_operator subspace_alignment
+verify""".split()
+
+
+def test_exported_names_are_pinned():
+    # a name joins or leaves the public surface only by an edit of this list
+    assert EXPORTED == sorted(EXPORTED) and len(EXPORTED) == 56
+    assert coupledwell.__all__ == EXPORTED
+
+
 def test_star_import_and_dir_cover_every_exported_name():
     namespace = {}
     exec("from coupledwell import *", namespace)

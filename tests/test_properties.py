@@ -22,7 +22,6 @@ from coupledwell import (
     ModelDomainError,
     RepBasis,
     RootLostError,
-    biorthogonal_overlap,
     biorthogonality_matrix,
     build_theta_metric,
     diagonal_overlap,
@@ -43,6 +42,7 @@ from coupledwell import (
 )
 from coupledwell.cli import main
 from coupledwell.wavefunctions import channel_weights
+from test_doublet_reference import biorthogonal_overlap
 
 # keep sqrt(YZ) <= 4, safely below the lowest merger at 4.4753
 amplitudes = st.floats(min_value=0.05, max_value=4.0,

@@ -14,12 +14,12 @@ from coupledwell import (
     matching_residual,
     parity_overlap,
     phi_bilinear_product,
-    quadrature_overlap,
     quasi_parity,
     solve_coefficients,
     solve_level,
     spin_operator,
 )
+from test_doublet_reference import phi_derivative, quadrature_overlap
 
 UNIT = CouplingPair(1.0, 1.0)
 DECOUPLED = CouplingPair(0.0, 0.0)
@@ -42,7 +42,7 @@ def test_decoupled_first_excited_phase():
     # positive imaginary axis
     state = _state(1, DECOUPLED)
     assert state.A.real == 0.0
-    assert state.phi_derivative(0.0).imag > 0.0
+    assert phi_derivative(state, 0.0).imag > 0.0
     xs = np.linspace(-0.9, 0.9, 77)
     assert np.abs(state.phi(xs) + state.phi(-xs)).max() < 1e-12
 
