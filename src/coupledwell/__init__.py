@@ -13,7 +13,6 @@ import importlib
 
 from .errors import (
     BracketError,
-    DegenerateMatchError,
     InvalidToleranceError,
     MetricConstraintError,
     ModelDomainError,

@@ -21,7 +21,6 @@ from dataclasses import asdict
 
 from .errors import (
     BracketError,
-    DegenerateMatchError,
     MetricConstraintError,
     ModelDomainError,
     NormalizationSingularError,
@@ -371,7 +370,7 @@ def main(argv=None) -> int:
     except (RootLostError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalFailureError, DegenerateMatchError, NormalizationSingularError) as exc:
+    except (NumericalFailureError, NormalizationSingularError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

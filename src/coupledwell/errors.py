@@ -34,12 +34,6 @@ class BracketError(RuntimeError):
     transition."""
 
 
-class DegenerateMatchError(RuntimeError):
-    """Both the value and the derivative of the trial wavefunction vanish
-    at the matching point; cannot happen for a valid secular root and
-    indicates inconsistent inputs."""
-
-
 class NormalizationSingularError(RuntimeError):
     """A biorthogonal diagonal overlap vanished (or nearly so); the
     spectral coefficient 1/overlap is singular."""

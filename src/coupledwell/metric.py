@@ -300,6 +300,7 @@ def channel_kernel(coupling: CouplingPair, s_plus: float, s_minus: float) -> np.
 
     The off-diagonal carries the factor S+ - S-, so equal weights kill
     the channel mixing identically (exact zero, not a small number).
+    For arrays of weights the kernels run along the last axis.
     """
     m = math.sqrt(coupling.Y) * math.sqrt(coupling.Z)
     off, total = m * s_plus - m * s_minus, s_plus + s_minus
@@ -319,7 +320,9 @@ def _validate_family(states: Sequence[ChannelState]):
 
 
 def _resolve_weights(states, weights, unsafe):
-    # the family's meta, its per-state weights and its diagonal pairings d (d_- = d_+)
+    # the family's meta, its per-state weights, its diagonal pairings d (d_- = d_+)
+    # and its channel kernels [n, i, k], refused if an entry of one is not finite:
+    # the form, the inverse and the identity defect refuse by this one contract
     coupling, order = _validate_family(states)
     n_levels = len(states) // 2
     if coupling.root_product < MIN_ROOT_PRODUCT:
@@ -341,8 +344,12 @@ def _resolve_weights(states, weights, unsafe):
             "choices need unsafe=True"
         )
     meta = {"coupling": coupling, "n_levels": n_levels, "order": order}
-    d = np.repeat([diagonal_overlap(s) for s in states[0::2]], 2)
-    return meta, per_state, _normalizable(d)
+    d = _normalizable(np.repeat([diagonal_overlap(s) for s in states[0::2]], 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernels = channel_kernel(coupling, weights.s_plus[:n_levels], weights.s_minus[:n_levels])
+    kernels = np.moveaxis(kernels, -1, 0)
+    _require_finite("channel kernel [n, i, k]", kernels)
+    return meta, per_state, d, kernels
 
 
 def _sample(states, nodes) -> tuple[np.ndarray, np.ndarray]:
@@ -402,11 +409,9 @@ def build_theta_metric(
     weighted by the node spacing.  The per-level 2x2 channel kernels are
     exposed in meta["channel_kernels"].
     """
-    meta, per_state, d = _resolve_weights(states, weights, unsafe)
+    meta, per_state, d, kernels = _resolve_weights(states, weights, unsafe)
     meta["weights_by_state"] = per_state
-    meta["channel_kernels"] = [
-        channel_kernel(meta["coupling"], p, m) for p, m in per_state.reshape(-1, 2).tolist()
-    ]
+    meta["channel_kernels"] = list(kernels)
     if grid is None:
         # an entry that leaves the float range is refused by _finite_form, not warned of
         with np.errstate(over="ignore"):
@@ -425,14 +430,16 @@ def build_theta_metric(
 
 
 def _finite_form(matrix, basis, meta) -> OperatorRep:
-    # the metric form, refused if an entry of a channel kernel or of it is not finite
-    kernels = np.array(meta["channel_kernels"])
-    for what, entries in (("channel kernel [n, i, k]", kernels), ("metric form [i, k]", matrix)):
-        if not np.isfinite(entries).all():
-            index = np.argwhere(~np.isfinite(entries))[0]
-            raise MetricConstraintError(f"{what} = {index.tolist()} is {entries[tuple(index)]}: "
-                                        "the coupling or the weights leave the float range")
+    # the metric form, refused if an entry of it is not finite
+    _require_finite("metric form [i, k]", matrix)
     return OperatorRep(matrix, basis, is_form=True, meta=meta)
+
+
+def _require_finite(what, entries) -> None:
+    if not np.isfinite(entries).all():
+        index = np.argwhere(~np.isfinite(entries))[0]
+        raise MetricConstraintError(f"{what} = {index.tolist()} is {entries[tuple(index)]}: "
+                                    "the coupling or the weights leave the float range")
 
 
 def _kind_values(states, kind: str) -> np.ndarray:
@@ -519,7 +526,8 @@ def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSp
 
 def _inverse_coefficients(states, per_state, d) -> np.ndarray:
     # 1 / (S d^2) per state, S d^2 the form's own d S d: refused where either
-    # leaves the float range, so the inverse refuses every weight the form does
+    # leaves the float range, so with the kernels' check the inverse refuses
+    # every weight the form does
     with np.errstate(over="ignore", divide="ignore"):
         form = _in_float_range("S d^2", d * per_state * d, states, per_state)
         return _in_float_range("inverse coefficient 1/(S d^2)", 1.0 / form, states, per_state)
@@ -549,27 +557,33 @@ def inverse_theta_metric(
     Without a grid: coeff_i times the Gram matrix of the states,
     (wu_i wu_j + wl_i wl_j) 2 Re(conj(a_i) a_j I(conj(kappa_i), kappa_j)),
     one vector expression (see the module notes).  With grid= a
-    GridSpec: the same sum sampled on its interior nodes.
+    GridSpec: the same sum sampled on its interior nodes.  A map with an
+    entry that is not finite is refused (MetricConstraintError), as the
+    form is.
     """
-    meta, per_state, d = _resolve_weights(states, weights, False)
+    meta, per_state, d, _ = _resolve_weights(states, weights, False)
     coeff = _inverse_coefficients(states, per_state, d)
     meta.update({"coefficients": coeff, "diagonal_overlaps": d})
-    if grid is not None:
-        _require_grid(grid)
-        meta["grid"] = grid
-        kets = _kets(_sample(states, grid.interior_nodes))
-        return OperatorRep(_grid_sum(kets, coeff, grid), RepBasis.GRID, meta=meta)
-    # the sesquilinear Gram matrix is the bilinear one with the row conjugated;
-    # a sigma = -1 row is its partner's row with each level's two columns
-    # swapped, because its a and kappa are the partner's conjugated
-    a, kappa, wu, wl = _profiles(states)
-    rows = (wu[0::2, None] * wu + wl[0::2, None] * wl) * _bilinear_products(
-        a[0::2].conj(), kappa[0::2].conj(), a, kappa
-    )
-    gram = np.empty((len(states), len(states)))
-    gram[0::2] = rows
-    gram[1::2, 1::2], gram[1::2, 0::2] = rows[:, 0::2], rows[:, 1::2]
-    return OperatorRep(coeff[:, None] * gram, RepBasis.MODE, meta=meta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if grid is not None:
+            _require_grid(grid)
+            meta["grid"] = grid
+            kets = _kets(_sample(states, grid.interior_nodes))
+            matrix, basis = _grid_sum(kets, coeff, grid), RepBasis.GRID
+        else:
+            # the sesquilinear Gram matrix is the bilinear one with the row conjugated;
+            # a sigma = -1 row is its partner's row with each level's two columns
+            # swapped, because its a and kappa are the partner's conjugated
+            a, kappa, wu, wl = _profiles(states)
+            rows = (wu[0::2, None] * wu + wl[0::2, None] * wl) * _bilinear_products(
+                a[0::2].conj(), kappa[0::2].conj(), a, kappa
+            )
+            gram = np.empty((len(states), len(states)))
+            gram[0::2] = rows
+            gram[1::2, 1::2], gram[1::2, 0::2] = rows[:, 0::2], rows[:, 1::2]
+            matrix, basis = coeff[:, None] * gram, RepBasis.MODE
+    _require_finite("inverse map [i, k]", matrix)
+    return OperatorRep(matrix, basis, meta=meta)
 
 
 def inverse_identity_defect(
@@ -585,7 +599,7 @@ def inverse_identity_defect(
     """
     if theta_rep.basis is not RepBasis.MODE or not theta_rep.is_form:
         raise ModelDomainError("identity check expects the mode-basis metric form")
-    _, per_state, d = _resolve_weights(states, weights, False)
+    _, per_state, d, _ = _resolve_weights(states, weights, False)
     if theta_rep.dim != len(states):
         raise ModelDomainError("metric dimension does not match the state list")
     coeff = _inverse_coefficients(states, per_state, d)

@@ -16,15 +16,15 @@ written down once, in the model.
 The operator is I (x) K + C (x) D: the three-point Laplacian K in each
 channel plus the constant channel matrix C = [[0, iZ], [iY, 0]] times
 the step D = diag(sgn(-x)).  `build_hamiltonian` stores just that: the
-coupling, the grid and the bands of K and D; the dense matrix is
-assembled only when `.matrix` is read.  The eigenvectors of C do not
-depend on x, so for an eigenvalue lambda of C the problem splits into
-the tridiagonal T = K + lambda D: lambda = ic, c = sqrt(YZ), for YZ > 0,
-the real sqrt(-YZ) for YZ < 0, and 0 for YZ = 0 (C nilpotent: 0, or a
-Jordan block with exactly one of Y, Z nonzero).  `eigenpairs` solves T
-alone from the bands and rebuilds every doublet from it; the reduction
-uses the 2x2 matrix C, never the closed form, so the oracle stays
-independent.
+coupling and the grid, from which the bands of K and D are derived
+once; the dense matrix is assembled only when `.matrix` is read.  The
+eigenvectors of C do not depend on x, so for an eigenvalue lambda of C
+the problem splits into the tridiagonal T = K + lambda D: lambda = ic,
+c = sqrt(YZ), for YZ > 0, the real sqrt(-YZ) for YZ < 0, and 0 for
+YZ = 0 (C nilpotent: 0, or a Jordan block with exactly one of Y, Z
+nonzero).  `eigenpairs` solves T alone, from the grid and lambda, and
+rebuilds every doublet from it; the reduction uses the 2x2 matrix C,
+never the closed form, so the oracle stays independent.
 
 T is constant on each half of the grid, so its eigenvalues are the
 roots of a discrete secular polynomial P that costs O(1) to evaluate at
@@ -43,8 +43,8 @@ certify raises NumericalFailureError.  The dense eigensolve of
 `.matrix` is the tests' cross-check.
 
 The structure checks live here, once, read off the bands: S H S =
-H^dagger, which `eigenpairs` requires before it solves, and [H, spin];
-`verify` reports both.
+H^dagger, which the construction makes exact on every grid, and
+[H, spin]; `verify` reports both.
 """
 
 from __future__ import annotations
@@ -92,38 +92,33 @@ _NUMPY = (np.sqrt, np.arcsin, np.sin, np.exp, np.exp, np.where)
 
 @dataclass(frozen=True, eq=False)
 class BandedHamiltonian:
-    """I (x) K + C (x) diag(step) on a grid, stored as its bands.
+    """I (x) K + C (x) diag(step) on a grid: the coupling and the grid.
 
-    sub and diagonal are K's bands, step is d at the interior nodes, all
-    read-only copies.  `.matrix` is the dense channel-blocked matrix
-    (0..M-2 the upper channel, M-1..2M-3 the lower), assembled on first
-    access, then cached and read-only.
+    sub and diagonal, K's bands, and step, d at the interior nodes, are
+    derived from the grid once, read-only.  `.matrix` is the dense
+    channel-blocked matrix (0..M-2 the upper channel, M-1..2M-3 the
+    lower), assembled on first access, then cached and read-only.
     """
 
     coupling: CouplingPair
     grid: GridSpec
-    sub: np.ndarray
-    diagonal: np.ndarray
-    step: np.ndarray
     basis = RepBasis.GRID
     is_form = False
 
     def __post_init__(self):
-        m = self.grid.n_interior
-        for name, size in (("sub", m - 1), ("diagonal", m), ("step", m)):
-            band = np.array(getattr(self, name), dtype=float)
-            if band.shape != (size,):
-                raise ModelDomainError(f"{name} must have {size} entries, got {band.shape}")
+        m, h2 = self.grid.n_interior, self.grid.h * self.grid.h
+        bands = {
+            "sub": np.full(m - 1, -1.0 / h2),
+            "diagonal": np.full(m, 2.0 / h2),
+            "step": coupling_step(self.grid.interior_nodes),
+        }
+        for name, band in bands.items():
             band.setflags(write=False)
             object.__setattr__(self, name, band)
 
     @property
     def dim(self) -> int:
         return 2 * self.grid.n_interior
-
-    @property
-    def meta(self) -> dict:
-        return {"grid": self.grid, "coupling": self.coupling}
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -148,17 +143,10 @@ def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltoni
 
     K is the three-point Laplacian; the step is the coupling's sign
     pattern sgn(-x) (model.coupling_step) sampled at the nodes (0 at the
-    midpoint node).  No dense matrix is built here.
+    midpoint node), so S H S = H^dagger holds by construction.  No dense
+    matrix is built here.
     """
-    m = grid.n_interior
-    h2 = grid.h * grid.h
-    return BandedHamiltonian(
-        coupling,
-        grid,
-        sub=np.full(m - 1, -1.0 / h2),
-        diagonal=np.full(m, 2.0 / h2),
-        step=coupling_step(grid.interior_nodes),
-    )
+    return BandedHamiltonian(coupling, grid)
 
 
 # The structure checks read the operator's bands: H = I (x) K + C (x) D
@@ -211,26 +199,22 @@ def eigenpairs(rep: BandedHamiltonian, k: int):
     """k eigenvalues of smallest real part with unit-norm right vectors.
 
     Only the block T = K + lambda D of one eigenvalue lambda of the
-    channel matrix C is solved, from the stored bands (`_TwoRegionBlock`),
-    and `_doublets` makes each root two eigenpairs; `.matrix` is never
-    built.  A rep that is not a `BandedHamiltonian` with bands of the
-    two-region form (K a constant Laplacian, D one +-1 step at x = 0)
-    raises ModelDomainError.  Bands that break S H S = H^dagger, complex
-    eigenvalues that do not pair off one to one with their conjugates,
-    and a failed bracket, zero count, completion or residual raise
-    NumericalFailureError.  The order: by real part, ties within
-    PAIRING_RTOL by |Im| (real values first), each conjugate pair
-    adjacent, negative imaginary part first; a quartet past the merger
-    reads E, conj(E), E, conj(E) with Im E < 0.
+    channel matrix C is solved, from the grid (`_TwoRegionBlock`), and
+    `_doublets` makes each root two eigenpairs; `.matrix` is never
+    built.  A rep that is not a `BandedHamiltonian` raises
+    ModelDomainError.  Complex eigenvalues that do not pair off one to
+    one with their conjugates, and a failed bracket, zero count,
+    completion or residual raise NumericalFailureError.  The order: by
+    real part, ties within PAIRING_RTOL by |Im| (real values first),
+    each conjugate pair adjacent, negative imaginary part first; a
+    quartet past the merger reads E, conj(E), E, conj(E) with Im E < 0.
     """
     if not isinstance(rep, BandedHamiltonian):
         raise ModelDomainError(f"eigenpairs solves a BandedHamiltonian, got {type(rep).__name__}")
     k = as_index(k, f"k must be in 1..{rep.dim}", 1, rep.dim)
-    if _swap_reflect_defect(rep) != 0.0:
-        raise NumericalFailureError("S H S != H^dagger on the bands; discrete pseudo-Hermiticity violated")
-    c = rep.coupling.root_product
+    c, h = rep.coupling.root_product, rep.grid.h
     shift = 1j * c if rep.coupling.branch is BranchClass.POSITIVE_PRODUCT else complex(c)
-    block = _TwoRegionBlock.from_bands(rep.sub, rep.diagonal, rep.step, shift)
+    block = _TwoRegionBlock(width=4.0 / (h * h), shift=shift, m=rep.grid.M // 2)
     needed = (k + 1) // 2  # each root of T is two eigenvalues
     values = block.lowest_roots(needed)
     edge, _ = _gap_after(values.real, needed)
@@ -323,14 +307,15 @@ def _tie_groups(real_parts: list) -> list:
 
 @dataclass(frozen=True)
 class _TwoRegionBlock:
-    """T = d0 + s (shift) + lambda D0 on 2m - 1 nodes, s < 0, with
-    D0 = +1 on the m - 1 left nodes, 0 at the centre, -1 on the right,
-    and lambda imaginary (i gamma) or real.
+    """T = K + lambda D0 on the 2m - 1 interior nodes of a grid with
+    spacing h: K the three-point Laplacian (2 / h^2 on the diagonal,
+    -1 / h^2 beside it), D0 = +1 on the m - 1 left nodes, 0 at the
+    centre, -1 on the right, and lambda imaginary (i gamma) or real.
 
     On each side T u = E u is the constant-coefficient recursion
     u_{j-1} + u_{j+1} = 2 cos(theta) u_j with
-    sin^2(theta_{L,R} / 2) = (E - floor -+ lambda) / width, floor = d0 + 2s
-    and width = -4s (for the Laplacian, cos(theta) = 1 - h^2 (E -+ lambda) / 2).
+    sin^2(theta_{L,R} / 2) = (E -+ lambda) / width and width = 4 / h^2,
+    K's band [0, width] (cos(theta) = 1 - h^2 (E -+ lambda) / 2).
     The Dirichlet ends leave u_j = A sin(j theta_L) on the left and
     B sin((2m - j) theta_R) on the right, and matching both at the centre
     node gives the secular polynomial
@@ -355,32 +340,14 @@ class _TwoRegionBlock:
     that keeps the signs and phases and never overflows.
     """
 
-    floor: float
     width: float
     shift: complex  # lambda
     m: int
 
-    @classmethod
-    def from_bands(cls, sub, diagonal, step, shift: complex):
-        """The block of sub, diagonal + shift step; ModelDomainError when
-        the bands are not a constant Laplacian plus, unless the shift is
-        0, one +-1 step at the centre."""
-        m = (diagonal.size + 1) // 2
-        s, d0 = float(sub[0]), float(diagonal[0])
-        side = float(step[0]) if shift else 0.0
-        if not (s < 0.0 and np.all(sub == s) and np.all(diagonal == d0)) or shift and not (
-            abs(side) == 1.0
-            and np.all(step[: m - 1] == side)
-            and step[m - 1] == 0.0
-            and np.all(step[m:] == -side)
-        ):
-            raise ModelDomainError("the bands are not a constant Laplacian plus one +-1 step at x = 0")
-        return cls(floor=d0 + 2.0 * s, width=-4.0 * s, shift=shift * side, m=m)
-
     @property
     def norm_bound(self) -> float:
-        """|d0| + 2|s| + |lambda| >= ||T||."""
-        return abs(self.floor + self.width / 2) + self.width / 2 + abs(self.shift)
+        """width + |lambda| >= ||T||."""
+        return self.width + abs(self.shift)
 
     # -- P and its slope --------------------------------------------------
 
@@ -425,7 +392,7 @@ class _TwoRegionBlock:
         At theta = 0 or pi (E at an end of a side's band), which no grid or
         count samples, sin(theta) reads NaN, and so do U and P."""
         sqrt, asin, sin, cexp, exp, where = _NUMPY if isinstance(energies, np.ndarray) else _CMATH
-        z = (energies - self.floor + sign * self.shift) / self.width
+        z = (energies + sign * self.shift) / self.width
         theta = 2.0 * asin(sqrt(z))
         x, y = self.m * theta.real, self.m * theta.imag
         turn = cexp(1j * x)
@@ -483,13 +450,13 @@ class _TwoRegionBlock:
 
     def _axis_roots(self, phi_top: float, whole: bool):
         """Roots seeded from P on a real grid, up to the grid energy
-        floor - |Re lambda| + width sin^2(phi_top / 2) or, when `whole`,
+        width sin^2(phi_top / 2) - |Re lambda| or, when `whole`,
         over every band; distinct, by real part."""
         m = self.m
         # uniform in theta, 8 samples per spacing of the decoupled levels,
         # from below the lowest real part a root of T can have
         phi = np.arange(math.pi / (4 * m), phi_top, math.pi / (16 * m))
-        grid = self.floor - abs(self.shift.real) + self.width * np.sin(phi / 2) ** 2
+        grid = -abs(self.shift.real) + self.width * np.sin(phi / 2) ** 2
         if whole and self.shift.real:
             # one side's band lies 2 |lambda| higher: with it the grid holds
             # both sides' decoupled levels, which interlace the roots of T
@@ -538,23 +505,23 @@ class _TwoRegionBlock:
             roots = self._axis_roots(phi_top, whole=phi_top == phi_max)
             if self.shift.imag and roots.size <= needed:
                 # the real grid misses the pairs far from the axis
-                top = self.floor + self.width * math.sin(phi_top / 2) ** 2
+                top = self.width * math.sin(phi_top / 2) ** 2
                 roots = _distinct(self._shifted_levels(top, list(roots)))
             edge, gap = _gap_after(roots.real, needed)
             if edge is not None:
                 break
             if phi_top == phi_max:
-                edge, gap = self.floor + self.width + abs(self.shift.real) + 1.0, 2.0
+                edge, gap = self.width + abs(self.shift.real) + 1.0, 2.0
                 break
             levels *= 2
         if roots.size == 2 * m - 1:  # P's degree: none is missing
             return roots[roots.real < edge]
         # every root lies in the numerical range, |Im E| <= |Im lambda| and
-        # Re E >= floor + width sin^2(pi / 2M) - |Re lambda|; the box keeps
+        # Re E >= width sin^2(pi / 2M) - |Re lambda|; the box keeps
         # 1 clear of it on three sides and gap / 2 on the fourth
         reach = abs(self.shift.imag) + 1.0
         clear = 1.0 + self.width * math.sin(math.pi / (4 * self.m)) ** 2
-        box = (self.floor - abs(self.shift.real) - 1.0, edge, reach)
+        box = (-abs(self.shift.real) - 1.0, edge, reach)
         count = self._winding(box, (gap / 4, 0.5, clear / 2))
         roots = roots[roots.real < edge]
         if count == roots.size:
@@ -568,7 +535,7 @@ class _TwoRegionBlock:
         and their conjugates.  Far past the merger the roots sit there:
         once Im m theta_R is large, P = 0 reads tan(m theta_L) ~ 0."""
         for j in range(1, self.m):
-            level = self.floor + self.width * math.sin(j * math.pi / (2 * self.m)) ** 2
+            level = self.width * math.sin(j * math.pi / (2 * self.m)) ** 2
             if level > top:
                 break
             root = self._newton(complex(level, abs(self.shift.imag)), found)

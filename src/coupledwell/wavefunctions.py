@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateMatchError, ModelDomainError, NormalizationSingularError
+from .errors import ModelDomainError, NormalizationSingularError
 from .model import BranchClass, CouplingPair, as_index, check_points
 from .secular import LevelSolution, _level_solver
 
@@ -134,7 +134,7 @@ def _doublet(level: LevelSolution, coupling: CouplingPair) -> tuple[ChannelState
             f"level was solved on branch {level.branch.value}, coupling is {branch.value}"
         )
     c = coupling.root_product
-    if abs(2.0 * level.s * level.t - c) > _CONSISTENCY_TOL * max(1.0, c):
+    if not abs(2.0 * level.s * level.t - c) <= _CONSISTENCY_TOL * max(1.0, c):
         raise ModelDomainError("level does not satisfy 2 s t = sqrt(YZ) for this coupling")
 
     s, t = level.s, level.t
@@ -145,11 +145,10 @@ def _doublet(level: LevelSolution, coupling: CouplingPair) -> tuple[ChannelState
     if abs(sk) > 0.0:
         # value at the origin real and non-negative
         coeffs = ((sk.conjugate() / abs(sk)) / norm, (sk / abs(sk)) / norm)
-    elif abs(ck) > 0.0:
-        # sin kappa = 0 only for odd decoupled states: phi'(0) imaginary, Im > 0
-        coeffs = (1j * math.copysign(1.0, ck.real) / norm,) * 2
     else:
-        raise DegenerateMatchError("sin(kappa) and cos(kappa) both vanish; inconsistent level input")
+        # sin kappa = 0 only for odd decoupled states, and then |cos kappa| >= 1
+        # (|sin|^2 + |cos|^2 = cosh 2t): phi'(0) imaginary, Im > 0
+        coeffs = (1j * math.copysign(1.0, ck.real) / norm,) * 2
     return tuple(
         ChannelState(level, sigma, coupling.Y, coupling.Z, a, complex(s, -sigma * t),
                      a * weight_upper, a * (sigma * weight_lower))

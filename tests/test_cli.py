@@ -427,6 +427,21 @@ def test_oracle_negative_product_exits_2(capsys):
     assert "closed-form levels s^2 +- sqrt(-YZ) are not this operator's levels" in err
 
 
+def test_oracle_past_the_merger_exits_3_before_the_eigensolve(capsys, monkeypatch):
+    # c = 5 > c_crit(0): the analytic level 0 is lost, so there is nothing
+    # to compare, and the operator is neither built nor solved
+    import coupledwell.oracle
+
+    def refuse(*args):
+        raise AssertionError("the oracle built or solved the operator")
+
+    monkeypatch.setattr(coupledwell.oracle, "build_hamiltonian", refuse)
+    monkeypatch.setattr(coupledwell.oracle, "eigenpairs", refuse)
+    code, out, err = run(capsys, "oracle", "--Y", "5", "--Z", "5")
+    assert code == 3 and out == ""
+    assert err == "error: analytic root lost at n=0; coupling at or above critical\n"
+
+
 @pytest.mark.parametrize("argv", [
     # a channel kernel Y (S+ + S-) or Z (S+ + S-) overflows
     "metric --Y 1e308 --Z 1e-318 --levels 2",

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import coupledwell.metric as metric_module
 import coupledwell.wavefunctions as wavefunctions_module
@@ -604,14 +604,20 @@ def test_indefinite_weights_need_unsafe():
                                          (1e-318, 1e308, "[0, 1, 1]")])
 def test_metric_refuses_a_channel_kernel_out_of_the_float_range(Y, Z, entry):
     # sqrt(YZ) = 1e-5 admits the family, but Y (S+ + S-) or Z (S+ + S-) is inf;
-    # the grid form's sum overflows too, and no numpy warning precedes the refusal
+    # the grid form's sum overflows too, and no numpy warning precedes the
+    # refusal, which the form, the inverse and the identity defect share
     states = doublet_family(CouplingPair(Y, Z), 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for grid in (None, GridSpec(16)):
-            with pytest.raises(MetricConstraintError,
-                               match=re.escape(f"channel kernel [n, i, k] = {entry} is inf")):
-                build_theta_metric(states, grid=grid)
+            for build in (build_theta_metric, inverse_theta_metric):
+                with pytest.raises(MetricConstraintError,
+                                   match=re.escape(f"channel kernel [n, i, k] = {entry} is inf")):
+                    build(states, grid=grid)
+        # the identity defect refuses the same weights, by the same check
+        theta = build_theta_metric(states, MetricWeights(np.full(2, 0.25), np.full(2, 0.25)))
+        with pytest.raises(MetricConstraintError, match=re.escape(f"channel kernel [n, i, k] = {entry}")):
+            inverse_identity_defect(theta, states)
 
 
 def test_metric_refuses_huge_unsafe_weights_naming_the_entry():
@@ -665,15 +671,22 @@ def _refuses(build):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(n_levels=st.integers(min_value=1, max_value=4),
+@given(pair=st.sampled_from([(4.0, 4.0), (1e300, 1e-300), (1e-300, 1e300)]),
+       n_levels=st.integers(min_value=1, max_value=4),
        logs=st.lists(st.floats(min_value=-320.0, max_value=308.0), min_size=8, max_size=8))
-def test_form_and_inverse_refuse_by_one_contract(n_levels, logs):
-    # weights log-uniform on [1e-320, 1e308] at (4, 4), where every d^2 >= 11
-    # exceeds 2 Y, so a channel kernel Y (S+ + S-) that overflows means a
-    # d S d that overflows: the inverse refuses every weight vector the form
-    # refuses, and beyond those exactly the vectors whose form entry S d^2 has
-    # no finite reciprocal (subnormal S d^2, which the form serves)
-    states = doublet_family(CouplingPair(4.0, 4.0), n_levels)
+@example(pair=(1e300, 1e-300), n_levels=2, logs=[9.0] * 8)
+@example(pair=(1e300, 1e-300), n_levels=1, logs=[-9.0] + [0.0] * 7)
+def test_form_and_inverse_refuse_by_one_contract(pair, n_levels, logs):
+    # weights log-uniform on [1e-320, 1e308].  At (4, 4) every d^2 >= 11
+    # exceeds 2 Y, so where a channel kernel Y (S+ + S-) overflows, S d^2
+    # overflows too; at (1e300, 1e-300) and its mirror a kernel overflows
+    # long before S d^2 (weights 1e9).  The inverse and the identity defect refuse
+    # every weight vector the form refuses, and beyond those exactly the
+    # vectors whose form entry S d^2 has no finite reciprocal (subnormal
+    # S d^2, which the form serves).  The inverse also refuses a map entry
+    # out of the float range: its row i is the unit-weight row over S_i,
+    # which at (1e300, 1e-300) overflows from S_i ~ 1e-9
+    states = doublet_family(CouplingPair(*pair), n_levels)
     weights = 10.0 ** np.array(logs)
     weights = MetricWeights(weights[:n_levels], weights[4:4 + n_levels])
     with warnings.catch_warnings():
@@ -682,9 +695,13 @@ def test_form_and_inverse_refuse_by_one_contract(n_levels, logs):
         inverse_refused, _ = _refuses(lambda: inverse_theta_metric(states, weights))
         defect_refused, _ = _refuses(
             lambda: inverse_identity_defect(build_theta_metric(states), states, weights))
+        unit_rows = inverse_theta_metric(states).matrix
+    per_state = np.column_stack([weights.s_plus, weights.s_minus]).ravel()
     with np.errstate(over="ignore"):
         unrepresentable = form_refused or not np.isfinite(1.0 / np.diag(form.matrix)).all()
-    assert inverse_refused == defect_refused == unrepresentable
+        map_overflows = not np.isfinite(unit_rows / per_state[:, None]).all()
+    assert defect_refused == unrepresentable
+    assert inverse_refused == (unrepresentable or map_overflows)
 
 
 def test_metric_refuses_near_decoupled_family():

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import coupledwell.model
 import coupledwell.oracle
@@ -166,8 +166,23 @@ def test_stored_operator_is_read_only():
         with pytest.raises(ValueError):
             band[0] = 0.0
     assert rep.matrix is rep.matrix
-    with pytest.raises(ModelDomainError):
-        dataclasses.replace(rep, step=rep.step[1:])
+    # the bands are derived from the coupling and the grid, not given
+    assert [f.name for f in dataclasses.fields(rep)] == ["coupling", "grid"]
+    with pytest.raises(TypeError):
+        dataclasses.replace(rep, step=-rep.step)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(half_m=st.integers(min_value=4, max_value=8192))
+@example(half_m=49)  # M = 98: -1 + h j misses x = 0 by an ulp there
+def test_swap_reflect_symmetry_holds_by_construction(half_m):
+    # eigenpairs solves the coupling and the grid without checking
+    # S H S = H^dagger: the step must be odd with an exact 0 at the centre
+    # on every even M, which makes the defect read off the bands exactly 0
+    rep = build_hamiltonian(CouplingPair(1.0, 4.0), GridSpec(2 * half_m))
+    assert np.array_equal(rep.step[::-1], -rep.step)
+    assert rep.step[half_m - 1] == 0.0
+    assert coupledwell.oracle._swap_reflect_defect(rep) == 0.0
 
 
 def test_reduced_solve_at_large_grid():
@@ -414,25 +429,7 @@ def test_other_grid_operators_are_refused():
         eigenpairs(inverse, 6)
 
 
-# _shift_down and _clear_middle_step edit the bands the solver reads.
-# _shift_down keeps constant bands, so its block is read from the bands
-# (d0 and s) and solved; _clear_middle_step keeps the form
-# I (x) K + C (x) D but not one step at x = 0, and the other two leave
-# the band form on a plain copy of the dense matrix: all three are
-# refused
-
-
-def _shift_down(rep):
-    # Re E < 0 for the lowest levels, which are not the ones nearest 0
-    return dataclasses.replace(rep, diagonal=rep.diagonal - 60.0)
-
-
-def _clear_middle_step(rep):
-    # D = 0 on |x| < 1/8 puts a complex pair of lower real part beyond
-    # real levels of larger real part but smaller modulus
-    m = rep.step.size
-    middle = np.abs(np.arange(m) - m // 2) < (m + 1) / 16
-    return dataclasses.replace(rep, step=np.where(middle, 0.0, rep.step))
+# the edits leave the band form on a plain copy of the dense matrix
 
 
 def _mix_channels(rep):
@@ -454,39 +451,16 @@ def _off_band(rep):
 
 @pytest.mark.parametrize(
     "edit, c, reduced",
-    [
-        (_shift_down, 0.0, True),
-        (_shift_down, 0.01, True),
-        (_mix_channels, 0.0, False),
-        (_clear_middle_step, 80.0, False),
-        (_mix_channels, 30.0, False),
-        (_off_band, 30.0, False),
-    ],
+    [(_mix_channels, 0.0, False), (_mix_channels, 30.0, False), (_off_band, 30.0, False)],
 )
-def test_edited_hamiltonian_is_solved_as_edited(edit, c, reduced, monkeypatch):
+def test_edited_hamiltonian_is_solved_as_edited(edit, c, reduced):
+    # reduced: whether the edit keeps the operator a BandedHamiltonian.  A
+    # dense edit does not, and is refused rather than solved as the unedited
+    # coupling and grid
     rep = edit(build_hamiltonian(CouplingPair(c / 2, 2 * c), GridSpec(64)))
-    if not reduced:
-        with pytest.raises(ModelDomainError):
-            eigenpairs(rep, 5)
-        return
-    ref_values, ref_vectors = _dense_eigenpairs(rep)
-    calls = _count_dense_solves(monkeypatch)
-    values, vectors = eigenpairs(rep, 5)
-    assert calls == []
-    _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
-
-
-def test_band_edits_are_the_dense_edits():
-    # the band edits above are the in-place matrix edits they replace
-    rep = build_hamiltonian(CouplingPair(40.0, 160.0), GridSpec(64))
-    m = rep.dim // 2
-    shifted = np.array(rep.matrix) - 60.0 * np.eye(2 * m)
-    assert np.array_equal(_shift_down(rep).matrix, shifted)
-    cleared = np.array(rep.matrix)
-    middle = np.flatnonzero(np.abs(np.arange(m) - m // 2) < (m + 1) / 16)
-    cleared[middle, m + middle] = 0.0
-    cleared[m + middle, middle] = 0.0
-    assert np.array_equal(_clear_middle_step(rep).matrix, cleared)
+    assert isinstance(rep, coupledwell.oracle.BandedHamiltonian) == reduced
+    with pytest.raises(ModelDomainError):
+        eigenpairs(rep, 5)
 
 
 @pytest.mark.parametrize("M", [16, 64, 256])
@@ -539,10 +513,14 @@ def test_reduced_solve_is_bit_reproducible_at_large_grid():
         assert "matrix" not in vars(rep)
 
 
+def _grid_block(grid, shift):
+    """The two-region block of the Laplacian on grid with lambda = shift."""
+    return coupledwell.oracle._TwoRegionBlock(width=4.0 / (grid.h * grid.h), shift=shift, m=grid.M // 2)
+
+
 def _block(rep):
-    """The two-region block the solve reads from rep's bands (YZ >= 0)."""
-    c = math.sqrt(rep.coupling.product)
-    return coupledwell.oracle._TwoRegionBlock.from_bands(rep.sub, rep.diagonal, rep.step, 1j * c)
+    """The two-region block the solve reads for rep (YZ >= 0)."""
+    return _grid_block(rep.grid, 1j * math.sqrt(rep.coupling.product))
 
 
 def _block_matrix(rep):
@@ -574,7 +552,7 @@ def test_secular_polynomial_vanishes_at_dense_eigenvalues(M, c):
     ]
     assert np.ptp(np.unwrap(phases)) < 1e-9
     # real on the real axis below the top of K's band, to the last bit
-    axis = np.linspace(block.floor - 1.0, block.floor + block.width - 1.0, 301)
+    axis = np.linspace(-1.0, block.width - 1.0, 301)
     assert np.all(block.secular(axis.astype(complex)).imag == 0.0)
     assert np.array_equal(block.secular(axis.astype(complex)).real, block.secular(axis, real=True))
 
@@ -582,8 +560,7 @@ def test_secular_polynomial_vanishes_at_dense_eigenvalues(M, c):
 def _shifted_block(shift):
     """The two-region block of the Laplacian on 16 intervals with any
     shift: i gamma, real or 0."""
-    rep = build_hamiltonian(UNIT, GridSpec(16))
-    return coupledwell.oracle._TwoRegionBlock.from_bands(rep.sub, rep.diagonal, rep.step, shift)
+    return _grid_block(GridSpec(16), shift)
 
 
 # M = 16: band [0, 256]; with a real shift 7 the sides' bands start at
@@ -648,10 +625,10 @@ def test_zero_count_matches_the_dense_spectrum(c):
     rep = build_hamiltonian(CouplingPair(c, c), GridSpec(64))
     block, dense = _block(rep), np.linalg.eigvals(_block_matrix(rep))
     checked = 0
-    for edge in (5.0, 16.0, 30.0, 100.0, 400.0, block.floor + block.width + 1.0):
+    for edge in (5.0, 16.0, 30.0, 100.0, 400.0, block.width + 1.0):
         for box in (
-            (block.floor - 1.0, edge, c + 1.0),
-            (block.floor - 1.0, edge, 0.5 * c + 0.3),
+            (-1.0, edge, c + 1.0),
+            (-1.0, edge, 0.5 * c + 0.3),
             (3.0, edge, c + 1.0),
             (3.0, edge, 0.5 * c + 0.3),
         ):
@@ -682,6 +659,32 @@ def test_close_real_pair_next_to_the_merger(monkeypatch):
     assert np.array_equal(values.real[1::2], roots)  # each root is a doublet
     assert np.all(np.diff(roots) > 0.3)
     assert abs(roots[0] - 6.21821) < 1e-4 and abs(roots[1] - 6.58415) < 1e-4
+    _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
+
+
+def test_close_real_pair_split_at_the_parabola_vertex(monkeypatch):
+    # M = 38, c = 4.4730662526331155: the lowest two roots of T, 6.3309 and
+    # 6.4528, share one cell of the real grid, where |P| dips without a
+    # sign change.  P changes sign at the vertex of the parabola through
+    # the dip, so the cell is split there into two brackets, one per root
+    c = 4.4730662526331155
+    rep = build_hamiltonian(CouplingPair(c, c), GridSpec(38))
+    ref_values, ref_vectors = _dense_eigenpairs(rep)
+    brackets = []
+    bracketed_root = coupledwell.oracle._TwoRegionBlock._bracketed_root
+    monkeypatch.setattr(
+        coupledwell.oracle._TwoRegionBlock,
+        "_bracketed_root",
+        lambda self, lo, hi, *p: brackets.append((lo, hi)) or bracketed_root(self, lo, hi, *p),
+    )
+    values, vectors = eigenpairs(rep, 2)
+    (lo, vertex), (vertex_again, hi) = brackets
+    phi = np.arange(math.pi / 76, math.pi, math.pi / 304)  # the real grid
+    samples = _block(rep).width * np.sin(phi / 2) ** 2
+    assert vertex == vertex_again and lo in samples and hi in samples
+    assert vertex not in samples and lo < 6.3309 < vertex < 6.4528 < hi
+    assert np.all(values.imag == 0.0) and values[0] == values[1]
+    assert abs(values[0].real - 6.33089354) < 1e-8
     _assert_same_eigenpairs(values, vectors, ref_values, ref_vectors)
 
 

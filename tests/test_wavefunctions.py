@@ -138,6 +138,13 @@ def test_matching_residual_detects_wrong_wavenumber():
     assert matching_residual(state) > 1e-4
 
 
+def test_level_with_a_nan_coordinate_is_refused():
+    # 2 s t - sqrt(YZ) reads NaN, which no tolerance passes
+    fake = dataclasses.replace(solve_level(0, UNIT), eps=math.nan, s=math.nan)
+    with pytest.raises(ModelDomainError, match="2 s t"):
+        solve_coefficients(fake, UNIT, +1)
+
+
 def test_spin_action_is_pointwise_eigenvalue():
     pair = CouplingPair(1.0, 4.0)
     omega = spin_operator(pair).matrix
