@@ -40,8 +40,8 @@ from .secular import (
     spectrum,
 )
 
-# numpy-backed layers load on first use, so the closed-form solver and
-# the CLI's spectrum/critical/scan start without numpy (PEP 562)
+# the layers above the secular one load on first use (PEP 562); metric,
+# battery and oracle import numpy, wavefunctions only in its samplers
 _LAZY_MODULES = {
     "battery": ("Check", "verify"),
     "metric": (

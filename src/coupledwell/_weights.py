@@ -1,0 +1,216 @@
+"""The weight contract of the metric family, in plain floats: the one
+check of the metric builders, which the CLI's `metric` runs without
+numpy.  Python floats are IEEE doubles, so (d S) d and the kernel
+entries have the bits of the same products in a float64 array.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+from .errors import MetricConstraintError, ModelDomainError, NormalizationSingularError
+from .model import CouplingPair, as_index
+
+# Diagonal pairings scale with sqrt(YZ); below this the metric family
+# degenerates and the Hermitian-limit identity metric should be used.
+MIN_ROOT_PRODUCT = 1e-6
+
+_OVERLAP_FLOOR = 1e-12
+
+
+def _level_count(n_levels) -> int:
+    try:
+        return as_index(n_levels, "n_levels must be an integer >= 1", 1)
+    except ModelDomainError as exc:
+        raise MetricConstraintError(str(exc)) from None
+
+
+def _floats(name, values) -> tuple[float, ...]:
+    # a copy as finite floats, a scalar as one entry (as np.atleast_1d reads it)
+    values = values.tolist() if hasattr(values, "tolist") else values
+    try:
+        floats = tuple(map(float, values if isinstance(values, (list, tuple)) else (values,)))
+        if all(map(math.isfinite, floats)):
+            return floats
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise MetricConstraintError(f"{name} must be a 1-d finite array")
+
+
+@dataclass(frozen=True, eq=False)
+class MetricWeights:
+    """Positive weight pair (S_plus, S_minus) per retained level.
+
+    These per-state weights are the whole family: a weight matrix R in
+    sum R[a, b] |left_a><<left_b| makes H Hermitian only if
+    (E_b - E_a) R[a, b] = 0 and the channel observable only if
+    (sigma_b - sigma_a) R[a, b] = 0, and two states differ in E or sigma.
+
+    Physical metrics need strict positivity; sign-indefinite choices are
+    admitted only through the unsafe flag of build_theta_metric, for exploring
+    the wider pseudo-metric menu.  Each is stored as a tuple of floats.
+    """
+
+    s_plus: tuple[float, ...]
+    s_minus: tuple[float, ...]
+
+    def __post_init__(self):
+        for name in ("s_plus", "s_minus"):
+            object.__setattr__(self, name, _floats(name, getattr(self, name)))
+        if len(self.s_plus) != len(self.s_minus):
+            raise MetricConstraintError("s_plus and s_minus must have equal length")
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.s_plus)
+
+    def select(self, n: int, sigma: int) -> float:
+        if not 0 <= n < self.n_levels:
+            raise MetricConstraintError(f"no weight stored for level n={n}")
+        return self.s_plus[n] if sigma > 0 else self.s_minus[n]
+
+    @classmethod
+    def unit(cls, n_levels: int) -> "MetricWeights":
+        n_levels = _level_count(n_levels)
+        return cls((1.0,) * n_levels, (1.0,) * n_levels)
+
+    @classmethod
+    def from_file(cls, path, n_levels: int) -> "MetricWeights":
+        """Parse `n S_plus S_minus` lines; missing levels default to 1 1."""
+        n_levels = _level_count(n_levels)
+        s_plus, s_minus, seen = [1.0] * n_levels, [1.0] * n_levels, set()
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                parts, where = raw.split("#", 1)[0].split(), f"{path}:{lineno}:"
+                if not parts:
+                    continue
+                if len(parts) != 3:
+                    raise MetricConstraintError(f"{where} expected 'n S_plus S_minus', got {raw!r}")
+                try:
+                    n, plus, minus = int(parts[0]), float(parts[1]), float(parts[2])
+                except ValueError as exc:
+                    raise MetricConstraintError(f"{where} {exc}") from exc
+                if not (math.isfinite(plus) and math.isfinite(minus)):
+                    raise MetricConstraintError(f"{where} weights must be finite, got {raw!r}")
+                if not 0 <= n < n_levels:
+                    raise MetricConstraintError(f"{where} level {n} outside 0..{n_levels - 1}")
+                if n in seen:
+                    raise MetricConstraintError(f"{where} duplicate level {n}")
+                seen.add(n)
+                s_plus[n], s_minus[n] = plus, minus
+        return cls(s_plus, s_minus)
+
+
+def _shared_coupling(states) -> CouplingPair:
+    # the coupling of a non-empty sequence of states, refused if two differ
+    Y, Z = states[0].Y, states[0].Z
+    if any((s.Y, s.Z) != (Y, Z) for s in states):
+        raise ModelDomainError("states belong to different couplings")
+    return CouplingPair(Y, Z)
+
+
+def _validate_family(states):
+    # the coupling and the (n, sigma) labels of a family in doublet_family order
+    if not states:
+        raise ModelDomainError("need at least one state")
+    coupling = _shared_coupling(states)
+    order = [(s.level.n, s.sigma) for s in states]
+    if order != [(n, sigma) for n in range(len(states) // 2) for sigma in (+1, -1)]:
+        raise ModelDomainError("states must be complete doublets in doublet_family order "
+                               "(0, +1), (0, -1), (1, +1), ...")
+    return coupling, order
+
+
+def diagonal_overlap(state) -> float:
+    """d = <<left|state> with the state's own left partner: 2 |wu wl| |integral phi^2|.
+
+    The pairing is q (wl wu + wu wl) integral phi^2, and wu wl has the
+    sign sigma, so q = sigma sign(integral phi^2) cancels both signs: the
+    same float, with no left partner built (cached as ChannelState.d).
+    Raises only if d == 0.
+    """
+    d = state.d
+    if d == 0.0:
+        raise NormalizationSingularError(f"diagonal pairing vanishes for level "
+                                         f"n={state.level.n}, sigma={state.sigma}")
+    return d
+
+
+def _normalizable(d: list[float]) -> list[float]:
+    # the diagonal pairings, refused if any is negligible against the largest
+    scale = max(map(abs, d), default=0.0)
+    if scale == 0.0 or any(abs(x) <= _OVERLAP_FLOOR * max(1.0, scale) for x in d):
+        raise NormalizationSingularError("a diagonal biorthogonal overlap vanishes; "
+                                         "spectral sums cannot be normalized")
+    return d
+
+
+def kernel_entries(coupling: CouplingPair, s_plus, s_minus):
+    # metric.channel_kernel's entries, for float or array weights
+    m = math.sqrt(coupling.Y) * math.sqrt(coupling.Z)
+    off, total = m * s_plus - m * s_minus, s_plus + s_minus
+    return ((coupling.Y * total, off), (off, coupling.Z * total))
+
+
+def first_not_finite(values):
+    # the index of the first entry of values that is not finite, or None
+    return next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
+
+
+def out_of_range(what: str, index: list, value) -> MetricConstraintError:
+    return MetricConstraintError(f"{what} = {index} is {value}: "
+                                 "the coupling or the weights leave the float range")
+
+
+class WeightedFamily(NamedTuple):
+    """A family resolved against its weights, per state in doublet_family order
+    but kernels (one 2x2 per level): form S d^2, unchecked, and its sign counts."""
+
+    meta: dict
+    per_state: tuple[float, ...]
+    d: tuple[float, ...]
+    kernels: tuple
+    form: tuple[float, ...]
+    signature: tuple[int, int]
+
+    def mode_form(self) -> tuple[float, ...]:
+        bad = first_not_finite(self.form)
+        if bad is not None:
+            raise out_of_range("metric form [i, k]", [bad, bad], self.form[bad])
+        return self.form
+
+
+def resolve_weights(states, weights, unsafe: bool) -> WeightedFamily:
+    """The family, refused if its states, a weight, a d or a kernel entry is
+    inadmissible: the one contract of the form, the inverse and the defect."""
+    coupling, order = _validate_family(states)
+    n_levels = len(states) // 2
+    if coupling.root_product < MIN_ROOT_PRODUCT:
+        raise MetricConstraintError(
+            f"sqrt(|YZ|) = {coupling.root_product:.3e} is below {MIN_ROOT_PRODUCT}; diagonal "
+            "pairings vanish in the decoupled limit, so no metric of this family exists "
+            "there. The Hermitian limit uses the identity metric.")
+    if weights is None:
+        weights = MetricWeights.unit(n_levels)
+    if weights.n_levels < n_levels:
+        raise MetricConstraintError(f"weights cover {weights.n_levels} levels, need {n_levels}")
+    levels = tuple(zip(weights.s_plus[:n_levels], weights.s_minus[:n_levels]))
+    per_state = tuple(s for level in levels for s in level)
+    lowest = min(per_state)
+    if not unsafe and lowest <= 0.0:
+        bad = per_state.index(lowest)
+        raise MetricConstraintError(f"weight {lowest} for state (n={states[bad].level.n}, "
+                                    f"sigma={states[bad].sigma}) is not positive; indefinite "
+                                    "weight choices need unsafe=True")
+    meta = {"coupling": coupling, "n_levels": n_levels, "order": order}
+    d = tuple(x for x in _normalizable([diagonal_overlap(s) for s in states[0::2]]) for _ in "+-")
+    kernels = tuple(kernel_entries(coupling, plus, minus) for plus, minus in levels)
+    bad = first_not_finite(v for kernel in kernels for row in kernel for v in row)
+    if bad is not None:
+        n, i, k = bad // 4, bad // 2 % 2, bad % 2
+        raise out_of_range("channel kernel [n, i, k]", [n, i, k], kernels[n][i][k])
+    form = tuple(x * s * x for x, s in zip(d, per_state))
+    signature = sum(v > 0.0 for v in form), sum(v < 0.0 for v in form)
+    return WeightedFamily(meta, per_state, d, kernels, form, signature)

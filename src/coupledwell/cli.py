@@ -30,8 +30,8 @@ from .errors import (
 from .model import CouplingPair, GridSpec, as_index, validate_tol
 from .secular import DEFAULT_CRITICAL_TOL, critical_coupling, spectrum
 
-# spectrum, critical and scan run on the secular layer alone; the other
-# handlers import numpy and the numpy-backed modules they use themselves
+# spectrum, critical, scan and metric (the weight contract in floats) run
+# without numpy; verify and oracle import the numpy-backed modules they use
 
 _SPECTRUM_COLUMNS = ("n", "s", "t", "eps", "E", "residual", "branch")
 
@@ -109,32 +109,30 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_metric(args) -> int:
-    import numpy as np
-
-    from .metric import MetricWeights, build_theta_metric
+    # the mode form of build_theta_metric, diag(S d^2), from the same weight contract
+    from ._weights import MetricWeights, resolve_weights
     from .wavefunctions import doublet_family
 
     coupling = CouplingPair(args.Y, args.Z)
     states = doublet_family(coupling, args.levels)
-    weights = (
-        MetricWeights.from_file(args.weights, args.levels)
-        if args.weights
-        else MetricWeights.unit(args.levels)
-    )
-    rep = build_theta_metric(states, weights, unsafe=args.unsafe)
-    # the mode form is diagonal, so its eigenvalues are its sorted diagonal
-    eigenvalues = np.sort(np.diag(rep.matrix))
+    weights = (MetricWeights.from_file(args.weights, args.levels) if args.weights
+               else MetricWeights.unit(args.levels))
+    family = resolve_weights(states, weights, args.unsafe)
+    diagonal = family.mode_form()
+    order = family.meta["order"]
     payload = {
         "Y": coupling.Y,
         "Z": coupling.Z,
         "n_levels": args.levels,
-        "order": [list(pair) for pair in rep.meta["order"]],
-        "theta": rep.matrix.tolist(),
-        "eigenvalues": eigenvalues.tolist(),
-        "signature": list(rep.meta["signature"]),
-        "channel_kernels": [k.tolist() for k in rep.meta["channel_kernels"]],
+        "order": order,
+        "theta": [[v if i == k else 0.0 for k in range(len(diagonal))]
+                  for i, v in enumerate(diagonal)],
+        # the mode form is diagonal, so its eigenvalues are its sorted diagonal
+        "eigenvalues": sorted(diagonal),
+        "signature": family.signature,
+        "channel_kernels": family.kernels,
     }
-    header = [f"state_{n}_{'p' if sigma > 0 else 'm'}" for n, sigma in rep.meta["order"]]
+    header = [f"state_{n}_{'p' if sigma > 0 else 'm'}" for n, sigma in order]
     _write(args, payload, header, payload["theta"])
     return 0
 

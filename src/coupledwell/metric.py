@@ -38,13 +38,16 @@ spectral_reconstruct is grid-only.
 G and the Gram matrix of Theta^{-1} are N x N closed forms of the same
 shape: a channel-weight factor times 2 Re(a_i a_j I(kappa_i, kappa_j)),
 I the segment integral of two sines, one broadcast expression
-(wavefunctions.sine_product_integrals).  A family is read by position in
+(sine_product_integrals).  A family is read by position in
 doublet_family order, sigma = +1 members at [0::2] and partners at [1::2].
 A sigma = -1 state carries its partner's a and kappa conjugated, so it
 pairs as its partner does, d_- = d_+ and q_- = -q_+ (with the lower
 channel weight f_- = -f_+, (-q)(-f) = qf), and its rows copy the
 partner's, bit for bit: the builders evaluate the sigma = +1 rows, d and
 q only.  G's opposite-sigma entries are exact zeros and its diagonal is d.
+
+The weight contract (MetricWeights, the family checks, d, the kernels,
+S d^2) is float arithmetic in _weights, shared with the CLI's `metric`.
 """
 
 from __future__ import annotations
@@ -55,111 +58,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    MetricConstraintError,
-    ModelDomainError,
-    NormalizationSingularError,
-)
-from .model import BranchClass, CouplingPair, GridSpec, OperatorRep, RepBasis, as_index
-from .wavefunctions import (
-    ChannelState,
-    channel_weights,
-    simpson_rule,
-    sine_product_integrals,
-)
+from ._weights import (MIN_ROOT_PRODUCT, MetricWeights, _normalizable, _shared_coupling,
+                       _validate_family, diagonal_overlap, first_not_finite, kernel_entries,
+                       out_of_range, resolve_weights)
+from .errors import MetricConstraintError, ModelDomainError
+from .model import BranchClass, CouplingPair, GridSpec, OperatorRep, RepBasis
+from .wavefunctions import ChannelState, channel_weights
 
-# Diagonal pairings scale with sqrt(YZ); below this the metric family
-# degenerates and the Hermitian-limit identity metric should be used.
-MIN_ROOT_PRODUCT = 1e-6
-
-_OVERLAP_FLOOR = 1e-12
 _PANELS = 512  # Simpson panels per half of biorthogonality_matrix's quadrature
 _KINDS = ("hamiltonian", "spin", "identity")
-
-
-def _level_count(n_levels) -> int:
-    try:
-        return as_index(n_levels, "n_levels must be an integer >= 1", 1)
-    except ModelDomainError as exc:
-        raise MetricConstraintError(str(exc)) from None
-
-
-@dataclass(frozen=True, eq=False)
-class MetricWeights:
-    """Positive weight pair (S_plus, S_minus) per retained level.
-
-    These per-state weights are the whole family: a weight matrix R in
-    sum R[a, b] |left_a><<left_b| makes H Hermitian only if
-    (E_b - E_a) R[a, b] = 0 and the channel observable only if
-    (sigma_b - sigma_a) R[a, b] = 0, and two states differ in E or sigma.
-
-    Physical metrics need strict positivity; sign-indefinite choices are
-    admitted only through the unsafe flag of build_theta_metric, for exploring
-    the wider pseudo-metric menu.
-    """
-
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-
-    def __post_init__(self):
-        for name in ("s_plus", "s_minus"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise MetricConstraintError(f"{name} must be a 1-d finite array")
-            object.__setattr__(self, name, arr)
-        if self.s_plus.shape != self.s_minus.shape:
-            raise MetricConstraintError("s_plus and s_minus must have equal length")
-
-    @property
-    def n_levels(self) -> int:
-        return self.s_plus.size
-
-    def select(self, n: int, sigma: int) -> float:
-        if not 0 <= n < self.n_levels:
-            raise MetricConstraintError(f"no weight stored for level n={n}")
-        return float(self.s_plus[n] if sigma > 0 else self.s_minus[n])
-
-    @classmethod
-    def unit(cls, n_levels: int) -> "MetricWeights":
-        n_levels = _level_count(n_levels)
-        return cls(np.ones(n_levels), np.ones(n_levels))
-
-    @classmethod
-    def from_file(cls, path, n_levels: int) -> "MetricWeights":
-        """Parse `n S_plus S_minus` lines; missing levels default to 1 1."""
-        n_levels = _level_count(n_levels)
-        s_plus = np.ones(n_levels)
-        s_minus = np.ones(n_levels)
-        seen = set()
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 3:
-                    raise MetricConstraintError(
-                        f"{path}:{lineno}: expected 'n S_plus S_minus', got {raw!r}"
-                    )
-                try:
-                    n = int(parts[0])
-                    plus, minus = float(parts[1]), float(parts[2])
-                except ValueError as exc:
-                    raise MetricConstraintError(f"{path}:{lineno}: {exc}") from exc
-                if not (math.isfinite(plus) and math.isfinite(minus)):
-                    raise MetricConstraintError(
-                        f"{path}:{lineno}: weights must be finite, got {raw!r}"
-                    )
-                if not 0 <= n < n_levels:
-                    raise MetricConstraintError(
-                        f"{path}:{lineno}: level {n} outside 0..{n_levels - 1}"
-                    )
-                if n in seen:
-                    raise MetricConstraintError(f"{path}:{lineno}: duplicate level {n}")
-                seen.add(n)
-                s_plus[n] = plus
-                s_minus[n] = minus
-        return cls(s_plus, s_minus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,33 +95,50 @@ def _profiles(states):
     return a, kappa, wu, wl
 
 
-def _shared_coupling(states) -> CouplingPair:
-    # the coupling of a non-empty sequence of states, refused if two differ
-    Y, Z = states[0].Y, states[0].Z
-    if any((s.Y, s.Z) != (Y, Z) for s in states):
-        raise ModelDomainError("states belong to different couplings")
-    return CouplingPair(Y, Z)
-
-
 def _bilinear_products(a_row, kappa_row, a, kappa) -> np.ndarray:
     # [i, j] = integral phi_i phi_j dx: phi_bilinear_product over the arrays
     return 2.0 * (a_row[:, None] * a * sine_product_integrals(kappa_row[:, None], kappa)).real
 
 
-def diagonal_overlap(state: ChannelState) -> float:
-    """d = <<left|state> with the state's own left partner: 2 |wu wl| |integral phi^2|.
+def sine_product_integrals(p, q) -> np.ndarray:
+    """wavefunctions.sine_product_integral over broadcast arrays of complex wavenumbers.
 
-    The pairing is q (wl wu + wu wl) integral phi^2, and wu wl has the
-    sign sigma, so q = sigma sign(integral phi^2) cancels both signs: the
-    same float, with no left partner built (cached as ChannelState.d).
-    Raises only if d == 0.
+    Same formula and same-wavenumber branch as the scalar; numpy's
+    complex arithmetic may differ from CPython's in the last bit.  The
+    branch is taken by np.where, so the unused one is evaluated with a
+    unit denominator rather than 0/0.
     """
-    d = state.d
-    if d == 0.0:
-        raise NormalizationSingularError(
-            f"diagonal pairing vanishes for level n={state.level.n}, sigma={state.sigma}"
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
+    diff, total = p - q, p + q
+    same = np.abs(diff) < 1e-14 * np.maximum(1.0, np.abs(p))
+    apart = np.sin(diff) / (2.0 * np.where(same, 1.0, diff)) - np.sin(total) / (2.0 * total)
+    return np.where(same, 0.5 - np.sin(2.0 * p) / (4.0 * p), apart)
+
+
+def simpson_rule(intervals: int):
+    """Nodes and weights of composite Simpson on (-1, 1) split at the x = 0 kink.
+
+    The nodes are those of GridSpec(intervals), interior only, with
+    intervals / 2 panels on each half (intervals divisible by 4) and
+    x = 0 shared by the halves.  The wall nodes are dropped: every state
+    and left partner vanishes there.  This is the one rule behind the
+    quadrature method of biorthogonality_matrix and spectral_reconstruct.
+    """
+    if intervals % 4 != 0:
+        raise ModelDomainError(
+            f"Simpson weighting splits each half into an even panel count: "
+            f"M must be divisible by 4, got {intervals}"
         )
-    return d
+    half = intervals // 2
+    h = 2.0 / intervals
+    pattern = np.ones(half + 1)
+    pattern[1:-1:2] = 4.0
+    pattern[2:-1:2] = 2.0
+    pattern *= h / 3.0
+    full = np.zeros(intervals + 1)
+    full[: half + 1] += pattern
+    full[half:] += pattern
+    return h * (np.arange(1, intervals) - half), full[1:-1]
 
 
 def biorthogonality_matrix(
@@ -230,7 +154,7 @@ def biorthogonality_matrix(
     G[i, j] = q_i (wl_i wu_j + wu_i wl_j) 2 Re(a_i a_j I(kappa_i, kappa_j))
     gives the sigma = +1 block, and d the diagonal (see the module notes).
     Explicit lefts raise ModelDomainError there.  "quadrature" recomputes
-    every entry by composite Simpson, wavefunctions.simpson_rule with 512
+    every entry by composite Simpson, simpson_rule with 512
     panels per half, as an independent check of the closed forms, for
     any states and left partners of one coupling (their own partners
     when lefts is None).  It evaluates each state's profile once, and
@@ -302,54 +226,7 @@ def channel_kernel(coupling: CouplingPair, s_plus: float, s_minus: float) -> np.
     the channel mixing identically (exact zero, not a small number).
     For arrays of weights the kernels run along the last axis.
     """
-    m = math.sqrt(coupling.Y) * math.sqrt(coupling.Z)
-    off, total = m * s_plus - m * s_minus, s_plus + s_minus
-    return np.array([[coupling.Y * total, off], [off, coupling.Z * total]])
-
-
-def _validate_family(states: Sequence[ChannelState]):
-    # the coupling and the (n, sigma) labels of a family in doublet_family order
-    if not states:
-        raise ModelDomainError("need at least one state")
-    coupling = _shared_coupling(states)
-    order = [(s.level.n, s.sigma) for s in states]
-    if order != [(n, sigma) for n in range(len(states) // 2) for sigma in (+1, -1)]:
-        raise ModelDomainError("states must be complete doublets in doublet_family order "
-                               "(0, +1), (0, -1), (1, +1), ...")
-    return coupling, order
-
-
-def _resolve_weights(states, weights, unsafe):
-    # the family's meta, its per-state weights, its diagonal pairings d (d_- = d_+)
-    # and its channel kernels [n, i, k], refused if an entry of one is not finite:
-    # the form, the inverse and the identity defect refuse by this one contract
-    coupling, order = _validate_family(states)
-    n_levels = len(states) // 2
-    if coupling.root_product < MIN_ROOT_PRODUCT:
-        raise MetricConstraintError(
-            f"sqrt(|YZ|) = {coupling.root_product:.3e} is below {MIN_ROOT_PRODUCT}; "
-            "diagonal pairings vanish in the decoupled limit, so no metric of this "
-            "family exists there. The Hermitian limit uses the identity metric."
-        )
-    if weights is None:
-        weights = MetricWeights.unit(n_levels)
-    if weights.n_levels < n_levels:
-        raise MetricConstraintError(f"weights cover {weights.n_levels} levels, need {n_levels}")
-    per_state = np.stack((weights.s_plus[:n_levels], weights.s_minus[:n_levels]), axis=1).ravel()
-    if not unsafe and np.any(per_state <= 0.0):
-        bad = int(np.argmin(per_state))
-        raise MetricConstraintError(
-            f"weight {float(per_state[bad])} for state (n={states[bad].level.n}, "
-            f"sigma={states[bad].sigma}) is not positive; indefinite weight "
-            "choices need unsafe=True"
-        )
-    meta = {"coupling": coupling, "n_levels": n_levels, "order": order}
-    d = _normalizable(np.repeat([diagonal_overlap(s) for s in states[0::2]], 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        kernels = channel_kernel(coupling, weights.s_plus[:n_levels], weights.s_minus[:n_levels])
-    kernels = np.moveaxis(kernels, -1, 0)
-    _require_finite("channel kernel [n, i, k]", kernels)
-    return meta, per_state, d, kernels
+    return np.array(kernel_entries(coupling, s_plus, s_minus))
 
 
 def _sample(states, nodes) -> tuple[np.ndarray, np.ndarray]:
@@ -409,15 +286,12 @@ def build_theta_metric(
     weighted by the node spacing.  The per-level 2x2 channel kernels are
     exposed in meta["channel_kernels"].
     """
-    meta, per_state, d, kernels = _resolve_weights(states, weights, unsafe)
-    meta["weights_by_state"] = per_state
-    meta["channel_kernels"] = list(kernels)
+    family = resolve_weights(states, weights, unsafe)
+    kernels, per_state = list(np.array(family.kernels)), np.array(family.per_state)
+    meta = dict(family.meta, weights_by_state=per_state, channel_kernels=kernels)
     if grid is None:
-        # an entry that leaves the float range is refused by _finite_form, not warned of
-        with np.errstate(over="ignore"):
-            diagonal = d * per_state * d
-        meta["signature"] = (int(np.sum(diagonal > 0.0)), int(np.sum(diagonal < 0.0)))
-        return _finite_form(np.diag(diagonal), RepBasis.MODE, meta)
+        meta["signature"] = family.signature
+        return OperatorRep(np.diag(family.mode_form()), RepBasis.MODE, is_form=True, meta=meta)
     _require_grid(grid)
     bras = _bras(_sample(states, grid.interior_nodes), [s.q for s in states])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -426,20 +300,14 @@ def build_theta_metric(
         matrix += matrix.conj().T
         matrix /= 2.0
     meta["grid"] = grid
-    return _finite_form(matrix, RepBasis.GRID, meta)
-
-
-def _finite_form(matrix, basis, meta) -> OperatorRep:
-    # the metric form, refused if an entry of it is not finite
     _require_finite("metric form [i, k]", matrix)
-    return OperatorRep(matrix, basis, is_form=True, meta=meta)
+    return OperatorRep(matrix, RepBasis.GRID, is_form=True, meta=meta)
 
 
 def _require_finite(what, entries) -> None:
     if not np.isfinite(entries).all():
         index = np.argwhere(~np.isfinite(entries))[0]
-        raise MetricConstraintError(f"{what} = {index.tolist()} is {entries[tuple(index)]}: "
-                                    "the coupling or the weights leave the float range")
+        raise out_of_range(what, index.tolist(), entries[tuple(index)])
 
 
 def _kind_values(states, kind: str) -> np.ndarray:
@@ -490,17 +358,6 @@ def quasi_hermiticity_defect(op_rep: OperatorRep, theta_rep: OperatorRep) -> flo
     return float(np.max(np.abs(defect))) / denom
 
 
-def _normalizable(d) -> np.ndarray:
-    # the diagonal pairings, refused if any is negligible against the largest
-    d = np.array(d, dtype=float)
-    scale = float(np.max(np.abs(d))) if d.size else 0.0
-    if scale == 0.0 or np.any(np.abs(d) <= _OVERLAP_FLOOR * max(1.0, scale)):
-        raise NormalizationSingularError(
-            "a diagonal biorthogonal overlap vanishes; spectral sums cannot be normalized"
-        )
-    return d
-
-
 def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSpec) -> OperatorRep:
     """Truncated spectral sum  sum_i value_i |state_i><<left_i| / d_i
     on the interior nodes of `grid` (M divisible by 4), left_i =
@@ -513,7 +370,7 @@ def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSp
     """
     _require_grid(grid)
     values = _kind_values(states, kind)
-    d = _normalizable([s.d for s in states])
+    d = np.array(_normalizable([s.d for s in states]))
     nodes, w = simpson_rule(grid.M)
     w2 = np.concatenate([w, w])
     channels = _sample(states, nodes)
@@ -524,24 +381,18 @@ def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSp
     return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=False, meta=meta)
 
 
-def _inverse_coefficients(states, per_state, d) -> np.ndarray:
-    # 1 / (S d^2) per state, S d^2 the form's own d S d: refused where either
-    # leaves the float range, so with the kernels' check the inverse refuses
-    # every weight the form does
-    with np.errstate(over="ignore", divide="ignore"):
-        form = _in_float_range("S d^2", d * per_state * d, states, per_state)
-        return _in_float_range("inverse coefficient 1/(S d^2)", 1.0 / form, states, per_state)
-
-
-def _in_float_range(what, values, states, per_state) -> np.ndarray:
-    # values, refused naming the first state whose entry is not finite
-    if not np.isfinite(values).all():
-        bad = int(np.argmin(np.isfinite(values)))
-        raise MetricConstraintError(
-            f"{what} of state (n={states[bad].level.n}, sigma={states[bad].sigma}) is "
-            f"{values[bad]}: the weight {per_state[bad]} takes it out of the float range"
-        )
-    return values
+def _inverse_coefficients(states, family) -> np.ndarray:
+    # 1 / (S d^2) per state, S d^2 the form's own d S d, refused naming the first
+    # state where either leaves the float range: with the kernels' check the
+    # inverse refuses every weight the form does (S > 0, so 1 / 0.0 is inf)
+    coeff = [1.0 / v if v else math.inf for v in family.form]
+    for what, values in (("S d^2", family.form), ("inverse coefficient 1/(S d^2)", coeff)):
+        bad = first_not_finite(values)
+        if bad is not None:
+            raise MetricConstraintError(
+                f"{what} of state (n={states[bad].level.n}, sigma={states[bad].sigma}) is "
+                f"{values[bad]}: the weight {family.per_state[bad]} takes it out of the float range")
+    return np.array(coeff)
 
 
 def inverse_theta_metric(
@@ -561,9 +412,9 @@ def inverse_theta_metric(
     entry that is not finite is refused (MetricConstraintError), as the
     form is.
     """
-    meta, per_state, d, _ = _resolve_weights(states, weights, False)
-    coeff = _inverse_coefficients(states, per_state, d)
-    meta.update({"coefficients": coeff, "diagonal_overlaps": d})
+    family = resolve_weights(states, weights, False)
+    coeff = _inverse_coefficients(states, family)
+    meta = dict(family.meta, coefficients=coeff, diagonal_overlaps=np.array(family.d))
     with np.errstate(over="ignore", invalid="ignore"):
         if grid is not None:
             _require_grid(grid)
@@ -595,13 +446,16 @@ def inverse_identity_defect(
 
     In mode coordinates the basis Gram matrix of the inverse's map and
     the metric's form cancel exactly, so the composition reduces to
-    diag(1/(S d^2)) F(Theta); no matrix inversion enters the check.
+    diag(1/(S d^2)) F(Theta); no matrix inversion enters the check.  A
+    product entry out of the float range is refused (MetricConstraintError).
     """
     if theta_rep.basis is not RepBasis.MODE or not theta_rep.is_form:
         raise ModelDomainError("identity check expects the mode-basis metric form")
-    _, per_state, d, _ = _resolve_weights(states, weights, False)
+    family = resolve_weights(states, weights, False)
     if theta_rep.dim != len(states):
         raise ModelDomainError("metric dimension does not match the state list")
-    coeff = _inverse_coefficients(states, per_state, d)
-    product = coeff[:, None] * theta_rep.matrix
+    coeff = _inverse_coefficients(states, family)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = coeff[:, None] * theta_rep.matrix
+    _require_finite("identity product [i, k]", product)
     return float(np.max(np.abs(product - np.eye(len(states)))))

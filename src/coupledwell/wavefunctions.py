@@ -18,6 +18,9 @@ Phase convention: the common value at x = 0 is real and >= 0; for the
 decoupled odd states (value 0 at the origin) the derivative at 0 is
 purely imaginary with positive imaginary part.  Normalization is unit
 L2 norm of phi alone, not of the two-channel vector.
+
+The states, their d and q and the segment integral are math/cmath
+scalars; the samplers (phi, upper, lower, evaluate, matching_residual) import numpy.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .errors import ModelDomainError, NormalizationSingularError
 from .model import BranchClass, CouplingPair, as_index, check_points
@@ -82,6 +83,8 @@ class ChannelState:
 def _segment_sine(coeff, kappa, x):
     # coeff sin(kappa (x+1)) on x <= 0 and its mirrored conjugate
     # conj(coeff sin(kappa (1-x))) on x > 0
+    import numpy as np
+
     x = check_points(x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -176,8 +179,10 @@ def solve_coefficients(level: LevelSolution, coupling: CouplingPair, sigma: int)
     return _doublet(level, coupling)[0 if sigma > 0 else 1]
 
 
-def evaluate(state: ChannelState, x) -> np.ndarray:
+def evaluate(state: ChannelState, x):
     """Sample the two-channel state; returns shape (2,) + shape(x)."""
+    import numpy as np
+
     return np.stack([state.upper(x), state.lower(x)])
 
 
@@ -189,6 +194,8 @@ def matching_residual(state: ChannelState) -> float:
     level; the slope defect is proportional to the secular residual, so
     perturbing s at fixed coupling makes it jump by orders of magnitude.
     """
+    import numpy as np
+
     xs = np.linspace(-1.0, 1.0, _AMPLITUDE_SAMPLES)
     amp = max(np.max(np.abs(state.upper(xs))), np.max(np.abs(state.lower(xs))))
     if amp == 0.0:
@@ -251,21 +258,6 @@ def sine_product_integral(p: complex, q: complex) -> complex:
     return cmath.sin(p - q) / (2.0 * (p - q)) - cmath.sin(p + q) / (2.0 * (p + q))
 
 
-def sine_product_integrals(p, q) -> np.ndarray:
-    """sine_product_integral over broadcast arrays of complex wavenumbers.
-
-    Same formula and same-wavenumber branch as the scalar; numpy's
-    complex arithmetic may differ from CPython's in the last bit.  The
-    branch is taken by np.where, so the unused one is evaluated with a
-    unit denominator rather than 0/0.
-    """
-    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
-    diff, total = p - q, p + q
-    same = np.abs(diff) < 1e-14 * np.maximum(1.0, np.abs(p))
-    apart = np.sin(diff) / (2.0 * np.where(same, 1.0, diff)) - np.sin(total) / (2.0 * total)
-    return np.where(same, 0.5 - np.sin(2.0 * p) / (4.0 * p), apart)
-
-
 def phi_bilinear_product(state_a: ChannelState, state_b: ChannelState) -> float:
     """integral phi_a(x) phi_b(x) dx (no conjugation), in closed form.
 
@@ -279,31 +271,3 @@ def phi_bilinear_product(state_a: ChannelState, state_b: ChannelState) -> float:
     )
     # right half contributes the conjugate of the left half
     return float(2.0 * term.real)
-
-
-def simpson_rule(intervals: int):
-    """Nodes and weights of composite Simpson on (-1, 1) split at the x = 0 kink.
-
-    The nodes are those of GridSpec(intervals), interior only, with
-    intervals / 2 panels on each half (intervals divisible by 4) and
-    x = 0 shared by the halves.  The wall nodes are dropped: every state
-    and left partner vanishes there.  This is the one rule behind the
-    quadrature method of metric.biorthogonality_matrix and
-    metric.spectral_reconstruct.
-    """
-    if intervals % 4 != 0:
-        raise ModelDomainError(
-            f"Simpson weighting splits each half into an even panel count: "
-            f"M must be divisible by 4, got {intervals}"
-        )
-    half = intervals // 2
-    h = 2.0 / intervals
-    pattern = np.ones(half + 1)
-    pattern[1:-1:2] = 4.0
-    pattern[2:-1:2] = 2.0
-    pattern *= h / 3.0
-    full = np.zeros(intervals + 1)
-    full[: half + 1] += pattern
-    full[half:] += pattern
-    return h * (np.arange(1, intervals) - half), full[1:-1]
-

@@ -232,6 +232,38 @@ def test_metric_weight_file(tmp_path, capsys):
     assert payload["channel_kernels"][1][0][1] != 0.0
 
 
+def _hex(values):
+    # floats, nested, as their bits: json round-trips them exactly, signed zeros too
+    return [_hex(v) for v in values] if isinstance(values, list) else float(values).hex()
+
+
+@pytest.mark.parametrize("pair", [(1.0, 4.0), (0.01, 0.02), (4.4, 4.3), (1e300, 1e-300)])
+@pytest.mark.parametrize("weights", [None, "0 3 0.5\n2 0.25 7\n", "0 1 1\n1 2 -1\n"])
+def test_metric_prints_the_library_form(tmp_path, capsys, pair, weights):
+    # the CLI runs the weight contract without numpy and formats its lists;
+    # they are build_theta_metric's mode form and meta, bit for bit
+    from coupledwell import MetricWeights, build_theta_metric, doublet_family
+
+    argv = ["metric", "--Y", repr(pair[0]), "--Z", repr(pair[1]), "--levels", "3"]
+    library_weights = MetricWeights.unit(3)
+    if weights is not None:
+        path = tmp_path / "w.txt"
+        path.write_text(weights)
+        argv += ["--weights", str(path), "--unsafe"]
+        library_weights = MetricWeights.from_file(path, 3)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    theta = build_theta_metric(doublet_family(CouplingPair(*pair), 3), library_weights,
+                               unsafe=True)
+    assert _hex(payload["theta"]) == _hex(theta.matrix.tolist())
+    assert _hex(payload["eigenvalues"]) == _hex(np.sort(np.diag(theta.matrix)).tolist())
+    assert _hex(payload["channel_kernels"]) == _hex(
+        [k.tolist() for k in theta.meta["channel_kernels"]])
+    assert tuple(payload["signature"]) == theta.meta["signature"]
+    assert payload["order"] == [list(label) for label in theta.meta["order"]]
+
+
 def test_metric_indefinite_weights_need_unsafe(tmp_path, capsys):
     wfile = tmp_path / "w.txt"
     wfile.write_text("0 1 -1\n")
@@ -490,7 +522,7 @@ def test_out_writes_identical_bytes(tmp_path, capsys):
 
 
 IMPORT_GRAPH_SCRIPT = """
-import json, os, sys
+import json, os, sys, tempfile
 
 def loaded(*packages):
     return sorted(m for m in sys.modules if m.split(".")[0] in packages)
@@ -509,7 +541,24 @@ closed_form = [
 ]
 codes = [main(argv + ["--out", os.devnull]) for argv in closed_form]
 after_closed_form = loaded("numpy", "scipy")
-codes.append(main(["metric", "--Y", "1", "--Z", "4", "--out", os.devnull]))
+with tempfile.TemporaryDirectory() as tmp:
+    signed = os.path.join(tmp, "signed.txt")
+    with open(signed, "w") as fh:
+        fh.write("0 1 1\\n1 2 -1\\n")
+    metric = [
+        ["--Y", "1", "--Z", "4", "--out", os.devnull],
+        ["--Y", "2", "--Z", "2", "--levels", "3", "--weights", signed, "--unsafe",
+         "--out", os.devnull],
+        ["--Y", "1", "--Z", "4", "--levels", "3", "--format", "csv", "--out", os.devnull],
+        # refused with exit 2: a weight that is not positive, a channel kernel,
+        # the decoupled limit, the Jordan class and a weight file's line
+        ["--Y", "2", "--Z", "2", "--levels", "3", "--weights", signed],
+        ["--Y", "1e308", "--Z", "1e-318", "--levels", "2"],
+        ["--Y", "1e-7", "--Z", "1e-7"],
+        ["--Y", "0", "--Z", "2"],
+        ["--Y", "2", "--Z", "2", "--levels", "1", "--weights", signed],
+    ]
+    codes += [main(["metric"] + argv) for argv in metric]
 after_metric = loaded("numpy", "scipy", "coupledwell")
 for argv in (["verify", "--Y", "1", "--Z", "4", "--levels", "4"],
              ["oracle", "--Y", "1", "--Z", "4", "--grid", "64"]):
@@ -522,10 +571,11 @@ print(json.dumps({"codes": codes, "after_import": after_import,
 
 
 def test_closed_form_subcommands_load_no_scipy():
-    # numpy is imported by the metric, verify and oracle subcommands only,
-    # and scipy by none: the closed-form subcommands import neither, on
-    # their error exits either, and the oracle and the verify battery
-    # solve and check with numpy alone
+    # numpy is imported by the verify and oracle subcommands only, and
+    # scipy by none: the closed-form subcommands and metric import neither,
+    # on their error exits either (metric runs the weight contract without
+    # the numpy-backed metric module), and the oracle and the verify
+    # battery solve and check with numpy alone
     root = pathlib.Path(__file__).resolve().parent.parent
     path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     result = subprocess.run(
@@ -537,13 +587,12 @@ def test_closed_form_subcommands_load_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
-    assert report["codes"] == [0, 0, 0, 3, 0, 2, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 3, 0, 2, 0, 0, 0, 2, 2, 2, 2, 2, 0, 0]
     assert report["after_import"] == []
     assert report["after_closed_form"] == []
-    assert "numpy" in report["after_metric"]
-    assert "coupledwell.metric" in report["after_metric"]
-    assert "coupledwell.oracle" not in report["after_metric"]
-    assert not any(m.split(".")[0] == "scipy" for m in report["after_metric"])
+    assert not any(m.split(".")[0] in ("numpy", "scipy") for m in report["after_metric"])
+    assert "coupledwell._weights" in report["after_metric"]
+    assert "coupledwell.metric" not in report["after_metric"]
     assert {"coupledwell.battery", "coupledwell.oracle"} <= set(report["after_oracle"])
     assert not any(m.split(".")[0] == "scipy" for m in report["after_oracle"])
 

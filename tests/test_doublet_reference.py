@@ -35,16 +35,15 @@ from coupledwell import (
     solve_level,
     spectral_reconstruct,
 )
-from coupledwell.metric import MIN_ROOT_PRODUCT, _shared_coupling
+from coupledwell.metric import (MIN_ROOT_PRODUCT, _shared_coupling, simpson_rule,
+                               sine_product_integrals)
 from coupledwell.model import OperatorRep, RepBasis, as_index, check_points
 from coupledwell.wavefunctions import (
     _sin_cos_kappa,
     channel_weights,
     phi_bilinear_product,
     quasi_parity,
-    simpson_rule,
     sine_product_integral,
-    sine_product_integrals,
 )
 
 

@@ -42,7 +42,8 @@ from coupledwell import (
     spectral_reconstruct,
     spin_operator,
 )
-from coupledwell.wavefunctions import sine_product_integral, sine_product_integrals
+from coupledwell.metric import sine_product_integrals
+from coupledwell.wavefunctions import sine_product_integral
 from test_doublet_reference import (
     apply_theta,
     assert_same_bytes,
@@ -539,6 +540,24 @@ def test_metric_weights_validation_and_selection():
         MetricWeights(s_plus=np.array([1.0]), s_minus=np.array([1.0, 2.0]))
 
 
+def test_metric_weights_copy_the_callers_arrays():
+    # the weights are validated once and stored as floats: a later write to
+    # the caller's array changes neither them nor the form built from them
+    s_plus, s_minus = np.array([1.0, 2.0]), np.ones(2)
+    w = MetricWeights(s_plus, s_minus)
+    s_plus[0], s_minus[1] = np.nan, -1.0
+    assert w.s_plus == (1.0, 2.0) and w.s_minus == (1.0, 1.0)
+    assert all(type(v) is float for v in w.s_plus + w.s_minus)
+    states = doublet_family(UNIT, 2)
+    expected = build_theta_metric(states, MetricWeights([1.0, 2.0], [1.0, 1.0])).matrix
+    assert_same_bytes(build_theta_metric(states, w).matrix, expected)
+    # a scalar is one level, as before; a 2-d or non-numeric sequence is refused
+    assert MetricWeights(np.float64(2.0), 3).select(0, -1) == 3.0
+    for bad in (np.ones((2, 1)), [[1.0], [2.0]], ["x"], [1 + 1j], [10**400]):
+        with pytest.raises(MetricConstraintError, match="^s_plus must be a 1-d finite array"):
+            MetricWeights(bad, np.ones(2))
+
+
 def test_metric_weight_level_count_validation(tmp_path):
     path = tmp_path / "weights.txt"
     path.write_text("0 2.0 3.0\n")
@@ -676,6 +695,8 @@ def _refuses(build):
        logs=st.lists(st.floats(min_value=-320.0, max_value=308.0), min_size=8, max_size=8))
 @example(pair=(1e300, 1e-300), n_levels=2, logs=[9.0] * 8)
 @example(pair=(1e300, 1e-300), n_levels=1, logs=[-9.0] + [0.0] * 7)
+# 1 / (S d^2) = 8.3e307 is finite, its product with the unit form's d^2 = 12.09 is not
+@example(pair=(4.0, 4.0), n_levels=1, logs=[-309.0] + [0.0] * 7)
 def test_form_and_inverse_refuse_by_one_contract(pair, n_levels, logs):
     # weights log-uniform on [1e-320, 1e308].  At (4, 4) every d^2 >= 11
     # exceeds 2 Y, so where a channel kernel Y (S+ + S-) overflows, S d^2
@@ -683,9 +704,10 @@ def test_form_and_inverse_refuse_by_one_contract(pair, n_levels, logs):
     # long before S d^2 (weights 1e9).  The inverse and the identity defect refuse
     # every weight vector the form refuses, and beyond those exactly the
     # vectors whose form entry S d^2 has no finite reciprocal (subnormal
-    # S d^2, which the form serves).  The inverse also refuses a map entry
-    # out of the float range: its row i is the unit-weight row over S_i,
-    # which at (1e300, 1e-300) overflows from S_i ~ 1e-9
+    # S d^2, which the form serves).  The identity defect also refuses a
+    # product 1 / (S d^2) times the given form's entry out of the float range,
+    # and the inverse a map entry out of it: its row i is the unit-weight row
+    # over S_i, which at (1e300, 1e-300) overflows from S_i ~ 1e-9
     states = doublet_family(CouplingPair(*pair), n_levels)
     weights = 10.0 ** np.array(logs)
     weights = MetricWeights(weights[:n_levels], weights[4:4 + n_levels])
@@ -696,11 +718,14 @@ def test_form_and_inverse_refuse_by_one_contract(pair, n_levels, logs):
         defect_refused, _ = _refuses(
             lambda: inverse_identity_defect(build_theta_metric(states), states, weights))
         unit_rows = inverse_theta_metric(states).matrix
+        unit_form = build_theta_metric(states).matrix
     per_state = np.column_stack([weights.s_plus, weights.s_minus]).ravel()
     with np.errstate(over="ignore"):
         unrepresentable = form_refused or not np.isfinite(1.0 / np.diag(form.matrix)).all()
+        product_overflows = not unrepresentable and not np.isfinite(
+            (1.0 / np.diag(form.matrix)) * np.diag(unit_form)).all()
         map_overflows = not np.isfinite(unit_rows / per_state[:, None]).all()
-    assert defect_refused == unrepresentable
+    assert defect_refused == (unrepresentable or product_overflows)
     assert inverse_refused == (unrepresentable or map_overflows)
 
 
@@ -838,7 +863,7 @@ def test_spectral_reconstruct_is_the_sum_over_left_partners(c, M):
     # the sum, written out with the states' own left partners: their
     # bras (the reference sampler's) and their pairings d, byte for byte
     grid = GridSpec(M)
-    nodes, w = wavefunctions_module.simpson_rule(M)
+    nodes, w = metric_module.simpson_rule(M)
     w2 = np.concatenate([w, w])[:, None]
     for ratio in (0.25, 1.0, 4.0):
         for n_levels in (1, 4, 8):
