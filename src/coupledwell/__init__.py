@@ -40,8 +40,9 @@ from .secular import (
     spectrum,
 )
 
-# the layers above the secular one load on first use (PEP 562); metric,
-# battery and oracle import numpy, wavefunctions only in its samplers
+# the layers above the secular one load on first use (PEP 562); metric
+# imports numpy, wavefunctions and oracle only in the functions that build
+# arrays, and battery (verify) not at all
 _LAZY_MODULES = {
     "battery": ("Check", "verify"),
     "metric": (

@@ -1,7 +1,8 @@
 """The weight contract of the metric family, in plain floats: the one
-check of the metric builders, which the CLI's `metric` runs without
-numpy.  Python floats are IEEE doubles, so (d S) d and the kernel
-entries have the bits of the same products in a float64 array.
+check of the metric builders, which the CLI's `metric` and the `verify`
+battery run without numpy.  Python floats are IEEE doubles, so (d S) d,
+the kernel entries, 1 / (S d^2) and the spin ratio have the bits of the
+same arithmetic in a float64 array.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import MetricConstraintError, ModelDomainError, NormalizationSingularError
-from .model import CouplingPair, as_index
+from .model import BranchClass, CouplingPair, as_index
+from .wavefunctions import channel_weights
 
 # Diagonal pairings scale with sqrt(YZ); below this the metric family
 # degenerates and the Hermitian-limit identity metric should be used.
@@ -214,3 +216,34 @@ def resolve_weights(states, weights, unsafe: bool) -> WeightedFamily:
     form = tuple(x * s * x for x, s in zip(d, per_state))
     signature = sum(v > 0.0 for v in form), sum(v < 0.0 for v in form)
     return WeightedFamily(meta, per_state, d, kernels, form, signature)
+
+
+def inverse_coefficients(states, family: WeightedFamily) -> list[float]:
+    """1 / (S d^2) per state, S d^2 the form's own d S d, refused naming the
+    first state where either leaves the float range: with the kernels' check
+    the inverse refuses every weight the form does (S > 0, so 1 / 0.0 is inf)."""
+    coeff = [1.0 / v if v else math.inf for v in family.form]
+    for what, values in (("S d^2", family.form), ("inverse coefficient 1/(S d^2)", coeff)):
+        bad = first_not_finite(values)
+        if bad is not None:
+            raise MetricConstraintError(
+                f"{what} of state (n={states[bad].level.n}, sigma={states[bad].sigma}) is "
+                f"{values[bad]}: the weight {family.per_state[bad]} takes it out of the float range")
+    return coeff
+
+
+def spin_ratio(coupling: CouplingPair) -> float:
+    """sqrt(Z/Y), the upper-right entry of metric.spin_operator's block.
+
+    It is the quotient of the channel weights (wavefunctions.channel_weights),
+    which also refuses every coupling but Y > 0 and Z > 0; a decoupled
+    coupling fixes no spin block and is refused too, and so is a ratio
+    whose value or inverse leaves the float range (ModelDomainError).
+    """
+    if coupling.branch is BranchClass.DECOUPLED:
+        raise ModelDomainError("spin block needs Y > 0 and Z > 0, got a decoupled coupling")
+    upper, lower = channel_weights(+1, coupling.Y, coupling.Z)
+    ratio = upper / lower
+    if not (0.0 < ratio < math.inf and 1.0 / ratio < math.inf):
+        raise ModelDomainError(f"spin block entry sqrt(Z/Y) = {ratio:.3e} or its inverse overflows")
+    return ratio

@@ -2,29 +2,33 @@
 coupling, against the closed form and the finite-difference oracle, and
 returns one `Check` record per invariant.  The CLI's `verify` subcommand
 only formats these records.
+
+Every row is computed in plain floats, so `verify` loads no numpy: the
+mode form diag(S d^2) and its weight contract from `_weights`, the
+pairing from the cached d and q and the scalar `phi_bilinear_product`,
+the band checks from the coupling and the grid, and the oracle's levels
+from `oracle.eigenvalues`, the numpy-free twin of `eigenpairs`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._weights import first_not_finite, inverse_coefficients, out_of_range, resolve_weights, spin_ratio
 from .errors import ModelDomainError
-from .metric import (
-    biorthogonality_matrix,
-    build_theta_metric,
-    inverse_identity_defect,
-    mode_hamiltonian,
-    mode_spin,
-    quasi_hermiticity_defect,
-    spin_operator,
-)
 from .model import BranchClass, CouplingPair, GridSpec
-from .oracle import _spin_commutator_max, _swap_reflect_defect
-from .oracle import build_hamiltonian, compare_spectrum, eigenpairs
+from .oracle import _spin_commutator_max, _swap_reflect_defect, compare_values, eigenvalues
 from .secular import perturbative_eps
-from .wavefunctions import doublet_family, matching_residual, parity_overlap
+from .wavefunctions import (channel_weights, doublet_family, matching_residual, parity_overlap,
+                            phi_bilinear_product)
+
+# The perturbation row compares |eps - eps_1| with |eps - eps_2|.  The
+# solved eps lies within ~5 ulp of its 40-digit root and each series value
+# rounds by ~2 ulp (c in [1e-6, 1.5], n < 60), so an error |eps - eps_1| of
+# at most this many ulp of eps reads rounding, not the series: the row is
+# left out there (at c = 1e-6 it is 0.0 at n = 12, 18, 20, ...).
+RATIO_FLOOR_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -56,14 +60,17 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
     coupled degenerate branch) or when sqrt(Y/Z) or sqrt(Z/Y) leaves the
     float range, MetricConstraintError where build_theta_metric refuses
     the family, and RootLostError at or above the critical coupling of a
-    requested pair.
+    requested pair.  The perturbation ratio is checked at the top level
+    for 3 or more levels and sqrt(YZ) <= 1.5, where |eps - eps_1| exceeds
+    RATIO_FLOOR_ULPS ulp of eps.
     """
     if coupling.branch is not BranchClass.POSITIVE_PRODUCT:
         raise ModelDomainError("verify exercises the coupled degenerate branch and needs YZ > 0")
     states = doublet_family(coupling, n_levels)
-    # first, so that the family's refusal below MIN_ROOT_PRODUCT comes
-    # before the perturbation ratio, whose errors are 0 / 0 there
-    theta = build_theta_metric(states)
+    # build_theta_metric's mode form, first, so that the family's refusal below
+    # MIN_ROOT_PRODUCT comes before the perturbation ratio
+    family = resolve_weights(states, None, False)
+    form = family.mode_form()
     levels = [s.level for s in states[::2]]
     c = coupling.root_product
 
@@ -77,9 +84,10 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
         top = levels[-1]
         err2 = abs(top.eps - perturbative_eps(top.n, coupling, order=2))
         err1 = abs(top.eps - perturbative_eps(top.n, coupling, order=1))
-        checks.append(Check("perturbation order-2/order-1 error ratio", err2 / err1, 1.0, "<="))
-    # sqrt(Z/Y); spin_operator refuses a Y/Z whose spin block leaves the float range
-    ratio = float(spin_operator(coupling).matrix[0, 1])
+        if err1 > RATIO_FLOOR_ULPS * math.ulp(top.eps):
+            checks.append(Check("perturbation order-2/order-1 error ratio", err2 / err1, 1.0, "<="))
+    # sqrt(Z/Y); refused where the spin block leaves the float range
+    ratio = spin_ratio(coupling)
     checks += [
         Check("matching residual max", max(matching_residual(s) for s in states), 1e-12, "<="),
         Check("coefficient ratio |A/B - sigma sqrt(Z/Y)| / sqrt(Z/Y) max",
@@ -88,36 +96,57 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
               min((-1) ** s.level.n * parity_overlap(s) for s in states), 0.0, ">"),
     ]
 
-    pairing = biorthogonality_matrix(states)
-    diag = np.diag(pairing)
-    off = pairing - np.diag(diag)
+    # the pairing G: diagonal d; its opposite-sigma blocks are exact zeros and
+    # its sigma = -1 block is the sigma = +1 one, q_i (wl wu + wu wl) integral
+    # phi_i phi_j, where |q_i| = 1 (metric.biorthogonality_matrix)
+    wu, wl = channel_weights(+1, coupling.Y, coupling.Z)
+    factor = wl * wu + wu * wl
+    plus = states[0::2]
+    off = max((abs(factor * phi_bilinear_product(a, b)) for i, a in enumerate(plus)
+               for j, b in enumerate(plus) if i != j), default=0.0)
+    energies, spins = [s.level.E for s in states], [float(s.sigma) for s in states]
     checks += [
-        Check("biorthogonal diagonal min", np.min(diag), 0.0, ">"),
-        Check("biorthogonal off-diagonal / max diagonal",
-              np.max(np.abs(off)) / np.max(diag), 1e-9, "<="),
-        Check("metric Hermiticity defect",
-              np.max(np.abs(theta.matrix - theta.matrix.conj().T)), 0.0, "<="),
-        Check("metric minimal eigenvalue", np.min(np.linalg.eigvalsh(theta.matrix)), 0.0, ">"),
-        Check("quasi-Hermiticity defect (Hamiltonian)",
-              quasi_hermiticity_defect(mode_hamiltonian(states), theta), 1e-8, "<="),
-        Check("quasi-Hermiticity defect (spin observable)",
-              quasi_hermiticity_defect(mode_spin(states), theta), 1e-8, "<="),
-        Check("inverse metric identity defect", inverse_identity_defect(theta, states), 1e-8, "<="),
+        Check("biorthogonal diagonal min", min(family.d), 0.0, ">"),
+        Check("biorthogonal off-diagonal / max diagonal", off / max(family.d), 1e-9, "<="),
+        # the form is real and diagonal, so these read the diagonal alone
+        Check("metric Hermiticity defect", max(abs(f - f.conjugate()) for f in form), 0.0, "<="),
+        Check("metric minimal eigenvalue", min(form), 0.0, ">"),
+        Check("quasi-Hermiticity defect (Hamiltonian)", _mode_defect(energies, form), 1e-8, "<="),
+        Check("quasi-Hermiticity defect (spin observable)", _mode_defect(spins, form), 1e-8, "<="),
+        Check("inverse metric identity defect", _identity_defect(states, family), 1e-8, "<="),
     ]
 
-    h_rep = build_hamiltonian(coupling, grid)
     checks += [
         Check("discrete swap-reflect pseudo-Hermiticity defect",
-              _swap_reflect_defect(h_rep), 0.0, "<="),
+              _swap_reflect_defect(coupling, grid), 0.0, "<="),
         Check("discrete commutator [H, spin] max",  # terms +-sqrt(YZ) d, cancelling
-              _spin_commutator_max(h_rep), 1e-14 * c, "<="),
+              _spin_commutator_max(coupling, grid), 1e-14 * c, "<="),
     ]
-    eig_values, _ = eigenpairs(h_rep, min(4, 2 * n_levels))
-    report = compare_spectrum(levels, eig_values, min(2, n_levels))
+    values = eigenvalues(coupling, grid, min(4, 2 * n_levels))
+    report = compare_values(levels, values, min(2, n_levels))
     checks += [
-        Check("oracle lowest eigenvalues |Im| max", np.max(np.abs(eig_values.imag)), 1e-6, "<="),
+        Check("oracle lowest eigenvalues |Im| max", max(abs(v.imag) for v in values), 1e-6, "<="),
         Check("oracle vs analytic relative error",
               max(r["rel_err"] for r in report["levels"]), 5e-3 * (512.0 / grid.M) ** 2, "<="),
     ]
     return checks
 
+
+def _mode_defect(values, form) -> float:
+    """metric.quasi_hermiticity_defect of the map diag(values) against the
+    form diag(form): M^dagger F - F M is diagonal, conj(v) f - f v."""
+    denom = max(map(abs, form)) * max(map(abs, values))
+    if denom == 0.0:
+        raise ModelDomainError("zero operator or metric")
+    return max(abs(v.conjugate() * f - f * v) for v, f in zip(values, form)) / denom
+
+
+def _identity_defect(states, family) -> float:
+    """metric.inverse_identity_defect of the mode form: max |1/(S d^2) F - I|,
+    whose off-diagonal entries are exact zeros; a product entry out of the
+    float range is refused (MetricConstraintError)."""
+    product = [k * f for k, f in zip(inverse_coefficients(states, family), family.form)]
+    bad = first_not_finite(product)
+    if bad is not None:
+        raise out_of_range("identity product [i, k]", [bad, bad], product[bad])
+    return max(abs(p - 1.0) for p in product)

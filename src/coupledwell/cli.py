@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import asdict
 
+from ._ranges import _linspace
 from .errors import (
     BracketError,
     MetricConstraintError,
@@ -30,8 +31,9 @@ from .errors import (
 from .model import CouplingPair, GridSpec, as_index, validate_tol
 from .secular import DEFAULT_CRITICAL_TOL, critical_coupling, spectrum
 
-# spectrum, critical, scan and metric (the weight contract in floats) run
-# without numpy; verify and oracle import the numpy-backed modules they use
+# spectrum, critical, scan, metric (the weight contract in floats) and
+# verify (the battery in floats) run without numpy; oracle is the only
+# subcommand that imports it
 
 _SPECTRUM_COLUMNS = ("n", "s", "t", "eps", "E", "residual", "branch")
 
@@ -135,22 +137,6 @@ def _cmd_metric(args) -> int:
     header = [f"state_{n}_{'p' if sigma > 0 else 'm'}" for n, sigma in order]
     _write(args, payload, header, payload["theta"])
     return 0
-
-
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """np.linspace(start, stop, num) bit for bit, without numpy: the
-    same products start + i*step, the same exact-division form when the
-    step underflows to zero, and the last point set to stop."""
-    div = num - 1
-    if div == 0:
-        return [0.0 * (stop - start) + start]
-    step = (stop - start) / div
-    if step == 0.0:
-        points = [i / div * (stop - start) + start for i in range(num)]
-    else:
-        points = [i * step + start for i in range(num)]
-    points[-1] = stop
-    return points
 
 
 def _cmd_scan(args) -> int:

@@ -47,22 +47,22 @@ partner's, bit for bit: the builders evaluate the sigma = +1 rows, d and
 q only.  G's opposite-sigma entries are exact zeros and its diagonal is d.
 
 The weight contract (MetricWeights, the family checks, d, the kernels,
-S d^2) is float arithmetic in _weights, shared with the CLI's `metric`.
+S d^2, 1/(S d^2) and the spin ratio) is float arithmetic in _weights,
+shared with the CLI's `metric` and the `verify` battery.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._weights import (MIN_ROOT_PRODUCT, MetricWeights, _normalizable, _shared_coupling,
-                       _validate_family, diagonal_overlap, first_not_finite, kernel_entries,
-                       out_of_range, resolve_weights)
-from .errors import MetricConstraintError, ModelDomainError
-from .model import BranchClass, CouplingPair, GridSpec, OperatorRep, RepBasis
+                       _validate_family, diagonal_overlap, inverse_coefficients, kernel_entries,
+                       out_of_range, resolve_weights, spin_ratio)
+from .errors import ModelDomainError
+from .model import CouplingPair, GridSpec, OperatorRep, RepBasis
 from .wavefunctions import ChannelState, channel_weights
 
 _PANELS = 512  # Simpson panels per half of biorthogonality_matrix's quadrature
@@ -201,17 +201,11 @@ def spin_operator(coupling: CouplingPair) -> OperatorRep:
     """Constant 2x2 channel observable commuting with the Hamiltonian.
 
     Off-diagonal entries sqrt(Z/Y) and sqrt(Y/Z); eigenvalues +-1 label
-    the degenerate doublets.  The ratio is the quotient of the channel
-    weights (wavefunctions.channel_weights), which also refuses every
-    coupling but Y > 0 and Z > 0; a decoupled coupling fixes no spin
-    block and is refused too, and so is a ratio out of the float range.
+    the degenerate doublets.  The ratio is _weights.spin_ratio, which
+    refuses every coupling but Y > 0 and Z > 0, and a ratio out of the
+    float range.
     """
-    if coupling.branch is BranchClass.DECOUPLED:
-        raise ModelDomainError("spin block needs Y > 0 and Z > 0, got a decoupled coupling")
-    upper, lower = channel_weights(+1, coupling.Y, coupling.Z)
-    ratio = upper / lower
-    if not (0.0 < ratio < math.inf and 1.0 / ratio < math.inf):
-        raise ModelDomainError(f"spin block entry sqrt(Z/Y) = {ratio:.3e} or its inverse overflows")
+    ratio = spin_ratio(coupling)
     matrix = np.array([[0.0, ratio], [1.0 / ratio, 0.0]])
     return OperatorRep(matrix, RepBasis.CHANNEL, meta={"coupling": coupling})
 
@@ -381,20 +375,6 @@ def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSp
     return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=False, meta=meta)
 
 
-def _inverse_coefficients(states, family) -> np.ndarray:
-    # 1 / (S d^2) per state, S d^2 the form's own d S d, refused naming the first
-    # state where either leaves the float range: with the kernels' check the
-    # inverse refuses every weight the form does (S > 0, so 1 / 0.0 is inf)
-    coeff = [1.0 / v if v else math.inf for v in family.form]
-    for what, values in (("S d^2", family.form), ("inverse coefficient 1/(S d^2)", coeff)):
-        bad = first_not_finite(values)
-        if bad is not None:
-            raise MetricConstraintError(
-                f"{what} of state (n={states[bad].level.n}, sigma={states[bad].sigma}) is "
-                f"{values[bad]}: the weight {family.per_state[bad]} takes it out of the float range")
-    return np.array(coeff)
-
-
 def inverse_theta_metric(
     states: Sequence[ChannelState],
     weights: MetricWeights | None = None,
@@ -413,7 +393,7 @@ def inverse_theta_metric(
     form is.
     """
     family = resolve_weights(states, weights, False)
-    coeff = _inverse_coefficients(states, family)
+    coeff = np.array(inverse_coefficients(states, family))
     meta = dict(family.meta, coefficients=coeff, diagonal_overlaps=np.array(family.d))
     with np.errstate(over="ignore", invalid="ignore"):
         if grid is not None:
@@ -454,7 +434,7 @@ def inverse_identity_defect(
     family = resolve_weights(states, weights, False)
     if theta_rep.dim != len(states):
         raise ModelDomainError("metric dimension does not match the state list")
-    coeff = _inverse_coefficients(states, family)
+    coeff = np.array(inverse_coefficients(states, family))
     with np.errstate(over="ignore", invalid="ignore"):
         product = coeff[:, None] * theta_rep.matrix
     _require_finite("identity product [i, k]", product)

@@ -31,20 +31,25 @@ roots of a discrete secular polynomial P that costs O(1) to evaluate at
 any M, and each eigenvector is one sine per side (`_TwoRegionBlock`).
 P and its slope are written once (`_TwoRegionBlock.secular`), over
 elementary functions that the argument's type picks: cmath for one
-Python number (Newton), numpy for an array (the grid and the count).
+Python number (Newton), numpy for an array.  The root search runs over
+Python lists and samples P through one evaluator per block
+(`_TwoRegionBlock.samples`): numpy's vectorised P for `eigenpairs`,
+which builds vectors anyway, or a loop over the cmath backend for
+`eigenvalues`, the numpy-free solve of the `verify` battery.
 The roots are seeded on the real axis, polished by Newton, and
 certified complete by an argument-principle count over a rectangle,
 symmetric about the real axis, that holds the numerical range of T (all
 2m - 1 roots, P's degree, need no count); each eigenpair is checked by
-its O(M) residual against H.  This is the discrete twin of
-k_L cot k_L + k_R cot k_R = 0, built from the finite-difference
-recursion alone, and the only solve: a root set the count cannot
-certify raises NumericalFailureError.  The dense eigensolve of
-`.matrix` is the tests' cross-check.
+its O(M) residual against H, or, in `eigenvalues`, each root by that of
+T.  This is the discrete twin of k_L cot k_L + k_R cot k_R = 0, built
+from the finite-difference recursion alone, and the only root search: a
+root set the count cannot certify raises NumericalFailureError.  The
+dense eigensolve of `.matrix` is the tests' cross-check.
 
-The structure checks live here, once, read off the bands: S H S =
-H^dagger, which the construction makes exact on every grid, and
-[H, spin]; `verify` reports both.
+The structure checks live here, once, computed in floats from the
+coupling and the grid: S H S = H^dagger, which the construction makes
+exact on every grid, and [H, spin]; `verify` reports both.  numpy is
+imported only by the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -54,14 +59,16 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from ._bracket import newton_in_bracket
+from ._ranges import _arange, _linspace
 from .errors import ModelDomainError, NumericalFailureError
 from .model import BranchClass, CouplingPair, GridSpec, RepBasis, as_index, coupling_step
 from .secular import LevelSolution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 REAL_IM_MAX = 1e-6  # a criticality scan entry with max |Im E| up to this is real
 # values closer than this (relative to max(1, |E|)) are one eigenvalue:
@@ -85,9 +92,17 @@ _CHUNK = 65536  # energies per vectorised evaluation of P
 # The elementary functions of P (`_TwoRegionBlock._side`): sqrt, asin,
 # sin, complex exp, real exp and select.  cmath and math serve one Python
 # number, as Newton asks, where a numpy call costs ten times the
-# arithmetic; numpy serves the arrays of the grid and the count.
+# arithmetic; numpy serves an array (`_elementary`).
 _CMATH = (cmath.sqrt, cmath.asin, cmath.sin, cmath.exp, math.exp, lambda test, a, b: a if test else b)
-_NUMPY = (np.sqrt, np.arcsin, np.sin, np.exp, np.exp, np.where)
+
+
+def _elementary(energies):
+    """`_CMATH` for one Python number, numpy's functions for an array."""
+    if isinstance(energies, (int, float, complex)):
+        return _CMATH
+    import numpy as np
+
+    return np.sqrt, np.arcsin, np.sin, np.exp, np.exp, np.where
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +121,8 @@ class BandedHamiltonian:
     is_form = False
 
     def __post_init__(self):
+        import numpy as np
+
         m, h2 = self.grid.n_interior, self.grid.h * self.grid.h
         bands = {
             "sub": np.full(m - 1, -1.0 / h2),
@@ -122,6 +139,8 @@ class BandedHamiltonian:
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        import numpy as np
+
         m = self.grid.n_interior
         # one allocation, only the eight nonzero diagonals written: dense
         # temporaries of the same size cost more than the solve itself
@@ -149,50 +168,76 @@ def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltoni
     return BandedHamiltonian(coupling, grid)
 
 
-# The structure checks read the operator's bands: H = I (x) K + C (x) D
-# has K's bands in both channel blocks, the cross-channel entries iZ d
-# (upper right) and iY d (lower left), and nothing else.  Each value is
-# the entrywise maximum the dense matrices give, bit for bit
-# (tests/test_battery.py compares them with `.matrix`), in O(M).
+# The structure checks, in floats from the coupling and the grid: H =
+# I (x) K + C (x) D has K's constant bands in both channel blocks, the
+# cross-channel entries iZ d (upper right) and iY d (lower left), d the
+# step at the nodes, and nothing else.  Each value is the entrywise
+# maximum the dense matrices give, bit for bit (tests/test_battery.py
+# compares them with `.matrix`), in O(M).
 
 
-def _swap_reflect_defect(rep: BandedHamiltonian) -> float:
+def _node_steps(grid: GridSpec) -> list[float]:
+    """model.coupling_step at the interior nodes h (j - M/2): sgn(-x)."""
+    h = grid.h
+    return [float((x < 0.0) - (x > 0.0)) for x in (h * (j - grid.M // 2) for j in range(1, grid.M))]
+
+
+def _swap_reflect_defect(coupling: CouplingPair, grid: GridSpec) -> float:
     """max |S H S - H^dagger| for S = channel swap (x) index reversal R.
 
     S H S has the blocks R K R on the diagonal and R (iY d) R, R (iZ d) R
-    off it, swapped; H^dagger has K and conj(iY d), conj(iZ d).
+    off it, swapped; H^dagger has K and conj(iY d), conj(iZ d).  K's bands
+    are constant, so R K R = K exactly, and an entry a d of the step
+    differs from its image by |i a d(-x) - conj(i a d(x))| = |a d(-x) + a d(x)|.
     """
-    upper, lower = _cross_channel(rep)
-    return float(max(
-        np.abs(rep.sub[::-1] - rep.sub).max(),
-        np.abs(rep.diagonal[::-1] - rep.diagonal).max(),
-        np.abs(lower[::-1] - lower.conj()).max(),
-        np.abs(upper[::-1] - upper.conj()).max(),
-    ))
+    step = _node_steps(grid)
+    return max(abs(a * s + a * t) for a in (coupling.Y, coupling.Z) for s, t in zip(step[::-1], step))
 
 
-def _spin_commutator_max(rep: BandedHamiltonian) -> float:
+def _spin_commutator_max(coupling: CouplingPair, grid: GridSpec) -> float:
     """max |H (spin (x) I) - (spin (x) I) H| for the 2x2 spin block.
 
-    The spin block is off-diagonal, so K's entries cancel exactly and
-    only the cross-channel entries remain, on the channel-diagonal
-    blocks: iZ d omega_10 - omega_01 iY d and iY d omega_01 - omega_10 iZ d.
+    The spin block [[0, r], [1/r, 0]], r = sqrt(Z/Y), is off-diagonal, so
+    K's entries cancel exactly and only the cross-channel entries remain,
+    on the channel-diagonal blocks: iZ d / r - r iY d and iY d r - (1/r) iZ d.
     """
-    # the spin observable is the metric layer's, which nothing else
-    # here imports: building and solving the operator stay independent
-    from .metric import spin_operator
+    # the spin ratio is the metric layer's, which nothing else here
+    # imports: building and solving the operator stay independent
+    from ._weights import spin_ratio
 
-    omega = spin_operator(rep.coupling).matrix
-    upper, lower = _cross_channel(rep)
-    return float(max(
-        np.abs(upper * omega[1, 0] - omega[0, 1] * lower).max(),
-        np.abs(lower * omega[0, 1] - omega[1, 0] * upper).max(),
-    ))
+    ratio = spin_ratio(coupling)
+    inverse, Y, Z = 1.0 / ratio, coupling.Y, coupling.Z
+    return max(max(abs(Z * d * inverse - ratio * (Y * d)), abs(Y * d * ratio - inverse * (Z * d)))
+               for d in set(_node_steps(grid)))
 
 
 def _cross_channel(rep: BandedHamiltonian):
     """The upper-right and lower-left entries iZ d and iY d."""
     return 1j * rep.coupling.Z * rep.step, 1j * rep.coupling.Y * rep.step
+
+
+def _require_residual(size: float, coupling: CouplingPair, grid: GridSpec) -> None:
+    """Refuse an eigenvector residual above RESIDUAL_RTOL of a bound on ||H||:
+    |2/h^2| + 2 |-1/h^2| for K, and ||C|| on the vectors built here, sqrt|YZ|,
+    or |Y| or |Z| for the Jordan coupling, times max |d| = 1."""
+    h2 = grid.h * grid.h
+    bound = 2.0 / h2 + 2 * (1.0 / h2) + (coupling.root_product or max(abs(coupling.Y), abs(coupling.Z)))
+    if size > RESIDUAL_RTOL * bound:
+        raise NumericalFailureError(f"eigenvector residual {size:.3g} exceeds {RESIDUAL_RTOL:g} of {bound:.3g}")
+
+
+def _lowest_roots(coupling: CouplingPair, grid: GridSpec, k: int, vectorised: bool):
+    """The block T of (coupling, grid) and its roots with real part below the
+    first gap past the (k + 1) // 2 lowest, each root two eigenvalues."""
+    c, h = coupling.root_product, grid.h
+    shift = 1j * c if coupling.branch is BranchClass.POSITIVE_PRODUCT else complex(c)
+    block = _TwoRegionBlock(width=4.0 / (h * h), shift=shift, m=grid.M // 2, vectorised=vectorised)
+    needed = (k + 1) // 2
+    roots = block.lowest_roots(needed)
+    edge, _ = _gap_after([r.real for r in roots], needed)
+    if edge is not None:
+        roots = [r for r in roots if r.real < edge]  # ties kept whole
+    return block, roots
 
 
 def eigenpairs(rep: BandedHamiltonian, k: int):
@@ -209,17 +254,13 @@ def eigenpairs(rep: BandedHamiltonian, k: int):
     each conjugate pair adjacent, negative imaginary part first; a
     quartet past the merger reads E, conj(E), E, conj(E) with Im E < 0.
     """
+    import numpy as np
+
     if not isinstance(rep, BandedHamiltonian):
         raise ModelDomainError(f"eigenpairs solves a BandedHamiltonian, got {type(rep).__name__}")
     k = as_index(k, f"k must be in 1..{rep.dim}", 1, rep.dim)
-    c, h = rep.coupling.root_product, rep.grid.h
-    shift = 1j * c if rep.coupling.branch is BranchClass.POSITIVE_PRODUCT else complex(c)
-    block = _TwoRegionBlock(width=4.0 / (h * h), shift=shift, m=rep.grid.M // 2)
-    needed = (k + 1) // 2  # each root of T is two eigenvalues
-    values = block.lowest_roots(needed)
-    edge, _ = _gap_after(values.real, needed)
-    if edge is not None:
-        values = values[values.real < edge]  # ties kept whole
+    block, roots = _lowest_roots(rep.coupling, rep.grid, k, vectorised=True)
+    values = np.array(roots, dtype=complex)
     values, vectors = _doublets(rep, block, values, block.eigenvectors(values))
     # |H x - E x| off the bands on the partners: each carries its root's T residual,
     # conjugated or reflected, and for YZ = 0 holds v itself in one channel
@@ -229,13 +270,34 @@ def eigenpairs(rep: BandedHamiltonian, k: int):
     residual += np.stack(_cross_channel(rep))[:, :, None] * x[::-1]
     residual[:, :-1] += rep.sub[:, None] * x[:, 1:]
     residual[:, 1:] += rep.sub[:, None] * x[:, :-1]
-    size = abs(residual).max()
-    # ||C|| on the vectors built here is sqrt|YZ|; the Jordan coupling carries |Y| or |Z|
-    coupling = c or max(abs(rep.coupling.Y), abs(rep.coupling.Z))
-    bound = abs(rep.diagonal).max() + 2 * abs(rep.sub).max() + coupling * abs(rep.step).max()
-    if size > RESIDUAL_RTOL * bound:
-        raise NumericalFailureError(f"eigenvector residual {size:.3g} exceeds {RESIDUAL_RTOL:g} of {bound:.3g}")
+    _require_residual(abs(residual).max(), rep.coupling, rep.grid)
     return _cut(values, vectors, k)
+
+
+def eigenvalues(coupling: CouplingPair, grid: GridSpec, k: int) -> list[complex]:
+    """The k eigenvalues `eigenpairs` returns for YZ > 0, in its order, as
+    Python complex numbers, without numpy and without eigenvectors.
+
+    The same root search on T, with P sampled by a loop over the cmath
+    backend, and the same certificates: the zero count, `_cut`'s conjugate
+    pairing and order, and each root's eigenvector residual within
+    RESIDUAL_RTOL of the same bound, for T's eigenvector built as
+    `_TwoRegionBlock.eigenvectors` builds it (`_TwoRegionBlock.residual`).
+    H's residual on either partner of a root is that of T times a channel
+    vector of norm 1, conjugated for conj(E), so the check is at least as
+    strict as `eigenpairs'`.  The grid samples of P differ from numpy's in
+    the last bits (cmath's asin and exp are not numpy's), and with them
+    the start of each bracketed Newton, so a root may end a few ulp from
+    `eigenpairs'`, up to 20 next to the merger (tests/test_oracle.py states
+    the bound).  Any other coupling class raises ModelDomainError.
+    """
+    if coupling.branch is not BranchClass.POSITIVE_PRODUCT:
+        raise ModelDomainError("the numpy-free eigenvalue solve covers YZ > 0; eigenpairs solves every class")
+    k = as_index(k, f"k must be in 1..{2 * grid.n_interior}", 1, 2 * grid.n_interior)
+    block, roots = _lowest_roots(coupling, grid, k, vectorised=False)
+    _require_residual(max(map(block.residual, roots)), coupling, grid)
+    values = roots + [r.conjugate() for r in roots]
+    return [values[i] for i in _order(values, k)]
 
 
 def _doublets(rep: BandedHamiltonian, block, values: np.ndarray, vectors: np.ndarray):
@@ -245,6 +307,8 @@ def _doublets(rep: BandedHamiltonian, block, values: np.ndarray, vectors: np.nda
     -lambda is R T R, R the index reversal).  YZ = 0, Y = 0: (v, 0) and
     (a, v), (K - E) a = -iZ D v, solvable as v . D v = 0 by parity; for
     Z = 0 the channels swap, and for C = 0, a = 0."""
+    import numpy as np
+
     coupling, c = rep.coupling, rep.coupling.root_product
     if not c:
         a = block.particular(values, -1j * (coupling.Z or coupling.Y) * rep.step[:, None] * vectors)
@@ -264,14 +328,19 @@ def _doublets(rep: BandedHamiltonian, block, values: np.ndarray, vectors: np.nda
 
 
 def _cut(values: np.ndarray, vectors: np.ndarray, k: int):
-    """The k eigenpairs `eigenpairs` returns, from all those given.
+    """The k eigenpairs `eigenpairs` returns, from all those given (`_order`)."""
+    chosen = _order(values.tolist(), k)
+    return values[chosen], vectors[:, chosen]
+
+
+def _order(listed: list, k: int) -> list:
+    """The positions of the k values `eigenpairs` returns, in its order.
 
     A value is complex when |Im E| > PAIRING_RTOL max(1, |E|), and is
     paired one to one with a value that close to its conjugate, else the
     solve fails.  Real values and pairs are sorted by real part, a tie
     (`_tie_groups`) by |Im|, each pair negative imaginary part first.
     """
-    listed = values.tolist()
     tol = [PAIRING_RTOL * max(1.0, abs(v)) for v in listed]
     units = [[i] for i, v in enumerate(listed) if abs(v.imag) <= tol[i]]
     lower = [i for i, v in enumerate(listed) if v.imag < -tol[i]]
@@ -292,8 +361,7 @@ def _cut(values: np.ndarray, vectors: np.ndarray, k: int):
     leading = [listed[unit[0]] for unit in units]
     group = _tie_groups([v.real for v in leading])
     order = sorted(range(len(units)), key=lambda j: (group[j], abs(leading[j].imag)))
-    chosen = [i for j in order for i in units[j]][:k]
-    return values[chosen], vectors[:, chosen]
+    return [i for j in order for i in units[j]][:k]
 
 
 def _tie_groups(real_parts: list) -> list:
@@ -337,12 +405,16 @@ class _TwoRegionBlock:
     every root.  One evaluator, `secular`, with a cmath backend for a
     Python number and a numpy one for an array, gives P and its slope
     scaled by exp(-|Im m theta_L| - |Im m theta_R|), a positive factor
-    that keeps the signs and phases and never overflows.
+    that keeps the signs and phases and never overflows.  The search
+    itself works on Python lists and samples P on them with `samples`,
+    vectorised by numpy or, with `vectorised` False, one cmath call per
+    energy, so that it loads no numpy.
     """
 
     width: float
     shift: complex  # lambda
     m: int
+    vectorised: bool = True
 
     @property
     def norm_bound(self) -> float:
@@ -351,15 +423,22 @@ class _TwoRegionBlock:
 
     # -- P and its slope --------------------------------------------------
 
+    def samples(self, energies: list, real: bool = False) -> list:
+        """Scaled P at each of energies (`secular`), as a list of Python numbers."""
+        if not self.vectorised:
+            return [self.secular(e, real=real) for e in energies]
+        import numpy as np
+
+        # at most _CHUNK energies per call, a bound on the temporaries
+        return [p for i in range(0, len(energies), _CHUNK)
+                for p in self.secular(np.array(energies[i : i + _CHUNK]), real=real).tolist()]
+
     def secular(self, energies, slope: bool = False, real: bool = False):
         """Scaled P at energies and, with `slope`, dP/dE times the same
         scale, so that P / P' is unscaled.  `real` asks for P's real-axis form at real energies: for
         an imaginary lambda the right side is the conjugate of the left,
         P = 2 Re(cos(m theta_L) conj U(theta_L)); for a real one, P is the
         real part of the two-sided sum."""
-        if isinstance(energies, np.ndarray) and energies.size > _CHUNK:  # bound the temporaries
-            chunks = [energies[i : i + _CHUNK] for i in range(0, energies.size, _CHUNK)]
-            return np.concatenate([self.secular(chunk, slope, real) for chunk in chunks], axis=-1)
         m, kappa = self.m, 2.0 / self.width
         conjugate_sides = real and not self.shift.real
         sides = []  # cos(m theta), U(theta) and, with the slope, their E-derivatives
@@ -388,10 +467,10 @@ class _TwoRegionBlock:
     def _side(self, energies, sign: float):
         """z = sin^2(theta / 2), theta, cos(m theta) and sin(m theta) scaled
         by exp(-|Im m theta|), and sin(theta) on the side of sign -1 (left)
-        or +1, with `_CMATH` for a Python number, `_NUMPY` for an array.
+        or +1, with `_elementary`'s functions for energies.
         At theta = 0 or pi (E at an end of a side's band), which no grid or
         count samples, sin(theta) reads NaN, and so do U and P."""
-        sqrt, asin, sin, cexp, exp, where = _NUMPY if isinstance(energies, np.ndarray) else _CMATH
+        sqrt, asin, sin, cexp, exp, where = _elementary(energies)
         z = (energies + sign * self.shift) / self.width
         theta = 2.0 * asin(sqrt(z))
         x, y = self.m * theta.real, self.m * theta.imag
@@ -455,22 +534,21 @@ class _TwoRegionBlock:
         m = self.m
         # uniform in theta, 8 samples per spacing of the decoupled levels,
         # from below the lowest real part a root of T can have
-        phi = np.arange(math.pi / (4 * m), phi_top, math.pi / (16 * m))
-        grid = -abs(self.shift.real) + self.width * np.sin(phi / 2) ** 2
+        phi = _arange(math.pi / (4 * m), phi_top, math.pi / (16 * m))
+        grid = [-abs(self.shift.real) + self.width * (s * s) for s in (math.sin(p / 2) for p in phi)]
         if whole and self.shift.real:
             # one side's band lies 2 |lambda| higher: with it the grid holds
             # both sides' decoupled levels, which interlace the roots of T
-            grid = np.sort(np.concatenate([grid, grid + 2.0 * abs(self.shift.real)]))
-        p = self.secular(grid, real=True)
-        sign = np.sign(p)
-        roots = [complex(e) for e in grid[p == 0]]
-        changes = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-        dips = _dips(np.abs(p))
-        dips = dips[(sign[dips - 1] == sign[dips]) & (sign[dips] == sign[dips + 1])]
-        grid, p = grid.tolist(), p.tolist()
-        brackets = [(grid[i], grid[i + 1], p[i], p[i + 1]) for i in changes.tolist()]
+            grid = sorted(grid + [e + 2.0 * abs(self.shift.real) for e in grid])
+        p = self.samples(grid, real=True)
+        sign = [(v > 0) - (v < 0) for v in p]
+        roots = [complex(e) for e, v in zip(grid, p) if v == 0]
+        brackets = [(grid[i], grid[i + 1], p[i], p[i + 1])
+                    for i in range(len(p) - 1) if sign[i] * sign[i + 1] < 0]
         seeds = []
-        for i in dips.tolist():
+        for i in _dips([abs(v) for v in p]):
+            if not sign[i - 1] == sign[i] == sign[i + 1]:
+                continue
             # a close real pair or a complex pair near the axis: fit a
             # parabola, and split the cell at its vertex if P changes
             # sign there
@@ -494,7 +572,7 @@ class _TwoRegionBlock:
                 roots += _with_conjugate(root)
         return _distinct(roots)
 
-    def lowest_roots(self, needed: int) -> np.ndarray:
+    def lowest_roots(self, needed: int) -> list:
         """Every root of P with real part below a gap past the `needed`
         lowest, certified by the zero count or by being all 2m - 1."""
         m = self.m
@@ -503,19 +581,19 @@ class _TwoRegionBlock:
         while True:
             phi_top = min(levels * math.pi / (2 * m), phi_max)
             roots = self._axis_roots(phi_top, whole=phi_top == phi_max)
-            if self.shift.imag and roots.size <= needed:
+            if self.shift.imag and len(roots) <= needed:
                 # the real grid misses the pairs far from the axis
                 top = self.width * math.sin(phi_top / 2) ** 2
                 roots = _distinct(self._shifted_levels(top, list(roots)))
-            edge, gap = _gap_after(roots.real, needed)
+            edge, gap = _gap_after([r.real for r in roots], needed)
             if edge is not None:
                 break
             if phi_top == phi_max:
                 edge, gap = self.width + abs(self.shift.real) + 1.0, 2.0
                 break
             levels *= 2
-        if roots.size == 2 * m - 1:  # P's degree: none is missing
-            return roots[roots.real < edge]
+        if len(roots) == 2 * m - 1:  # P's degree: none is missing
+            return [r for r in roots if r.real < edge]
         # every root lies in the numerical range, |Im E| <= |Im lambda| and
         # Re E >= width sin^2(pi / 2M) - |Re lambda|; the box keeps
         # 1 clear of it on three sides and gap / 2 on the fourth
@@ -523,8 +601,8 @@ class _TwoRegionBlock:
         clear = 1.0 + self.width * math.sin(math.pi / (4 * self.m)) ** 2
         box = (-abs(self.shift.real) - 1.0, edge, reach)
         count = self._winding(box, (gap / 4, 0.5, clear / 2))
-        roots = roots[roots.real < edge]
-        if count == roots.size:
+        roots = [r for r in roots if r.real < edge]
+        if count == len(roots):
             return roots
         return self._complete(box, count, roots)
 
@@ -543,7 +621,7 @@ class _TwoRegionBlock:
                 found += _with_conjugate(root)
         return found
 
-    def _complete(self, box, count: int, known: np.ndarray) -> np.ndarray:
+    def _complete(self, box, count: int, known: list) -> list:
         """All `count` roots in box, from the known ones: boxes whose count
         exceeds their known roots get a deflated Newton from their
         mid-line (`_mid_line_seeds`), and are split in two across the real
@@ -590,9 +668,10 @@ class _TwoRegionBlock:
         mid = 0.5 * (re0 + re1)
         yield complex(mid, 0.5 * reach)
         yield complex(mid, reach - 1.0)
-        heights = np.linspace(0.0, reach, math.ceil(reach / step) + 1)
-        for height in heights[_dips(np.abs(self.secular(mid + 1j * heights)))].tolist():
-            yield complex(mid, height)
+        heights = _linspace(0.0, reach, math.ceil(reach / step) + 1)
+        size = [abs(p) for p in self.samples([complex(mid, y) for y in heights])]
+        for i in _dips(size):
+            yield complex(mid, heights[i])
 
     def _winding(self, box, steps) -> int:
         """Zeros of P in the box re0 <= Re E <= re1, |Im E| <= reach, by the
@@ -611,29 +690,32 @@ class _TwoRegionBlock:
             raise NumericalFailureError(
                 f"the zero count of P asks for {sum(counts)} samples, more than {WINDING_POINTS}"
             )
-        points = np.concatenate(
-            [a + (b - a) * np.arange(n) / n for a, b, n in zip(corners, corners[1:], counts)]
-            + [corners[-1:]]
-        )
-        values = self.secular(points)
+        points = [a + (b - a) * i / n for a, b, n in zip(corners, corners[1:], counts)
+                  for i in range(n)] + corners[-1:]
+        values = self.samples(points)
         while True:
-            if not np.all(np.isfinite(values)) or np.any(values == 0):
+            if not all(map(cmath.isfinite, values)) or 0 in values:
                 raise NumericalFailureError("the zero count of P met a zero or a non-finite value")
-            turn = np.angle(values[1:] / values[:-1])
-            coarse = np.flatnonzero(np.abs(turn) > math.pi / 4)
-            if coarse.size == 0:
-                total = turn.sum() / math.pi
+            turn = [cmath.phase(b / a) for a, b in zip(values, values[1:])]
+            coarse = [i for i, t in enumerate(turn) if abs(t) > math.pi / 4]
+            if not coarse:
+                total = math.fsum(turn) / math.pi
                 count = round(total)
                 if abs(total - count) >= 0.1:
                     raise NumericalFailureError(f"the zero count of P reads {total}, not an integer")
                 return count
-            if points.size + coarse.size > WINDING_POINTS:
+            if len(points) + len(coarse) > WINDING_POINTS:
                 raise NumericalFailureError(
-                    f"the zero count of P asks for {points.size + coarse.size} samples, more than {WINDING_POINTS}"
+                    f"the zero count of P asks for {len(points) + len(coarse)} samples, more than {WINDING_POINTS}"
                 )
-            middle = 0.5 * (points[coarse] + points[coarse + 1])
-            points = np.insert(points, coarse + 1, middle)
-            values = np.insert(values, coarse + 1, self.secular(middle))
+            middle = [0.5 * (points[i] + points[i + 1]) for i in coarse]
+            inserted = dict(zip(coarse, zip(middle, self.samples(middle))))
+            merged = []
+            for i, sample in enumerate(zip(points, values)):
+                merged.append(sample)
+                if i in inserted:  # the midpoint after the sample it follows
+                    merged.append(inserted[i])
+            points, values = map(list, zip(*merged))
 
     # -- eigenvectors -----------------------------------------------------
 
@@ -642,6 +724,8 @@ class _TwoRegionBlock:
         on the left, B sin((2m - j) theta_R) on the right.  (A, B) comes
         from the better-conditioned row of the centre matching, since
         sin(m theta) -> 0 for the odd modes as lambda -> 0."""
+        import numpy as np
+
         m = self.m
         j = np.arange(1.0, m + 1)[:, None]
         sides = []
@@ -664,10 +748,40 @@ class _TwoRegionBlock:
         vectors = np.concatenate([a * left, b * right[-2::-1]])
         return vectors / np.linalg.norm(vectors, axis=0)
 
+    def residual(self, root: complex) -> float:
+        """max |T v - E v| in floats for the unit eigenvector v of T at the
+        root E that `eigenvectors` builds: the same sine per side, scaled
+        by exp(-m |Im theta|), and the same centre row."""
+        m, sides = self.m, []
+        for sign in (-1.0, 1.0):
+            _, theta, cos_m, sin_m, sin_t = self._side(root, sign)
+            x, y = theta.real, abs(theta.imag)
+            profile = []
+            for j in range(1, m + 1):
+                grow, fade = math.exp((j - m) * y), math.exp(-(j + m) * y)
+                profile.append(complex(math.sin(j * x) * (grow + fade) / 2,
+                                       math.copysign((grow - fade) / 2, theta.imag) * math.cos(j * x)))
+            sides.append((profile, cos_m, sin_m, sin_t))
+        (left, cos_l, sin_l, sin_tl), (right, cos_r, sin_r, sin_tr) = sides
+        if max(abs(sin_l), abs(sin_r)) >= max(abs(cos_l), abs(cos_r)):
+            a, b = sin_r, sin_l
+        else:
+            a, b = sin_tr * cos_r, -sin_tl * cos_l
+        v = [a * u for u in left] + [b * u for u in right[-2::-1]]
+        norm = math.sqrt(math.fsum(u.real * u.real + u.imag * u.imag for u in v))
+        v = [0j] + [u / norm for u in v] + [0j]  # the Dirichlet ends
+        # T = K + lambda D0: 2 / h^2 = width / 2 and -1 / h^2 = -width / 4 exactly
+        diagonal, sub = self.width / 2, -self.width / 4
+        rows = [diagonal + self.shift - root] * (m - 1) + [diagonal - root]
+        rows += [diagonal - self.shift - root] * (m - 1)
+        return max(abs(d * v[i] + sub * (v[i - 1] + v[i + 1])) for i, d in enumerate(rows, 1))
+
     def particular(self, roots: np.ndarray, sources: np.ndarray) -> np.ndarray:
         """For lambda = 0, the a with (T - E) a = f and a_1 = 0 per root E and
         column f, a_n = sum_{j<n} sin((n - j) theta) f_j / (s sin(theta)) with
         s = -width / 4, in O(M); a_2m = 0 when f is orthogonal to sin(j theta)."""
+        import numpy as np
+
         _, theta, _, _, sin_t = self._side(roots, -1.0)
         j = np.arange(1.0, 2 * self.m)[:, None]
         cos_j, sin_j = np.cos(j * theta), np.sin(j * theta)
@@ -675,9 +789,9 @@ class _TwoRegionBlock:
         return (sin_j * sums[0] - cos_j * sums[1]) / (-0.25 * self.width * sin_t)
 
 
-def _dips(size: np.ndarray) -> np.ndarray:
+def _dips(size: list) -> list[int]:
     """Indices of the strict interior local minima of size."""
-    return np.flatnonzero((size[1:-1] < size[:-2]) & (size[1:-1] < size[2:])) + 1
+    return [i for i in range(1, len(size) - 1) if size[i] < size[i - 1] and size[i] < size[i + 1]]
 
 
 def _with_conjugate(root: complex) -> list:
@@ -685,24 +799,24 @@ def _with_conjugate(root: complex) -> list:
     return [root, root.conjugate()] if root.imag else [root]
 
 
-def _distinct(roots) -> np.ndarray:
+def _distinct(roots) -> list:
     """roots without near-repeats, sorted by real then imaginary part."""
     kept = []
     for r in sorted(roots, key=lambda z: (z.real, z.imag)):
         if _is_new(r, kept):
             kept.append(r)
-    return np.array(kept, dtype=complex)
+    return kept
 
 
 def _is_new(root: complex, roots) -> bool:
     return all(abs(root - r) > DISTINCT_RTOL * max(1.0, abs(r)) for r in roots)
 
 
-def _gap_after(real_parts: np.ndarray, needed: int):
+def _gap_after(real_parts: list, needed: int):
     """(midpoint, width) of the first gap between ascending real parts
     after the `needed` lowest that is not a tie of the cut, or
     (None, None) when there is none."""
-    group = _tie_groups(real_parts.tolist())
+    group = _tie_groups(real_parts)
     if needed > len(group) or group[needed - 1] == group[-1]:
         return None, None
     i = group.index(group[needed - 1] + 1) - 1
@@ -730,18 +844,21 @@ def group_degenerate(values: np.ndarray):
 
     Returns a list of (mean value, multiplicity) in ascending real part.
     """
-    if values.size == 0:
-        return []
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    clusters = [[values[0]]]
-    for v in values[1:]:
-        anchor = clusters[-1][-1]
-        if abs(v - anchor) <= PAIRING_RTOL * max(1.0, abs(anchor)):
+    import numpy as np
+
+    return [(complex(np.mean(c)), len(c)) for c in _clusters(np.asarray(values).tolist())]
+
+
+def _clusters(values: list) -> list[list]:
+    """values by real then imaginary part, in runs whose neighbours lie
+    within PAIRING_RTOL * max(1, |E|) of each other."""
+    clusters = []
+    for v in sorted(values, key=lambda z: (z.real, z.imag)):
+        if clusters and abs(v - clusters[-1][-1]) <= PAIRING_RTOL * max(1.0, abs(clusters[-1][-1])):
             clusters[-1].append(v)
         else:
             clusters.append([v])
-    return [(complex(np.mean(c)), len(c)) for c in clusters]
+    return clusters
 
 
 def _require_comparable(branch: BranchClass) -> None:
@@ -769,35 +886,10 @@ def compare_spectrum(
     Levels of a YZ < 0 coupling are refused (ModelDomainError): they are
     not this operator's levels.
     """
-    for level in analytic:
-        _require_comparable(level.branch)
-    if len(analytic) < k:
-        raise ModelDomainError(f"need at least {k} analytic levels, got {len(analytic)}")
-    clusters = group_degenerate(np.asarray(eigenvalues))
-    if len(clusters) < k:
-        raise ModelDomainError(
-            f"only {len(clusters)} degenerate clusters in the numeric spectrum, need {k}"
-        )
-    rows = []
-    degeneracy_ok = True
-    for i in range(k):
-        level = analytic[i]
-        value, multiplicity = clusters[i]
-        if multiplicity != 2:
-            degeneracy_ok = False
-        abs_err = abs(value.real - level.E)
-        rows.append(
-            {
-                "n": level.n,
-                "E_analytic": level.E,
-                "E_numeric": value.real,
-                "im_numeric": value.imag,
-                "multiplicity": multiplicity,
-                "abs_err": abs_err,
-                "rel_err": abs_err / max(1.0, abs(level.E)),
-            }
-        )
-    report = {"levels": rows, "degeneracy_ok": degeneracy_ok}
+    import numpy as np
+
+    report = _level_report(analytic, group_degenerate(np.asarray(eigenvalues)), k)
+    rows = report["levels"]
     if coarse_eigenvalues is not None:
         coarse = group_degenerate(np.asarray(coarse_eigenvalues))
         if len(coarse) < k:
@@ -812,6 +904,41 @@ def compare_spectrum(
                 orders.append(math.log2(err_coarse / err_fine))
         report["richardson_orders"] = orders
     return report
+
+
+def compare_values(analytic: Sequence[LevelSolution], values: list, k: int) -> dict:
+    """`compare_spectrum`'s report, without Richardson orders, for a list of
+    Python numbers (`eigenvalues`), without numpy: a cluster's mean is its
+    sum over its size, np.mean's real part for a doublet E, conj(E)."""
+    return _level_report(analytic, [(sum(c) / len(c), len(c)) for c in _clusters(values)], k)
+
+
+def _level_report(analytic, clusters, k: int) -> dict:
+    """The per-level rows of the first k clusters (mean, multiplicity)
+    against the analytic levels, and whether each is a doublet."""
+    for level in analytic:
+        _require_comparable(level.branch)
+    if len(analytic) < k:
+        raise ModelDomainError(f"need at least {k} analytic levels, got {len(analytic)}")
+    if len(clusters) < k:
+        raise ModelDomainError(
+            f"only {len(clusters)} degenerate clusters in the numeric spectrum, need {k}"
+        )
+    rows = []
+    for level, (value, multiplicity) in zip(analytic[:k], clusters):
+        abs_err = abs(value.real - level.E)
+        rows.append(
+            {
+                "n": level.n,
+                "E_analytic": level.E,
+                "E_numeric": value.real,
+                "im_numeric": value.imag,
+                "multiplicity": multiplicity,
+                "abs_err": abs_err,
+                "rel_err": abs_err / max(1.0, abs(level.E)),
+            }
+        )
+    return {"levels": rows, "degeneracy_ok": all(row["multiplicity"] == 2 for row in rows)}
 
 
 def criticality_scan(c_values: Sequence[float], grid: GridSpec):
@@ -830,7 +957,7 @@ def criticality_scan(c_values: Sequence[float], grid: GridSpec):
     for c in c_values:
         rep = build_hamiltonian(CouplingPair(c, c), grid)
         values, _ = eigenpairs(rep, 4)
-        out.append((c, float(np.max(np.abs(values.imag)))))
+        out.append((c, float(abs(values.imag).max())))
     return out
 
 
@@ -854,6 +981,8 @@ def subspace_alignment(basis_vectors: np.ndarray, target: np.ndarray) -> float:
     split eigenvectors of a degenerate pair, independent of the
     eigensolver's arbitrary mixing and phases.
     """
+    import numpy as np
+
     basis_vectors = np.atleast_2d(np.asarray(basis_vectors, dtype=complex))
     if basis_vectors.shape[0] < basis_vectors.shape[1]:
         basis_vectors = basis_vectors.T

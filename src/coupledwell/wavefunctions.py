@@ -19,8 +19,9 @@ decoupled odd states (value 0 at the origin) the derivative at 0 is
 purely imaginary with positive imaginary part.  Normalization is unit
 L2 norm of phi alone, not of the two-channel vector.
 
-The states, their d and q and the segment integral are math/cmath
-scalars; the samplers (phi, upper, lower, evaluate, matching_residual) import numpy.
+The states, their d and q, the segment integral and the matching
+residual are math/cmath scalars; the samplers (phi, upper, lower,
+evaluate) import numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from ._ranges import _linspace
 from .errors import ModelDomainError, NormalizationSingularError
 from .model import BranchClass, CouplingPair, as_index, check_points
 from .secular import LevelSolution, _level_solver
@@ -193,11 +195,12 @@ def matching_residual(state: ChannelState) -> float:
     For a state built from a converged secular root this is at rounding
     level; the slope defect is proportional to the secular residual, so
     perturbing s at fixed coupling makes it jump by orders of magnitude.
+    The peak is sampled with cmath on the points of
+    np.linspace(-1, 1, 257) (_ranges._linspace); |conj w| = |w| on x > 0.
     """
-    import numpy as np
-
-    xs = np.linspace(-1.0, 1.0, _AMPLITUDE_SAMPLES)
-    amp = max(np.max(np.abs(state.upper(xs))), np.max(np.abs(state.lower(xs))))
+    profile = [cmath.sin(state.kappa * (x + 1.0 if x <= 0.0 else 1.0 - x))
+               for x in _linspace(-1.0, 1.0, _AMPLITUDE_SAMPLES)]
+    amp = max(abs(coeff * sine) for coeff in (state.A, state.B) for sine in profile)
     if amp == 0.0:
         raise ModelDomainError("state has zero amplitude")
     sin_kappa, cos_kappa = _sin_cos_kappa(state.level, state.sigma)

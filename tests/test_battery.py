@@ -11,9 +11,10 @@ from dataclasses import asdict
 import numpy as np
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coupledwell import (
+    MIN_ROOT_PRODUCT,
     Check,
     CouplingPair,
     GridSpec,
@@ -21,6 +22,8 @@ from coupledwell import (
     ModelDomainError,
     RootLostError,
     build_hamiltonian,
+    doublet_family,
+    perturbative_eps,
     spin_operator,
     verify,
 )
@@ -153,27 +156,21 @@ def test_band_structure_checks_are_the_dense_ones(M, Y, Z):
     h = rep.matrix
     swap = discrete_theta(rep.grid).matrix
     omega = np.kron(spin_operator(rep.coupling).matrix, np.eye(rep.dim // 2))
-    assert _swap_reflect_defect(rep) == np.max(np.abs(swap @ h @ swap - h.conj().T)) == 0.0
-    assert _spin_commutator_max(rep) == np.max(np.abs(h @ omega - omega @ h))
+    assert _swap_reflect_defect(rep.coupling, rep.grid) == np.max(np.abs(swap @ h @ swap - h.conj().T)) == 0.0
+    assert _spin_commutator_max(rep.coupling, rep.grid) == np.max(np.abs(h @ omega - omega @ h))
 
 
 def test_spin_commutator_bound_follows_the_root_product(monkeypatch):
     # at (1e200, 1e-200) the commutator's terms are +-sqrt(YZ) d = +-d,
     # while max |H_ij| is 1e200: a bound relative to the entries would
     # pass a spin ratio off by 1e-10
-    from coupledwell import metric
+    from coupledwell import _weights
 
     name = "discrete commutator [H, spin] max"
     coupling, grid = CouplingPair(1e200, 1e-200), GridSpec(64)
     assert {c.name: c for c in verify(coupling, 2, grid)}[name].passed
-    spin = metric.spin_operator
-
-    def skewed(pair):
-        rep = spin(pair)
-        rep.matrix[0, 1] *= 1.0 + 1e-10
-        return rep
-
-    monkeypatch.setattr(metric, "spin_operator", skewed)
+    spin = _weights.spin_ratio
+    monkeypatch.setattr(_weights, "spin_ratio", lambda pair: spin(pair) * (1.0 + 1e-10))
     check = {c.name: c for c in verify(coupling, 2, grid)}[name]
     assert not check.passed and check.bound == 1e-14
 
@@ -192,3 +189,54 @@ def test_battery_builds_no_dense_matrix(monkeypatch):
     assert by_name["discrete swap-reflect pseudo-Hermiticity defect"] == 0.0
     assert by_name["discrete commutator [H, spin] max"] == 0.0
     assert by_name["oracle lowest eigenvalues |Im| max"] == 0.0
+
+
+RATIO = "perturbation order-2/order-1 error ratio"
+
+
+@pytest.mark.parametrize("levels", ["13", "14"])
+def test_perturbation_ratio_is_left_out_at_the_rounding_of_eps(levels, capsys):
+    # c = 1e-6: eps is within 1 ulp of its 40-digit root at n = 12 and 13,
+    # and |eps - eps_1| reads 0.0 at n = 12 (the row divided by zero) and one
+    # ulp of eps at n = 13 (a ratio of 2.0 between two rounding errors, exit
+    # 4): below battery.RATIO_FLOOR_ULPS the row is left out and the rest pass
+    code = main(["verify", "--Y", "1e-6", "--Z", "1e-6", "--levels", levels])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert RATIO not in out and out.endswith("OK: 16/16 checks passed\n")
+
+
+def test_perturbation_ratio_keeps_its_value_where_resolvable():
+    # above the floor the row is the error ratio as before, bound 1
+    checks = {c.name: c for c in verify(CouplingPair(0.1, 0.1), 6, GridSpec(128))}
+    level = doublet_family(CouplingPair(0.1, 0.1), 6)[-1].level
+    err1 = abs(level.eps - perturbative_eps(5, CouplingPair(0.1, 0.1), order=1))
+    err2 = abs(level.eps - perturbative_eps(5, CouplingPair(0.1, 0.1), order=2))
+    assert checks[RATIO].value == err2 / err1 and checks[RATIO].bound == 1.0
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    log_c=st.floats(math.log(1e-6), math.log(4.4)),
+    log2_ratio=st.floats(-20.0, 20.0),
+    levels=st.integers(1, 40),
+    half_grid=st.integers(4, 2048),
+)
+# c = 1.0000000000000004e-06 and 2.000000000000001e-06: |eps - eps_1| = 0.0
+# at n = 12 and n = 20 (the ZeroDivisionError) and 3 ulp of eps at n = 13
+@example(log_c=math.log(1e-6), log2_ratio=0.0, levels=13, half_grid=64)
+@example(log_c=math.log(1e-6), log2_ratio=0.0, levels=14, half_grid=64)
+@example(log_c=math.log(2e-6), log2_ratio=0.0, levels=21, half_grid=64)
+@example(log_c=math.log(4.4), log2_ratio=20.0, levels=40, half_grid=2048)
+def test_every_check_passes_or_is_refused_over_the_domain(log_c, log2_ratio, levels, half_grid):
+    # Y Z = c^2 and Y / Z = 2^log2_ratio: each request passes every row or
+    # raises the documented refusal, MetricConstraintError where sqrt(YZ)
+    # rounds below MIN_ROOT_PRODUCT
+    c, root_ratio = math.exp(log_c), 2.0 ** (log2_ratio / 2)
+    coupling = CouplingPair(c * root_ratio, c / root_ratio)
+    if coupling.root_product < MIN_ROOT_PRODUCT:
+        with pytest.raises(MetricConstraintError, match="below 1e-06"):
+            verify(coupling, levels, GridSpec(2 * half_grid))
+        return
+    checks = verify(coupling, levels, GridSpec(2 * half_grid))
+    assert [check.name for check in checks if not check.passed] == []

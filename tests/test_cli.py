@@ -560,22 +560,33 @@ with tempfile.TemporaryDirectory() as tmp:
     ]
     codes += [main(["metric"] + argv) for argv in metric]
 after_metric = loaded("numpy", "scipy", "coupledwell")
-for argv in (["verify", "--Y", "1", "--Z", "4", "--levels", "4"],
-             ["oracle", "--Y", "1", "--Z", "4", "--grid", "64"]):
-    codes.append(main(argv + ["--out", os.devnull]))
+verify = [
+    ["--Y", "1", "--Z", "4", "--levels", "4"],
+    ["--Y", "1", "--Z", "4", "--levels", "40", "--grid", "16384"],
+    # refused with exit 2: YZ < 0 and a spin ratio out of the float range;
+    # exit 3: a coupling past c_crit(0)
+    ["--Y", "1", "--Z", "-4"],
+    ["--Y", "1e305", "--Z", "1e-316", "--levels", "2", "--grid", "64"],
+    ["--Y", "4.5", "--Z", "4.5"],
+]
+codes += [main(["verify"] + argv + ["--out", os.devnull]) for argv in verify]
+after_verify = loaded("numpy", "scipy", "coupledwell")
+codes.append(main(["oracle", "--Y", "1", "--Z", "4", "--grid", "64", "--out", os.devnull]))
 print(json.dumps({"codes": codes, "after_import": after_import,
                   "after_closed_form": after_closed_form,
                   "after_metric": after_metric,
-                  "after_oracle": loaded("scipy", "coupledwell")}))
+                  "after_verify": after_verify,
+                  "after_oracle": loaded("numpy", "scipy", "coupledwell")}))
 """
 
 
 def test_closed_form_subcommands_load_no_scipy():
-    # numpy is imported by the verify and oracle subcommands only, and
-    # scipy by none: the closed-form subcommands and metric import neither,
-    # on their error exits either (metric runs the weight contract without
-    # the numpy-backed metric module), and the oracle and the verify
-    # battery solve and check with numpy alone
+    # numpy is imported by the oracle subcommand only, and scipy by none:
+    # the closed-form subcommands, metric and verify import neither, on
+    # their error exits either (metric runs the weight contract without
+    # the numpy-backed metric module, verify its battery in floats with the
+    # oracle's numpy-free eigenvalue solve), and the oracle solves with
+    # numpy alone
     root = pathlib.Path(__file__).resolve().parent.parent
     path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     result = subprocess.run(
@@ -587,13 +598,16 @@ def test_closed_form_subcommands_load_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
-    assert report["codes"] == [0, 0, 0, 3, 0, 2, 0, 0, 0, 2, 2, 2, 2, 2, 0, 0]
+    assert report["codes"] == [0, 0, 0, 3, 0, 2, 0, 0, 0, 2, 2, 2, 2, 2, 0, 0, 2, 2, 3, 0]
     assert report["after_import"] == []
     assert report["after_closed_form"] == []
     assert not any(m.split(".")[0] in ("numpy", "scipy") for m in report["after_metric"])
     assert "coupledwell._weights" in report["after_metric"]
     assert "coupledwell.metric" not in report["after_metric"]
-    assert {"coupledwell.battery", "coupledwell.oracle"} <= set(report["after_oracle"])
+    assert not any(m.split(".")[0] in ("numpy", "scipy") for m in report["after_verify"])
+    assert {"coupledwell.battery", "coupledwell.oracle"} <= set(report["after_verify"])
+    assert "coupledwell.metric" not in report["after_verify"]
+    assert "numpy" in report["after_oracle"]
     assert not any(m.split(".")[0] == "scipy" for m in report["after_oracle"])
 
 

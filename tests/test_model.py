@@ -101,7 +101,7 @@ def test_conjugation_defect_is_exactly_zero(pair):
     # conj(W(x)) = W(-x) where it matters, on the operator's bands: S H S =
     # H^dagger exactly, also at M = 98, where -1 + h j misses x = 0 by an ulp
     for M in (8, 64, 98):
-        assert _swap_reflect_defect(build_hamiltonian(CouplingPair(*pair), GridSpec(M))) == 0.0
+        assert _swap_reflect_defect(CouplingPair(*pair), GridSpec(M)) == 0.0
 
 
 def test_conjugation_symmetry_at_random_points():

@@ -36,6 +36,7 @@ from coupledwell import (
     spectrum,
     subspace_alignment,
 )
+from coupledwell._ranges import _arange
 from coupledwell.oracle import _cut
 from test_doublet_reference import discrete_theta
 
@@ -182,7 +183,7 @@ def test_swap_reflect_symmetry_holds_by_construction(half_m):
     rep = build_hamiltonian(CouplingPair(1.0, 4.0), GridSpec(2 * half_m))
     assert np.array_equal(rep.step[::-1], -rep.step)
     assert rep.step[half_m - 1] == 0.0
-    assert coupledwell.oracle._swap_reflect_defect(rep) == 0.0
+    assert coupledwell.oracle._swap_reflect_defect(rep.coupling, rep.grid) == 0.0
 
 
 def test_reduced_solve_at_large_grid():
@@ -835,3 +836,74 @@ def test_reduced_and_dense_paths_agree(c, ratio, signs, jordan, half_m, k):
         # a real problem: real values, each doublet exactly degenerate
         assert np.all(values.imag == 0.0)
         assert np.array_equal(values[: values.size // 2 * 2 : 2], values[1::2])
+
+
+# eigenvalues, the numpy-free solve of the verify battery, runs the root
+# search of eigenpairs with P sampled by cmath instead of numpy.  cmath's
+# asin and exp are not numpy's, so the grid samples of P, and with them the
+# secant start of each bracketed Newton, differ in the last bits, and a root
+# may end on a nearby float.  The largest distance seen was 6 ulp over 3300
+# draws log-uniform in c in [1e-4, 4.4] with even M in [8, 16384], and 20 ulp
+# over 4000 draws in [4.3, 4.4] with M <= 80, next to the merger of pair 0.
+EIGENVALUES_ULPS = 32
+
+
+def _ulps(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(max(abs(a), abs(b))) if a != b else 0.0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    log_c=st.floats(math.log(1e-4), math.log(4.4)),
+    log2_ratio=st.floats(-4.0, 4.0),
+    half_m=st.integers(min_value=4, max_value=8192),
+    k=st.integers(min_value=1, max_value=8),
+)
+@example(log_c=math.log(4.3923354624117446), log2_ratio=-1.7245, half_m=6, k=6)  # 20 ulp
+@example(log_c=math.log(1.0), log2_ratio=2.0, half_m=8192, k=4)
+@example(log_c=math.log(1e-4), log2_ratio=0.0, half_m=4, k=8)
+def test_numpy_free_eigenvalues_are_eigenpairs_values(log_c, log2_ratio, half_m, k):
+    c, root_ratio = math.exp(log_c), 2.0 ** (log2_ratio / 2)
+    pair, grid = CouplingPair(c * root_ratio, c / root_ratio), GridSpec(2 * half_m)
+    expected, _ = eigenpairs(build_hamiltonian(pair, grid), k)
+    values = coupledwell.oracle.eigenvalues(pair, grid, k)
+    assert [type(v) for v in values] == [complex] * len(values) == [complex] * expected.size
+    for value, reference in zip(values, expected.tolist()):
+        assert _ulps(value.real, reference.real) <= EIGENVALUES_ULPS
+        assert _ulps(value.imag, reference.imag) <= EIGENVALUES_ULPS
+
+
+@pytest.mark.parametrize("M", [8, 64, 128])
+@pytest.mark.parametrize("c", [1e-4, 0.01, 1.0, 4.4])
+def test_numpy_free_residual_refuses_a_moved_root(c, M, monkeypatch):
+    # the float residual of T is live: roots moved by 1e-8 relative fail it.
+    # Its bound grows as 1 / h^2, so the smallest shift it sees grows with M
+    # (at M = 1024, c = 4.4, a 1e-8 shift reads 0.46 of the bound)
+    pair, grid = CouplingPair(c, c), GridSpec(M)
+    assert coupledwell.oracle.eigenvalues(pair, grid, 4)
+    lowest = coupledwell.oracle._TwoRegionBlock.lowest_roots
+    monkeypatch.setattr(
+        coupledwell.oracle._TwoRegionBlock,
+        "lowest_roots",
+        lambda self, needed: [r * (1.0 + 1e-8) for r in lowest(self, needed)],
+    )
+    with pytest.raises(NumericalFailureError, match="residual"):
+        coupledwell.oracle.eigenvalues(pair, grid, 4)
+
+
+@pytest.mark.parametrize("pair", [CouplingPair(1.0, -4.0), CouplingPair(0.0, 2.0), CouplingPair(0.0, 0.0)])
+def test_numpy_free_eigenvalues_cover_the_positive_product_only(pair):
+    with pytest.raises(ModelDomainError, match="YZ > 0"):
+        coupledwell.oracle.eigenvalues(pair, GridSpec(16), 2)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(m=st.integers(min_value=4, max_value=8192), levels=st.integers(min_value=1, max_value=64))
+def test_real_grid_is_numpy_s_bit_for_bit(m, levels):
+    # the root search's real grid, uniform in theta, is built in floats; the
+    # vectorised solve keeps the samples, brackets and roots it had with numpy
+    phi_top = min(levels * math.pi / (2 * m), math.pi - math.pi / (4 * m))
+    phi = np.arange(math.pi / (4 * m), phi_top, math.pi / (16 * m))
+    ours = _arange(math.pi / (4 * m), phi_top, math.pi / (16 * m))
+    assert [p.hex() for p in ours] == [p.hex() for p in phi.tolist()]
+    assert [math.sin(p / 2) for p in ours] == np.sin(phi / 2).tolist()
