@@ -7,6 +7,7 @@ same arithmetic in a float64 array.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -157,8 +158,8 @@ def kernel_entries(coupling: CouplingPair, s_plus, s_minus):
 
 
 def first_not_finite(values):
-    # the index of the first entry of values that is not finite, or None
-    return next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
+    # the index of the first entry of values, real or complex, that is not finite, or None
+    return next((i for i, v in enumerate(values) if not cmath.isfinite(v)), None)
 
 
 def out_of_range(what: str, index: list, value) -> MetricConstraintError:
@@ -230,6 +231,17 @@ def inverse_coefficients(states, family: WeightedFamily) -> list[float]:
                 f"{what} of state (n={states[bad].level.n}, sigma={states[bad].sigma}) is "
                 f"{values[bad]}: the weight {family.per_state[bad]} takes it out of the float range")
     return coeff
+
+
+def identity_defect(coefficients, form) -> float:
+    """max |diag(1/(S d^2)) F - I| for a diagonal mode form F with diagonal `form`:
+    metric.inverse_identity_defect and the `verify` row.  A product out of
+    the float range is refused (MetricConstraintError)."""
+    product = [k * f for k, f in zip(coefficients, form)]
+    bad = first_not_finite(product)
+    if bad is not None:
+        raise out_of_range("identity product [i, k]", [bad, bad], product[bad])
+    return max(abs(p - 1.0) for p in product)
 
 
 def spin_ratio(coupling: CouplingPair) -> float:

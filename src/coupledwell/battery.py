@@ -4,10 +4,13 @@ returns one `Check` record per invariant.  The CLI's `verify` subcommand
 only formats these records.
 
 Every row is computed in plain floats, so `verify` loads no numpy: the
-mode form diag(S d^2) and its weight contract from `_weights`, the
-pairing from the cached d and q and the scalar `phi_bilinear_product`,
-the band checks from the coupling and the grid, and the oracle's levels
-from `oracle.eigenvalues`, the numpy-free twin of `eigenpairs`.
+mode form diag(S d^2), its weight contract and the identity defect from
+`_weights` (the body of metric.inverse_identity_defect), the pairing
+from the cached d and q and the scalar `phi_bilinear_product`, the band
+checks from the coupling and the grid, and the oracle's levels from
+`oracle.eigenvalues`, compared by `compare_spectrum` (the `oracle`
+report).  The pairing, the quasi-Hermiticity defects, the band step and
+`eigenvalues` are float twins of numpy code, each with its reason.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._weights import first_not_finite, inverse_coefficients, out_of_range, resolve_weights, spin_ratio
+from ._weights import identity_defect, inverse_coefficients, resolve_weights, spin_ratio
 from .errors import ModelDomainError
 from .model import BranchClass, CouplingPair, GridSpec
-from .oracle import _spin_commutator_max, _swap_reflect_defect, compare_values, eigenvalues
+from .oracle import _spin_commutator_max, _swap_reflect_defect, compare_spectrum, eigenvalues
 from .secular import perturbative_eps
 from .wavefunctions import (channel_weights, doublet_family, matching_residual, parity_overlap,
                             phi_bilinear_product)
@@ -98,7 +101,8 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
 
     # the pairing G: diagonal d; its opposite-sigma blocks are exact zeros and
     # its sigma = -1 block is the sigma = +1 one, q_i (wl wu + wu wl) integral
-    # phi_i phi_j, where |q_i| = 1 (metric.biorthogonality_matrix)
+    # phi_i phi_j, where |q_i| = 1: the float twin of metric._doublet_pairing,
+    # which says why both stay
     wu, wl = channel_weights(+1, coupling.Y, coupling.Z)
     factor = wl * wu + wu * wl
     plus = states[0::2]
@@ -113,7 +117,8 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
         Check("metric minimal eigenvalue", min(form), 0.0, ">"),
         Check("quasi-Hermiticity defect (Hamiltonian)", _mode_defect(energies, form), 1e-8, "<="),
         Check("quasi-Hermiticity defect (spin observable)", _mode_defect(spins, form), 1e-8, "<="),
-        Check("inverse metric identity defect", _identity_defect(states, family), 1e-8, "<="),
+        Check("inverse metric identity defect",
+              identity_defect(inverse_coefficients(states, family), family.form), 1e-8, "<="),
     ]
 
     checks += [
@@ -123,7 +128,7 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
               _spin_commutator_max(coupling, grid), 1e-14 * c, "<="),
     ]
     values = eigenvalues(coupling, grid, min(4, 2 * n_levels))
-    report = compare_values(levels, values, min(2, n_levels))
+    report = compare_spectrum(levels, values, min(2, n_levels))
     checks += [
         Check("oracle lowest eigenvalues |Im| max", max(abs(v.imag) for v in values), 1e-6, "<="),
         Check("oracle vs analytic relative error",
@@ -134,19 +139,13 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
 
 def _mode_defect(values, form) -> float:
     """metric.quasi_hermiticity_defect of the map diag(values) against the
-    form diag(form): M^dagger F - F M is diagonal, conj(v) f - f v."""
+    form diag(form): M^dagger F - F M is diagonal, conj(v) f - f v.
+
+    The dense body stays in metric beside this twin: grid-basis forms and
+    non-diagonal mode maps, such as demos/metric_family.py's doublet swap,
+    need it."""
     denom = max(map(abs, form)) * max(map(abs, values))
     if denom == 0.0:
         raise ModelDomainError("zero operator or metric")
     return max(abs(v.conjugate() * f - f * v) for v, f in zip(values, form)) / denom
 
-
-def _identity_defect(states, family) -> float:
-    """metric.inverse_identity_defect of the mode form: max |1/(S d^2) F - I|,
-    whose off-diagonal entries are exact zeros; a product entry out of the
-    float range is refused (MetricConstraintError)."""
-    product = [k * f for k, f in zip(inverse_coefficients(states, family), family.form)]
-    bad = first_not_finite(product)
-    if bad is not None:
-        raise out_of_range("identity product [i, k]", [bad, bad], product[bad])
-    return max(abs(p - 1.0) for p in product)

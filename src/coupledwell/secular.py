@@ -419,8 +419,11 @@ def perturbative_eps(n: int, coupling: CouplingPair, order: int = 2) -> float:
     order 1:  2 YZ / ((n+1)^3 pi^3)
     order 2:  + 4 (YZ)^2 / (3 (n+1)^5 pi^5)
 
-    The absolute error of order 2 scales as (YZ)^3 / (n+1)^7 (with an
-    additional (n+1)^-7 piece from the expansion of the prefactors).
+    Order 2 computes these two terms only.  It is not the whole (YZ)^2
+    term: expanding t^2 / s = YZ / (4 s^3) about s_0 = (n+1) pi / 2 adds
+    -24 (-1)^n (YZ)^2 / ((n+1)^7 pi^7), which it leaves out, so its error
+    is O((YZ)^2 / (n+1)^7), not O((YZ)^3).  At n = 0 order 2 is farther
+    from eps than order 1, by a factor ~2.2 for sqrt(YZ) <= 0.5.
     """
     n = as_index(n, "level index must be a non-negative integer")
     if order not in (1, 2):

@@ -844,6 +844,19 @@ def test_inverse_theta_identity_defect():
     assert np.abs(coeff[:, None] * theta.matrix - np.eye(8)).max() <= 1e-8
 
 
+def test_identity_defect_refuses_a_mode_form_off_its_diagonal():
+    # the defect reads the diagonal of the form alone (_weights.identity_defect),
+    # so a mode form with one nonzero entry off it is refused, not misread
+    states = doublet_family(UNIT, 3)
+    theta = build_theta_metric(states)
+    matrix = theta.matrix.copy()
+    matrix[0, 3] = 1e-300
+    skewed = OperatorRep(matrix, RepBasis.MODE, is_form=True, meta=theta.meta)
+    with pytest.raises(ModelDomainError, match="expects the mode-basis metric form"):
+        inverse_identity_defect(skewed, states)
+    assert inverse_identity_defect(theta, states) <= 1e-8
+
+
 def test_inverse_theta_scaling():
     states = doublet_family(UNIT, 2)
     w1 = MetricWeights.unit(2)

@@ -10,7 +10,12 @@ against here.
 """
 
 import dataclasses
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -318,6 +323,49 @@ def test_compare_spectrum_flags_broken_degeneracy():
     assert not report["degeneracy_ok"]
     with pytest.raises(ModelDomainError):
         compare_spectrum(levels, fake[:1], 2)
+
+
+NUMPY_FREE_REPORT_SCRIPT = """
+import json, sys
+sys.modules["numpy"] = None
+from coupledwell import CouplingPair, spectrum
+from coupledwell.oracle import compare_spectrum, group_degenerate
+
+fine, coarse = ([complex(*v) for v in values] for values in json.loads(sys.stdin.read()))
+levels = spectrum(CouplingPair(1.0, 4.0), 3).levels
+print(json.dumps([repr(compare_spectrum(levels, fine, 4)),
+                  repr(compare_spectrum(levels, fine, 4, coarse)),
+                  repr(group_degenerate(fine + [complex(1e3, -0.0)]))]))
+"""
+
+
+def test_compare_spectrum_runs_without_numpy_on_a_list():
+    # the one comparison report, for the oracle's arrays and the battery's
+    # lists: the same report bit for bit from Python numbers with numpy
+    # unimportable, and a one-member cluster at Im = -0.0 keeps np.mean's sign
+    pair = CouplingPair(1.0, 4.0)
+    fine, _ = eigenpairs(build_hamiltonian(pair, GridSpec(128)), 10)
+    coarse, _ = eigenpairs(build_hamiltonian(pair, GridSpec(64)), 10)
+    levels = spectrum(pair, 3).levels
+    lone = np.append(fine, complex(1e3, -0.0))
+    expected = [repr(compare_spectrum(levels, fine, 4)),
+                repr(compare_spectrum(levels, fine, 4, coarse)),
+                repr(group_degenerate(lone))]
+    singleton = group_degenerate(lone)[-1][0]
+    assert singleton == 1e3 and math.copysign(1.0, singleton.imag) == math.copysign(
+        1.0, complex(np.mean(lone[-1:])).imag)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_REPORT_SCRIPT],
+        input=json.dumps([[[v.real, v.imag] for v in values.tolist()] for values in (fine, coarse)]),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == expected
 
 
 def test_compare_spectrum_refuses_negative_product_levels():
