@@ -12,7 +12,6 @@ an independent finite-difference oracle cross-checking all of it.
 import importlib
 
 from .errors import (
-    BracketError,
     InvalidToleranceError,
     MetricConstraintError,
     ModelDomainError,

@@ -125,7 +125,7 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
         Check("discrete swap-reflect pseudo-Hermiticity defect",
               _swap_reflect_defect(coupling, grid), 0.0, "<="),
         Check("discrete commutator [H, spin] max",  # terms +-sqrt(YZ) d, cancelling
-              _spin_commutator_max(coupling, grid), 1e-14 * c, "<="),
+              _spin_commutator_max(coupling), 1e-14 * c, "<="),
     ]
     values = eigenvalues(coupling, grid, min(4, 2 * n_levels))
     report = compare_spectrum(levels, values, min(2, n_levels))

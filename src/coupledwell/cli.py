@@ -21,7 +21,6 @@ from dataclasses import asdict
 
 from ._ranges import _linspace
 from .errors import (
-    BracketError,
     MetricConstraintError,
     ModelDomainError,
     NormalizationSingularError,
@@ -351,7 +350,7 @@ def main(argv=None) -> int:
     except (ModelDomainError, MetricConstraintError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RootLostError, BracketError) as exc:
+    except RootLostError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NumericalFailureError, NormalizationSingularError) as exc:

@@ -29,11 +29,6 @@ class RootLostError(RuntimeError):
         )
 
 
-class BracketError(RuntimeError):
-    """The initial coupling scan failed to bracket the criticality
-    transition."""
-
-
 class NormalizationSingularError(RuntimeError):
     """A biorthogonal diagonal overlap vanished (or nearly so); the
     spectral coefficient 1/overlap is singular."""

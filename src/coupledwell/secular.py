@@ -31,15 +31,17 @@ float overflow point, t sinh 2t exceeds any |s sin 2s|: g, g' and g''
 are then +inf, -inf and +inf, which reads as a merged pair, not as an
 error.
 
-The criticality search doubles the coupling until the pair has merged,
-then solves the double root g = g' = 0 (the merger, an exceptional
-point) by guarded Newton on the dip depth min_s g in that bracket.  It
-then bisects the bracket, but a midpoint farther than
-_MERGER_WINDOW (relative) from the merger coupling c* is decided by
-comparison with c*; only midpoints inside that window, at the float
-floor, take the walk.  The walk must first agree with c* at both ends
-of the window, or every midpoint walks, so the returned bracket is the
-walk's own.
+The criticality search brackets the merger of pair k in closed form,
+from a coupling at which the pair is alive to one at which it has
+merged (see `critical_coupling`), and solves the double root g = g' = 0
+there (the merger, an exceptional point) by guarded Newton on the dip
+depth min_s g.  It then doubles the coupling from 1 and bisects the
+bracket that the doubling finds, and one predicate decides both: a
+coupling farther than _MERGER_WINDOW (relative) from the merger coupling
+c* is decided by comparison with c*; only couplings inside that window,
+at the float floor, take the walk.  The walk must first agree with c* at
+both ends of the window, or every coupling walks, so the returned
+bracket is the walk's own.
 
 Each root is solved and stored as its offset eps: with
 s = (n+1) pi/2 + (-1)^n eps, sin 2s = -sin 2eps and g = t sinh(2t) -
@@ -61,12 +63,15 @@ import math
 from dataclasses import dataclass
 
 from ._bracket import newton_in_bracket
-from .errors import BracketError, ModelDomainError, NumericalFailureError, RootLostError
+from .errors import ModelDomainError, NumericalFailureError, RootLostError
 from .model import BranchClass, CouplingPair, as_index, validate_tol
 
 RESIDUAL_RTOL = 1e-12  # |g| at a root, relative to max(1, |t sinh 2t| + |s sin 2eps|)
 DEFAULT_CRITICAL_TOL = 1e-3
-_COUPLING_CAP = 1e6  # criticality scan gives up past this coupling
+MAX_LEVEL = 2 * (int(2**51 / math.pi) - 1) + 1  # pair cells end below 2^51: floats 1/4 apart
+MAX_PAIR = int(2**28 / math.pi) - 1  # cells end below 2^28: c_merger within 4 ulp
+_LEVEL_INDEX = f"level index must be an integer in [0, {MAX_LEVEL}]"  # formatted once, not per level
+_CELL_INDEX = f"pair_index must be an integer in [0, {MAX_LEVEL // 2}]"
 _MERGER_WINDOW = 1e-12  # relative half-width about c* inside which the bisection walks
 
 
@@ -106,9 +111,9 @@ class CriticalResult:
     c_crit: midpoint of the final coupling bracket, whose ends the walk
     onto the cell minimum decides; bracket_width: its width;
     evaluations: calls of g, dg/ds, d2g/ds2 and dg/dc over the whole
-    search, each one closed-form expression.  About 70-110 of them solve
+    search, each one closed-form expression.  About 50-90 of them solve
     the merger, and each walk costs 10-25 more.  Pair 0 at tol=1e-6
-    takes 143 calls.
+    takes 113 calls, pair 7 at tol=1e-12 259.
 
     c_merger, s_merger: the double root g = g' = 0 of the pair cell,
     c_merger the first float at which the cell minimum g(s_merger) reads
@@ -172,10 +177,8 @@ def _lift(s: float, c: float) -> float:
 
 
 def pair_interval(pair_index: int) -> tuple[float, float]:
-    """Open cell ((2k+1) pi/2, (2k+2) pi/2) holding roots 2k and 2k+1."""
-    if pair_index < 0:
-        raise ModelDomainError("pair_index must be >= 0")
-    k = pair_index
+    """Open cell ((2k+1) pi/2, (2k+2) pi/2) holding roots 2k and 2k+1, k <= MAX_LEVEL // 2."""
+    k = as_index(pair_index, _CELL_INDEX, 0, MAX_LEVEL // 2)
     return ((2 * k + 1) * math.pi / 2.0, (2 * k + 2) * math.pi / 2.0)
 
 
@@ -326,9 +329,11 @@ def solve_level(
     member.  On other branches `sublabel` must be omitted.
 
     Raises RootLostError when the root pair of n has merged (coupling at
-    or above the pair's critical value).
+    or above the pair's critical value), and ModelDomainError past
+    MAX_LEVEL = 1433540284805663: farther out floats space the pair cell
+    1/2 apart, and the walk misses g < 0 (n = MAX_LEVEL + 7 at YZ = 1).
     """
-    n = as_index(n, "level index must be a non-negative integer")
+    n = as_index(n, _LEVEL_INDEX, 0, MAX_LEVEL)
     branch = coupling.branch
     if branch is BranchClass.NEGATIVE_PRODUCT:
         sublabel = +1 if sublabel is None else sublabel
@@ -380,7 +385,7 @@ def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
     because sgn(-x) v^2 integrates to 0 by parity.  The closed form
     builds no states for this class.
     """
-    n_max = as_index(n_max, "n_max must be a non-negative integer")
+    n_max = as_index(n_max, f"n_max must be an integer in [0, {MAX_LEVEL}]", 0, MAX_LEVEL)
     branch = coupling.branch
     solve = _level_solver(branch, coupling.root_product)
     levels: list[LevelSolution] = []
@@ -425,7 +430,7 @@ def perturbative_eps(n: int, coupling: CouplingPair, order: int = 2) -> float:
     is O((YZ)^2 / (n+1)^7), not O((YZ)^3).  At n = 0 order 2 is farther
     from eps than order 1, by a factor ~2.2 for sqrt(YZ) <= 0.5.
     """
-    n = as_index(n, "level index must be a non-negative integer")
+    n = as_index(n, _LEVEL_INDEX, 0, MAX_LEVEL)
     if order not in (1, 2):
         raise ModelDomainError(f"order must be 1 or 2, got {order!r}")
     product = coupling.product
@@ -452,55 +457,53 @@ def critical_coupling(
     the roots in `solve_level`.  The walk ends on the minimum to machine
     precision, so it holds arbitrarily close to the merger, where the
     negative window is narrower than any fixed mesh.  The merger is
-    solved first, and the bisection walks only at midpoints within
-    1e-12 (relative) of it, where the dip depth nears the rounding of
-    g; farther out the merger decides as the walk would.
+    solved first, from a closed-form bracket of the pair cell, and the
+    doubling from 1 and the bisection walk only at couplings within
+    1e-12 (relative) of it, where the dip depth nears the rounding of g;
+    farther out the merger decides as the walk would.
 
     `tol` is an absolute width of the coupling bracket.  Below about
     one ulp of c_crit the bisection stops at the float floor instead,
     so `bracket_width` is the figure to trust: pair 20000 at tol=1e-12
     returns 1.16e-10.
 
-    The coupling doubles from 1 up to the cap sqrt(YZ) = 1e6, which is
-    the last coupling tried; a pair still alive there raises
-    BracketError.  Pair 30317 is the first such pair (c_crit of pair
-    30316 is 999972.37).
+    Every pair up to MAX_PAIR = 85445658 is answered, the last whose cell
+    end (k+1) pi stays below 2^28 (c* = 4.81e9 there), with c_merger
+    within 4 ulp of the double root.  Past it the float s resolves the
+    cell ever more coarsely, the cell minimum lands up to one ulp of s
+    off, and c_merger reads several ulp low (4.4 at pair 130911768), so
+    larger pairs raise ModelDomainError.
     """
-    k = as_index(pair_index, "pair_index must be a non-negative integer")
+    k = as_index(pair_index, f"pair_index must be an integer in [0, {MAX_PAIR}]", 0, MAX_PAIR)
     validate_tol(tol)
-    evaluations = 0
+    # alive at 1/2 s1 ln s1: t = ln(s1) / 4 at s1 = a + pi/4, where sin 2s1 = -1,
+    # so g(s1) < -s1 + ln(s1) sqrt(s1) / 8 < 0.  Merged at b ln(4b + 2): there
+    # t >= ln(4b + 2) / 2 >= 1/2 on the cell, so t sinh 2t >= (t/2)(e^2t - 1) > b >= -s sin 2s
+    a, b = pair_interval(k)
+    s1 = a + 0.25 * math.pi
+    c_merger, s_merger, evaluations = _merger(k, 0.5 * s1 * math.log(s1), b * math.log(4.0 * b + 2.0))
+    near_lo, near_hi = c_merger * (1.0 - _MERGER_WINDOW), c_merger * (1.0 + _MERGER_WINDOW)
 
-    def pair_alive(c: float) -> bool:
+    def alive(c: float) -> bool:  # the walk inside the window about c*, c* outside it
         nonlocal evaluations
+        if not near_lo <= c <= near_hi:
+            return c < c_merger
         point, spent = _negative_point(k, c)
         evaluations += spent
         return point is not None
 
-    lo = 1e-3
-    if not pair_alive(lo):
-        raise BracketError(
-            f"pair {pair_index}: no live root pair even at sqrt(YZ)={lo}; scan aborted"
-        )
-    hi = 1.0
-    while pair_alive(hi):
-        if hi == _COUPLING_CAP:
-            raise BracketError(
-                f"pair {pair_index}: no criticality transition up to sqrt(YZ)={_COUPLING_CAP}"
-            )
-        lo = hi
-        hi = min(2.0 * hi, _COUPLING_CAP)
-    c_merger, s_merger, spent = _merger(k, lo, hi)
-    evaluations += spent
-    # once the walk agrees with c* at both ends of its window, a midpoint
-    # outside the window is decided by c* alone; otherwise every midpoint walks
-    near_lo, near_hi = c_merger * (1.0 - _MERGER_WINDOW), c_merger * (1.0 + _MERGER_WINDOW)
-    if not (pair_alive(near_lo) and not pair_alive(near_hi)):
+    # once the walk agrees with c* at both ends of its window, a coupling
+    # outside the window is decided by c* alone; otherwise every coupling walks
+    if not (alive(near_lo) and not alive(near_hi)):
         near_lo, near_hi = -math.inf, math.inf
+    lo, hi = 1e-3, 1.0
+    while alive(hi):
+        lo, hi = hi, 2.0 * hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if pair_alive(mid) if near_lo <= mid <= near_hi else mid < c_merger:
+        if alive(mid):
             lo = mid
         else:
             hi = mid

@@ -163,7 +163,7 @@ def test_band_structure_checks_are_the_dense_ones(M, Y, Z):
     swap = discrete_theta(rep.grid).matrix
     omega = np.kron(spin_operator(rep.coupling).matrix, np.eye(rep.dim // 2))
     assert _swap_reflect_defect(rep.coupling, rep.grid) == np.max(np.abs(swap @ h @ swap - h.conj().T)) == 0.0
-    assert _spin_commutator_max(rep.coupling, rep.grid) == np.max(np.abs(h @ omega - omega @ h))
+    assert _spin_commutator_max(rep.coupling) == np.max(np.abs(h @ omega - omega @ h))
 
 
 def test_spin_commutator_bound_follows_the_root_product(monkeypatch):

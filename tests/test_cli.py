@@ -188,14 +188,17 @@ def test_critical_default_tolerance(capsys):
     assert payload["evaluations"] > 0
 
 
-def test_critical_past_the_last_doubling_exits_0_and_past_the_cap_3(capsys):
+def test_critical_answers_up_to_the_last_resolved_pair_and_refuses_past_it(capsys):
     code, out, _ = run(capsys, "critical", "--pair", "20000")
-    assert code == 0 and 2.0**19 < json.loads(out)["c_crit"] < 1e6
-    code, out, _ = run(capsys, "critical", "--pair", "30316")
-    assert code == 0 and json.loads(out)["c_crit"] < 1e6
-    code, out, err = run(capsys, "critical", "--pair", "30317")
-    assert code == 3 and out == ""
-    assert "no criticality transition up to sqrt(YZ)=1000000.0" in err
+    assert code == 0 and 2.0**19 < json.loads(out)["c_crit"] < 2.0**20
+    code, out, _ = run(capsys, "critical", "--pair", "30317")
+    assert code == 0 and 1e6 < json.loads(out)["c_crit"] < 2.0**20
+    code, out, _ = run(capsys, "critical", "--pair", "85445658")
+    assert code == 0 and json.loads(out)["pair_index"] == 85445658
+    for pair in ("85445659", str(2**1100)):
+        code, out, err = run(capsys, "critical", "--pair", pair)
+        assert code == 2 and out == ""
+        assert f"pair_index must be an integer in [0, 85445658], got {pair}" in err
 
 
 def test_metric_json_structure(capsys):

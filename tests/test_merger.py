@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coupledwell import (
-    BracketError,
     CouplingPair,
     ModelDomainError,
     RootLostError,
@@ -25,14 +24,12 @@ from coupledwell import (
     spectrum,
 )
 from coupledwell import secular
-from coupledwell.secular import _negative_point
-
-FIRST_PAIR_PAST_CAP = 30317
+from coupledwell.secular import MAX_PAIR, _negative_point
 
 
 def _bisection_reference(k, tol):
     """(c_crit, bracket_width) by doubling, then bisecting with a walk onto
-    the cell minimum at every midpoint."""
+    the cell minimum at every coupling."""
 
     def alive(c):
         return _negative_point(k, c)[0] is not None
@@ -40,9 +37,7 @@ def _bisection_reference(k, tol):
     lo, hi = 1e-3, 1.0
     assert alive(lo)
     while alive(hi):
-        if hi == 1e6:
-            raise BracketError(f"pair {k} still alive at the cap")
-        lo, hi = hi, min(2.0 * hi, 1e6)
+        lo, hi = hi, 2.0 * hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -54,23 +49,24 @@ def _bisection_reference(k, tol):
     return 0.5 * (lo + hi), hi - lo
 
 
+# k log-uniform over [0, MAX_PAIR]: an integer strategy over the whole range
+# would draw almost only pairs above 1e7
+_PAIRS = st.floats(0.0, math.log1p(MAX_PAIR)).map(lambda u: min(int(math.expm1(u)), MAX_PAIR))
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(k=st.integers(0, FIRST_PAIR_PAST_CAP - 1), exponent=st.floats(-13.0, -1.0))
+@given(k=_PAIRS, exponent=st.floats(-13.0, -1.0))
 @example(k=0, exponent=-12.0)
 @example(k=7, exponent=-13.0)
 @example(k=20000, exponent=-12.0)
-@example(k=FIRST_PAIR_PAST_CAP - 1, exponent=-13.0)
+@example(k=30316, exponent=-13.0)
+@example(k=30317, exponent=-1.0)
+@example(k=30317, exponent=-13.0)
+@example(k=MAX_PAIR, exponent=-13.0)
 def test_replay_matches_the_plain_bisection(k, exponent):
     tol = 10.0**exponent
     res = critical_coupling(k, tol)
     assert (res.c_crit, res.bracket_width) == _bisection_reference(k, tol)
-
-
-def test_replay_and_reference_refuse_the_first_pair_past_the_cap():
-    with pytest.raises(BracketError):
-        _bisection_reference(FIRST_PAIR_PAST_CAP, 1e-3)
-    with pytest.raises(BracketError, match="no criticality transition"):
-        critical_coupling(FIRST_PAIR_PAST_CAP)
 
 
 @pytest.mark.parametrize("shift", [0.9, 1.1])
@@ -90,10 +86,10 @@ def test_a_merger_the_walk_refutes_makes_every_midpoint_walk(monkeypatch, shift)
 
 
 def _mp_merger(k):
-    """(c*, s*, E*) of cell k at 40 digits: mpmath Newton on g = g' = 0 from
+    """(c*, s*, E*) of cell k at 60 digits: mpmath Newton on g = g' = 0 from
     a coarse bracket's midpoint and the upper quarter of the cell."""
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
+    mp.mp.dps = 60
 
     def equations(c, s):
         t = c / (2 * s)
@@ -109,11 +105,11 @@ def _mp_merger(k):
     return c, s, s * s - t * t
 
 
-# c* of pairs 0 and 20000, the 40-digit double roots to 20 significant digits
+# c* of pairs 0 and 20000, the 60-digit double roots to 20 significant digits
 MERGER_C = {0: "4.4753086021932552072", 20000: "635884.23586990534169"}
 
 
-@pytest.mark.parametrize("k", [0, 7, 500, 20000, FIRST_PAIR_PAST_CAP - 1])
+@pytest.mark.parametrize("k", [0, 7, 500, 20000, 30316, 30317, MAX_PAIR])
 def test_merger_point_matches_the_mpmath_double_root(k):
     mp = pytest.importorskip("mpmath")
     res = critical_coupling(k, 1e-6)
@@ -125,13 +121,17 @@ def test_merger_point_matches_the_mpmath_double_root(k):
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
-@given(k=st.integers(0, FIRST_PAIR_PAST_CAP - 1))
-def test_merger_point_matches_mpmath_over_every_pair(k):
+@given(k=_PAIRS, exponent=st.floats(-13.0, -1.0))
+@example(k=MAX_PAIR, exponent=-13.0)
+def test_merger_point_matches_mpmath_over_every_pair(k, exponent):
+    # the merger within 4 ulp, and inside the bracket but for the slack of
+    # the float floor, where the rounding of g at the cell minimum moves its ends
     mp = pytest.importorskip("mpmath")
-    res = critical_coupling(k, 1e-3)
+    res = critical_coupling(k, 10.0**exponent)
     c, s, energy = _mp_merger(k)
     for value, ref in [(res.c_merger, c), (res.s_merger, s), (res.E_merger, energy)]:
         assert abs(mp.mpf(value) - ref) <= 4 * math.ulp(float(ref))
+    assert abs(c - res.c_crit) <= res.bracket_width / 2 + 1e-13 * res.c_crit
 
 
 def test_merger_point_does_not_depend_on_tol():

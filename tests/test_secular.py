@@ -15,7 +15,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from coupledwell import (
-    BracketError,
     BranchClass,
     CouplingPair,
     InvalidToleranceError,
@@ -30,7 +29,7 @@ from coupledwell import (
 )
 from coupledwell import secular
 from coupledwell._bracket import newton_in_bracket
-from coupledwell.secular import _negative_point, _slope
+from coupledwell.secular import MAX_LEVEL, MAX_PAIR, _first_order, _negative_point, _slope
 
 # roots of the lowest pair at Y = Z = 1, 40-digit oracle
 S0_AT_C1 = 1.63211812842334197
@@ -300,6 +299,7 @@ INDEX_CALLS = {
     "spectrum": lambda i: spectrum(CouplingPair(1.0, 1.0), i),
     "perturbative_eps": lambda i: perturbative_eps(i, CouplingPair(0.5, 0.5)),
     "critical_coupling": lambda i: critical_coupling(i),
+    "pair_interval": pair_interval,
 }
 
 
@@ -318,10 +318,39 @@ def test_fixed_width_indices_do_not_wrap():
 
 
 @pytest.mark.parametrize("call", sorted(INDEX_CALLS))
-@pytest.mark.parametrize("value", [3.0, np.float64(3), np.bool_(True), "3"])
+@pytest.mark.parametrize("value", [3.0, np.float64(3), np.bool_(True), "3", 1.5])
 def test_non_integer_indices_are_rejected(call, value):
     with pytest.raises(ModelDomainError):
         INDEX_CALLS[call](value)
+
+
+# the largest index each call answers: the level bound keeps the pair cell
+# end (k+1) pi below 2^51, the critical bound below 2^28
+LARGEST_INDEX = {"solve_level": MAX_LEVEL, "spectrum": MAX_LEVEL, "perturbative_eps": MAX_LEVEL,
+                 "critical_coupling": MAX_PAIR, "pair_interval": MAX_LEVEL // 2}
+
+
+def test_largest_indices_are_the_last_cells_floats_resolve():
+    assert (MAX_PAIR, MAX_LEVEL) == (85445658, 1433540284805663)
+    assert (MAX_PAIR + 1) * math.pi < 2**28 < (MAX_PAIR + 2) * math.pi
+    k = MAX_LEVEL // 2
+    assert MAX_LEVEL == 2 * k + 1 and (k + 1) * math.pi < 2**51 < (k + 2) * math.pi
+
+
+@pytest.mark.parametrize("call", sorted(INDEX_CALLS))
+@pytest.mark.parametrize("past", [1, 2**1100])
+def test_indices_past_float_resolution_are_refused(call, past):
+    # ModelDomainError, not an OverflowError from (n + 1) pi or a lost root
+    with pytest.raises(ModelDomainError, match=rf"in \[0, {LARGEST_INDEX[call]}\], got"):
+        INDEX_CALLS[call](LARGEST_INDEX[call] + past)
+
+
+def test_the_last_level_keeps_its_first_order_offset():
+    # at n = MAX_LEVEL + 7 and sqrt(YZ) = 1 the walk finds no negative g;
+    # up to MAX_LEVEL every level is answered, eps within a few ulp of 2 YZ / (n+1)^3 pi^3
+    for n in (10**15, MAX_LEVEL - 1, MAX_LEVEL):
+        level = solve_level(n, CouplingPair(1.0, 1.0))
+        assert abs(level.eps - _first_order(n, 1.0)) <= 8 * math.ulp(level.eps)
 
 
 def test_roots_exist_just_below_merger_and_not_above():
@@ -494,9 +523,9 @@ def test_negative_point_exists_iff_the_cell_minimum_is_negative(c, k):
 
 
 def test_critical_coupling_between_the_last_doubling_and_the_cap():
-    # the doubling passes 2^19 = 524288 alive; the cap 1e6 is tried next
+    # the doubling passes 2^19 = 524288 alive and 2^20 merged
     res = critical_coupling(20000)
-    assert 2.0**19 < res.c_crit < 1e6
+    assert 2.0**19 < res.c_crit < 2.0**20
     lo, hi = res.c_crit - res.bracket_width / 2, res.c_crit + res.bracket_width / 2
     assert _mp_cell_minimum(20000, lo) < 0 < _mp_cell_minimum(20000, hi)
     # at tol=1e-12 the bracket is one ulp wide and the rounding of g at the
@@ -507,16 +536,14 @@ def test_critical_coupling_between_the_last_doubling_and_the_cap():
         20000, res.c_crit + slack)
 
 
-# the first pair still alive at the cap sqrt(YZ) = 1e6
-FIRST_PAIR_PAST_CAP = 30317
-
-
-def test_first_pair_past_the_cap_raises_bracket_error():
-    assert _mp_cell_minimum(FIRST_PAIR_PAST_CAP, 1e6) < 0 < _mp_cell_minimum(
-        FIRST_PAIR_PAST_CAP - 1, 1e6)
-    with pytest.raises(BracketError, match="no criticality transition"):
-        critical_coupling(FIRST_PAIR_PAST_CAP)
-    assert critical_coupling(FIRST_PAIR_PAST_CAP - 1).c_crit < 1e6
+def test_pairs_alive_at_1e6_are_answered_up_to_the_last_resolved_cell():
+    # pair 30317 is the first still alive at sqrt(YZ) = 1e6, MAX_PAIR the last
+    # whose merger floats resolve; both merge inside the bracket they return
+    assert _mp_cell_minimum(30317, 1e6) < 0 < _mp_cell_minimum(30316, 1e6)
+    for k in (30317, MAX_PAIR):
+        res = critical_coupling(k)
+        lo, hi = res.c_crit - res.bracket_width / 2, res.c_crit + res.bracket_width / 2
+        assert 1e6 < res.c_crit and _mp_cell_minimum(k, lo) < 0 < _mp_cell_minimum(k, hi)
 
 
 def _mp_eps(n, c):
