@@ -60,13 +60,22 @@ _PAIRS = st.floats(0.0, math.log1p(MAX_PAIR)).map(lambda u: min(int(math.expm1(u
 @example(k=7, exponent=-13.0)
 @example(k=20000, exponent=-12.0)
 @example(k=30316, exponent=-13.0)
-@example(k=30317, exponent=-1.0)
-@example(k=30317, exponent=-13.0)
-@example(k=MAX_PAIR, exponent=-13.0)
 def test_replay_matches_the_plain_bisection(k, exponent):
     tol = 10.0**exponent
     res = critical_coupling(k, tol)
     assert (res.c_crit, res.bracket_width) == _bisection_reference(k, tol)
+
+
+def test_replay_and_reference_agree_past_the_old_cap_up_to_max_pair():
+    # pair 30317 is the first still alive at c = 1e6, where the doubling used
+    # to stop: both now double on to the pair's own bracket, up to MAX_PAIR
+    for k in (30317, MAX_PAIR):
+        assert _negative_point(k, 1e6)[0] is not None
+        for tol in (1e-1, 1e-13):
+            res = critical_coupling(k, tol)
+            assert (res.c_crit, res.bracket_width) == _bisection_reference(k, tol)
+    with pytest.raises(ModelDomainError, match="pair_index must be an integer"):
+        critical_coupling(MAX_PAIR + 1)
 
 
 @pytest.mark.parametrize("shift", [0.9, 1.1])
