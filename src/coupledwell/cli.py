@@ -30,9 +30,9 @@ from .errors import (
 from .model import CouplingPair, GridSpec, as_index, validate_tol
 from .secular import DEFAULT_CRITICAL_TOL, critical_coupling, spectrum
 
-# spectrum, critical, scan, metric (the weight contract in floats) and
-# verify (the battery in floats) run without numpy; oracle is the only
-# subcommand that imports it
+# no subcommand imports numpy: spectrum, critical and scan are closed
+# form, metric runs the weight contract in floats, and verify (the battery
+# in floats) and oracle take their eigenvalues from the numpy-free solve
 
 _SPECTRUM_COLUMNS = ("n", "s", "t", "eps", "E", "residual", "branch")
 
@@ -167,7 +167,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import _require_comparable, build_hamiltonian, compare_spectrum, eigenpairs
+    from .oracle import _require_comparable, compare_spectrum, eigenvalues
 
     coupling = CouplingPair(args.Y, args.Z)
     _require_comparable(coupling.branch)  # before the eigensolve, which can fail first
@@ -189,14 +189,11 @@ def _cmd_oracle(args) -> int:
             f"got {args.grid}"
         )
     n_request = min(2 * args.levels + 2, 2 * (args.grid - 1))
-    values, _ = eigenpairs(build_hamiltonian(coupling, grid), n_request)
+    values = eigenvalues(coupling, grid, n_request)
     coarse_values = None
     if args.order:
         coarse_grid = GridSpec(args.grid // 2)
-        coarse_values, _ = eigenpairs(
-            build_hamiltonian(coupling, coarse_grid),
-            min(n_request, 2 * (coarse_grid.M - 1)),
-        )
+        coarse_values = eigenvalues(coupling, coarse_grid, min(n_request, 2 * (coarse_grid.M - 1)))
     report = compare_spectrum(levels, values, args.levels, coarse_values)
     report["grid_M"] = args.grid
     report["Y"] = coupling.Y

@@ -35,16 +35,18 @@ Python number (Newton), numpy for an array.  The root search runs over
 Python lists and samples P through one evaluator per block
 (`_TwoRegionBlock.samples`): numpy's vectorised P for `eigenpairs`,
 which builds vectors anyway, or a loop over the cmath backend for
-`eigenvalues`, the numpy-free solve of the `verify` battery.
-The roots are seeded on the real axis, polished by Newton, and
-certified complete by an argument-principle count over a rectangle,
-symmetric about the real axis, that holds the numerical range of T (all
-2m - 1 roots, P's degree, need no count); each eigenpair is checked by
-its O(M) residual against H, or, in `eigenvalues`, each root by that of
-T.  This is the discrete twin of k_L cot k_L + k_R cot k_R = 0, built
-from the finite-difference recursion alone, and the only root search: a
-root set the count cannot certify raises NumericalFailureError.  The
-dense eigensolve of `.matrix` is the tests' cross-check.
+`eigenvalues`, the numpy-free solve of YZ >= 0 that `verify`, the
+`oracle` subcommand and `criticality_scan` read.  The roots are seeded
+on the real axis, polished by Newton, and certified complete by an
+argument-principle count over a rectangle, symmetric about the real
+axis, that holds the numerical range of T (all 2m - 1 roots, P's
+degree, need no count); each eigenpair is checked by its O(M) residual
+against H, or, in `eigenvalues`, each root by that of T's eigenvector
+in O(1) (`_TwoRegionBlock.centre_residual`).  This is the discrete twin
+of k_L cot k_L + k_R cot k_R = 0, built from the finite-difference
+recursion alone, and the only root search: a root set the count cannot
+certify raises NumericalFailureError.  The dense eigensolve of
+`.matrix` is the tests' cross-check.
 
 The structure checks live here, once, computed in floats from the
 coupling and the grid: S H S = H^dagger, which the construction makes
@@ -280,28 +282,26 @@ def eigenpairs(rep: BandedHamiltonian, k: int):
 
 
 def eigenvalues(coupling: CouplingPair, grid: GridSpec, k: int) -> list[complex]:
-    """The k eigenvalues `eigenpairs` returns for YZ > 0, in its order, as
+    """The k eigenvalues `eigenpairs` returns for YZ >= 0, in its order, as
     Python complex numbers, without numpy and without eigenvectors.
 
-    The same root search on T, with P sampled by a loop over the cmath
-    backend, and the same certificates: the zero count, `_cut`'s conjugate
-    pairing and order, and each root's eigenvector residual within
-    RESIDUAL_RTOL of the same bound, for T's eigenvector built as
-    `_TwoRegionBlock.eigenvectors` builds it (`_TwoRegionBlock.residual`).
-    H's residual on either partner of a root is that of T times a channel
-    vector of norm 1, conjugated for conj(E), so the check is at least as
-    strict as `eigenpairs'`.  The grid samples of P differ from numpy's in
-    the last bits (cmath's asin and exp are not numpy's), and with them
-    the start of each bracketed Newton, so a root may end a few ulp from
-    `eigenpairs'`, up to 20 next to the merger (tests/test_oracle.py states
-    the bound).  Any other coupling class raises ModelDomainError.
+    The same root search on T, with P sampled by cmath, and the same
+    certificates: the zero count, `_cut`'s pairing and order, and each
+    root's eigenvector residual within RESIDUAL_RTOL of the same bound, in
+    O(1) (`_TwoRegionBlock.centre_residual`).  For YZ > 0, H's residual on
+    either partner is T's times a unit channel vector, so the check is as
+    strict as `eigenpairs'`.  The partners follow `_doublets`: conjugates
+    for YZ > 0, the roots themselves for YZ = 0.  cmath's asin and exp are
+    not numpy's, so a root may end a few ulp from `eigenpairs'`, up to 20
+    next to the merger (tests/test_oracle.py states the bound).  YZ < 0,
+    which no caller needs, raises ModelDomainError.
     """
-    if coupling.branch is not BranchClass.POSITIVE_PRODUCT:
-        raise ModelDomainError("the numpy-free eigenvalue solve covers YZ > 0; eigenpairs solves every class")
+    if coupling.branch is BranchClass.NEGATIVE_PRODUCT:
+        raise ModelDomainError("the numpy-free eigenvalue solve covers YZ >= 0; eigenpairs solves every class")
     k = as_index(k, f"k must be in 1..{2 * grid.n_interior}", 1, 2 * grid.n_interior)
     block, roots = _lowest_roots(coupling, grid, k, vectorised=False)
-    _require_residual(max(map(block.residual, roots)), coupling, grid)
-    values = roots + [r.conjugate() for r in roots]
+    _require_residual(max(map(block.centre_residual, roots)), coupling, grid)
+    values = roots + ([r.conjugate() for r in roots] if coupling.root_product else roots)
     return [values[i] for i in _order(values, k)]
 
 
@@ -407,13 +407,10 @@ class _TwoRegionBlock:
     rectangle that holds the numerical range is the certificate that
     none is missing.  On a mismatch, deflated Newton from the dips of |P|
     on the rectangle's mid-line and subdivision by the same count find
-    every root.  One evaluator, `secular`, with a cmath backend for a
-    Python number and a numpy one for an array, gives P and its slope
-    scaled by exp(-|Im m theta_L| - |Im m theta_R|), a positive factor
-    that keeps the signs and phases and never overflows.  The search
-    itself works on Python lists and samples P on them with `samples`,
-    vectorised by numpy or, with `vectorised` False, one cmath call per
-    energy, so that it loads no numpy.
+    every root.  `secular` gives P and its slope scaled by
+    exp(-|Im m theta_L| - |Im m theta_R|), a positive factor that keeps
+    the signs and phases and never overflows; `samples` evaluates it on
+    the search's lists, by numpy or, with `vectorised` False, by cmath.
     """
 
     width: float
@@ -431,9 +428,10 @@ class _TwoRegionBlock:
     def samples(self, energies: list, real: bool = False) -> list:
         """Scaled P at each of energies (`secular`), as a list of Python numbers.
 
-        Both stay: the cmath loop keeps `eigenvalues` (`verify`) free of
-        numpy, and numpy is the faster, 17.0 against 35.9 ms summed over the
-        34 root searches of the benchmark's `oracle` workload (2-core x86)."""
+        Both stay: cmath keeps `eigenvalues` free of numpy, and numpy is the
+        faster for `eigenpairs`, 15.0 against 32.3 ms over the 30 searches of
+        the compare requests in the first three blocks of the benchmark's
+        `oracle` workload, seed 1 (2-core x86, CPython 3.11, numpy 2.4)."""
         if not self.vectorised:
             return [self.secular(e, real=real) for e in energies]
         import numpy as np
@@ -757,36 +755,40 @@ class _TwoRegionBlock:
         vectors = np.concatenate([a * left, b * right[-2::-1]])
         return vectors / np.linalg.norm(vectors, axis=0)
 
-    def residual(self, root: complex) -> float:
-        """max |T v - E v| in floats for the unit eigenvector v of T at the
-        root E that `eigenvectors` builds: the same sine per side, scaled
-        by exp(-m |Im theta|), and the same centre row.
-
-        A float twin of `eigenvectors`, so that `eigenvalues` loads no
-        numpy.  O(M) in Python, ~3/4 of `verify --grid 16384`, it stays
-        until an O(1) certificate per root replaces both (ROADMAP)."""
+    def centre_residual(self, root: complex) -> float:
+        """max |T v - E v| in O(1) for the unit eigenvector v of T at the root
+        E that `eigenvectors` builds (the same sines, scaled by
+        exp(-m |Im theta|), and centre row), on the rows at and beside the
+        centre node, the only ones a root error reaches: every other row
+        holds its side's recursion and reads only the rounding of the
+        sines.  The norm is closed: |sin j theta|^2 = (cosh 2jy - cos 2jx) / 2
+        for theta = x + iy."""
         m, sides = self.m, []
-        for sign in (-1.0, 1.0):
+        for sign, n in ((-1.0, m), (1.0, m - 1)):
             _, theta, cos_m, sin_m, sin_t = self._side(root, sign)
             x, y = theta.real, abs(theta.imag)
-            profile = []
-            for j in range(1, m + 1):
+            profile = []  # sin(j theta) exp(-m y) at j = m - 2, m - 1, m
+            for j in (m - 2, m - 1, m):
                 grow, fade = math.exp((j - m) * y), math.exp(-(j + m) * y)
                 profile.append(complex(math.sin(j * x) * (grow + fade) / 2,
                                        math.copysign((grow - fade) / 2, theta.imag) * math.cos(j * x)))
-            sides.append((profile, cos_m, sin_m, sin_t))
-        (left, cos_l, sin_l, sin_tl), (right, cos_r, sin_r, sin_tr) = sides
+            # sum_{j=1}^n |sin j theta|^2 exp(-2 m y), half the geometric sum of
+            # cosh 2jy less the Dirichlet sum of cos 2jx, both scaled
+            ratio = math.expm1(-2 * n * y) / math.expm1(-2 * y) if y else n
+            cosh_sum = 0.5 * (math.exp(-2 * (m - n) * y) + math.exp(-2 * (m + 1) * y)) * ratio
+            cos_sum = math.sin(n * x) * math.cos((n + 1) * x) / math.sin(x) if math.sin(x) else n
+            sides.append((profile, 0.5 * (cosh_sum - math.exp(-2 * m * y) * cos_sum), cos_m, sin_m, sin_t))
+        (left, square_l, cos_l, sin_l, sin_tl), (right, square_r, cos_r, sin_r, sin_tr) = sides
         if max(abs(sin_l), abs(sin_r)) >= max(abs(cos_l), abs(cos_r)):
             a, b = sin_r, sin_l
         else:
             a, b = sin_tr * cos_r, -sin_tl * cos_l
-        v = [a * u for u in left] + [b * u for u in right[-2::-1]]
-        norm = math.sqrt(math.fsum(u.real * u.real + u.imag * u.imag for u in v))
-        v = [0j] + [u / norm for u in v] + [0j]  # the Dirichlet ends
+        norm = math.sqrt(abs(a) ** 2 * square_l + abs(b) ** 2 * square_r)
+        # v at the nodes m - 2 .. m + 2: the left sine up to the centre, then the right
+        v = [a * u / norm for u in left] + [b * u / norm for u in right[1::-1]]
         # T = K + lambda D0: 2 / h^2 = width / 2 and -1 / h^2 = -width / 4 exactly
         diagonal, sub = self.width / 2, -self.width / 4
-        rows = [diagonal + self.shift - root] * (m - 1) + [diagonal - root]
-        rows += [diagonal - self.shift - root] * (m - 1)
+        rows = (diagonal + self.shift - root, diagonal - root, diagonal - self.shift - root)
         return max(abs(d * v[i] + sub * (v[i - 1] + v[i + 1])) for i, d in enumerate(rows, 1))
 
     def particular(self, roots: np.ndarray, sources: np.ndarray) -> np.ndarray:
@@ -921,19 +923,15 @@ def criticality_scan(c_values: Sequence[float], grid: GridSpec):
 
     c is sqrt(YZ), applied as Y = Z = c.  Below the critical coupling the
     imaginary parts are exactly 0; past it the lowest quartet carries an
-    O(1) imaginary part.  c_values must be strictly increasing.
+    O(1) imaginary part.  c_values must be strictly increasing.  The
+    eigenvalues come from `eigenvalues`, so the scan loads no numpy.
     """
     c_values = [float(c) for c in c_values]
     if any(c < 0 for c in c_values):
         raise ModelDomainError("coupling values must be >= 0")
     if any(b <= a for a, b in zip(c_values, c_values[1:])):
         raise ModelDomainError("coupling values must be strictly increasing")
-    out = []
-    for c in c_values:
-        rep = build_hamiltonian(CouplingPair(c, c), grid)
-        values, _ = eigenpairs(rep, 4)
-        out.append((c, float(abs(values.imag).max())))
-    return out
+    return [(c, max(abs(v.imag) for v in eigenvalues(CouplingPair(c, c), grid, 4))) for c in c_values]
 
 
 def first_complex_bracket(scan):

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coupledwell import CouplingPair, solve_level, spectrum
+from coupledwell import CouplingPair, build_hamiltonian, eigenpairs, solve_level, spectrum
 from coupledwell.cli import _linspace, main
+from test_oracle import _DECOUPLED, EIGENVALUES_ULPS, _pair, _ulps
 
 C_CRIT_PAIR0 = 4.475308602193255
 
@@ -472,6 +473,7 @@ def test_oracle_past_the_merger_exits_3_before_the_eigensolve(capsys, monkeypatc
 
     monkeypatch.setattr(coupledwell.oracle, "build_hamiltonian", refuse)
     monkeypatch.setattr(coupledwell.oracle, "eigenpairs", refuse)
+    monkeypatch.setattr(coupledwell.oracle, "eigenvalues", refuse)
     code, out, err = run(capsys, "oracle", "--Y", "5", "--Z", "5")
     assert code == 3 and out == ""
     assert err == "error: analytic root lost at n=0; coupling at or above critical\n"
@@ -512,6 +514,53 @@ def test_oracle_at_large_grid(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["grid_M"] == 16384 and payload["degeneracy_ok"] is True
+
+
+def _oracle_report(argv, solve=None):
+    """The oracle subcommand's JSON report and exit code, its eigenvalues
+    taken from `solve` in place of the numpy-free solve when given."""
+    import coupledwell.oracle
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        if solve is not None:
+            patch.setattr(coupledwell.oracle, "eigenvalues", solve)
+        patch.setattr(sys, "stdout", out)
+        code = main(argv)
+    return code, json.loads(out.getvalue()) if code == 0 else None
+
+
+def _eigenpairs_values(coupling, grid, k):
+    return eigenpairs(build_hamiltonian(coupling, grid), k)[0]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["YZ > 0"] + sorted(_DECOUPLED)),
+    log_c=st.floats(math.log(1e-4), math.log(4.4)),
+    log2_ratio=st.floats(-4.0, 4.0),
+    half_m=st.integers(4, 8192),
+    levels=st.integers(1, 4),
+    order=st.booleans(),
+)
+@example(kind="YZ > 0", log_c=math.log(4.4), log2_ratio=0.0, half_m=4, levels=4, order=False)
+@example(kind="YZ > 0", log_c=0.0, log2_ratio=2.0, half_m=8192, levels=2, order=True)
+@example(kind="Y = 0", log_c=math.log(2.0), log2_ratio=0.0, half_m=32, levels=2, order=False)
+def test_oracle_subcommand_over_every_grid(kind, log_c, log2_ratio, half_m, levels, order):
+    # every even M in [8, 16384] (a multiple of 4 from 16 with --order) and
+    # every coupling class the oracle compares: exit 0, each level a doublet,
+    # and E_numeric within EIGENVALUES_ULPS of the report built on eigenpairs
+    pair = _pair(kind, math.exp(log_c), 2.0 ** (log2_ratio / 2))
+    grid = 4 * max(4, half_m // 2) if order else 2 * half_m
+    argv = ["oracle", "--Y", repr(pair.Y), "--Z", repr(pair.Z), "--levels", str(levels), "--grid", str(grid)]
+    argv += ["--order"] if order else []
+    code, report = _oracle_report(argv)
+    assert code == 0
+    assert [row["multiplicity"] for row in report["levels"]] == [2] * levels
+    _, reference = _oracle_report(argv, _eigenpairs_values)
+    for row, expected in zip(report["levels"], reference["levels"]):
+        assert _ulps(row["E_numeric"], expected["E_numeric"]) <= EIGENVALUES_ULPS
+        assert _ulps(row["im_numeric"], expected["im_numeric"]) <= EIGENVALUES_ULPS
 
 
 def test_out_writes_identical_bytes(tmp_path, capsys):
@@ -584,12 +633,11 @@ print(json.dumps({"codes": codes, "after_import": after_import,
 
 
 def test_closed_form_subcommands_load_no_scipy():
-    # numpy is imported by the oracle subcommand only, and scipy by none:
-    # the closed-form subcommands, metric and verify import neither, on
-    # their error exits either (metric runs the weight contract without
-    # the numpy-backed metric module, verify its battery in floats with the
-    # oracle's numpy-free eigenvalue solve), and the oracle solves with
-    # numpy alone
+    # no subcommand imports numpy or scipy: the closed-form subcommands,
+    # metric, verify and oracle import neither, on their error exits either
+    # (metric runs the weight contract without the numpy-backed metric
+    # module, verify its battery in floats, and verify and oracle take their
+    # eigenvalues from the oracle's numpy-free solve)
     root = pathlib.Path(__file__).resolve().parent.parent
     path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     result = subprocess.run(
@@ -610,8 +658,8 @@ def test_closed_form_subcommands_load_no_scipy():
     assert not any(m.split(".")[0] in ("numpy", "scipy") for m in report["after_verify"])
     assert {"coupledwell.battery", "coupledwell.oracle"} <= set(report["after_verify"])
     assert "coupledwell.metric" not in report["after_verify"]
-    assert "numpy" in report["after_oracle"]
-    assert not any(m.split(".")[0] == "scipy" for m in report["after_oracle"])
+    assert not any(m.split(".")[0] in ("numpy", "scipy") for m in report["after_oracle"])
+    assert "coupledwell.metric" not in report["after_oracle"]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -900,19 +900,32 @@ def _ulps(a: float, b: float) -> float:
     return abs(a - b) / math.ulp(max(abs(a), abs(b))) if a != b else 0.0
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+# the classes with YZ = 0: exactly one of Y, Z nonzero (a Jordan block
+# of C), or both 0; T is then K alone and each root is listed twice
+_DECOUPLED = {"Y = 0": lambda y, z: (0.0, z), "Z = 0": lambda y, z: (y, 0.0), "Y = Z = 0": lambda y, z: (0.0, 0.0)}
+
+
+def _pair(kind, c, root_ratio):
+    """The coupling of class `kind` with Y = c r, Z = c / r before a zero is set."""
+    y, z = c * root_ratio, c / root_ratio
+    return CouplingPair(*_DECOUPLED[kind](y, z)) if kind in _DECOUPLED else CouplingPair(y, z)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
 @given(
+    kind=st.sampled_from(["YZ > 0"] * 3 + sorted(_DECOUPLED)),  # half the draws YZ > 0
     log_c=st.floats(math.log(1e-4), math.log(4.4)),
     log2_ratio=st.floats(-4.0, 4.0),
     half_m=st.integers(min_value=4, max_value=8192),
     k=st.integers(min_value=1, max_value=8),
 )
-@example(log_c=math.log(4.3923354624117446), log2_ratio=-1.7245, half_m=6, k=6)  # 20 ulp
-@example(log_c=math.log(1.0), log2_ratio=2.0, half_m=8192, k=4)
-@example(log_c=math.log(1e-4), log2_ratio=0.0, half_m=4, k=8)
-def test_numpy_free_eigenvalues_are_eigenpairs_values(log_c, log2_ratio, half_m, k):
-    c, root_ratio = math.exp(log_c), 2.0 ** (log2_ratio / 2)
-    pair, grid = CouplingPair(c * root_ratio, c / root_ratio), GridSpec(2 * half_m)
+@example(kind="YZ > 0", log_c=math.log(4.3923354624117446), log2_ratio=-1.7245, half_m=6, k=6)  # 20 ulp
+@example(kind="YZ > 0", log_c=math.log(1.0), log2_ratio=2.0, half_m=8192, k=4)
+@example(kind="YZ > 0", log_c=math.log(1e-4), log2_ratio=0.0, half_m=4, k=8)
+@example(kind="Y = 0", log_c=0.0, log2_ratio=0.0, half_m=8192, k=4)
+@example(kind="Y = Z = 0", log_c=0.0, log2_ratio=0.0, half_m=4, k=8)
+def test_numpy_free_eigenvalues_are_eigenpairs_values(kind, log_c, log2_ratio, half_m, k):
+    pair, grid = _pair(kind, math.exp(log_c), 2.0 ** (log2_ratio / 2)), GridSpec(2 * half_m)
     expected, _ = eigenpairs(build_hamiltonian(pair, grid), k)
     values = coupledwell.oracle.eigenvalues(pair, grid, k)
     assert [type(v) for v in values] == [complex] * len(values) == [complex] * expected.size
@@ -939,10 +952,83 @@ def test_numpy_free_residual_refuses_a_moved_root(c, M, monkeypatch):
         coupledwell.oracle.eigenvalues(pair, grid, 4)
 
 
-@pytest.mark.parametrize("pair", [CouplingPair(1.0, -4.0), CouplingPair(0.0, 2.0), CouplingPair(0.0, 0.0)])
-def test_numpy_free_eigenvalues_cover_the_positive_product_only(pair):
-    with pytest.raises(ModelDomainError, match="YZ > 0"):
+@pytest.mark.parametrize("pair", [CouplingPair(1.0, -4.0), CouplingPair(-1e-300, 1e-300)])
+def test_numpy_free_eigenvalues_refuse_the_negative_product(pair):
+    with pytest.raises(ModelDomainError, match="YZ >= 0"):
         coupledwell.oracle.eigenvalues(pair, GridSpec(16), 2)
+
+
+def _full_residual(block, root):
+    """max |T v - E v| over every row of T, for the unit eigenvector v that
+    `_TwoRegionBlock.eigenvectors` builds at root, in O(M) floats: the
+    reference of the O(1) `centre_residual`.  With it, eps width max |v|,
+    the size of one rounding of a row's largest term."""
+    m, sides = block.m, []
+    for sign in (-1.0, 1.0):
+        _, theta, cos_m, sin_m, sin_t = block._side(root, sign)
+        x, y = theta.real, abs(theta.imag)
+        profile = []
+        for j in range(1, m + 1):
+            grow, fade = math.exp((j - m) * y), math.exp(-(j + m) * y)
+            profile.append(complex(math.sin(j * x) * (grow + fade) / 2,
+                                   math.copysign((grow - fade) / 2, theta.imag) * math.cos(j * x)))
+        sides.append((profile, cos_m, sin_m, sin_t))
+    (left, cos_l, sin_l, sin_tl), (right, cos_r, sin_r, sin_tr) = sides
+    if max(abs(sin_l), abs(sin_r)) >= max(abs(cos_l), abs(cos_r)):
+        a, b = sin_r, sin_l
+    else:
+        a, b = sin_tr * cos_r, -sin_tl * cos_l
+    v = [a * u for u in left] + [b * u for u in right[-2::-1]]
+    norm = math.sqrt(math.fsum(u.real * u.real + u.imag * u.imag for u in v))
+    v = [0j] + [u / norm for u in v] + [0j]  # the Dirichlet ends
+    diagonal, sub = block.width / 2, -block.width / 4
+    rows = [diagonal + block.shift - root] * (m - 1) + [diagonal - root]
+    rows += [diagonal - block.shift - root] * (m - 1)
+    residual = max(abs(d * v[i] + sub * (v[i - 1] + v[i + 1])) for i, d in enumerate(rows, 1))
+    return residual, sys.float_info.epsilon * block.width * max(map(abs, v))
+
+
+def test_centre_residual_is_the_full_residual_at_the_roots():
+    # every row but the three at the centre holds the recursion of its side:
+    # at a true root both read sine rounding, far below the bound (7.1e-10
+    # against 2.7e-2 for the full loop at M = 16384, 1.5e-6 of it at M = 8)
+    for pair, grid in ((UNIT, GridSpec(8)), (UNIT, GridSpec(16384)), (CouplingPair(0.0, 2.0), GridSpec(512))):
+        block, roots = coupledwell.oracle._lowest_roots(pair, grid, 8, vectorised=False)
+        bound = coupledwell.oracle.RESIDUAL_RTOL * (block.width + (pair.root_product or 2.0))
+        for root in roots:
+            assert block.centre_residual(root) <= 1e-5 * bound
+            assert _full_residual(block, root)[0] <= 1e-5 * bound
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["YZ > 0"] + sorted(_DECOUPLED)),
+    log_c=st.floats(math.log(1e-4), math.log(4.4)),
+    log2_ratio=st.floats(-4.0, 4.0),
+    half_m=st.integers(min_value=4, max_value=8192),
+    u=st.floats(-12.0, -6.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+@example(kind="YZ > 0", log_c=0.0, log2_ratio=2.0, half_m=4, u=-8.0, sign=1.0)
+@example(kind="Y = 0", log_c=0.0, log2_ratio=0.0, half_m=8192, u=-6.0, sign=-1.0)
+def test_centre_residual_follows_the_full_residual_at_moved_roots(kind, log_c, log2_ratio, half_m, u, sign):
+    # roots moved by 10^u relative: the O(1) certificate reads what the
+    # O(M) loop over every row reads, and both refuse the same roots.
+    # Where the loop reads below 1e-6 of the bound, both are sine rounding.
+    # Above it they agree within 1e-3 relative, give or take the rounding
+    # of a row's largest term that each reads on its own (0.48 of it at
+    # most past the 1e-3, over 1468 such roots of 1600 drawn, 325 refused)
+    pair, grid = _pair(kind, math.exp(log_c), 2.0 ** (log2_ratio / 2)), GridSpec(2 * half_m)
+    block, roots = coupledwell.oracle._lowest_roots(pair, grid, 8, vectorised=False)
+    h2 = grid.h * grid.h
+    bound = coupledwell.oracle.RESIDUAL_RTOL * (4.0 / h2 + (pair.root_product or max(abs(pair.Y), abs(pair.Z))))
+    for root in roots:
+        moved = root * (1.0 + sign * 10.0**u)
+        (full, rounding), centre = _full_residual(block, moved), block.centre_residual(moved)
+        if full > 1e-6 * bound:
+            assert abs(centre - full) <= 1e-3 * full + rounding
+        if abs(full / bound - 1.0) > 1e-3:
+            assert (centre > bound) == (full > bound)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -6,8 +6,11 @@ to double precision.  The library must reproduce them through its own float
 pipeline, so agreement is evidence, not circularity.
 """
 
+import contextlib
 import functools
+import io
 import math
+import os
 import random
 
 import numpy as np
@@ -29,6 +32,7 @@ from coupledwell import (
 )
 from coupledwell import secular
 from coupledwell._bracket import newton_in_bracket
+from coupledwell.cli import main
 from coupledwell.secular import MAX_LEVEL, MAX_PAIR, _first_order, _negative_point, _slope
 
 # roots of the lowest pair at Y = Z = 1, 40-digit oracle
@@ -351,6 +355,79 @@ def test_the_last_level_keeps_its_first_order_offset():
     for n in (10**15, MAX_LEVEL - 1, MAX_LEVEL):
         level = solve_level(n, CouplingPair(1.0, 1.0))
         assert abs(level.eps - _first_order(n, 1.0)) <= 8 * math.ulp(level.eps)
+
+
+def _mp_condition(n, c, eps):
+    """max(1, |t sinh 2t| + |s sin 2eps|) / |dg/deps| at the root eps, at
+    200 bits: the error in eps that a rounding of g of one unit of its
+    scale makes, large only next to a merger."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workprec(200):
+        c, s0, sign = mp.mpf(c), (n + 1) * mp.pi / 2, -1 if n % 2 else 1
+
+        def terms(eps):
+            s = s0 + sign * eps
+            t = c / (2 * s)
+            return t * mp.sinh(2 * t), s * mp.sin(2 * eps)
+
+        growth, dip = terms(eps)
+        slope = mp.diff(lambda e: mp.fsub(*terms(e)), eps)
+        return float(max(1, abs(growth) + abs(dip)) / abs(slope))
+
+
+# level indices log-uniform over [0, MAX_LEVEL]: an integer strategy over the whole range
+_LEVELS = st.floats(0.0, math.log1p(MAX_LEVEL)).map(lambda u: min(int(math.expm1(u)), MAX_LEVEL))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(n=_LEVELS)
+@example(n=0)
+@example(n=60634)  # the first level alive at sqrt(YZ) = 1e6, next to its merger
+@example(n=MAX_LEVEL)
+def test_every_level_index_matches_mpmath(n):
+    # eps against a 60-digit root of the eps form of g, at sqrt(YZ) = 1e-6,
+    # 1 and 1e6: within 8 ulp, plus 8 ulp of g's scale carried through
+    # dg/deps, which next to a merger lets 2.7e2 ulp through (n = 60635,
+    # c = 1e6; 8.4 ulp at most elsewhere over 450 draws).  A pair past its
+    # merger (pairs up to 30316 at c = 1e6) is refused with RootLostError,
+    # its cell minimum positive at 40 digits
+    for c in (1e-6, 1.0, 1e6):
+        try:
+            eps = solve_level(n, CouplingPair(c, c)).eps
+        except RootLostError:
+            assert _mp_cell_minimum(n // 2, c) > 0
+            continue
+        exact = _mp_eps(n, c)
+        assert abs(eps - exact) <= 8 * math.ulp(eps) + 8 * 2.0**-52 * _mp_condition(n, c, exact)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(log_c=st.floats(math.log(1e-10), math.log(1.7e308)), n_max=st.integers(0, 40))
+@example(log_c=math.log(1.7e308), n_max=40)
+@example(log_c=math.log(C_CRIT_PAIR0 * (1 - 1e-9)), n_max=40)
+@example(log_c=math.log(C_CRIT_PAIR0 * (1 + 1e-9)), n_max=3)
+def test_spectrum_returns_its_levels_or_truncates_at_the_first_merged_pair(log_c, n_max):
+    # up to the float overflow of sqrt(YZ): every level, or the levels below
+    # the first pair past its merger, where the solve raises RootLostError
+    # and the cell minimum is positive at 40 digits; nothing else is raised.
+    # The CLI exits 0 or 3 to match
+    c = math.exp(log_c)
+    pair = CouplingPair(c, c)
+    result = spectrum(pair, n_max)
+    if result.truncated_at is None:
+        assert [level.n for level in result.levels] == list(range(n_max + 1))
+        assert all(0 < level.eps < math.pi / 2 for level in result.levels)
+    else:
+        cut = result.truncated_at
+        assert cut % 2 == 0 and [level.n for level in result.levels] == list(range(cut))
+        with pytest.raises(RootLostError):
+            solve_level(cut, pair)
+        assert _mp_cell_minimum(cut // 2, c) > 0
+        if cut:
+            assert _mp_cell_minimum(cut // 2 - 1, c) < 0
+    argv = ["spectrum", "--Y", repr(c), "--Z", repr(c), "--levels", str(n_max + 1), "--out", os.devnull]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == (0 if result.truncated_at is None else 3)
 
 
 def test_roots_exist_just_below_merger_and_not_above():
