@@ -29,14 +29,11 @@ never the closed form, so the oracle stays independent.
 T is constant on each half of the grid, so its eigenvalues are the
 roots of a discrete secular polynomial P that costs O(1) to evaluate at
 any M, and each eigenvector is one sine per side (`_TwoRegionBlock`).
-P and its slope are written once (`_TwoRegionBlock.secular`), over
-elementary functions that the argument's type picks: cmath for one
-Python number (Newton), numpy for an array.  The root search runs over
-Python lists and samples P through one evaluator per block
-(`_TwoRegionBlock.samples`): numpy's vectorised P for `eigenpairs`,
-which builds vectors anyway, or a loop over the cmath backend for
-`eigenvalues`, the numpy-free solve of YZ >= 0 that `verify`, the
-`oracle` subcommand and `criticality_scan` read.  The roots are seeded
+P and its slope are written once (`_TwoRegionBlock.secular`), in cmath
+on one Python number, and the root search samples it over Python lists,
+the same for `eigenpairs` and for `eigenvalues`, the numpy-free solve of
+YZ >= 0 that `verify`, the `oracle` subcommand and `criticality_scan`
+read.  The roots are seeded
 on the real axis, polished by Newton, and certified complete by an
 argument-principle count over a rectangle, symmetric about the real
 axis, that holds the numerical range of T (all 2m - 1 roots, P's
@@ -83,28 +80,14 @@ RESIDUAL_RTOL = 1e-10
 # root this close to the real axis is real
 DISTINCT_RTOL = 1e-10
 NEWTON_STEPS = 100  # steps of the complex Newton, which has no bracket to bisect
-# samples in one zero count, a bound on its time and memory: the box is
-# 2 (|Im lambda| + 1) tall, its left edge sampled every ~1.7, so
-# couplings up to ~1.4e6 are solved
+# samples in one zero count, a bound on its time and memory: the right
+# edge of the box, |Im lambda| + margin tall, is sampled every gap / 4, gap
+# the width of the gap at the cut, so couplings up to ~4.9e6 are solved
+# for k <= 4 (~7.9e6 for k = 10, whose gap is wider)
 WINDING_POINTS = 1_000_000
 SPLIT_DEPTH = 40
 SPLIT_WINDINGS = 400
 _EPS = sys.float_info.epsilon
-_CHUNK = 65536  # energies per vectorised evaluation of P
-# The elementary functions of P (`_TwoRegionBlock._side`): sqrt, asin,
-# sin, complex exp, real exp and select.  cmath and math serve one Python
-# number, as Newton asks, where a numpy call costs ten times the
-# arithmetic; numpy serves an array (`_elementary`).
-_CMATH = (cmath.sqrt, cmath.asin, cmath.sin, cmath.exp, math.exp, lambda test, a, b: a if test else b)
-
-
-def _elementary(energies):
-    """`_CMATH` for one Python number, numpy's functions for an array."""
-    if isinstance(energies, (int, float, complex)):
-        return _CMATH
-    import numpy as np
-
-    return np.sqrt, np.arcsin, np.sin, np.exp, np.exp, np.where
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,12 +216,12 @@ def _require_residual(size: float, coupling: CouplingPair, grid: GridSpec) -> No
         raise NumericalFailureError(f"eigenvector residual {size:.3g} exceeds {RESIDUAL_RTOL:g} of {bound:.3g}")
 
 
-def _lowest_roots(coupling: CouplingPair, grid: GridSpec, k: int, vectorised: bool):
+def _lowest_roots(coupling: CouplingPair, grid: GridSpec, k: int):
     """The block T of (coupling, grid) and its roots with real part below the
     first gap past the (k + 1) // 2 lowest, each root two eigenvalues."""
     c, h = coupling.root_product, grid.h
     shift = 1j * c if coupling.branch is BranchClass.POSITIVE_PRODUCT else complex(c)
-    block = _TwoRegionBlock(width=4.0 / (h * h), shift=shift, m=grid.M // 2, vectorised=vectorised)
+    block = _TwoRegionBlock(width=4.0 / (h * h), shift=shift, m=grid.M // 2)
     needed = (k + 1) // 2
     roots = block.lowest_roots(needed)
     edge, _ = _gap_after([r.real for r in roots], needed)
@@ -266,7 +249,7 @@ def eigenpairs(rep: BandedHamiltonian, k: int):
     if not isinstance(rep, BandedHamiltonian):
         raise ModelDomainError(f"eigenpairs solves a BandedHamiltonian, got {type(rep).__name__}")
     k = as_index(k, f"k must be in 1..{rep.dim}", 1, rep.dim)
-    block, roots = _lowest_roots(rep.coupling, rep.grid, k, vectorised=True)
+    block, roots = _lowest_roots(rep.coupling, rep.grid, k)
     values = np.array(roots, dtype=complex)
     values, vectors = _doublets(rep, block, values, block.eigenvectors(values))
     # |H x - E x| off the bands on the partners: each carries its root's T residual,
@@ -285,21 +268,19 @@ def eigenvalues(coupling: CouplingPair, grid: GridSpec, k: int) -> list[complex]
     """The k eigenvalues `eigenpairs` returns for YZ >= 0, in its order, as
     Python complex numbers, without numpy and without eigenvectors.
 
-    The same root search on T, with P sampled by cmath, and the same
+    The same root search on T, so the same roots bit for bit, and the same
     certificates: the zero count, `_cut`'s pairing and order, and each
     root's eigenvector residual within RESIDUAL_RTOL of the same bound, in
     O(1) (`_TwoRegionBlock.centre_residual`).  For YZ > 0, H's residual on
     either partner is T's times a unit channel vector, so the check is as
     strict as `eigenpairs'`.  The partners follow `_doublets`: conjugates
-    for YZ > 0, the roots themselves for YZ = 0.  cmath's asin and exp are
-    not numpy's, so a root may end a few ulp from `eigenpairs'`, up to 20
-    next to the merger (tests/test_oracle.py states the bound).  YZ < 0,
-    which no caller needs, raises ModelDomainError.
+    for YZ > 0, the roots themselves for YZ = 0.  YZ < 0, which no caller
+    needs, raises ModelDomainError.
     """
     if coupling.branch is BranchClass.NEGATIVE_PRODUCT:
         raise ModelDomainError("the numpy-free eigenvalue solve covers YZ >= 0; eigenpairs solves every class")
     k = as_index(k, f"k must be in 1..{2 * grid.n_interior}", 1, 2 * grid.n_interior)
-    block, roots = _lowest_roots(coupling, grid, k, vectorised=False)
+    block, roots = _lowest_roots(coupling, grid, k)
     _require_residual(max(map(block.centre_residual, roots)), coupling, grid)
     values = roots + ([r.conjugate() for r in roots] if coupling.root_product else roots)
     return [values[i] for i in _order(values, k)]
@@ -409,14 +390,12 @@ class _TwoRegionBlock:
     on the rectangle's mid-line and subdivision by the same count find
     every root.  `secular` gives P and its slope scaled by
     exp(-|Im m theta_L| - |Im m theta_R|), a positive factor that keeps
-    the signs and phases and never overflows; `samples` evaluates it on
-    the search's lists, by numpy or, with `vectorised` False, by cmath.
+    the signs and phases and never overflows.
     """
 
     width: float
     shift: complex  # lambda
     m: int
-    vectorised: bool = True
 
     @property
     def norm_bound(self) -> float:
@@ -425,69 +404,51 @@ class _TwoRegionBlock:
 
     # -- P and its slope --------------------------------------------------
 
-    def samples(self, energies: list, real: bool = False) -> list:
-        """Scaled P at each of energies (`secular`), as a list of Python numbers.
-
-        Both stay: cmath keeps `eigenvalues` free of numpy, and numpy is the
-        faster for `eigenpairs`, 15.0 against 32.3 ms over the 30 searches of
-        the compare requests in the first three blocks of the benchmark's
-        `oracle` workload, seed 1 (2-core x86, CPython 3.11, numpy 2.4)."""
-        if not self.vectorised:
-            return [self.secular(e, real=real) for e in energies]
-        import numpy as np
-
-        # at most _CHUNK energies per call, a bound on the temporaries
-        return [p for i in range(0, len(energies), _CHUNK)
-                for p in self.secular(np.array(energies[i : i + _CHUNK]), real=real).tolist()]
-
-    def secular(self, energies, slope: bool = False, real: bool = False):
-        """Scaled P at energies and, with `slope`, dP/dE times the same
-        scale, so that P / P' is unscaled.  `real` asks for P's real-axis form at real energies: for
+    def secular(self, energy, slope: bool = False, real: bool = False):
+        """Scaled P at one Python number and, with `slope`, dP/dE times the
+        same scale, so that P / P' is unscaled.  `real` asks for P's real-axis form at a real energy: for
         an imaginary lambda the right side is the conjugate of the left,
         P = 2 Re(cos(m theta_L) conj U(theta_L)); for a real one, P is the
         real part of the two-sided sum."""
-        m, kappa = self.m, 2.0 / self.width
-        conjugate_sides = real and not self.shift.real
-        sides = []  # cos(m theta), U(theta) and, with the slope, their E-derivatives
-        for sign in (-1.0,) if conjugate_sides else (-1.0, 1.0):
-            z, _, cos_m, sin_m, sin_t = self._side(energies, sign)
-            u = sin_m / sin_t
-            if slope:  # dtheta/dE = kappa / sin(theta) and cos(theta) = 1 - 2z
-                du = kappa * (m * cos_m - u * (1.0 - 2.0 * z)) / (sin_t * sin_t)
-                sides.append((cos_m, u, -m * kappa * u, du))
-            else:
-                sides.append((cos_m, u))
-        if conjugate_sides:
-            c, u, *d = sides[0]
-            parts = [2.0 * (c * u.conjugate()).real]
-            if slope:
-                parts.append(2.0 * (d[0] * u.conjugate() + c * d[1].conjugate()).real)
-        else:
-            (c_l, u_l, *d_l), (c_r, u_r, *d_r) = sides
-            parts = [c_l * u_r + c_r * u_l]
-            if slope:
-                parts.append(d_l[0] * u_r + c_l * d_r[1] + d_r[0] * u_l + c_r * d_l[1])
-            if real:
-                parts = [part.real for part in parts]
-        return tuple(parts) if slope else parts[0]
+        z_l, _, c_l, sin_l, sin_tl = self._side(energy, -1.0)
+        u_l = sin_l / sin_tl  # U(theta_L)
+        if real and not self.shift.real:
+            p = 2.0 * (c_l * u_l.conjugate()).real
+            if not slope:
+                return p
+            dc_l, du_l = self._slopes(z_l, c_l, u_l, sin_tl)
+            return p, 2.0 * (dc_l * u_l.conjugate() + c_l * du_l.conjugate()).real
+        z_r, _, c_r, sin_r, sin_tr = self._side(energy, 1.0)
+        u_r = sin_r / sin_tr
+        p = c_l * u_r + c_r * u_l
+        if not slope:
+            return p.real if real else p
+        (dc_l, du_l), (dc_r, du_r) = self._slopes(z_l, c_l, u_l, sin_tl), self._slopes(z_r, c_r, u_r, sin_tr)
+        dp = dc_l * u_r + c_l * du_r + dc_r * u_l + c_r * du_l
+        return (p.real, dp.real) if real else (p, dp)
 
-    def _side(self, energies, sign: float):
+    def _slopes(self, z, cos_m, u, sin_t):
+        """The E-derivatives of cos(m theta) and U(theta) on one side, from
+        dtheta/dE = kappa / sin(theta), kappa = 2 / width, and cos(theta) = 1 - 2z."""
+        m, kappa = self.m, 2.0 / self.width
+        return -m * kappa * u, kappa * (m * cos_m - u * (1.0 - 2.0 * z)) / (sin_t * sin_t)
+
+    def _side(self, energy, sign: float):
         """z = sin^2(theta / 2), theta, cos(m theta) and sin(m theta) scaled
-        by exp(-|Im m theta|), and sin(theta) on the side of sign -1 (left)
-        or +1, with `_elementary`'s functions for energies.
+        by exp(-|Im m theta|), and sin(theta) at one Python number on the
+        side of sign -1 (left) or +1, in cmath.
         At theta = 0 or pi (E at an end of a side's band), which no grid or
         count samples, sin(theta) reads NaN, and so do U and P."""
-        sqrt, asin, sin, cexp, exp, where = _elementary(energies)
-        z = (energies + sign * self.shift) / self.width
-        theta = 2.0 * asin(sqrt(z))
+        z = (energy + sign * self.shift) / self.width
+        theta = 2.0 * cmath.asin(cmath.sqrt(z))
         x, y = self.m * theta.real, self.m * theta.imag
-        turn = cexp(1j * x)
-        fore = turn * exp(-y - abs(y))  # exp(i (x + iy)) exp(-|y|)
-        back = turn.conjugate() * exp(y - abs(y))  # exp(-i (x + iy)) exp(-|y|)
+        turn = cmath.exp(1j * x)
+        fore = turn * math.exp(-y - abs(y))  # exp(i (x + iy)) exp(-|y|)
+        back = turn.conjugate() * math.exp(y - abs(y))  # exp(-i (x + iy)) exp(-|y|)
         # sin(theta) from theta itself: on the branch cuts of arcsin a
         # closed form in z could take the other side
-        sin_t = sin(theta)
-        return z, theta, (fore + back) / 2, (fore - back) / 2j, where(sin_t == 0, math.nan, sin_t)
+        sin_t = cmath.sin(theta)
+        return z, theta, (fore + back) / 2, (fore - back) / 2j, sin_t if sin_t else math.nan
 
     # -- roots ------------------------------------------------------------
 
@@ -547,7 +508,7 @@ class _TwoRegionBlock:
             # one side's band lies 2 |lambda| higher: with it the grid holds
             # both sides' decoupled levels, which interlace the roots of T
             grid = sorted(grid + [e + 2.0 * abs(self.shift.real) for e in grid])
-        p = self.samples(grid, real=True)
+        p = [self.secular(e, real=True) for e in grid]
         sign = [(v > 0) - (v < 0) for v in p]
         roots = [complex(e) for e, v in zip(grid, p) if v == 0]
         brackets = [(grid[i], grid[i + 1], p[i], p[i + 1])
@@ -601,17 +562,26 @@ class _TwoRegionBlock:
             levels *= 2
         if len(roots) == 2 * m - 1:  # P's degree: none is missing
             return [r for r in roots if r.real < edge]
-        # every root lies in the numerical range, |Im E| <= |Im lambda| and
-        # Re E >= width sin^2(pi / 2M) - |Re lambda|; the box keeps
-        # 1 clear of it on three sides and gap / 2 on the fourth
-        reach = abs(self.shift.imag) + 1.0
-        clear = 1.0 + self.width * math.sin(math.pi / (4 * self.m)) ** 2
-        box = (-abs(self.shift.real) - 1.0, edge, reach)
-        count = self._winding(box, (gap / 4, 0.5, clear / 2))
         roots = [r for r in roots if r.real < edge]
+        # every root lies in the numerical range, |Im E| <= |Im lambda| and
+        # Re E >= floor = width sin^2(pi / 2M) - |Re lambda|.  The box clears
+        # it on the top and left by the least spacing of the roots' real parts
+        # (at most gap, at least 1, on the top at most (edge - floor) / 4) and
+        # by gap / 2 on the right, each edge sampled every half its margin: no
+        # step is more than half the distance from its edge to the nearest
+        # root.  The spacing caps the margins: past it, a step along a long
+        # edge passes many roots, whose turns add up and alias the count
+        floor = self.width * math.sin(math.pi / (4 * m)) ** 2 - abs(self.shift.real)
+        real_parts = sorted({r.real for r in roots})
+        spacing = min([b - a for a, b in zip(real_parts, real_parts[1:])] + [gap])
+        top, left = max(1.0, min(spacing, (edge - floor) / 4)), max(1.0, spacing)
+        count = self._winding((floor - left, edge, abs(self.shift.imag) + top), (gap / 4, top / 2, left / 2))
         if count == len(roots):
             return roots
-        return self._complete(box, count, roots)
+        # any box that holds the numerical range holds the same roots: the
+        # completion seeds and splits the one that clears it by 1, whose
+        # mid-line stays near the roots whatever the count's margins
+        return self._complete((-abs(self.shift.real) - 1.0, edge, abs(self.shift.imag) + 1.0), count, roots)
 
     def _shifted_levels(self, top: float, found: list) -> list:
         """found, with the roots that deflated Newton reaches from the
@@ -674,9 +644,9 @@ class _TwoRegionBlock:
         re0, re1, reach = box
         mid = 0.5 * (re0 + re1)
         yield complex(mid, 0.5 * reach)
-        yield complex(mid, reach - 1.0)
+        yield complex(mid, abs(self.shift.imag))
         heights = _linspace(0.0, reach, math.ceil(reach / step) + 1)
-        size = [abs(p) for p in self.samples([complex(mid, y) for y in heights])]
+        size = [abs(self.secular(complex(mid, y))) for y in heights]
         for i in _dips(size):
             yield complex(mid, heights[i])
 
@@ -699,30 +669,29 @@ class _TwoRegionBlock:
             )
         points = [a + (b - a) * i / n for a, b, n in zip(corners, corners[1:], counts)
                   for i in range(n)] + corners[-1:]
-        values = self.samples(points)
+        values = [self.secular(e) for e in points]
+        spans, turns, size = list(zip(points, values, points[1:], values[1:])), [], len(points)
         while True:
             if not all(map(cmath.isfinite, values)) or 0 in values:
                 raise NumericalFailureError("the zero count of P met a zero or a non-finite value")
-            turn = [cmath.phase(b / a) for a, b in zip(values, values[1:])]
-            coarse = [i for i, t in enumerate(turn) if abs(t) > math.pi / 4]
+            turn = [cmath.phase(q / p) for _, p, _, q in spans]
+            turns += [t for t in turn if abs(t) <= math.pi / 4]
+            coarse = [span for span, t in zip(spans, turn) if abs(t) > math.pi / 4]
             if not coarse:
-                total = math.fsum(turn) / math.pi
-                count = round(total)
-                if abs(total - count) >= 0.1:
-                    raise NumericalFailureError(f"the zero count of P reads {total}, not an integer")
-                return count
-            if len(points) + len(coarse) > WINDING_POINTS:
-                raise NumericalFailureError(
-                    f"the zero count of P asks for {len(points) + len(coarse)} samples, more than {WINDING_POINTS}"
-                )
-            middle = [0.5 * (points[i] + points[i + 1]) for i in coarse]
-            inserted = dict(zip(coarse, zip(middle, self.samples(middle))))
-            merged = []
-            for i, sample in enumerate(zip(points, values)):
-                merged.append(sample)
-                if i in inserted:  # the midpoint after the sample it follows
-                    merged.append(inserted[i])
-            points, values = map(list, zip(*merged))
+                break
+            size += len(coarse)
+            if size > WINDING_POINTS:
+                raise NumericalFailureError(f"the zero count of P asks for {size} samples, more than {WINDING_POINTS}")
+            # each coarse span split at its midpoint, and only its halves walked again
+            points = [0.5 * (a + b) for a, _, b, _ in coarse]
+            values = [self.secular(e) for e in points]
+            spans = [half for (a, p, b, q), e, r in zip(coarse, points, values)
+                     for half in ((a, p, e, r), (e, r, b, q))]
+        total = math.fsum(turns) / math.pi
+        count = round(total)
+        if abs(total - count) >= 0.1:
+            raise NumericalFailureError(f"the zero count of P reads {total}, not an integer")
+        return count
 
     # -- eigenvectors -----------------------------------------------------
 
@@ -737,7 +706,7 @@ class _TwoRegionBlock:
         j = np.arange(1.0, m + 1)[:, None]
         sides = []
         for sign in (-1.0, 1.0):
-            _, theta, cos_m, sin_m, sin_t = self._side(roots, sign)
+            _, theta, cos_m, sin_m, sin_t = np.array([self._side(r, sign) for r in roots.tolist()]).T
             x, y = theta.real, theta.imag
             # sin(j theta) = sin(jx) cosh(jy) + i cos(jx) sinh(jy), j = 1..m,
             # scaled by exp(-m |y|)
@@ -797,7 +766,7 @@ class _TwoRegionBlock:
         s = -width / 4, in O(M); a_2m = 0 when f is orthogonal to sin(j theta)."""
         import numpy as np
 
-        _, theta, _, _, sin_t = self._side(roots, -1.0)
+        _, theta, _, _, sin_t = np.array([self._side(r, -1.0) for r in roots.tolist()]).T
         j = np.arange(1.0, 2 * self.m)[:, None]
         cos_j, sin_j = np.cos(j * theta), np.sin(j * theta)
         sums = [np.cumsum(np.vstack([0 * f[:1], f[:-1]]), axis=0) for f in (cos_j * sources, sin_j * sources)]

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coupledwell import CouplingPair, build_hamiltonian, eigenpairs, solve_level, spectrum
 from coupledwell.cli import _linspace, main
-from test_oracle import _DECOUPLED, EIGENVALUES_ULPS, _pair, _ulps
+from test_oracle import _DECOUPLED, _pair
 
 C_CRIT_PAIR0 = 4.475308602193255
 
@@ -549,7 +549,7 @@ def _eigenpairs_values(coupling, grid, k):
 def test_oracle_subcommand_over_every_grid(kind, log_c, log2_ratio, half_m, levels, order):
     # every even M in [8, 16384] (a multiple of 4 from 16 with --order) and
     # every coupling class the oracle compares: exit 0, each level a doublet,
-    # and E_numeric within EIGENVALUES_ULPS of the report built on eigenpairs
+    # and the same rows as the report built on eigenpairs
     pair = _pair(kind, math.exp(log_c), 2.0 ** (log2_ratio / 2))
     grid = 4 * max(4, half_m // 2) if order else 2 * half_m
     argv = ["oracle", "--Y", repr(pair.Y), "--Z", repr(pair.Z), "--levels", str(levels), "--grid", str(grid)]
@@ -558,9 +558,7 @@ def test_oracle_subcommand_over_every_grid(kind, log_c, log2_ratio, half_m, leve
     assert code == 0
     assert [row["multiplicity"] for row in report["levels"]] == [2] * levels
     _, reference = _oracle_report(argv, _eigenpairs_values)
-    for row, expected in zip(report["levels"], reference["levels"]):
-        assert _ulps(row["E_numeric"], expected["E_numeric"]) <= EIGENVALUES_ULPS
-        assert _ulps(row["im_numeric"], expected["im_numeric"]) <= EIGENVALUES_ULPS
+    assert report["levels"] == reference["levels"]
 
 
 def test_out_writes_identical_bytes(tmp_path, capsys):
