@@ -1,7 +1,15 @@
 """Safeguarded Newton for a real root in a sign bracket, shared by the
-closed form (`secular`) and the oracle, which stays independent of it.
-The rules, Dekker/Brent-style (R. P. Brent, Algorithms for Minimization
-without Derivatives, 1973):
+closed form's merger search (`secular._merger`) and the oracle's real
+roots (`oracle._TwoRegionBlock._bracketed_root`), which stays independent
+of the closed form.  The ε solve of each level (`secular._eps_bracket`,
+called by `_solve_positive`) runs its own copy of these rules in one loop,
+and the walk onto the cell minimum (`secular._negative_point`) its own
+guarded Newton loop: the call overhead is the reason.  Through this
+helper's callback, with g' from a separate `_slope` call, a `spectrum` of
+40 levels at (Y, Z) = (1, 4) took 0.368 ms against 0.273 ms inline
+(median of 400 interleaved rounds, Xeon, CPython 3.11), and the walk cost
+`critical_coupling` ~30%.  The rules, Dekker/Brent-style (R. P. Brent,
+Algorithms for Minimization without Derivatives, 1973):
 
 1. a step that leaves the open bracket is replaced by its midpoint;
 2. Newton ends once a step is within 2 ulp of the iterate, or at least

@@ -80,6 +80,7 @@ RESIDUAL_RTOL = 1e-10
 # root this close to the real axis is real
 DISTINCT_RTOL = 1e-10
 NEWTON_STEPS = 100  # steps of the complex Newton, which has no bracket to bisect
+POLISH_STEPS = 6  # undeflated Newton steps that finish a complex root (at most 5 seen)
 # samples in one zero count, a bound on its time and memory: the right
 # edge of the box, |Im lambda| + margin tall, is sampled every gap / 4, gap
 # the width of the gap at the cut, so couplings up to ~4.9e6 are solved
@@ -473,7 +474,14 @@ class _TwoRegionBlock:
 
     def _newton(self, z: complex, known) -> complex | None:
         """A root of P from z by Newton on P / prod(E - r) over the
-        known roots r, so that it does not return to one of them."""
+        known roots r, so that it does not return to one of them.
+
+        The deflated stop leaves a complex root anywhere in the noise band
+        of P, where the known roots, and so the number asked for, put it
+        (~70 ulp wide at (4.47, 4.47), M = 16).  So the root is finished
+        from itself rounded to 2^-36 of |z|, by up to POLISH_STEPS Newton
+        steps on P, each kept only while |P| falls; the end point is kept
+        if it is one root with z by DISTINCT_RTOL."""
         for _ in range(NEWTON_STEPS):
             p, dp = self.secular(z, slope=True)
             if p == 0:
@@ -493,7 +501,18 @@ class _TwoRegionBlock:
             return None
         if abs(z.imag) <= DISTINCT_RTOL * max(1.0, abs(z)):
             return complex(z.real, 0.0)
-        return z
+        unit = 2.0 ** (math.frexp(max(1.0, abs(z)))[1] - 36)
+        x = complex(round(z.real / unit) * unit, round(z.imag / unit) * unit)
+        p, dp = self.secular(x, slope=True)
+        for _ in range(POLISH_STEPS):
+            if p == 0 or dp == 0:
+                break
+            trial = x - p / dp
+            p_trial, dp_trial = self.secular(trial, slope=True)
+            if not abs(p_trial) < abs(p):
+                break
+            x, p, dp = trial, p_trial, dp_trial
+        return x if abs(x - z) <= DISTINCT_RTOL * max(1.0, abs(z)) else z
 
     def _axis_roots(self, phi_top: float, whole: bool):
         """Roots seeded from P on a real grid, up to the grid energy

@@ -138,6 +138,11 @@ def residual(s: float, c: float) -> float:
         raise ModelDomainError(f"s must be finite and positive, got {s!r}")
     if not (math.isfinite(c) and c >= 0.0):
         raise ModelDomainError(f"coupling root c must be finite and >= 0, got {c!r}")
+    return _value(s, c)
+
+
+def _value(s: float, c: float) -> float:
+    """`residual` without its domain checks."""
     t = c / (2.0 * s)
     try:
         return s * math.sin(2.0 * s) + t * math.sinh(2.0 * t)
@@ -147,24 +152,24 @@ def residual(s: float, c: float) -> float:
 
 def _slope(s: float, c: float) -> float:
     """dg/ds = sin 2s + 2s cos 2s - (t/s)(sinh 2t + 2t cosh 2t)."""
-    t = c / (2.0 * s)
-    try:
-        pull = (t / s) * (math.sinh(2.0 * t) + 2.0 * t * math.cosh(2.0 * t))
-    except OverflowError:
-        return -math.inf
-    return math.sin(2.0 * s) + 2.0 * s * math.cos(2.0 * s) - pull
+    return _slope_curvature(s, c)[0]
 
 
-def _curvature(s: float, c: float) -> float:
-    """d2g/ds2 = 4 cos 2s - 4s sin 2s + (2t/s^2)((1 + 2t^2) sinh 2t + 4t cosh 2t)."""
+def _slope_curvature(s: float, c: float) -> tuple[float, float]:
+    """dg/ds (see `_slope`) and d2g/ds2 = 4 cos 2s - 4s sin 2s +
+    (2t/s^2)((1 + 2t^2) sinh 2t + 4t cosh 2t), from one t, sinh 2t,
+    cosh 2t, sin 2s and cos 2s; -inf and +inf past overflow."""
     t = c / (2.0 * s)
+    u, v = 2.0 * t, 2.0 * s
+    sin, cos = math.sin(v), math.cos(v)
     try:
-        push = (2.0 * t / (s * s)) * (
-            (1.0 + 2.0 * t * t) * math.sinh(2.0 * t) + 4.0 * t * math.cosh(2.0 * t)
-        )
+        sinh, cosh = math.sinh(u), math.cosh(u)
     except OverflowError:
-        return math.inf
-    return 4.0 * (math.cos(2.0 * s) - s * math.sin(2.0 * s)) + push
+        return -math.inf, math.inf
+    return (
+        sin + v * cos - (t / s) * (sinh + u * cosh),
+        4.0 * (cos - s * sin) + (u / (s * s)) * ((1.0 + u * t) * sinh + 4.0 * t * cosh),
+    )
 
 
 def _lift(s: float, c: float) -> float:
@@ -190,26 +195,26 @@ def _negative_point(k: int, c: float) -> tuple[float | None, int]:
     cell, which holds the single minimum of g, and stops at the first
     sample below zero.
     """
-    a, b = pair_interval(k)
+    a, b = (2 * k + 1) * math.pi / 2.0, (2 * k + 2) * math.pi / 2.0  # pair_interval(k)
     lo, hi = 0.5 * (a + b), b
     s = 0.5 * (lo + hi)
     near = 2.0 * math.ulp(b)
     evaluations = 0
     while lo < s < hi:
         evaluations += 1
-        if residual(s, c) < 0.0:
+        if _value(s, c) < 0.0:
             return s, evaluations
         evaluations += 2
-        slope = _slope(s, c)
+        slope, curve = _slope_curvature(s, c)
         if slope < 0.0:
             lo = s
         else:
             hi = s
-        step = slope / _curvature(s, c)
+        step = slope / curve
         s -= step
         if abs(step) <= near:
             evaluations += 1
-            return (s if residual(s, c) < 0.0 else None), evaluations
+            return (s if _value(s, c) < 0.0 else None), evaluations
         if not lo < s < hi:
             if s >= hi == b:  # g' < 0 at b: g falls all the way to g(b) = t sinh 2t > 0
                 evaluations += 1
@@ -248,9 +253,12 @@ def _merger(k: int, lo: float, hi: float) -> tuple[float, float, int]:
 
         def fall(x: float, newton: bool):  # -g', > 0 below the minimum
             nonlocal evaluations
-            slope = _slope(x, c)
-            evaluations += 2 if newton else 1
-            return -slope, (slope / _curvature(x, c) if newton else None)
+            if not newton:
+                evaluations += 1
+                return -_slope(x, c), None
+            evaluations += 2
+            slope, curve = _slope_curvature(x, c)
+            return -slope, slope / curve
 
         evaluations += 2
         s = b if _slope(b, c) < 0.0 else newton_in_bracket(fall, half, b, s)[1]
@@ -277,24 +285,59 @@ def _first_order(n: int, product: float) -> float:
     return 2.0 * product / ((n + 1) ** 3 * math.pi**3)
 
 
+def _eps_bracket(s0: float, sign: float, c: float, x: float, top: float) -> tuple[float, float, int]:
+    """Adjacent floats lo < hi in [0, top] with g(lo) > 0 >= g(hi), for
+    g(eps) = t sinh 2t - s sin 2eps at s = s0 + sign eps (s sin 2s + t sinh 2t
+    with sin 2s = -sin 2eps), by Newton from x with dg/deps = sign dg/ds;
+    and the evaluations of g spent.  The rules of `newton_in_bracket`, in
+    one loop: g and its step share t and sinh 2t, and no callback runs."""
+    lo, hi, evaluations = 0.0, top, 0
+    newton, last, before_last = True, math.inf, math.inf
+    while True:
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return lo, hi, evaluations
+        evaluations += 1
+        s = s0 + sign * x
+        t = c / (2.0 * s)
+        u = 2.0 * t
+        sinh = math.sinh(u)
+        value = t * sinh - s * math.sin(2.0 * x)
+        if value > 0.0:
+            lo = x
+        else:
+            hi = x
+        if not newton:
+            x = 0.5 * (lo + hi)
+            continue
+        v = 2.0 * s
+        try:  # _slope(s, c)
+            slope = math.sin(v) + v * math.cos(v) - (t / s) * (sinh + u * math.cosh(u))
+        except OverflowError:
+            slope = -math.inf
+        size = abs(step := sign * value / slope)
+        if size <= 2.0 * math.ulp(x) or size >= 0.5 * before_last:
+            newton = False
+            x += (1.0 if x == lo else -1.0) * (size + 4.0 * math.ulp(x))
+        elif lo < (x := x - step) < hi:
+            last, before_last = size, last
+
+
 def _solve_positive(n: int, c: float) -> LevelSolution:
     p, _ = _negative_point(n // 2, c)
     if p is None:
         raise RootLostError(n, c)
     s0 = (n + 1) * math.pi / 2.0
     sign = -1.0 if n % 2 else 1.0
-
-    def g(eps: float, newton: bool = False):  # s sin 2s + t sinh 2t, with sin 2s = -sin 2eps
-        s = s0 + sign * eps
-        t = c / (2.0 * s)
-        value = t * math.sinh(2.0 * t) - s * math.sin(2.0 * eps)
-        return value, (sign * value / _slope(s, c) if newton else None)
-
     # g(0) = t sinh 2t > 0 and g(eps_p) < 0 for either root of the pair
     top = sign * (p - s0)
-    lo, hi = newton_in_bracket(g, 0.0, top, _first_order(n, c * c))
-    if hi == top and g(top)[0] > 0.0:  # the negative window is below the rounding of g
-        raise RootLostError(n, c)
+    lo, hi, _ = _eps_bracket(s0, sign, c, _first_order(n, c * c), top)
+    if hi == top:  # g(top) > 0: the negative window is below the rounding of g
+        s = s0 + sign * top
+        t = c / (2.0 * s)
+        if t * math.sinh(2.0 * t) - s * math.sin(2.0 * top) > 0.0:
+            raise RootLostError(n, c)
     eps = 0.5 * (lo + hi)
     s = s0 + sign * eps
     t = c / (2.0 * s)
@@ -306,15 +349,7 @@ def _solve_positive(n: int, c: float) -> LevelSolution:
             f"bisection stalled at |g|={res:.3e} > {RESIDUAL_RTOL:g} of its scale "
             f"{scale:.3e} for level n={n}"
         )
-    return LevelSolution(
-        n=n,
-        s=s,
-        t=t,
-        eps=eps,
-        E=s * s - t * t,
-        residual=res,
-        branch=BranchClass.POSITIVE_PRODUCT,
-    )
+    return LevelSolution(n, s, t, eps, s * s - t * t, res, BranchClass.POSITIVE_PRODUCT)
 
 
 def solve_level(
@@ -386,8 +421,8 @@ def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
     builds no states for this class.
     """
     n_max = as_index(n_max, f"n_max must be an integer in [0, {MAX_LEVEL}]", 0, MAX_LEVEL)
-    branch = coupling.branch
-    solve = _level_solver(branch, coupling.root_product)
+    branch, root = coupling.branch, coupling.root_product
+    solve = _level_solver(branch, root)
     levels: list[LevelSolution] = []
     truncated_at: int | None = None
     non_diagonalizable = False
@@ -395,7 +430,7 @@ def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
     if branch is BranchClass.POSITIVE_PRODUCT:
         for n in range(n_max + 1):
             try:
-                levels.append(solve(n))
+                levels.append(_solve_positive(n, root))
             except RootLostError:
                 truncated_at = n
                 break

@@ -34,7 +34,7 @@ from functools import cached_property
 from ._ranges import _linspace
 from .errors import ModelDomainError, NormalizationSingularError
 from .model import BranchClass, CouplingPair, as_index, check_points
-from .secular import LevelSolution, _level_solver
+from .secular import LevelSolution, _level_solver, _solve_positive
 
 _CONSISTENCY_TOL = 1e-10
 _AMPLITUDE_SAMPLES = 257
@@ -248,8 +248,12 @@ def doublet_family(coupling: CouplingPair, n_levels: int) -> list[ChannelState]:
     level share the same LevelSolution object, hence identical E.
     """
     n_levels = as_index(n_levels, "n_levels must be an integer >= 1", 1)
-    solve = _level_solver(coupling.branch, coupling.root_product)
-    levels = (solve(n) for n in range(n_levels))
+    branch, root = coupling.branch, coupling.root_product
+    if branch is BranchClass.POSITIVE_PRODUCT:
+        levels = (_solve_positive(n, root) for n in range(n_levels))
+    else:
+        solve = _level_solver(branch, root)
+        levels = (solve(n) for n in range(n_levels))
     return [state for level in levels for state in _doublet(level, coupling)]
 
 

@@ -951,6 +951,22 @@ def test_numpy_free_eigenvalues_are_eigenpairs_values(kind, log_c, log2_ratio, h
     assert values == expected.tolist()
 
 
+def test_complex_root_does_not_depend_on_the_number_asked_for():
+    # the deflated Newton stops anywhere in the noise band of P: before the
+    # polish on P itself, Re E read ...589, ...628, ...65 and ...59 here
+    pair, grid = CouplingPair(4.47, 4.47), GridSpec(16)
+    rep = build_hamiltonian(pair, grid)
+    lowest = []
+    for k in (4, 6, 10, 14):
+        values, _ = eigenpairs(rep, k)
+        assert coupledwell.oracle.eigenvalues(pair, grid, k) == values.tolist()
+        assert values[0].imag < 0 and values[1] == values[0].conjugate()
+        lowest.append(complex(values[0]))
+    for z in lowest[1:]:
+        assert abs(z.real - lowest[0].real) <= 4 * math.ulp(lowest[0].real)
+        assert abs(z.imag - lowest[0].imag) <= 4 * math.ulp(lowest[0].imag)
+
+
 @pytest.mark.parametrize("M", [8, 64, 128])
 @pytest.mark.parametrize("c", [1e-4, 0.01, 1.0, 4.4])
 def test_numpy_free_residual_refuses_a_moved_root(c, M, monkeypatch):

@@ -22,6 +22,7 @@ from coupledwell import (
     CouplingPair,
     InvalidToleranceError,
     ModelDomainError,
+    NumericalFailureError,
     RootLostError,
     critical_coupling,
     pair_interval,
@@ -491,20 +492,17 @@ def test_critical_search_costs_at_most_half_the_bisection_walk(pair, tol):
 
 
 def _eps_solve_costs(monkeypatch):
-    """A list that gains, per eps solve, its evaluations of g: the calls of
-    the callback that `_solve_positive` hands to `newton_in_bracket`."""
+    """A list that gains, per eps solve, the evaluations of g that
+    `_eps_bracket` reports."""
     costs = []
+    bracket = secular._eps_bracket
 
-    def counted(f, lo, hi, x):
-        costs.append(0)
+    def counted(*args):
+        lo, hi, evaluations = bracket(*args)
+        costs.append(evaluations)
+        return lo, hi, evaluations
 
-        def g(eps, newton):
-            costs[-1] += 1
-            return f(eps, newton)
-
-        return newton_in_bracket(g, lo, hi, x)
-
-    monkeypatch.setattr(secular, "newton_in_bracket", counted)
+    monkeypatch.setattr(secular, "_eps_bracket", counted)
     return costs
 
 
@@ -520,6 +518,136 @@ def test_eps_solve_costs_a_few_evaluations(monkeypatch):
         c = math.exp(rng.uniform(math.log(1e-4), math.log(4.4)))
         solve_level(rng.randint(0, 39), CouplingPair(c, c))
     assert len(costs) == 3001 and max(costs) <= 12
+
+
+# The level solve as it ran through the shared helper: the walk by one call
+# each of g, dg/ds and d2g/ds2, and the eps solve by a callback handed to
+# `newton_in_bracket`.  The library runs both as inline loops that share
+# t, sinh 2t and the trigonometric terms, so it must return the same bits.
+
+
+def _reference_g(s, c):
+    t = c / (2.0 * s)
+    try:
+        return s * math.sin(2.0 * s) + t * math.sinh(2.0 * t)
+    except OverflowError:
+        return math.inf
+
+
+def _reference_slope(s, c):
+    t = c / (2.0 * s)
+    try:
+        pull = (t / s) * (math.sinh(2.0 * t) + 2.0 * t * math.cosh(2.0 * t))
+    except OverflowError:
+        return -math.inf
+    return math.sin(2.0 * s) + 2.0 * s * math.cos(2.0 * s) - pull
+
+
+def _reference_curvature(s, c):
+    t = c / (2.0 * s)
+    try:
+        push = (2.0 * t / (s * s)) * (
+            (1.0 + 2.0 * t * t) * math.sinh(2.0 * t) + 4.0 * t * math.cosh(2.0 * t)
+        )
+    except OverflowError:
+        return math.inf
+    return 4.0 * (math.cos(2.0 * s) - s * math.sin(2.0 * s)) + push
+
+
+def _reference_negative_point(k, c):
+    a, b = pair_interval(k)
+    lo, hi = 0.5 * (a + b), b
+    s = 0.5 * (lo + hi)
+    near = 2.0 * math.ulp(b)
+    evaluations = 0
+    while lo < s < hi:
+        evaluations += 1
+        if _reference_g(s, c) < 0.0:
+            return s, evaluations
+        evaluations += 2
+        slope = _reference_slope(s, c)
+        if slope < 0.0:
+            lo = s
+        else:
+            hi = s
+        step = slope / _reference_curvature(s, c)
+        s -= step
+        if abs(step) <= near:
+            evaluations += 1
+            return (s if _reference_g(s, c) < 0.0 else None), evaluations
+        if not lo < s < hi:
+            if s >= hi == b:
+                evaluations += 1
+                if _reference_slope(b, c) < 0.0:
+                    return None, evaluations
+            s = 0.5 * (lo + hi)
+    return None, evaluations
+
+
+def _reference_level(n, c):
+    """(s, t, eps, E, residual) and the evaluations of g in the eps solve."""
+    p, _ = _reference_negative_point(n // 2, c)
+    if p is None:
+        raise RootLostError(n, c)
+    s0 = (n + 1) * math.pi / 2.0
+    sign = -1.0 if n % 2 else 1.0
+    calls = 0
+
+    def g(eps, newton=False):
+        nonlocal calls
+        calls += 1
+        s = s0 + sign * eps
+        t = c / (2.0 * s)
+        value = t * math.sinh(2.0 * t) - s * math.sin(2.0 * eps)
+        return value, (sign * value / _reference_slope(s, c) if newton else None)
+
+    top = sign * (p - s0)
+    lo, hi = newton_in_bracket(g, 0.0, top, _first_order(n, c * c))
+    evaluations = calls
+    if hi == top and g(top)[0] > 0.0:
+        raise RootLostError(n, c)
+    eps = 0.5 * (lo + hi)
+    s = s0 + sign * eps
+    t = c / (2.0 * s)
+    tail, swing = t * math.sinh(2.0 * t), s * math.sin(2.0 * eps)
+    res = abs(tail - swing)
+    if res > secular.RESIDUAL_RTOL * max(1.0, tail + abs(swing)):
+        raise NumericalFailureError(f"level n={n}")
+    return (s, t, eps, s * s - t * t, res), evaluations
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (RootLostError, NumericalFailureError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=st.integers(0, 300000), c=st.floats(-10.0, 6.0).map(lambda e: 10.0**e))
+@example(n=22455, c=315474.6835568906)  # |g| = 7.3e-12, within 1e-12 of its scale
+@example(n=31774, c=494671.7563675102)  # inside the noise band of g next to the merger
+@example(n=0, c=0.999 * C_CRIT_PAIR0)
+@example(n=1, c=0.999 * C_CRIT_PAIR0)
+@example(n=2, c=0.999 * C_CRIT_PAIR0)
+def test_level_solve_is_the_helper_driven_solve_bit_for_bit(n, c):
+    pair = CouplingPair(c, c)
+    assert _negative_point(n // 2, c) == _reference_negative_point(n // 2, c)
+    expected = _outcome(_reference_level, n, c)
+    got = _outcome(solve_level, n, pair)
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    values, evaluations = expected
+    assert [v.hex() for v in (got.s, got.t, got.eps, got.E, got.residual)] == [
+        v.hex() for v in values]
+    # the count `_eps_bracket` reports is the helper's count of callbacks
+    s0, sign = (n + 1) * math.pi / 2.0, -1.0 if n % 2 else 1.0
+    top = sign * (_negative_point(n // 2, c)[0] - s0)
+    assert secular._eps_bracket(s0, sign, c, _first_order(n, c * c), top)[2] == evaluations
+    if n < 200:  # spectrum takes the same solve, up to the first merged pair
+        levels = spectrum(pair, n).levels
+        assert len(levels) <= n or levels[n] == got
 
 
 def test_critical_bracket_holds_the_mpmath_merger():
