@@ -39,7 +39,7 @@ for k in range(3):
     print(f"  pair {k}:  {e_hi - e_lo:.6f}  <  {b_hi - b_lo:.6f}")
 
 # eps_n (n+1)^3 tends to 2 YZ / pi^3 from the expansion of the secular
-# equation; compare the exact roots with the two-term series
+# equation; compare the exact roots with the order-2 series
 print()
 print("offset decay, eps_n * (n+1)^3  ->  2/pi^3 =", f"{2.0 / math.pi**3:.8f}")
 pair = CouplingPair(1.0, 1.0)

@@ -2,8 +2,10 @@
 closed form's merger search (`secular._merger`) and the oracle's real
 roots (`oracle._TwoRegionBlock._bracketed_root`), which stays independent
 of the closed form.  The ε solve of each level (`secular._eps_bracket`,
-called by `_solve_positive`) runs its own copy of these rules in one loop,
-and the walk onto the cell minimum (`secular._negative_point`) its own
+called by `_level_at` with the negative point that `_negative_point` found
+in the level's pair cell) runs its own copy of these rules in one loop,
+and the walk onto the cell minimum (`secular._negative_point`, once per
+cell in `_positive_levels`, once per level in `_solve_positive`) its own
 guarded Newton loop: the call overhead is the reason.  Through this
 helper's callback, with g' from a separate `_slope` call, a `spectrum` of
 40 levels at (Y, Z) = (1, 4) took 0.368 ms against 0.273 ms inline

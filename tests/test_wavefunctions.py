@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from coupledwell import (
+    BranchClass,
+    ChannelState,
     CouplingPair,
+    LevelSolution,
     ModelDomainError,
     doublet_family,
     evaluate,
@@ -23,6 +27,81 @@ from test_doublet_reference import phi_derivative, quadrature_overlap
 
 UNIT = CouplingPair(1.0, 1.0)
 DECOUPLED = CouplingPair(0.0, 0.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReferenceLevel:
+    n: int
+    s: float
+    t: float
+    eps: float
+    E: float
+    residual: float
+    branch: BranchClass
+    sublabel: int | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReferenceState:
+    level: LevelSolution
+    sigma: int
+    Y: float
+    Z: float
+    phi_coeff: complex
+    kappa: complex
+    A: complex
+    B: complex
+
+
+def _records():
+    # (record class, its reference, field values of one record, a changed field)
+    level = solve_level(3, UNIT)
+    state = doublet_family(UNIT, 4)[7]
+    return [
+        (LevelSolution, _ReferenceLevel, dataclasses.astuple(level), ("eps", 0.5)),
+        (LevelSolution, _ReferenceLevel, (2, 4.5, 0.0, 0.0, 20.25, 0.0,
+                                          BranchClass.NEGATIVE_PRODUCT, -1), ("sublabel", 1)),
+        (ChannelState, _ReferenceState,
+         tuple(getattr(state, f.name) for f in dataclasses.fields(state)), ("sigma", 1)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_hand_written_records_keep_the_frozen_dataclass_contract(case):
+    # LevelSolution and ChannelState write their fields into __dict__ by hand;
+    # all else must be what @dataclass(frozen=True) gives the same fields
+    cls, reference, values, (name, value) = _records()[case]
+    assert [(f.name, f.default) for f in dataclasses.fields(cls)] == [
+        (f.name, f.default) for f in dataclasses.fields(reference)]
+    assert cls.__match_args__ == reference.__match_args__
+    names = [f.name for f in dataclasses.fields(cls)]
+    record, expected = cls(*values), reference(*values)
+    assert cls(**dict(zip(names, values))) == record
+    if values[-1] is None:  # sublabel, left to its default
+        assert cls(*values[:-1]) == cls(**dict(zip(names[:-1], values))) == record
+    assert dataclasses.asdict(record) == dataclasses.asdict(expected)
+    assert dataclasses.astuple(record) == dataclasses.astuple(expected)
+    changed = dataclasses.replace(record, **{name: value})
+    assert type(changed) is cls
+    assert dataclasses.asdict(changed) == dataclasses.asdict(dataclasses.replace(expected, **{name: value}))
+    assert changed != record and record == cls(*values) and record != expected
+    assert hash(record) == hash(expected) == hash(cls(*values))
+    assert repr(record) == repr(expected).replace(reference.__qualname__, cls.__qualname__, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(record, name)
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and repr(copy) == repr(record) and hash(copy) == hash(record)
+
+
+def test_channel_state_caches_q_and_d_on_the_hand_written_record():
+    state = doublet_family(UNIT, 2)[3]
+    copy = ChannelState(*(getattr(state, f.name) for f in dataclasses.fields(state)))
+    assert copy.q == quasi_parity(copy) == state.q
+    assert copy.d == state.d and {"q", "d"} <= copy.__dict__.keys()
+    assert copy == state and hash(copy) == hash(state)
+    assert pickle.loads(pickle.dumps(copy)).q == state.q
 
 
 def _state(n, pair, sigma=+1):
