@@ -10,6 +10,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import is_, mul
 from typing import NamedTuple
 
 from .errors import MetricConstraintError, ModelDomainError, NormalizationSingularError
@@ -131,7 +133,8 @@ def diagonal_overlap(state) -> float:
 
     The pairing is q (wl wu + wu wl) integral phi^2, and wu wl has the
     sign sigma, so q = sigma sign(integral phi^2) cancels both signs: the
-    same float, with no left partner built (cached as ChannelState.d).
+    same float, with no left partner built: ChannelState.d, which
+    doublet_family and solve_coefficients store as they build the state.
     Raises only if d == 0.
     """
     d = state.d
@@ -158,8 +161,10 @@ def kernel_entries(coupling: CouplingPair, s_plus, s_minus):
 
 
 def first_not_finite(values):
-    # the index of the first entry of values, real or complex, that is not finite, or None
-    return next((i for i, v in enumerate(values) if not cmath.isfinite(v)), None)
+    # the index of the first entry of a sequence, real or complex, that is not finite, or None
+    if all(map(cmath.isfinite, values)):
+        return None
+    return next(i for i, v in enumerate(values) if not cmath.isfinite(v))
 
 
 def out_of_range(what: str, index: list, value) -> MetricConstraintError:
@@ -185,9 +190,30 @@ class WeightedFamily(NamedTuple):
         return self.form
 
 
+# the last resolution that passed: (states, weights, unsafe, family), the states
+# and weights held and compared by identity (both are immutable records), one
+# tuple read and replaced whole
+_resolved = None
+
+
 def resolve_weights(states, weights, unsafe: bool) -> WeightedFamily:
     """The family, refused if its states, a weight, a d or a kernel entry is
-    inadmissible: the one contract of the form, the inverse and the defect."""
+    inadmissible: the one contract of the form, the inverse and the defect.
+    The same states with the same weights and unsafe flag are resolved once
+    in a row; each caller gets its own meta and order."""
+    global _resolved
+    unsafe, entry = bool(unsafe), _resolved
+    if (entry is not None and entry[1] is weights and entry[2] is unsafe
+            and len(entry[0]) == len(states) and all(map(is_, entry[0], states))):
+        family = entry[3]
+    else:
+        family = _resolve(states, weights, unsafe)
+        _resolved = (tuple(states), weights, unsafe, family)
+    meta = dict(family.meta, order=list(family.meta["order"]))
+    return WeightedFamily(meta, *family[1:])
+
+
+def _resolve(states, weights, unsafe: bool) -> WeightedFamily:
     coupling, order = _validate_family(states)
     n_levels = len(states) // 2
     if coupling.root_product < MIN_ROOT_PRODUCT:
@@ -200,7 +226,7 @@ def resolve_weights(states, weights, unsafe: bool) -> WeightedFamily:
     if weights.n_levels < n_levels:
         raise MetricConstraintError(f"weights cover {weights.n_levels} levels, need {n_levels}")
     levels = tuple(zip(weights.s_plus[:n_levels], weights.s_minus[:n_levels]))
-    per_state = tuple(s for level in levels for s in level)
+    per_state = tuple(chain.from_iterable(levels))
     lowest = min(per_state)
     if not unsafe and lowest <= 0.0:
         bad = per_state.index(lowest)
@@ -208,13 +234,14 @@ def resolve_weights(states, weights, unsafe: bool) -> WeightedFamily:
                                     f"sigma={states[bad].sigma}) is not positive; indefinite "
                                     "weight choices need unsafe=True")
     meta = {"coupling": coupling, "n_levels": n_levels, "order": order}
-    d = tuple(x for x in _normalizable([diagonal_overlap(s) for s in states[0::2]]) for _ in "+-")
+    d = _normalizable([diagonal_overlap(s) for s in states[0::2]])
+    d = tuple(chain.from_iterable(zip(d, d)))
     kernels = tuple(kernel_entries(coupling, plus, minus) for plus, minus in levels)
-    bad = first_not_finite(v for kernel in kernels for row in kernel for v in row)
+    bad = first_not_finite(list(chain.from_iterable(chain.from_iterable(kernels))))
     if bad is not None:
         n, i, k = bad // 4, bad // 2 % 2, bad % 2
         raise out_of_range("channel kernel [n, i, k]", [n, i, k], kernels[n][i][k])
-    form = tuple(x * s * x for x, s in zip(d, per_state))
+    form = tuple(map(mul, map(mul, d, per_state), d))
     signature = sum(v > 0.0 for v in form), sum(v < 0.0 for v in form)
     return WeightedFamily(meta, per_state, d, kernels, form, signature)
 

@@ -6,7 +6,7 @@ only formats these records.
 Every row is computed in plain floats, so `verify` loads no numpy: the
 mode form diag(S d^2), its weight contract and the identity defect from
 `_weights` (the body of metric.inverse_identity_defect), the pairing
-from the cached d and q and the scalar `phi_bilinear_product`, the band
+from the d and q stored with each state and the scalar `phi_bilinear_product`, the band
 checks from the coupling and the grid, and the oracle's levels from
 `oracle.eigenvalues`, compared by `compare_spectrum` (the `oracle`
 report).  The pairing, the quasi-Hermiticity defects, the band step and

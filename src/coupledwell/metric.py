@@ -29,11 +29,11 @@ sqrt(YZ)(sigma_a + sigma_b) vanishes and distinct same-sigma levels are
 bilinear-orthogonal, so F[i, k] = sum_j G[j, i] S_j G[j, k] keeps only
 i = k = j.  The full G, from biorthogonality_matrix, is the check that
 the diagonal form holds.  Each d is a number of its state alone,
-2 |wu wl| |integral phi^2| (diagonal_overlap), and so is q; each state
-caches both (ChannelState.d, .q), and only the grid samples read left
-partners, from their states' own samples.  In the mode basis a spectral
-sum is diag(values), mode_hamiltonian or mode_spin, so
-spectral_reconstruct is grid-only.
+2 |wu wl| |integral phi^2| (diagonal_overlap), and so is q; doublet_family
+stores both with each state as it builds it (ChannelState.d, .q), and
+only the grid samples read left partners, from their states' own
+samples.  In the mode basis a spectral sum is diag(values),
+mode_hamiltonian or mode_spin, so spectral_reconstruct is grid-only.
 
 G and the Gram matrix of Theta^{-1} are N x N closed forms of the same
 shape: a channel-weight factor times 2 Re(a_i a_j I(kappa_i, kappa_j)),
@@ -43,13 +43,15 @@ doublet_family order, sigma = +1 members at [0::2] and partners at [1::2].
 A sigma = -1 state carries its partner's a and kappa conjugated, so it
 pairs as its partner does, d_- = d_+ and q_- = -q_+ (with the lower
 channel weight f_- = -f_+, (-q)(-f) = qf), and its rows copy the
-partner's, bit for bit: the builders evaluate the sigma = +1 rows, d and
-q only.  G's opposite-sigma entries are exact zeros and its diagonal is d.
+partner's, bit for bit: the builders evaluate the sigma = +1 rows only,
+and doublet_family the sigma = +1 d and q.  G's opposite-sigma entries
+are exact zeros and its diagonal is d.
 
 The weight contract (MetricWeights, the family checks, d, the kernels,
 S d^2, 1/(S d^2), the spin ratio and the identity defect) is float
 arithmetic in _weights, shared with the CLI's `metric` and the `verify`
-battery.  The battery keeps float twins of the closed pairing and of
+battery; a family is resolved once for the builder calls in a row that
+pass the same states and weights.  The battery keeps float twins of the closed pairing and of
 quasi_hermiticity_defect; each says where it lives why both stay.
 """
 
@@ -90,11 +92,13 @@ def left_vector(state: ChannelState) -> LeftState:
 
 
 def _profiles(states):
-    # phi coefficients, wavenumbers and (upper, lower) channel weights
+    # phi coefficients, wavenumbers and (upper, lower) channel weights of states of
+    # one coupling: sigma times the lower weight at sigma = +1 is channel_weights'
     a = np.array([s.phi_coeff for s in states], dtype=complex)
     kappa = np.array([s.kappa for s in states], dtype=complex)
-    wu, wl = np.array([channel_weights(s.sigma, s.Y, s.Z) for s in states], dtype=float).T
-    return a, kappa, wu, wl
+    upper, lower = channel_weights(+1, states[0].Y, states[0].Z)
+    sigma = np.array([s.sigma for s in states], dtype=float)
+    return a, kappa, np.full(len(states), upper), sigma * lower
 
 
 def _bilinear_products(a_row, kappa_row, a, kappa) -> np.ndarray:
@@ -187,8 +191,8 @@ def biorthogonality_matrix(
 def _doublet_pairing(states) -> np.ndarray:
     # G of a doublet family with its own left partners: its opposite-sigma blocks
     # are exact zeros, its sigma = -1 block is the sigma = +1 one (module notes).
-    # battery.verify's float twin loads no numpy; this one is the faster, 0.40
-    # against 3.48 ms at 40 levels, on a 3.7 ms `closed-form` request (2-core x86)
+    # battery.verify's float twin loads no numpy; this one is the faster, 0.32
+    # against 2.9 ms at 40 levels, on a 2.3 ms `closed-form` request (2-core x86)
     _validate_family(states)
     plus = states[0::2]
     a, kappa, wu, wl = _profiles(plus)

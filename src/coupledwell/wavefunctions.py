@@ -30,6 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from ._ranges import _linspace
 from .errors import ModelDomainError, NormalizationSingularError
@@ -50,7 +51,9 @@ class ChannelState:
     coefficient of the unit-norm phi and kappa its left-segment
     wavenumber s - i sigma t.  The `__init__` is written by hand, as
     `LevelSolution`'s is, and for the same reason: `doublet_family`
-    builds two states per level.
+    builds two states per level.  It and `solve_coefficients` store each
+    state's d and q as they build it; a state made otherwise (say by
+    `dataclasses.replace`) computes them on first use.
     """
 
     level: LevelSolution
@@ -85,14 +88,14 @@ class ChannelState:
 
     @cached_property
     def q(self) -> int:
-        """quasi_parity of this state, computed once."""
+        """quasi_parity of this state, stored or computed once."""
         return quasi_parity(self)
 
     @cached_property
     def d(self) -> float:
-        """Diagonal pairing 2 |wu wl| |integral phi^2| (metric.diagonal_overlap), computed once."""
-        wu, wl = channel_weights(self.sigma, self.Y, self.Z)
-        return 2.0 * abs(wu * wl) * abs(phi_bilinear_product(self, self))
+        """Diagonal pairing 2 |wu wl| |integral phi^2| (metric.diagonal_overlap),
+        stored or computed once."""
+        return _diagonal_pairing(self, *channel_weights(self.sigma, self.Y, self.Z))
 
 
 def _segment_sine(coeff, kappa, x):
@@ -134,10 +137,12 @@ def channel_weights(sigma: int, Y: float, Z: float) -> tuple[float, float]:
     return math.sqrt(Z), sigma * math.sqrt(Y)
 
 
-def _doublet(level: LevelSolution, coupling: CouplingPair) -> tuple[ChannelState, ChannelState]:
-    # both members of a solved level: sin kappa of sigma = -1 is conj(sk) bit for
-    # bit, so its coefficient is the same arithmetic on sk, not conj(a), whose zero
-    # parts can differ in sign; at sk = 0 (odd decoupled levels) the two coincide
+def _doublet_builder(coupling: CouplingPair):
+    # build(level): both members of a solved level, the coupling checked once.
+    # sin kappa of sigma = -1 is conj(sk) bit for bit, so its coefficient is the
+    # same arithmetic on sk, not conj(a), whose zero parts can differ in sign; at
+    # sk = 0 (odd decoupled levels) the two coincide.  The partner stores d and -q
+    # (metric's module notes); where integral phi^2 = 0 the q property raises
     branch = coupling.branch
     if branch is BranchClass.NEGATIVE_PRODUCT:
         raise ModelDomainError("coefficient solver covers the positive-product branch only")
@@ -146,32 +151,43 @@ def _doublet(level: LevelSolution, coupling: CouplingPair) -> tuple[ChannelState
             "semi-decoupled coupling (YZ = 0 with one amplitude nonzero): the channel matrix "
             "is a Jordan block, and the closed form builds no states for this class"
         )
-    weight_upper, weight_lower = channel_weights(+1, coupling.Y, coupling.Z)
-    if level.branch is not branch:
-        raise ModelDomainError(
-            f"level was solved on branch {level.branch.value}, coupling is {branch.value}"
-        )
+    Y, Z = coupling.Y, coupling.Z
+    weight_upper, weight_lower = channel_weights(+1, Y, Z)
     c = coupling.root_product
-    if not abs(2.0 * level.s * level.t - c) <= _CONSISTENCY_TOL * max(1.0, c):
-        raise ModelDomainError("level does not satisfy 2 s t = sqrt(YZ) for this coupling")
+    tol = _CONSISTENCY_TOL * max(1.0, c)
 
-    s, t = level.s, level.t
-    # L2 norm of sin(kappa (x+1)): sinh 2t / 2t - sin 2s / 2s, sin 2s = -sin 2eps
-    stretch = math.sinh(2.0 * t) / (2.0 * t) if t else 1.0
-    norm = math.sqrt(stretch + math.sin(2.0 * level.eps) / (2.0 * s))
-    sk, ck = _sin_cos_kappa(level, +1)
-    if abs(sk) > 0.0:
-        # value at the origin real and non-negative
-        coeffs = ((sk.conjugate() / abs(sk)) / norm, (sk / abs(sk)) / norm)
-    else:
-        # sin kappa = 0 only for odd decoupled states, and then |cos kappa| >= 1
-        # (|sin|^2 + |cos|^2 = cosh 2t): phi'(0) imaginary, Im > 0
-        coeffs = (1j * math.copysign(1.0, ck.real) / norm,) * 2
-    return tuple(
-        ChannelState(level, sigma, coupling.Y, coupling.Z, a, complex(s, -sigma * t),
-                     a * weight_upper, a * (sigma * weight_lower))
-        for sigma, a in zip((+1, -1), coeffs)
-    )
+    def build(level: LevelSolution) -> tuple[ChannelState, ChannelState]:
+        if level.branch is not branch:
+            raise ModelDomainError(
+                f"level was solved on branch {level.branch.value}, coupling is {branch.value}"
+            )
+        s, t = level.s, level.t
+        if not abs(2.0 * s * t - c) <= tol:
+            raise ModelDomainError("level does not satisfy 2 s t = sqrt(YZ) for this coupling")
+        # L2 norm of sin(kappa (x+1)): sinh 2t / 2t - sin 2s / 2s, sin 2s = -sin 2eps
+        stretch = math.sinh(2.0 * t) / (2.0 * t) if t else 1.0
+        norm = math.sqrt(stretch + math.sin(2.0 * level.eps) / (2.0 * s))
+        sk, ck = _sin_cos_kappa(level, +1)
+        if abs(sk) > 0.0:
+            # value at the origin real and non-negative
+            a_plus, a_minus = (sk.conjugate() / abs(sk)) / norm, (sk / abs(sk)) / norm
+        else:
+            # sin kappa = 0 only for odd decoupled states, and then |cos kappa| >= 1
+            # (|sin|^2 + |cos|^2 = cosh 2t): phi'(0) imaginary, Im > 0
+            a_plus = a_minus = 1j * math.copysign(1.0, ck.real) / norm
+        plus = ChannelState(level, +1, Y, Z, a_plus, complex(s, -t),
+                            a_plus * weight_upper, a_plus * weight_lower)
+        minus = ChannelState(level, -1, Y, Z, a_minus, complex(s, t),
+                             a_minus * weight_upper, a_minus * -weight_lower)
+        d = _diagonal_pairing(plus, weight_upper, weight_lower)
+        plus.__dict__["d"] = minus.__dict__["d"] = d
+        p = _parity_overlap(plus, sk, ck)
+        if p != 0.0:
+            q = plus.__dict__["q"] = _quasi_parity(plus, p)
+            minus.__dict__["q"] = -q
+        return plus, minus
+
+    return build
 
 
 def solve_coefficients(level: LevelSolution, coupling: CouplingPair, sigma: int) -> ChannelState:
@@ -191,7 +207,7 @@ def solve_coefficients(level: LevelSolution, coupling: CouplingPair, sigma: int)
     """
     if sigma not in (+1, -1):
         raise ModelDomainError(f"sigma must be +1 or -1, got {sigma!r}")
-    return _doublet(level, coupling)[0 if sigma > 0 else 1]
+    return _doublet_builder(coupling)(level)[0 if sigma > 0 else 1]
 
 
 def evaluate(state: ChannelState, x):
@@ -234,9 +250,12 @@ def parity_overlap(state: ChannelState) -> float:
     its sign alternates as (-1)^n at small coupling and it enters every
     biorthogonal normalization.
     """
-    a, kappa = state.phi_coeff, state.kappa
-    sin_kappa, cos_kappa = _sin_cos_kappa(state.level, state.sigma)
-    return float((a * a * (1.0 - sin_kappa * cos_kappa / kappa)).real)
+    return _parity_overlap(state, *_sin_cos_kappa(state.level, state.sigma))
+
+
+def _parity_overlap(state: ChannelState, sin_kappa: complex, cos_kappa: complex) -> float:
+    a = state.phi_coeff
+    return float((a * a * (1.0 - sin_kappa * cos_kappa / state.kappa)).real)
 
 
 def quasi_parity(state: ChannelState) -> int:
@@ -246,12 +265,19 @@ def quasi_parity(state: ChannelState) -> int:
     positive.  Raises if the parity overlap vanishes, since no sign
     convention can then normalize the left partner.
     """
-    p = parity_overlap(state)
+    return _quasi_parity(state, parity_overlap(state))
+
+
+def _quasi_parity(state: ChannelState, p: float) -> int:
     if p == 0.0:
         raise NormalizationSingularError(
             f"parity overlap vanishes for level n={state.level.n}, sigma={state.sigma}"
         )
     return int(state.sigma * math.copysign(1.0, p))
+
+
+def _diagonal_pairing(state: ChannelState, wu: float, wl: float) -> float:
+    return 2.0 * abs(wu * wl) * abs(phi_bilinear_product(state, state))
 
 
 def doublet_family(coupling: CouplingPair, n_levels: int) -> list[ChannelState]:
@@ -267,7 +293,10 @@ def doublet_family(coupling: CouplingPair, n_levels: int) -> list[ChannelState]:
     else:
         solve = _level_solver(branch, root)
         levels = (solve(n) for n in range(n_levels))
-    return [state for level in levels for state in _doublet(level, coupling)]
+    # level 0 is solved before the coupling is checked: where both refuse, the solver speaks first
+    first = next(levels)
+    build = _doublet_builder(coupling)
+    return [state for level in chain((first,), levels) for state in build(level)]
 
 
 def sine_product_integral(p: complex, q: complex) -> complex:

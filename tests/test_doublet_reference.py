@@ -26,12 +26,14 @@ from coupledwell import (
     LeftState,
     MetricConstraintError,
     MetricWeights,
+    NormalizationSingularError,
     biorthogonality_matrix,
     build_theta_metric,
     doublet_family,
     inverse_identity_defect,
     inverse_theta_metric,
     left_vector,
+    solve_coefficients,
     solve_level,
     spectral_reconstruct,
 )
@@ -171,12 +173,35 @@ def _reference_defect(theta, states, weights):
     return float(np.max(np.abs(product - np.eye(len(states)))))
 
 
+def _q(state, get=quasi_parity):
+    # q, or the refusal's message where integral phi^2 = 0
+    try:
+        return get(state)
+    except NormalizationSingularError as exc:
+        return str(exc)
+
+
+def _assert_d_and_q(state, ref):
+    # d is stored by the builder, and q unless integral phi^2 = 0, where the
+    # property raises as quasi_parity does
+    assert "d" in vars(state) and ("q" in vars(state)) == isinstance(_q(ref), int)
+    assert repr(state.d) == repr(_d(ref))
+    assert _q(state, lambda s: s.q) == _q(ref)
+
+
 def _assert_matches_reference(pair, n_levels):
     states = doublet_family(pair, n_levels)
     reference = _reference_family(pair, n_levels)
-    for state, ref in zip(states, reference):
-        for field in dataclasses.fields(ChannelState):
-            assert repr(getattr(state, field.name)) == repr(getattr(ref, field.name)), field.name
+    coefficients = [solve_coefficients(ref.level, pair, ref.sigma) for ref in reference]
+    for built in (states, coefficients):
+        for state, ref in zip(built, reference):
+            for field in dataclasses.fields(ChannelState):
+                assert repr(getattr(state, field.name)) == repr(getattr(ref, field.name)), field.name
+            _assert_d_and_q(state, ref)
+    # a state made by dataclasses.replace computes its own d and q
+    changed = dataclasses.replace(states[-1], kappa=1.5 * states[-1].kappa)
+    assert not {"d", "q"} & vars(changed).keys()
+    assert repr(changed.d) == repr(_d(changed)) and _q(changed, lambda s: s.q) == _q(changed)
     # the builders take a sigma = -1 state's d and q from its partner
     for plus, minus in zip(reference[::2], reference[1::2]):
         assert _d(minus) == _d(plus) and quasi_parity(minus) == -quasi_parity(plus)

@@ -2,6 +2,7 @@
 metric family, inverses and spectral sums."""
 
 import collections
+import dataclasses
 import math
 import re
 import warnings
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import coupledwell._weights as weights_module
 import coupledwell.metric as metric_module
 import coupledwell.wavefunctions as wavefunctions_module
 from coupledwell import (
@@ -266,9 +268,10 @@ def test_vector_kernel_matches_scalar_without_warnings():
 
 def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
     # a loop over scalar pairings would make N^2 calls; the vector kernel
-    # leaves one d and one q per level: each sigma = +1 state computes them
-    # once, cached across the four builders, and its sigma = -1 partner
-    # takes d_- = d_+ and q_- = -q_+.  No left partner is built.
+    # leaves one d and one q per level, both computed by doublet_family as it
+    # builds each sigma = +1 state, whose sigma = -1 partner takes d_- = d_+
+    # and q_- = -q_+, and none inside the four builders.  No left partner is
+    # built.  q is counted at _quasi_parity, which quasi_parity goes through too.
     calls = collections.Counter()
 
     def counted(name, inner):
@@ -280,7 +283,7 @@ def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
 
     for name, module, attr in (
         ("left", metric_module, "left_vector"),
-        ("q", wavefunctions_module, "quasi_parity"),
+        ("q", wavefunctions_module, "_quasi_parity"),
         ("d", wavefunctions_module, "phi_bilinear_product"),
         ("integral", wavefunctions_module, "sine_product_integral"),
     ):
@@ -291,22 +294,16 @@ def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
                 for name in ("left", "q", "d", "integral")}
 
     states = doublet_family(UNIT, 12)
-    biorthogonality_matrix(states)
-    assert totals() == {"left": 0, "q": 12, "d": 12, "integral": 12}
-    inverse_theta_metric(states)
-    theta = build_theta_metric(states)
-    inverse_identity_defect(theta, states)
     assert totals() == {"left": 0, "q": 12, "d": 12, "integral": 12}
     for plus, minus in zip(states[::2], states[1::2]):
         assert calls["q", id(plus)] == calls["d", id(plus)] == 1
         assert calls["q", id(minus)] == calls["d", id(minus)] == 0
-    # the metric builders alone need d but no q
     calls.clear()
-    fresh = doublet_family(UNIT, 12)
-    inverse_identity_defect(build_theta_metric(fresh), fresh)
-    inverse_theta_metric(fresh)
-    assert totals() == {"left": 0, "q": 0, "d": 12, "integral": 12}
-    assert all(calls["d", id(s)] == (s.sigma > 0) for s in fresh)
+    biorthogonality_matrix(states)
+    inverse_theta_metric(states)
+    theta = build_theta_metric(states)
+    inverse_identity_defect(theta, states)
+    assert totals() == {"left": 0, "q": 0, "d": 0, "integral": 0}
 
 
 def test_biorthogonality_matrix_quadrature():
@@ -617,6 +614,73 @@ def test_indefinite_weights_need_unsafe():
     theta = build_theta_metric(states, w, unsafe=True)
     assert theta.meta["signature"] == (2, 2)
     assert np.linalg.eigvalsh(theta.matrix).min() < 0.0
+
+
+def test_unsafe_resolution_does_not_admit_a_safe_call():
+    # the builders resolve a family against its weights once in a row: an
+    # indefinite family resolved with unsafe=True is refused again without it
+    states = doublet_family(UNIT, 2)
+    w = MetricWeights(s_plus=np.array([1.0, 1.0]), s_minus=np.array([1.0, -1.0]))
+    for _ in range(2):
+        assert build_theta_metric(states, w, unsafe=True).meta["signature"] == (3, 1)
+        for build in (inverse_theta_metric, build_theta_metric):
+            with pytest.raises(MetricConstraintError, match=r"^weight -1\.0 for state \(n=1"):
+                build(states, w)
+
+
+def test_resolution_follows_each_state_and_the_weights(monkeypatch):
+    # one resolution serves the calls that follow with the same states, in
+    # order and by identity, the same weights object (or None) and flag
+    calls = []
+    resolve = weights_module._resolve
+    monkeypatch.setattr(weights_module, "_resolve", lambda *args: calls.append(args) or resolve(*args))
+    states, other = doublet_family(UNIT, 3), doublet_family(CouplingPair(2.0, 0.5), 3)
+    w = MetricWeights(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.5, 2.5]))
+    theta = build_theta_metric(states, w)
+    inverse_theta_metric(states, w)
+    inverse_identity_defect(theta, states, w)
+    swapped = list(states)
+    assert np.array_equal(build_theta_metric(swapped, w).matrix, theta.matrix)
+    assert len(calls) == 1
+    # the same list with one state swapped, or an equal copy of one, is resolved again
+    swapped[4] = other[4]
+    with pytest.raises(ModelDomainError, match="different couplings"):
+        build_theta_metric(swapped, w)
+    swapped[4] = dataclasses.replace(states[4])
+    assert np.array_equal(build_theta_metric(swapped, w).matrix, theta.matrix)
+    assert len(calls) == 3
+    # another list of the same length, other weights, and None after explicit weights
+    d, per_state = np.array([s.d for s in other]), theta.meta["weights_by_state"]
+    assert np.array_equal(build_theta_metric(other, w).matrix, np.diag(d * per_state * d))
+    doubled = MetricWeights(2.0 * np.array(w.s_plus), 2.0 * np.array(w.s_minus))
+    assert np.array_equal(build_theta_metric(other, doubled).matrix,
+                          np.diag(d * (2.0 * per_state) * d))
+    for _ in range(2):
+        assert np.array_equal(build_theta_metric(other).matrix, np.diag(d * 1.0 * d))
+    assert len(calls) == 6
+
+
+def test_refused_resolution_is_refused_on_every_call():
+    states = doublet_family(UNIT, 3)
+    short = MetricWeights(np.ones(2), np.ones(2))
+    for _ in range(3):
+        for build in (build_theta_metric, inverse_theta_metric):
+            with pytest.raises(MetricConstraintError, match="weights cover 2 levels, need 3"):
+                build(states, short)
+
+
+def test_each_rep_gets_its_own_meta_and_order():
+    states = doublet_family(UNIT, 2)
+    first, second = build_theta_metric(states), inverse_theta_metric(states)
+    third = build_theta_metric(states)
+    assert first.meta["order"] == second.meta["order"] == third.meta["order"]
+    assert first.meta["order"] is not third.meta["order"]
+    assert first.meta["order"] is not second.meta["order"]
+    first.meta["order"].clear()
+    first.meta["n_levels"] = 0
+    fourth = build_theta_metric(states)
+    assert fourth.meta["order"] == [(0, 1), (0, -1), (1, 1), (1, -1)]
+    assert fourth.meta["n_levels"] == second.meta["n_levels"] == 2
 
 
 @pytest.mark.parametrize("Y, Z, entry", [(1e308, 1e-318, "[0, 0, 0]"),
