@@ -196,6 +196,24 @@ class WeightedFamily(NamedTuple):
 _resolved = None
 
 
+def _holds(entry, states) -> bool:
+    # whether a resolution entry holds these states, in order and by identity
+    return (entry is not None and len(entry[0]) == len(states)
+            and all(map(is_, entry[0], states)))
+
+
+def family_order(states) -> list:
+    """The (n, sigma) labels of a family, refused unless it is complete doublets
+    of one coupling in doublet_family order (_validate_family), read from the
+    last resolution when that holds the same states: the builders that take
+    no weights check a family once per request.  Each caller gets its own
+    list; a refused family is never held, so it is refused on every call."""
+    entry = _resolved
+    if _holds(entry, states):
+        return list(entry[3].meta["order"])
+    return _validate_family(states)[1]
+
+
 def resolve_weights(states, weights, unsafe: bool) -> WeightedFamily:
     """The family, refused if its states, a weight, a d or a kernel entry is
     inadmissible: the one contract of the form, the inverse and the defect.
@@ -203,8 +221,7 @@ def resolve_weights(states, weights, unsafe: bool) -> WeightedFamily:
     in a row; each caller gets its own meta and order."""
     global _resolved
     unsafe, entry = bool(unsafe), _resolved
-    if (entry is not None and entry[1] is weights and entry[2] is unsafe
-            and len(entry[0]) == len(states) and all(map(is_, entry[0], states))):
+    if _holds(entry, states) and entry[1] is weights and entry[2] is unsafe:
         family = entry[3]
     else:
         family = _resolve(states, weights, unsafe)

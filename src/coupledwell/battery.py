@@ -6,8 +6,10 @@ only formats these records.
 Every row is computed in plain floats, so `verify` loads no numpy: the
 mode form diag(S d^2), its weight contract and the identity defect from
 `_weights` (the body of metric.inverse_identity_defect), the pairing
-from the d and q stored with each state and the scalar `phi_bilinear_product`, the band
-checks from the coupling and the grid, and the oracle's levels from
+from the d stored with each state and, off the diagonal, the rank-2
+segment integrals of metric.sine_product_integrals in cmath (one sine
+and cosine per state, each pair once), the band checks from the
+coupling and the grid, and the oracle's levels from
 `oracle.eigenvalues`, compared by `compare_spectrum` (the `oracle`
 report).  The pairing, the quasi-Hermiticity defects, the band step and
 `eigenvalues` are float twins of numpy code, each with its reason.
@@ -15,6 +17,7 @@ report).  The pairing, the quasi-Hermiticity defects, the band step and
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,8 +26,8 @@ from .errors import ModelDomainError
 from .model import BranchClass, CouplingPair, GridSpec
 from .oracle import _spin_commutator_max, _swap_reflect_defect, compare_spectrum, eigenvalues
 from .secular import perturbative_eps
-from .wavefunctions import (channel_weights, doublet_family, matching_residual, parity_overlap,
-                            phi_bilinear_product)
+from .wavefunctions import (NEAR_WAVENUMBERS, channel_weights, doublet_family, matching_residual,
+                            parity_overlap, sine_product_integral)
 
 # The perturbation row compares |eps - eps_1| with |eps - eps_2|.  The
 # solved eps lies within ~5 ulp of its 40-digit root and each series value
@@ -101,13 +104,11 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
 
     # the pairing G: diagonal d; its opposite-sigma blocks are exact zeros and
     # its sigma = -1 block is the sigma = +1 one, q_i (wl wu + wu wl) integral
-    # phi_i phi_j, where |q_i| = 1: the float twin of metric._doublet_pairing,
-    # which says why both stay
+    # phi_i phi_j, where |q_i| = 1, and symmetric, so the row reads the
+    # sigma = +1 pairs i < j: the float twin of metric._doublet_pairing, which
+    # says why both stay
     wu, wl = channel_weights(+1, coupling.Y, coupling.Z)
-    factor = wl * wu + wu * wl
-    plus = states[0::2]
-    off = max((abs(factor * phi_bilinear_product(a, b)) for i, a in enumerate(plus)
-               for j, b in enumerate(plus) if i != j), default=0.0)
+    off = (wl * wu + wu * wl) * _off_diagonal_max(states[0::2])
     energies, spins = [s.level.E for s in states], [float(s.sigma) for s in states]
     checks += [
         Check("biorthogonal diagonal min", min(family.d), 0.0, ">"),
@@ -135,6 +136,34 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
               max(r["rel_err"] for r in report["levels"]), 5e-3 * (512.0 / grid.M) ** 2, "<="),
     ]
     return checks
+
+
+def _off_diagonal_max(plus) -> float:
+    """max over i != j of |integral phi_i phi_j| for the sigma = +1 states,
+    entry by entry as metric._doublet_pairing takes it: the rank-2 form of
+    sine_product_integrals with its operations in its order, and the
+    scalar's difference form where |kappa_i - kappa_j| < NEAR_WAVENUMBERS.
+    sin and cos are taken once per state, and each pair once: the rank-2
+    entry is symmetric bit for bit, its numerator and denominator both
+    changing sign with i <-> j.
+    """
+    kappa = [s.kappa for s in plus]
+    coeff = [s.phi_coeff for s in plus]
+    sines = [cmath.sin(k) for k in kappa]
+    slopes = [k * cmath.cos(k) for k in kappa]
+    largest = 0.0
+    for j in range(1, len(plus)):
+        kj, aj, sj, bj = kappa[j], coeff[j], sines[j], slopes[j]
+        for ki, ai, si, bi in zip(kappa[:j], coeff, sines, slopes):
+            diff = ki - kj
+            if abs(diff) < NEAR_WAVENUMBERS:
+                integral = sine_product_integral(ki, kj)
+            else:
+                integral = (si * bj - bi * sj) / (diff * (ki + kj))
+            value = abs((ai * aj * integral).real)
+            if value > largest:
+                largest = value
+    return 2.0 * largest
 
 
 def _mode_defect(values, form) -> float:

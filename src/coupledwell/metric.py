@@ -38,8 +38,14 @@ mode_hamiltonian or mode_spin, so spectral_reconstruct is grid-only.
 G and the Gram matrix of Theta^{-1} are N x N closed forms of the same
 shape: a channel-weight factor times 2 Re(a_i a_j I(kappa_i, kappa_j)),
 I the segment integral of two sines, one broadcast expression
-(sine_product_integrals).  A family is read by position in
-doublet_family order, sigma = +1 members at [0::2] and partners at [1::2].
+(sine_product_integrals).  I is taken in the rank-2 form
+(sin p q cos q - p cos p sin q) / ((p - q)(p + q)), the Wronskian of the
+two segment sines at the matching point, so a block costs O(N) complex
+sines; pairs with |p - q| < NEAR_WAVENUMBERS, where that numerator
+cancels, keep the difference form of wavefunctions.sine_product_integral,
+which stays the scalar reference and the body of d.  A family is read
+by position in doublet_family order, sigma = +1 members at [0::2] and
+partners at [1::2].
 A sigma = -1 state carries its partner's a and kappa conjugated, so it
 pairs as its partner does, d_- = d_+ and q_- = -q_+ (with the lower
 channel weight f_- = -f_+, (-q)(-f) = qf), and its rows copy the
@@ -51,8 +57,11 @@ The weight contract (MetricWeights, the family checks, d, the kernels,
 S d^2, 1/(S d^2), the spin ratio and the identity defect) is float
 arithmetic in _weights, shared with the CLI's `metric` and the `verify`
 battery; a family is resolved once for the builder calls in a row that
-pass the same states and weights.  The battery keeps float twins of the closed pairing and of
-quasi_hermiticity_defect; each says where it lives why both stay.
+pass the same states and weights, and the builders that take no weights
+(the pairing and the mode maps) read its check from that resolution
+(_weights.family_order).  The battery keeps float twins of the closed
+pairing and of quasi_hermiticity_defect; each says where it lives why
+both stay.
 """
 
 from __future__ import annotations
@@ -63,11 +72,11 @@ from typing import Sequence
 import numpy as np
 
 from ._weights import (MIN_ROOT_PRODUCT, MetricWeights, _normalizable, _shared_coupling,
-                       _validate_family, diagonal_overlap, identity_defect, inverse_coefficients,
+                       diagonal_overlap, family_order, identity_defect, inverse_coefficients,
                        kernel_entries, out_of_range, resolve_weights, spin_ratio)
 from .errors import ModelDomainError
 from .model import CouplingPair, GridSpec, OperatorRep, RepBasis
-from .wavefunctions import ChannelState, channel_weights
+from .wavefunctions import NEAR_WAVENUMBERS, ChannelState, channel_weights
 
 _PANELS = 512  # Simpson panels per half of biorthogonality_matrix's quadrature
 _KINDS = ("hamiltonian", "spin", "identity")
@@ -107,18 +116,34 @@ def _bilinear_products(a_row, kappa_row, a, kappa) -> np.ndarray:
 
 
 def sine_product_integrals(p, q) -> np.ndarray:
-    """wavefunctions.sine_product_integral over broadcast arrays of complex wavenumbers.
+    """wavefunctions.sine_product_integral over broadcast arrays of complex
+    wavenumbers (at least 1-d), in the rank-2 form
 
-    Same formula and same-wavenumber branch as the scalar; numpy's
-    complex arithmetic may differ from CPython's in the last bit.  The
-    branch is taken by np.where, so the unused one is evaluated with a
-    unit denominator rather than 0/0.
+        I(p, q) = (sin p  q cos q - p cos p  sin q) / ((p - q)(p + q)),
+
+    so sin and cos are taken once per entry of p and of q: an N x N block
+    costs O(N) complex sines and O(N^2) multiply-adds.  The numerator
+    cancels as p nears q, which leaves an error of ~eps e^(|Im p| + |Im q|)
+    / |p - q|; entries with |p - q| < NEAR_WAVENUMBERS keep the scalar's
+    difference form and same-wavenumber branch, which form p - q directly,
+    and are gathered and evaluated alone.  The forms differ in the last
+    bits, and numpy's complex arithmetic may differ from CPython's there
+    too: the scalar stays the reference of the tests and the one body of d
+    (phi_bilinear_product).
     """
     p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
-    diff, total = p - q, p + q
-    same = np.abs(diff) < 1e-14 * np.maximum(1.0, np.abs(p))
-    apart = np.sin(diff) / (2.0 * np.where(same, 1.0, diff)) - np.sin(total) / (2.0 * total)
-    return np.where(same, 0.5 - np.sin(2.0 * p) / (4.0 * p), apart)
+    diff = p - q
+    near = np.abs(diff) < NEAR_WAVENUMBERS
+    denominator = diff * (p + q)
+    denominator[near] = 1.0
+    out = (np.sin(p) * (q * np.cos(q)) - (p * np.cos(p)) * np.sin(q)) / denominator
+    if near.any():
+        p, q = np.broadcast_to(p, near.shape)[near], np.broadcast_to(q, near.shape)[near]
+        diff, total = p - q, p + q
+        same = np.abs(diff) < 1e-14 * np.maximum(1.0, np.abs(p))
+        apart = np.sin(diff) / (2.0 * np.where(same, 1.0, diff)) - np.sin(total) / (2.0 * total)
+        out[near] = np.where(same, 0.5 - np.sin(2.0 * p) / (4.0 * p), apart)
+    return out
 
 
 def simpson_rule(intervals: int):
@@ -191,9 +216,9 @@ def biorthogonality_matrix(
 def _doublet_pairing(states) -> np.ndarray:
     # G of a doublet family with its own left partners: its opposite-sigma blocks
     # are exact zeros, its sigma = -1 block is the sigma = +1 one (module notes).
-    # battery.verify's float twin loads no numpy; this one is the faster, 0.32
-    # against 2.9 ms at 40 levels, on a 2.3 ms `closed-form` request (2-core x86)
-    _validate_family(states)
+    # battery.verify's float twin loads no numpy; this one is the faster, 0.17
+    # against 0.40 ms at 40 levels, on a 1.37 ms `closed-form` request (2-core x86)
+    family_order(states)
     plus = states[0::2]
     a, kappa, wu, wl = _profiles(plus)
     q = np.array([s.q for s in plus], dtype=float)
@@ -322,7 +347,7 @@ def _kind_values(states, kind: str) -> np.ndarray:
 
 def _mode_map(states: Sequence[ChannelState], kind: str) -> OperatorRep:
     # the spectral sum of one kind on the mode basis: diag(value_i)
-    _, order = _validate_family(states)
+    order = family_order(states)
     return OperatorRep(np.diag(_kind_values(states, kind)), RepBasis.MODE, meta={"order": order})
 
 

@@ -39,6 +39,13 @@ from .secular import LevelSolution, _level_solver, _positive_levels
 
 _CONSISTENCY_TOL = 1e-10
 _AMPLITUDE_SAMPLES = 257
+# |p - q| below which the pairings built from many segment integrals
+# (metric.sine_product_integrals and the `verify` battery's) keep the
+# difference form of sine_product_integral rather than the rank-2 form:
+# the difference form takes p - q directly, to an ulp, while the rank-2
+# numerator cancels, leaving an error of ~eps e^(|Im p| + |Im q|) / |p - q|
+# (see the metric module notes)
+NEAR_WAVENUMBERS = 1.0
 
 
 @dataclass(frozen=True, init=False)
@@ -300,7 +307,12 @@ def doublet_family(coupling: CouplingPair, n_levels: int) -> list[ChannelState]:
 
 
 def sine_product_integral(p: complex, q: complex) -> complex:
-    """integral_0^1 sin(p u) sin(q u) du for complex wavenumbers."""
+    """integral_0^1 sin(p u) sin(q u) du for complex wavenumbers.
+
+    The difference form, sin(p - q) / (2 (p - q)) - sin(p + q) / (2 (p + q)),
+    with 0.5 - sin(2p) / (4p) where p and q agree to 1e-14: the reference of
+    the rank-2 pairings, and the one body d takes (phi_bilinear_product).
+    """
     p, q = complex(p), complex(q)
     if abs(p - q) < 1e-14 * max(1.0, abs(p)):
         return 0.5 - cmath.sin(2.0 * p) / (4.0 * p)

@@ -35,6 +35,7 @@ from coupledwell import (
 )
 from coupledwell.cli import main
 from coupledwell.oracle import _spin_commutator_max, _swap_reflect_defect
+from coupledwell.wavefunctions import channel_weights, phi_bilinear_product
 from test_doublet_reference import discrete_theta
 
 
@@ -248,6 +249,54 @@ def test_every_check_passes_or_is_refused_over_the_domain(log_c, log2_ratio, lev
     assert [check.name for check in checks if not check.passed] == []
 
 
+def reference_pairing_row(states):
+    # the row as the difference form gives it: the O(N^2) loop of scalar
+    # pairings, each with four complex sines, over i != j
+    wu, wl = channel_weights(+1, states[0].Y, states[0].Z)
+    factor = wl * wu + wu * wl
+    plus = states[0::2]
+    off = max((abs(factor * phi_bilinear_product(a, b)) for i, a in enumerate(plus)
+               for j, b in enumerate(plus) if i != j), default=0.0)
+    return off / max(s.d for s in states)
+
+
+def _coupling(log_c, log_ratio):
+    # Y Z = c^2 and Y / Z = e^log_ratio
+    c, root_ratio = math.exp(log_c), math.exp(log_ratio / 2)
+    return CouplingPair(c * root_ratio, c / root_ratio)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    log_c=st.floats(math.log(1e-4), math.log(4.4)),
+    log_ratio=st.floats(math.log(1e-3), math.log(1e3)),
+    levels=st.integers(1, 60),
+)
+@example(log_c=math.log(4.4), log_ratio=math.log(1e3), levels=40)
+def test_pairing_row_is_the_difference_form_loop(log_c, log_ratio, levels):
+    # the rank-2 entries and the scalar's difference form round the same
+    # off-diagonal noise differently: the rows agree within one ulp of 1, the
+    # diagonal's scale (0.497 ulp at most over 706 seeded draws of up to
+    # 500 levels)
+    coupling = _coupling(log_c, log_ratio)
+    rows = {check.name: check.value for check in verify(coupling, levels, GridSpec(16))}
+    reference = reference_pairing_row(doublet_family(coupling, levels))
+    assert abs(rows["biorthogonal off-diagonal / max diagonal"] - reference) <= math.ulp(1.0)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    log_c=st.floats(math.log(1e-4), math.log(4.4)),
+    log_ratio=st.floats(math.log(0.25), math.log(4.0)),
+    levels=st.integers(1, 500),
+)
+@example(log_c=math.log(4.4), log_ratio=0.0, levels=500)
+@example(log_c=math.log(1e-4), log_ratio=math.log(4.0), levels=500)
+def test_every_check_passes_up_to_500_levels(log_c, log_ratio, levels):
+    checks = verify(_coupling(log_c, log_ratio), levels, GridSpec(128))
+    assert [check.name for check in checks if not check.passed] == []
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     log_c=st.floats(math.log(1e-4), math.log(4.4)),
@@ -258,9 +307,10 @@ def test_every_check_passes_or_is_refused_over_the_domain(log_c, log2_ratio, lev
 def test_metric_rows_are_the_numpy_api(log_c, log_ratio, levels):
     # the battery's float rows against the public numpy functions they twin.
     # The off-diagonal pairing is rounding noise, which numpy's broadcast in
-    # the closed pairing and CPython's scalar arithmetic round differently:
-    # the ratio rows agree within a quarter ulp of 1, the diagonal's scale
-    # (1.9e-17 at most over 400 seeded draws of this domain).  The defects
+    # the closed pairing and CPython's scalar arithmetic round differently,
+    # both in the rank-2 form with its operations in one order: the ratio rows
+    # agree within a quarter ulp of 1, the diagonal's scale (2.4e-17 at most
+    # over 400 seeded draws of this domain).  The defects
     # agree exactly: the identity defect is one body, and both
     # quasi-Hermiticity defects read 0.0
     c, root_ratio = math.exp(log_c), math.exp(log_ratio / 2)

@@ -266,6 +266,49 @@ def test_vector_kernel_matches_scalar_without_warnings():
         assert fast[k, k] == 0.5 - np.sin(2.0 * p[k]) / (4.0 * p[k])
 
 
+C_CRIT_PAIR0 = 4.475308602193255
+
+
+def _assert_kernel_within_rounding(p, q):
+    # the rank-2 kernel against the difference-form scalar: both round sines of
+    # size e^|Im|, so each entry is held within 4 eps e^(|Im p| + |Im q|) (0.77 at
+    # most over 3000 seeded draws of the domains below and 200 families)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = sine_product_integrals(p[:, None], q)
+    reference = np.array([[sine_product_integral(a, b) for b in q] for a in p])
+    scale = np.exp(np.abs(p.imag)[:, None] + np.abs(q.imag))
+    assert (np.abs(fast - reference) <= 4.0 * np.finfo(float).eps * scale).all()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    p=st.builds(complex, st.floats(0.1, 800.0), st.floats(-3.0, 3.0)),
+    far=st.builds(complex, st.floats(0.1, 800.0), st.floats(-3.0, 3.0)),
+    log_gap=st.floats(-13.0, math.log10(2.0)),
+    turn=st.floats(0.0, 1.0),
+)
+def test_rank2_kernel_matches_the_difference_form(p, far, log_gap, turn):
+    # a near pair, |p - q| log-uniform in [1e-13, 2] in any direction with
+    # |Im q| <= 3, the same wavenumber, and one drawn apart
+    q = p + 10.0**log_gap * complex(math.cos(2 * math.pi * turn), math.sin(2 * math.pi * turn))
+    q = complex(q.real, max(-3.0, min(3.0, q.imag)))
+    _assert_kernel_within_rounding(np.array([p, far]), np.array([q, p, far]))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(log_delta=st.floats(-12.0, -2.0), log_ratio=st.floats(-3.0, 3.0),
+       n_levels=st.integers(2, 12))
+def test_rank2_kernel_matches_the_difference_form_near_the_merger(log_delta, log_ratio, n_levels):
+    # at (1 - delta) c_crit(0) the wavenumbers of levels 0 and 1 close in on each
+    # other: the pairing's rows and the Gram rows of the inverse, over every state
+    c, root_ratio = (1.0 - 10.0**log_delta) * C_CRIT_PAIR0, math.exp(log_ratio / 2)
+    states = doublet_family(CouplingPair(c * root_ratio, c / root_ratio), n_levels)
+    kappa = np.array([s.kappa for s in states])
+    for rows in (kappa[0::2], kappa[0::2].conj()):
+        _assert_kernel_within_rounding(rows, kappa)
+
+
 def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
     # a loop over scalar pairings would make N^2 calls; the vector kernel
     # leaves one d and one q per level, both computed by doublet_family as it
@@ -669,18 +712,68 @@ def test_refused_resolution_is_refused_on_every_call():
                 build(states, short)
 
 
+WEIGHTLESS = (biorthogonality_matrix, mode_hamiltonian, mode_spin)
+
+
+def test_weightless_builders_read_the_resolved_family_check(monkeypatch):
+    # the pairing and the mode maps check a family held by the last resolution
+    # (the same states, in order and by identity) no more: one check per request
+    calls = []
+    validate = weights_module._validate_family
+    monkeypatch.setattr(weights_module, "_validate_family",
+                        lambda states: calls.append(len(states)) or validate(states))
+    states = doublet_family(UNIT, 3)
+    theta = build_theta_metric(states)
+    for build in WEIGHTLESS:
+        build(list(states))
+    assert calls == [6]
+    # a family not held is checked on every call
+    other = doublet_family(CouplingPair(2.0, 0.5), 3)
+    for build in WEIGHTLESS:
+        build(other)
+    assert calls == [6] * 4
+    # which leaves the held family as it was
+    assert np.array_equal(mode_spin(states).matrix, np.diag([1.0, -1.0] * 3))
+    assert theta.meta["order"] == mode_hamiltonian(states).meta["order"]
+    assert calls == [6] * 4
+
+
+@pytest.mark.parametrize("change", ["swap in place", "shuffled copy", "foreign state"])
+def test_weightless_builders_refuse_a_family_the_resolution_does_not_hold(change):
+    # the same list with two states swapped in place, a shuffled list of the same
+    # states and length, and one state of another coupling are each refused, on
+    # every call, after the family they came from was resolved
+    states = doublet_family(UNIT, 3)
+    held = list(states)
+    build_theta_metric(held)
+    if change == "swap in place":
+        bad, message = held, "doublet_family order"
+        held[2], held[4] = held[4], held[2]
+    elif change == "shuffled copy":
+        bad, message = [states[k] for k in (2, 3, 0, 1, 4, 5)], "doublet_family order"
+    else:
+        bad, message = states[:5] + doublet_family(CouplingPair(2.0, 0.5), 3)[5:], "different couplings"
+    for _ in range(2):
+        for build in WEIGHTLESS:
+            with pytest.raises(ModelDomainError, match=message):
+                build(bad)
+
+
 def test_each_rep_gets_its_own_meta_and_order():
+    # the mode maps read their order from the resolution, each its own copy too
     states = doublet_family(UNIT, 2)
     first, second = build_theta_metric(states), inverse_theta_metric(states)
     third = build_theta_metric(states)
-    assert first.meta["order"] == second.meta["order"] == third.meta["order"]
-    assert first.meta["order"] is not third.meta["order"]
-    assert first.meta["order"] is not second.meta["order"]
+    h, spin = mode_hamiltonian(states), mode_spin(states)
+    orders = [rep.meta["order"] for rep in (first, second, third, h, spin)]
+    assert all(order == orders[0] for order in orders)
+    assert len(set(map(id, orders))) == len(orders)
     first.meta["order"].clear()
+    h.meta["order"].append((9, 1))
     first.meta["n_levels"] = 0
-    fourth = build_theta_metric(states)
-    assert fourth.meta["order"] == [(0, 1), (0, -1), (1, 1), (1, -1)]
-    assert fourth.meta["n_levels"] == second.meta["n_levels"] == 2
+    for build in (build_theta_metric, mode_hamiltonian, mode_spin):
+        assert build(states).meta["order"] == [(0, 1), (0, -1), (1, 1), (1, -1)]
+    assert build_theta_metric(states).meta["n_levels"] == second.meta["n_levels"] == 2
 
 
 @pytest.mark.parametrize("Y, Z, entry", [(1e308, 1e-318, "[0, 0, 0]"),
