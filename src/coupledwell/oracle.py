@@ -6,44 +6,36 @@ analytic chain (secular roots, closed-form states, metric algebra) is
 consulted to build or solve the operator, so agreement between the two
 paths is evidence, not circularity.
 
-The mesh (model.GridSpec) always contains x = 0 as a node (M even),
-where the off-diagonal potential takes its average value 0.  That
-single choice makes the discrete operator exactly pseudo-Hermitian
-under the channel-swap / index-reversal matrix, at every grid size.
-The step is model.coupling_step sampled at the nodes: the well is
-written down once, in the model.
+The mesh (model.GridSpec) always contains x = 0 as a node (M even), where the
+off-diagonal potential takes its average value 0.  That single choice makes the
+discrete operator exactly pseudo-Hermitian under the channel-swap /
+index-reversal matrix, at every grid size.  The step is model.coupling_step
+sampled at the nodes: the well is written down once, in the model.
 
-The operator is I (x) K + C (x) D: the three-point Laplacian K in each
-channel plus the constant channel matrix C = [[0, iZ], [iY, 0]] times
-the step D = diag(sgn(-x)).  `build_hamiltonian` stores just that: the
-coupling and the grid, from which the bands of K and D are derived
-once; the dense matrix is assembled only when `.matrix` is read.  The
-eigenvectors of C do not depend on x, so for an eigenvalue lambda of C
-the problem splits into the tridiagonal T = K + lambda D: lambda = ic,
-c = sqrt(YZ), for YZ > 0, the real sqrt(-YZ) for YZ < 0, and 0 for
-YZ = 0 (C nilpotent: 0, or a Jordan block with exactly one of Y, Z
-nonzero).  `eigenpairs` solves T alone, from the grid and lambda, and
-rebuilds every doublet from it; the reduction uses the 2x2 matrix C,
-never the closed form, so the oracle stays independent.
+The operator is I (x) K + C (x) D: the three-point Laplacian K in each channel
+plus the constant channel matrix C = [[0, iZ], [iY, 0]] times the step
+D = diag(sgn(-x)).  `build_hamiltonian` stores just that, the coupling and the
+grid: K's bands and the step are derived on first read, and the dense matrix
+when `.matrix` is read.  The eigenvectors of C do not depend on x, so for an
+eigenvalue lambda of C the problem splits into the tridiagonal
+T = K + lambda D: lambda = ic, c = sqrt(YZ), for YZ > 0, the real sqrt(-YZ)
+for YZ < 0, and 0 for YZ = 0 (C nilpotent: 0, or a Jordan block with exactly
+one of Y, Z nonzero).  `eigenpairs` solves T alone, from the grid and lambda,
+and rebuilds every doublet from it; the reduction uses the 2x2 matrix C, never
+the closed form, so the oracle stays independent.
 
-T is constant on each half of the grid, so its eigenvalues are the
-roots of a discrete secular polynomial P that costs O(1) to evaluate at
-any M, and each eigenvector is one sine per side (`_TwoRegionBlock`).
-P and its slope are written once (`_TwoRegionBlock.secular`), in cmath
-on one Python number, and the root search samples it over Python lists,
-the same for `eigenpairs` and for `eigenvalues`, the numpy-free solve of
-YZ >= 0 that `verify`, the `oracle` subcommand and `criticality_scan`
-read.  The roots are seeded
-on the real axis, polished by Newton, and certified complete by an
-argument-principle count over a rectangle, symmetric about the real
-axis, that holds the numerical range of T (all 2m - 1 roots, P's
-degree, need no count); each eigenpair is checked by its O(M) residual
-against H, or, in `eigenvalues`, each root by that of T's eigenvector
-in O(1) (`_TwoRegionBlock.centre_residual`).  This is the discrete twin
-of k_L cot k_L + k_R cot k_R = 0, built from the finite-difference
-recursion alone, and the only root search: a root set the count cannot
-certify raises NumericalFailureError.  The dense eigensolve of
-`.matrix` is the tests' cross-check.
+T is constant on each half of the grid, so its eigenvalues are the roots
+of a discrete secular polynomial P, the twin of k_L cot k_L + k_R cot k_R = 0
+from the recursion alone, which costs O(1) at any M (`_TwoRegionBlock`),
+and each eigenvector is one sine per side; for lambda = i gamma the right
+side at E is the conjugate of the left side at conj(E).  `eigenpairs` and
+`eigenvalues`, the numpy-free solve of YZ >= 0 that `verify`, the `oracle`
+subcommand and `criticality_scan` read, run the same root search,
+certified complete by an argument-principle count or raising
+NumericalFailureError.  Each eigenpair is checked by its O(M) residual
+against H, read off the bands' constants, or, in `eigenvalues`, each root
+by that of T's eigenvector in O(1).  The dense eigensolve of `.matrix` is
+the tests' cross-check.
 
 The structure checks live here, once, computed in floats from the
 coupling and the grid: S H S = H^dagger, which the construction makes
@@ -95,10 +87,10 @@ _EPS = sys.float_info.epsilon
 class BandedHamiltonian:
     """I (x) K + C (x) diag(step) on a grid: the coupling and the grid.
 
-    sub and diagonal, K's bands, and step, d at the interior nodes, are
-    derived from the grid once, read-only.  `.matrix` is the dense
-    channel-blocked matrix (0..M-2 the upper channel, M-1..2M-3 the
-    lower), assembled on first access, then cached and read-only.
+    sub and diagonal, K's bands, step, d at the interior nodes, and
+    `.matrix`, the dense channel-blocked matrix (0..M-2 the upper channel,
+    M-1..2M-3 the lower), are derived on first read, then cached and
+    read-only; `eigenpairs` reads only the step, and only for YZ = 0.
     """
 
     coupling: CouplingPair
@@ -106,18 +98,21 @@ class BandedHamiltonian:
     basis = RepBasis.GRID
     is_form = False
 
-    def __post_init__(self):
+    @cached_property
+    def sub(self) -> np.ndarray:
         import numpy as np
 
-        m, h2 = self.grid.n_interior, self.grid.h * self.grid.h
-        bands = {
-            "sub": np.full(m - 1, -1.0 / h2),
-            "diagonal": np.full(m, 2.0 / h2),
-            "step": coupling_step(self.grid.interior_nodes),
-        }
-        for name, band in bands.items():
-            band.setflags(write=False)
-            object.__setattr__(self, name, band)
+        return _read_only(np.full(self.grid.n_interior - 1, -1.0 / (self.grid.h * self.grid.h)))
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        import numpy as np
+
+        return _read_only(np.full(self.grid.n_interior, 2.0 / (self.grid.h * self.grid.h)))
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        return _read_only(coupling_step(self.grid.interior_nodes))
 
     @property
     def dim(self) -> int:
@@ -139,18 +134,18 @@ class BandedHamiltonian:
             matrix[band[:-1], band[1:]] = self.sub
         matrix[nodes, m + nodes] += 1j * self.coupling.Z * self.step
         matrix[m + nodes, nodes] += 1j * self.coupling.Y * self.step
-        matrix.setflags(write=False)
-        return matrix
+        return _read_only(matrix)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltonian:
-    """The 2(M-1)-dimensional coupled-well operator on the interior nodes.
-
-    K is the three-point Laplacian; the step is the coupling's sign
-    pattern sgn(-x) (model.coupling_step) sampled at the nodes (0 at the
-    midpoint node), so S H S = H^dagger holds by construction.  No dense
-    matrix is built here.
-    """
+    """The 2(M-1)-dimensional coupled-well operator on the interior nodes, in
+    O(1): K the three-point Laplacian, the step sgn(-x) (model.coupling_step)
+    at the nodes, 0 at the midpoint, so S H S = H^dagger by construction."""
     return BandedHamiltonian(coupling, grid)
 
 
@@ -165,9 +160,9 @@ def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltoni
 def _node_steps(grid: GridSpec) -> list[float]:
     """model.coupling_step at the interior nodes h (j - M/2): sgn(-x).
 
-    A float twin, so that `verify` loads no numpy; build_hamiltonian keeps
-    the faster coupling_step: 12 against 86 us at M = 512, 56 us against
-    3.1 ms at M = 16384 (2-core x86, CPython 3.11, numpy 2.4)."""
+    A float twin, so that `verify` loads no numpy; `.step`, which `.matrix`
+    and the YZ = 0 doublets read, keeps the faster coupling_step: 13 against
+    100 us at M = 512, 60 us against 2.9 ms at 16384 (2-core x86, CPython 3.11, numpy 2.4)."""
     h = grid.h
     return [float((x < 0.0) - (x > 0.0)) for x in (h * (j - grid.M // 2) for j in range(1, grid.M))]
 
@@ -202,11 +197,6 @@ def _spin_commutator_max(coupling: CouplingPair) -> float:
     return max(abs(Z * inverse - ratio * Y), abs(Y * ratio - inverse * Z))
 
 
-def _cross_channel(rep: BandedHamiltonian):
-    """The upper-right and lower-left entries iZ d and iY d."""
-    return 1j * rep.coupling.Z * rep.step, 1j * rep.coupling.Y * rep.step
-
-
 def _require_residual(size: float, coupling: CouplingPair, grid: GridSpec) -> None:
     """Refuse an eigenvector residual above RESIDUAL_RTOL of a bound on ||H||:
     |2/h^2| + 2 |-1/h^2| for K, and ||C|| on the vectors built here, sqrt|YZ|,
@@ -234,16 +224,16 @@ def _lowest_roots(coupling: CouplingPair, grid: GridSpec, k: int):
 def eigenpairs(rep: BandedHamiltonian, k: int):
     """k eigenvalues of smallest real part with unit-norm right vectors.
 
-    Only the block T = K + lambda D of one eigenvalue lambda of the
-    channel matrix C is solved, from the grid (`_TwoRegionBlock`), and
-    `_doublets` makes each root two eigenpairs; `.matrix` is never
-    built.  A rep that is not a `BandedHamiltonian` raises
-    ModelDomainError.  Complex eigenvalues that do not pair off one to
-    one with their conjugates, and a failed bracket, zero count,
-    completion or residual raise NumericalFailureError.  The order: by
-    real part, ties within PAIRING_RTOL by |Im| (real values first),
-    each conjugate pair adjacent, negative imaginary part first; a
-    quartet past the merger reads E, conj(E), E, conj(E) with Im E < 0.
+    Only T = K + lambda D, for one eigenvalue lambda of the channel matrix
+    C, is solved, from the grid (`_TwoRegionBlock`); `_doublets` makes each
+    root two eigenpairs, and no band nor `.matrix` is derived for YZ != 0.
+    A rep that is not a `BandedHamiltonian` raises ModelDomainError.
+    Complex eigenvalues that do not pair off one to one with their
+    conjugates, and a failed bracket, zero count, completion or residual
+    raise NumericalFailureError.  The order: by real part, ties within
+    PAIRING_RTOL by |Im| (real values first), each conjugate pair adjacent,
+    negative imaginary part first; a quartet past the merger reads E,
+    conj(E), E, conj(E) with Im E < 0.
     """
     import numpy as np
 
@@ -253,16 +243,23 @@ def eigenpairs(rep: BandedHamiltonian, k: int):
     block, roots = _lowest_roots(rep.coupling, rep.grid, k)
     values = np.array(roots, dtype=complex)
     values, vectors = _doublets(rep, block, values, block.eigenvectors(values))
-    # |H x - E x| off the bands on the partners: each carries its root's T residual,
-    # conjugated or reflected, and for YZ = 0 holds v itself in one channel
-    partners = values.size // 2
-    x = vectors[:, partners:].reshape(2, rep.diagonal.size, -1)  # channel, node, column
-    residual = (rep.diagonal[:, None] - values[partners:]) * x
-    residual += np.stack(_cross_channel(rep))[:, :, None] * x[::-1]
-    residual[:, :-1] += rep.sub[:, None] * x[:, 1:]
-    residual[:, 1:] += rep.sub[:, None] * x[:, :-1]
-    _require_residual(abs(residual).max(), rep.coupling, rep.grid)
+    _require_residual(_partner_residual(rep, values, vectors), rep.coupling, rep.grid)
     return _cut(values, vectors, k)
+
+
+def _partner_residual(rep: BandedHamiltonian, values: np.ndarray, vectors: np.ndarray) -> float:
+    """max |H x - E x| on `_doublets`' partners, from the bands' constants: each
+    partner carries its root's T residual, conjugated or reflected, and for
+    YZ = 0 holds v itself in one channel.  The centre's step 0 adds nothing."""
+    h2, m, partners = rep.grid.h * rep.grid.h, rep.grid.M // 2, values.size // 2
+    x = vectors[:, partners:].reshape(2, 2 * m - 1, -1)  # channel, node, column
+    residual = (2.0 / h2 - values[partners:]) * x
+    for side, d in ((slice(None, m - 1), 1.0), (slice(m, None), -1.0)):
+        residual[0, side] += 1j * rep.coupling.Z * d * x[1, side]
+        residual[1, side] += 1j * rep.coupling.Y * d * x[0, side]
+    residual[:, :-1] += -1.0 / h2 * x[:, 1:]
+    residual[:, 1:] += -1.0 / h2 * x[:, :-1]
+    return abs(residual).max()
 
 
 def eigenvalues(coupling: CouplingPair, grid: GridSpec, k: int) -> list[complex]:
@@ -270,13 +267,12 @@ def eigenvalues(coupling: CouplingPair, grid: GridSpec, k: int) -> list[complex]
     Python complex numbers, without numpy and without eigenvectors.
 
     The same root search on T, so the same roots bit for bit, and the same
-    certificates: the zero count, `_cut`'s pairing and order, and each
-    root's eigenvector residual within RESIDUAL_RTOL of the same bound, in
-    O(1) (`_TwoRegionBlock.centre_residual`).  For YZ > 0, H's residual on
-    either partner is T's times a unit channel vector, so the check is as
-    strict as `eigenpairs'`.  The partners follow `_doublets`: conjugates
-    for YZ > 0, the roots themselves for YZ = 0.  YZ < 0, which no caller
-    needs, raises ModelDomainError.
+    certificates: the zero count, `_cut`'s pairing and order, and each root's
+    eigenvector residual within RESIDUAL_RTOL of the same bound, in O(1)
+    (`_TwoRegionBlock.centre_residual`); for YZ > 0, H's residual on either
+    partner is T's times a unit channel vector, as strict as `eigenpairs'`.
+    The partners follow `_doublets`: conjugates for YZ > 0, the roots
+    themselves for YZ = 0.  YZ < 0, which no caller needs, raises ModelDomainError.
     """
     if coupling.branch is BranchClass.NEGATIVE_PRODUCT:
         raise ModelDomainError("the numpy-free eigenvalue solve covers YZ >= 0; eigenpairs solves every class")
@@ -297,21 +293,26 @@ def _doublets(rep: BandedHamiltonian, block, values: np.ndarray, vectors: np.nda
     import numpy as np
 
     coupling, c = rep.coupling, rep.coupling.root_product
+    n, r = vectors.shape
+    pairs = np.empty((2 * n, 2 * r), dtype=complex)
     if not c:
         a = block.particular(values, -1j * (coupling.Z or coupling.Y) * rep.step[:, None] * vectors)
         scale = np.sqrt(1.0 + np.linalg.norm(a, axis=0) ** 2)
-        channels = [[vectors, a / scale], [np.zeros_like(vectors), vectors / scale]]
-        if coupling.Y:
-            channels.reverse()  # C = [[0, 0], [iY, 0]]: v in the lower channel
-        return np.concatenate([values, values]), np.vstack([np.hstack(row) for row in channels])
+        held, other = (pairs[n:], pairs[:n]) if coupling.Y else (pairs[:n], pairs[n:])  # Y != 0: v below
+        held[:, :r], other[:, :r] = vectors, 0.0
+        np.divide(a, scale, out=held[:, r:])
+        np.divide(vectors, scale, out=other[:, r:])
+        return np.concatenate([values, values]), pairs
     if block.shift.real:
         head, partner, partner_values = 1j * coupling.Z, vectors[::-1], values
     else:
         head, partner, partner_values = coupling.Z, vectors.conj(), values.conj()
     # C (Z, +-c) = +-ic (Z, +-c) for YZ > 0, C (iZ, +-c) = +-c (iZ, +-c) for YZ < 0
     norm = math.hypot(coupling.Z, c)
-    channels = [[head / norm * vectors, head / norm * partner], [c / norm * vectors, -c / norm * partner]]
-    return np.concatenate([values, partner_values]), np.vstack([np.hstack(row) for row in channels])
+    for rows, scale, signed in ((pairs[:n], head / norm, head / norm), (pairs[n:], c / norm, -c / norm)):
+        np.multiply(scale, vectors, out=rows[:, :r])
+        np.multiply(signed, partner, out=rows[:, r:])
+    return np.concatenate([values, partner_values]), pairs
 
 
 def _cut(values: np.ndarray, vectors: np.ndarray, k: int):
@@ -340,10 +341,8 @@ def _order(listed: list, k: int) -> list:
             else:
                 unpaired.append(i)
     if unpaired or lower:
-        raise NumericalFailureError(
-            f"eigenvalue {listed[(unpaired + lower)[0]]} has no conjugate partner; "
-            "pseudo-Hermitian pairing violated"
-        )
+        lone = listed[(unpaired + lower)[0]]
+        raise NumericalFailureError(f"eigenvalue {lone} has no conjugate partner; pseudo-Hermitian pairing violated")
     units.sort(key=lambda unit: listed[unit[0]].real)
     leading = [listed[unit[0]] for unit in units]
     group = _tie_groups([v.real for v in leading])
@@ -378,20 +377,19 @@ class _TwoRegionBlock:
         P(E) = cos(m theta_L) U(theta_R) + cos(m theta_R) U(theta_L),
         U(theta) = sin(m theta) / sin(theta),
 
-    which is det(E - T) up to a constant factor, even in each theta,
-    and real on real E.  Its roots are found in O(1) per evaluation at
-    any m: bracketed Newton from the sign changes of P on a real grid
-    (for a real lambda the last grid spans both sides' bands, whose
-    decoupled levels interlace the roots, all real), complex Newton
-    from the dips of |P| that do not change sign and,
-    far past the merger, from the levels of one half of the well
+    which is det(E - T) up to a constant factor, even in each theta, and real on
+    real E.  Its roots are found in O(1) per evaluation at any m: bracketed
+    Newton from the sign changes of P on a real grid (for a real lambda the
+    last grid spans both sides' bands, whose decoupled levels interlace the
+    roots, all real), complex Newton from the dips of |P| that do not change
+    sign and, far past the merger, from the levels of one half of the well
     shifted by +-i gamma; an argument-principle count of the zeros in a
-    rectangle that holds the numerical range is the certificate that
-    none is missing.  On a mismatch, deflated Newton from the dips of |P|
-    on the rectangle's mid-line and subdivision by the same count find
-    every root.  `secular` gives P and its slope scaled by
-    exp(-|Im m theta_L| - |Im m theta_R|), a positive factor that keeps
-    the signs and phases and never overflows.
+    rectangle that holds the numerical range is the certificate that none is
+    missing.  On a mismatch, deflated Newton from the dips of |P| on the
+    rectangle's mid-line and subdivision by the same count find every root.
+    `secular` gives P and its slope scaled by
+    exp(-|Im m theta_L| - |Im m theta_R|), a positive factor that keeps the
+    signs and phases and never overflows.
     """
 
     width: float
@@ -407,10 +405,10 @@ class _TwoRegionBlock:
 
     def secular(self, energy, slope: bool = False, real: bool = False):
         """Scaled P at one Python number and, with `slope`, dP/dE times the
-        same scale, so that P / P' is unscaled.  `real` asks for P's real-axis form at a real energy: for
-        an imaginary lambda the right side is the conjugate of the left,
-        P = 2 Re(cos(m theta_L) conj U(theta_L)); for a real one, P is the
-        real part of the two-sided sum."""
+        same scale, so that P / P' is unscaled.  `real` asks for P's real-axis
+        form at a real energy: for an imaginary lambda the right side is the
+        conjugate of the left, P = 2 Re(cos(m theta_L) conj U(theta_L)); for a
+        real one, P is the real part of the two-sided sum."""
         z_l, _, c_l, sin_l, sin_tl = self._side(energy, -1.0)
         u_l = sin_l / sin_tl  # U(theta_L)
         if real and not self.shift.real:
@@ -605,9 +603,9 @@ class _TwoRegionBlock:
     def _shifted_levels(self, top: float, found: list) -> list:
         """found, with the roots that deflated Newton reaches from the
         levels of one half of the well below `top`, shifted by +i|gamma|
-        (lambda = i gamma),
-        and their conjugates.  Far past the merger the roots sit there:
-        once Im m theta_R is large, P = 0 reads tan(m theta_L) ~ 0."""
+        (lambda = i gamma), and their conjugates.  Far past the merger the
+        roots sit there: once Im m theta_R is large, P = 0 reads
+        tan(m theta_L) ~ 0."""
         for j in range(1, self.m):
             level = self.width * math.sin(j * math.pi / (2 * self.m)) ** 2
             if level > top:
@@ -671,14 +669,13 @@ class _TwoRegionBlock:
 
     def _winding(self, box, steps) -> int:
         """Zeros of P in the box re0 <= Re E <= re1, |Im E| <= reach, by the
-        argument principle.  P(conj E) = conj P(E), so only the upper half
-        of the boundary is walked (the lower half turns the phase as much):
-        up the right edge, along the top, down the left edge, at most
-        `steps` apart per edge, each step at most half the distance from
-        its edge to the nearest root, refined until no two neighbours
-        differ by more than pi / 4.  NumericalFailureError if P vanishes
-        on the boundary or the phase is not resolved within WINDING_POINTS
-        samples."""
+        argument principle.  P(conj E) = conj P(E), so only the upper half of
+        the boundary is walked (the lower half turns the phase as much): up
+        the right edge, along the top, down the left edge, at most `steps`
+        apart per edge, each step at most half the distance from its edge to
+        the nearest root, refined until no two neighbours differ by more than
+        pi / 4.  NumericalFailureError if P vanishes on the boundary or the
+        phase is not resolved within WINDING_POINTS samples."""
         re0, re1, reach = box
         corners = [complex(re1, 0.0), complex(re1, reach), complex(re0, reach), complex(re0, 0.0)]
         counts = [max(4, math.ceil(abs(b - a) / step)) for a, b, step in zip(corners, corners[1:], steps)]
@@ -718,39 +715,45 @@ class _TwoRegionBlock:
         """Unit eigenvectors of T, one column per root: A sin(j theta_L)
         on the left, B sin((2m - j) theta_R) on the right.  (A, B) comes
         from the better-conditioned row of the centre matching, since
-        sin(m theta) -> 0 for the odd modes as lambda -> 0."""
+        sin(m theta) -> 0 for the odd modes as lambda -> 0.  For lambda =
+        i gamma the right side at E is, component for component, the
+        conjugate of the left side at conj(E), also a root, and for lambda =
+        0 the left side at E, so only left sides are sampled, unless lambda
+        is real, or, for lambda = i gamma, some E + lambda is real (Im E =
+        -gamma exactly: the conjugate would flip the sign of a zero), or, for
+        lambda = 0, some E is complex (never a root of the real T)."""
         import numpy as np
 
-        m = self.m
-        j = np.arange(1.0, m + 1)[:, None]
-        sides = []
-        for sign in (-1.0, 1.0):
-            _, theta, cos_m, sin_m, sin_t = np.array([self._side(r, sign) for r in roots.tolist()]).T
-            x, y = theta.real, theta.imag
-            # sin(j theta) = sin(jx) cosh(jy) + i cos(jx) sinh(jy), j = 1..m,
-            # scaled by exp(-m |y|)
-            grow, fade = np.exp((j - m) * abs(y)), np.exp(-(j + m) * abs(y))
-            profile = np.sin(j * x) * (grow + fade) / 2 + 1j * (
-                np.copysign((grow - fade) / 2, y) * np.cos(j * x)
-            )
-            sides.append((profile, cos_m, sin_m, sin_t))
-        (left, cos_l, sin_l, sin_tl), (right, cos_r, sin_r, sin_tr) = sides
+        m, listed, shift = self.m, roots.tolist(), self.shift
+        mirrored = not shift.real and all(((r + shift).imag != 0) == (shift.imag != 0) for r in listed)
+        left_at = [(r, -1.0) for r in listed]
+        right_at = [(r.conjugate(), -1.0) if mirrored else (r, 1.0) for r in listed]
+        column = {at: i for i, at in enumerate(dict.fromkeys(left_at + right_at))}
+        _, theta, cos_m, sin_m, sin_t = np.array([self._side(*at) for at in column]).T
+        x, y, j = theta.real, theta.imag, np.arange(1.0, m + 1)[:, None]
+        # sin(j theta) = sin(jx) cosh(jy) + i cos(jx) sinh(jy), j = 1..m, scaled by exp(-m |y|)
+        grow, fade = np.exp((j - m) * abs(y)), np.exp(-(j + m) * abs(y))
+        profile = np.sin(j * x) * (grow + fade) / 2 + 1j * (np.copysign((grow - fade) / 2, y) * np.cos(j * x))
+        sides = np.vstack([profile, cos_m, sin_m, sin_t])
+        # np.take keeps the rows in C order: the norm below sums them in that order
+        left, right = (np.take(sides, [column[at] for at in ats], axis=1) for ats in (left_at, right_at))
+        right = right.conj() if mirrored and shift.imag else right
+        (cos_l, sin_l, sin_tl), (cos_r, sin_r, sin_tr) = left[m:], right[m:]
         # continuity A sin(m theta_L) = B sin(m theta_R), or the centre
         # row A sin(theta_L) cos(m theta_L) + B sin(theta_R) cos(m theta_R) = 0
         continuity = np.maximum(abs(sin_l), abs(sin_r)) >= np.maximum(abs(cos_l), abs(cos_r))
         a = np.where(continuity, sin_r, sin_tr * cos_r)
         b = np.where(continuity, sin_l, -sin_tl * cos_l)
-        vectors = np.concatenate([a * left, b * right[-2::-1]])
+        vectors = np.concatenate([a * left[:m], b * right[m - 2::-1]])
         return vectors / np.linalg.norm(vectors, axis=0)
 
     def centre_residual(self, root: complex) -> float:
         """max |T v - E v| in O(1) for the unit eigenvector v of T at the root
         E that `eigenvectors` builds (the same sines, scaled by
         exp(-m |Im theta|), and centre row), on the rows at and beside the
-        centre node, the only ones a root error reaches: every other row
-        holds its side's recursion and reads only the rounding of the
-        sines.  The norm is closed: |sin j theta|^2 = (cosh 2jy - cos 2jx) / 2
-        for theta = x + iy."""
+        centre node, the only ones a root error reaches: every other row holds
+        its side's recursion and reads only the rounding of the sines.  The
+        norm is closed: |sin j theta|^2 = (cosh 2jy - cos 2jx) / 2, theta = x + iy."""
         m, sides = self.m, []
         for sign, n in ((-1.0, m), (1.0, m - 1)):
             _, theta, cos_m, sin_m, sin_t = self._side(root, sign)
@@ -845,11 +848,11 @@ def _split(box, roots):
 def group_degenerate(values):
     """Cluster eigenvalues whose gaps are below PAIRING_RTOL * max(1, |E|).
 
-    values is a list of numbers or an array (`eigenpairs`).  Returns a
-    list of (mean value, multiplicity) in ascending real part: values by
-    real then imaginary part, in runs whose neighbours lie within
-    PAIRING_RTOL * max(1, |E|) of each other, the mean of a run c
-    sum(c) / len(c) in Python complex arithmetic.
+    values is a list of numbers or an array (`eigenpairs`).  Returns a list
+    of (mean value, multiplicity) in ascending real part: values by real then
+    imaginary part, in runs whose neighbours lie within PAIRING_RTOL *
+    max(1, |E|) of each other, the mean of a run c sum(c) / len(c) in Python
+    complex arithmetic.
     """
     clusters = []
     for v in sorted(map(complex, values), key=lambda z: (z.real, z.imag)):
@@ -910,9 +913,9 @@ def criticality_scan(c_values: Sequence[float], grid: GridSpec):
     """Max |Im E| of the four lowest eigenvalues for each coupling value.
 
     c is sqrt(YZ), applied as Y = Z = c.  Below the critical coupling the
-    imaginary parts are exactly 0; past it the lowest quartet carries an
-    O(1) imaginary part.  c_values must be strictly increasing.  The
-    eigenvalues come from `eigenvalues`, so the scan loads no numpy.
+    imaginary parts are exactly 0; past it the lowest quartet carries an O(1)
+    imaginary part.  c_values must be strictly increasing.  The eigenvalues
+    come from `eigenvalues`, so the scan loads no numpy.
     """
     c_values = [float(c) for c in c_values]
     if any(c < 0 for c in c_values):
@@ -930,17 +933,14 @@ def first_complex_bracket(scan):
             last_real = c
         elif last_real is not None:
             return (last_real, c)
-    raise ModelDomainError(
-        "scan does not bracket the reality transition; widen the coupling range"
-    )
+    raise ModelDomainError("scan does not bracket the reality transition; widen the coupling range")
 
 
 def subspace_alignment(basis_vectors: np.ndarray, target: np.ndarray) -> float:
     """Cosine of the angle between target and span(basis_vectors).
 
-    Used to match an analytic doublet state against the two numerically
-    split eigenvectors of a degenerate pair, independent of the
-    eigensolver's arbitrary mixing and phases.
+    Used to match an analytic doublet state against the two numerically split
+    eigenvectors of a degenerate pair, whatever their mixing and phases.
     """
     import numpy as np
 

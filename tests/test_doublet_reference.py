@@ -9,7 +9,11 @@ sigma, every pairing over the full 2N x 2N grid, and d and q recomputed
 per use.  The sampled forms (quadrature pairing, grid forms, spectral
 sums) read each state's profile once, on the x <= 0 nodes; their
 reference calls every state's and left partner's channels at every node.
-The shortcuts must give the same floats, not merely close ones.
+The oracle's `eigenpairs` samples only left sides for YZ >= 0, writes
+its doublets into one array and reads its residual off the bands'
+constants; its reference samples both sides, stacks the channel blocks
+and reads the residual off the stored bands.  The shortcuts must give
+the same floats, not merely close ones.
 """
 
 import dataclasses
@@ -17,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coupledwell import (
     ChannelState,
@@ -26,10 +30,14 @@ from coupledwell import (
     LeftState,
     MetricConstraintError,
     MetricWeights,
+    ModelDomainError,
     NormalizationSingularError,
+    NumericalFailureError,
     biorthogonality_matrix,
+    build_hamiltonian,
     build_theta_metric,
     doublet_family,
+    eigenpairs,
     inverse_identity_defect,
     inverse_theta_metric,
     left_vector,
@@ -40,6 +48,8 @@ from coupledwell import (
 from coupledwell.metric import (MIN_ROOT_PRODUCT, _shared_coupling, simpson_rule,
                                sine_product_integrals)
 from coupledwell.model import OperatorRep, RepBasis, as_index, check_points
+from coupledwell.oracle import (_cut, _distinct, _doublets, _lowest_roots, _partner_residual, _require_residual,
+                               _TwoRegionBlock)
 from coupledwell.wavefunctions import (
     _sin_cos_kappa,
     channel_weights,
@@ -350,3 +360,131 @@ def test_sampled_nodes_are_exactly_antisymmetric():
             simpson_nodes, _ = simpson_rule(M)
             assert np.array_equal(simpson_nodes, nodes)
             check(simpson_nodes)
+
+
+def reference_eigenvectors(block, roots):
+    # T's unit eigenvectors with both sides sampled at every root
+    m = block.m
+    j = np.arange(1.0, m + 1)[:, None]
+    sides = []
+    for sign in (-1.0, 1.0):
+        _, theta, cos_m, sin_m, sin_t = np.array([block._side(r, sign) for r in roots.tolist()]).T
+        x, y = theta.real, theta.imag
+        grow, fade = np.exp((j - m) * abs(y)), np.exp(-(j + m) * abs(y))
+        profile = np.sin(j * x) * (grow + fade) / 2 + 1j * (np.copysign((grow - fade) / 2, y) * np.cos(j * x))
+        sides.append((profile, cos_m, sin_m, sin_t))
+    (left, cos_l, sin_l, sin_tl), (right, cos_r, sin_r, sin_tr) = sides
+    continuity = np.maximum(abs(sin_l), abs(sin_r)) >= np.maximum(abs(cos_l), abs(cos_r))
+    a = np.where(continuity, sin_r, sin_tr * cos_r)
+    b = np.where(continuity, sin_l, -sin_tl * cos_l)
+    vectors = np.concatenate([a * left, b * right[-2::-1]])
+    return vectors / np.linalg.norm(vectors, axis=0)
+
+
+def reference_doublets(rep, block, values, vectors):
+    # each channel block computed on its own, then stacked
+    coupling, c = rep.coupling, rep.coupling.root_product
+    if not c:
+        a = block.particular(values, -1j * (coupling.Z or coupling.Y) * rep.step[:, None] * vectors)
+        scale = np.sqrt(1.0 + np.linalg.norm(a, axis=0) ** 2)
+        channels = [[vectors, a / scale], [np.zeros_like(vectors), vectors / scale]]
+        if coupling.Y:
+            channels.reverse()
+        return np.concatenate([values, values]), np.vstack([np.hstack(row) for row in channels])
+    if block.shift.real:
+        head, partner, partner_values = 1j * coupling.Z, vectors[::-1], values
+    else:
+        head, partner, partner_values = coupling.Z, vectors.conj(), values.conj()
+    norm = math.hypot(coupling.Z, c)
+    channels = [[head / norm * vectors, head / norm * partner], [c / norm * vectors, -c / norm * partner]]
+    return np.concatenate([values, partner_values]), np.vstack([np.hstack(row) for row in channels])
+
+
+def reference_residual(rep, values, vectors):
+    # max |H x - E x| on the partners, off the stored bands, the step at every node
+    partners = values.size // 2
+    x = vectors[:, partners:].reshape(2, rep.diagonal.size, -1)
+    residual = (rep.diagonal[:, None] - values[partners:]) * x
+    cross = np.stack([1j * rep.coupling.Z * rep.step, 1j * rep.coupling.Y * rep.step])
+    residual += cross[:, :, None] * x[::-1]
+    residual[:, :-1] += rep.sub[:, None] * x[:, 1:]
+    residual[:, 1:] += rep.sub[:, None] * x[:, :-1]
+    return abs(residual).max()
+
+
+def reference_eigenpairs(rep, k):
+    block, roots = _lowest_roots(rep.coupling, rep.grid, k)
+    values = np.array(roots, dtype=complex)
+    values, vectors = reference_doublets(rep, block, values, reference_eigenvectors(block, values))
+    _require_residual(reference_residual(rep, values, vectors), rep.coupling, rep.grid)
+    return _cut(values, vectors, k)
+
+
+def _solved(solve, pair, grid, k):
+    try:
+        return solve(build_hamiltonian(pair, grid), k)
+    except (ModelDomainError, NumericalFailureError) as exc:
+        return type(exc), str(exc)
+
+
+COUPLING_CLASSES = {
+    "YZ > 0": lambda c, r: (c * r, c / r),
+    "YZ < 0": lambda c, r: (c * r, -c / r),
+    "Y = 0": lambda c, r: (0.0, c),
+    "Z = 0": lambda c, r: (c, 0.0),
+    "Y = Z = 0": lambda c, r: (0.0, 0.0),
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(log_c=st.floats(min_value=-10.0, max_value=4.0),
+       log_ratio=st.floats(min_value=-3.0, max_value=3.0),
+       kind=st.sampled_from(["YZ > 0"] * 3 + sorted(COUPLING_CLASSES)),  # YZ > 0 on half the draws
+       half_m=st.integers(min_value=4, max_value=2048),
+       k=st.integers(min_value=1, max_value=12))
+@example(log_c=math.log10(4.6), log_ratio=0.0, kind="YZ > 0", half_m=128, k=12)  # past c_crit(0)
+@example(log_c=math.log10(30.0), log_ratio=0.5, kind="YZ > 0", half_m=2048, k=11)
+@example(log_c=4.0, log_ratio=-3.0, kind="YZ < 0", half_m=4, k=12)
+def test_eigenpairs_match_the_two_sided_reference(log_c, log_ratio, kind, half_m, k):
+    # c log-uniform on [1e-10, 1e4], past c_crit(0) ~ 4.47 for a quarter of
+    # the draws, Y/Z log-uniform on [1e-3, 1e3], M = 8 ... 4096: the same
+    # values and vector bytes, or the same refusal
+    c, root_ratio = 10.0 ** log_c, 10.0 ** (log_ratio / 2.0)
+    pair, grid = CouplingPair(*COUPLING_CLASSES[kind](c, root_ratio)), GridSpec(2 * half_m)
+    fast, reference = (_solved(solve, pair, grid, k) for solve in (eigenpairs, reference_eigenpairs))
+    if isinstance(reference[0], type):
+        assert fast == reference
+        return
+    for a, b in zip(fast, reference):
+        assert_same_bytes(a, b)
+    # the residual itself, read off the constants and off the stored bands
+    rep = build_hamiltonian(pair, grid)
+    block, roots = _lowest_roots(pair, grid, k)
+    values = np.array(roots, dtype=complex)
+    values, vectors = _doublets(rep, block, values, block.eigenvectors(values))
+    assert _partner_residual(rep, values, vectors) == reference_residual(rep, values, vectors)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(log_gamma=st.floats(min_value=-10.0, max_value=6.0),
+       kind=st.sampled_from(("i gamma", "real", "zero")),
+       half_m=st.integers(min_value=4, max_value=2048),
+       energies=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                                   st.floats(min_value=-1.0, max_value=1.0),
+                                   st.sampled_from(("complex", "real", "paired", "at -gamma"))),
+                         min_size=1, max_size=6))
+def test_eigenvectors_match_the_two_sided_reference_off_the_roots(log_gamma, kind, half_m, energies):
+    # the sampling rule, at any energies in the zero count's box and not
+    # only at roots: sets with and without their conjugates, real values,
+    # and Im E = -gamma exactly, where the conjugate's zero has the other sign
+    gamma, grid = 10.0 ** log_gamma, GridSpec(2 * half_m)
+    shift = {"i gamma": 1j * gamma, "real": complex(gamma), "zero": complex(0.0)}[kind]
+    block = _TwoRegionBlock(width=4.0 / (grid.h * grid.h), shift=shift, m=half_m)
+    listed = []
+    for where, height, form in energies:
+        e = complex(-1.0 + where * (block.width + gamma + 2.0), height * (gamma + 1.0) + 0.0)
+        listed += {"complex": [e], "real": [complex(e.real, 0.0)], "paired": [e, e.conjugate()],
+                   "at -gamma": [complex(e.real, -gamma)]}[form]
+    roots = np.array(_distinct(listed), dtype=complex)
+    with np.errstate(invalid="ignore"):  # a sine that vanishes at every node has no unit vector
+        assert_same_bytes(block.eigenvectors(roots), reference_eigenvectors(block, roots))

@@ -2,11 +2,10 @@
 
 Everything here is second-order central differences, kept deliberately
 independent of the closed-form machinery it cross-checks.  For every
-coupling the eigensolver works on one tridiagonal block alone, taken
-from the bands `build_hamiltonian` stores, as the roots of its discrete
-secular polynomial; the dense eigensolve of the assembled matrix, cut
-like every solve (`_dense_eigenpairs`), is the reference it is checked
-against here.
+coupling the eigensolver works on one tridiagonal block alone, built
+from the grid, as the roots of its discrete secular polynomial; the
+dense eigensolve of the assembled matrix, cut like every solve
+(`_dense_eigenpairs`), is the reference it is checked against here.
 """
 
 import dataclasses
@@ -14,6 +13,7 @@ import json
 import math
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -165,17 +165,69 @@ def test_reducible_hamiltonian_never_builds_its_matrix(y, z):
 
 
 def test_stored_operator_is_read_only():
-    rep = build_hamiltonian(CouplingPair(1.0, 4.0), GridSpec(16))
+    grid = GridSpec(16)
+    rep = build_hamiltonian(CouplingPair(1.0, 4.0), grid)
+    # each band is derived on first read, read-only, from the grid alone
+    h2 = grid.h * grid.h
+    expected = {"sub": np.full(grid.n_interior - 1, -1.0 / h2), "diagonal": np.full(grid.n_interior, 2.0 / h2),
+                "step": coupledwell.model.coupling_step(grid.interior_nodes)}
+    for name, band in expected.items():
+        assert name not in vars(rep)
+        assert not getattr(rep, name).flags.writeable
+        assert np.array_equal(getattr(rep, name), band)
+        assert getattr(rep, name) is vars(rep)[name]
+        with pytest.raises(ValueError):
+            getattr(rep, name)[0] = 0.0
     with pytest.raises(ValueError):
         rep.matrix[0, 0] = 0.0
-    for band in (rep.sub, rep.diagonal, rep.step):
-        with pytest.raises(ValueError):
-            band[0] = 0.0
     assert rep.matrix is rep.matrix
     # the bands are derived from the coupling and the grid, not given
     assert [f.name for f in dataclasses.fields(rep)] == ["coupling", "grid"]
     with pytest.raises(TypeError):
         dataclasses.replace(rep, step=-rep.step)
+
+
+def test_eigenpairs_derives_no_band_for_a_nonzero_product():
+    # the residual reads the bands' constants and the step's slices: at
+    # YZ != 0 no band is derived; YZ = 0 reads the step for its particular
+    # solution
+    for pair in (UNIT, CouplingPair(4.6, 4.6), CouplingPair(1.0, -4.0)):
+        rep = build_hamiltonian(pair, GridSpec(64))
+        eigenpairs(rep, 6)
+        assert not {"sub", "diagonal", "step", "matrix"} & set(vars(rep))
+
+
+def _bits(side):
+    # the components of one side as bytes: signed zeros count
+    return [struct.pack("dd", complex(v).real, complex(v).imag) for v in side]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(log_gamma=st.floats(min_value=-10.0, max_value=6.0),
+       half_m=st.integers(min_value=4, max_value=2**19),
+       where=st.floats(min_value=0.0, max_value=1.0),
+       height=st.floats(min_value=-1.0, max_value=1.0),
+       real=st.booleans())
+@example(log_gamma=-10.0, half_m=2**19, where=0.0, height=0.0, real=True)
+@example(log_gamma=6.0, half_m=4, where=1.0, height=1.0, real=False)
+@example(log_gamma=0.0, half_m=4, where=0.0, height=-0.5, real=False)  # Im E = -gamma
+def test_right_side_is_the_conjugate_left_side(log_gamma, half_m, where, height, real):
+    # eigenvectors samples only left sides: for lambda = i gamma, _side(E, +1)
+    # is the conjugate of _side(conj E, -1) component for component, and for
+    # lambda = 0 the two sides are equal.  E runs over the zero count's box,
+    # -1 <= Re E <= width + gamma + 1 and |Im E| <= gamma + 1.  The one
+    # exception, E + i gamma real, where both sides read Im z = +0.0 and the
+    # conjugate -0.0, is why eigenvectors samples both sides there
+    gamma, grid = 10.0 ** log_gamma, GridSpec(2 * half_m)
+    width = 4.0 / (grid.h * grid.h)
+    energy = complex(-1.0 + where * (width + gamma + 2.0), 0.0 if real else height * (gamma + 1.0))
+    block = coupledwell.oracle._TwoRegionBlock(width=width, shift=1j * gamma, m=half_m)
+    mirrored = [complex(v).conjugate() for v in block._side(energy, 1.0)]
+    same = _bits(block._side(energy.conjugate(), -1.0)) == _bits(mirrored)
+    assert same != ((energy + block.shift).imag == 0.0)
+    flat = coupledwell.oracle._TwoRegionBlock(width=width, shift=complex(0.0), m=half_m)
+    energy = complex(energy.real, energy.imag + 0.0)  # no -0.0: conj(E) is E there
+    assert _bits(flat._side(energy, -1.0)) == _bits(flat._side(energy, 1.0))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -891,6 +943,25 @@ def test_eigenvector_residual_bound_follows_the_root_product(monkeypatch):
     monkeypatch.setattr(coupledwell.oracle._TwoRegionBlock, "eigenvectors", perturbed)
     with pytest.raises(NumericalFailureError, match="residual"):
         eigenpairs(rep, 4)
+
+
+def test_partner_residual_catches_a_perturbed_partner(monkeypatch):
+    # the residual of H reads the partner columns that eigenpairs returns:
+    # one partner entry off by 1e-6 relative is refused, for every class
+    doublets = coupledwell.oracle._doublets
+
+    def perturbed(*args):
+        values, vectors = doublets(*args)
+        column = values.size // 2 + values.size // 4
+        vectors[np.argmax(abs(vectors[:, column])), column] *= 1.0 + 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(coupledwell.oracle, "_doublets", perturbed)
+    for pair in (UNIT, CouplingPair(4.6, 4.6), CouplingPair(1.0, -4.0), CouplingPair(0.0, 2.0),
+                 CouplingPair(2.0, 0.0), CouplingPair(0.0, 0.0)):
+        for M in (64, 4096):
+            with pytest.raises(NumericalFailureError, match="residual"):
+                eigenpairs(build_hamiltonian(pair, GridSpec(M)), 4)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
