@@ -50,15 +50,12 @@ _LAZY_MODULES = {
         "MetricWeights",
         "biorthogonality_matrix",
         "build_theta_metric",
-        "channel_kernel",
-        "diagonal_overlap",
         "inverse_identity_defect",
         "inverse_theta_metric",
         "left_vector",
         "mode_hamiltonian",
         "mode_spin",
         "quasi_hermiticity_defect",
-        "spectral_reconstruct",
         "spin_operator",
     ),
     "oracle": (

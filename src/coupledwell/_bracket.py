@@ -5,7 +5,7 @@ of the closed form.  The ε solve of each level (`secular._eps_bracket`,
 called by `_level_at` with the negative point that `_negative_point` found
 in the level's pair cell) runs its own copy of these rules in one loop,
 and the walk onto the cell minimum (`secular._negative_point`, once per
-cell in `_positive_levels`, once per level in `_solve_positive`) its own
+cell in `_positive_levels`, once per level in `solve_level`) its own
 guarded Newton loop: the call overhead is the reason.  Through this
 helper's callback, with g' from a separate `_slope` call, a `spectrum` of
 40 levels at (Y, Z) = (1, 4) took 0.368 ms against 0.273 ms inline

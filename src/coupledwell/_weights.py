@@ -128,22 +128,6 @@ def _validate_family(states):
     return coupling, order
 
 
-def diagonal_overlap(state) -> float:
-    """d = <<left|state> with the state's own left partner: 2 |wu wl| |integral phi^2|.
-
-    The pairing is q (wl wu + wu wl) integral phi^2, and wu wl has the
-    sign sigma, so q = sigma sign(integral phi^2) cancels both signs: the
-    same float, with no left partner built: ChannelState.d, which
-    doublet_family and solve_coefficients store as they build the state.
-    Raises only if d == 0.
-    """
-    d = state.d
-    if d == 0.0:
-        raise NormalizationSingularError(f"diagonal pairing vanishes for level "
-                                         f"n={state.level.n}, sigma={state.sigma}")
-    return d
-
-
 def _normalizable(d: list[float]) -> list[float]:
     # the diagonal pairings, refused if any is negligible against the largest
     scale = max(map(abs, d), default=0.0)
@@ -154,7 +138,9 @@ def _normalizable(d: list[float]) -> list[float]:
 
 
 def kernel_entries(coupling: CouplingPair, s_plus, s_minus):
-    # metric.channel_kernel's entries, for float or array weights
+    # one level's 2x2 channel kernel, as build_theta_metric's meta holds it,
+    # [[Y (S+ + S-), sqrt(YZ) (S+ - S-)], [sqrt(YZ) (S+ - S-), Z (S+ + S-)]];
+    # equal weights make the off-diagonal an exact 0
     m = math.sqrt(coupling.Y) * math.sqrt(coupling.Z)
     off, total = m * s_plus - m * s_minus, s_plus + s_minus
     return ((coupling.Y * total, off), (off, coupling.Z * total))
@@ -251,7 +237,7 @@ def _resolve(states, weights, unsafe: bool) -> WeightedFamily:
                                     f"sigma={states[bad].sigma}) is not positive; indefinite "
                                     "weight choices need unsafe=True")
     meta = {"coupling": coupling, "n_levels": n_levels, "order": order}
-    d = _normalizable([diagonal_overlap(s) for s in states[0::2]])
+    d = _normalizable([s.d for s in states[0::2]])
     d = tuple(chain.from_iterable(zip(d, d)))
     kernels = tuple(kernel_entries(coupling, plus, minus) for plus, minus in levels)
     bad = first_not_finite(list(chain.from_iterable(chain.from_iterable(kernels))))

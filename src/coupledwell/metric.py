@@ -29,11 +29,11 @@ sqrt(YZ)(sigma_a + sigma_b) vanishes and distinct same-sigma levels are
 bilinear-orthogonal, so F[i, k] = sum_j G[j, i] S_j G[j, k] keeps only
 i = k = j.  The full G, from biorthogonality_matrix, is the check that
 the diagonal form holds.  Each d is a number of its state alone,
-2 |wu wl| |integral phi^2| (diagonal_overlap), and so is q; doublet_family
+2 |wu wl| |integral phi^2|, and so is q; doublet_family
 stores both with each state as it builds it (ChannelState.d, .q), and
 only the grid samples read left partners, from their states' own
 samples.  In the mode basis a spectral sum is diag(values),
-mode_hamiltonian or mode_spin, so spectral_reconstruct is grid-only.
+mode_hamiltonian or mode_spin.
 
 G and the Gram matrix of Theta^{-1} are N x N closed forms of the same
 shape: a channel-weight factor times 2 Re(a_i a_j I(kappa_i, kappa_j)),
@@ -71,15 +71,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ._weights import (MIN_ROOT_PRODUCT, MetricWeights, _normalizable, _shared_coupling,
-                       diagonal_overlap, family_order, identity_defect, inverse_coefficients,
-                       kernel_entries, out_of_range, resolve_weights, spin_ratio)
+from ._weights import (MIN_ROOT_PRODUCT, MetricWeights, _shared_coupling, family_order,
+                       identity_defect, inverse_coefficients, out_of_range, resolve_weights,
+                       spin_ratio)
 from .errors import ModelDomainError
 from .model import CouplingPair, GridSpec, OperatorRep, RepBasis
 from .wavefunctions import NEAR_WAVENUMBERS, ChannelState, channel_weights
 
 _PANELS = 512  # Simpson panels per half of biorthogonality_matrix's quadrature
-_KINDS = ("hamiltonian", "spin", "identity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +152,7 @@ def simpson_rule(intervals: int):
     intervals / 2 panels on each half (intervals divisible by 4) and
     x = 0 shared by the halves.  The wall nodes are dropped: every state
     and left partner vanishes there.  This is the one rule behind the
-    quadrature method of biorthogonality_matrix and spectral_reconstruct.
+    quadrature method of biorthogonality_matrix.
     """
     if intervals % 4 != 0:
         raise ModelDomainError(
@@ -243,19 +242,6 @@ def spin_operator(coupling: CouplingPair) -> OperatorRep:
     return OperatorRep(matrix, RepBasis.CHANNEL, meta={"coupling": coupling})
 
 
-def channel_kernel(coupling: CouplingPair, s_plus: float, s_minus: float) -> np.ndarray:
-    """2x2 channel-weight matrix of one level's metric contribution.
-
-    [[Y (S+ + S-), sqrt(YZ) (S+ - S-)],
-     [sqrt(YZ) (S+ - S-), Z (S+ + S-)]]
-
-    The off-diagonal carries the factor S+ - S-, so equal weights kill
-    the channel mixing identically (exact zero, not a small number).
-    For arrays of weights the kernels run along the last axis.
-    """
-    return np.array(kernel_entries(coupling, s_plus, s_minus))
-
-
 def _sample(states, nodes) -> tuple[np.ndarray, np.ndarray]:
     # A S and B S on the x <= 0 nodes, one column per state, from one profile
     # S = sin(kappa (x+1)) per state and node.  The nodes (simpson_rule's, which
@@ -337,28 +323,20 @@ def _require_finite(what, entries) -> None:
         raise out_of_range(what, index.tolist(), entries[tuple(index)])
 
 
-def _kind_values(states, kind: str) -> np.ndarray:
-    # value_i of a spectral sum: the level energy, the spin label, or 1
-    if kind not in _KINDS:
-        raise ModelDomainError(f"kind must be one of {_KINDS}, got {kind!r}")
-    i = _KINDS.index(kind)
-    return np.array([(s.level.E, float(s.sigma), 1.0)[i] for s in states])
-
-
-def _mode_map(states: Sequence[ChannelState], kind: str) -> OperatorRep:
-    # the spectral sum of one kind on the mode basis: diag(value_i)
+def _mode_map(states: Sequence[ChannelState], value) -> OperatorRep:
+    # a spectral sum on the mode basis: diag(value(state_i))
     order = family_order(states)
-    return OperatorRep(np.diag(_kind_values(states, kind)), RepBasis.MODE, meta={"order": order})
+    return OperatorRep(np.diag(np.array([value(s) for s in states])), RepBasis.MODE, meta={"order": order})
 
 
 def mode_hamiltonian(states: Sequence[ChannelState]) -> OperatorRep:
     """Map matrix of the Hamiltonian on its own eigenbasis: diag(E)."""
-    return _mode_map(states, "hamiltonian")
+    return _mode_map(states, lambda s: s.level.E)
 
 
 def mode_spin(states: Sequence[ChannelState]) -> OperatorRep:
     """Map matrix of the channel observable on the mode basis: diag(sigma)."""
-    return _mode_map(states, "spin")
+    return _mode_map(states, lambda s: float(s.sigma))
 
 
 def quasi_hermiticity_defect(op_rep: OperatorRep, theta_rep: OperatorRep) -> float:
@@ -383,29 +361,6 @@ def quasi_hermiticity_defect(op_rep: OperatorRep, theta_rep: OperatorRep) -> flo
     if denom == 0.0:
         raise ModelDomainError("zero operator or metric")
     return float(np.max(np.abs(defect))) / denom
-
-
-def spectral_reconstruct(states: Sequence[ChannelState], kind: str, grid: GridSpec) -> OperatorRep:
-    """Truncated spectral sum  sum_i value_i |state_i><<left_i| / d_i
-    on the interior nodes of `grid` (M divisible by 4), left_i =
-    left_vector(state_i), whose sign q_i enters the bra and d_i alike.
-
-    kind selects value_i: the level energy ("hamiltonian"), the spin
-    label ("spin"), or 1 ("identity", the completeness partial sum).
-    The bra integrals use Simpson node weights so that the
-    reconstruction error on the retained span is quadrature-limited.
-    """
-    _require_grid(grid)
-    values = _kind_values(states, kind)
-    d = np.array(_normalizable([s.d for s in states]))
-    nodes, w = simpson_rule(grid.M)
-    w2 = np.concatenate([w, w])
-    channels = _sample(states, nodes)
-    right, bras = _kets(channels), _bras(channels, [s.q for s in states])
-    matrix = (right * (values / d)) @ (bras.conj() * w2[:, None]).T
-    order = [(s.level.n, s.sigma) for s in states]
-    meta = {"kind": kind, "order": order, "grid": grid, "rule": "simpson"}
-    return OperatorRep(matrix=matrix, basis=RepBasis.GRID, is_form=False, meta=meta)
 
 
 def inverse_theta_metric(

@@ -143,17 +143,6 @@ def check_points(x) -> np.ndarray:
     return x
 
 
-def coupling_step(x) -> np.ndarray:
-    """sgn(-x): +1 on (-1,0), -1 on (0,1), 0 at x = 0.
-
-    The coupling is iZ coupling_step(x) in the upper-right entry and
-    iY coupling_step(x) in the lower-left, so conj(W(x)) = W(-x).
-    """
-    import numpy as np
-
-    return np.sign(-check_points(x))
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform mesh over [-1, 1] with M intervals, M even and >= 8."""

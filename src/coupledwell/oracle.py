@@ -9,8 +9,8 @@ paths is evidence, not circularity.
 The mesh (model.GridSpec) always contains x = 0 as a node (M even), where the
 off-diagonal potential takes its average value 0.  That single choice makes the
 discrete operator exactly pseudo-Hermitian under the channel-swap /
-index-reversal matrix, at every grid size.  The step is model.coupling_step
-sampled at the nodes: the well is written down once, in the model.
+index-reversal matrix, at every grid size.  The step sgn(-x) at the nodes
+is written down once, in `_node_steps`.
 
 The operator is I (x) K + C (x) D: the three-point Laplacian K in each channel
 plus the constant channel matrix C = [[0, iZ], [iY, 0]] times the step
@@ -29,7 +29,7 @@ of a discrete secular polynomial P, the twin of k_L cot k_L + k_R cot k_R = 0
 from the recursion alone, which costs O(1) at any M (`_TwoRegionBlock`),
 and each eigenvector is one sine per side; for lambda = i gamma the right
 side at E is the conjugate of the left side at conj(E).  `eigenpairs` and
-`eigenvalues`, the numpy-free solve of YZ >= 0 that `verify`, the `oracle`
+`eigenvalues`, the numpy-free solve that `verify`, the `oracle`
 subcommand and `criticality_scan` read, run the same root search,
 certified complete by an argument-principle count or raising
 NumericalFailureError.  Each eigenpair is checked by its O(M) residual
@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Sequence
 from ._bracket import newton_in_bracket
 from ._ranges import _arange, _linspace
 from .errors import ModelDomainError, NumericalFailureError
-from .model import BranchClass, CouplingPair, GridSpec, RepBasis, as_index, coupling_step
+from .model import BranchClass, CouplingPair, GridSpec, RepBasis, as_index
 from .secular import LevelSolution
 
 if TYPE_CHECKING:
@@ -112,7 +112,9 @@ class BandedHamiltonian:
 
     @cached_property
     def step(self) -> np.ndarray:
-        return _read_only(coupling_step(self.grid.interior_nodes))
+        import numpy as np
+
+        return _read_only(np.array(_node_steps(self.grid)))
 
     @property
     def dim(self) -> int:
@@ -144,7 +146,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltonian:
     """The 2(M-1)-dimensional coupled-well operator on the interior nodes, in
-    O(1): K the three-point Laplacian, the step sgn(-x) (model.coupling_step)
+    O(1): K the three-point Laplacian, the step sgn(-x) (`_node_steps`)
     at the nodes, 0 at the midpoint, so S H S = H^dagger by construction."""
     return BandedHamiltonian(coupling, grid)
 
@@ -158,13 +160,10 @@ def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltoni
 
 
 def _node_steps(grid: GridSpec) -> list[float]:
-    """model.coupling_step at the interior nodes h (j - M/2): sgn(-x).
-
-    A float twin, so that `verify` loads no numpy; `.step`, which `.matrix`
-    and the YZ = 0 doublets read, keeps the faster coupling_step: 13 against
-    100 us at M = 512, 60 us against 2.9 ms at 16384 (2-core x86, CPython 3.11, numpy 2.4)."""
-    h = grid.h
-    return [float((x < 0.0) - (x > 0.0)) for x in (h * (j - grid.M // 2) for j in range(1, grid.M))]
+    """sgn(-x) at the interior nodes h (j - M/2): M/2 - 1 ones, 0 at the
+    centre, M/2 - 1 minus ones, as floats, so that `verify` loads no numpy."""
+    side = grid.M // 2 - 1
+    return [1.0] * side + [0.0] + [-1.0] * side
 
 
 def _swap_reflect_defect(coupling: CouplingPair, grid: GridSpec) -> float:
@@ -198,12 +197,12 @@ def _spin_commutator_max(coupling: CouplingPair) -> float:
 
 
 def _require_residual(size: float, coupling: CouplingPair, grid: GridSpec) -> None:
-    """Refuse an eigenvector residual above RESIDUAL_RTOL of a bound on ||H||:
-    |2/h^2| + 2 |-1/h^2| for K, and ||C|| on the vectors built here, sqrt|YZ|,
-    or |Y| or |Z| for the Jordan coupling, times max |d| = 1."""
+    """Refuse an eigenvector residual, NaN included, not within RESIDUAL_RTOL
+    of a bound on ||H||: |2/h^2| + 2 |-1/h^2| for K, and ||C|| on the vectors
+    built here, sqrt|YZ|, or |Y| or |Z| for the Jordan coupling, times max |d| = 1."""
     h2 = grid.h * grid.h
     bound = 2.0 / h2 + 2 * (1.0 / h2) + (coupling.root_product or max(abs(coupling.Y), abs(coupling.Z)))
-    if size > RESIDUAL_RTOL * bound:
+    if not size <= RESIDUAL_RTOL * bound:
         raise NumericalFailureError(f"eigenvector residual {size:.3g} exceeds {RESIDUAL_RTOL:g} of {bound:.3g}")
 
 
@@ -263,23 +262,25 @@ def _partner_residual(rep: BandedHamiltonian, values: np.ndarray, vectors: np.nd
 
 
 def eigenvalues(coupling: CouplingPair, grid: GridSpec, k: int) -> list[complex]:
-    """The k eigenvalues `eigenpairs` returns for YZ >= 0, in its order, as
-    Python complex numbers, without numpy and without eigenvectors.
+    """The k eigenvalues `eigenpairs` returns, in its order, as Python
+    complex numbers, without numpy and without eigenvectors.
 
     The same root search on T, so the same roots bit for bit, and the same
     certificates: the zero count, `_cut`'s pairing and order, and each root's
     eigenvector residual within RESIDUAL_RTOL of the same bound, in O(1)
-    (`_TwoRegionBlock.centre_residual`); for YZ > 0, H's residual on either
-    partner is T's times a unit channel vector, as strict as `eigenpairs'`.
-    The partners follow `_doublets`: conjugates for YZ > 0, the roots
-    themselves for YZ = 0.  YZ < 0, which no caller needs, raises ModelDomainError.
+    (`_TwoRegionBlock.centre_residual`); for YZ != 0, H's residual on either
+    partner is T's, conjugated or reflected, times a unit channel vector, as
+    strict as `eigenpairs'`.  The partners follow `_doublets`: conjugates for
+    YZ > 0, the roots themselves otherwise (conj() would flip the sign of a
+    real root's zero imaginary part).
     """
-    if coupling.branch is BranchClass.NEGATIVE_PRODUCT:
-        raise ModelDomainError("the numpy-free eigenvalue solve covers YZ >= 0; eigenpairs solves every class")
     k = as_index(k, f"k must be in 1..{2 * grid.n_interior}", 1, 2 * grid.n_interior)
     block, roots = _lowest_roots(coupling, grid, k)
-    _require_residual(max(map(block.centre_residual, roots)), coupling, grid)
-    values = roots + ([r.conjugate() for r in roots] if coupling.root_product else roots)
+    sizes = [block.centre_residual(r) for r in roots]
+    # max() drops a NaN that is not first; the certificate keeps it
+    _require_residual(math.nan if any(map(math.isnan, sizes)) else max(sizes), coupling, grid)
+    mirrored = coupling.branch is BranchClass.POSITIVE_PRODUCT
+    values = roots + ([r.conjugate() for r in roots] if mirrored else roots)
     return [values[i] for i in _order(values, k)]
 
 

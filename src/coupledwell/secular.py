@@ -352,10 +352,6 @@ def _eps_bracket(
             last, before_last = size, last
 
 
-def _solve_positive(n: int, c: float) -> LevelSolution:
-    return _level_at(n, c, _negative_point(n // 2, c)[0])
-
-
 def _positive_levels(c: float, count: int):
     """Levels 0..count-1 at the coupling root c > 0, in order: one walk
     of each pair cell serves both of its roots.  Raises RootLostError at
@@ -422,32 +418,27 @@ def solve_level(
             raise ModelDomainError(f"sublabel must be +1 or -1, got {sublabel!r}")
     elif sublabel is not None:
         raise ModelDomainError("sublabel applies to the NEGATIVE_PRODUCT branch only")
-    return _level_solver(branch, coupling.root_product)(n, sublabel)
-
-
-def _level_solver(branch: BranchClass, root: float):
-    """solve(n, sublabel=None) for a coupling of this branch and
-    root = `CouplingPair.root_product`, without `solve_level`'s checks of
-    n and sublabel: a request classifies its coupling and takes
-    sqrt(|YZ|) once for all of its levels."""
+    c = coupling.root_product
     if branch is BranchClass.POSITIVE_PRODUCT:
-        return lambda n, sublabel=None: _solve_positive(n, root)
+        return _level_at(n, c, _negative_point(n // 2, c)[0])
+    return _box_level(n, branch, c, sublabel)
 
-    def box_level(n: int, sublabel: int | None = None) -> LevelSolution:
-        # exact box root; NEGATIVE_PRODUCT shifts it by +-sqrt(-YZ)
-        s = (n + 1) * math.pi / 2.0
-        return LevelSolution(
-            n=n,
-            s=s,
-            t=0.0,
-            eps=0.0,
-            E=s * s if sublabel is None else s * s + sublabel * root,
-            residual=abs(residual(s, 0.0)),
-            branch=branch,
-            sublabel=None if sublabel is None else int(sublabel),
-        )
 
-    return box_level
+def _box_level(n: int, branch: BranchClass, root: float, sublabel: int | None) -> LevelSolution:
+    """Level n of a coupling off the YZ > 0 branch, root = sqrt(|YZ|), without
+    `solve_level`'s checks of n and sublabel: the exact box root, which
+    NEGATIVE_PRODUCT shifts by sublabel sqrt(-YZ)."""
+    s = (n + 1) * math.pi / 2.0
+    return LevelSolution(
+        n=n,
+        s=s,
+        t=0.0,
+        eps=0.0,
+        E=s * s if sublabel is None else s * s + sublabel * root,
+        residual=abs(residual(s, 0.0)),
+        branch=branch,
+        sublabel=None if sublabel is None else int(sublabel),
+    )
 
 
 def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
@@ -468,7 +459,6 @@ def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
     """
     n_max = as_index(n_max, f"n_max must be an integer in [0, {MAX_LEVEL}]", 0, MAX_LEVEL)
     branch, root = coupling.branch, coupling.root_product
-    solve = _level_solver(branch, root)
     levels: list[LevelSolution] = []
     truncated_at: int | None = None
     non_diagonalizable = False
@@ -481,12 +471,12 @@ def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
             truncated_at = exc.n
     elif branch is BranchClass.NEGATIVE_PRODUCT:
         for n in range(n_max + 1):
-            levels.append(solve(n, -1))
-            levels.append(solve(n, +1))
+            levels.append(_box_level(n, branch, root, -1))
+            levels.append(_box_level(n, branch, root, +1))
     else:
         non_diagonalizable = coupling.non_diagonalizable
         for n in range(n_max + 1):
-            sol = solve(n)
+            sol = _box_level(n, branch, root, None)
             levels.append(sol)
             if non_diagonalizable:
                 levels.append(sol)

@@ -35,7 +35,7 @@ from itertools import chain
 from ._ranges import _linspace
 from .errors import ModelDomainError, NormalizationSingularError
 from .model import BranchClass, CouplingPair, as_index, check_points
-from .secular import LevelSolution, _level_solver, _positive_levels
+from .secular import LevelSolution, _box_level, _positive_levels
 
 _CONSISTENCY_TOL = 1e-10
 _AMPLITUDE_SAMPLES = 257
@@ -100,8 +100,9 @@ class ChannelState:
 
     @cached_property
     def d(self) -> float:
-        """Diagonal pairing 2 |wu wl| |integral phi^2| (metric.diagonal_overlap),
-        stored or computed once."""
+        """Diagonal pairing d = <<left|state> with the state's own left partner,
+        q (wl wu + wu wl) integral phi^2 = 2 |wu wl| |integral phi^2|: wu wl has
+        the sign sigma and q = sigma sign(integral phi^2).  Stored or computed once."""
         return _diagonal_pairing(self, *channel_weights(self.sigma, self.Y, self.Z))
 
 
@@ -298,8 +299,7 @@ def doublet_family(coupling: CouplingPair, n_levels: int) -> list[ChannelState]:
     if branch is BranchClass.POSITIVE_PRODUCT:
         levels = _positive_levels(root, n_levels)
     else:
-        solve = _level_solver(branch, root)
-        levels = (solve(n) for n in range(n_levels))
+        levels = (_box_level(n, branch, root, None) for n in range(n_levels))
     # level 0 is solved before the coupling is checked: where both refuse, the solver speaks first
     first = next(levels)
     build = _doublet_builder(coupling)

@@ -28,8 +28,6 @@ from coupledwell import (
     biorthogonality_matrix,
     build_hamiltonian,
     build_theta_metric,
-    channel_kernel,
-    diagonal_overlap,
     doublet_family,
     inverse_identity_defect,
     inverse_theta_metric,
@@ -41,7 +39,6 @@ from coupledwell import (
     quasi_parity,
     solve_coefficients,
     solve_level,
-    spectral_reconstruct,
     spin_operator,
 )
 from coupledwell.metric import sine_product_integrals
@@ -55,6 +52,7 @@ from test_doublet_reference import (
     phi_sesquilinear_product,
     quadrature_overlap,
     reference_sample,
+    reference_spectral_sum,
 )
 
 UNIT = CouplingPair(1.0, 1.0)
@@ -100,13 +98,13 @@ def test_theta_maps_state_to_scaled_reflection():
 def test_left_vector_diagonal_pairing():
     for sigma in (+1, -1):
         st = doublet_family(UNIT, 1)[0 if sigma == 1 else 1]
-        d = diagonal_overlap(st)
+        d = st.d
         assert d > 0.0
         assert abs(d - 2.0 * abs(parity_overlap(st))) < 1e-13
     pair = CouplingPair(2.0, 0.5)
     for st in doublet_family(pair, 3):
         expected = 2.0 * math.sqrt(2.0 * 0.5) * abs(parity_overlap(st))
-        assert abs(diagonal_overlap(st) - expected) < 1e-13
+        assert abs(st.d - expected) < 1e-13
 
 
 def test_left_vector_component_layout():
@@ -125,8 +123,8 @@ def test_decoupled_weights_keep_pairing_finite():
     pair = CouplingPair(0.0, 0.0)
     lvl = solve_level(0, pair)
     st = solve_coefficients(lvl, pair, +1)
-    assert abs(diagonal_overlap(st) - 2.0 * abs(parity_overlap(st))) < 1e-14
-    assert diagonal_overlap(st) > 0.0
+    assert abs(st.d - 2.0 * abs(parity_overlap(st))) < 1e-14
+    assert st.d > 0.0
 
 
 def test_biorthogonality_matrix_closed():
@@ -481,16 +479,17 @@ def test_spin_conjugated_by_swap_reflect_gives_adjoint():
 
 
 def test_channel_kernel_values():
-    k = channel_kernel(UNIT, 1.0, 1.0)
+    weights = MetricWeights([1.0, 1.0], [1.0, 2.0])
+    k, k2 = build_theta_metric(doublet_family(UNIT, 2), weights).meta["channel_kernels"]
     assert np.array_equal(k, np.array([[2.0, 0.0], [0.0, 2.0]]))
-    k2 = channel_kernel(UNIT, 1.0, 2.0)
     assert np.array_equal(k2, np.array([[3.0, -1.0], [-1.0, 3.0]]))
 
 
 def test_channel_kernel_offdiagonal_exact_zero_at_equal_weights():
-    for w in (1.0, 0.7, 3.5):
-        for y, z in [(1.0, 1.0), (1.5, 1.5), (2.0, 0.5)]:
-            k = channel_kernel(CouplingPair(y, z), w, w)
+    weights = MetricWeights([1.0, 0.7, 3.5], [1.0, 0.7, 3.5])
+    for y, z in [(1.0, 1.0), (1.5, 1.5), (2.0, 0.5)]:
+        theta = build_theta_metric(doublet_family(CouplingPair(y, z), 3), weights)
+        for k in theta.meta["channel_kernels"]:
             assert k[0, 1] == 0.0 and k[1, 0] == 0.0
 
 
@@ -931,10 +930,6 @@ def test_grid_theta_requires_grid():
         assert on_grid.dim == 2 * GridSpec(64).n_interior
         with pytest.raises(ModelDomainError, match="GridSpec"):
             build(states, grid=64)
-    # the spectral sum has a grid form only
-    for grid in (128, None):
-        with pytest.raises(ModelDomainError, match="GridSpec"):
-            spectral_reconstruct(states, "identity", grid)
 
 
 @pytest.mark.parametrize("M", [64, 512])
@@ -951,7 +946,7 @@ def test_grid_forms_are_the_sampled_sums(c, M):
                                     n_levels)
             weights = MetricWeights(np.linspace(0.5, 2.0, n_levels), np.full(n_levels, 1.5))
             per_state = np.array([weights.select(s.level.n, s.sigma) for s in states])
-            d = np.array([diagonal_overlap(s) for s in states])
+            d = np.array([s.d for s in states])
             lefts = reference_sample([left_vector(s) for s in states], grid.interior_nodes)
             rights = reference_sample(states, grid.interior_nodes)
             form = (lefts * per_state) @ lefts.conj().T * grid.h
@@ -1027,51 +1022,20 @@ def test_inverse_theta_scaling():
     assert np.abs(c * d * d - 1.0).max() < 1e-12
 
 
-@pytest.mark.parametrize("M", [64, 512])
-@pytest.mark.parametrize("c", [0.01, 1.0, 4.4])
-def test_spectral_reconstruct_is_the_sum_over_left_partners(c, M):
-    # the sum, written out with the states' own left partners: their
-    # bras (the reference sampler's) and their pairings d, byte for byte
-    grid = GridSpec(M)
-    nodes, w = metric_module.simpson_rule(M)
-    w2 = np.concatenate([w, w])[:, None]
-    for ratio in (0.25, 1.0, 4.0):
-        for n_levels in (1, 4, 8):
-            states = doublet_family(CouplingPair(c * math.sqrt(ratio), c / math.sqrt(ratio)),
-                                    n_levels)
-            lefts = [left_vector(s) for s in states]
-            d = np.array([biorthogonal_overlap(l, s) for l, s in zip(lefts, states)])
-            right, bras = reference_sample(states, nodes), reference_sample(lefts, nodes)
-            for kind, values in (
-                ("hamiltonian", np.array([s.level.E for s in states])),
-                ("spin", np.array([float(s.sigma) for s in states])),
-                ("identity", np.ones(len(states))),
-            ):
-                expected = (right * (values / d)) @ (bras.conj() * w2).T
-                assert_same_bytes(spectral_reconstruct(states, kind, grid).matrix, expected)
-
-
 def test_spectral_reconstruct_grid_accuracy():
-    grid = GridSpec(512)
+    # the truncated spectral sums of H, 1 and the spin, sum_i value_i
+    # |state_i><<left_i| / d_i with Simpson-weighted bras, reproduce them on
+    # the retained span to the rule's accuracy
     states = doublet_family(UNIT, 4)
-    nodes = grid.interior_nodes
-    rec_h = spectral_reconstruct(states, "hamiltonian", grid)
-    rec_i = spectral_reconstruct(states, "identity", grid)
-    rec_o = spectral_reconstruct(states, "spin", grid)
+    nodes = GridSpec(512).interior_nodes
+    rec_h, rec_i, rec_o = (reference_spectral_sum(states, np.array(values), 512) for values in (
+        [s.level.E for s in states], [1.0] * len(states), [float(s.sigma) for s in states]))
     for st in states:
         v = np.concatenate([st.upper(nodes), st.lower(nodes)])
         scale = np.abs(v).max()
-        assert np.abs(rec_h.matrix @ v - st.level.E * v).max() <= 1e-8 * scale * abs(st.level.E)
-        assert np.abs(rec_i.matrix @ v - v).max() <= 1e-8 * scale
-        assert np.abs(rec_o.matrix @ v - st.sigma * v).max() <= 1e-8 * scale
-
-
-def test_spectral_reconstruct_validation():
-    states = doublet_family(UNIT, 2)
-    with pytest.raises(ModelDomainError):
-        spectral_reconstruct(states, "resolvent", GridSpec(128))
-    with pytest.raises(ModelDomainError):
-        spectral_reconstruct(states, "hamiltonian", GridSpec(126))
+        assert np.abs(rec_h @ v - st.level.E * v).max() <= 1e-8 * scale * abs(st.level.E)
+        assert np.abs(rec_i @ v - v).max() <= 1e-8 * scale
+        assert np.abs(rec_o @ v - st.sigma * v).max() <= 1e-8 * scale
 
 
 def test_singular_parity_overlap_is_refused():
@@ -1081,17 +1045,17 @@ def test_singular_parity_overlap_is_refused():
         quasi_parity(st)
     with pytest.raises(NormalizationSingularError):
         left_vector(st)
+    # d = 0 is stored as it is, and refused where it normalizes: the weight contract
+    assert st.d == 0.0
     with pytest.raises(NormalizationSingularError):
-        diagonal_overlap(st)
-    with pytest.raises(NormalizationSingularError):
-        spectral_reconstruct([st], "identity", GridSpec(64))
+        weights_module._normalizable([st.d])
 
 
 def test_diagonal_overlap_has_no_relative_floor():
     # d ~ 2 sqrt(YZ): tiny but nonzero, so it is returned, not refused
     pair = CouplingPair(1e-13, 1e-13)
     state = solve_coefficients(solve_level(1, pair), pair, -1)
-    assert diagonal_overlap(state) == pytest.approx(2.0e-13, rel=1e-12)
+    assert state.d == pytest.approx(2.0e-13, rel=1e-12)
 
 
 def test_biorthogonal_overlap_requires_matching_coupling():

@@ -16,8 +16,10 @@ from coupledwell import (
     RepBasis,
     build_hamiltonian,
     classify_branch,
+    doublet_family,
+    evaluate,
 )
-from coupledwell.model import as_index, coupling_step, validate_tol
+from coupledwell.model import as_index, validate_tol
 from coupledwell.oracle import _swap_reflect_defect
 
 
@@ -67,9 +69,11 @@ def test_coupling_rejects_non_finite():
         CouplingPair(1.0, float("inf"))
 
 
-def _potential(pair, x):
-    # the off-diagonal entries (upper right, lower left): iZ sgn(-x), iY sgn(-x)
-    return 1j * np.multiply.outer([pair.Z, pair.Y], coupling_step(x))
+def _potential(pair, grid):
+    # the off-diagonal entries (upper right, lower left) at the interior nodes,
+    # iZ sgn(-x) and iY sgn(-x): the diagonals of the operator's cross-channel blocks
+    h, m = build_hamiltonian(pair, grid).matrix, grid.n_interior
+    return np.array([np.diag(h[:m, m:]), np.diag(h[m:, :m])])
 
 
 def test_potential_matrix_shape_and_zero_diagonal():
@@ -85,15 +89,18 @@ def test_potential_matrix_shape_and_zero_diagonal():
 
 
 def test_potential_step_values():
+    # at x = -0.5, 0.5 and 0, nodes 1, 5 and 3 of GridSpec(8)
     pair = CouplingPair(1.0, 2.0)
-    assert np.array_equal(_potential(pair, [-0.5, 0.5, 0.0]), [[2j, -2j, 0], [1j, -1j, 0]])
+    assert np.array_equal(_potential(pair, GridSpec(8))[:, [1, 5, 3]], [[2j, -2j, 0], [1j, -1j, 0]])
 
 
 def test_potential_domain_guard():
+    # the box is |x| <= 1 (model.check_points), for the states' samples
+    state = doublet_family(CouplingPair(1.0, 2.0), 1)[0]
     with pytest.raises(ModelDomainError):
-        coupling_step(1.5)
+        evaluate(state, 1.5)
     with pytest.raises(ModelDomainError):
-        coupling_step(-1.0001)
+        evaluate(state, -1.0001)
 
 
 @pytest.mark.parametrize("pair", [(1.0, 2.0), (0.0, 0.0), (5.0, 0.1)])
@@ -105,16 +112,17 @@ def test_conjugation_defect_is_exactly_zero(pair):
 
 
 def test_conjugation_symmetry_at_random_points():
-    # conj(W(x)) == W(-x) entrywise; exact in floats since entries are +-iY, +-iZ, 0
-    x = np.random.default_rng(7).uniform(-1.0, 1.0, size=100)
+    # conj(W(x)) == W(-x) entrywise at the nodes of random grids, whose
+    # reversal is x -> -x; exact in floats since entries are +-iY, +-iZ, 0
     pair = CouplingPair(5.0, 0.1)
-    assert np.array_equal(np.conj(_potential(pair, x)), _potential(pair, -x))
+    for M in np.random.default_rng(7).integers(4, 200, size=10):
+        w = _potential(pair, GridSpec(2 * int(M)))
+        assert np.array_equal(np.conj(w), w[:, ::-1])
 
 
 def test_parity_oddness_pointwise():
-    x = np.linspace(-0.99, 0.99, 23)
-    pair = CouplingPair(2.0, 3.0)
-    assert np.array_equal(_potential(pair, -x), -_potential(pair, x))
+    w = _potential(CouplingPair(2.0, 3.0), GridSpec(46))
+    assert np.array_equal(w[:, ::-1], -w)
 
 
 def test_operator_rep_requires_square_matrix():

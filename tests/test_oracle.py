@@ -170,7 +170,7 @@ def test_stored_operator_is_read_only():
     # each band is derived on first read, read-only, from the grid alone
     h2 = grid.h * grid.h
     expected = {"sub": np.full(grid.n_interior - 1, -1.0 / h2), "diagonal": np.full(grid.n_interior, 2.0 / h2),
-                "step": coupledwell.model.coupling_step(grid.interior_nodes)}
+                "step": np.sign(-grid.interior_nodes)}
     for name, band in expected.items():
         assert name not in vars(rep)
         assert not getattr(rep, name).flags.writeable
@@ -241,6 +241,19 @@ def test_swap_reflect_symmetry_holds_by_construction(half_m):
     assert np.array_equal(rep.step[::-1], -rep.step)
     assert rep.step[half_m - 1] == 0.0
     assert coupledwell.oracle._swap_reflect_defect(rep.coupling, rep.grid) == 0.0
+
+
+def test_node_steps_are_the_sign_of_minus_x_at_every_grid():
+    # the one body of the step, as floats and as the band: sgn(-x) at the
+    # interior nodes byte for byte, the centre's +0.0 included
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    for M in [*range(8, 5001, 2), 2**20]:
+        grid = GridSpec(M)
+        expected = bits(np.sign(-grid.interior_nodes))
+        assert np.array_equal(bits(coupledwell.oracle._node_steps(grid)), expected)
+        assert np.array_equal(bits(build_hamiltonian(UNIT, grid).step), expected)
 
 
 def test_reduced_solve_at_large_grid():
@@ -929,6 +942,28 @@ def test_eigenvector_residual_is_checked(monkeypatch):
                 eigenpairs(build_hamiltonian(pair, GridSpec(M)), 4)
 
 
+@pytest.mark.parametrize("pair", [UNIT, CouplingPair(4.6, 4.6), CouplingPair(1.0, -4.0),
+                                  CouplingPair(0.0, 2.0), CouplingPair(0.0, 0.0)])
+def test_a_nan_residual_is_refused(pair, monkeypatch):
+    # NaN compares False with any bound, so the certificate refuses unless
+    # the residual is within it: NaN eigenvectors in eigenpairs, and a NaN
+    # centre residual at a root other than the first, which max() would drop
+    grid, oracle = GridSpec(64), coupledwell.oracle
+    vectors_of, residual_at, calls = oracle._TwoRegionBlock.eigenvectors, oracle._TwoRegionBlock.centre_residual, []
+
+    def second_is_nan(self, root):
+        calls.append(root)
+        return math.nan if len(calls) == 2 else residual_at(self, root)
+
+    monkeypatch.setattr(oracle._TwoRegionBlock, "eigenvectors", lambda self, roots: vectors_of(self, roots) * np.nan)
+    monkeypatch.setattr(oracle._TwoRegionBlock, "centre_residual", second_is_nan)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailureError, match="residual"):
+        eigenpairs(build_hamiltonian(pair, grid), 4)
+    with pytest.raises(NumericalFailureError, match="residual"):
+        oracle.eigenvalues(pair, grid, 4)
+    assert len(calls) >= 2
+
+
 def test_eigenvector_residual_bound_follows_the_root_product(monkeypatch):
     # at Y/Z = 1e400 the bound on ||C|| is sqrt(YZ) = 1, not max(|Y|, |Z|)
     # = 1e200, which would admit any residual: a 1e-6 perturbation is caught
@@ -994,14 +1029,17 @@ _DECOUPLED = {"Y = 0": lambda y, z: (0.0, z), "Z = 0": lambda y, z: (y, 0.0), "Y
 
 
 def _pair(kind, c, root_ratio):
-    """The coupling of class `kind` with Y = c r, Z = c / r before a zero is set."""
+    """The coupling of class `kind` with Y = c r, Z = c / r before a zero is
+    set, or Z negated for YZ < 0."""
     y, z = c * root_ratio, c / root_ratio
+    if kind == "YZ < 0":
+        return CouplingPair(y, -z)
     return CouplingPair(*_DECOUPLED[kind](y, z)) if kind in _DECOUPLED else CouplingPair(y, z)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(
-    kind=st.sampled_from(["YZ > 0"] * 3 + sorted(_DECOUPLED)),  # half the draws YZ > 0
+    kind=st.sampled_from(["YZ > 0"] * 5 + ["YZ < 0"] * 2 + sorted(_DECOUPLED)),  # half the draws YZ > 0
     log_c=st.floats(math.log(1e-4), math.log(4.4)),
     log2_ratio=st.floats(-4.0, 4.0),
     half_m=st.integers(min_value=4, max_value=8192),
@@ -1012,9 +1050,11 @@ def _pair(kind, c, root_ratio):
 @example(kind="YZ > 0", log_c=math.log(1e-4), log2_ratio=0.0, half_m=4, k=8)
 @example(kind="Y = 0", log_c=0.0, log2_ratio=0.0, half_m=8192, k=4)
 @example(kind="Y = Z = 0", log_c=0.0, log2_ratio=0.0, half_m=4, k=8)
+@example(kind="YZ < 0", log_c=math.log(4.4), log2_ratio=4.0, half_m=8192, k=8)
+@example(kind="YZ < 0", log_c=math.log(1e-4), log2_ratio=-4.0, half_m=4, k=8)
 def test_numpy_free_eigenvalues_are_eigenpairs_values(kind, log_c, log2_ratio, half_m, k):
     # eigenvalues, the numpy-free solve of the verify battery, runs the root
-    # search of eigenpairs: the same values, bit for bit
+    # search of eigenpairs: the same values, bit for bit, for every class
     pair, grid = _pair(kind, math.exp(log_c), 2.0 ** (log2_ratio / 2)), GridSpec(2 * half_m)
     expected, _ = eigenpairs(build_hamiltonian(pair, grid), k)
     values = coupledwell.oracle.eigenvalues(pair, grid, k)
@@ -1057,9 +1097,11 @@ def test_numpy_free_residual_refuses_a_moved_root(c, M, monkeypatch):
 
 
 @pytest.mark.parametrize("pair", [CouplingPair(1.0, -4.0), CouplingPair(-1e-300, 1e-300)])
-def test_numpy_free_eigenvalues_refuse_the_negative_product(pair):
-    with pytest.raises(ModelDomainError, match="YZ >= 0"):
-        coupledwell.oracle.eigenvalues(pair, GridSpec(16), 2)
+def test_numpy_free_eigenvalues_cover_the_negative_product(pair):
+    # the roots themselves are the partners, real with a +0.0 imaginary part
+    values = coupledwell.oracle.eigenvalues(pair, GridSpec(16), 2)
+    assert values == eigenpairs(build_hamiltonian(pair, GridSpec(16)), 2)[0].tolist()
+    assert values[0] == values[1] and not math.copysign(1.0, values[1].imag) < 0
 
 
 def _full_residual(block, root):

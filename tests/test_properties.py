@@ -24,7 +24,6 @@ from coupledwell import (
     RootLostError,
     biorthogonality_matrix,
     build_theta_metric,
-    diagonal_overlap,
     doublet_family,
     inverse_identity_defect,
     inverse_theta_metric,
@@ -78,7 +77,7 @@ def test_doublet_member_invariants(y, z, n, sigma):
     assert abs(state.A / state.B - sigma * math.sqrt(z / y)) <= 1e-10
     assert matching_residual(state) <= 1e-11
     assert math.copysign(1.0, parity_overlap(state)) == (-1.0) ** n
-    assert diagonal_overlap(state) > 0.0
+    assert state.d > 0.0
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -101,7 +100,7 @@ def test_diagonal_overlap_is_the_left_partner_pairing(log_c, log_ratio, n_levels
     # bit for bit, and the parity overlap's closed form to rounding
     c, root_ratio = 10.0 ** log_c, 10.0 ** (log_ratio / 2.0)
     for state in doublet_family(CouplingPair(c * root_ratio, c / root_ratio), n_levels):
-        d = diagonal_overlap(state)
+        d = state.d
         assert d == biorthogonal_overlap(left_vector(state), state)
         wu, wl = channel_weights(state.sigma, state.Y, state.Z)
         assert abs(d - 2.0 * abs(wu * wl) * abs(parity_overlap(state))) <= 2e-15 * d
