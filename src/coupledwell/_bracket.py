@@ -16,9 +16,18 @@ Algorithms for Minimization without Derivatives, 1973):
 1. a step that leaves the open bracket is replaced by its midpoint;
 2. Newton ends once a step is within 2 ulp of the iterate, or at least
    half the accepted step before last: the noise band of f;
-3. one probe follows, the last step's size plus 4 ulp past the iterate,
-   away from the end it became (f = 0 makes it the hi end);
-4. bisection finishes the bracket to adjacent floats.
+3. after a step within 2 ulp, a gallop: the float 1 ulp from the iterate
+   is probed, toward the end the iterate did not become (f = 0 makes it
+   the hi end), and the distance doubles while probes keep its sign;
+4. after the noise band's step, one probe, that step's size plus 4 ulp
+   past the iterate, away from the end it became;
+5. bisection finishes the bracket to adjacent floats.
+
+Newton mostly lands within 1 or 2 ulp of the sign change, where the
+gallop closes the bracket in one or two probes: the 11931 ε solves of
+the `spectrum` requests in 40 perfbench `closed-form` blocks at seed 1
+take 4.48 evaluations of g each, against 6.13 with rule 4's probe and
+bisection in its place.
 """
 
 import math
@@ -28,9 +37,11 @@ def newton_in_bracket(f, lo: float, hi: float, x: float) -> tuple[float, float]:
     """Adjacent floats lo < hi with f(lo) > 0 >= f(hi), by Newton from x,
     given f > 0 on lo's side and f <= 0 on hi's.  f(x, newton) returns
     (value, step), with the Newton step (to x - step) computed only while
-    `newton` is true; a value of None stops the search at (x, x).  The
-    cost is at most about twice a plain bisection's."""
+    `newton` is true; a value of None stops the search at (x, x).  Past
+    a Newton step within 2 ulp the cost is about twice a bisection of
+    the distance to the sign change: one probe when that is one float."""
     newton, last, before_last = True, math.inf, math.inf
+    reach = 0.0  # the probe's offset from Newton's last point, 0.0 outside the gallop
     while True:
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -41,8 +52,17 @@ def newton_in_bracket(f, lo: float, hi: float, x: float) -> tuple[float, float]:
             return x, x
         lo, hi = (x, hi) if value > 0.0 else (lo, x)
         if not newton:
-            x = 0.5 * (lo + hi)
-        elif (size := abs(step)) <= 2.0 * math.ulp(x) or size >= 0.5 * before_last:
+            if reach and (x == lo) == (reach > 0.0):  # the probe kept the iterate's sign
+                x += reach
+                reach *= 2.0
+            else:
+                reach = 0.0
+                x = 0.5 * (lo + hi)
+        elif (size := abs(step)) <= 2.0 * math.ulp(x):
+            newton = False
+            reach = math.nextafter(x, hi if x == lo else lo) - x
+            x += reach
+        elif size >= 0.5 * before_last:
             newton = False
             x += (1.0 if x == lo else -1.0) * (size + 4.0 * math.ulp(x))
         elif lo < (x := x - step) < hi:

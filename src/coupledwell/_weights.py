@@ -132,8 +132,8 @@ def _normalizable(d: list[float]) -> list[float]:
     # the diagonal pairings, refused if any is negligible against the largest
     scale = max(map(abs, d), default=0.0)
     if scale == 0.0 or any(abs(x) <= _OVERLAP_FLOOR * max(1.0, scale) for x in d):
-        raise NormalizationSingularError("a diagonal biorthogonal overlap vanishes; "
-                                         "spectral sums cannot be normalized")
+        raise NormalizationSingularError("a diagonal biorthogonal overlap vanishes: the family's "
+                                         "pairing, on which the metric's weights rest, is singular")
     return d
 
 

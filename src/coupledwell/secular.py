@@ -132,9 +132,9 @@ class CriticalResult:
     c_crit: midpoint of the final coupling bracket, whose ends the walk
     onto the cell minimum decides; bracket_width: its width;
     evaluations: calls of g, dg/ds, d2g/ds2 and dg/dc over the whole
-    search, each one closed-form expression.  About 50-90 of them solve
-    the merger, and each walk costs 10-25 more.  Pair 0 at tol=1e-6
-    takes 113 calls, pair 7 at tol=1e-12 259.
+    search, each one closed-form expression.  About 45-70 of them solve
+    the merger, and each walk costs 10-30 more.  Pair 0 at tol=1e-6
+    takes 87 calls, pair 7 at tol=1e-12 236.
 
     c_merger, s_merger: the double root g = g' = 0 of the pair cell,
     c_merger the first float at which the cell minimum g(s_merger) reads
@@ -315,11 +315,12 @@ def _eps_bracket(
     the evaluations of g spent; and (s, t, t sinh 2t, s sin 2eps) at the
     end 0.5 (lo + hi) that becomes eps, as the loop computed them, or None
     where that end is 0 or top, which the loop never samples.  The rules
-    of `newton_in_bracket`, in one loop: g and its step share t and
-    sinh 2t, and no callback runs."""
+    of `newton_in_bracket`, its gallop past a converged iterate included,
+    in one loop: g and its step share t and sinh 2t, and no callback runs."""
     lo, hi, evaluations = 0.0, top, 0
     at_lo = at_hi = None
     newton, last, before_last = True, math.inf, math.inf
+    reach = 0.0  # the probe's offset from Newton's last point, 0.0 outside the gallop
     while True:
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -337,7 +338,12 @@ def _eps_bracket(
         else:
             hi, at_hi = x, (s, t, tail, swing)
         if not newton:
-            x = 0.5 * (lo + hi)
+            if reach and (x == lo) == (reach > 0.0):  # the probe kept the iterate's sign
+                x += reach
+                reach *= 2.0
+            else:
+                reach = 0.0
+                x = 0.5 * (lo + hi)
             continue
         v = 2.0 * s
         try:  # _slope(s, c)
@@ -345,7 +351,11 @@ def _eps_bracket(
         except OverflowError:
             slope = -math.inf
         size = abs(step := sign * value / slope)
-        if size <= 2.0 * math.ulp(x) or size >= 0.5 * before_last:
+        if size <= 2.0 * math.ulp(x):
+            newton = False
+            reach = math.nextafter(x, hi if x == lo else lo) - x
+            x += reach
+        elif size >= 0.5 * before_last:
             newton = False
             x += (1.0 if x == lo else -1.0) * (size + 4.0 * math.ulp(x))
         elif lo < (x := x - step) < hi:

@@ -587,6 +587,10 @@ def test_eps_solve_costs_a_few_evaluations(monkeypatch):
         c = math.exp(rng.uniform(math.log(1e-4), math.log(4.4)))
         solve_level(rng.randint(0, 39), CouplingPair(c, c))
     assert len(costs) == 3001 and max(costs) <= 12
+    # Newton lands within an ulp or two of the sign change, and the gallop
+    # closes the bracket from there in a probe or two (5.34 when a probe of
+    # the last step plus 4 ulp and a bisection followed it)
+    assert sum(costs[1:]) / 3000 <= 4.0
 
 
 # The level solve as it ran through the shared helper: the walk by one call
