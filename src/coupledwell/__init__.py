@@ -25,7 +25,6 @@ from .model import (
     GridSpec,
     OperatorRep,
     RepBasis,
-    classify_branch,
 )
 from .secular import (
     CriticalResult,
@@ -56,7 +55,6 @@ _LAZY_MODULES = {
         "mode_hamiltonian",
         "mode_spin",
         "quasi_hermiticity_defect",
-        "spin_operator",
     ),
     "oracle": (
         "build_hamiltonian",
@@ -64,7 +62,6 @@ _LAZY_MODULES = {
         "criticality_scan",
         "eigenpairs",
         "first_complex_bracket",
-        "group_degenerate",
         "subspace_alignment",
     ),
     "wavefunctions": (

@@ -1,15 +1,15 @@
 """Safeguarded Newton for a real root in a sign bracket, shared by the
 closed form's merger search (`secular._merger`) and the oracle's real
 roots (`oracle._TwoRegionBlock._bracketed_root`), which stays independent
-of the closed form.  The ε solve of each level (`secular._eps_bracket`,
-called by `_level_at` with the negative point that `_negative_point` found
-in the level's pair cell) runs its own copy of these rules in one loop,
-and the walk onto the cell minimum (`secular._negative_point`, once per
-cell in `_positive_levels`, once per level in `solve_level`) its own
-guarded Newton loop: the call overhead is the reason.  Through this
-helper's callback, with g' from a separate `_slope` call, a `spectrum` of
-40 levels at (Y, Z) = (1, 4) took 0.368 ms against 0.273 ms inline
-(median of 400 interleaved rounds, Xeon, CPython 3.11), and the walk cost
+of the closed form.  The ε solve of each level (`secular._eps_bracket`)
+runs its own copy of these rules in one loop, and the walk onto the cell
+minimum (`secular._negative_point`) its own guarded Newton loop: the call
+overhead is the reason.  Through this helper, with a callback that shares
+t and sinh 2t between g and its step as the loop does (the same brackets
+and counts, bit for bit), a 40-level `spectrum` at (Y, Z) = (1, 4) and a
+25-level one at (2, 1.5) took 375 us against 306 us inline (medians of
+400 rounds in the quietest of 10 interleaved process pairs, Xeon, CPython
+3.11; 17-28% slower in every pair's minimum), and the walk cost
 `critical_coupling` ~30%.  The rules, Dekker/Brent-style (R. P. Brent,
 Algorithms for Minimization without Derivatives, 1973):
 

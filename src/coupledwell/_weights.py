@@ -275,7 +275,8 @@ def identity_defect(coefficients, form) -> float:
 
 
 def spin_ratio(coupling: CouplingPair) -> float:
-    """sqrt(Z/Y), the upper-right entry of metric.spin_operator's block.
+    """sqrt(Z/Y), the entry r of the spin block [[0, r], [1/r, 0]] that commutes
+    with the Hamiltonian: the block's one body (`verify`, oracle._spin_commutator_max).
 
     It is the quotient of the channel weights (wavefunctions.channel_weights),
     which also refuses every coupling but Y > 0 and Z > 0; a decoupled

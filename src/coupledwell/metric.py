@@ -72,10 +72,9 @@ from typing import Sequence
 import numpy as np
 
 from ._weights import (MIN_ROOT_PRODUCT, MetricWeights, _shared_coupling, family_order,
-                       identity_defect, inverse_coefficients, out_of_range, resolve_weights,
-                       spin_ratio)
+                       identity_defect, inverse_coefficients, out_of_range, resolve_weights)
 from .errors import ModelDomainError
-from .model import CouplingPair, GridSpec, OperatorRep, RepBasis
+from .model import GridSpec, OperatorRep, RepBasis
 from .wavefunctions import NEAR_WAVENUMBERS, ChannelState, channel_weights
 
 _PANELS = 512  # Simpson panels per half of biorthogonality_matrix's quadrature
@@ -227,19 +226,6 @@ def _doublet_pairing(states) -> np.ndarray:
     out = np.zeros((len(states), len(states)))
     out[0::2, 0::2] = out[1::2, 1::2] = block
     return out
-
-
-def spin_operator(coupling: CouplingPair) -> OperatorRep:
-    """Constant 2x2 channel observable commuting with the Hamiltonian.
-
-    Off-diagonal entries sqrt(Z/Y) and sqrt(Y/Z); eigenvalues +-1 label
-    the degenerate doublets.  The ratio is _weights.spin_ratio, which
-    refuses every coupling but Y > 0 and Z > 0, and a ratio out of the
-    float range.
-    """
-    ratio = spin_ratio(coupling)
-    matrix = np.array([[0.0, ratio], [1.0 / ratio, 0.0]])
-    return OperatorRep(matrix, RepBasis.CHANNEL, meta={"coupling": coupling})
 
 
 def _sample(states, nodes) -> tuple[np.ndarray, np.ndarray]:

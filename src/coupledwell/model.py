@@ -41,11 +41,6 @@ class BranchClass(enum.Enum):
     DECOUPLED = "DECOUPLED"
 
 
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ModelDomainError(f"{name} must be finite, got {value!r}")
-
-
 def as_index(
     value, message: str, minimum: int = 0, maximum: int | None = None, even: bool = False
 ) -> int:
@@ -77,18 +72,6 @@ def validate_tol(tol: float) -> None:
         raise InvalidToleranceError(f"tolerance must lie in (0, 1), got {tol!r}")
 
 
-def classify_branch(Y: float, Z: float) -> BranchClass:
-    """Classify the coupling pair by the sign of the product YZ, read off
-    the signs of Y and Z: the float product under- and overflows."""
-    _require_finite("Y", Y)
-    _require_finite("Z", Z)
-    if Y == 0.0 or Z == 0.0:
-        return BranchClass.DECOUPLED
-    if (Y > 0.0) == (Z > 0.0):
-        return BranchClass.POSITIVE_PRODUCT
-    return BranchClass.NEGATIVE_PRODUCT
-
-
 @dataclass(frozen=True)
 class CouplingPair:
     """Imaginary coupling amplitudes of the two channels."""
@@ -96,9 +79,10 @@ class CouplingPair:
     Y: float
     Z: float
 
-    def __post_init__(self):
-        _require_finite("Y", self.Y)
-        _require_finite("Z", self.Z)
+    def __post_init__(self):  # the one check of Y and Z: `branch` and the solvers rest on it
+        for name, value in (("Y", self.Y), ("Z", self.Z)):
+            if not math.isfinite(value):
+                raise ModelDomainError(f"{name} must be finite, got {value!r}")
 
     @property
     def product(self) -> float:
@@ -106,7 +90,13 @@ class CouplingPair:
 
     @property
     def branch(self) -> BranchClass:
-        return classify_branch(self.Y, self.Z)
+        """The sign class of YZ, from the signs of Y and Z: the product under- and overflows."""
+        Y, Z = self.Y, self.Z
+        if Y == 0.0 or Z == 0.0:
+            return BranchClass.DECOUPLED
+        if (Y > 0.0) == (Z > 0.0):
+            return BranchClass.POSITIVE_PRODUCT
+        return BranchClass.NEGATIVE_PRODUCT
 
     @property
     def root_product(self) -> float:
@@ -176,12 +166,10 @@ class RepBasis(enum.Enum):
     GRID: interior nodes of a uniform mesh, channel-blocked layout
     (all upper-channel values first, then all lower-channel values).
     MODE: retained exact eigenstates, one entry per (level, sigma).
-    CHANNEL: the bare 2x2 channel space (constant-in-x operators).
     """
 
     GRID = "grid"
     MODE = "mode"
-    CHANNEL = "channel"
 
 
 @dataclass(frozen=True, eq=False)

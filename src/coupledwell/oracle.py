@@ -10,7 +10,7 @@ The mesh (model.GridSpec) always contains x = 0 as a node (M even), where the
 off-diagonal potential takes its average value 0.  That single choice makes the
 discrete operator exactly pseudo-Hermitian under the channel-swap /
 index-reversal matrix, at every grid size.  The step sgn(-x) at the nodes
-is written down once, in `_node_steps`.
+is written down once, as three runs, in `_step_runs`.
 
 The operator is I (x) K + C (x) D: the three-point Laplacian K in each channel
 plus the constant channel matrix C = [[0, iZ], [iY, 0]] times the step
@@ -63,7 +63,7 @@ if TYPE_CHECKING:
 
 REAL_IM_MAX = 1e-6  # a criticality scan entry with max |Im E| up to this is real
 # values closer than this (relative to max(1, |E|)) are one eigenvalue:
-# the conjugate pairing, the order's ties and group_degenerate's clusters
+# the conjugate pairing, the order's ties and compare_spectrum's clusters
 PAIRING_RTOL = 1e-6
 # max |H x - E x| of an eigenvector built here, one sine per side of the
 # grid from a root of T's secular polynomial, relative to a bound on ||H||
@@ -146,7 +146,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltonian:
     """The 2(M-1)-dimensional coupled-well operator on the interior nodes, in
-    O(1): K the three-point Laplacian, the step sgn(-x) (`_node_steps`)
+    O(1): K the three-point Laplacian, the step sgn(-x) (`_step_runs`)
     at the nodes, 0 at the midpoint, so S H S = H^dagger by construction."""
     return BandedHamiltonian(coupling, grid)
 
@@ -156,14 +156,18 @@ def build_hamiltonian(coupling: CouplingPair, grid: GridSpec) -> BandedHamiltoni
 # cross-channel entries iZ d (upper right) and iY d (lower left), d the
 # step at the nodes, and nothing else.  Each value is the entrywise
 # maximum the dense matrices give, bit for bit (tests/test_battery.py
-# compares them with `.matrix`), in O(M).
+# compares them with `.matrix`), in O(1).
+
+
+def _step_runs(grid: GridSpec) -> tuple[tuple[float, int], ...]:
+    """sgn(-x) at the interior nodes h (j - M/2), in node order, as runs (value, length)."""
+    side = grid.M // 2 - 1
+    return (1.0, side), (0.0, 1), (-1.0, side)
 
 
 def _node_steps(grid: GridSpec) -> list[float]:
-    """sgn(-x) at the interior nodes h (j - M/2): M/2 - 1 ones, 0 at the
-    centre, M/2 - 1 minus ones, as floats, so that `verify` loads no numpy."""
-    side = grid.M // 2 - 1
-    return [1.0] * side + [0.0] + [-1.0] * side
+    """The step runs expanded, one float per interior node."""
+    return sum(([value] * length for value, length in _step_runs(grid)), [])
 
 
 def _swap_reflect_defect(coupling: CouplingPair, grid: GridSpec) -> float:
@@ -172,10 +176,17 @@ def _swap_reflect_defect(coupling: CouplingPair, grid: GridSpec) -> float:
     S H S has the blocks R K R on the diagonal and R (iY d) R, R (iZ d) R
     off it, swapped; H^dagger has K and conj(iY d), conj(iZ d).  K's bands
     are constant, so R K R = K exactly, and an entry a d of the step
-    differs from its image by |i a d(-x) - conj(i a d(x))| = |a d(-x) + a d(x)|.
+    differs from its image by |i a d(-x) - conj(i a d(x))| = |a d(-x) + a d(x)|:
+    each run of the step against each run of its reversal that it overlaps, O(1) in M.
     """
-    step = _node_steps(grid)
-    return max(abs(a * s + a * t) for a in (coupling.Y, coupling.Z) for s, t in zip(step[::-1], step))
+    spans, end = [], 0
+    for value, length in _step_runs(grid):
+        spans.append((value, end, end + length))
+        end += length
+    # the reversed step holds the run on [lo, hi) at [end - hi, end - lo)
+    return max(abs(a * s + a * t) for a in (coupling.Y, coupling.Z)
+               for s, lo, hi in spans for t, mirror_lo, mirror_hi in spans
+               if max(lo, end - mirror_hi) < min(hi, end - mirror_lo))
 
 
 def _spin_commutator_max(coupling: CouplingPair) -> float:
@@ -846,7 +857,7 @@ def _split(box, roots):
     return (re0, cut, reach), (cut, re1, reach)
 
 
-def group_degenerate(values):
+def _group_degenerate(values):
     """Cluster eigenvalues whose gaps are below PAIRING_RTOL * max(1, |E|).
 
     values is a list of numbers or an array (`eigenpairs`).  Returns a list
@@ -879,14 +890,14 @@ def compare_spectrum(analytic: Sequence[LevelSolution], eigenvalues, k: int, coa
 
     The one report of `oracle` and `verify`, from a list (`eigenvalues`)
     or an array (`eigenpairs`), without numpy.  The eigenvalues are
-    clustered into degenerate groups first (`group_degenerate`); each
+    clustered into degenerate groups first (`_group_degenerate`); each
     analytic level is matched against one cluster, which should be a
     doublet.  With a second, coarser eigenvalue set (half the intervals)
     the report adds Richardson convergence orders, expected near 2 for
     the central-difference rule.  Levels of a YZ < 0 coupling are refused
     (ModelDomainError): they are not this operator's levels.
     """
-    clusters = group_degenerate(eigenvalues)
+    clusters = _group_degenerate(eigenvalues)
     for level in analytic:
         _require_comparable(level.branch)
     if len(analytic) < k:
@@ -901,7 +912,7 @@ def compare_spectrum(analytic: Sequence[LevelSolution], eigenvalues, k: int, coa
                      "abs_err": abs_err, "rel_err": abs_err / max(1.0, abs(level.E))})
     report = {"levels": rows, "degeneracy_ok": all(row["multiplicity"] == 2 for row in rows)}
     if coarse_eigenvalues is not None:
-        coarse = group_degenerate(coarse_eigenvalues)
+        coarse = _group_degenerate(coarse_eigenvalues)
         if len(coarse) < k:
             raise ModelDomainError("coarse spectrum has too few clusters")
         errors = [(abs(value.real - level.E), row["abs_err"])

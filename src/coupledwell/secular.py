@@ -31,17 +31,11 @@ float overflow point, t sinh 2t exceeds any |s sin 2s|: g, g' and g''
 are then +inf, -inf and +inf, which reads as a merged pair, not as an
 error.
 
-The criticality search brackets the merger of pair k in closed form,
-from a coupling at which the pair is alive to one at which it has
-merged (see `critical_coupling`), and solves the double root g = g' = 0
-there (the merger, an exceptional point) by guarded Newton on the dip
-depth min_s g.  It then doubles the coupling from 1 and bisects the
-bracket that the doubling finds, and one predicate decides both: a
-coupling farther than _MERGER_WINDOW (relative) from the merger coupling
-c* is decided by comparison with c*; only couplings inside that window,
-at the float floor, take the walk.  The walk must first agree with c* at
-both ends of the window, or every coupling walks, so the returned
-bracket is the walk's own.
+The criticality search (`critical_coupling`) solves the double root
+g = g' = 0 of pair k, the merger (an exceptional point), by guarded
+Newton on the dip depth min_s g (`_merger`), then doubles and bisects
+the coupling, which takes the walk only within _MERGER_WINDOW of the
+merger coupling c* and is decided by c* farther out.
 
 Each root is solved and stored as its offset eps: with
 s = (n+1) pi/2 + (-1)^n eps, sin 2s = -sin 2eps and g = t sinh(2t) -
@@ -283,7 +277,7 @@ def _merger(k: int, lo: float, hi: float) -> tuple[float, float, int]:
 
         evaluations += 2
         s = b if _slope(b, c) < 0.0 else newton_in_bracket(fall, half, b, s)[1]
-        depth = residual(s, c)
+        depth = _value(s, c)
         if not depth < 0.0:
             merged = c, s
         if not newton:
@@ -306,37 +300,31 @@ def _first_order(n: int, product: float) -> float:
     return 2.0 * product / ((n + 1) ** 3 * math.pi**3)
 
 
-def _eps_bracket(
-    s0: float, sign: float, c: float, x: float, top: float
-) -> tuple[float, float, int, tuple[float, float, float, float] | None]:
+def _eps_bracket(s0: float, sign: float, c: float, x: float, top: float) -> tuple[float, float, int]:
     """Adjacent floats lo < hi in [0, top] with g(lo) > 0 >= g(hi), for
     g(eps) = t sinh 2t - s sin 2eps at s = s0 + sign eps (s sin 2s + t sinh 2t
-    with sin 2s = -sin 2eps), by Newton from x with dg/deps = sign dg/ds;
-    the evaluations of g spent; and (s, t, t sinh 2t, s sin 2eps) at the
-    end 0.5 (lo + hi) that becomes eps, as the loop computed them, or None
-    where that end is 0 or top, which the loop never samples.  The rules
-    of `newton_in_bracket`, its gallop past a converged iterate included,
-    in one loop: g and its step share t and sinh 2t, and no callback runs."""
+    with sin 2s = -sin 2eps), by Newton from x with dg/deps = sign dg/ds,
+    and the evaluations of g spent.  The rules of `newton_in_bracket`, its
+    gallop past a converged iterate included, in one loop: g and its step
+    share t and sinh 2t, and no callback runs."""
     lo, hi, evaluations = 0.0, top, 0
-    at_lo = at_hi = None
     newton, last, before_last = True, math.inf, math.inf
     reach = 0.0  # the probe's offset from Newton's last point, 0.0 outside the gallop
     while True:
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
-                return lo, hi, evaluations, at_lo if x == lo else at_hi
+                return lo, hi, evaluations
         evaluations += 1
         s = s0 + sign * x
         t = c / (2.0 * s)
         u = 2.0 * t
         sinh = math.sinh(u)
-        tail, swing = t * sinh, s * math.sin(2.0 * x)
-        value = tail - swing
+        value = t * sinh - s * math.sin(2.0 * x)
         if value > 0.0:
-            lo, at_lo = x, (s, t, tail, swing)
+            lo = x
         else:
-            hi, at_hi = x, (s, t, tail, swing)
+            hi = x
         if not newton:
             if reach and (x == lo) == (reach > 0.0):  # the probe kept the iterate's sign
                 x += reach
@@ -381,20 +369,17 @@ def _level_at(n: int, c: float, p: float | None) -> LevelSolution:
     sign = -1.0 if n % 2 else 1.0
     # g(0) = t sinh 2t > 0 and g(eps_p) < 0 for either root of the pair
     top = sign * (p - s0)
-    lo, hi, _, at = _eps_bracket(s0, sign, c, _first_order(n, c * c), top)
+    lo, hi, _ = _eps_bracket(s0, sign, c, _first_order(n, c * c), top)
     if hi == top:  # g(top) > 0: the negative window is below the rounding of g
         s = s0 + sign * top
         t = c / (2.0 * s)
         if t * math.sinh(2.0 * t) - s * math.sin(2.0 * top) > 0.0:
             raise RootLostError(n, c)
     eps = 0.5 * (lo + hi)
-    if at is None:
-        s = s0 + sign * eps
-        t = c / (2.0 * s)
-        tail, swing = t * math.sinh(2.0 * t), s * math.sin(2.0 * eps)
-    else:  # the bracket's own values at eps: g is not evaluated again
-        s, t, tail, swing = at
-    res = abs(tail - swing)  # |g(eps)|, the same operations
+    s = s0 + sign * eps
+    t = c / (2.0 * s)
+    tail, swing = t * math.sinh(2.0 * t), s * math.sin(2.0 * eps)
+    res = abs(tail - swing)  # |g(eps)|
     scale = max(1.0, tail + abs(swing))
     if res > RESIDUAL_RTOL * scale:
         raise NumericalFailureError(

@@ -25,7 +25,6 @@ from coupledwell import (
     doublet_family,
     eigenpairs,
     first_complex_bracket,
-    group_degenerate,
     inverse_identity_defect,
     mode_hamiltonian,
     mode_spin,
@@ -34,10 +33,9 @@ from coupledwell import (
     solve_coefficients,
     solve_level,
     spectrum,
-    spin_operator,
 )
-from coupledwell.oracle import _cut
-from test_doublet_reference import apply_theta, discrete_theta
+from coupledwell.oracle import _cut, _group_degenerate
+from test_doublet_reference import apply_theta, discrete_theta, spin_block
 
 C_CRIT_PAIR0 = 4.475308602193255
 
@@ -114,11 +112,11 @@ def test_criterion_05_oracle_spectrum_agreement():
             a, b = fine[2 * i], fine[2 * i + 1]
             assert abs(a - b) < 1e-6
             assert abs(a.real - levels[i].E) / levels[i].E <= 5e-3
-        clusters = group_degenerate(fine)
+        clusters = _group_degenerate(fine)
         assert [m for _, m in clusters] == [2, 2, 2, 2]
         for i in range(4):
             err_f = abs(clusters[i][0].real - levels[i].E)
-            coarse_clusters = group_degenerate(coarse)
+            coarse_clusters = _group_degenerate(coarse)
             err_c = abs(coarse_clusters[i][0].real - levels[i].E)
             assert abs(math.log2(err_c / err_f) - 2.0) <= 0.2
         assert time.monotonic() - start < 30.0
@@ -180,7 +178,7 @@ def test_criterion_09_structural_identities():
         for y, z in [(1.5, 1.5), (1.0, 4.0)]:
             grid = GridSpec(32)
             h = build_hamiltonian(CouplingPair(y, z), grid).matrix
-            omega = np.kron(spin_operator(CouplingPair(y, z)).matrix, np.eye(grid.n_interior))
+            omega = np.kron(spin_block(CouplingPair(y, z)), np.eye(grid.n_interior))
             assert np.abs(h @ omega - omega @ h).max() == 0.0
         # the reality guard runs on every eigensolve, also above critical
         eigenpairs(build_hamiltonian(CouplingPair(25.0, 25.0), GridSpec(64)), 4)

@@ -30,13 +30,12 @@ from coupledwell import (
     mode_spin,
     perturbative_eps,
     quasi_hermiticity_defect,
-    spin_operator,
     verify,
 )
 from coupledwell.cli import main
 from coupledwell.oracle import _spin_commutator_max, _swap_reflect_defect
 from coupledwell.wavefunctions import channel_weights, phi_bilinear_product
-from test_doublet_reference import discrete_theta
+from test_doublet_reference import discrete_theta, spin_block
 
 
 def records(checks):
@@ -162,7 +161,7 @@ def test_band_structure_checks_are_the_dense_ones(M, Y, Z):
     rep = build_hamiltonian(CouplingPair(Y, Z), GridSpec(M))
     h = rep.matrix
     swap = discrete_theta(rep.grid).matrix
-    omega = np.kron(spin_operator(rep.coupling).matrix, np.eye(rep.dim // 2))
+    omega = np.kron(spin_block(rep.coupling), np.eye(rep.dim // 2))
     assert _swap_reflect_defect(rep.coupling, rep.grid) == np.max(np.abs(swap @ h @ swap - h.conj().T)) == 0.0
     assert _spin_commutator_max(rep.coupling) == np.max(np.abs(h @ omega - omega @ h))
 
@@ -196,6 +195,19 @@ def test_battery_builds_no_dense_matrix(monkeypatch):
     assert by_name["discrete swap-reflect pseudo-Hermiticity defect"] == 0.0
     assert by_name["discrete commutator [H, spin] max"] == 0.0
     assert by_name["oracle lowest eigenvalues |Im| max"] == 0.0
+
+
+def test_battery_expands_no_step(monkeypatch):
+    # the structure rows read the step by its three runs: at M = 2^22 no
+    # list of its 4 million node values is built
+    from coupledwell import oracle
+
+    def refuse(grid):
+        raise AssertionError("the battery expanded the step node by node")
+
+    monkeypatch.setattr(oracle, "_node_steps", refuse)
+    checks = verify(CouplingPair(1.0, 4.0), 4, GridSpec(2**22))
+    assert [check.name for check in checks if not check.passed] == []
 
 
 RATIO = "perturbation order-2/order-1 error ratio"

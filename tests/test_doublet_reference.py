@@ -45,6 +45,7 @@ from coupledwell import (
     solve_coefficients,
     solve_level,
 )
+from coupledwell._weights import spin_ratio
 from coupledwell.metric import (MIN_ROOT_PRODUCT, _shared_coupling, simpson_rule,
                                sine_product_integrals)
 from coupledwell.model import OperatorRep, RepBasis, as_index, check_points
@@ -67,6 +68,14 @@ def biorthogonal_overlap(left, state):
     wu_r, wl_r = channel_weights(state.sigma, state.Y, state.Z)
     factor = left.q * (wl_l * wu_r + wu_l * wl_r)
     return factor * phi_bilinear_product(ls, state)
+
+
+def spin_block(coupling):
+    # the dense 2x2 spin block [[0, r], [1/r, 0]] with r = sqrt(Z/Y) from
+    # _weights.spin_ratio, the block's one body in the package, which refuses
+    # every coupling but Y > 0 and Z > 0 and a ratio out of the float range
+    ratio = spin_ratio(coupling)
+    return np.array([[0.0, ratio], [1.0 / ratio, 0.0]])
 
 
 def phi_sesquilinear_product(state_a, state_b):

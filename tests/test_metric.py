@@ -39,7 +39,6 @@ from coupledwell import (
     quasi_parity,
     solve_coefficients,
     solve_level,
-    spin_operator,
 )
 from coupledwell.metric import sine_product_integrals
 from coupledwell.wavefunctions import sine_product_integral
@@ -53,6 +52,7 @@ from test_doublet_reference import (
     quadrature_overlap,
     reference_sample,
     reference_spectral_sum,
+    spin_block,
 )
 
 UNIT = CouplingPair(1.0, 1.0)
@@ -439,12 +439,12 @@ def test_biorthogonality_matrix_validation():
 
 
 def test_spin_operator_entries():
-    assert np.array_equal(spin_operator(UNIT).matrix, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    omega = spin_operator(CouplingPair(1.0, 4.0)).matrix
+    assert np.array_equal(spin_block(UNIT), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    omega = spin_block(CouplingPair(1.0, 4.0))
     assert np.array_equal(omega, np.array([[0.0, 2.0], [0.5, 0.0]]))
     assert np.array_equal(omega @ omega, np.eye(2))
     with pytest.raises(ModelDomainError):
-        spin_operator(CouplingPair(0.0, 1.0))
+        spin_block(CouplingPair(0.0, 1.0))
 
 
 @pytest.mark.parametrize("Y, Z", [(1e305, 1e-316), (1e-316, 1e305), (1e308, 1e-318),
@@ -453,10 +453,10 @@ def test_spin_operator_refuses_entries_out_of_the_float_range(Y, Z):
     # sqrt(Z/Y) or sqrt(Y/Z) overflows, or is so small that its inverse does
     with pytest.raises(ModelDomainError,
                        match=r"^spin block entry sqrt\(Z/Y\) = .* or its inverse overflows$"):
-        spin_operator(CouplingPair(Y, Z))
+        spin_block(CouplingPair(Y, Z))
     # at Y/Z = 1e+-600 both entries are normal floats, and their product is 1
     for pair in (CouplingPair(1e300, 1e-300), CouplingPair(1e-300, 1e300)):
-        omega = spin_operator(pair).matrix
+        omega = spin_block(pair)
         assert np.all(np.isfinite(omega))
         assert abs(omega[0, 1] * omega[1, 0] - 1.0) <= 2.0 * np.finfo(float).eps
 
@@ -466,14 +466,14 @@ def test_spin_commutes_with_discrete_hamiltonian():
         pair = CouplingPair(y, z)
         grid = GridSpec(32)
         h = build_hamiltonian(pair, grid).matrix
-        omega = np.kron(spin_operator(pair).matrix, np.eye(grid.n_interior))
+        omega = np.kron(spin_block(pair), np.eye(grid.n_interior))
         assert np.abs(omega @ h - h @ omega).max() == 0.0
 
 
 def test_spin_conjugated_by_swap_reflect_gives_adjoint():
     pair = CouplingPair(1.0, 4.0)
     grid = GridSpec(16)
-    omega = np.kron(spin_operator(pair).matrix, np.eye(grid.n_interior))
+    omega = np.kron(spin_block(pair), np.eye(grid.n_interior))
     s = discrete_theta(grid).matrix
     assert np.abs(s @ omega @ s - omega.conj().T).max() == 0.0
 

@@ -15,7 +15,6 @@ from coupledwell import (
     OperatorRep,
     RepBasis,
     build_hamiltonian,
-    classify_branch,
     doublet_family,
     evaluate,
 )
@@ -24,10 +23,10 @@ from coupledwell.oracle import _swap_reflect_defect
 
 
 def test_branch_classification():
-    assert classify_branch(1.0, 4.0) is BranchClass.POSITIVE_PRODUCT
-    assert classify_branch(1.0, -1.0) is BranchClass.NEGATIVE_PRODUCT
-    assert classify_branch(0.0, 3.0) is BranchClass.DECOUPLED
-    assert classify_branch(0.0, 0.0) is BranchClass.DECOUPLED
+    assert CouplingPair(1.0, 4.0).branch is BranchClass.POSITIVE_PRODUCT
+    assert CouplingPair(1.0, -1.0).branch is BranchClass.NEGATIVE_PRODUCT
+    assert CouplingPair(0.0, 3.0).branch is BranchClass.DECOUPLED
+    assert CouplingPair(0.0, 0.0).branch is BranchClass.DECOUPLED
     assert CouplingPair(2.0, 0.5).branch is BranchClass.POSITIVE_PRODUCT
     assert CouplingPair(3.0, 0.0).branch is BranchClass.DECOUPLED
     # from the signs, where the float product YZ under- or overflows

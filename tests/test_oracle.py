@@ -36,13 +36,12 @@ from coupledwell import (
     doublet_family,
     eigenpairs,
     first_complex_bracket,
-    group_degenerate,
     inverse_theta_metric,
     spectrum,
     subspace_alignment,
 )
 from coupledwell._ranges import _arange
-from coupledwell.oracle import _cut
+from coupledwell.oracle import _cut, _group_degenerate
 from test_doublet_reference import discrete_theta
 
 UNIT = CouplingPair(1.0, 1.0)
@@ -245,7 +244,8 @@ def test_swap_reflect_symmetry_holds_by_construction(half_m):
 
 def test_node_steps_are_the_sign_of_minus_x_at_every_grid():
     # the one body of the step, as floats and as the band: sgn(-x) at the
-    # interior nodes byte for byte, the centre's +0.0 included
+    # interior nodes byte for byte, the centre's +0.0 included; the defect,
+    # which pairs the step's runs, reads +0.0 bit for bit
     def bits(values):
         return np.asarray(values, dtype=float).view(np.uint64)
 
@@ -254,6 +254,33 @@ def test_node_steps_are_the_sign_of_minus_x_at_every_grid():
         expected = bits(np.sign(-grid.interior_nodes))
         assert np.array_equal(bits(coupledwell.oracle._node_steps(grid)), expected)
         assert np.array_equal(bits(build_hamiltonian(UNIT, grid).step), expected)
+        for coupling in (CouplingPair(1.0, 4.0), CouplingPair(1e300, -1e-300)):
+            defect = coupledwell.oracle._swap_reflect_defect(coupling, grid)
+            assert struct.pack("d", defect) == struct.pack("d", 0.0), (M, coupling)
+
+
+def _dense_swap_reflect_defect(coupling, grid):
+    # the defect node by node, max |a d(-x) + a d(x)| over both couplings a
+    step = np.array(coupledwell.oracle._node_steps(grid))
+    return max(float(np.max(np.abs(a * step[::-1] + a * step))) for a in (coupling.Y, coupling.Z))
+
+
+@pytest.mark.parametrize("runs", [
+    lambda side: ((1.0, side + 1), (0.0, 1), (-1.0, side - 1)),
+    lambda side: ((1.0, side), (0.5, 1), (-1.0, side)),
+    lambda side: ((1.0, side), (0.0, 1), (-0.5, side)),
+    lambda side: ((1.0, 2), (0.5, side - 2), (0.0, 1), (-1.0, side)),
+    lambda side: ((1.0, side), (0.0, 1), (-1.0, side - 2), (1.0, 2)),
+], ids=["centre-off-by-a-node", "nonzero-centre", "unequal-sides", "a-fourth-run", "last-two-flipped"])
+@pytest.mark.parametrize("M", [8, 10, 98, 4096])
+def test_swap_reflect_defect_reads_runs_that_are_not_mirrored(monkeypatch, runs, M):
+    # a step whose runs are not each other's mirror images must not read 0:
+    # the row is the node-by-node defect of the patched step, bit for bit
+    monkeypatch.setattr(coupledwell.oracle, "_step_runs", lambda grid: runs(grid.M // 2 - 1))
+    coupling, grid = CouplingPair(1.0, 4.0), GridSpec(M)
+    defect = coupledwell.oracle._swap_reflect_defect(coupling, grid)
+    assert defect > 0.0
+    assert defect == _dense_swap_reflect_defect(coupling, grid)
 
 
 def test_reduced_solve_at_large_grid():
@@ -356,9 +383,9 @@ def test_above_critical_spectrum_is_complex_but_paired():
 
 def test_group_degenerate_clusters():
     vals = np.array([1.0, 1.0 + 1e-9, 4.0, 9.0, 9.0 + 2e-8])
-    clusters = group_degenerate(vals)
+    clusters = _group_degenerate(vals)
     assert [mult for _, mult in clusters] == [2, 1, 2]
-    assert group_degenerate(np.array([])) == []
+    assert _group_degenerate(np.array([])) == []
 
 
 def test_compare_spectrum_matches_analytic_levels():
@@ -394,13 +421,13 @@ NUMPY_FREE_REPORT_SCRIPT = """
 import json, sys
 sys.modules["numpy"] = None
 from coupledwell import CouplingPair, spectrum
-from coupledwell.oracle import compare_spectrum, group_degenerate
+from coupledwell.oracle import _group_degenerate, compare_spectrum
 
 fine, coarse = ([complex(*v) for v in values] for values in json.loads(sys.stdin.read()))
 levels = spectrum(CouplingPair(1.0, 4.0), 3).levels
 print(json.dumps([repr(compare_spectrum(levels, fine, 4)),
                   repr(compare_spectrum(levels, fine, 4, coarse)),
-                  repr(group_degenerate(fine + [complex(1e3, -0.0)]))]))
+                  repr(_group_degenerate(fine + [complex(1e3, -0.0)]))]))
 """
 
 
@@ -415,8 +442,8 @@ def test_compare_spectrum_runs_without_numpy_on_a_list():
     lone = np.append(fine, complex(1e3, -0.0))
     expected = [repr(compare_spectrum(levels, fine, 4)),
                 repr(compare_spectrum(levels, fine, 4, coarse)),
-                repr(group_degenerate(lone))]
-    singleton = group_degenerate(lone)[-1][0]
+                repr(_group_degenerate(lone))]
+    singleton = _group_degenerate(lone)[-1][0]
     assert singleton == 1e3 and math.copysign(1.0, singleton.imag) == math.copysign(
         1.0, complex(np.mean(lone[-1:])).imag)
     root = pathlib.Path(__file__).resolve().parent.parent

@@ -36,12 +36,11 @@ from coupledwell import (
     solve_coefficients,
     solve_level,
     spectrum,
-    spin_operator,
     verify,
 )
 from coupledwell.cli import main
 from coupledwell.wavefunctions import channel_weights
-from test_doublet_reference import biorthogonal_overlap
+from test_doublet_reference import biorthogonal_overlap, spin_block
 
 # keep sqrt(YZ) <= 4, safely below the lowest merger at 4.4753
 amplitudes = st.floats(min_value=0.05, max_value=4.0,
@@ -265,7 +264,7 @@ def test_battery_passes_over_the_channel_ratio_range(log_c, u, n_levels):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         checks = verify(pair, n_levels, GridSpec(64))
-        omega = spin_operator(pair).matrix
+        omega = spin_block(pair)
     assert [check.name for check in checks if not check.passed] == []
     assert np.all(np.isfinite(omega))
     assert np.abs(omega @ omega - np.eye(2)).max() <= 2.0 * np.finfo(float).eps

@@ -21,9 +21,8 @@ from coupledwell import (
     quasi_parity,
     solve_coefficients,
     solve_level,
-    spin_operator,
 )
-from test_doublet_reference import phi_derivative, quadrature_overlap
+from test_doublet_reference import phi_derivative, quadrature_overlap, spin_block
 
 UNIT = CouplingPair(1.0, 1.0)
 DECOUPLED = CouplingPair(0.0, 0.0)
@@ -226,7 +225,7 @@ def test_level_with_a_nan_coordinate_is_refused():
 
 def test_spin_action_is_pointwise_eigenvalue():
     pair = CouplingPair(1.0, 4.0)
-    omega = spin_operator(pair).matrix
+    omega = spin_block(pair)
     xs = np.linspace(-0.99, 0.99, 41)
     for sigma in (+1, -1):
         state = _state(0, pair, sigma)
