@@ -1,17 +1,20 @@
 """Safeguarded Newton for a real root in a sign bracket, shared by the
-closed form's merger search (`secular._merger`) and the oracle's real
-roots (`oracle._TwoRegionBlock._bracketed_root`), which stays independent
-of the closed form.  The ε solve of each level (`secular._eps_bracket`)
-runs its own copy of these rules in one loop, and the walk onto the cell
-minimum (`secular._negative_point`) its own guarded Newton loop: the call
-overhead is the reason.  Through this helper, with a callback that shares
-t and sinh 2t between g and its step as the loop does (the same brackets
-and counts, bit for bit), a 40-level `spectrum` at (Y, Z) = (1, 4) and a
-25-level one at (2, 1.5) took 375 us against 306 us inline (medians of
-400 rounds in the quietest of 10 interleaved process pairs, Xeon, CPython
-3.11; 17-28% slower in every pair's minimum), and the walk cost
-`critical_coupling` ~30%.  The rules, Dekker/Brent-style (R. P. Brent,
-Algorithms for Minimization without Derivatives, 1973):
+closed form's merger search on the coupling (`secular._merger`) and the
+oracle's real roots (`oracle._TwoRegionBlock._bracketed_root`), which
+stays independent of the closed form.  Two closed-form loops run their
+own copies of these rules, the ε solve of each level (`secular._level_at`)
+and the cell minimum at each coupling the merger search samples
+(`secular._cell_minimum`); the walk onto the cell minimum
+(`secular._negative_point`) runs a guarded Newton loop of its own.  The
+call overhead is the reason: through this helper, with callbacks that
+form the same terms as the loops (the same brackets and counts, bit for
+bit), a 40-level `spectrum` at (Y, Z) = (1, 4) plus a 25-level one at
+(2, 1.5) took 331-341 us against 252-257 us inline, and
+`critical_coupling` of pairs 0-7 at tol=1e-6 290-291 us against
+259-261 us (medians of 100 rounds, both forms interleaved in one
+process, in each of 3 runs; Xeon, CPython 3.11).  The rules,
+Dekker/Brent-style (R. P. Brent, Algorithms for Minimization without
+Derivatives, 1973):
 
 1. a step that leaves the open bracket is replaced by its midpoint;
 2. Newton ends once a step is within 2 ulp of the iterate, or at least

@@ -67,8 +67,11 @@ RESIDUAL_RTOL = 1e-12  # |g| at a root, relative to max(1, |t sinh 2t| + |s sin 
 DEFAULT_CRITICAL_TOL = 1e-3
 MAX_LEVEL = 2 * (int(2**51 / math.pi) - 1) + 1  # pair cells end below 2^51: floats 1/4 apart
 MAX_PAIR = int(2**28 / math.pi) - 1  # cells end below 2^28: c_merger within 4 ulp
-_LEVEL_INDEX = f"level index must be an integer in [0, {MAX_LEVEL}]"  # formatted once, not per level
+_LEVEL_INDEX = f"level index must be an integer in [0, {MAX_LEVEL}]"  # formatted once, not per call
 _CELL_INDEX = f"pair_index must be an integer in [0, {MAX_LEVEL // 2}]"
+_N_MAX = f"n_max must be an integer in [0, {MAX_LEVEL}]"
+_PAIR_INDEX = f"pair_index must be an integer in [0, {MAX_PAIR}]"
+_PI_CUBED = math.pi**3
 _MERGER_WINDOW = 1e-12  # relative half-width about c* inside which the bisection walks
 
 
@@ -87,8 +90,9 @@ class LevelSolution:
     signature: that one stores each field through object.__setattr__,
     the cost of a frozen dataclass, and took 1.38 us per record against
     0.50 us for these stores into __dict__ (CPython 3.11), where a level
-    takes ~6 us to solve.  Equality, hash, repr, `dataclasses.replace`
-    and pickling are the dataclass's own.
+    of a 40-level `spectrum` at c = 0.5 to 4 takes ~3.9 us to solve.
+    Equality, hash, repr, `dataclasses.replace` and pickling are the
+    dataclass's own.
     """
 
     n: int
@@ -166,25 +170,13 @@ def _value(s: float, c: float) -> float:
 
 
 def _slope(s: float, c: float) -> float:
-    """dg/ds = sin 2s + 2s cos 2s - (t/s)(sinh 2t + 2t cosh 2t)."""
-    return _slope_curvature(s, c)[0]
-
-
-def _slope_curvature(s: float, c: float) -> tuple[float, float]:
-    """dg/ds (see `_slope`) and d2g/ds2 = 4 cos 2s - 4s sin 2s +
-    (2t/s^2)((1 + 2t^2) sinh 2t + 4t cosh 2t), from one t, sinh 2t,
-    cosh 2t, sin 2s and cos 2s; -inf and +inf past overflow."""
+    """dg/ds = sin 2s + 2s cos 2s - (t/s)(sinh 2t + 2t cosh 2t); -inf past overflow."""
     t = c / (2.0 * s)
     u, v = 2.0 * t, 2.0 * s
-    sin, cos = math.sin(v), math.cos(v)
     try:
-        sinh, cosh = math.sinh(u), math.cosh(u)
+        return math.sin(v) + v * math.cos(v) - (t / s) * (math.sinh(u) + u * math.cosh(u))
     except OverflowError:
-        return -math.inf, math.inf
-    return (
-        sin + v * cos - (t / s) * (sinh + u * cosh),
-        4.0 * (cos - s * sin) + (u / (s * s)) * ((1.0 + u * t) * sinh + 4.0 * t * cosh),
-    )
+        return -math.inf
 
 
 def _lift(s: float, c: float) -> float:
@@ -208,7 +200,10 @@ def _negative_point(k: int, c: float) -> tuple[float | None, int]:
 
     Walks by guarded Newton steps on dg/ds over the upper half of the
     cell, which holds the single minimum of g, and stops at the first
-    sample below zero.
+    sample below zero.  A step forms g, g' (see `_slope`) and
+    g'' = 4 cos 2s - 4s sin 2s + (2t/s^2)((1 + 2t^2) sinh 2t + 4t cosh 2t)
+    from one t, sin 2s and sinh 2t, with cos 2s and cosh 2t once g >= 0;
+    g' and g'' read -inf and +inf past overflow.
     """
     a, b = (2 * k + 1) * math.pi / 2.0, (2 * k + 2) * math.pi / 2.0  # pair_interval(k)
     lo, hi = 0.5 * (a + b), b
@@ -217,10 +212,20 @@ def _negative_point(k: int, c: float) -> tuple[float | None, int]:
     evaluations = 0
     while lo < s < hi:
         evaluations += 1
-        if _value(s, c) < 0.0:
-            return s, evaluations
+        t = c / (2.0 * s)
+        u, v = 2.0 * t, 2.0 * s
+        sin = math.sin(v)
+        try:  # _value(s, c), then g' and g''
+            sinh = math.sinh(u)
+            if s * sin + t * sinh < 0.0:
+                return s, evaluations
+            cos, cosh = math.cos(v), math.cosh(u)
+        except OverflowError:
+            slope, curve = -math.inf, math.inf
+        else:
+            slope = sin + v * cos - (t / s) * (sinh + u * cosh)
+            curve = 4.0 * (cos - s * sin) + (u / (s * s)) * ((1.0 + u * t) * sinh + 4.0 * t * cosh)
         evaluations += 2
-        slope, curve = _slope_curvature(s, c)
         if slope < 0.0:
             lo = s
         else:
@@ -237,6 +242,55 @@ def _negative_point(k: int, c: float) -> tuple[float | None, int]:
                     return None, evaluations
             s = 0.5 * (lo + hi)
     return None, evaluations
+
+
+def _cell_minimum(lo: float, hi: float, c: float, x: float) -> tuple[float, int]:
+    """The cell minimum of g at the coupling c, the first float of
+    (lo, hi] at which g' reads >= 0, by Newton on g' with g'' from x, and
+    the evaluations of g' and g'' spent: the rules of `newton_in_bracket`
+    on -g', in one loop that runs no callback."""
+    newton, last, before_last, evaluations = True, math.inf, math.inf, 0
+    reach = 0.0  # the probe's offset from Newton's last point, 0.0 outside the gallop
+    while True:
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return hi, evaluations
+        evaluations += 2 if newton else 1
+        t = c / (2.0 * x)
+        u, v = 2.0 * t, 2.0 * x
+        sin, cos = math.sin(v), math.cos(v)
+        try:  # g' and g'' as in `_negative_point`
+            sinh, cosh = math.sinh(u), math.cosh(u)
+        except OverflowError:
+            slope, curve = -math.inf, math.inf
+        else:
+            slope = sin + v * cos - (t / x) * (sinh + u * cosh)
+            if newton:
+                curve = 4.0 * (cos - x * sin) + (u / (x * x)) * (
+                    (1.0 + u * t) * sinh + 4.0 * t * cosh)
+        if slope < 0.0:
+            lo = x
+        else:
+            hi = x
+        if not newton:
+            if reach and (x == lo) == (reach > 0.0):  # the probe kept the iterate's sign
+                x += reach
+                reach *= 2.0
+            else:
+                reach = 0.0
+                x = 0.5 * (lo + hi)
+            continue
+        size = abs(step := slope / curve)
+        if size <= 2.0 * math.ulp(x):
+            newton = False
+            reach = math.nextafter(x, hi if x == lo else lo) - x
+            x += reach
+        elif size >= 0.5 * before_last:
+            newton = False
+            x += (1.0 if x == lo else -1.0) * (size + 4.0 * math.ulp(x))
+        elif lo < (x := x - step) < hi:
+            last, before_last = size, last
 
 
 def _merger(k: int, lo: float, hi: float) -> tuple[float, float, int]:
@@ -265,18 +319,12 @@ def _merger(k: int, lo: float, hi: float) -> tuple[float, float, int]:
 
     def dip(c: float, newton: bool):  # -m(c), > 0 while the pair is alive
         nonlocal s, merged, evaluations
-
-        def fall(x: float, newton: bool):  # -g', > 0 below the minimum
-            nonlocal evaluations
-            if not newton:
-                evaluations += 1
-                return -_slope(x, c), None
-            evaluations += 2
-            slope, curve = _slope_curvature(x, c)
-            return -slope, slope / curve
-
         evaluations += 2
-        s = b if _slope(b, c) < 0.0 else newton_in_bracket(fall, half, b, s)[1]
+        if _slope(b, c) < 0.0:
+            s = b
+        else:
+            s, spent = _cell_minimum(half, b, c, s)
+            evaluations += spent
         depth = _value(s, c)
         if not depth < 0.0:
             merged = c, s
@@ -297,34 +345,66 @@ def _merger(k: int, lo: float, hi: float) -> tuple[float, float, int]:
 
 def _first_order(n: int, product: float) -> float:
     """First-order eps_n, 2 YZ / ((n+1)^3 pi^3)."""
-    return 2.0 * product / ((n + 1) ** 3 * math.pi**3)
+    return 2.0 * product / ((n + 1) ** 3 * _PI_CUBED)
 
 
-def _eps_bracket(s0: float, sign: float, c: float, x: float, top: float) -> tuple[float, float, int]:
-    """Adjacent floats lo < hi in [0, top] with g(lo) > 0 >= g(hi), for
-    g(eps) = t sinh 2t - s sin 2eps at s = s0 + sign eps (s sin 2s + t sinh 2t
-    with sin 2s = -sin 2eps), by Newton from x with dg/deps = sign dg/ds,
-    and the evaluations of g spent.  The rules of `newton_in_bracket`, its
-    gallop past a converged iterate included, in one loop: g and its step
-    share t and sinh 2t, and no callback runs."""
-    lo, hi, evaluations = 0.0, top, 0
-    newton, last, before_last = True, math.inf, math.inf
+def _positive_levels(c: float, count: int):
+    """Levels 0..count-1 at the coupling root c > 0, in order: one walk
+    of each pair cell serves both of its roots.  Raises RootLostError at
+    the first level of a merged pair."""
+    for n in range(count):
+        if not n % 2:
+            p = _negative_point(n // 2, c)[0]
+        yield _level_at(n, c, p)[0]
+
+
+def _eps_sample(s0: float, sign: float, c: float, eps: float) -> tuple[float, float, float, float]:
+    """s, t, t sinh 2t and s sin 2eps at s = s0 + sign eps."""
+    s = s0 + sign * eps
+    t = c / (2.0 * s)
+    return s, t, t * math.sinh(2.0 * t), s * math.sin(2.0 * eps)
+
+
+def _level_at(n: int, c: float, p: float | None) -> tuple[LevelSolution, int]:
+    """Level n, given a point p of its pair cell where g < 0 (None once
+    the pair has merged), and the evaluations of g its eps solve spent.
+
+    The eps solve ends on adjacent floats lo < hi in [0, top] with
+    g(lo) > 0 >= g(hi), for g(eps) = t sinh 2t - s sin 2eps at
+    s = s0 + sign eps (s sin 2s + t sinh 2t with sin 2s = -sin 2eps), by
+    Newton from the first-order eps with dg/deps = sign dg/ds.  It runs
+    the rules of `newton_in_bracket`, its gallop past a converged iterate
+    included, in one loop: g and its step share t and sinh 2t, which are
+    kept with dg/ds while s stays the same float, no callback runs, and
+    the level takes s, t and |g| from the sample at the end it returns."""
+    if p is None:
+        raise RootLostError(n, c)
+    s0 = (n + 1) * math.pi / 2.0
+    sign = -1.0 if n % 2 else 1.0
+    # g(0) = t sinh 2t > 0 and g(eps_p) < 0 for either root of the pair
+    lo, hi, x = 0.0, sign * (p - s0), _first_order(n, c * c)
+    at_lo = at_hi = None  # (s, t, t sinh 2t, s sin 2eps) sampled at lo, at hi
+    newton, last, before_last, evaluations = True, math.inf, math.inf, 0
     reach = 0.0  # the probe's offset from Newton's last point, 0.0 outside the gallop
+    s_tail, slope = 0.0, None  # the s of t, sinh 2t and t sinh 2t; dg/ds there, once formed
     while True:
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
-                return lo, hi, evaluations
+                break
         evaluations += 1
         s = s0 + sign * x
-        t = c / (2.0 * s)
-        u = 2.0 * t
-        sinh = math.sinh(u)
-        value = t * sinh - s * math.sin(2.0 * x)
-        if value > 0.0:
-            lo = x
+        if s != s_tail:
+            s_tail, slope = s, None
+            t = c / (2.0 * s)
+            u = 2.0 * t
+            sinh = math.sinh(u)
+            tail = t * sinh
+        swing = s * math.sin(2.0 * x)
+        if (value := tail - swing) > 0.0:
+            lo, at_lo = x, (s, t, tail, swing)
         else:
-            hi = x
+            hi, at_hi = x, (s, t, tail, swing)
         if not newton:
             if reach and (x == lo) == (reach > 0.0):  # the probe kept the iterate's sign
                 x += reach
@@ -333,11 +413,12 @@ def _eps_bracket(s0: float, sign: float, c: float, x: float, top: float) -> tupl
                 reach = 0.0
                 x = 0.5 * (lo + hi)
             continue
-        v = 2.0 * s
-        try:  # _slope(s, c)
-            slope = math.sin(v) + v * math.cos(v) - (t / s) * (sinh + u * math.cosh(u))
-        except OverflowError:
-            slope = -math.inf
+        if slope is None:
+            v = 2.0 * s
+            try:  # _slope(s, c)
+                slope = math.sin(v) + v * math.cos(v) - (t / s) * (sinh + u * math.cosh(u))
+            except OverflowError:
+                slope = -math.inf
         size = abs(step := sign * value / slope)
         if size <= 2.0 * math.ulp(x):
             newton = False
@@ -348,45 +429,26 @@ def _eps_bracket(s0: float, sign: float, c: float, x: float, top: float) -> tupl
             x += (1.0 if x == lo else -1.0) * (size + 4.0 * math.ulp(x))
         elif lo < (x := x - step) < hi:
             last, before_last = size, last
-
-
-def _positive_levels(c: float, count: int):
-    """Levels 0..count-1 at the coupling root c > 0, in order: one walk
-    of each pair cell serves both of its roots.  Raises RootLostError at
-    the first level of a merged pair."""
-    for n in range(count):
-        if not n % 2:
-            p = _negative_point(n // 2, c)[0]
-        yield _level_at(n, c, p)
-
-
-def _level_at(n: int, c: float, p: float | None) -> LevelSolution:
-    """Level n, given a point p of its pair cell where g < 0 (None once
-    the pair has merged)."""
-    if p is None:
-        raise RootLostError(n, c)
-    s0 = (n + 1) * math.pi / 2.0
-    sign = -1.0 if n % 2 else 1.0
-    # g(0) = t sinh 2t > 0 and g(eps_p) < 0 for either root of the pair
-    top = sign * (p - s0)
-    lo, hi, _ = _eps_bracket(s0, sign, c, _first_order(n, c * c), top)
-    if hi == top:  # g(top) > 0: the negative window is below the rounding of g
-        s = s0 + sign * top
-        t = c / (2.0 * s)
-        if t * math.sinh(2.0 * t) - s * math.sin(2.0 * top) > 0.0:
+    if at_hi is None:  # hi = top, never sampled
+        at_hi = _eps_sample(s0, sign, c, hi)
+        if at_hi[2] - at_hi[3] > 0.0:  # the negative window is below the rounding of g
             raise RootLostError(n, c)
-    eps = 0.5 * (lo + hi)
-    s = s0 + sign * eps
-    t = c / (2.0 * s)
-    tail, swing = t * math.sinh(2.0 * t), s * math.sin(2.0 * eps)
+    eps = 0.5 * (lo + hi)  # lo or hi
+    if eps == hi:
+        s, t, tail, swing = at_hi
+    else:
+        s, t, tail, swing = at_lo or _eps_sample(s0, sign, c, lo)  # lo = 0 at tiny couplings
     res = abs(tail - swing)  # |g(eps)|
-    scale = max(1.0, tail + abs(swing))
+    scale = tail + abs(swing)
+    if not scale > 1.0:  # max(1, scale) without the builtin's ~0.1 us call
+        scale = 1.0
     if res > RESIDUAL_RTOL * scale:
         raise NumericalFailureError(
             f"bisection stalled at |g|={res:.3e} > {RESIDUAL_RTOL:g} of its scale "
             f"{scale:.3e} for level n={n}"
         )
-    return LevelSolution(n, s, t, eps, s * s - t * t, res, BranchClass.POSITIVE_PRODUCT)
+    level = LevelSolution(n, s, t, eps, s * s - t * t, res, BranchClass.POSITIVE_PRODUCT)
+    return level, evaluations
 
 
 def solve_level(
@@ -415,7 +477,7 @@ def solve_level(
         raise ModelDomainError("sublabel applies to the NEGATIVE_PRODUCT branch only")
     c = coupling.root_product
     if branch is BranchClass.POSITIVE_PRODUCT:
-        return _level_at(n, c, _negative_point(n // 2, c)[0])
+        return _level_at(n, c, _negative_point(n // 2, c)[0])[0]
     return _box_level(n, branch, c, sublabel)
 
 
@@ -452,7 +514,7 @@ def spectrum(coupling: CouplingPair, n_max: int) -> SpectrumResult:
     because sgn(-x) v^2 integrates to 0 by parity.  The closed form
     builds no states for this class.
     """
-    n_max = as_index(n_max, f"n_max must be an integer in [0, {MAX_LEVEL}]", 0, MAX_LEVEL)
+    n_max = as_index(n_max, _N_MAX, 0, MAX_LEVEL)
     branch, root = coupling.branch, coupling.root_product
     levels: list[LevelSolution] = []
     truncated_at: int | None = None
@@ -540,7 +602,7 @@ def critical_coupling(
     off, and c_merger reads several ulp low (4.4 at pair 130911768), so
     larger pairs raise ModelDomainError.
     """
-    k = as_index(pair_index, f"pair_index must be an integer in [0, {MAX_PAIR}]", 0, MAX_PAIR)
+    k = as_index(pair_index, _PAIR_INDEX, 0, MAX_PAIR)
     validate_tol(tol)
     # alive at 1/2 s1 ln s1: t = ln(s1) / 4 at s1 = a + pi/4, where sin 2s1 = -1,
     # so g(s1) < -s1 + ln(s1) sqrt(s1) / 8 < 0.  Merged at b ln(4b + 2): there
@@ -550,10 +612,8 @@ def critical_coupling(
     c_merger, s_merger, evaluations = _merger(k, 0.5 * s1 * math.log(s1), b * math.log(4.0 * b + 2.0))
     near_lo, near_hi = c_merger * (1.0 - _MERGER_WINDOW), c_merger * (1.0 + _MERGER_WINDOW)
 
-    def alive(c: float) -> bool:  # the walk inside the window about c*, c* outside it
+    def alive(c: float) -> bool:  # the walk onto the cell minimum
         nonlocal evaluations
-        if not near_lo <= c <= near_hi:
-            return c < c_merger
         point, spent = _negative_point(k, c)
         evaluations += spent
         return point is not None
@@ -563,13 +623,13 @@ def critical_coupling(
     if not (alive(near_lo) and not alive(near_hi)):
         near_lo, near_hi = -math.inf, math.inf
     lo, hi = 1e-3, 1.0
-    while alive(hi):
+    while alive(hi) if near_lo <= hi <= near_hi else hi < c_merger:
         lo, hi = hi, 2.0 * hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if alive(mid):
+        if alive(mid) if near_lo <= mid <= near_hi else mid < c_merger:
             lo = mid
         else:
             hi = mid

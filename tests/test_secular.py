@@ -562,16 +562,16 @@ def test_critical_search_costs_at_most_half_the_bisection_walk(pair, tol):
 
 def _eps_solve_costs(monkeypatch):
     """A list that gains, per eps solve, the evaluations of g that
-    `_eps_bracket` reports."""
+    `_level_at` reports."""
     costs = []
-    bracket = secular._eps_bracket
+    level_at = secular._level_at
 
     def counted(*args):
-        result = bracket(*args)  # lo, hi, evaluations
-        costs.append(result[2])
+        result = level_at(*args)  # level, evaluations
+        costs.append(result[1])
         return result
 
-    monkeypatch.setattr(secular, "_eps_bracket", counted)
+    monkeypatch.setattr(secular, "_level_at", counted)
     return costs
 
 
@@ -703,6 +703,9 @@ def _outcome(solve, *args):
 @example(n=0, c=0.999 * C_CRIT_PAIR0)
 @example(n=1, c=0.999 * C_CRIT_PAIR0)
 @example(n=2, c=0.999 * C_CRIT_PAIR0)
+# the walk finds g < 0, yet g(top) > 0 and no float of the bracket reads g <= 0
+@example(n=18, c=108.64916991857332)
+@example(n=303, c=2763.220032794599)
 def test_level_solve_is_the_helper_driven_solve_bit_for_bit(n, c):
     pair = CouplingPair(c, c)
     assert _negative_point(n // 2, c) == _reference_negative_point(n // 2, c)
@@ -714,14 +717,68 @@ def test_level_solve_is_the_helper_driven_solve_bit_for_bit(n, c):
     values, evaluations = expected
     assert [v.hex() for v in (got.s, got.t, got.eps, got.E, got.residual)] == [
         v.hex() for v in values]
-    # the count `_eps_bracket` reports is the helper's count of callbacks
-    s0, sign = (n + 1) * math.pi / 2.0, -1.0 if n % 2 else 1.0
-    top = sign * (_negative_point(n // 2, c)[0] - s0)
-    _, _, spent = secular._eps_bracket(s0, sign, c, _first_order(n, c * c), top)
-    assert spent == evaluations
+    # the count `_level_at` reports is the helper's count of callbacks
+    assert secular._level_at(n, c, _negative_point(n // 2, c)[0]) == (got, evaluations)
     if n < 200:  # spectrum takes the same solve, up to the first merged pair
         levels = spectrum(pair, n).levels
         assert len(levels) <= n or levels[n] == got
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_subnormal_product_keeps_the_box_root_bit_for_bit(n):
+    # YZ = 5e-324 leaves the first-order eps at 0.0: the bracket closes on
+    # [0, 5e-324] and the level is taken at eps = 0, an end never sampled
+    pair = CouplingPair(1.0, 5e-324)
+    level = solve_level(n, pair)
+    assert level.eps == 0.0 and level.s == (n + 1) * math.pi / 2.0
+    values, _ = _reference_level(n, pair.root_product)
+    assert [v.hex() for v in (level.s, level.t, level.eps, level.E, level.residual)] == [
+        v.hex() for v in values]
+
+
+def _reference_cell_minimum(lo, hi, c, x):
+    """The merger's cell minimum as it ran through the shared helper: -g'
+    by a callback handed to `newton_in_bracket`, and its evaluations."""
+    evaluations = 0
+
+    def fall(x, newton):  # -g', > 0 below the minimum
+        nonlocal evaluations
+        if not newton:
+            evaluations += 1
+            return -_reference_slope(x, c), None
+        evaluations += 2
+        slope = _reference_slope(x, c)
+        return -slope, slope / _reference_curvature(x, c)
+
+    return newton_in_bracket(fall, lo, hi, x)[1], evaluations
+
+
+@functools.lru_cache(maxsize=None)
+def _c_merger(k):
+    return critical_coupling(k).c_merger
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    log_pair=st.floats(0.0, math.log(MAX_PAIR + 1.0)),
+    log_gap=st.floats(math.log(1e-13), math.log(1e-1)),
+    side=st.sampled_from((-1.0, 1.0)),
+    u=st.floats(0.0, 1.0),
+)
+@example(log_pair=0.0, log_gap=math.log(1e-13), side=-1.0, u=0.5)
+@example(log_pair=0.0, log_gap=math.log(1e-1), side=1.0, u=0.5)
+@example(log_pair=math.log(MAX_PAIR + 1.0), log_gap=math.log(1e-13), side=1.0, u=0.0)
+# the gallop doubles its reach twice (1 in ~3000 draws)
+@example(log_pair=0.5338317993205977, log_gap=-2.5752680256796303, side=1.0, u=0.07616033479928064)
+def test_cell_minimum_is_the_helper_driven_solve_bit_for_bit(log_pair, log_gap, side, u):
+    # couplings within a relative 1e-13..1e-1 of the merger, from any start
+    # in the upper half of the cell, the merger's own start at u = 1/2
+    k = min(MAX_PAIR, int(math.exp(log_pair)) - 1)
+    c = _c_merger(k) * (1.0 + side * math.exp(log_gap))
+    a, b = pair_interval(k)
+    half = 0.5 * (a + b)
+    x = half + u * (b - half)
+    assert secular._cell_minimum(half, b, c, x) == _reference_cell_minimum(half, b, c, x)
 
 
 def test_critical_bracket_holds_the_mpmath_merger():
