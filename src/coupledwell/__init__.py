@@ -23,14 +23,11 @@ from .model import (
     BranchClass,
     CouplingPair,
     GridSpec,
-    OperatorRep,
     RepBasis,
 )
 from .secular import (
-    CriticalResult,
     LevelSolution,
     SpectrumResult,
-    critical_coupling,
     pair_interval,
     perturbative_eps,
     residual,
@@ -38,15 +35,17 @@ from .secular import (
     spectrum,
 )
 
-# the layers above the secular one load on first use (PEP 562); metric
-# imports numpy, wavefunctions and oracle only in the functions that build
-# arrays, and battery (verify) not at all
+# the critical search and the layers above the secular one load on first
+# use (PEP 562); metric imports numpy, wavefunctions and oracle only in the
+# functions that build arrays, and battery (verify) not at all
 _LAZY_MODULES = {
     "battery": ("Check", "verify"),
+    "critical": ("CriticalResult", "critical_coupling"),
     "metric": (
         "MIN_ROOT_PRODUCT",
         "LeftState",
         "MetricWeights",
+        "OperatorRep",
         "biorthogonality_matrix",
         "build_theta_metric",
         "inverse_identity_defect",

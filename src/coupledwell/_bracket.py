@@ -1,10 +1,10 @@
 """Safeguarded Newton for a real root in a sign bracket, shared by the
-closed form's merger search on the coupling (`secular._merger`) and the
+closed form's merger search on the coupling (`critical._merger`) and the
 oracle's real roots (`oracle._TwoRegionBlock._bracketed_root`), which
 stays independent of the closed form.  Two closed-form loops run their
 own copies of these rules, the ε solve of each level (`secular._level_at`)
 and the cell minimum at each coupling the merger search samples
-(`secular._cell_minimum`); the walk onto the cell minimum
+(`critical._cell_minimum`); the walk onto the cell minimum
 (`secular._negative_point`) runs a guarded Newton loop of its own.  The
 call overhead is the reason: through this helper, with callbacks that
 form the same terms as the loops (the same brackets and counts, bit for

@@ -11,7 +11,6 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -19,7 +18,6 @@ import re
 import sys
 from dataclasses import asdict
 
-from ._ranges import _linspace
 from .errors import (
     MetricConstraintError,
     ModelDomainError,
@@ -28,11 +26,13 @@ from .errors import (
     RootLostError,
 )
 from .model import CouplingPair, GridSpec, as_index, validate_tol
-from .secular import DEFAULT_CRITICAL_TOL, critical_coupling, spectrum
+from .secular import DEFAULT_CRITICAL_TOL, spectrum
 
 # no subcommand imports numpy: spectrum, critical and scan are closed
 # form, metric runs the weight contract in floats, and verify (the battery
-# in floats) and oracle take their eigenvalues from the numpy-free solve
+# in floats) and oracle take their eigenvalues from the numpy-free solve.
+# A module that only some subcommands use is imported in their handlers:
+# every call is a fresh process, and an import at the top is paid by all
 
 _SPECTRUM_COLUMNS = ("n", "s", "t", "eps", "E", "residual", "branch")
 
@@ -63,6 +63,8 @@ def _json_text(payload) -> str:
 
 
 def _csv_text(header, rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -98,6 +100,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_critical(args) -> int:
+    from .critical import critical_coupling
+
     result = critical_coupling(args.pair, args.tol)
     payload = {
         "pair_index": result.pair_index,
@@ -139,6 +143,8 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from ._ranges import _linspace
+
     if args.steps < 1:
         raise ModelDomainError(f"steps must be >= 1, got {args.steps}")
     for flag, value in (("--c-min", args.c_min), ("--c-max", args.c_max)):

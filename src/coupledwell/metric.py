@@ -15,7 +15,7 @@ GridSpec, sampled on its nodes (inverse_theta_metric alike).
 
 Map versus form: mode-basis vectors are exact eigenstates and are not
 mutually orthogonal, so an operator has two inequivalent matrices there
-(see model.OperatorRep).  Metrics are built as forms F[i,k] =
+(see OperatorRep).  Metrics are built as forms F[i,k] =
 <e_i|Theta e_k>; the operator and the channel-swap observable enter
 defect formulas as maps (diagonal in the mode basis).  The mixed-rep
 defect  ||M(H)^dagger F - F M(H)||  is basis-shape agnostic: on the
@@ -66,7 +66,7 @@ both stay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -74,10 +74,35 @@ import numpy as np
 from ._weights import (MIN_ROOT_PRODUCT, MetricWeights, _shared_coupling, family_order,
                        identity_defect, inverse_coefficients, out_of_range, resolve_weights)
 from .errors import ModelDomainError
-from .model import GridSpec, OperatorRep, RepBasis
+from .model import GridSpec, RepBasis
 from .wavefunctions import NEAR_WAVENUMBERS, ChannelState, channel_weights
 
 _PANELS = 512  # Simpson panels per half of biorthogonality_matrix's quadrature
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorRep:
+    """Dense matrix representation of an operator on a chosen basis.
+
+    is_form distinguishes the two ways a matrix can represent an
+    operator on a non-orthonormal basis: a map matrix M (A e_k =
+    sum_i M[i,k] e_i) or a form matrix F[i,k] = <e_i|A e_k>.  Metrics
+    are forms; Hamiltonians and the channel swap observable are maps.
+    """
+
+    matrix: np.ndarray
+    basis: RepBasis
+    is_form: bool = False
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ModelDomainError(f"operator matrix must be square, got shape {m.shape}")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)

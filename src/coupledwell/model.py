@@ -14,8 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
-from numbers import Integral, Real
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidToleranceError, ModelDomainError
@@ -41,6 +40,15 @@ class BranchClass(enum.Enum):
     DECOUPLED = "DECOUPLED"
 
 
+def _is_instance(value, abc: str) -> bool:
+    """isinstance(value, numbers.<abc>), with `numbers` imported on the
+    first call: a process whose arguments are all built-in ints and floats
+    never loads it."""
+    import numbers
+
+    return isinstance(value, getattr(numbers, abc))
+
+
 def as_index(
     value, message: str, minimum: int = 0, maximum: int | None = None, even: bool = False
 ) -> int:
@@ -49,9 +57,10 @@ def as_index(
     int, bool and numpy integer scalars pass, as an int that cannot wrap
     the way a fixed-width numpy integer does; floats, numpy bools and
     strings raise ModelDomainError("<message>, got <value>").  The plain
-    int test comes first: on an int the Integral ABC check costs ~20x more.
+    int test comes first: on an int the Integral ABC check costs ~20x more,
+    and `numbers` is imported only for a value that is not an int.
     """
-    if isinstance(value, int) or isinstance(value, Integral):
+    if isinstance(value, int) or _is_instance(value, "Integral"):
         n = int(value)
         if n >= minimum and (maximum is None or n <= maximum) and not (even and n % 2):
             return n
@@ -64,7 +73,7 @@ def validate_tol(tol: float) -> None:
     Any numbers.Real passes the type test, numpy float and integer scalars
     included, as as_index admits numpy integers.
     """
-    if not isinstance(tol, Real):
+    if not (isinstance(tol, (float, int)) or _is_instance(tol, "Real")):
         raise InvalidToleranceError(f"tolerance must be a real number, got {tol!r}")
     if not math.isfinite(tol):
         raise InvalidToleranceError(f"tolerance must be finite, got {tol!r}")
@@ -120,19 +129,6 @@ class CouplingPair:
         return (self.Y == 0.0) != (self.Z == 0.0)
 
 
-def check_points(x) -> np.ndarray:
-    """x as a float array, refused unless every point is finite and in |x| <= 1:
-    the potential and the states are defined on the box only."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ModelDomainError("sample points must be finite")
-    if np.any(np.abs(x) > HALF_WIDTH):
-        raise ModelDomainError("sample points must lie on |x| <= 1")
-    return x
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform mesh over [-1, 1] with M intervals, M even and >= 8."""
@@ -170,31 +166,3 @@ class RepBasis(enum.Enum):
 
     GRID = "grid"
     MODE = "mode"
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorRep:
-    """Dense matrix representation of an operator on a chosen basis.
-
-    is_form distinguishes the two ways a matrix can represent an
-    operator on a non-orthonormal basis: a map matrix M (A e_k =
-    sum_i M[i,k] e_i) or a form matrix F[i,k] = <e_i|A e_k>.  Metrics
-    are forms; Hamiltonians and the channel swap observable are maps.
-    """
-
-    matrix: np.ndarray
-    basis: RepBasis
-    is_form: bool = False
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        import numpy as np
-
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ModelDomainError(f"operator matrix must be square, got shape {m.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-

@@ -31,11 +31,15 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from ._ranges import _linspace
 from .errors import ModelDomainError, NormalizationSingularError
-from .model import BranchClass, CouplingPair, as_index, check_points
+from .model import HALF_WIDTH, BranchClass, CouplingPair, as_index
 from .secular import LevelSolution, _box_level, _positive_levels
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CONSISTENCY_TOL = 1e-10
 _AMPLITUDE_SAMPLES = 257
@@ -104,6 +108,19 @@ class ChannelState:
         q (wl wu + wu wl) integral phi^2 = 2 |wu wl| |integral phi^2|: wu wl has
         the sign sigma and q = sigma sign(integral phi^2).  Stored or computed once."""
         return _diagonal_pairing(self, *channel_weights(self.sigma, self.Y, self.Z))
+
+
+def check_points(x) -> np.ndarray:
+    """x as a float array, refused unless every point is finite and in |x| <= 1:
+    the potential and the states are defined on the box only."""
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ModelDomainError("sample points must be finite")
+    if np.any(np.abs(x) > HALF_WIDTH):
+        raise ModelDomainError("sample points must lie on |x| <= 1")
+    return x
 
 
 def _segment_sine(coeff, kappa, x):

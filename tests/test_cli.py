@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coupledwell import CouplingPair, build_hamiltonian, eigenpairs, solve_level, spectrum
-from coupledwell.cli import _linspace, main
+from coupledwell._ranges import _linspace
+from coupledwell.cli import main
 from test_oracle import _DECOUPLED, _pair
 
 C_CRIT_PAIR0 = 4.475308602193255
@@ -658,6 +659,49 @@ def test_closed_form_subcommands_load_no_scipy():
     assert "coupledwell.metric" not in report["after_verify"]
     assert not any(m.split(".")[0] in ("numpy", "scipy") for m in report["after_oracle"])
     assert "coupledwell.metric" not in report["after_oracle"]
+
+
+DIET_SCRIPT = """
+import sys
+before = set(sys.modules)
+from coupledwell.cli import main
+code = main(sys.argv[1:])
+loaded = set(sys.modules) - before
+import json
+package = sorted(m.removeprefix("coupledwell.") for m in loaded if m.startswith("coupledwell."))
+print(json.dumps({"code": code, "stdlib": sorted({"csv", "numbers"} & loaded), "package": package}))
+"""
+_SPECTRUM = ["cli", "errors", "model", "secular"]
+_STATES = _SPECTRUM + ["_ranges", "_weights", "wavefunctions"]
+_ORACLE = _SPECTRUM + ["_bracket", "_ranges", "oracle"]
+_DIETS = [
+    (["spectrum", "--Y", "1", "--Z", "4"], _SPECTRUM),
+    (["scan", "--c-min", "4", "--c-max", "4.6", "--steps", "4"], _SPECTRUM + ["_ranges"]),
+    (["critical", "--pair", "0"], _SPECTRUM + ["_bracket", "critical"]),
+    (["metric", "--Y", "1", "--Z", "4"], _STATES),
+    (["verify", "--Y", "1", "--Z", "4", "--levels", "4"], _STATES + ["_bracket", "battery", "oracle"]),
+    (["oracle", "--Y", "1", "--Z", "4", "--grid", "64"], _ORACLE),
+]
+
+
+@pytest.mark.parametrize("argv, package", _DIETS + [
+    (argv + ["--format", "csv"], package) for argv, package in _DIETS if argv[0] != "verify"])
+def test_each_subcommand_loads_only_what_it_runs(argv, package):
+    # every request is a fresh process that compiles what it imports: the
+    # critical search, the scan grid and csv load only where they run, and
+    # built-in arguments never reach the numbers ABCs
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    result = subprocess.run(
+        [sys.executable, "-c", DIET_SCRIPT, *argv, "--out", os.devnull],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "code": 0, "stdlib": ["csv"] if "csv" in argv else [], "package": sorted(package)}
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

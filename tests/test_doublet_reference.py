@@ -46,14 +46,15 @@ from coupledwell import (
     solve_level,
 )
 from coupledwell._weights import spin_ratio
-from coupledwell.metric import (MIN_ROOT_PRODUCT, _shared_coupling, simpson_rule,
+from coupledwell.metric import (MIN_ROOT_PRODUCT, OperatorRep, _shared_coupling, simpson_rule,
                                sine_product_integrals)
-from coupledwell.model import OperatorRep, RepBasis, as_index, check_points
+from coupledwell.model import RepBasis, as_index
 from coupledwell.oracle import (_cut, _distinct, _doublets, _lowest_roots, _partner_residual, _require_residual,
                                _TwoRegionBlock)
 from coupledwell.wavefunctions import (
     _sin_cos_kappa,
     channel_weights,
+    check_points,
     phi_bilinear_product,
     quasi_parity,
     sine_product_integral,

@@ -23,8 +23,9 @@ from coupledwell import (
     solve_level,
     spectrum,
 )
-from coupledwell import secular
-from coupledwell.secular import MAX_PAIR, _negative_point
+from coupledwell import critical
+from coupledwell.critical import MAX_PAIR
+from coupledwell.secular import _negative_point
 
 
 def _bisection_reference(k, tol):
@@ -82,13 +83,13 @@ def test_replay_and_reference_agree_past_the_old_cap_up_to_max_pair():
 def test_a_merger_the_walk_refutes_makes_every_midpoint_walk(monkeypatch, shift):
     # a wrong c* fails the two certifying walks: the same loop then walks at
     # every midpoint and still returns the walk's bracket
-    merger = secular._merger
+    merger = critical._merger
 
     def wrong(k, lo, hi):
         c, s, spent = merger(k, lo, hi)
         return shift * c, s, spent
 
-    monkeypatch.setattr(secular, "_merger", wrong)
+    monkeypatch.setattr(critical, "_merger", wrong)
     for k, tol in [(0, 1e-3), (3, 1e-10), (500, 1e-12)]:
         res = critical_coupling(k, tol)
         assert (res.c_crit, res.bracket_width) == _bisection_reference(k, tol)

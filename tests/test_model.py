@@ -1,6 +1,8 @@
 """Domain types: coupling branches, the off-diagonal potential, operator wrappers."""
 
 import math
+import numbers
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -94,7 +96,7 @@ def test_potential_step_values():
 
 
 def test_potential_domain_guard():
-    # the box is |x| <= 1 (model.check_points), for the states' samples
+    # the box is |x| <= 1 (wavefunctions.check_points), for the states' samples
     state = doublet_family(CouplingPair(1.0, 2.0), 1)[0]
     with pytest.raises(ModelDomainError):
         evaluate(state, 1.5)
@@ -167,3 +169,40 @@ def test_validate_tol_messages(tol, message):
     with pytest.raises(InvalidToleranceError) as info:
         validate_tol(tol)
     assert str(info.value) == message
+
+
+def _outcome(check, *args):
+    try:
+        return "returns", check(*args)
+    except (ModelDomainError, InvalidToleranceError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_as_index(value, message, minimum):
+    # as_index's verdict as the numbers.Integral test alone gives it
+    if isinstance(value, numbers.Integral) and int(value) >= minimum:
+        return int(value)
+    raise ModelDomainError(f"{message}, got {value!r}")
+
+
+def _reference_validate_tol(tol):
+    # validate_tol's verdict as the numbers.Real test alone gives it
+    if not isinstance(tol, numbers.Real):
+        raise InvalidToleranceError(f"tolerance must be a real number, got {tol!r}")
+    if not math.isfinite(tol):
+        raise InvalidToleranceError(f"tolerance must be finite, got {tol!r}")
+    if tol <= 0.0 or tol >= 1.0:
+        raise InvalidToleranceError(f"tolerance must lie in (0, 1), got {tol!r}")
+
+
+@pytest.mark.parametrize("value", [
+    3, 0, -2, True, False, np.int64(3), np.int64(-1), np.uint8(3), np.float32(0.5),
+    np.float32(3), np.float64(0.5), np.float64(3), 0.5, 3.0, Fraction(1, 2), Fraction(3),
+    Decimal("0.5"), Decimal(3), np.bool_(True), "3", "0.5", complex(0.5, 0), 1j, None,
+])
+def test_lazy_numbers_test_gives_the_abc_verdicts(value):
+    # numbers is imported only for a value that is not a built-in int or
+    # float: the verdicts and messages stay those of the Integral and Real tests
+    assert _outcome(as_index, value, "n must be an index", 0) == _outcome(
+        _reference_as_index, value, "n must be an index", 0)
+    assert _outcome(validate_tol, value) == _outcome(_reference_validate_tol, value)

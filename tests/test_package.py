@@ -15,7 +15,8 @@ import coupledwell
 
 SUBMODULES = [
     importlib.import_module(f"coupledwell.{name}")
-    for name in ("errors", "model", "secular", "metric", "oracle", "wavefunctions", "battery")
+    for name in ("errors", "model", "secular", "critical", "metric", "oracle", "wavefunctions",
+                 "battery")
 ]
 
 

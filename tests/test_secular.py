@@ -32,10 +32,11 @@ from coupledwell import (
     solve_level,
     spectrum,
 )
-from coupledwell import secular
+from coupledwell import critical, secular
 from coupledwell._bracket import newton_in_bracket
 from coupledwell.cli import main
-from coupledwell.secular import MAX_LEVEL, MAX_PAIR, _first_order, _negative_point, _slope
+from coupledwell.critical import MAX_PAIR
+from coupledwell.secular import MAX_LEVEL, _first_order, _negative_point, _slope
 
 # roots of the lowest pair at Y = Z = 1, 40-digit oracle
 S0_AT_C1 = 1.63211812842334197
@@ -736,6 +737,25 @@ def test_subnormal_product_keeps_the_box_root_bit_for_bit(n):
         v.hex() for v in values]
 
 
+@pytest.mark.parametrize("pair", [CouplingPair(1.0, 5e-324), CouplingPair(5e-324, 1.0),
+                                  CouplingPair(1e-200, 1e-200)])
+def test_underflowed_first_order_eps_takes_the_level_at_eps_zero(pair):
+    # c^2 underflows and the first-order eps with it: the level is its sample
+    # at eps = 0, the record that a bisection from top reached after ~1000
+    # evaluations of g
+    c = pair.root_product
+    levels = spectrum(pair, 39).levels
+    for n in range(40):
+        level, evaluations = secular._level_at(n, c, _negative_point(n // 2, c)[0])
+        s0 = (n + 1) * math.pi / 2.0
+        t = c / (2.0 * s0)
+        record = (s0, t, 0.0, s0 * s0 - t * t, abs(t * math.sinh(2.0 * t)))
+        assert level.n == n and [v.hex() for v in (
+            level.s, level.t, level.eps, level.E, level.residual)] == [v.hex() for v in record]
+        assert evaluations <= 2
+        assert levels[n] == level
+
+
 def _reference_cell_minimum(lo, hi, c, x):
     """The merger's cell minimum as it ran through the shared helper: -g'
     by a callback handed to `newton_in_bracket`, and its evaluations."""
@@ -778,7 +798,7 @@ def test_cell_minimum_is_the_helper_driven_solve_bit_for_bit(log_pair, log_gap, 
     a, b = pair_interval(k)
     half = 0.5 * (a + b)
     x = half + u * (b - half)
-    assert secular._cell_minimum(half, b, c, x) == _reference_cell_minimum(half, b, c, x)
+    assert critical._cell_minimum(half, b, c, x) == _reference_cell_minimum(half, b, c, x)
 
 
 def test_critical_bracket_holds_the_mpmath_merger():
