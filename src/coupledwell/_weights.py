@@ -111,7 +111,7 @@ class MetricWeights:
 def _shared_coupling(states) -> CouplingPair:
     # the coupling of a non-empty sequence of states, refused if two differ
     Y, Z = states[0].Y, states[0].Z
-    if any((s.Y, s.Z) != (Y, Z) for s in states):
+    if [s.Y for s in states].count(Y) < len(states) or [s.Z for s in states].count(Z) < len(states):
         raise ModelDomainError("states belong to different couplings")
     return CouplingPair(Y, Z)
 
@@ -121,34 +121,35 @@ def _validate_family(states):
     if not states:
         raise ModelDomainError("need at least one state")
     coupling = _shared_coupling(states)
-    order = [(s.level.n, s.sigma) for s in states]
-    if order != [(n, sigma) for n in range(len(states) // 2) for sigma in (+1, -1)]:
+    levels, spins, half = [s.level.n for s in states], [s.sigma for s in states], len(states) // 2
+    if spins != [+1, -1] * half or not levels[0::2] == levels[1::2] == list(range(half)):
         raise ModelDomainError("states must be complete doublets in doublet_family order "
                                "(0, +1), (0, -1), (1, +1), ...")
-    return coupling, order
+    return coupling, list(zip(levels, spins))
 
 
 def _normalizable(d: list[float]) -> list[float]:
     # the diagonal pairings, refused if any is negligible against the largest
     scale = max(map(abs, d), default=0.0)
-    if scale == 0.0 or any(abs(x) <= _OVERLAP_FLOOR * max(1.0, scale) for x in d):
+    if scale == 0.0 or any(map((_OVERLAP_FLOOR * max(1.0, scale)).__ge__, map(abs, d))):
         raise NormalizationSingularError("a diagonal biorthogonal overlap vanishes: the family's "
                                          "pairing, on which the metric's weights rest, is singular")
     return d
 
 
-def kernel_entries(coupling: CouplingPair, s_plus, s_minus):
-    # one level's 2x2 channel kernel, as build_theta_metric's meta holds it,
-    # [[Y (S+ + S-), sqrt(YZ) (S+ - S-)], [sqrt(YZ) (S+ - S-), Z (S+ + S-)]];
-    # equal weights make the off-diagonal an exact 0
-    m = math.sqrt(coupling.Y) * math.sqrt(coupling.Z)
-    off, total = m * s_plus - m * s_minus, s_plus + s_minus
-    return ((coupling.Y * total, off), (off, coupling.Z * total))
+def _kernels(coupling: CouplingPair, levels) -> tuple[float, ...]:
+    # each level's 2x2 channel kernel, as build_theta_metric's meta holds it,
+    # [[Y (S+ + S-), sqrt(YZ) (S+ - S-)], [sqrt(YZ) (S+ - S-), Z (S+ + S-)]],
+    # row by row in one flat tuple; equal weights make the off-diagonal an exact 0
+    Y, Z = coupling.Y, coupling.Z
+    m = math.sqrt(Y) * math.sqrt(Z)
+    return tuple(chain.from_iterable((Y * total, off, off, Z * total) for off, total in
+                                     ((m * plus - m * minus, plus + minus) for plus, minus in levels)))
 
 
 def first_not_finite(values):
     # the index of the first entry of a sequence, real or complex, that is not finite, or None
-    if all(map(cmath.isfinite, values)):
+    if cmath.isfinite(sum(values)) or all(map(cmath.isfinite, values)):
         return None
     return next(i for i, v in enumerate(values) if not cmath.isfinite(v))
 
@@ -160,7 +161,7 @@ def out_of_range(what: str, index: list, value) -> MetricConstraintError:
 
 class WeightedFamily(NamedTuple):
     """A family resolved against its weights, per state in doublet_family order
-    but kernels (one 2x2 per level): form S d^2, unchecked, and its sign counts."""
+    but kernels (_kernels, 4 per level): form S d^2, unchecked, and its sign counts."""
 
     meta: dict
     per_state: tuple[float, ...]
@@ -239,13 +240,12 @@ def _resolve(states, weights, unsafe: bool) -> WeightedFamily:
     meta = {"coupling": coupling, "n_levels": n_levels, "order": order}
     d = _normalizable([s.d for s in states[0::2]])
     d = tuple(chain.from_iterable(zip(d, d)))
-    kernels = tuple(kernel_entries(coupling, plus, minus) for plus, minus in levels)
-    bad = first_not_finite(list(chain.from_iterable(chain.from_iterable(kernels))))
+    kernels = _kernels(coupling, levels)
+    bad = first_not_finite(kernels)
     if bad is not None:
-        n, i, k = bad // 4, bad // 2 % 2, bad % 2
-        raise out_of_range("channel kernel [n, i, k]", [n, i, k], kernels[n][i][k])
+        raise out_of_range("channel kernel [n, i, k]", [bad // 4, bad // 2 % 2, bad % 2], kernels[bad])
     form = tuple(map(mul, map(mul, d, per_state), d))
-    signature = sum(v > 0.0 for v in form), sum(v < 0.0 for v in form)
+    signature = len([v for v in form if v > 0.0]), len([v for v in form if v < 0.0])
     return WeightedFamily(meta, per_state, d, kernels, form, signature)
 
 
@@ -263,6 +263,17 @@ def inverse_coefficients(states, family: WeightedFamily) -> list[float]:
     return coeff
 
 
+def mode_defect(values, form) -> float:
+    """max |conj(v) f - f v| / (max |f| max |v|), M^dagger F - F M of the map diag(values)
+    and form diag(form): metric.quasi_hermiticity_defect there and two `verify` rows.  NaN
+    wins the max, as in numpy; a zero operator or metric is refused (ModelDomainError)."""
+    denom = max(map(abs, form)) * max(map(abs, values))
+    if denom == 0.0:
+        raise ModelDomainError("zero operator or metric")
+    terms = [abs(v.conjugate() * f - f * v) for v, f in zip(values, form)]
+    return (math.nan if math.isnan(sum(terms)) else max(terms)) / denom
+
+
 def identity_defect(coefficients, form) -> float:
     """max |diag(1/(S d^2)) F - I| for a diagonal mode form F with diagonal `form`:
     metric.inverse_identity_defect and the `verify` row.  A product out of
@@ -271,7 +282,7 @@ def identity_defect(coefficients, form) -> float:
     bad = first_not_finite(product)
     if bad is not None:
         raise out_of_range("identity product [i, k]", [bad, bad], product[bad])
-    return max(abs(p - 1.0) for p in product)
+    return max([abs(p - 1.0) for p in product])
 
 
 def spin_ratio(coupling: CouplingPair) -> float:

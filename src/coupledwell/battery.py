@@ -4,15 +4,15 @@ returns one `Check` record per invariant.  The CLI's `verify` subcommand
 only formats these records.
 
 Every row is computed in plain floats, so `verify` loads no numpy: the
-mode form diag(S d^2), its weight contract and the identity defect from
-`_weights` (the body of metric.inverse_identity_defect), the pairing
-from the d stored with each state and, off the diagonal, the rank-2
-segment integrals of metric.sine_product_integrals in cmath (one sine
-and cosine per state, each pair once), the band checks from the
-coupling and the grid, and the oracle's levels from
-`oracle.eigenvalues`, compared by `compare_spectrum` (the `oracle`
-report).  The pairing, the quasi-Hermiticity defects, the band step and
-`eigenvalues` are float twins of numpy code, each with its reason.
+mode form diag(S d^2), its weight contract and the identity and
+quasi-Hermiticity defects from `_weights` (metric's bodies too), the
+pairing from the d stored with each state and, off the diagonal, the
+rank-2 segment integrals of metric.sine_product_integrals in cmath (one
+sine and cosine per state, each pair once), the band checks from the
+coupling and the grid, and the oracle's levels from `oracle.eigenvalues`,
+compared by `compare_spectrum` (the `oracle` report).  The pairing, the
+band step and `eigenvalues` are float twins of numpy code, each with its
+reason.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._weights import identity_defect, inverse_coefficients, resolve_weights, spin_ratio
+from ._weights import (identity_defect, inverse_coefficients, mode_defect, resolve_weights,
+                       spin_ratio)
 from .errors import ModelDomainError
 from .model import BranchClass, CouplingPair, GridSpec
 from .oracle import _spin_commutator_max, _swap_reflect_defect, compare_spectrum, eigenvalues
@@ -116,8 +117,8 @@ def verify(coupling: CouplingPair, n_levels: int, grid: GridSpec) -> list[Check]
         # the form is real and diagonal, so these read the diagonal alone
         Check("metric Hermiticity defect", max(abs(f - f.conjugate()) for f in form), 0.0, "<="),
         Check("metric minimal eigenvalue", min(form), 0.0, ">"),
-        Check("quasi-Hermiticity defect (Hamiltonian)", _mode_defect(energies, form), 1e-8, "<="),
-        Check("quasi-Hermiticity defect (spin observable)", _mode_defect(spins, form), 1e-8, "<="),
+        Check("quasi-Hermiticity defect (Hamiltonian)", mode_defect(energies, form), 1e-8, "<="),
+        Check("quasi-Hermiticity defect (spin observable)", mode_defect(spins, form), 1e-8, "<="),
         Check("inverse metric identity defect",
               identity_defect(inverse_coefficients(states, family), family.form), 1e-8, "<="),
     ]
@@ -164,17 +165,3 @@ def _off_diagonal_max(plus) -> float:
             if value > largest:
                 largest = value
     return 2.0 * largest
-
-
-def _mode_defect(values, form) -> float:
-    """metric.quasi_hermiticity_defect of the map diag(values) against the
-    form diag(form): M^dagger F - F M is diagonal, conj(v) f - f v.
-
-    The dense body stays in metric beside this twin: grid-basis forms and
-    non-diagonal mode maps, such as demos/metric_family.py's doublet swap,
-    need it."""
-    denom = max(map(abs, form)) * max(map(abs, values))
-    if denom == 0.0:
-        raise ModelDomainError("zero operator or metric")
-    return max(abs(v.conjugate() * f - f * v) for v, f in zip(values, form)) / denom
-

@@ -124,7 +124,7 @@ def _cmd_metric(args) -> int:
                else MetricWeights.unit(args.levels))
     family = resolve_weights(states, weights, args.unsafe)
     diagonal = family.mode_form()
-    order = family.meta["order"]
+    order, k = family.meta["order"], family.kernels
     payload = {
         "Y": coupling.Y,
         "Z": coupling.Z,
@@ -135,7 +135,7 @@ def _cmd_metric(args) -> int:
         # the mode form is diagonal, so its eigenvalues are its sorted diagonal
         "eigenvalues": sorted(diagonal),
         "signature": family.signature,
-        "channel_kernels": family.kernels,
+        "channel_kernels": [[k[i:i + 2], k[i + 2:i + 4]] for i in range(0, len(k), 4)],
     }
     header = [f"state_{n}_{'p' if sigma > 0 else 'm'}" for n, sigma in order]
     _write(args, payload, header, payload["theta"])

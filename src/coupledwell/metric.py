@@ -43,9 +43,8 @@ I the segment integral of two sines, one broadcast expression
 two segment sines at the matching point, so a block costs O(N) complex
 sines; pairs with |p - q| < NEAR_WAVENUMBERS, where that numerator
 cancels, keep the difference form of wavefunctions.sine_product_integral,
-which stays the scalar reference and the body of d.  A family is read
-by position in doublet_family order, sigma = +1 members at [0::2] and
-partners at [1::2].
+the scalar reference.  A family is read by position in doublet_family
+order, sigma = +1 members at [0::2] and partners at [1::2].
 A sigma = -1 state carries its partner's a and kappa conjugated, so it
 pairs as its partner does, d_- = d_+ and q_- = -q_+ (with the lower
 channel weight f_- = -f_+, (-q)(-f) = qf), and its rows copy the
@@ -59,20 +58,23 @@ arithmetic in _weights, shared with the CLI's `metric` and the `verify`
 battery; a family is resolved once for the builder calls in a row that
 pass the same states and weights, and the builders that take no weights
 (the pairing and the mode maps) read its check from that resolution
-(_weights.family_order).  The battery keeps float twins of the closed
-pairing and of quasi_hermiticity_defect; each says where it lives why
-both stay.
+(_weights.family_order).  The mode-basis quasi_hermiticity_defect is
+_weights.mode_defect, `verify`'s rows too; the battery keeps a float twin
+of the closed pairing, and says why both stay.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from ._weights import (MIN_ROOT_PRODUCT, MetricWeights, _shared_coupling, family_order,
-                       identity_defect, inverse_coefficients, out_of_range, resolve_weights)
+                       identity_defect, inverse_coefficients, mode_defect, out_of_range,
+                       resolve_weights)
 from .errors import ModelDomainError
 from .model import GridSpec, RepBasis
 from .wavefunctions import NEAR_WAVENUMBERS, ChannelState, channel_weights
@@ -123,22 +125,18 @@ def left_vector(state: ChannelState) -> LeftState:
     return LeftState(state=state, q=state.q)
 
 
-def _profiles(states):
-    # phi coefficients, wavenumbers and (upper, lower) channel weights of states of
-    # one coupling: sigma times the lower weight at sigma = +1 is channel_weights'
+def _coefficients(states):
+    # phi coefficients and wavenumbers of states of one coupling
     a = np.array([s.phi_coeff for s in states], dtype=complex)
-    kappa = np.array([s.kappa for s in states], dtype=complex)
-    upper, lower = channel_weights(+1, states[0].Y, states[0].Z)
-    sigma = np.array([s.sigma for s in states], dtype=float)
-    return a, kappa, np.full(len(states), upper), sigma * lower
+    return a, np.array([s.kappa for s in states], dtype=complex)
 
 
-def _bilinear_products(a_row, kappa_row, a, kappa) -> np.ndarray:
+def _bilinear_products(a_row, a, integrals) -> np.ndarray:
     # [i, j] = integral phi_i phi_j dx: phi_bilinear_product over the arrays
-    return 2.0 * (a_row[:, None] * a * sine_product_integrals(kappa_row[:, None], kappa)).real
+    return 2.0 * (a_row[:, None] * a * integrals).real
 
 
-def sine_product_integrals(p, q) -> np.ndarray:
+def sine_product_integrals(p, q, diagonal=True) -> np.ndarray:
     """wavefunctions.sine_product_integral over broadcast arrays of complex
     wavenumbers (at least 1-d), in the rank-2 form
 
@@ -149,10 +147,11 @@ def sine_product_integrals(p, q) -> np.ndarray:
     cancels as p nears q, which leaves an error of ~eps e^(|Im p| + |Im q|)
     / |p - q|; entries with |p - q| < NEAR_WAVENUMBERS keep the scalar's
     difference form and same-wavenumber branch, which form p - q directly,
-    and are gathered and evaluated alone.  The forms differ in the last
+    and are gathered and evaluated alone.  diagonal=False leaves the
+    diagonal of a square block to the caller (the pairing's d): it is not
+    gathered and holds the rank-2 numerator.  The forms differ in the last
     bits, and numpy's complex arithmetic may differ from CPython's there
-    too: the scalar stays the reference of the tests and the one body of d
-    (phi_bilinear_product).
+    too: the scalar stays the reference of the tests.
     """
     p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
     diff = p - q
@@ -160,6 +159,8 @@ def sine_product_integrals(p, q) -> np.ndarray:
     denominator = diff * (p + q)
     denominator[near] = 1.0
     out = (np.sin(p) * (q * np.cos(q)) - (p * np.cos(p)) * np.sin(q)) / denominator
+    if not diagonal:
+        near.flat[:: len(near) + 1] = False
     if near.any():
         p, q = np.broadcast_to(p, near.shape)[near], np.broadcast_to(q, near.shape)[near]
         diff, total = p - q, p + q
@@ -238,16 +239,17 @@ def biorthogonality_matrix(
 
 def _doublet_pairing(states) -> np.ndarray:
     # G of a doublet family with its own left partners: its opposite-sigma blocks
-    # are exact zeros, its sigma = -1 block is the sigma = +1 one (module notes).
-    # battery.verify's float twin loads no numpy; this one is the faster, 0.17
-    # against 0.40 ms at 40 levels, on a 1.37 ms `closed-form` request (2-core x86)
+    # are exact zeros, its sigma = -1 block is the sigma = +1 one (module notes), with
+    # one channel factor wl wu + wu wl and d on the diagonal.
+    # battery.verify's float twin loads no numpy; this one is the faster, 0.07
+    # against 0.29 ms at 40 levels, on a 0.89 ms `closed-form` request (2-core x86)
     family_order(states)
     plus = states[0::2]
-    a, kappa, wu, wl = _profiles(plus)
-    q = np.array([s.q for s in plus], dtype=float)
-    factor = wl[:, None] * wu + wu[:, None] * wl
-    block = q[:, None] * factor * _bilinear_products(a, kappa, a, kappa)
-    block[np.diag_indices_from(block)] = [s.d for s in plus]
+    a, kappa = _coefficients(plus)
+    upper, lower = channel_weights(+1, plus[0].Y, plus[0].Z)
+    q = np.array([s.q for s in plus], dtype=float) * (lower * upper + upper * lower)
+    block = q[:, None] * _bilinear_products(a, a, sine_product_integrals(kappa[:, None], kappa, False))
+    block.flat[:: len(plus) + 1] = [s.d for s in plus]
     out = np.zeros((len(states), len(states)))
     out[0::2, 0::2] = out[1::2, 1::2] = block
     return out
@@ -311,7 +313,8 @@ def build_theta_metric(
     exposed in meta["channel_kernels"].
     """
     family = resolve_weights(states, weights, unsafe)
-    kernels, per_state = list(np.array(family.kernels)), np.array(family.per_state)
+    kernels = list(np.array(family.kernels).reshape(-1, 2, 2))
+    per_state = np.array(family.per_state)
     meta = dict(family.meta, weights_by_state=per_state, channel_kernels=kernels)
     if grid is None:
         meta["signature"] = family.signature
@@ -334,20 +337,21 @@ def _require_finite(what, entries) -> None:
         raise out_of_range(what, index.tolist(), entries[tuple(index)])
 
 
-def _mode_map(states: Sequence[ChannelState], value) -> OperatorRep:
-    # a spectral sum on the mode basis: diag(value(state_i))
+def _mode_map(states: Sequence[ChannelState], label: str) -> OperatorRep:
+    # a spectral sum on the mode basis: diag(float(state_i.<label>))
     order = family_order(states)
-    return OperatorRep(np.diag(np.array([value(s) for s in states])), RepBasis.MODE, meta={"order": order})
+    values = np.fromiter(map(attrgetter(label), states), float, len(states))
+    return OperatorRep(np.diag(values), RepBasis.MODE, meta={"order": order})
 
 
 def mode_hamiltonian(states: Sequence[ChannelState]) -> OperatorRep:
     """Map matrix of the Hamiltonian on its own eigenbasis: diag(E)."""
-    return _mode_map(states, lambda s: s.level.E)
+    return _mode_map(states, "level.E")
 
 
 def mode_spin(states: Sequence[ChannelState]) -> OperatorRep:
     """Map matrix of the channel observable on the mode basis: diag(sigma)."""
-    return _mode_map(states, lambda s: float(s.sigma))
+    return _mode_map(states, "sigma")
 
 
 def quasi_hermiticity_defect(op_rep: OperatorRep, theta_rep: OperatorRep) -> float:
@@ -355,7 +359,10 @@ def quasi_hermiticity_defect(op_rep: OperatorRep, theta_rep: OperatorRep) -> flo
 
     Zero exactly when A is Hermitian under the Theta inner product.  The
     operator must be a map representation and the metric a form on the
-    same basis.
+    same basis.  Real matrices zero off a finite diagonal, as the mode maps
+    and form are, take the dense product's bits from its float body on the
+    diagonal, _weights.mode_defect (`verify`'s); other maps (the doublet swap
+    of demos/metric_family.py) and grid forms take the dense product.
     """
     if op_rep.basis is not theta_rep.basis:
         raise ModelDomainError(
@@ -367,11 +374,23 @@ def quasi_hermiticity_defect(op_rep: OperatorRep, theta_rep: OperatorRep) -> flo
         raise ModelDomainError("defect needs an operator map and a metric form")
     m = op_rep.matrix
     f = theta_rep.matrix
+    values, form = _real_diagonal(m), _real_diagonal(f)
+    if values is not None and form is not None:
+        return mode_defect(values, form)
     defect = m.conj().T @ f - f @ m
     denom = float(np.max(np.abs(f))) * float(np.max(np.abs(m)))
     if denom == 0.0:
         raise ModelDomainError("zero operator or metric")
     return float(np.max(np.abs(defect))) / denom
+
+
+def _real_diagonal(matrix):
+    # the diagonal of a non-empty real matrix as floats, if it is finite and the rest is
+    # zero, else None (a finite diagonal whose sum overflows takes the dense product)
+    values = np.diagonal(matrix).tolist() if matrix.dtype.kind == "f" else []
+    if values and math.isfinite(sum(values)):
+        return values if np.count_nonzero(matrix) == len(values) - values.count(0.0) else None
+    return None
 
 
 def inverse_theta_metric(
@@ -404,10 +423,12 @@ def inverse_theta_metric(
             # the sesquilinear Gram matrix is the bilinear one with the row conjugated;
             # a sigma = -1 row is its partner's row with each level's two columns
             # swapped, because its a and kappa are the partner's conjugated
-            a, kappa, wu, wl = _profiles(states)
-            rows = (wu[0::2, None] * wu + wl[0::2, None] * wl) * _bilinear_products(
-                a[0::2].conj(), kappa[0::2].conj(), a, kappa
-            )
+            a, kappa = _coefficients(states)
+            integrals = sine_product_integrals(kappa[0::2, None].conj(), kappa)
+            rows = _bilinear_products(a[0::2].conj(), a, integrals)
+            upper, lower = channel_weights(+1, states[0].Y, states[0].Z)
+            pairs = rows.reshape(-1, 2)  # wu wu' + wl wl' by the column's sigma
+            pairs *= (upper * upper + lower * lower, upper * upper + lower * -lower)
             gram = np.empty((len(states), len(states)))
             gram[0::2] = rows
             gram[1::2, 1::2], gram[1::2, 0::2] = rows[:, 0::2], rows[:, 1::2]
@@ -429,11 +450,11 @@ def inverse_identity_defect(
     entry out of the float range (MetricConstraintError).  A form that is
     not a diagonal mode form raises ModelDomainError.
     """
-    matrix = theta_rep.matrix
+    form = np.diagonal(theta_rep.matrix).tolist()
     if (theta_rep.basis is not RepBasis.MODE or not theta_rep.is_form
-            or np.count_nonzero(matrix) > np.count_nonzero(np.diagonal(matrix))):
+            or np.count_nonzero(theta_rep.matrix) > len(form) - form.count(0.0)):
         raise ModelDomainError("identity check expects the mode-basis metric form")
     family = resolve_weights(states, weights, False)
     if theta_rep.dim != len(states):
         raise ModelDomainError("metric dimension does not match the state list")
-    return identity_defect(inverse_coefficients(states, family), np.diagonal(matrix).tolist())
+    return identity_defect(inverse_coefficients(states, family), form)

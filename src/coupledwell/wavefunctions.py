@@ -107,7 +107,8 @@ class ChannelState:
         """Diagonal pairing d = <<left|state> with the state's own left partner,
         q (wl wu + wu wl) integral phi^2 = 2 |wu wl| |integral phi^2|: wu wl has
         the sign sigma and q = sigma sign(integral phi^2).  Stored or computed once."""
-        return _diagonal_pairing(self, *channel_weights(self.sigma, self.Y, self.Z))
+        wu, wl = channel_weights(self.sigma, self.Y, self.Z)
+        return _diagonal_pairing(_phi_squares(self, *_sin_cos_kappa(self.level, self.sigma))[0], wu, wl)
 
 
 def check_points(x) -> np.ndarray:
@@ -142,8 +143,10 @@ def _sin_cos_kappa(level: LevelSolution, sigma: int) -> tuple[complex, complex]:
     """sin kappa, cos kappa for kappa = (n+1) pi/2 + w, w = (-1)^n eps - i sigma t,
     as quarter turns of w: eps is not lost to the rounding of s."""
     w = complex(-level.eps if level.n % 2 else level.eps, -sigma * level.t)
-    sw, cw = cmath.sin(w), cmath.cos(w)
-    return ((sw, cw), (cw, -sw), (-sw, -cw), (-cw, sw))[(level.n + 1) % 4]
+    sw, cw, turns = cmath.sin(w), cmath.cos(w), (level.n + 1) % 4
+    if turns < 2:
+        return (sw, cw) if turns == 0 else (cw, -sw)
+    return (-sw, -cw) if turns == 2 else (-cw, sw)
 
 
 def channel_weights(sigma: int, Y: float, Z: float) -> tuple[float, float]:
@@ -204,9 +207,8 @@ def _doublet_builder(coupling: CouplingPair):
                             a_plus * weight_upper, a_plus * weight_lower)
         minus = ChannelState(level, -1, Y, Z, a_minus, complex(s, t),
                              a_minus * weight_upper, a_minus * -weight_lower)
-        d = _diagonal_pairing(plus, weight_upper, weight_lower)
-        plus.__dict__["d"] = minus.__dict__["d"] = d
-        p = _parity_overlap(plus, sk, ck)
+        square, p = _phi_squares(plus, sk, ck)
+        plus.__dict__["d"] = minus.__dict__["d"] = _diagonal_pairing(square, weight_upper, weight_lower)
         if p != 0.0:
             q = plus.__dict__["q"] = _quasi_parity(plus, p)
             minus.__dict__["q"] = -q
@@ -275,12 +277,16 @@ def parity_overlap(state: ChannelState) -> float:
     its sign alternates as (-1)^n at small coupling and it enters every
     biorthogonal normalization.
     """
-    return _parity_overlap(state, *_sin_cos_kappa(state.level, state.sigma))
+    return _phi_squares(state, *_sin_cos_kappa(state.level, state.sigma))[1]
 
 
-def _parity_overlap(state: ChannelState, sin_kappa: complex, cos_kappa: complex) -> float:
-    a = state.phi_coeff
-    return float((a * a * (1.0 - sin_kappa * cos_kappa / state.kappa)).real)
+def _phi_squares(state: ChannelState, sin_kappa: complex, cos_kappa: complex) -> tuple[float, float]:
+    # integral phi^2 dx from one a^2, for d as 2 Re(a^2 I(kappa, kappa)) and for q as
+    # the parity overlap Re(a^2 (1 - sin kappa cos kappa / kappa)), which can differ in
+    # the last bit: the one body of both (ChannelState.d, parity_overlap, the builder)
+    square = state.phi_coeff * state.phi_coeff
+    return (2.0 * (square * _same_wavenumber_integral(state.kappa)).real,
+            (square * (1.0 - sin_kappa * cos_kappa / state.kappa)).real)
 
 
 def quasi_parity(state: ChannelState) -> int:
@@ -301,8 +307,8 @@ def _quasi_parity(state: ChannelState, p: float) -> int:
     return int(state.sigma * math.copysign(1.0, p))
 
 
-def _diagonal_pairing(state: ChannelState, wu: float, wl: float) -> float:
-    return 2.0 * abs(wu * wl) * abs(phi_bilinear_product(state, state))
+def _diagonal_pairing(square: float, wu: float, wl: float) -> float:
+    return 2.0 * abs(wu * wl) * abs(square)
 
 
 def doublet_family(coupling: CouplingPair, n_levels: int) -> list[ChannelState]:
@@ -328,12 +334,17 @@ def sine_product_integral(p: complex, q: complex) -> complex:
 
     The difference form, sin(p - q) / (2 (p - q)) - sin(p + q) / (2 (p + q)),
     with 0.5 - sin(2p) / (4p) where p and q agree to 1e-14: the reference of
-    the rank-2 pairings, and the one body d takes (phi_bilinear_product).
+    the rank-2 pairings; the same-wavenumber branch is d's integral (_phi_squares).
     """
     p, q = complex(p), complex(q)
     if abs(p - q) < 1e-14 * max(1.0, abs(p)):
-        return 0.5 - cmath.sin(2.0 * p) / (4.0 * p)
+        return _same_wavenumber_integral(p)
     return cmath.sin(p - q) / (2.0 * (p - q)) - cmath.sin(p + q) / (2.0 * (p + q))
+
+
+def _same_wavenumber_integral(p: complex) -> complex:
+    # integral_0^1 sin(p u)^2 du, sine_product_integral at q = p
+    return 0.5 - cmath.sin(2.0 * p) / (4.0 * p)
 
 
 def phi_bilinear_product(state_a: ChannelState, state_b: ChannelState) -> float:

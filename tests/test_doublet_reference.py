@@ -42,6 +42,9 @@ from coupledwell import (
     inverse_identity_defect,
     inverse_theta_metric,
     left_vector,
+    mode_hamiltonian,
+    mode_spin,
+    quasi_hermiticity_defect,
     solve_coefficients,
     solve_level,
 )
@@ -52,6 +55,7 @@ from coupledwell.model import RepBasis, as_index
 from coupledwell.oracle import (_cut, _distinct, _doublets, _lowest_roots, _partner_residual, _require_residual,
                                _TwoRegionBlock)
 from coupledwell.wavefunctions import (
+    NEAR_WAVENUMBERS,
     _sin_cos_kappa,
     channel_weights,
     check_points,
@@ -193,6 +197,12 @@ def _reference_defect(theta, states, weights):
     return float(np.max(np.abs(product - np.eye(len(states)))))
 
 
+def _reference_dense_defect(m, f):
+    # quasi_hermiticity_defect's dense body, max |M^dagger F - F M| / (max |F| max |M|)
+    return float(np.max(np.abs(m.conj().T @ f - f @ m))) / (
+        float(np.max(np.abs(f))) * float(np.max(np.abs(m))))
+
+
 def _q(state, get=quasi_parity):
     # q, or the refusal's message where integral phi^2 = 0
     try:
@@ -264,6 +274,62 @@ def test_doublet_shortcuts_match_the_reference_at_the_decoupled_end(value, n_lev
     # members share one coefficient; at 1e-300 conj(a_plus) can differ from
     # a_minus in the sign of a zero part (-1-0j against -1+0j at n = 2)
     _assert_matches_reference(CouplingPair(value, value), n_levels)
+
+
+def _assert_chain_matches_reference(pair, s_plus, s_minus):
+    # the metric chain of a `closed-form` request against the per-state formulas, as
+    # bits: the form, the inverse and its meta, the pairing, both mode-basis
+    # defects by the dense product and the identity defect
+    n_levels = len(s_plus)
+    states, reference = doublet_family(pair, n_levels), _reference_family(pair, n_levels)
+    weights = MetricWeights(np.array(s_plus), np.array(s_minus))
+    theta, inverse = build_theta_metric(states, weights), inverse_theta_metric(states, weights)
+    assert_same_bytes(theta.matrix, _reference_theta(reference, weights))
+    assert_same_bytes(inverse.matrix, _reference_inverse(reference, weights))
+    per_state, d = _weights_and_d(reference, weights)
+    assert_same_bytes(inverse.meta["coefficients"], 1.0 / (per_state * d * d))
+    assert_same_bytes(inverse.meta["diagonal_overlaps"], d)
+    # + 0.0 reads -0.0 as 0.0: the reference's opposite-sigma entries are signed products
+    assert_same_bytes(biorthogonality_matrix(states) + 0.0, _reference_pairing(reference) + 0.0)
+    maps = (np.diag(np.array([s.level.E for s in reference])),
+            np.diag(np.array([float(s.sigma) for s in reference])))
+    for rep, matrix in zip((mode_hamiltonian(states), mode_spin(states)), maps):
+        assert_same_bytes(rep.matrix, matrix)
+        assert repr(quasi_hermiticity_defect(rep, theta)) == repr(
+            _reference_dense_defect(matrix, theta.matrix))
+    assert repr(inverse_identity_defect(theta, states, weights)) == repr(
+        _reference_defect(theta.matrix, reference, weights))
+
+
+# sigma = +1 wavenumbers of levels 0 and 1 lie 0.066 apart at sqrt(YZ) = 4.47, so
+# the pairing still gathers near entries off its diagonal; at sqrt(YZ) = 2, 2t > 1
+# at level 0 and no two levels are near, so its inverse row keeps the rank-2 form
+NEAR_PAIR, WIDE_LOWEST = CouplingPair(4.47, 4.47), CouplingPair(4.0, 1.0)
+
+
+def test_chain_examples_reach_the_branches_they_pin():
+    for pair, near in ((NEAR_PAIR, True), (WIDE_LOWEST, False)):
+        plus = doublet_family(pair, 8)[0::2]
+        kappa = np.array([s.kappa for s in plus])
+        apart = np.abs(kappa[:, None] - kappa)[~np.eye(len(plus), dtype=bool)]
+        assert (apart.min() < NEAR_WAVENUMBERS) == near
+        assert 2.0 * plus[0].level.t >= NEAR_WAVENUMBERS
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(log_c=st.floats(min_value=math.log(1e-4), max_value=math.log(4.47)),
+       log_ratio=st.floats(min_value=math.log(0.25), max_value=math.log(4.0)),
+       levels=st.integers(min_value=1, max_value=40).flatmap(
+           lambda n: st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+                              min_size=n, max_size=n)))
+@example(log_c=math.log(4.47), log_ratio=0.0, levels=[(1.0, 1.0), (0.5, 2.0)] * 4)
+@example(log_c=math.log(2.0), log_ratio=math.log(4.0), levels=[(2.0, 0.5)] * 40)
+def test_metric_chain_matches_the_per_state_reference(log_c, log_ratio, levels):
+    # c log-uniform on [1e-4, 4.47], Y/Z log-uniform on [1/4, 4], 1-40 levels,
+    # weights in [0.5, 2]
+    c, root_ratio = math.exp(log_c), math.exp(log_ratio / 2.0)
+    s_plus, s_minus = zip(*levels)
+    _assert_chain_matches_reference(CouplingPair(c * root_ratio, c / root_ratio), s_plus, s_minus)
 
 
 def test_sigma_minus_sines_are_the_conjugates():

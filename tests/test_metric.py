@@ -43,6 +43,7 @@ from coupledwell import (
 from coupledwell.metric import sine_product_integrals
 from coupledwell.wavefunctions import sine_product_integral
 from test_doublet_reference import (
+    _reference_dense_defect,
     apply_theta,
     assert_same_bytes,
     biorthogonal_overlap,
@@ -312,7 +313,10 @@ def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
     # leaves one d and one q per level, both computed by doublet_family as it
     # builds each sigma = +1 state, whose sigma = -1 partner takes d_- = d_+
     # and q_- = -q_+, and none inside the four builders.  No left partner is
-    # built.  q is counted at _quasi_parity, which quasi_parity goes through too.
+    # built and no scalar segment integral is taken.  d is counted at
+    # _phi_squares, the integrals of phi^2 that ChannelState.d and
+    # parity_overlap go through too, and q at _quasi_parity, which
+    # quasi_parity goes through.
     calls = collections.Counter()
 
     def counted(name, inner):
@@ -325,7 +329,7 @@ def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
     for name, module, attr in (
         ("left", metric_module, "left_vector"),
         ("q", wavefunctions_module, "_quasi_parity"),
-        ("d", wavefunctions_module, "phi_bilinear_product"),
+        ("d", wavefunctions_module, "_phi_squares"),
         ("integral", wavefunctions_module, "sine_product_integral"),
     ):
         monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
@@ -335,7 +339,7 @@ def test_closed_pairing_and_inverse_make_linear_scalar_calls(monkeypatch):
                 for name in ("left", "q", "d", "integral")}
 
     states = doublet_family(UNIT, 12)
-    assert totals() == {"left": 0, "q": 12, "d": 12, "integral": 12}
+    assert totals() == {"left": 0, "q": 12, "d": 12, "integral": 0}
     for plus, minus in zip(states[::2], states[1::2]):
         assert calls["q", id(plus)] == calls["d", id(plus)] == 1
         assert calls["q", id(minus)] == calls["d", id(minus)] == 0
@@ -983,6 +987,65 @@ def test_defect_validation():
     small = mode_hamiltonian(doublet_family(UNIT, 1))
     with pytest.raises(ModelDomainError):
         quasi_hermiticity_defect(small, theta)
+
+
+def test_dense_defect_serves_what_is_not_a_real_mode_diagonal():
+    # the doublet swap of demos/metric_family.py, a grid form against grid maps, and
+    # mode diagonals whose products or whose sum overflow: the dense formula's bits
+    states = doublet_family(CouplingPair(2.0, 2.0), 8)
+    theta = build_theta_metric(states)
+    order = theta.meta["order"]
+    flip = np.zeros_like(theta.matrix)
+    for i, (n, sigma) in enumerate(order):
+        flip[i, order.index((n, -sigma))] = 1.0
+    swap = OperatorRep(flip, RepBasis.MODE)
+    skewed = MetricWeights(np.where(np.arange(8) == 1, 3.0, 1.0), np.ones(8))
+    grid = GridSpec(64)
+    grid_form = build_theta_metric(states[:4], grid=grid)
+    huge = np.diag([1.0, 1e300, 2.0, -1e300])  # NaN after a finite term
+    cases = [
+        (swap, theta), (swap, build_theta_metric(states, skewed)),
+        (inverse_theta_metric(states[:4], grid=grid), grid_form),
+        (OperatorRep(np.diag(np.linspace(1.0, 2.0, grid_form.dim)), RepBasis.GRID), grid_form),
+        (OperatorRep(huge, RepBasis.MODE), OperatorRep(huge, RepBasis.MODE, is_form=True)),
+        (OperatorRep(np.diag([1.7e308, 1.7e308]), RepBasis.MODE),
+         OperatorRep(np.eye(2), RepBasis.MODE, is_form=True)),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op, form in cases:
+            assert repr(quasi_hermiticity_defect(op, form)) == repr(
+                _reference_dense_defect(op.matrix, form.matrix))
+    assert math.isnan(quasi_hermiticity_defect(*cases[4]))
+
+
+def test_defect_refusals_keep_their_order_and_messages():
+    # each refusal of the mode diagonals, and with several faults the first of
+    # bases, dimensions, roles and zeros, as the dense product's (complex copies)
+    states = doublet_family(UNIT, 2)
+    theta, h = build_theta_metric(states), mode_hamiltonian(states)
+    bases = f"representations live on different bases: {RepBasis.MODE} vs {RepBasis.GRID}"
+    dims = "dimension mismatch between operator and metric"
+    roles = "defect needs an operator map and a metric form"
+
+    def rep(matrix, basis=RepBasis.MODE, is_form=False):
+        return OperatorRep(np.asarray(matrix, dtype=float), basis, is_form)
+
+    cases = [
+        (h, rep(np.eye(4), RepBasis.GRID, True), bases),
+        (mode_hamiltonian(doublet_family(UNIT, 1)), theta, dims),
+        (theta, theta, roles), (h, h, roles),
+        (rep(np.zeros((4, 4))), theta, "zero operator or metric"),
+        (h, rep(np.zeros((4, 4)), is_form=True), "zero operator or metric"),
+        (rep(np.zeros((2, 2)), is_form=True), rep(np.zeros((4, 4)), RepBasis.GRID), bases),
+        (rep(np.zeros((2, 2)), is_form=True), rep(np.zeros((4, 4))), dims),
+        (rep(np.zeros((4, 4)), is_form=True), rep(np.zeros((4, 4))), roles),
+    ]
+    for op, form, message in cases:
+        for cast in (float, complex):
+            pair = [OperatorRep(r.matrix.astype(cast), r.basis, r.is_form) for r in (op, form)]
+            with pytest.raises(ModelDomainError) as refused:
+                quasi_hermiticity_defect(*pair)
+            assert str(refused.value) == message
 
 
 def test_inverse_theta_identity_defect():
