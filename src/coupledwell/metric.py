@@ -28,8 +28,9 @@ right states are biorthogonal), because the cross-sigma channel factor
 sqrt(YZ)(sigma_a + sigma_b) vanishes and distinct same-sigma levels are
 bilinear-orthogonal, so F[i, k] = sum_j G[j, i] S_j G[j, k] keeps only
 i = k = j.  The full G, from biorthogonality_matrix, is the check that
-the diagonal form holds.  Each d is a number of its state alone,
-2 |wu wl| |integral phi^2|, and so is q; doublet_family
+the diagonal form holds, and its quadrature, which sums the x < 0 half
+of Simpson's rule once, checks the closed G.  Each d is a number of its
+state alone, 2 |wu wl| |integral phi^2|, and so is q; doublet_family
 stores both with each state as it builds it (ChannelState.d, .q), and
 only the grid samples read left partners, from their states' own
 samples.  In the mode basis a spectral sum is diag(values),
@@ -213,9 +214,12 @@ def biorthogonality_matrix(
     panels per half, as an independent check of the closed forms, for
     any states and left partners of one coupling (their own partners
     when lefts is None).  It evaluates each state's profile once, and
-    each explicit left partner's state once; the states and their left
-    partners are read from those samples (_sample).  The rule drops the
-    wall nodes, where every state and left partner vanishes.
+    each explicit left partner's state once, as S = sin(kappa (x+1)) on
+    x <= 0 (_sample), and sums that half once, primes for the partner's:
+    G[i, j] = q_i (2 Re[(B'_i A_j + A'_i B_j) sum_{x<0} w S'_i S_j]
+    + w(0) [conj(B'_i S'_i(0)) A_j S_j(0) + conj(A'_i S'_i(0)) B_j S_j(0)]),
+    as each x > 0 term is the conjugate of the x < 0 term at -x.  The rule
+    drops the wall nodes, where every state and left partner vanishes.
     """
     if method == "closed":
         if lefts is not None:
@@ -231,10 +235,15 @@ def biorthogonality_matrix(
     if states:
         _shared_coupling([*states, *(l.state for l in lefts)])
     nodes, w = simpson_rule(2 * _PANELS)
-    channels = _sample(states, nodes)
-    partners = channels if own else _sample([l.state for l in lefts], nodes)
-    bras = _bras(partners, [l.q for l in lefts])
-    return (bras.conj().T * np.concatenate([w, w])) @ _kets(channels)
+    profile, coefficients = samples = _sample(states, nodes)
+    partner_profile, partner_coefficients = samples if own else _sample([l.state for l in lefts], nodes)
+    # x = 0 is the last node sampled; swap holds the rows (B'_i, A'_i) that meet (A_j, B_j)
+    half = nodes.size // 2
+    swap = partner_coefficients[::-1].T
+    bulk = (partner_profile[:-1].T * w[:half]) @ profile[:-1]
+    edge = (swap * partner_profile[-1, :, None]).conj() @ (coefficients * profile[-1])
+    q = np.array([l.q for l in lefts], dtype=float)
+    return q[:, None] * (2.0 * ((swap @ coefficients) * bulk).real + w[half] * edge)
 
 
 def _doublet_pairing(states) -> np.ndarray:
@@ -256,30 +265,30 @@ def _doublet_pairing(states) -> np.ndarray:
 
 
 def _sample(states, nodes) -> tuple[np.ndarray, np.ndarray]:
-    # A S and B S on the x <= 0 nodes, one column per state, from one profile
-    # S = sin(kappa (x+1)) per state and node.  The nodes (simpson_rule's, which
+    # the profile S = sin(kappa (x+1)) on the x <= 0 nodes, one column per state,
+    # and the rows (A, B) of channel coefficients.  The nodes (simpson_rule's, which
     # are GridSpec.interior_nodes) are exactly antisymmetric with x = 0 exact, and
     # 1 - (-x) = x + 1 bit for bit, so the x > 0 half of every state and left
-    # partner is this half mirrored: each column is the arithmetic of
+    # partner is this half mirrored: A S and B S are the arithmetic of
     # wavefunctions._segment_sine at every node
     x = nodes[: nodes.size // 2 + 1]
     kappa = np.array([s.kappa for s in states], dtype=complex)
-    profile = np.sin(kappa * (x + 1.0)[:, None])
-    upper = np.array([s.A for s in states], dtype=complex) * profile
-    lower = np.array([s.B for s in states], dtype=complex) * profile
-    return upper, lower
+    coefficients = np.array([[s.A for s in states], [s.B for s in states]], dtype=complex)
+    return np.sin(kappa * (x + 1.0)[:, None]), coefficients
 
 
-def _kets(channels) -> np.ndarray:
+def _kets(samples) -> np.ndarray:
     # one column [upper(nodes); lower(nodes)] per state: conjugated on x > 0
-    upper, lower = channels
+    profile, coefficients = samples
+    upper, lower = coefficients[:, None] * profile
     return np.concatenate([upper, upper[-2::-1].conj(), lower, lower[-2::-1].conj()])
 
 
-def _bras(channels, q) -> np.ndarray:
+def _bras(samples, q) -> np.ndarray:
     # one column per left partner, q times the swap-reflect image of its state:
     # (q lower(-x), q upper(-x)), conjugated on x < 0, where -x > 0
-    upper, lower = channels
+    profile, coefficients = samples
+    upper, lower = coefficients[:, None] * profile
     q = np.array(q, dtype=int)
     return q * np.concatenate([lower[:-1].conj(), lower[::-1], upper[:-1].conj(), upper[::-1]])
 

@@ -251,11 +251,12 @@ def matching_residual(state: ChannelState) -> float:
     For a state built from a converged secular root this is at rounding
     level; the slope defect is proportional to the secular residual, so
     perturbing s at fixed coupling makes it jump by orders of magnitude.
-    The peak is sampled with cmath on the points of
-    np.linspace(-1, 1, 257) (_ranges._linspace); |conj w| = |w| on x > 0.
+    The peak over the points of np.linspace(-1, 1, 257) (_ranges._linspace)
+    is sampled with cmath on its 129 points x <= 0: on x > 0, 1 - x is the
+    mirror point's x + 1 bit for bit, and |conj w| = |w|.
     """
-    profile = [cmath.sin(state.kappa * (x + 1.0 if x <= 0.0 else 1.0 - x))
-               for x in _linspace(-1.0, 1.0, _AMPLITUDE_SAMPLES)]
+    profile = [cmath.sin(state.kappa * (x + 1.0))
+               for x in _linspace(-1.0, 1.0, _AMPLITUDE_SAMPLES)[: _AMPLITUDE_SAMPLES // 2 + 1]]
     amp = max(abs(coeff * sine) for coeff in (state.A, state.B) for sine in profile)
     if amp == 0.0:
         raise ModelDomainError("state has zero amplitude")

@@ -13,10 +13,14 @@ spectral sum written out here, which the package does not build.
 The oracle's `eigenpairs` samples only left sides for YZ >= 0, writes
 its doublets into one array and reads its residual off the bands'
 constants; its reference samples both sides, stacks the channel blocks
-and reads the residual off the stored bands.  The shortcuts must give
-the same floats, not merely close ones.
+and reads the residual off the stored bands.  `matching_residual` samples
+its peak on the 129 points x <= 0; its reference, on all 257.  The
+shortcuts must give the same floats, not merely close ones, except the
+quadrature pairing: it sums the x < 0 half once, as 2 Re of its terms,
+and lies within rounding (4e-15 of max |G|) of the full-grid sum.
 """
 
+import cmath
 import dataclasses
 import math
 
@@ -37,11 +41,13 @@ from coupledwell import (
     biorthogonality_matrix,
     build_hamiltonian,
     build_theta_metric,
+    critical_coupling,
     doublet_family,
     eigenpairs,
     inverse_identity_defect,
     inverse_theta_metric,
     left_vector,
+    matching_residual,
     mode_hamiltonian,
     mode_spin,
     quasi_hermiticity_defect,
@@ -370,20 +376,31 @@ def reference_spectral_sum(states, values, M):
     return (right * (values / d)) @ (bras.conj() * np.concatenate([w, w])[:, None]).T
 
 
+def _shuffled_partners(states, rng):
+    # explicit partners of the states: shuffled, some with the opposite sign
+    lefts = [left_vector(s) for s in states]
+    return [LeftState(lefts[i].state, lefts[i].q * int(rng.choice((-1, 1))))
+            for i in rng.permutation(len(lefts))]
+
+
+def _assert_quadrature_matches_full_grid(states, partners):
+    # the quadrature sums the x < 0 half once, as 2 Re of its terms, and adds
+    # x = 0: the full-grid Simpson sum over every node, with each channel
+    # called at every node, is its reference within rounding of max |G|
+    nodes, w = simpson_rule(1024)
+    bras = reference_sample([left_vector(s) for s in states] if partners is None else partners, nodes)
+    reference = (bras.conj().T * np.concatenate([w, w])) @ reference_sample(states, nodes)
+    fast = biorthogonality_matrix(states, partners, method="quadrature")
+    assert fast.dtype == reference.dtype and fast.shape == reference.shape
+    assert np.abs(fast - reference).max() <= 4e-15 * np.abs(reference).max()
+
+
 def _assert_sampled_forms_match_reference(pair, n_levels, M, seed):
     states = doublet_family(pair, n_levels)
     lefts = [left_vector(s) for s in states]
     rng = np.random.default_rng(seed)
-    # explicit partners: shuffled, some with the opposite sign
-    shuffled = [LeftState(lefts[i].state, lefts[i].q * int(rng.choice((-1, 1))))
-                for i in rng.permutation(len(lefts))]
-    nodes, w = simpson_rule(1024)
-    w2 = np.concatenate([w, w])
-    kets = reference_sample(states, nodes)
-    for partners in (None, shuffled):
-        bras = reference_sample(lefts if partners is None else partners, nodes)
-        assert_same_bytes(biorthogonality_matrix(states, partners, method="quadrature"),
-                           (bras.conj().T * w2) @ kets)
+    for partners in (None, _shuffled_partners(states, rng)):
+        _assert_quadrature_matches_full_grid(states, partners)
 
     grid = GridSpec(M)
     d = np.array([s.d for s in states])
@@ -418,6 +435,67 @@ def test_sampled_forms_match_the_per_callable_reference(log_c, log_ratio, n_leve
     c, root_ratio = 10.0 ** log_c, 10.0 ** (log_ratio / 2.0)
     _assert_sampled_forms_match_reference(CouplingPair(c * root_ratio, c / root_ratio),
                                           n_levels, M, seed)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(log_c=st.floats(min_value=math.log(1e-4), max_value=math.log(4.47)),
+       log_ratio=st.floats(min_value=math.log(0.25), max_value=math.log(4.0)),
+       n_levels=st.integers(min_value=1, max_value=40),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(log_c=math.log(4.47), log_ratio=0.0, n_levels=40, seed=0)
+def test_quadrature_matches_the_full_grid_sum(log_c, log_ratio, n_levels, seed):
+    # c log-uniform on [1e-4, 4.47], Y/Z log-uniform on [1/4, 4]: own partners,
+    # shuffled sign-flipped explicit ones, and a partial family with its partners
+    c, root_ratio = math.exp(log_c), math.exp(log_ratio / 2.0)
+    states = doublet_family(CouplingPair(c * root_ratio, c / root_ratio), n_levels)
+    rng = np.random.default_rng(seed)
+    part = [states[i] for i in sorted(rng.choice(len(states), int(rng.integers(1, len(states) + 1)),
+                                                 replace=False))]
+    _assert_quadrature_matches_full_grid(states, None)
+    _assert_quadrature_matches_full_grid(states, _shuffled_partners(states, rng))
+    _assert_quadrature_matches_full_grid(part, _shuffled_partners(part, rng))
+
+
+def reference_matching_residual(state):
+    # matching_residual with its peak sampled at all 257 points of
+    # np.linspace(-1, 1, 257): x + 1 on x <= 0, 1 - x on x > 0
+    profile = [cmath.sin(state.kappa * (x + 1.0 if x <= 0.0 else 1.0 - x))
+               for x in np.linspace(-1.0, 1.0, 257).tolist()]
+    amp = max(abs(coeff * sine) for coeff in (state.A, state.B) for sine in profile)
+    sin_kappa, cos_kappa = _sin_cos_kappa(state.level, state.sigma)
+    defect = 0.0
+    for coeff in (state.A, state.B):
+        sk = coeff * sin_kappa
+        dk = coeff * state.kappa * cos_kappa
+        defect = max(defect, abs(sk - sk.conjugate()), abs(dk + dk.conjugate()))
+    return defect / amp
+
+
+def _assert_matching_residual_matches_reference(states):
+    for state in states:
+        assert matching_residual(state).hex() == reference_matching_residual(state).hex()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(log_c=st.floats(min_value=math.log(1e-10), max_value=math.log(4.47)),
+       log_ratio=st.floats(min_value=math.log(0.25), max_value=math.log(4.0)),
+       n_levels=st.integers(min_value=1, max_value=60))
+def test_matching_residual_is_the_257_point_formula(log_c, log_ratio, n_levels):
+    # the peak over the 129 points x <= 0 is the peak over all 257, bit for bit
+    c, root_ratio = math.exp(log_c), math.exp(log_ratio / 2.0)
+    _assert_matching_residual_matches_reference(
+        doublet_family(CouplingPair(c * root_ratio, c / root_ratio), n_levels))
+
+
+def test_matching_residual_is_the_257_point_formula_decoupled_and_near_merger():
+    # the decoupled ladder, whose odd levels vanish at x = 0, and pair 0 just
+    # below its merger, where its two levels nearly meet and t is largest
+    merger = critical_coupling(0).c_merger
+    pairs = [CouplingPair(0.0, 0.0), CouplingPair(1e-300, 1e-300)]
+    pairs += [CouplingPair(merger * (1.0 - delta), merger * (1.0 - delta)) for delta in (1e-4, 1e-8)]
+    pairs.append(CouplingPair(2.0 * merger * (1.0 - 1e-6), 0.5 * merger * (1.0 - 1e-6)))
+    for pair in pairs:
+        _assert_matching_residual_matches_reference(doublet_family(pair, 6))
 
 
 def test_sampled_nodes_are_exactly_antisymmetric():
